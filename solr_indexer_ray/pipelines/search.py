@@ -305,10 +305,18 @@ def _scatter_add(dst, ids, val):
     list(pool().map(work, range(k)))
 
 
+def _one_array(col: pa.ChunkedArray) -> pa.Array:
+    """``col`` as one contiguous array (zero-copy when it has one chunk):
+    ``take`` on a many-chunk column pays per call what this pays once."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
 def _select_topk(cand, s, k):
     """Exact top-k with (-score, doc_id) tie-break: find the k-th score,
     keep everything >= it (boundary ties resolved by doc_id, not by
     argpartition's arbitrary choice), then lexsort."""
+    if k <= 0:  # Solr rows=0
+        return []
     if cand.size > k:
         # ascending partition at n-k = k-th LARGEST without the
         # negated copy the (-s, k-1) form allocated per query
@@ -1017,11 +1025,9 @@ class SearchEngine:
             os.path.join(self.index_dir, "postings"), partitioning="hive"
         )
         self._docs_ds = pads.dataset(os.path.join(self.index_dir, "docs"))
-        self._norms = None          # doc_id -> norm byte (dense)
-        self._present = None        # doc_id -> row exists in docs table
+        self._drop_generation_state()
         self._tombstones = None     # set[int] or None
         self._overlays = None       # doc_id -> {col: value}
-        self._term_cache: dict = {}  # decoded TermPostings LRU (insertion order)
         self.term_cache_size = 1024
         #: byte budget for the decoded-postings cache — a count-only cap
         #: lets 1024 stop-word streams (8-9 B/occurrence with positions
@@ -1034,7 +1040,6 @@ class SearchEngine:
         self._mask_cache: dict = {}  # (filters, prohibited, n_tomb) -> mask
         self._fq_cache: dict = {}    # fq string -> exclusion mask (filterCache)
         self._fuzzy_cache: dict = {}  # (word, edits) -> expansion terms
-        self._field_norms: dict = {}  # analyzed field -> dense norm bytes
         self._pattern_cache: dict = {}  # wildcard pattern -> expansion
         #: stride of the global phrase-key encoding (doc·stride + pos).
         #: Grows monotonically to the next power of two covering the
@@ -1044,12 +1049,30 @@ class SearchEngine:
         self._bmw_cell_cache: dict = {}  # terms tuple -> cell grid/offsets
         self._func_cols: dict = {}   # field -> dense float64 (bf/boost)
         self._geo_cache: dict = {}   # sfield -> dense lat/lon (or bbox)
-        self._field_tab_cache: dict = {}  # field -> (doc_id, field) table
         self._filter_fields = None   # dynamic filterable-column set
 
     # ------------------------------------------------------------------ #
     # small state
     # ------------------------------------------------------------------ #
+    def _drop_generation_state(self) -> None:
+        """Forget everything derived from one index generation's docs and
+        postings tables (a commit can grow the doc-id space, so none of
+        it may survive a generation change)."""
+        self._norms = None          # doc_id -> norm byte (dense)
+        self._present = None        # doc_id -> row exists in docs table
+        #: dense doc_id -> docs-table row position (-1: no row)
+        self._locator = None
+        #: docs-table columns in table row order, read once per generation
+        self._doc_cols: dict = {}
+        self._field_norms: dict = {}  # analyzed field -> dense norm bytes
+        self._dense_field_cache: dict = {}  # field -> dense sort keys
+        self._field_codes_cache: dict = {}  # field -> factorized codes
+        self._term_cache: dict = {}  # decoded TermPostings LRU (insertion order)
+        self._df_cache: dict = {}    # term -> summed df (None: absent)
+        self._dict_cache = None      # sorted term dictionary + dfs
+        self._suggest_cache = None
+        self._stored_fields = None
+
     @property
     def norms(self) -> np.ndarray:
         if self._norms is None:
@@ -1061,6 +1084,10 @@ class SearchEngine:
             present = np.zeros(self.doc_space, dtype=bool)
             present[ids] = True
             self._present = present
+            locator = np.full(self.doc_space, -1, dtype=np.int64)
+            locator[ids] = np.arange(ids.size, dtype=np.int64)
+            self._locator = locator
+            self._doc_cols = {c: _one_array(t[c]) for c in t.column_names}
         return self._norms
 
     @property
@@ -1094,7 +1121,6 @@ class SearchEngine:
         self._bmw_cell_cache = {}
         self._func_cols = {}  # overlays (atomic updates) can move values
         self._geo_cache = {}
-        self._field_tab_cache = {}
 
     def refresh(self) -> bool:
         """Reopen the searcher (Solr: openSearcher after a commit): re-read
@@ -1115,11 +1141,7 @@ class SearchEngine:
             os.path.join(self.index_dir, "postings"), partitioning="hive"
         )
         self._docs_ds = pads.dataset(os.path.join(self.index_dir, "docs"))
-        self._norms = None
-        self._present = None
-        self._term_cache = {}
-        self._suggest_cache = None
-        self._stored_fields = None
+        self._drop_generation_state()
         self.invalidate_caches()
         return True
 
@@ -1132,7 +1154,7 @@ class SearchEngine:
         core schema plus any ``extra_stored`` build columns (discovered
         from the docs parquet schema, not hard-coded).  ``content`` stays
         opt-in via ``fl`` (heavy); ``norm`` is internal."""
-        if getattr(self, "_stored_fields", None) is None:
+        if self._stored_fields is None:
             self._stored_fields = [
                 n for n in self._docs_ds.schema.names
                 if n not in ("norm", "content")
@@ -1352,8 +1374,6 @@ class SearchEngine:
         reading a stop-word's doc_ids blob to learn its df is the
         difference between a metadata column scan and shipping the whole
         postings list to the driver."""
-        if getattr(self, "_df_cache", None) is None:
-            self._df_cache: dict = {}
         out: dict = {}
         todo = []
         for t in sorted(set(terms)):
@@ -2501,7 +2521,7 @@ class SearchEngine:
                 cand = np.flatnonzero(~nan)
                 need = start + k
                 sel = np.empty(0, np.int64)
-                if cand.size:
+                if cand.size and need:
                     if cand.size > need:
                         part = cand[np.argpartition(key[cand],
                                                     need - 1)[:need]]
@@ -2950,7 +2970,8 @@ class SearchEngine:
         caller falls through to the dense TAAT scorer).
         """
         if (
-            parsed.min_should > 1 or parsed.terms or parsed.prefixes
+            k <= 0
+            or parsed.min_should > 1 or parsed.terms or parsed.prefixes
             or parsed.wildcards or parsed.fuzzies or parsed.field_terms
             or parsed.field_phrases or parsed.dismax
             or parsed.boost_phrases or parsed.boost_funcs
@@ -3570,7 +3591,6 @@ class SearchEngine:
         fl = list(fl) if fl else self.stored_fields
         fl, fl_transforms = self._parse_fl(fl)
         ids = [d for d, _ in hits]
-        scores = {d: s for d, s in hits}
         if set(fl) <= {"doc_id"} and not self._load_overlays():
             # fast path: the ranking already carries doc_id — no stored-field
             # read needed (the hot path for bench + contract queries)
@@ -3580,27 +3600,81 @@ class SearchEngine:
                     "score": pa.array([s for _, s in hits], pa.float64()),
                 }
             )
-        cols = sorted(set(fl) | {"doc_id"})
-        if not ids:
-            t = self._docs_ds.to_table(columns=cols,
-                                       filter=pc.field("doc_id") == -1)
-            t = t.append_column("score", pa.array([], pa.float64())).select(
-                [*fl, "score"]
-            )
-            return self._apply_fl_transforms(t, fl_transforms)
-        t = self._docs_ds.to_table(
-            columns=cols, filter=pc.field("doc_id").isin(ids)
-        )
-        # restore ranking order
-        pos = {d: i for i, d in enumerate(ids)}
-        order = np.argsort([pos[d] for d in t["doc_id"].to_pylist()])
-        t = t.take(order)
+        # stored fields by docs-table row position, gathered from the
+        # resident columns (Lucene's stored-fields reader is random access
+        # by doc id, not a scan per read)
+        idx, rows = self._hit_rows(ids)
+        t = self._docs_take(sorted(set(fl) | {"doc_id"}), rows)
+        # typed float64 only for an empty hit list: hits that all drop out
+        # keep the untyped empty score column the docs-table scan gave
         t = t.append_column(
-            "score", pa.array([scores[d] for d in t["doc_id"].to_pylist()])
+            "score",
+            pa.array([hits[i][1] for i in idx]) if ids
+            else pa.array([], pa.float64()),
         )
         t = self._apply_overlays(t)
         return self._apply_fl_transforms(t.select([*fl, "score"]),
                                          fl_transforms)
+
+    def _hit_rows(self, ids):
+        """``(hit index, docs-table row)`` arrays for the ids that have a
+        docs row, in hit order: ids outside the doc-id space or in
+        inline-validation holes drop out, and a repeated id keeps only
+        its last hit."""
+        loc = self._docs_locator()
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.full(ids.size, -1, dtype=np.int64)
+        inside = (ids >= 0) & (ids < loc.size)
+        rows[inside] = loc[ids[inside]]
+        idx = np.flatnonzero(rows >= 0)
+        if np.unique(ids[idx]).size != idx.size:
+            rev = idx[::-1]
+            _, first = np.unique(ids[rev], return_index=True)
+            idx = np.sort(rev[first])
+        return idx, rows[idx]
+
+    def _docs_locator(self) -> np.ndarray:
+        """Dense doc_id -> docs-table row position, -1 for id slots with
+        no docs row."""
+        self.norms  # built together
+        return self._locator
+
+    def _docs_columns(self, names) -> dict:
+        """Docs-table columns by name, in table row order (the order the
+        locator points into): read once per index generation, in one scan
+        for all that are missing, and kept until the next generation —
+        the stored-fields / docValues analogue."""
+        self.norms  # the locator's row order comes first
+        missing = [n for n in dict.fromkeys(names) if n not in self._doc_cols]
+        if missing:
+            t = self._docs_ds.to_table(columns=missing)
+            for n in missing:
+                self._doc_cols[n] = _one_array(t[n])
+        return {n: self._doc_cols[n] for n in names}
+
+    def _docs_take(self, cols, rows) -> pa.Table:
+        """The docs-table rows at positions ``rows`` (in that order),
+        projected to ``cols``.  ``content`` is never kept resident: it is
+        read for the wanted rows only."""
+        sel = pa.array(rows, pa.int64())
+        kept = self._docs_columns([c for c in cols if c != "content"])
+        return pa.table({
+            c: self._content_take(rows) if c == "content"
+            else kept[c].take(sel)
+            for c in cols
+        })
+
+    def _content_take(self, rows) -> pa.Array:
+        """``content`` at docs-table positions ``rows``: one filtered read
+        of the wanted doc ids (bodies are too large to keep resident)."""
+        ids = self._docs_columns(["doc_id"])["doc_id"].take(
+            pa.array(rows, pa.int64()))
+        ct = self._docs_ds.to_table(columns=["doc_id", "content"],
+                                    filter=pc.field("doc_id").isin(ids))
+        got = self._docs_locator()[ct["doc_id"].to_numpy()]
+        order = np.argsort(got)
+        at = order[np.searchsorted(got[order], rows)]
+        return ct["content"].combine_chunks().take(pa.array(at, pa.int64()))
 
     def _apply_overlays(self, t: pa.Table) -> pa.Table:
         overlays = self._load_overlays()
@@ -3805,24 +3879,17 @@ class SearchEngine:
         return np.sort(ids)
 
     def _field_table(self, field: str) -> pa.Table:
-        """Cached ``(doc_id, field)`` projection of the docs table — the
-        grouping/collapsing value source (re-read per query otherwise;
-        the column cache is the docValues analogue)."""
-        cached = self._field_tab_cache.get(field)
-        if cached is None:
-            cached = self._docs_ds.to_table(columns=["doc_id", field])
-            if len(self._field_tab_cache) > 16:
-                self._field_tab_cache.clear()
-            self._field_tab_cache[field] = cached
-        return cached
+        """``(doc_id, field)`` projection of the docs table, served from
+        the resident columns — the grouping/collapsing value source."""
+        cols = self._docs_columns(["doc_id", field])
+        return pa.Table.from_arrays([cols["doc_id"], cols[field]],
+                                    names=["doc_id", field])
 
     def _dense_field(self, field: str) -> np.ndarray:
         """Dense per-doc column array (position d = doc d's value):
         float64/NaN for numerics, datetime64/NaT for timestamps, object/
         None otherwise — the sort-key value source, cached per engine."""
-        cache = getattr(self, "_dense_field_cache", None)
-        if cache is None:
-            cache = self._dense_field_cache = {}
+        cache = self._dense_field_cache
         hit = cache.get(field)
         if hit is None:
             t = self._field_table(field)
@@ -3861,9 +3928,7 @@ class SearchEngine:
         sparse doc-id space can also mean "slot outside the docs
         table").  Factorized once per engine per field — collapse/group/
         facet queries then just gather, no per-query join or factorize."""
-        cache = getattr(self, "_field_codes_cache", None)
-        if cache is None:
-            cache = self._field_codes_cache = {}
+        cache = self._field_codes_cache
         hit = cache.get(field)
         if hit is None:
             import pandas as pd
@@ -4758,7 +4823,7 @@ class SearchEngine:
         built once per engine.  Arrow-native so prefix/wildcard slicing
         never pays a full to_pylist; the fuzzy/suggest trie walkers get
         the Python-list form lazily from :meth:`_suggest_state`."""
-        if getattr(self, "_dict_cache", None) is None:
+        if self._dict_cache is None:
             t = self._postings_ds.to_table(columns=["term", "df"])
             if self.scored_fields or self.has_bigrams:
                 # default-field dictionary only
@@ -4793,7 +4858,7 @@ class SearchEngine:
         sorted list IS the trie).  Materialized lazily: engines that
         only serve prefix/wildcard queries never pay the full-dictionary
         to_pylist."""
-        if getattr(self, "_suggest_cache", None) is None:
+        if self._suggest_cache is None:
             arr, dfs = self._dict_state()
             self._suggest_cache = (arr.to_pylist(), dfs)
         return self._suggest_cache
@@ -5336,13 +5401,15 @@ class SearchEngine:
 
     def get(self, doc_id: int, fl=None) -> dict | None:
         """Realtime-get analogue (``solrindexer/tools.py:68-85``): point
-        lookup via parquet predicate pushdown on the docs table."""
+        lookup through the docs-row locator."""
         if doc_id in self.tombstones:
             return None
-        t = self._docs_ds.to_table(filter=pc.field("doc_id") == doc_id)
-        if t.num_rows == 0:
+        _, rows = self._hit_rows([doc_id])
+        if rows.size == 0:
             return None
-        t = self._apply_overlays(t)
+        cols = [c for c in self._docs_ds.schema.names
+                if not fl or c in fl or c == "doc_id"]
+        t = self._apply_overlays(self._docs_take(cols, rows))
         row = t.to_pylist()[0]
         if fl:
             row = {k: v for k, v in row.items() if k in fl}
