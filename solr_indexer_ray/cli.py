@@ -158,12 +158,16 @@ def cmd_search(args) -> int:
                            qf=args.qf, tie=args.tie, fq=args.fq)
     elif args.group:
         # Solr group.ngroups comes from the codes group_search already
-        # gathered — one query evaluation, not two
+        # gathered — one query evaluation, not two; it rides on every
+        # row so each output line stays one hit row
         t, ngroups = engine.group_search(args.query, args.group,
                                          k_groups=args.k,
                                          group_limit=args.group_limit,
                                          fq=args.fq, with_ngroups=True)
-        print(json.dumps({"ngroups": ngroups}))
+        import pyarrow as pa
+
+        t = t.append_column("ngroups", pa.array([ngroups] * t.num_rows,
+                                                pa.int64()))
     elif args.ltr_model:
         with open(args.ltr_model) as f:
             model = json.load(f)

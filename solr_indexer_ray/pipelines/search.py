@@ -970,10 +970,20 @@ class SearchEngine:
     for a per-node slice, not for 10^12 docs in one process.  At cluster
     scale queries run through the per-doc-range fan-out
     (:func:`search_partitioned` / :class:`RangeScorer`), whose state is
-    range-local, or across per-node indexes via :func:`search_sharded`.
+    range-local, or across per-node indexes via :func:`search_sharded`,
+    where every shard scores with its own engine.
+
+    ``collection_stats`` (federation only) replaces this index's
+    collection statistics — N, avgdl, per-field docCount/avgdl, term df
+    and fuzzy expansions — with ones merged over several shard indexes
+    (:class:`_MergedStats`), the way Lucene's scorer takes
+    ``CollectionStatistics``/``TermStatistics`` from outside.  Postings,
+    norms and matching stay local; ``n_docs``/``avgdl`` then hold the
+    merged values.
     """
 
-    def __init__(self, index_dir: str, scoring="bm25", synonyms=None):
+    def __init__(self, index_dir: str, scoring="bm25", synonyms=None,
+                 collection_stats=None):
         self.index_dir = os.fspath(index_dir)
         if isinstance(scoring, str):
             scoring = SCORING_MODELS[scoring]()
@@ -1002,6 +1012,10 @@ class SearchEngine:
         #: inline validation skipped rows but kept their id slots)
         self.doc_space = int(stats.get("doc_id_space", stats["n_docs"]))
         self.avgdl = float(stats["avgdl"])
+        self._collection = collection_stats
+        if collection_stats is not None:
+            self.n_docs = collection_stats.n_docs
+            self.avgdl = collection_stats.avgdl
         self.k1 = float(stats["k1"])
         self.b = float(stats["b"])
         from solr_indexer_ray.functions.tokenize import AnalyzerRegistry
@@ -1563,13 +1577,18 @@ class SearchEngine:
 
     def _fuzzy_group(self, word: str, edits: int):
         """Blended stats for a fuzzy clause (Lucene
-        TopTermsBlendedFreqScoringRewrite ~ SynonymQuery): union doc ids,
-        per-doc tf = SUM over expansion members, df = MAX over members.
-        Returns (None, None, 0) when nothing matches."""
-        members = self.expand_fuzzy(word, edits)
-        if not members:
-            return None, None, 0
-        postings = self.lookup_postings(members)
+        TopTermsBlendedFreqScoringRewrite ~ SynonymQuery) over its
+        expansion — under ``collection_stats`` every shard's expansion,
+        so a member indexed only on another shard still sets the df."""
+        members = (self.expand_fuzzy(word, edits) if self._collection is None
+                   else self._collection.expand_fuzzy(word, edits))
+        return self._blended_group(members, self.lookup_postings(members))
+
+    def _blended_group(self, members, postings):
+        """Lucene SynonymQuery stats over distinct ``members``: union doc
+        ids, per-doc tf = SUM over members, df = MAX over members (a
+        member without postings here counts with its merged df).
+        Returns (None, None, 0) when no member has postings."""
         tps = [postings[m] for m in members if m in postings]
         if not tps:
             return None, None, 0
@@ -1577,7 +1596,10 @@ class SearchEngine:
         for tp in tps:
             acc[tp.doc_ids] += tp.tfs
         docs = np.flatnonzero(acc)
-        return docs, acc[docs], max(tp.df for tp in tps)
+        return docs, acc[docs], max(
+            self._df(m, postings[m].df if m in postings else 0)
+            for m in members
+        )
 
     # ------------------------------------------------------------------ #
     # phrase matching (Lucene ExactPhraseMatcher semantics)
@@ -1717,7 +1739,7 @@ class SearchEngine:
             # PhraseQuery weight (a pair in the index implies both
             # members are indexed)
             dfs = self.lookup_dfs(phrase)
-            w = float(sum(self.idf(dfs[t]) for t in phrase))
+            w = float(sum(self.idf(self._df(t, dfs[t])) for t in phrase))
             return tp.doc_ids, tp.tfs, w
         chain = (_bigram_chain_keys(list(phrase), self.bigram_first)
                  if self.has_bigrams and self.has_positions else None)
@@ -1728,7 +1750,7 @@ class SearchEngine:
             dfs = self.lookup_dfs(phrase)  # member blobs never read
             if any(t not in dfs for t in phrase):
                 return empty
-            w = float(sum(self.idf(dfs[t]) for t in phrase))
+            w = float(sum(self.idf(self._df(t, dfs[t])) for t in phrase))
             uniq = list(dict.fromkeys(chain))
             postings = self.lookup_postings(uniq, with_positions=True)
             if any(k not in postings for k in uniq):
@@ -1740,7 +1762,8 @@ class SearchEngine:
         postings = self.lookup_postings(list(phrase), with_positions=True)
         if any(t not in postings for t in phrase):
             return empty
-        w = float(sum(self.idf(postings[t].df) for t in phrase))
+        w = float(sum(self.idf(self._df(t, postings[t].df))
+                        for t in phrase))
         out = self._phrase_match_keys(list(phrase), postings)
         if out is None:
             out = self._phrase_match_segments(list(phrase), postings)
@@ -1759,7 +1782,8 @@ class SearchEngine:
         postings = self.lookup_postings(terms, with_positions=True)
         if any(t not in postings for t in terms):
             return empty
-        w = float(sum(self.idf(postings[t].df) for t in terms))
+        w = float(sum(self.idf(self._df(t, postings[t].df))
+                        for t in terms))
         out = self._near_match_keys(terms, slop, postings)
         if out is None:
             out = self._near_match_segments(terms, slop, postings)
@@ -1770,6 +1794,12 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     def idf(self, df: int) -> float:
         return self.scoring.idf(self.n_docs, df)
+
+    def _df(self, term: str, df: int) -> int:
+        """The df scoring uses for ``term``: ``df``, this index's own
+        count, or the df merged over every shard under
+        ``collection_stats``."""
+        return df if self._collection is None else self._collection.df(term)
 
     def _norm_factor(self, norm_bytes: np.ndarray) -> np.ndarray:
         """K(d) = k1 * (1 - b + b * decoded_dl / avgdl) as float64."""
@@ -1789,8 +1819,9 @@ class SearchEngine:
 
     def _fstat(self, fld: str) -> tuple:
         """(docCount, avgdl) of an analyzed field (Lucene per-field
-        collection stats)."""
-        s = (self.stats.get("field_stats") or {}).get(fld)
+        collection stats; merged ones under ``collection_stats``)."""
+        s = ((self.stats.get("field_stats") if self._collection is None
+              else self._collection.field_stats) or {}).get(fld)
         if s is None:
             raise ValueError(
                 f"field {fld!r} is not an analyzed field of this index "
@@ -1810,12 +1841,18 @@ class SearchEngine:
         docCount, K from the field's avgdl and the posting's field norm
         (norms ride per posting at build time)."""
         if tp.score_vec is None:
-            doc_count, avgdl = self._fstat(fld)
-            w = self.scoring.idf(doc_count, tp.df)
-            dl = DECODE_TABLE[self.field_norms(fld)[tp.doc_ids]]
-            K = self.k1 * (1.0 - self.b + self.b * dl / avgdl)
-            tp.score_vec = w * self.scoring.impact(tp.tfs, K)
+            doc_count, _avgdl = self._fstat(fld)
+            w = self.scoring.idf(doc_count, self._df(tp.term, tp.df))
+            tp.score_vec = w * self.scoring.impact(
+                tp.tfs, self._field_norm_factor(fld, tp.doc_ids)
+            )
         return tp.score_vec
+
+    def _field_norm_factor(self, fld: str, docs: np.ndarray) -> np.ndarray:
+        """K(d) of an analyzed field, from its norms and avgdl."""
+        _doc_count, avgdl = self._fstat(fld)
+        dl = DECODE_TABLE[self.field_norms(fld)[docs]]
+        return self.k1 * (1.0 - self.b + self.b * dl / avgdl)
 
     def eval_field_phrase(self, fld: str, phrase) -> tuple:
         """Exact phrase over an analyzed FIELD's positional postings ->
@@ -1829,7 +1866,8 @@ class SearchEngine:
             return empty
         doc_count, _avgdl = self._fstat(fld)
         w = float(
-            sum(self.scoring.idf(doc_count, postings[p].df) for p in pref)
+            sum(self.scoring.idf(doc_count, self._df(p, postings[p].df))
+                for p in pref)
         )
         out = self._phrase_match_keys(pref, postings)
         if out is None:
@@ -2291,14 +2329,7 @@ class SearchEngine:
                 grams = [
                     tuple(seq[i:i + n]) for i in range(len(seq) - n + 1)
                 ]
-            for part in spec.split():
-                name, _, b = part.partition("^")
-                boost = float(b) if b else 1.0
-                if name != "content" and name not in self.scored_fields:
-                    raise ValueError(
-                        f"pf field {name!r} is not analyzed in this index "
-                        f"(have: content, {', '.join(self.scored_fields)})"
-                    )
+            for name, boost in self._field_boosts(spec, "pf"):
                 if name != "content" and slop:
                     raise ValueError(
                         "ps > 0 on a fielded pf needs fielded proximity "
@@ -2309,6 +2340,28 @@ class SearchEngine:
                         (None if name == "content" else name,
                          g, slop, boost)
                     )
+
+    def _field_boosts(self, spec: str, param: str) -> list:
+        """``"content^1 path_text^2"`` -> ``[(field, boost), ...]`` for
+        the (e)dismax ``qf``/``pf`` lists (no ``^`` = boost 1.0).  Like
+        Lucene's BoostQuery, a negative or non-finite boost is an error,
+        so no per-field dismax contribution is ever below 0."""
+        out = []
+        for part in spec.split():
+            name, _, b = part.partition("^")
+            boost = float(b) if b else 1.0
+            if not math.isfinite(boost) or boost < 0:
+                raise ValueError(
+                    f"{param} boost must be a finite float >= 0, "
+                    f"got {part!r}"
+                )
+            if name != "content" and name not in self.scored_fields:
+                raise ValueError(
+                    f"{param} field {name!r} is not analyzed in this index "
+                    f"(have: content, {', '.join(self.scored_fields)})"
+                )
+            out.append((name, boost))
+        return out
 
     def _apply_qf(self, parsed: ParsedQuery, qf: str, tie: float):
         """Solr (e)dismax ``qf``: every free-text term becomes ONE
@@ -2321,15 +2374,7 @@ class SearchEngine:
         dismax clauses (the content side scores the literal term)."""
         import copy
 
-        fpairs = []
-        for part in qf.split():
-            name, _, b = part.partition("^")
-            if name != "content" and name not in self.scored_fields:
-                raise ValueError(
-                    f"qf field {name!r} is not analyzed in this index "
-                    f"(have: content, {', '.join(self.scored_fields)})"
-                )
-            fpairs.append((name, float(b) if b else 1.0))
+        fpairs = self._field_boosts(qf, "qf")
         if not fpairs:
             raise ValueError("empty qf")
         out = copy.copy(parsed)
@@ -2582,7 +2627,7 @@ class SearchEngine:
 
     def _term_score_vec(self, tp: TermPostings) -> np.ndarray:
         if tp.score_vec is None:
-            w = self.idf(tp.df)
+            w = self.idf(self._df(tp.term, tp.df))
             K = self._norm_factor(self.norms[tp.doc_ids])
             tp.score_vec = w * self.scoring.impact(tp.tfs, K)
         return tp.score_vec
@@ -2648,9 +2693,7 @@ class SearchEngine:
             if b is not None:
                 w = w * b
             if docs.size:
-                doc_count, avgdl_f = self._fstat(fld)
-                dl = DECODE_TABLE[self.field_norms(fld)[docs]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / avgdl_f)
+                K = self._field_norm_factor(fld, docs)
                 scores[docs] += w * self.scoring.impact(
                     freqs.astype(np.float64), K
                 )
@@ -2929,9 +2972,7 @@ class SearchEngine:
                 docs, freqs, w = self.eval_field_phrase(fld, list(g))
                 if not docs.size:
                     continue
-                doc_count, avgdl_f = self._fstat(fld)
-                dl = DECODE_TABLE[self.field_norms(fld)[docs]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / avgdl_f)
+                K = self._field_norm_factor(fld, docs)
             scores[docs] += (w * boost) * self.scoring.impact(
                 freqs.astype(np.float64), K
             )
@@ -3018,7 +3059,8 @@ class SearchEngine:
         postings = self.lookup_postings(phrase, with_positions=True)
         if any(t not in postings for t in phrase):
             return []
-        w = float(sum(self.idf(postings[t].df) for t in phrase))
+        w = float(sum(self.idf(self._df(t, postings[t].df))
+                        for t in phrase))
         if boost is not None:
             w *= boost
         # global-key matchers: exact freqs for every matching doc from
@@ -3353,7 +3395,7 @@ class SearchEngine:
         tps = [postings[t] for t in terms]
         ws = []
         for t, tp in zip(terms, tps):
-            w = self.idf(tp.df)
+            w = self.idf(self._df(t, tp.df))
             b = parsed.boosts.get(t)
             ws.append(w if b is None else w * b)
         # distinct PARSED terms, not found terms: AND with a term absent
@@ -3370,8 +3412,8 @@ class SearchEngine:
             if tp.block_ub_vec is None:
                 dl = DECODE_TABLE[tp.block_min_norm]
                 K = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-                tp.block_ub_vec = self.idf(tp.df) * self.scoring.impact(
-                    tp.block_max_tf.astype(np.float64), K
+                tp.block_ub_vec = self.idf(self._df(t, tp.df)) * (
+                    self.scoring.impact(tp.block_max_tf.astype(np.float64), K)
                 )
             b = parsed.boosts.get(t)
             block_ubs.append(
@@ -3821,18 +3863,9 @@ class SearchEngine:
         return [(a, b, int(c)) for a, b, c in rows if c >= mincount]
 
     def _synonym_group(self, term, postings):
-        """Lucene SynonymQuery stats for a mapped term: union doc ids,
-        per-doc tf = SUM over members, df = MAX over members.  Returns
-        (None, None, 0) when no member exists in the index."""
-        members = [term, *self.synonyms.get(term, [])]
-        tps = [postings[m] for m in dict.fromkeys(members) if m in postings]
-        if not tps:
-            return None, None, 0
-        acc = np.zeros(self.doc_space, dtype=np.int64)
-        for tp in tps:
-            acc[tp.doc_ids] += tp.tfs
-        docs = np.flatnonzero(acc)
-        return docs, acc[docs], max(tp.df for tp in tps)
+        """Blended stats of a mapped term and its synonyms."""
+        members = dict.fromkeys([term, *self.synonyms.get(term, [])])
+        return self._blended_group(list(members), postings)
 
     def join_match_ids(self, inner_query: str, from_field: str,
                        to_field: str) -> np.ndarray:
@@ -4463,10 +4496,12 @@ class SearchEngine:
                 # exact edge/index arithmetic (start + i·gap and
                 # floor((v−start)/gap)) — accumulating lo += gap leaks
                 # float error into bucket edges and emits sliver buckets
-                # for fractional gaps
+                # for fractional gaps.  Solr's default hardend=false: the
+                # last bucket keeps its full [edge, edge+gap) width even
+                # past ``end``.
                 n_b = int(np.ceil((end - start) / gap))
                 bidx = np.floor((vals - start) / gap).astype(np.int64)
-                inr = ok & (vals >= start) & (vals < end)
+                inr = ok & (vals >= start) & (bidx < n_b)
                 buckets = []
                 for i in range(n_b):
                     edge = start + i * gap
@@ -6380,329 +6415,92 @@ class RangeScorer:
         return out_docs - lo, freqs.astype(np.float64)
 
 
+class _MergedStats:
+    """Collection statistics summed over shard indexes (Solr's
+    ExactStatsCache): the ``collection_stats`` of a federated
+    :class:`SearchEngine`.  N, avgdl and per-field docCount/avgdl are
+    merged up front; a term's df and a fuzzy expansion when scoring asks
+    (each engine caches its own).  ``engines`` are opened WITHOUT merged
+    stats, so every value summed is one shard's own count."""
+
+    def __init__(self, engines):
+        self._engines = engines
+        self.n_docs = sum(e.n_docs for e in engines)
+        sum_dl = sum(int(e.stats["sum_dl"]) for e in engines)
+        self.avgdl = (sum_dl / self.n_docs) if self.n_docs else 0.0
+        self.field_stats = {}
+        for fld in engines[0].scored_fields:
+            per = [(e.stats.get("field_stats") or {}).get(fld, {})
+                   for e in engines]
+            nd = sum(int(s.get("n_docs", 0)) for s in per)
+            sdl = sum(int(s.get("sum_dl", 0)) for s in per)
+            self.field_stats[fld] = {
+                "n_docs": nd, "avgdl": (sdl / nd) if nd else 1.0,
+            }
+
+    def df(self, term: str) -> int:
+        return sum(e.lookup_dfs([term]).get(term, 0) for e in self._engines)
+
+    def expand_fuzzy(self, word: str, max_edits: int) -> list:
+        return sorted(set().union(
+            *(e.expand_fuzzy(word, max_edits) for e in self._engines)
+        ))
+
+
 def search_sharded(index_dirs, query: str, k: int = 10,
                    qf: str | None = None, tie: float = 0.0,
                    fq=None) -> pa.Table:
     """Distributed search across MULTIPLE independent indexes — Solr's
     ``shards=`` multi-core search with **exact global statistics**
-    (ExactStatsCache): N, avgdl and every term's df are merged across
-    shards before scoring, so scores equal a single index over the union
-    corpus (Solr's default per-shard IDF skew does not occur).
+    (ExactStatsCache): N, avgdl, per-field stats and every term's df are
+    merged across shards (:class:`_MergedStats`), then each shard runs
+    its own engine's ranked path with the merged stats, so scores equal
+    a single index over the union corpus (Solr's default per-shard IDF
+    skew does not occur).  Only the per-shard top-k lists are merged here.
 
     Returns ``(shard, doc_id, score)`` rows — doc ids are shard-local
-    (Solr returns per-core ids + shard address the same way).  Supports
-    terms/phrases/prefixes/fuzzies/wildcards with boosts, filters,
-    prohibitions and range filters; ``fq`` applies per shard (Solr
-    evaluates filter queries on every shard); ties break by (shard,
-    doc_id) ascending.  Parenthesized boolean grouping is not federated
-    yet.
+    (Solr returns per-core ids + shard address the same way).  Any
+    query the engine's ranked path scores works, ``qf``/``tie`` dismax
+    included; ``fq`` applies per shard (Solr evaluates filter queries on
+    every shard); ties break by (shard, doc_id) ascending.
+    Parenthesized boolean grouping is not federated yet.
     """
     if has_group_syntax(query or ""):
         raise ValueError(
             "grouped boolean queries are not supported across shard "
             "federation yet; query each shard's engine directly"
         )
-    engines = [SearchEngine(d) for d in index_dirs]
+    peers = [SearchEngine(d) for d in index_dirs]
     pins = {
         (e.stats.get("analyzer_default"),
          tuple(sorted((e.stats.get("analyzer_lang_map") or {}).items())),
          tuple(e.stats.get("filters", ()) or ()),
          tuple(e.stats.get("stopwords", ()) or ()),
          e.k1, e.b)
-        for e in engines
+        for e in peers
     }
     if len(pins) != 1:
         raise ValueError("shards disagree on analyzer/BM25 pins")
-    e0 = engines[0]
-    parsed = e0._parse(query)
+    parsed = peers[0]._parse(query)
     if qf is not None:
-        parsed = e0._apply_qf(parsed, qf, tie)
+        parsed = peers[0]._apply_qf(parsed, qf, tie)
     if parsed.field_terms or parsed.field_phrases or parsed.dismax \
             or parsed.prohibited_field_terms \
             or parsed.prohibited_field_phrases:
-        fps = {tuple(sorted(e.scored_fields)) for e in engines}
+        fps = {tuple(sorted(e.scored_fields)) for e in peers}
         if len(fps) != 1 or not fps.pop():
             raise ValueError(
                 "fielded clauses need every shard built with the same "
                 "analyzed_fields"
             )
-
-    # ---- exact global stats (the ExactStatsCache exchange) --------------
-    n_global = sum(e.n_docs for e in engines)
-    sum_dl = sum(int(e.stats["sum_dl"]) for e in engines)
-    avgdl = (sum_dl / n_global) if n_global else 0.0
-    per_shard = [e.lookup_postings(parsed.terms) for e in engines]
-    terms = sorted({t for p in per_shard for t in p})
-    df_global = {
-        t: sum(p[t].df for p in per_shard if t in p) for t in terms
-    }
-
-    def idf(df):
-        return math.log(1.0 + (n_global - df + 0.5) / (df + 0.5))
-
-    # phrase + proximity member dfs, merged once across shards (same
-    # exchange)
-    member_terms = sorted(
-        {t for ph in parsed.phrases for t in ph}
-        | {t for ph, _ in parsed.near_phrases for t in ph}
-    )
-    # df-only per shard: phrase/near weights need member dfs, never
-    # member postings (each shard's span match re-reads its own slice)
-    member_shard = [e.lookup_dfs(member_terms) for e in engines]
-    mdf_global = {
-        t: sum(p[t] for p in member_shard if t in p)
-        for t in member_terms
-    }
-
-    # fuzzy expansion = union of every shard's dictionary matches; the
-    # blended group df is the MAX over GLOBAL member dfs (same
-    # ExactStatsCache discipline as terms/phrases)
-    fuzzy_members = {
-        fz: sorted(set().union(*(set(e.expand_fuzzy(*fz)) for e in engines)))
-        for fz in sorted(set(parsed.fuzzies))
-    }
-    all_fz_members = sorted(
-        {m for mem in fuzzy_members.values() for m in mem}
-    )
-    fz_shard = [e.lookup_postings(all_fz_members) for e in engines]
-    fdf_global = {
-        m: sum(p[m].df for p in fz_shard if m in p) for m in all_fz_members
-    }
-
-    # per-field exact global stats: docCount/avgdl merged like N/avgdl;
-    # field-term / field-phrase-member / dismax dfs merged over the
-    # shards' prefixed postings (the same ExactStatsCache exchange)
-    fstat_global = {}
-    for fld in e0.scored_fields:
-        nd = sum(
-            int((e.stats.get("field_stats") or {}).get(fld, {})
-                .get("n_docs", 0)) for e in engines
-        )
-        sdl = sum(
-            int((e.stats.get("field_stats") or {}).get(fld, {})
-                .get("sum_dl", 0)) for e in engines
-        )
-        fstat_global[fld] = (nd, (sdl / nd) if nd else 1.0)
-    f_pref = sorted(
-        {f"{fld}\x1f{t}" for fld, t in parsed.field_terms}
-        | {f"{fld}\x1f{t}" for fld, ph in parsed.field_phrases for t in ph}
-    )
-    fp_shard = [e.lookup_postings(f_pref) for e in engines]
-    fpdf_global = {
-        p: sum(s[p].df for s in fp_shard if p in s) for p in f_pref
-    }
-
-    def fidf(fld, df):
-        nd, _ = fstat_global[fld]
-        return math.log(1.0 + (nd - df + 0.5) / (df + 0.5))
-
-    dm_content = sorted(
-        {t for t, fp in parsed.dismax for f, _ in fp if f == "content"}
-    )
-    dmc_shard = [e.lookup_postings(dm_content) for e in engines]
-    dmc_df = {
-        t: sum(s[t].df for s in dmc_shard if t in s) for t in dm_content
-    }
-    dm_field = sorted(
-        {(f, t) for t, fp in parsed.dismax for f, _ in fp if f != "content"}
-    )
-    dmf_shard = [
-        e.lookup_postings([f"{f}\x1f{t}" for f, t in dm_field])
-        for e in engines
-    ]
-    dmf_df = {
-        (f, t): sum(
-            s[f"{f}\x1f{t}"].df for s in dmf_shard
-            if f"{f}\x1f{t}" in s
-        )
-        for f, t in dm_field
-    }
-
-    required = parsed.scoring_clauses if parsed.conjunctive else 1
+    merged = _MergedStats(peers)
     hits = []
-    for si, e in enumerate(engines):
-        scores = np.zeros(e.doc_space, dtype=np.float64)
-        seen = (
-            np.zeros(e.doc_space, dtype=np.int32)
-            if parsed.conjunctive else None
+    for si, d in enumerate(index_dirs):
+        t = SearchEngine(d, collection_stats=merged).search(
+            query, k=k, fl=["doc_id"], fq=fq, qf=qf, tie=tie
         )
-        K_cache: dict = {}
-
-        def K_of(eng, ids):
-            dl = DECODE_TABLE[eng.norms[ids]]
-            return eng.k1 * (1.0 - eng.b + eng.b * dl / avgdl)
-
-        for t in terms:
-            tp = per_shard[si].get(t)
-            if tp is None:
-                continue
-            w = idf(df_global[t])
-            b = parsed.boosts.get(t)
-            if b is not None:
-                w *= b
-            scores[tp.doc_ids] += w * (
-                tp.tfs / (tp.tfs + K_of(e, tp.doc_ids))
-            )
-            if seen is not None:
-                seen[tp.doc_ids] += 1
-
-        def K_field(eng, fld, ids):
-            _, av = fstat_global[fld]
-            dl = DECODE_TABLE[eng.field_norms(fld)[ids]]
-            return eng.k1 * (1.0 - eng.b + eng.b * dl / av)
-
-        for ft in sorted(set(parsed.field_terms)):
-            fld, term = ft
-            p = f"{fld}\x1f{term}"
-            df_f = fpdf_global.get(p, 0)
-            tp = fp_shard[si].get(p)
-            if tp is None or df_f == 0:
-                continue
-            w = fidf(fld, df_f)
-            b = parsed.field_term_boosts.get(ft)
-            if b is not None:
-                w *= b
-            scores[tp.doc_ids] += w * (
-                tp.tfs / (tp.tfs + K_field(e, fld, tp.doc_ids))
-            )
-            if seen is not None:
-                seen[tp.doc_ids] += 1
-        for fp in sorted(set(parsed.field_phrases)):
-            fld, ph = fp
-            if any(
-                fpdf_global.get(f"{fld}\x1f{t}", 0) == 0 for t in ph
-            ):
-                continue  # a member absent on every shard
-            w = float(
-                sum(fidf(fld, fpdf_global[f"{fld}\x1f{t}"]) for t in ph)
-            )
-            b = parsed.field_phrase_boosts.get(fp)
-            if b is not None:
-                w *= b
-            docs, freqs, _ = e.eval_field_phrase(fld, list(ph))
-            if docs.size:
-                scores[docs] += w * (
-                    freqs.astype(np.float64)
-                    / (freqs + K_field(e, fld, docs))
-                )
-                if seen is not None:
-                    seen[docs] += 1
-        for term, fpairs in parsed.dismax:
-            best = tot = matched = None
-            for fld, fboost in fpairs:
-                if fld == "content":
-                    tp = dmc_shard[si].get(term)
-                    dfv = dmc_df.get(term, 0)
-                    if tp is None or dfv == 0:
-                        continue
-                    val = (idf(dfv) * (
-                        tp.tfs / (tp.tfs + K_of(e, tp.doc_ids))
-                    )) * fboost
-                else:
-                    p = f"{fld}\x1f{term}"
-                    tp = dmf_shard[si].get(p)
-                    dfv = dmf_df.get((fld, term), 0)
-                    if tp is None or dfv == 0:
-                        continue
-                    val = (fidf(fld, dfv) * (
-                        tp.tfs
-                        / (tp.tfs + K_field(e, fld, tp.doc_ids))
-                    )) * fboost
-                dense = np.zeros(e.doc_space, dtype=np.float64)
-                dense[tp.doc_ids] = val
-                if best is None:
-                    best, tot = dense, dense.copy()
-                    matched = np.zeros(e.doc_space, dtype=bool)
-                else:
-                    np.maximum(best, dense, out=best)
-                    tot += dense
-                matched[tp.doc_ids] = True
-            if best is None:
-                continue
-            tie = parsed.dismax_tie
-            contrib = best if tie == 0.0 else best + tie * (tot - best)
-            docs = np.flatnonzero(matched)
-            scores[docs] += contrib[docs]
-            if seen is not None:
-                seen[docs] += 1
-        for fz in sorted(set(parsed.fuzzies)):
-            members = [
-                m for m in fuzzy_members[fz] if m in fz_shard[si]
-            ]
-            group_df = max(
-                (fdf_global[m] for m in fuzzy_members[fz]
-                 if fdf_global.get(m, 0) > 0),
-                default=0,
-            )
-            if not members or group_df == 0:
-                continue
-            acc = np.zeros(e.doc_space, dtype=np.int64)
-            for m in members:
-                tp = fz_shard[si][m]
-                acc[tp.doc_ids] += tp.tfs
-            docs = np.flatnonzero(acc)
-            w = idf(group_df)
-            b = parsed.fuzzy_boosts.get(fz)
-            if b is not None:
-                w *= b
-            tfs = acc[docs].astype(np.float64)
-            scores[docs] += w * (tfs / (tfs + K_of(e, docs)))
-            if seen is not None:
-                seen[docs] += 1
-        for ph in sorted(map(tuple, parsed.phrases)):
-            # per-shard positional match; weight from GLOBAL member dfs
-            if any(mdf_global.get(t, 0) == 0 for t in ph):
-                continue  # a member absent everywhere: unmatchable
-            w = float(sum(idf(mdf_global[t]) for t in ph))
-            b = parsed.phrase_boosts.get(ph)
-            if b is not None:
-                w *= b
-            docs, freqs, _ = e.eval_phrase(list(ph))
-            if docs.size:
-                scores[docs] += w * (
-                    freqs.astype(np.float64)
-                    / (freqs + K_of(e, docs))
-                )
-                if seen is not None:
-                    seen[docs] += 1
-        for np_clause in sorted(parsed.near_phrases):
-            # per-shard span-near match; weight from GLOBAL member dfs
-            terms_np, slop = np_clause
-            if any(mdf_global.get(t, 0) == 0 for t in terms_np):
-                continue  # a member absent everywhere: unmatchable
-            w = float(sum(idf(mdf_global[t]) for t in terms_np))
-            b = parsed.near_boosts.get(np_clause)
-            if b is not None:
-                w *= b
-            docs, freqs, _ = e.eval_near(terms_np, slop)
-            if docs.size:
-                scores[docs] += w * (
-                    freqs.astype(np.float64) / (freqs + K_of(e, docs))
-                )
-                if seen is not None:
-                    seen[docs] += 1
-        for pre in sorted(parsed.prefixes):
-            docs = e.eval_prefix(pre)
-            if docs.size:
-                scores[docs] += parsed.prefix_boosts.get(pre, 1.0)
-                if seen is not None:
-                    seen[docs] += 1
-        for pat in sorted(set(parsed.wildcards)):
-            docs = e.eval_pattern(pat)
-            if docs.size:
-                scores[docs] += parsed.wildcard_boosts.get(pat, 1.0)
-                if seen is not None:
-                    seen[docs] += 1
-        cand = (
-            np.flatnonzero(seen >= required)
-            if seen is not None else np.flatnonzero(scores > 0.0)
-        )
-        excluded = e._merge_fq_mask(e._excluded_mask(parsed), fq)
-        if excluded is not None and cand.size:
-            cand = cand[~excluded[cand]]
-        for d, s in _select_topk(cand, scores[cand], k):
-            hits.append((si, d, s))
-
+        hits += [(si, doc, score) for doc, score in zip(
+            t["doc_id"].to_pylist(), t["score"].to_pylist())]
     hits.sort(key=lambda h: (-h[2], h[0], h[1]))
     top = hits[:k]
     return pa.table(

@@ -39,6 +39,25 @@ class TestCli:
         st = json.loads(capsys.readouterr().out)
         assert st["committed"] is True and st["deleted_docs"] == 2
 
+    def test_group_prints_one_row_per_line(self, built_index, capsys):
+        """--group keeps the one-hit-row-per-line output: ngroups rides
+        on every row instead of a line of its own."""
+        from solr_indexer_ray.pipelines.search import SearchEngine
+
+        idx, _ = built_index
+        rc = main(["search", "-o", idx, "-q", "def", "--group", "lang",
+                   "--group-limit", "2", "-k", "3"])
+        assert rc == 0
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.strip().splitlines()]
+        assert rows and all(
+            isinstance(r, dict) and "doc_id" in r for r in rows
+        )
+        _, ngroups = SearchEngine(idx).group_search(
+            "def", "lang", k_groups=3, group_limit=2, with_ngroups=True
+        )
+        assert {r["ngroups"] for r in rows} == {ngroups}
+
     def test_status_uncommitted(self, tmp_path, capsys):
         assert main(["status", "-o", str(tmp_path / "nope")]) == 1
         capsys.readouterr()

@@ -230,6 +230,23 @@ class TestJsonFacet:
         vals = [b["val"] for b in res["r"]["buckets"]]
         assert vals[0] == 0 and abs(vals[3] - 0.3) < 1e-12
 
+    def test_range_last_bucket_full_width(self, engine):
+        """Solr's default hardend=false: the last bucket counts its full
+        [edge, edge+gap) width, so a value in [25, 30) lands in the 20
+        bucket of start=0, end=25, gap=10."""
+        eng = engine
+        res = eng.json_facet("def", {
+            "r": {"type": "range", "field": "doclen",
+                  "start": 0, "end": 25, "gap": 10},
+        })
+        t = eng._docs_ds.to_table(columns=["doc_id", "doclen"]).to_pandas()
+        lens = t[t["doc_id"].isin(eng.match_ids("def"))]["doclen"]
+        assert ((lens >= 25) & (lens < 30)).any()
+        assert [(b["val"], b["count"]) for b in res["r"]["buckets"]] == [
+            (lo, int(((lens >= lo) & (lens < lo + 10)).sum()))
+            for lo in (0, 10, 20)
+        ]
+
     def test_terms_mincount_zero_emits_zero_buckets(self, engine):
         eng = engine
         res = eng.json_facet("lang:go def", {

@@ -332,6 +332,32 @@ class TestDismaxQf:
         with pytest.raises(ValueError, match="relevance"):
             e.search("x", qf="content", sort="doclen desc")
 
+    @pytest.mark.parametrize("bad", ["content^-1 path_text^2",
+                                     "content^1 path_text^nan",
+                                     "path_text^inf"])
+    def test_negative_or_nonfinite_boost_rejected(self, field_index, bad):
+        """Lucene's BoostQuery rejects negative and non-finite boosts,
+        so a qf/pf ``field^-1`` is an error on every ranked path, never
+        a dismax contribution floored at 0."""
+        index_dir, _ = field_index
+        e = SearchEngine(index_dir)
+        for run in (lambda **kw: e.search("parse txt", **kw),
+                    lambda **kw: search_partitioned(index_dir, "parse txt",
+                                                    **kw)):
+            with pytest.raises(ValueError, match="boost must be"):
+                run(qf=bad)
+            with pytest.raises(ValueError, match="boost must be"):
+                run(pf=bad)
+
+    def test_zero_boost_accepted(self, field_index):
+        index_dir, _ = field_index
+        e = SearchEngine(index_dir)
+        got = e.search("txt", k=e.n_docs, fl=["doc_id"],
+                       qf="content^0 path_text^1")
+        exp = e.search("txt", k=e.n_docs, fl=["doc_id"],
+                       qf="path_text^1")
+        assert got["doc_id"].to_pylist() == exp["doc_id"].to_pylist()
+
 
 class TestDictionaryIsolation:
     """Field-prefixed terms must never leak into default-field multiterm
@@ -436,6 +462,14 @@ class TestShardedFields:
                                 sh["doc_id"].to_pylist())
             ]
             assert mapped == un["doc_id"].to_pylist(), q
+
+    def test_negative_boost_rejected(self, split_indexes):
+        from solr_indexer_ray.pipelines.search import search_sharded
+
+        da, db, _ = split_indexes
+        with pytest.raises(ValueError, match="boost must be"):
+            search_sharded([da, db], "parse txt",
+                           qf="content^-1 path_text^2")
 
     def test_mismatched_shards_refused(self, split_indexes, built_index):
         from solr_indexer_ray.pipelines.search import search_sharded
