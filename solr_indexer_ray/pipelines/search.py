@@ -27,8 +27,9 @@ performs the ranking there; here the engine scores natively:
   blocks whose upper bound cannot enter the current top-k (the north-star
   pruning path; validated rank-identical to TAAT in tests).
 
-Term lookup reads only the postings parquet row groups whose stats may
-contain the query terms (predicate pushdown on the ``term`` column).
+Term lookup goes through a resident term dictionary (:class:`_TermDict`,
+one per index generation) that knows each term's postings rows by file
+and row position, so a read touches only the row groups holding them.
 """
 
 from __future__ import annotations
@@ -958,13 +959,222 @@ class TermPostings:
         flat, _ = decode_positions(buf, np.asarray(lengths, np.int64))
         return flat
 
+
+def _file_identity(path: str) -> tuple:
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+class _PostingsFile:
+    """One postings file, opened by a handle that pins its bytes (an
+    ``os.replace`` of the path leaves them readable), with its parquet
+    reader, row-group starts and ``(term, df)`` columns loaded on first
+    use.  The engine keeps these across generations by file identity,
+    so after a commit only new or rewritten files are read again."""
+
+    def __init__(self, path: str):
+        before = _file_identity(path)
+        self.handle = pa.OSFile(path)
+        #: identity of the file the handle holds; None when the path
+        #: changed while it was being opened (never reused then)
+        self.key = before if _file_identity(path) == before else None
+        self.reader = None
+
+    def load(self) -> "_PostingsFile":
+        if self.reader is None:
+            import pyarrow.parquet as pq
+
+            self.reader = pq.ParquetFile(self.handle)
+            md = self.reader.metadata
+            #: first row of each row group, plus the row count
+            self.rg_starts = np.cumsum(
+                [0] + [md.row_group(g).num_rows
+                       for g in range(md.num_row_groups)], dtype=np.int64,
+            )
+            self.term_df = self.reader.read(columns=["term", "df"])
+        return self
+
+
+class _ShardTerms:
+    """One term shard's part of the term dictionary: every term of the
+    shard's postings files (one per doc range), sorted, with CSR
+    ``offsets`` into its rows and each row's file index and row
+    position; ``df`` is the per-term sum of the rows' df.  Built from
+    the files' ``(term, df)`` columns; everything is an Arrow or numpy
+    array aligned with the sorted terms — no per-term Python objects."""
+
+    def __init__(self, files):
+        self.files = [f.load() for f in files]
+        parts = [f.term_df for f in self.files]
+        row_file = [np.full(t.num_rows, fi, dtype=np.int32)
+                    for fi, t in enumerate(parts)]
+        row_pos = [np.arange(t.num_rows, dtype=np.int32) for t in parts]
+        if parts:
+            tbl = pa.concat_tables(parts)
+        else:
+            tbl = pa.table({"term": pa.array([], pa.string()),
+                            "df": pa.array([], pa.int64())})
+        terms = _one_array(tbl["term"])
+        order = pc.array_sort_indices(terms).to_numpy()
+        terms = terms.take(order)
+        n = len(terms)
+        starts = np.zeros(min(n, 1), dtype=np.int64)  # first row per term
+        if n > 1:
+            new = pc.not_equal(terms.slice(1), terms.slice(0, n - 1))
+            starts = np.concatenate((
+                starts,
+                np.flatnonzero(new.to_numpy(zero_copy_only=False)) + 1,
+            ))
+        self.offsets = np.append(starts, n).astype(np.int32)
+        self.terms = terms.take(starts)
+        self.row_file = np.concatenate(row_file or [np.zeros(0, np.int32)]
+                                       )[order]
+        self.row_pos = np.concatenate(row_pos or [np.zeros(0, np.int32)]
+                                      )[order]
+        row_df = _one_array(tbl["df"]).to_numpy()[order]
+        self.df = (np.add.reduceat(row_df, starts).astype(np.int64)
+                   if n else np.zeros(0, np.int64))
+        # the sorted terms' raw UTF-8 bytes and int32 offsets, for find()
+        bufs = self.terms.buffers()
+        self._toffs = memoryview(bufs[1]).cast("i")[
+            self.terms.offset:self.terms.offset + len(self.terms) + 1]
+        self._tdata = memoryview(bufs[2] or b"")
+        #: ``read_row_groups`` calls made so far (one per file per read)
+        self.reads = 0
+
+    def find(self, terms) -> np.ndarray:
+        """Dictionary index of each term (-1: absent): a bisect over the
+        terms' UTF-8 bytes, whose order is the code-point order Arrow
+        sorted them in."""
+        offs, data, n = self._toffs, self._tdata, len(self.terms)
+        out = np.full(len(terms), -1, dtype=np.int64)
+        for j, t in enumerate(terms):
+            key = t.encode("utf-8", "surrogatepass")
+            lo, hi = 0, n
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if data[offs[mid]:offs[mid + 1]].tobytes() < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo < n and data[offs[lo]:offs[lo + 1]].tobytes() == key:
+                out[j] = lo
+        return out
+
+    def read(self, idx, columns) -> tuple:
+        """``columns`` of every postings row of the terms at dictionary
+        indices ``idx`` — Python lists, each term's rows together in
+        ``idx`` order — plus each term's row count.  Per file, only the
+        row groups holding wanted rows are read (one call), then those
+        rows taken."""
+        lo = self.offsets[idx]
+        counts = self.offsets[idx + 1] - lo
+        files, _ = _gather_segments(self.row_file, lo, counts)
+        pos, _ = _gather_segments(self.row_pos, lo, counts)
+        parts, where = [], []
+        for f in np.unique(files):
+            sel = np.flatnonzero(files == f)
+            p = pos[sel].astype(np.int64)
+            starts = self.files[f].rg_starts
+            rg = np.searchsorted(starts, p, side="right") - 1
+            groups = np.unique(rg)
+            # each group's first row inside the concatenated read
+            sizes = starts[groups + 1] - starts[groups]
+            base = np.cumsum(sizes) - sizes
+            local = base[np.searchsorted(groups, rg)] + (p - starts[rg])
+            parts.append(self.files[f].reader.read_row_groups(
+                groups.tolist(), columns=columns
+            ).take(local))
+            where.append(sel)
+            self.reads += 1
+        if not parts:
+            return {c: [] for c in columns}, counts
+        tbl = pa.concat_tables(parts)
+        order = np.argsort(np.concatenate(where)).tolist()
+        out = {}
+        for c in columns:
+            vals = tbl[c].to_pylist()
+            out[c] = [vals[k] for k in order]
+        return out, counts
+
+
+class _TermDict:
+    """One index generation's term dictionary — Lucene's in-memory terms
+    index, which points straight into the terms file instead of
+    searching it.  A term's postings are then read by position (only
+    the row groups holding its rows) and its df is a gather.
+
+    Kept per term shard (:class:`_ShardTerms`), each built on the first
+    read that touches the shard, so the first read after a commit pays
+    only for the shards of its own terms.  ``sources`` maps each shard
+    to its :class:`_PostingsFile` s, whose handles pin the bytes the row
+    positions come from: ``extend_index`` replaces boundary range files
+    under the same name (``os.replace``)."""
+
+    def __init__(self, sources: dict, n_shards: int):
+        self._sources = sources
+        self._n_shards = n_shards
+        self._shards: dict = {}
+        self._view = None
+
+    def shard(self, s: int) -> _ShardTerms:
+        st = self._shards.get(s)
+        if st is None:
+            st = self._shards[s] = _ShardTerms(self._sources.get(s, ()))
+        return st
+
+    @property
+    def builds(self) -> int:
+        """Shard dictionaries built so far."""
+        return len(self._shards)
+
+    @property
+    def reads(self) -> int:
+        """``read_row_groups`` calls made so far."""
+        return sum(st.reads for st in self._shards.values())
+
+    def locate(self, terms):
+        """``(shard dictionary, its terms, their indices there)`` per
+        term shard the terms hash to (index -1: absent)."""
+        by_shard: dict = {}
+        for t in terms:
+            by_shard.setdefault(term_shard(t, self._n_shards), []).append(t)
+        for s in sorted(by_shard):
+            st = self.shard(s)
+            yield st, by_shard[s], st.find(by_shard[s])
+
+    def default_view(self, has_synthetic: bool) -> tuple:
+        """(sorted terms, df) of the default field over every shard —
+        without synthetic terms (``fld\\x1fterm``, ``a\\x1eb``) when the
+        index has any.  Shards hold disjoint terms, so this is their
+        union, sorted."""
+        if self._view is None:
+            parts = [self.shard(s) for s in sorted(self._sources)]
+            terms = pa.concat_arrays(
+                [st.terms for st in parts] or [pa.array([], pa.string())]
+            )
+            df = np.concatenate([st.df for st in parts]
+                                or [np.zeros(0, np.int64)])
+            if has_synthetic:
+                keep = pc.invert(pc.match_substring_regex(
+                    terms, _SYNTHETIC_TERM_RE
+                ))
+                terms = terms.filter(keep)
+                df = df[keep.to_numpy(zero_copy_only=False)]
+            order = pc.array_sort_indices(terms).to_numpy()
+            self._view = (terms.take(order), df[order])
+        return self._view
+
+
 class SearchEngine:
     """Read-side handle on a committed index directory.
 
     Loads small state eagerly (stats, norms) and postings lazily per query —
     the analogue of the reference's one-session-per-process Solr client
     (``solrindexer/indexer.py:83-88``); in Ray pipelines one engine instance
-    lives per actor (built once in ``__init__``).
+    lives per actor (built once in ``__init__``).  Postings and dfs are
+    read through a term dictionary built once per index generation
+    (:class:`_TermDict`), which addresses each term's rows by position.
 
     Scale note: the dense norm/mask arrays are O(doc_id_space) bytes — fine
     for a per-node slice, not for 10^12 docs in one process.  At cluster
@@ -1035,9 +1245,8 @@ class SearchEngine:
         chain = FilterChain.from_stats(stats)
         if chain:
             self.registry = FilteredRegistry(self.registry, chain)
-        self._postings_ds = pads.dataset(
-            os.path.join(self.index_dir, "postings"), partitioning="hive"
-        )
+        self._postings_files: dict = {}  # term shard -> [_PostingsFile]
+        self._open_postings()
         self._docs_ds = pads.dataset(os.path.join(self.index_dir, "docs"))
         self._drop_generation_state()
         self._tombstones = None     # set[int] or None
@@ -1068,6 +1277,28 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # small state
     # ------------------------------------------------------------------ #
+    def _open_postings(self) -> None:
+        """Open this generation's postings: the hive dataset and a raw
+        handle on each of its files, by term shard.  The handles pin the
+        bytes the engine opened — ``extend_index`` replaces boundary
+        range files under the same name — so the term dictionary, built
+        from them on first use, never reads a later generation before
+        ``refresh()``."""
+        self._postings_ds = pads.dataset(
+            os.path.join(self.index_dir, "postings"), partitioning="hive"
+        )
+        # a file the previous generation already loaded (same inode,
+        # size and mtime) is reused as is
+        known = {f.key: f for fs in self._postings_files.values()
+                 for f in fs if f.key is not None}
+        self._postings_files = {}
+        for frag in self._postings_ds.get_fragments():
+            shard = pads.get_partition_keys(frag.partition_expression)["shard"]
+            f = _PostingsFile(frag.path)
+            self._postings_files.setdefault(int(shard), []).append(
+                known.get(f.key, f)
+            )
+
     def _drop_generation_state(self) -> None:
         """Forget everything derived from one index generation's docs and
         postings tables (a commit can grow the doc-id space, so none of
@@ -1081,9 +1312,16 @@ class SearchEngine:
         self._field_norms: dict = {}  # analyzed field -> dense norm bytes
         self._dense_field_cache: dict = {}  # field -> dense sort keys
         self._field_codes_cache: dict = {}  # field -> factorized codes
+        #: the generation's term dictionary (:class:`_TermDict`), built
+        #: on the first postings or df access
+        self._term_dict = None
         self._term_cache: dict = {}  # decoded TermPostings LRU (insertion order)
-        self._df_cache: dict = {}    # term -> summed df (None: absent)
-        self._dict_cache = None      # sorted term dictionary + dfs
+        #: ``_term_cache``'s bytes: each entry's size when last measured,
+        #: their running total, and the entries handed out since (which
+        #: may have grown: score vectors, key streams, decoded positions)
+        self._term_sizes: dict = {}
+        self._term_cache_nbytes = 0
+        self._term_dirty: set = set()
         self._suggest_cache = None
         self._stored_fields = None
 
@@ -1151,9 +1389,7 @@ class SearchEngine:
         self.n_docs = int(new_stats["n_docs"])
         self.doc_space = int(new_stats.get("doc_id_space", self.n_docs))
         self.avgdl = float(new_stats["avgdl"])
-        self._postings_ds = pads.dataset(
-            os.path.join(self.index_dir, "postings"), partitioning="hive"
-        )
+        self._open_postings()
         self._docs_ds = pads.dataset(os.path.join(self.index_dir, "docs"))
         self._drop_generation_state()
         self.invalidate_caches()
@@ -1261,8 +1497,18 @@ class SearchEngine:
             self._bigram_first = cached
         return cached
 
+    def _terms_dict(self) -> _TermDict:
+        """This generation's term dictionary, over exactly the files
+        ``_postings_ds`` lists."""
+        if self._term_dict is None:
+            self._term_dict = _TermDict(self._postings_files,
+                                        int(self.stats["n_shards"]))
+        return self._term_dict
+
     def lookup_postings(self, terms, with_positions: bool = False) -> dict:
-        """Fetch + decode postings for terms (predicate-pushdown read).
+        """Fetch + decode postings for terms.  A miss is located in the
+        term dictionary and read by position: only the row groups
+        holding the terms' rows, one read per postings file.
 
         ``with_positions=True`` also decodes the delta-varint position
         stream (phrase queries); a cached entry decoded without positions
@@ -1292,134 +1538,108 @@ class SearchEngine:
             self._term_cache[t] = self._term_cache.pop(t)
         terms = [t for t in terms if t not in cached]
         if not terms:
+            self._remeasure_term_cache(cached)
             return {t: tp for t, tp in cached.items() if tp is not None}
-        n_shards = int(self.stats["n_shards"])
-        shards = sorted({term_shard(t, n_shards) for t in terms})
-        # hive-partition pruning on shard + row-group stats on sorted terms
-        cols = [
-            "term", "range_id", "doc_ids", "tfs",
-            "block_last", "block_max_tf", "block_min_norm",
-        ]
+        cols = ["range_id", "doc_ids", "tfs", "block_last", "block_max_tf",
+                "block_min_norm"]
         if with_positions:
             cols.append("positions")
-        tbl = self._postings_ds.to_table(
-            columns=cols,
-            filter=pc.field("shard").isin(shards) & pc.field("term").isin(terms),
-        )
-        by_term: dict = {}
-        term_l = tbl["term"].to_pylist()
-        range_l = tbl["range_id"].to_pylist()
-        docids_l = tbl["doc_ids"].to_pylist()
-        tfsb_l = tbl["tfs"].to_pylist()
-        bl_l = tbl["block_last"].to_pylist()
-        bmt_l = tbl["block_max_tf"].to_pylist()
-        bmn_l = tbl["block_min_norm"].to_pylist()
-        pos_l = tbl["positions"].to_pylist() if with_positions else None
-        for i in range(tbl.num_rows):
-            tfs_i = varint_decode(tfsb_l[i]).astype(np.int64)
-            row = [
-                range_l[i],
-                decode_doc_ids(docids_l[i]),
-                tfs_i,
-                np.asarray(bl_l[i], dtype=np.int64),
-                np.asarray(bmt_l[i], dtype=np.int64),
-                np.asarray(bmn_l[i], dtype=np.int64),
-            ]
-            if with_positions:
-                # LAZY: keep the raw delta-varint blob; positions_for()
-                # decodes only the candidate postings a phrase/near match
-                # actually inspects (a common member term never pays an
-                # O(total positions) decode).
-                row.append(pos_l[i] or b"")
-            by_term.setdefault(term_l[i], []).append(tuple(row))
         out = {}
-        for term, rows in by_term.items():
-            rows.sort(key=lambda r: r[0])  # doc-range order -> global order
-            tfs = np.concatenate([r[2] for r in rows])
-            pos_raw = None
-            if with_positions:
-                pos_raw = [
-                    [len(r[2]), r[6], r[2], None] for r in rows
-                ]
-            out[term] = TermPostings(
-                term,
-                df=int(sum(len(r[1]) for r in rows)),
-                cf=int(sum(int(r[2].sum()) for r in rows)),
-                doc_ids=np.concatenate([r[1] for r in rows]),
-                tfs=tfs,
-                block_last=np.concatenate([r[3] for r in rows]),
-                block_max_tf=np.concatenate([r[4] for r in rows]),
-                block_min_norm=np.concatenate([r[5] for r in rows]),
-                pos_raw=pos_raw,
-            )
+        for st, ts, idx in self._terms_dict().locate(terms):
+            got, counts = st.read(idx[idx >= 0], cols)
+            i = 0
+            for term, n in zip([t for t, x in zip(ts, idx) if x >= 0],
+                               counts.tolist()):
+                rows = []
+                for j in range(i, i + n):
+                    row = [
+                        got["range_id"][j],
+                        decode_doc_ids(got["doc_ids"][j]),
+                        varint_decode(got["tfs"][j]).astype(np.int64),
+                        np.asarray(got["block_last"][j], dtype=np.int64),
+                        np.asarray(got["block_max_tf"][j], dtype=np.int64),
+                        np.asarray(got["block_min_norm"][j], dtype=np.int64),
+                    ]
+                    if with_positions:
+                        # LAZY: keep the raw delta-varint blob;
+                        # positions_for() decodes only the candidate
+                        # postings a phrase/near match actually inspects
+                        # (a common member term never pays an O(total
+                        # positions) decode).
+                        row.append(got["positions"][j] or b"")
+                    rows.append(row)
+                i += n
+                rows.sort(key=lambda r: r[0])  # doc-range order
+                pos_raw = None
+                if with_positions:
+                    pos_raw = [[len(r[2]), r[6], r[2], None] for r in rows]
+                out[term] = TermPostings(
+                    term,
+                    df=int(sum(len(r[1]) for r in rows)),
+                    cf=int(sum(int(r[2].sum()) for r in rows)),
+                    doc_ids=np.concatenate([r[1] for r in rows]),
+                    tfs=np.concatenate([r[2] for r in rows]),
+                    block_last=np.concatenate([r[3] for r in rows]),
+                    block_max_tf=np.concatenate([r[4] for r in rows]),
+                    block_min_norm=np.concatenate([r[5] for r in rows]),
+                    pos_raw=pos_raw,
+                )
         # bounded decoded-postings cache (misses cached as None too);
         # pop-then-insert so a re-decode (positions upgrade) of an old
         # entry lands at the recent end like any other fresh entry
         for t in terms:
-            self._term_cache.pop(t, None)
+            self._drop_cached_term(t)
             self._term_cache[t] = out.get(t)
+            self._term_sizes[t] = 0  # measured just below
+        self._remeasure_term_cache([*cached, *terms])
         while len(self._term_cache) > self.term_cache_size:
-            self._term_cache.pop(next(iter(self._term_cache)))
+            self._drop_cached_term(next(iter(self._term_cache)))
         if self.term_cache_bytes:
             # byte-aware pass: evict cold entries until under budget,
             # keeping at least the current query's terms (just touched /
             # inserted, so they sit at the recent end)
-            total = sum(
-                tp.nbytes() for tp in self._term_cache.values()
-                if tp is not None
-            )
             floor = len(terms) + len(cached)
-            while (total > self.term_cache_bytes
+            while (self._term_cache_nbytes > self.term_cache_bytes
                    and len(self._term_cache) > floor):
-                tp = self._term_cache.pop(next(iter(self._term_cache)))
-                if tp is not None:
-                    total -= tp.nbytes()
+                self._drop_cached_term(next(iter(self._term_cache)))
         out.update({t: tp for t, tp in cached.items() if tp is not None})
         return out
 
+    def _drop_cached_term(self, t) -> None:
+        """Remove ``t`` from the postings cache (if there) and its bytes
+        from the running total."""
+        if t in self._term_cache:
+            del self._term_cache[t]
+            self._term_cache_nbytes -= self._term_sizes.pop(t)
+
+    def _remeasure_term_cache(self, handed_out) -> None:
+        """Bring the running byte total up to date.  Entries grow after
+        they are handed out (score vectors, phrase key streams, decoded
+        positions), so the ones handed out by the previous call and by
+        this one are measured again; this call's stay marked for the
+        next."""
+        for t in self._term_dirty.union(handed_out):
+            tp = self._term_cache.get(t)
+            if tp is not None:
+                n = tp.nbytes()
+                self._term_cache_nbytes += n - self._term_sizes[t]
+                self._term_sizes[t] = n
+        self._term_dirty = set(handed_out)
+
     def lookup_dfs(self, terms) -> dict:
-        """Global df per term from the postings ``(term, df)`` columns
-        ONLY — no posting-blob reads or varint decodes.  Sums the
-        per-(term, doc-range) row counts, identical to
-        ``lookup_postings(t).df`` (Lucene df: tombstones included until
-        compact; absent terms absent from the dict, like a
-        ``lookup_postings`` miss).  The distributed driver scout and the
-        bigram phrase fast paths need exactly this: at corpus scale,
-        reading a stop-word's doc_ids blob to learn its df is the
-        difference between a metadata column scan and shipping the whole
-        postings list to the driver."""
-        out: dict = {}
-        todo = []
-        for t in sorted(set(terms)):
-            if t in self._df_cache:
-                df = self._df_cache[t]
-                if df is not None:
-                    out[t] = df
-            elif t in self._term_cache:
-                tp = self._term_cache[t]
-                if tp is not None:
-                    out[t] = int(tp.df)
-            else:
-                todo.append(t)
-        if todo:
-            n_shards = int(self.stats["n_shards"])
-            shards = sorted({term_shard(t, n_shards) for t in todo})
-            tbl = self._postings_ds.to_table(
-                columns=["term", "df"],
-                filter=pc.field("shard").isin(shards)
-                & pc.field("term").isin(todo),
-            )
-            agg = pa.TableGroupBy(tbl, "term").aggregate([("df", "sum")])
-            got = dict(zip(agg["term"].to_pylist(),
-                           agg["df_sum"].to_pylist()))
-            for t in todo:  # misses cached as None too
-                df = got.get(t)
-                self._df_cache[t] = int(df) if df is not None else None
-                if df is not None:
-                    out[t] = int(df)
-            while len(self._df_cache) > self.term_cache_size * 4:
-                self._df_cache.pop(next(iter(self._df_cache)))
-        return out
+        """Global df per term, gathered from the term dictionary's
+        per-term sums of the ``df`` column — no posting-blob reads or
+        varint decodes.  Identical to ``lookup_postings(t).df`` (Lucene
+        df: tombstones included until compact; absent terms absent from
+        the dict, like a ``lookup_postings`` miss).  The distributed
+        driver scout and the bigram phrase fast paths need exactly this:
+        at corpus scale, reading a stop-word's doc_ids blob to learn its
+        df is the difference between a dictionary gather and shipping
+        the whole postings list to the driver."""
+        out = {}
+        for st, ts, idx in self._terms_dict().locate(sorted(set(terms))):
+            out.update((t, int(st.df[i])) for t, i in zip(ts, idx) if i >= 0)
+        return dict(sorted(out.items()))
 
     # ------------------------------------------------------------------ #
     # wildcard / prefix (Solr MultiTermQuery CONSTANT_SCORE rewrite)
@@ -3754,8 +3974,10 @@ class SearchEngine:
         """Solr ``facet.range``: histogram buckets ``[start+i·gap,
         start+(i+1)·gap)`` over a numeric or TIMESTAMP ``field`` of the
         FULL match set, plus ``before``/``after`` counts
-        (``facet.range.other=all``).  Every bucket in [start, end) is
-        emitted, zero counts included.
+        (``facet.range.other=all``).  Every bucket starting in
+        [start, end) is emitted, zero counts included.  Solr's default
+        ``facet.range.hardend=false``: the last bucket keeps its full
+        width even past ``end``, and ``after`` counts from its upper edge.
 
         Date ranges (Solr date faceting / the timeseries() stream
         shape): ``start``/``end`` are strict ISO instants
@@ -3802,7 +4024,7 @@ class SearchEngine:
             bounds = _date_bucket_bounds(s_i, e_i, gap)
             n_buckets = len(bounds) - 1
             idx = np.searchsorted(bounds, vals, side="right") - 1
-            inside = (idx >= 0) & (idx < n_buckets) & (vals < e_i)
+            inside = (idx >= 0) & (idx < n_buckets)
             counts = np.bincount(idx[inside].astype(np.int64),
                                  minlength=n_buckets)
             from datetime import datetime, timezone
@@ -3816,12 +4038,12 @@ class SearchEngine:
                 "buckets": [(_lab(int(bounds[i])), int(counts[i]))
                             for i in range(n_buckets)],
                 "before": int((vals < s_i).sum()),
-                "after": int((vals >= e_i).sum()),
+                "after": int((vals >= bounds[-1]).sum()),
             }
 
         n_buckets = (e_i - s_i + g_i - 1) // g_i
         idx = (vals - s_i) // g_i
-        inside = (idx >= 0) & (idx < n_buckets) & (vals < e_i)
+        inside = (idx >= 0) & (idx < n_buckets)
         counts = np.bincount(idx[inside].astype(np.int64),
                              minlength=n_buckets)
         return {
@@ -3830,7 +4052,7 @@ class SearchEngine:
                 for i in range(n_buckets)
             ],
             "before": int((vals < s_i).sum()),
-            "after": int((vals >= e_i).sum()),
+            "after": int((vals >= s_i + n_buckets * g_i).sum()),
         }
 
     def pivot_facet(self, query: str, fields, mincount: int = 1,
@@ -4595,25 +4817,19 @@ class SearchEngine:
         optionally restricted to a prefix (``terms.prefix``) and a minimum
         df (``terms.mincount``).  df sums the term's doc-range rows and
         subtracts nothing for tombstones (Lucene: deleted docs count until
-        merge).  The scan reads only the (term, df) columns; prefix scans
-        prune via sorted-term row-group stats.
+        merge).  Served from the term dictionary's default-field view; a
+        prefix is two bisects.
         """
-        flt = None
+        arr, dfs = self._dict_state()
+        lo = 0
         if prefix:
-            hi = prefix[:-1] + chr(ord(prefix[-1]) + 1)
-            flt = (pc.field("term") >= prefix) & (pc.field("term") < hi)
-        t = self._postings_ds.to_table(columns=["term", "df"], filter=flt)
-        if self.scored_fields or self.has_bigrams:
-            t = t.filter(pc.invert(
-                pc.match_substring_regex(t["term"], _SYNTHETIC_TERM_RE)
-            ))
-        agg = pa.TableGroupBy(t, "term").aggregate([("df", "sum")])
-        rows = sorted(
-            zip(agg["term"].to_pylist(), agg["df_sum"].to_pylist()),
-            key=(lambda r: (-r[1], r[0])) if sort == "count"
-            else (lambda r: r[0]),
-        )
-        return [(t_, int(c)) for t_, c in rows if c >= mincount][:limit]
+            arr, _full, lo = self._dict_slice(prefix)
+        c = dfs[lo:lo + len(arr)]
+        keep = np.flatnonzero(c >= mincount)
+        if sort == "count":  # stable: ties stay in term order
+            keep = keep[np.argsort(-c[keep], kind="stable")]
+        keep = keep[:limit]
+        return list(zip(arr.take(keep).to_pylist(), c[keep].tolist()))
 
     def luke(self) -> dict:
         """Solr Luke handler (``/admin/luke``) analogue: index
@@ -4621,13 +4837,7 @@ class SearchEngine:
         build toggles, and per-stored-field type + non-null doc count.
         The reference surfaces the same shape through Solr's admin API
         (``solrindexer/mmd.py:1306-1332`` ``get_status``)."""
-        t = self._postings_ds.to_table(columns=["term"])
-        terms = t["term"]
-        if self.scored_fields or self.has_bigrams:
-            terms = terms.filter(
-                pc.invert(pc.match_substring_regex(terms, _SYNTHETIC_TERM_RE))
-            )
-        n_terms = len(pc.unique(terms))
+        n_terms = len(self._dict_state()[0])
         docs = self._docs_ds.to_table()
         fields = {}
         for name in docs.column_names:
@@ -4854,25 +5064,14 @@ class SearchEngine:
         return [(term, d, -negdf) for d, negdf, term in out[:count]]
 
     def _dict_state(self):
-        """Sorted term dictionary (Arrow) + aligned summed df (numpy),
-        built once per engine.  Arrow-native so prefix/wildcard slicing
-        never pays a full to_pylist; the fuzzy/suggest trie walkers get
-        the Python-list form lazily from :meth:`_suggest_state`."""
-        if self._dict_cache is None:
-            t = self._postings_ds.to_table(columns=["term", "df"])
-            if self.scored_fields or self.has_bigrams:
-                # default-field dictionary only
-                t = t.filter(pc.invert(
-                    pc.match_substring_regex(t["term"], _SYNTHETIC_TERM_RE)
-                ))
-            agg = pa.TableGroupBy(t, "term").aggregate([("df", "sum")])
-            agg = agg.sort_by("term")
-            arr = agg["term"].combine_chunks()
-            dfs = agg["df_sum"].combine_chunks().to_numpy(
-                zero_copy_only=False
-            ).astype(np.int64, copy=False)
-            self._dict_cache = (arr, dfs)
-        return self._dict_cache
+        """Default-field view of the term dictionary: sorted terms
+        (Arrow) + aligned summed df (numpy), synthetic terms left out.
+        Arrow-native so prefix/wildcard slicing never pays a full
+        to_pylist; the fuzzy/suggest trie walkers get the Python-list
+        form lazily from :meth:`_suggest_state`."""
+        return self._terms_dict().default_view(
+            bool(self.scored_fields or self.has_bigrams)
+        )
 
     @staticmethod
     def _arr_bisect_left(arr, needle: str, lo: int = 0) -> int:
@@ -7414,14 +7613,14 @@ class RangeFacetCounter:
     boundaries.  The driver sums per-range partials (pre-aggregated,
     no shuffle) — the distributed form of
     :meth:`SearchEngine.range_facet`.  Emits ``(bucket_idx, count)``
-    rows with idx -1 = before, -2 = after."""
+    rows with idx -1 = before, -2 = after (from the last bucket's upper
+    edge: Solr's default ``hardend=false``)."""
 
     def __init__(self, index_dir: str, field: str, bounds: list,
-                 e_us: int, is_timestamp: bool):
+                 is_timestamp: bool):
         self.scorer = RangeScorer(index_dir)
         self.field = field
         self.bounds = np.asarray(bounds, dtype=np.int64)
-        self.e_us = int(e_us)
         self.is_timestamp = is_timestamp
 
     def __call__(self, batch: dict) -> pa.Table:
@@ -7470,14 +7669,14 @@ class RangeFacetCounter:
                     np.int64)[hit]
             n_buckets = self.bounds.size - 1
             bidx = np.searchsorted(self.bounds, vals, side="right") - 1
-            inside = (bidx >= 0) & (bidx < n_buckets) & (vals < self.e_us)
+            inside = (bidx >= 0) & (bidx < n_buckets)
             cnt = np.bincount(bidx[inside].astype(np.int64),
                               minlength=n_buckets)
             for b in np.nonzero(cnt)[0]:
                 idxs.append(int(b))
                 counts.append(int(cnt[b]))
             before = int((vals < self.bounds[0]).sum())
-            after = int((vals >= self.e_us).sum())
+            after = int((vals >= self.bounds[-1]).sum())
             if before:
                 idxs.append(-1)
                 counts.append(before)
@@ -7541,8 +7740,7 @@ def range_facet_partitioned(index_dir: str, query: str, field: str,
         blist = [int(b) for b in bounds]
 
         def run(batch: dict) -> pa.Table:
-            return RangeFacetCounter(index_dir, field, blist, e_i,
-                                     is_ts)(batch)
+            return RangeFacetCounter(index_dir, field, blist, is_ts)(batch)
 
         partials = (
             rd.from_items(items)

@@ -154,6 +154,25 @@ class TestRangeAndPivotFacets:
             "before"
         ] == len(dls)
 
+    def test_range_facet_hardend_false(self, fidx):
+        """Solr's default ``facet.range.hardend=false``: with end=25 the
+        last bucket still covers [20, 30), and ``after`` counts from its
+        upper edge 30, not from ``end``."""
+        idx, corpus = fidx
+        eng = SearchEngine(idx)
+        oracle = BruteForceBM25(corpus)
+        hits = {d for d, _ in oracle.search("def", k=10**9)}
+        dls = [len(oracle.tokens[i]) for i in sorted(hits)]
+        res = eng.range_facet("def", "doclen", 0, 25, 10)
+        assert res["buckets"] == [
+            (lo, sum(1 for v in dls if lo <= v < lo + 10))
+            for lo in (0, 10, 20)
+        ]
+        assert res["before"] == 0
+        assert res["after"] == sum(1 for v in dls if v >= 30)
+        # the corpus has hits in [25, 30), where the two modes differ
+        assert any(25 <= v < 30 for v in dls)
+
     def test_range_facet_validation(self, fidx):
         idx, _ = fidx
         eng = SearchEngine(idx)

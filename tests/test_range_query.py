@@ -381,6 +381,7 @@ class TestRangeFacetPartitioned:
         ("read", "mtime", "2024-01-10T00:00:00Z", "2024-01-20T00:00:00Z",
          "+12HOURS", ["lang:python"]),
         ("def", "doclen", 10, 100, 15, None),
+        ("def", "doclen", 0, 25, 10, None),
     ])
     def test_identity_vs_single_engine(self, dpidx, case):
         from solr_indexer_ray.pipelines.search import (

@@ -8,7 +8,11 @@ import pytest
 
 from solr_indexer_ray.config import IndexConfig
 from solr_indexer_ray.pipelines.build import build_index
-from solr_indexer_ray.pipelines.search import SearchEngine, search_sharded
+from solr_indexer_ray.pipelines.search import (
+    SearchEngine,
+    _MergedStats,
+    search_sharded,
+)
 from solr_indexer_ray.sources.corpus import generate_corpus
 
 SPLIT = 120
@@ -156,37 +160,30 @@ class TestShardedFuzzy:
             assert 0 in got["shard"].to_pylist(), q
 
 
-class _CountingDataset:
-    """Delegates to a pyarrow dataset, counting ``to_table`` calls."""
-
-    def __init__(self, ds):
-        self._ds = ds
-        self.calls = 0
-
-    def to_table(self, *args, **kwargs):
-        self.calls += 1
-        return self._ds.to_table(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._ds, name)
-
-
 def test_default_engine_postings_reads_unchanged(shards):
     """An engine opened without merged stats reads postings exactly as
-    often as before the federation seam existed: 36 reads over this mix
-    (each query on a cold engine, then again warm), counted on the
-    scorer that predates the seam."""
-    calls = 0
-    for q in [*QUERIES, "read~1 merge", '"def index"~2 read',
-              "pars~1 AND def"]:
-        for method in ("taat", "bmw"):
-            eng = SearchEngine(f"{shards}/idx_all")
-            counter = _CountingDataset(eng._postings_ds)
-            eng._postings_ds = counter
-            eng.search(q, k=10, fl=["doc_id"], method=method)
-            eng.search(q, k=10, fl=["doc_id"], method=method)
-            calls += counter.calls
-    assert calls == 36
+    often as one scoring with stats merged over the two shards: 140
+    row-group reads over this mix (each query on a cold engine, then
+    again warm).  Term-dictionary shard builds differ: the merged-stats
+    engine takes its fuzzy expansions from the shard engines, so it
+    builds only the shards its own lookups hash to (46 against 70)."""
+    counts = {}
+    for merged in (False, True):
+        builds = reads = 0
+        for q in [*QUERIES, "read~1 merge", '"def index"~2 read',
+                  "pars~1 AND def"]:
+            for method in ("taat", "bmw"):
+                stats = _MergedStats([SearchEngine(f"{shards}/idx_a"),
+                                      SearchEngine(f"{shards}/idx_b")]
+                                     ) if merged else None
+                eng = SearchEngine(f"{shards}/idx_all",
+                                   collection_stats=stats)
+                eng.search(q, k=10, fl=["doc_id"], method=method)
+                eng.search(q, k=10, fl=["doc_id"], method=method)
+                builds += eng._term_dict.builds
+                reads += eng._term_dict.reads
+        counts[merged] = (builds, reads)
+    assert counts == {False: (70, 140), True: (46, 140)}
 
 
 class TestSynonyms:

@@ -1,0 +1,392 @@
+"""The resident term dictionary (``_TermDict``) that serves every postings
+and df read of a ``SearchEngine``.
+
+The reference is the read path it replaced: one filtered scan of the hive
+postings dataset per cache miss, kept here verbatim (``scan_postings``,
+``scan_dfs``, ``scan_terms``, ``scan_n_terms``).  Every read through the
+dictionary must equal it exactly — same arrays, dtypes, df and cf — on a
+multi-range index with positions, bigrams and an extra analyzed field,
+and across extend, delete + compact and spill GC.
+"""
+
+import os
+import random
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import pytest
+
+from solr_indexer_ray.config import IndexConfig
+from solr_indexer_ray.functions.hashing import term_shard
+from solr_indexer_ray.functions.varint import decode_doc_ids, varint_decode
+from solr_indexer_ray.pipelines import mutate
+from solr_indexer_ray.pipelines.build import build_index, extend_index
+from solr_indexer_ray.pipelines.search import (
+    _SYNTHETIC_TERM_RE,
+    SearchEngine,
+)
+from solr_indexer_ray.sources.corpus import generate_corpus
+
+CFG = IndexConfig(docs_per_range=48, block_size=16, concurrency=2,
+                  store_positions=True, store_bigrams=True,
+                  analyzed_fields=("path_text:path",))
+
+
+# --------------------------------------------------------------------- #
+# the dataset-scan reads the dictionary replaced (reference)
+# --------------------------------------------------------------------- #
+def scan_postings(eng, terms, with_positions=False) -> dict:
+    """term -> (df, cf, doc_ids, tfs, block_last, block_max_tf,
+    block_min_norm, [(n, blob, tfs)] or None) from one filtered scan of
+    the engine's postings dataset."""
+    terms = sorted(set(terms))
+    shards = sorted({term_shard(t, int(eng.stats["n_shards"]))
+                     for t in terms})
+    cols = ["term", "range_id", "doc_ids", "tfs",
+            "block_last", "block_max_tf", "block_min_norm"]
+    if with_positions:
+        cols.append("positions")
+    tbl = eng._postings_ds.to_table(
+        columns=cols,
+        filter=pc.field("shard").isin(shards) & pc.field("term").isin(terms),
+    )
+    by_term: dict = {}
+    cells = {c: tbl[c].to_pylist() for c in cols}
+    for i in range(tbl.num_rows):
+        by_term.setdefault(cells["term"][i], []).append((
+            cells["range_id"][i],
+            decode_doc_ids(cells["doc_ids"][i]),
+            varint_decode(cells["tfs"][i]).astype(np.int64),
+            np.asarray(cells["block_last"][i], dtype=np.int64),
+            np.asarray(cells["block_max_tf"][i], dtype=np.int64),
+            np.asarray(cells["block_min_norm"][i], dtype=np.int64),
+            (cells["positions"][i] or b"") if with_positions else None,
+        ))
+    out = {}
+    for term, rows in by_term.items():
+        rows.sort(key=lambda r: r[0])
+        out[term] = (
+            int(sum(len(r[1]) for r in rows)),
+            int(sum(int(r[2].sum()) for r in rows)),
+            *(np.concatenate([r[k] for r in rows]) for k in range(1, 6)),
+            [(len(r[2]), r[6], r[2]) for r in rows]
+            if with_positions else None,
+        )
+    return out
+
+
+def scan_dfs(eng, terms) -> dict:
+    terms = sorted(set(terms))
+    shards = sorted({term_shard(t, int(eng.stats["n_shards"]))
+                     for t in terms})
+    tbl = eng._postings_ds.to_table(
+        columns=["term", "df"],
+        filter=pc.field("shard").isin(shards) & pc.field("term").isin(terms),
+    )
+    agg = pa.TableGroupBy(tbl, "term").aggregate([("df", "sum")])
+    return {t: int(d) for t, d in sorted(zip(agg["term"].to_pylist(),
+                                             agg["df_sum"].to_pylist()))}
+
+
+def _default_field(eng, t):
+    if eng.scored_fields or eng.has_bigrams:
+        t = t.filter(pc.invert(
+            pc.match_substring_regex(t["term"], _SYNTHETIC_TERM_RE)
+        ))
+    return t
+
+
+def scan_terms(eng, prefix="", limit=10, mincount=1, sort="count"):
+    flt = None
+    if prefix:
+        hi = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+        flt = (pc.field("term") >= prefix) & (pc.field("term") < hi)
+    t = _default_field(eng, eng._postings_ds.to_table(columns=["term", "df"],
+                                                     filter=flt))
+    agg = pa.TableGroupBy(t, "term").aggregate([("df", "sum")])
+    rows = sorted(
+        zip(agg["term"].to_pylist(), agg["df_sum"].to_pylist()),
+        key=(lambda r: (-r[1], r[0])) if sort == "count"
+        else (lambda r: r[0]),
+    )
+    return [(t_, int(c)) for t_, c in rows if c >= mincount][:limit]
+
+
+def scan_n_terms(eng) -> int:
+    t = _default_field(eng, eng._postings_ds.to_table(columns=["term"]))
+    return len(pc.unique(t["term"]))
+
+
+# --------------------------------------------------------------------- #
+# helpers
+# --------------------------------------------------------------------- #
+def assert_same(got: dict, exp: dict, with_positions: bool):
+    """``got`` (TermPostings) equals the scan's ``exp``, which must be
+    read with positions.  A read without positions may still hand out a
+    cached entry that has them; its blobs must match too."""
+    assert sorted(got) == sorted(exp)
+    for term, tp in got.items():
+        df, cf, ids, tfs, bl, bmt, bmn, pos = exp[term]
+        assert (tp.term, tp.df, tp.cf) == (term, df, cf), term
+        for a, b in ((tp.doc_ids, ids), (tp.tfs, tfs), (tp.block_last, bl),
+                     (tp.block_max_tf, bmt), (tp.block_min_norm, bmn)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), term
+        if with_positions:
+            assert tp.pos_raw is not None, term
+        if tp.pos_raw is not None:
+            assert len(tp.pos_raw) == len(pos), term
+            for (n, blob, rtfs, ends), (n2, blob2, rtfs2) in zip(tp.pos_raw,
+                                                                 pos):
+                assert (n, blob, ends) == (n2, blob2, None), term
+                assert rtfs.dtype == rtfs2.dtype
+                assert np.array_equal(rtfs, rtfs2), term
+
+
+def all_terms(index_dir) -> list:
+    t = pads.dataset(os.path.join(index_dir, "postings"),
+                     partitioning="hive").to_table(columns=["term"])
+    return sorted(set(t["term"].to_pylist()))
+
+
+def term_sets(index_dir, n, seed) -> list:
+    """Random lookups: present terms of every kind (default-field,
+    fielded ``fld\\x1fterm``, bigram ``a\\x1eb``) mixed with absent
+    ones."""
+    rng = random.Random(seed)
+    vocab = all_terms(index_dir)
+    kinds = [[t for t in vocab if "\x1f" in t],
+             [t for t in vocab if "\x1e" in t],
+             [t for t in vocab if "\x1e" not in t and "\x1f" not in t]]
+    assert all(kinds)
+    absent = ["zzqx", "path_text\x1fzzqx", "def\x1ezzqx", "", "ü"]
+    out = []
+    for _ in range(n):
+        ts = [rng.choice(rng.choice(kinds)) for _ in range(rng.randint(1, 6))]
+        ts += rng.sample(absent, rng.randint(0, 2))
+        out.append(ts)
+    return out
+
+
+def check_reads(eng, index_dir, n=25, seed=0):
+    for i, ts in enumerate(term_sets(index_dir, n, seed)):
+        wp = bool(i % 2)
+        assert_same(eng.lookup_postings(ts, with_positions=wp),
+                    scan_postings(eng, ts, True), wp)
+        assert eng.lookup_dfs(ts) == scan_dfs(eng, ts)
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tdict")
+    full = generate_corpus(260, seed=5, mean_tokens=40, with_edge_rows=False)
+    paths = []
+    for name, part in (("a", full.slice(0, 170)), ("b", full.slice(170))):
+        paths.append(str(d / f"{name}.parquet"))
+        pq.write_table(part, paths[-1], row_group_size=40)
+    build_index(paths[0], str(d / "idx"), config=CFG)
+    return str(d), paths
+
+
+@pytest.fixture
+def index_copy(corpora, tmp_path):
+    root, _ = corpora
+    dst = str(tmp_path / "idx")
+    shutil.copytree(os.path.join(root, "idx"), dst)
+    return dst
+
+
+# --------------------------------------------------------------------- #
+# equality with the dataset scan
+# --------------------------------------------------------------------- #
+class TestEqualsScan:
+    def test_random_term_sets(self, index_copy):
+        eng = SearchEngine(index_copy)
+        assert len(eng._postings_ds.files) > 8  # several shards x ranges
+        check_reads(eng, index_copy, n=60, seed=1)
+
+    def test_cold_reads(self, index_copy):
+        """Each set on a fresh engine: the dictionary build itself."""
+        for ts in term_sets(index_copy, 6, seed=2):
+            got = SearchEngine(index_copy).lookup_postings(ts)
+            assert all(tp.pos_raw is None for tp in got.values())
+            assert_same(got, scan_postings(SearchEngine(index_copy), ts,
+                                           True), False)
+
+    def test_positions_upgrade(self, index_copy):
+        eng = SearchEngine(index_copy)
+        ts = term_sets(index_copy, 1, seed=3)[0]
+        eng.lookup_postings(ts)
+        assert_same(eng.lookup_postings(ts, with_positions=True),
+                    scan_postings(eng, ts, True), True)
+
+    def test_absent_terms_cached_as_none(self, index_copy):
+        eng = SearchEngine(index_copy)
+        assert eng.lookup_postings(["zzqx", "def"]).keys() == {"def"}
+        assert eng._term_cache["zzqx"] is None
+        assert eng.lookup_dfs(["zzqx"]) == {}
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"prefix": "de"}, {"prefix": "p", "limit": 50},
+        {"mincount": 30, "limit": 100}, {"sort": "index", "limit": 40},
+        {"prefix": "re", "sort": "index", "mincount": 3},
+        {"prefix": "zzz"}, {"limit": 10_000},
+    ])
+    def test_terms_component(self, index_copy, kw):
+        eng = SearchEngine(index_copy)
+        got = eng.terms(**kw)
+        assert got == scan_terms(eng, **kw)
+        assert all(type(t) is str and type(c) is int for t, c in got)
+
+    def test_luke_distinct_terms(self, index_copy):
+        eng = SearchEngine(index_copy)
+        assert eng.luke()["n_terms"] == scan_n_terms(eng)
+
+
+# --------------------------------------------------------------------- #
+# index generations
+# --------------------------------------------------------------------- #
+class TestGenerations:
+    def test_after_extend_and_refresh(self, index_copy, corpora):
+        eng = SearchEngine(index_copy)
+        check_reads(eng, index_copy, n=6, seed=4)
+        before = [f for fs in eng._postings_files.values() for f in fs]
+        extend_index(corpora[1][1], index_copy, config=CFG)
+        assert eng.refresh()
+        check_reads(eng, index_copy, n=30, seed=5)
+        assert eng.terms(limit=30) == scan_terms(eng, limit=30)
+        # files the extend left alone are reused, rewritten ones reread
+        after = [f for fs in eng._postings_files.values() for f in fs]
+        reused = [f for f in after if any(f is b for b in before)]
+        assert 0 < len(reused) < len(after)
+
+    def test_extend_without_refresh_pins_old_generation(self, index_copy,
+                                                        corpora):
+        """A built dictionary keeps reading the bytes its row positions
+        came from, even though extend replaces boundary range files
+        under the same name."""
+        eng = SearchEngine(index_copy)
+        sets = term_sets(index_copy, 12, seed=6)
+        before = [scan_postings(eng, ts, True) for ts in sets]
+        dfs_before = [scan_dfs(eng, ts) for ts in sets]
+        eng.lookup_dfs(["def"])  # builds the dictionary
+        extend_index(corpora[1][1], index_copy, config=CFG)
+        for ts, exp, dfs in zip(sets, before, dfs_before):
+            assert_same(eng.lookup_postings(ts, with_positions=True), exp,
+                        True)
+            assert eng.lookup_dfs(ts) == dfs
+        # the new generation really differs from the pinned one
+        fresh = SearchEngine(index_copy)
+        assert any(scan_dfs(fresh, ts) != dfs
+                   for ts, dfs in zip(sets, dfs_before))
+
+    def test_extend_before_first_read_without_refresh(self, index_copy,
+                                                      corpora):
+        """An engine opened before an extend and first read after it
+        still reads the generation it opened: its postings handles were
+        taken at open."""
+        eng = SearchEngine(index_copy)
+        sets = term_sets(index_copy, 12, seed=7)
+        before = [scan_postings(eng, ts, True) for ts in sets]
+        extend_index(corpora[1][1], index_copy, config=CFG)
+        for ts, exp in zip(sets, before):
+            assert_same(eng.lookup_postings(ts, with_positions=True), exp,
+                        True)
+        eng.search('"def index" read', k=5)
+        eng.search("def read", k=5, fl=["doc_id", "path"])
+        fresh = SearchEngine(index_copy)
+        assert eng.refresh()
+        assert eng.search("def read", k=5).equals(
+            fresh.search("def read", k=5))
+
+    def test_after_delete_and_compact(self, index_copy):
+        eng = SearchEngine(index_copy)
+        check_reads(eng, index_copy, n=4, seed=8)
+        mutate.delete_by_id(index_copy, [1, 2, 3, 50, 51, 99, 120])
+        mutate.compact_index(index_copy)
+        assert eng.refresh()
+        check_reads(eng, index_copy, n=30, seed=9)
+        assert eng.luke()["n_terms"] == scan_n_terms(eng)
+
+    def test_after_drop_spills(self, index_copy):
+        eng = SearchEngine(index_copy)
+        check_reads(eng, index_copy, n=4, seed=10)
+        mutate.drop_spills(index_copy)
+        assert eng.refresh()
+        check_reads(eng, index_copy, n=20, seed=11)
+
+
+# --------------------------------------------------------------------- #
+# one dictionary serves every read
+# --------------------------------------------------------------------- #
+class _CountingDataset:
+    def __init__(self, ds):
+        self._ds = ds
+        self.calls = 0
+
+    def to_table(self, *args, **kwargs):
+        self.calls += 1
+        return self._ds.to_table(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._ds, name)
+
+
+def test_no_dataset_scans_after_dictionary_build(index_copy):
+    eng = SearchEngine(index_copy)
+    counter = _CountingDataset(eng._postings_ds)
+    eng._postings_ds = counter
+    eng.lookup_dfs(["def"])
+    tdict = eng._term_dict
+    for q in ["def read", "def AND read -index", '"def index"',
+              '"read the"~2', "path_text:src def", "pars* read", "re?d",
+              "read~1 merge", "lang:python read", "parse^2 buffer"]:
+        eng.search(q, k=10, fl=["doc_id"])
+    eng.lookup_dfs(["def", "read\x1ethe", "path_text\x1fsrc", "zzqx"])
+    eng.lookup_postings(["merge", "def\x1eindex"], with_positions=True)
+    eng.terms(prefix="re", limit=20)
+    eng.terms(sort="index")
+    eng.luke()
+    eng.suggest("reed")
+    assert counter.calls == 0
+    assert eng._term_dict is tdict  # built once
+    assert tdict.reads > 0
+
+
+# --------------------------------------------------------------------- #
+# the postings cache's running byte total
+# --------------------------------------------------------------------- #
+def test_term_cache_byte_total_is_exact(index_copy):
+    """Insert, touch, positions upgrade, growth of handed-out entries,
+    count- and byte-budget eviction in random order: the running total
+    always equals the sum of the cached entries' sizes."""
+    rng = random.Random(12)
+    eng = SearchEngine(index_copy)
+    eng.term_cache_size = 40
+    eng.term_cache_bytes = 30_000
+    vocab = [t for t in all_terms(index_copy) if "\x1e" not in t]
+    last: dict = {}
+    evicted = False
+    for step in range(300):
+        op = rng.random()
+        if op < 0.2 and last:
+            # entries grow after they are handed out (score vectors)
+            for tp in last.values():
+                eng._term_score_vec(tp)
+            continue
+        if op < 0.4 and eng._term_cache:
+            ts = rng.sample(list(eng._term_cache), min(3, len(eng._term_cache)))
+        else:
+            ts = rng.sample(vocab, rng.randint(1, 5)) + ["zzqx"] * (op > 0.9)
+        before = set(eng._term_cache)
+        last = eng.lookup_postings(ts, with_positions=rng.random() < 0.3)
+        evicted |= not before <= set(eng._term_cache)
+        assert eng._term_cache_nbytes == sum(
+            tp.nbytes() for tp in eng._term_cache.values() if tp is not None
+        ), step
+        assert eng._term_sizes.keys() == eng._term_cache.keys()
+        assert len(eng._term_cache) <= eng.term_cache_size
+    assert evicted
