@@ -18,16 +18,19 @@ Stage 1 (``map_batches`` over read units, stateful actor pool):
     (tmp+rename) and recorded in a per-unit manifest entry with lineage +
     metrics, so an interrupted build **resumes** by skipping complete units.
 
-Stage 2 (shuffle):
-    ``read_parquet(postings_raw) -> groupby(shard, range_id) ->
-    map_groups(merge)``.  The merge concatenates each term's partial lists
-    (disjoint, per-unit doc-id intervals -> sort-by-first + concat, no full
-    re-sort), delta-varint-packs doc ids, varint-packs tfs, and attaches
-    per-block block-max metadata ``(last_doc_id, max_tf, min_norm)`` for
-    WAND pruning.  Grouping by ``(hash(term) % S, doc-range)`` rather than
-    raw term (a) amortizes per-group overhead over many terms and (b) caps
-    any group's memory at one doc-range — the salted-shuffle skew handling
-    the north rule demands for stop-word-heavy terms.
+Stage 2 (the shuffle's reduce side, ``map_batches`` over term shards):
+    one task per term shard reads that shard's spill files from
+    ``postings_raw/shard=S/`` — the filesystem is the shuffle, no
+    all-to-all through the object store — and merges one doc-range at a
+    time.  The merge concatenates each term's partial lists (disjoint,
+    per-unit doc-id intervals -> sort-by-first + concat, no full re-sort),
+    delta-varint-packs doc ids, varint-packs tfs, and attaches per-block
+    block-max metadata ``(last_doc_id, max_tf, min_norm)`` for WAND
+    pruning, all as whole-range columns.  Partitioning by
+    ``(hash(term) % S, doc-range)`` rather than raw term (a) amortizes
+    per-task overhead over many terms and (b) caps any merge's memory at
+    one doc-range — the salted-shuffle skew handling the north rule
+    demands for stop-word-heavy terms.
 
 Commit:
     corpus stats (N, avgdl as exact ``sum_dl / N`` — Lucene semantics:
@@ -53,9 +56,6 @@ from solr_indexer_ray.functions.hashing import term_shard, term_shards_of_array
 from solr_indexer_ray.functions.smallfloat import encode_lengths
 from solr_indexer_ray.functions.tokenize import AnalyzerRegistry, tokenize_unit
 from solr_indexer_ray.functions.varint import (
-    decode_positions,
-    encode_doc_ids,
-    encode_positions,
     segmented_delta_encode,
     varint_byte_offsets,
     varint_encode,
@@ -142,8 +142,32 @@ def _filter_chain_stats(config: IndexConfig) -> dict:
 
 def _atomic_write_table(table: pa.Table, path: str, **kw) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(table, tmp, **kw)
+    try:
+        pq.write_table(table, tmp, **kw)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _binary_column(blob, boff: np.ndarray, where: str) -> pa.Array:
+    """``binary`` array whose value ``i`` is ``blob[boff[i]:boff[i + 1]]``,
+    a zero-copy view of one shared buffer (``bytes`` or ``pa.Buffer``).
+    Arrow ``binary`` offsets are int32, so a column over 2 GiB raises,
+    naming ``where``, instead of wrapping."""
+    lo, size = int(boff[0]), int(boff[-1] - boff[0])
+    if size > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"{where}: {size} bytes overflow one binary column's int32 "
+            "offsets"
+        )
+    buf = blob if isinstance(blob, pa.Buffer) else pa.py_buffer(blob)
+    return pa.Array.from_buffers(
+        pa.binary(), boff.size - 1,
+        [None, pa.py_buffer((boff - lo).astype(np.int32)),
+         buf.slice(lo, size)],
+    )
 
 
 _EMPTY_SHA = hashlib.sha256(b"").hexdigest()
@@ -626,12 +650,9 @@ class UnitIndexer:
                     ),
                 }
                 if store_pos:
-                    blo, bhi = int(row_boff[a]), int(row_boff[b])
-                    boffs = (row_boff[a:b + 1] - blo).astype(np.int32)
-                    cols["positions"] = pa.Array.from_buffers(
-                        pa.binary(), b - a,
-                        [None, pa.py_buffer(boffs.tobytes()),
-                         pa.py_buffer(pos_blob[blo:bhi])],
+                    cols["positions"] = _binary_column(
+                        pos_blob, row_boff[a:b + 1],
+                        f"unit {uid} shard {s} positions",
                     )
                 post_table = pa.table(
                     cols,
@@ -708,53 +729,6 @@ def _entry_to_row(entry: dict) -> dict:
     }
 
 
-def _merge_term_parts(parts: list, block_size: int) -> dict:
-    """Merge one term's partial posting lists (one per unit) into a packed
-    row.  Partials cover disjoint, internally-sorted doc-id intervals, so
-    ordering partials by first doc id and concatenating yields the sorted
-    posting list without a re-sort.  Each part is
-    ``(doc_ids, tfs, norms[, pos_flat])`` — ``pos_flat`` the part's
-    concatenated per-posting position lists (lengths == tfs)."""
-    parts.sort(key=lambda p: int(p[0][0]))
-    with_pos = len(parts[0]) > 3
-    doc_ids = np.concatenate([p[0] for p in parts])
-    tfs = np.concatenate([p[1] for p in parts])
-    norms = np.concatenate([p[2] for p in parts])
-    pos_flat = (
-        np.concatenate([p[3] for p in parts]) if with_pos else None
-    )
-    if doc_ids.size > 1 and not (np.diff(doc_ids) > 0).all():
-        # overlapping units should not happen; fall back to full sort
-        srt = np.argsort(doc_ids, kind="stable")
-        if with_pos:  # reorder per-posting segments with the docs
-            offs = np.concatenate(([0], np.cumsum(tfs)))
-            pos_flat = np.concatenate(
-                [pos_flat[offs[j]:offs[j + 1]] for j in srt]
-            ) if pos_flat.size else pos_flat
-        doc_ids, tfs, norms = doc_ids[srt], tfs[srt], norms[srt]
-
-    nb = (doc_ids.size + block_size - 1) // block_size
-    return {
-        "positions": encode_positions(tfs, pos_flat) if with_pos else None,
-        "df": int(doc_ids.size),
-        "cf": int(tfs.sum()),
-        "doc_ids": encode_doc_ids(doc_ids),
-        "tfs": varint_encode(tfs),
-        "block_last": [
-            int(doc_ids[min((b + 1) * block_size, doc_ids.size) - 1])
-            for b in range(nb)
-        ],
-        "block_max_tf": [
-            int(tfs[b * block_size:(b + 1) * block_size].max())
-            for b in range(nb)
-        ],
-        "block_min_norm": [
-            int(norms[b * block_size:(b + 1) * block_size].min())
-            for b in range(nb)
-        ],
-    }
-
-
 class ShardMerger:
     """Stage-2 task: the reduce side of the explicit postings shuffle.
 
@@ -778,109 +752,96 @@ class ShardMerger:
 
     def __call__(self, batch: dict) -> pa.Table:
         rows = [self._merge_shard(int(s)) for s in batch["shard"]]
-        return pa.Table.from_pylist(
-            rows,
-            schema=pa.schema(
-                [("shard", pa.int64()), ("n_terms", pa.int64()),
-                 ("n_files", pa.int64())]
-            ),
+        return pa.table(
+            {k: pa.array([r[k] for r in rows], pa.int64())
+             for k in ("shard", "n_terms", "n_files")}
         )
 
     def _merge_shard(self, shard: int) -> dict:
+        import pyarrow.compute as pc
+        import pyarrow.dataset as pads
+
         src = os.path.join(self.index_dir, "postings_raw", f"shard={shard}")
         if not os.path.isdir(src):
             return {"shard": shard, "n_terms": 0, "n_files": 0}
-        import pyarrow.dataset as pads
-
         flt = (
             (pads.field("range_id") >= self.min_range)
             if self.min_range > 0 else None
         )
         tbl = pads.dataset(src).to_table(filter=flt)
-        import pyarrow.compute as pc
-
+        if tbl.num_rows == 0:
+            return {"shard": shard, "n_terms": 0, "n_files": 0}
         order = pc.sort_indices(
             tbl,
             sort_keys=[("range_id", "ascending"), ("term", "ascending")],
         )
-        tbl = tbl.take(order)
-        terms = tbl["term"].to_pylist()
-        ranges = tbl["range_id"].to_pylist()
-        ids_col = tbl["doc_ids"].combine_chunks()
-        tfs_col = tbl["tfs"].combine_chunks()
-        norms_col = tbl["norms"].combine_chunks()
-        pos_col = (
-            tbl["positions"].combine_chunks()
-            if "positions" in tbl.column_names else None
+        tbl = tbl.take(order).combine_chunks()
+        cols = [
+            tbl[name].chunk(0) if name in tbl.column_names else None
+            for name in ("term", "doc_ids", "tfs", "norms", "positions")
+        ]
+        rids = tbl["range_id"].to_numpy()
+        bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(rids)) + 1, [rids.size])
         )
-
+        # every range is merged before any is written, so a bad spill
+        # raises with the shard's range files as they were
+        tables = [
+            self._merge_range(
+                [c if c is None else c.slice(r0, r1 - r0) for c in cols],
+                shard, int(rids[r0]),
+            )
+            for r0, r1 in zip(bounds[:-1], bounds[1:])
+        ]
         out_dir = os.path.join(self.index_dir, "postings", f"shard={shard}")
         os.makedirs(out_dir, exist_ok=True)
-
-        n_terms = 0
-        n_files = 0
-        i = 0
-        n = tbl.num_rows
-        while i < n:  # per doc-range
-            rid = ranges[i]
-            r0 = i
-            while i < n and ranges[i] == rid:
-                i += 1
-            range_tbl = self._merge_range(
-                terms, r0, i, ids_col, tfs_col, norms_col, pos_col, int(rid)
+        for r0, range_tbl in zip(bounds[:-1], tables):
+            _atomic_write_table(
+                range_tbl,
+                os.path.join(out_dir, f"range-{int(rids[r0]):06d}.parquet"),
+                row_group_size=512, compression=self.compression,
             )
-            rel = os.path.join(out_dir, f"range-{int(rid):06d}.parquet")
-            _atomic_write_table(range_tbl, rel, row_group_size=512,
-                                compression=self.compression)
-            n_terms += range_tbl.num_rows
-            n_files += 1
-        return {"shard": shard, "n_terms": n_terms, "n_files": n_files}
+        return {"shard": shard, "n_terms": sum(t.num_rows for t in tables),
+                "n_files": len(tables)}
 
-    def _merge_range(self, terms, r0, r1, ids_col, tfs_col, norms_col,
-                     pos_col, rid) -> pa.Table:
-        """Merge one doc-range's spill rows [r0, r1) into the packed table.
+    def _merge_range(self, cols: list, shard: int, rid: int) -> pa.Table:
+        """Merge one doc-range's spill rows (sorted by term) into the packed
+        table, in ONE vectorized pass over the whole range.
 
-        ONE vectorized pass over the whole range, multi-part (hot) terms
-        included: rows are permuted so each term's parts sit contiguously
-        ordered by first doc id (one ``lexsort``), every stream is
-        gathered once, doc-id deltas restart per TERM (parts cover
-        disjoint intervals so the concatenation is already sorted),
-        position deltas restart per POSTING, and the range's streams are
-        varint-packed ONCE then sliced into per-term blobs by byte
-        offsets (``varint_byte_offsets``).  Block metadata reduces via
-        ``np.*.reduceat`` at block boundaries laid out per term.  A term
-        whose concatenated doc ids are NOT strictly increasing (units
-        overlapping a range — shouldn't happen) falls back to the exact
-        per-term ``_merge_term_parts`` path.
+        Rows are permuted so each term's parts sit contiguously ordered by
+        first doc id (one ``lexsort``), every stream is gathered once,
+        doc-id deltas restart per TERM (parts cover disjoint intervals so
+        the concatenation is already sorted), and the range's streams are
+        varint-packed ONCE; each output column is then one Arrow array
+        over the shared buffer, cut at term boundaries by byte offsets
+        (``varint_byte_offsets``).  Positions arrive pre-encoded per spill
+        row, so a term's merged positions are its parts' blobs back to
+        back.  Block metadata reduces via ``np.*.reduceat`` at block
+        boundaries laid out per term.  A term whose concatenated doc ids
+        are not strictly increasing (overlapping unit spills) raises.
         """
         import pyarrow.compute as pc
 
-        nrow = r1 - r0
-        ids_slice = ids_col.slice(r0, nrow)
-        tfs_slice = tfs_col.slice(r0, nrow)
-        norms_slice = norms_col.slice(r0, nrow)
-        counts = np.asarray(pc.list_value_length(ids_slice).to_numpy(),
+        term, ids_col, tfs_col, norms_col, pos_col = cols
+        where = f"shard {shard} range {rid}"
+        nrow = len(term)
+        counts = np.asarray(pc.list_value_length(ids_col).to_numpy(),
                             dtype=np.int64)
-        flat_ids = np.asarray(pc.list_flatten(ids_slice).to_numpy(),
+        flat_ids = np.asarray(pc.list_flatten(ids_col).to_numpy(),
                               dtype=np.int64)
-        flat_tfs = np.asarray(pc.list_flatten(tfs_slice).to_numpy(),
+        flat_tfs = np.asarray(pc.list_flatten(tfs_col).to_numpy(),
                               dtype=np.int64)
-        flat_norms = np.asarray(pc.list_flatten(norms_slice).to_numpy(),
+        flat_norms = np.asarray(pc.list_flatten(norms_col).to_numpy(),
                                 dtype=np.int64)
         row_starts = np.concatenate(([0], np.cumsum(counts)))
 
-        # term-run boundaries within the range (spill rows sorted by term)
-        runs: list = []  # (term, start_row, end_row) — absolute rows
-        j = r0
-        while j < r1:
-            t0 = terms[j]
-            s = j
-            while j < r1 and terms[j] == t0:
-                j += 1
-            runs.append((t0, s, j))
-        run_lens = np.asarray([e - s for _, s, e in runs], dtype=np.int64)
-        row_cum = np.concatenate(([0], np.cumsum(run_lens)))
-        run_id = np.repeat(np.arange(len(runs), dtype=np.int64), run_lens)
+        # term runs (spill rows are sorted by term within the range)
+        new_run = np.ones(nrow, dtype=bool)
+        new_run[1:] = pc.not_equal(term[1:], term[:-1]).to_numpy(
+            zero_copy_only=False
+        )
+        run_starts = np.flatnonzero(new_run)
+        run_id = np.cumsum(new_run) - 1
 
         # permute rows: term-contiguous, parts ordered by first doc id
         firsts = (
@@ -902,121 +863,86 @@ class ShardMerger:
             flat_norms = flat_norms[gidx]
 
         # per-term value extents
-        df = np.add.reduceat(counts, np.concatenate(([0], np.cumsum(
-            run_lens)[:-1]))) if len(runs) else np.zeros(0, np.int64)
+        df = np.add.reduceat(counts, run_starts)
         t_starts = np.concatenate(([0], np.cumsum(df)))
 
-        # strict-increase check per term (parts must tile disjointly)
-        ok = np.ones(len(runs), dtype=bool)
+        # parts must tile disjoint doc-id intervals: a break in strict
+        # increase is fine only at a term boundary
         if flat_ids.size > 1:
             nondec = np.flatnonzero(np.diff(flat_ids) <= 0) + 1
-            # a break is fine exactly at a term boundary
             bad = nondec[~np.isin(nondec, t_starts)]
             if bad.size:
-                ok[np.unique(np.searchsorted(
-                    t_starts, bad, side="right") - 1)] = False
+                ri = int(np.searchsorted(t_starts, bad[0], side="right")) - 1
+                raise ValueError(
+                    f"{where}: term "
+                    f"{term[int(run_starts[ri])].as_py()!r} has non-increasing "
+                    f"doc id {int(flat_ids[bad[0]])} (overlapping unit spills)"
+                )
 
-        # doc-id deltas restart per term; positions restart per posting
+        # doc-id deltas restart per term
         id_deltas = np.empty_like(flat_ids)
         if flat_ids.size:
             id_deltas[0] = flat_ids[0]
             np.subtract(flat_ids[1:], flat_ids[:-1], out=id_deltas[1:])
             ts = t_starts[:-1][df > 0]
             id_deltas[ts] = flat_ids[ts]
-        # a bad term's negative deltas would break uint64 packing — mask
-        # them to 0 in the shared stream (its blob is replaced below)
-        if not ok.all():
-            for ri in np.flatnonzero(~ok):
-                id_deltas[t_starts[ri]:t_starts[ri + 1]] = 0
-        id_blob = varint_encode(id_deltas.view(np.uint64))
         # byte offsets ONLY at term boundaries (multi-byte deltas are
         # rare, so no per-value byte-length cumsum is materialized)
-        id_boff = varint_byte_offsets(id_deltas, t_starts)
-        tf_blob = varint_encode(flat_tfs.view(np.uint64))
-        tf_boff = varint_byte_offsets(flat_tfs, t_starts)
-        cf = (np.add.reduceat(flat_tfs, t_starts[:-1])
-              if flat_tfs.size else np.zeros(len(runs), np.int64))
+        doc_ids = _binary_column(
+            varint_encode(id_deltas.view(np.uint64)),
+            varint_byte_offsets(id_deltas, t_starts), where,
+        )
+        tfs = _binary_column(
+            varint_encode(flat_tfs.view(np.uint64)),
+            varint_byte_offsets(flat_tfs, t_starts), where,
+        )
+        cf = np.add.reduceat(flat_tfs, t_starts[:-1])
 
-        # positions: spill rows carry PRE-ENCODED per-posting delta-varint
-        # blobs (already the merged format), so a term's merged positions
-        # are just its parts' blobs back to back — no decode, no re-encode
-        pos_data = pos_boff = None
-        if pos_col is not None:
-            bufs = pos_col.buffers()
-            if pos_col.offset != 0:
-                raise AssertionError("combined binary column has offset")
+        if pos_col is None:
+            positions = pa.nulls(run_starts.size, pa.binary())
+        else:
+            if not identity:
+                pos_col = pos_col.take(pa.array(perm))
+            _, offs_buf, data_buf = pos_col.buffers()
             pos_boff = np.frombuffer(
-                bufs[1], dtype=np.int32, count=len(pos_col) + 1
+                offs_buf, dtype=np.int32, count=nrow + 1,
+                offset=4 * pos_col.offset,
             ).astype(np.int64)
-            pos_data = (
-                memoryview(bufs[2]) if bufs[2] is not None
-                else memoryview(b"")
+            positions = _binary_column(
+                data_buf or pa.py_buffer(b""),
+                pos_boff[np.append(run_starts, nrow)], where,
             )
 
         # block boundaries laid out per term: ceil(df/bs) blocks each
         bs = self.block_size
         nb = (df + bs - 1) // bs
         b_off = np.concatenate(([0], np.cumsum(nb)))
-        if nb.sum():
-            bstarts = (
-                np.repeat(t_starts[:-1], nb)
-                + (np.arange(int(nb.sum()), dtype=np.int64)
-                   - np.repeat(b_off[:-1], nb)) * bs
-            )
-            bends = np.minimum(bstarts + bs, np.repeat(t_starts[1:], nb))
-            bmax = np.maximum.reduceat(flat_tfs, bstarts)
-            bmin = np.minimum.reduceat(flat_norms, bstarts)
-            blast = flat_ids[bends - 1]
-        else:
-            bmax = bmin = blast = np.zeros(0, np.int64)
-        bmax_l = bmax.tolist()
-        bmin_l = bmin.tolist()
-        blast_l = blast.tolist()
-
-        rows: list = []
-        for ri, (term, s, e) in enumerate(runs):
-            if ok[ri]:
-                if pos_data is None:
-                    pblob = None
-                elif identity or e - s == 1:
-                    pblob = bytes(pos_data[pos_boff[s]:pos_boff[e]])
-                else:
-                    lrows = perm[row_cum[ri]:row_cum[ri + 1]] + r0
-                    pblob = b"".join(
-                        pos_data[pos_boff[x]:pos_boff[x + 1]]
-                        for x in lrows
-                    )
-                merged = {
-                    "df": int(df[ri]),
-                    "cf": int(cf[ri]),
-                    "doc_ids": id_blob[id_boff[ri]:id_boff[ri + 1]],
-                    "tfs": tf_blob[tf_boff[ri]:tf_boff[ri + 1]],
-                    "positions": pblob,
-                    "block_last": blast_l[b_off[ri]:b_off[ri + 1]],
-                    "block_max_tf": bmax_l[b_off[ri]:b_off[ri + 1]],
-                    "block_min_norm": bmin_l[b_off[ri]:b_off[ri + 1]],
-                }
-            else:
-                parts = []
-                for x in range(s, e):
-                    tfs_x = np.asarray(tfs_col[x].values)
-                    part = (
-                        np.asarray(ids_col[x].values),
-                        tfs_x,
-                        np.asarray(norms_col[x].values),
-                    )
-                    if pos_data is not None:
-                        flat, _ = decode_positions(
-                            bytes(pos_data[pos_boff[x]:pos_boff[x + 1]]),
-                            tfs_x.astype(np.int64),
-                        )
-                        part = (*part, flat)
-                    parts.append(part)
-                merged = _merge_term_parts(parts, self.block_size)
-            merged["term"] = term
-            merged["range_id"] = rid
-            rows.append(merged)
-        return pa.Table.from_pylist(rows, schema=MERGED_POSTINGS_SCHEMA)
+        bstarts = (
+            np.repeat(t_starts[:-1], nb)
+            + (np.arange(int(nb.sum()), dtype=np.int64)
+               - np.repeat(b_off[:-1], nb)) * bs
+        )
+        bends = np.minimum(bstarts + bs, np.repeat(t_starts[1:], nb))
+        b_off = pa.array(b_off.astype(np.int32))
+        return pa.Table.from_arrays(
+            [
+                term.take(pa.array(run_starts)),
+                pa.array(np.full(run_starts.size, rid, np.int64)),
+                pa.array(df),
+                pa.array(cf),
+                doc_ids,
+                tfs,
+                positions,
+                pa.ListArray.from_arrays(b_off, pa.array(flat_ids[bends - 1])),
+                pa.ListArray.from_arrays(b_off, pa.array(
+                    np.maximum.reduceat(flat_tfs, bstarts).astype(np.int32)
+                )),
+                pa.ListArray.from_arrays(b_off, pa.array(
+                    np.minimum.reduceat(flat_norms, bstarts).astype(np.int32)
+                )),
+            ],
+            schema=MERGED_POSTINGS_SCHEMA,
+        )
 
 
 # Stages run as Ray TASKS, not actor pools: the expensive per-worker state
