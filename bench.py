@@ -396,8 +396,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     sort_s = time.perf_counter() - t0
 
     # ---- phase 6: round-2 query surface -------------------------------
-    # block-max pruned scorer vs TAAT (rank-identical; warm caches), and
-    # fuzzy / boolean-group / proximity latencies
+    # warm TAAT latency, and fuzzy / boolean-group / proximity latencies
     def _p50(queries, **kw):
         ls = np.zeros(len(queries))
         for i, q in enumerate(queries):
@@ -406,12 +405,10 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
             ls[i] = time.perf_counter() - t
         return round(float(np.percentile(ls, 50)) * 1000, 3)
 
-    bmw_queries = _query_set(50)
-    for q in bmw_queries:  # warm both paths + the cell cache
-        engine.search(q, k=10, fl=["doc_id"], method="taat")
-        engine.search(q, k=10, fl=["doc_id"], method="bmw")
-    taat_warm_p50 = _p50(bmw_queries, method="taat")
-    bmw_p50 = _p50(bmw_queries, method="bmw")
+    warm_queries = _query_set(50)
+    for q in warm_queries:  # warm the postings and score caches
+        engine.search(q, k=10, fl=["doc_id"])
+    taat_warm_p50 = _p50(warm_queries)
     stems = sorted(_IDENT_STEMS)
     fuzz = [f"{s[:-1]}x~1" for s in stems[:25]] + [
         f"{s}~2" for s in stems[:25]
@@ -676,7 +673,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
             "facet_2fields_ms": round(facet_s * 1000, 1),
             "sorted_browse_ms": round(sort_s * 1000, 1),
             "taat_warm_p50_ms": taat_warm_p50,
-            "bmw_p50_ms": bmw_p50,
             "fuzzy_p50_ms": fuzzy_p50,
             "bool_group_p50_ms": bool_p50,
             "near_p50_ms": near_p50,

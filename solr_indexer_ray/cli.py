@@ -201,7 +201,7 @@ def cmd_search(args) -> int:
              "pre": args.hl_tag_pre, "post": args.hl_tag_post}
             if args.hl else False
         )
-        t = engine.search(args.query, k=args.k, fl=fl, method=args.method,
+        t = engine.search(args.query, k=args.k, fl=fl,
                           sort=args.sort, start=args.start, hl=hl_arg,
                           fq=args.fq, search_after=cursor,
                           qf=args.qf, tie=args.tie, mm=args.mm,
@@ -809,7 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--pretty-xml", action="store_true",
                     help="print [xml] fl fields as formatted XML text "
                          "instead of embedding them in the JSON row")
-    ps.add_argument("--method", default="taat", choices=["taat", "bmw"])
     ps.add_argument("--start", type=int, default=0,
                     help="paging offset (Solr start)")
     ps.add_argument("--sort", help='Solr sort spec, e.g. "doclen desc"')

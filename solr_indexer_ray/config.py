@@ -3,8 +3,8 @@
 Reference analogue: the YAML run config of solr-indexer
 (``solrindexer/search.py:143-163`` parse_cfg; ``etc/cfg-template.yml``) — batch
 size, worker counts, feature toggles. Here the knobs are the ones that matter
-for a distributed inverted-index build: BM25 parameters, posting-block layout,
-doc-range salting granularity, and Ray stage sizing.
+for a distributed inverted-index build: BM25 parameters, doc-range salting
+granularity, postings layout, and Ray stage sizing.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ class IndexConfig:
     b: float = 0.75
 
     # --- posting layout ---------------------------------------------------
-    #: postings are chunked into fixed-size blocks carrying block-max
-    #: metadata (last_doc_id, max_tf, min_norm) for WAND-style pruning.
-    block_size: int = 128
-
     #: doc-range salting granularity: postings are grouped by
     #: (term, doc_id // docs_per_range).  This (a) bounds the memory of any
     #: single groupby-merge group — a stop-word-heavy term at 10^12 docs

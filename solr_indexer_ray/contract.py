@@ -1114,7 +1114,7 @@ def q_spatial_topk(sf_dir: str):
     rows = []
     for case in SPATIAL_CASES:
         q = spatial_query(*case)
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1487,7 +1487,7 @@ def q_phrase_chain_topk(sf_dir: str):
     assert engine.has_bigrams and engine.has_positions
     rows = []
     for q in PHRASE3_QUERIES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1517,7 +1517,7 @@ def q_phrase_bigram_topk(sf_dir: str):
     assert engine.has_bigrams and not engine.has_positions
     rows = []
     for q in PHRASE_QUERIES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1566,7 +1566,7 @@ def _topk_rows(engine, queries) -> pa.Table:
     """Shared (round(score,4) desc, doc_id) top-k table builder."""
     rows = []
     for q in queries:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1617,7 +1617,7 @@ def q_bm25_topk(sf_dir: str):
     engine = SearchEngine(_bm25_index(sf_dir))
     rows = []
     for q in BM25_QUERIES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1645,7 +1645,7 @@ def q_phrase_topk(sf_dir: str):
     engine = SearchEngine(_bm25_index(sf_dir))
     rows = []
     for q in PHRASE_QUERIES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1673,7 +1673,7 @@ def q_wildcard_topk(sf_dir: str):
     engine = SearchEngine(_bm25_index(sf_dir))
     rows = []
     for q in WILDCARD_QUERIES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1702,7 +1702,7 @@ def _rounded_topk_rows(engine, queries) -> pa.Table:
     topk oracle pins."""
     rows = []
     for q in queries:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1743,8 +1743,7 @@ def q_func_topk(sf_dir: str):
     for q, bf, boost in FUNC_QUERIES:
         label = f"{q} | bf={';'.join(bf)} | boost={';'.join(boost)}"
         full = engine.search(q, k=engine.n_docs, fl=["doc_id"],
-                             method="taat", bf=bf or None,
-                             boost=boost or None)
+                             bf=bf or None, boost=boost or None)
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1919,8 +1918,7 @@ def q_bq_topk(sf_dir: str):
     rows = []
     for q, bqs in BQ_CASES:
         label = f"{q} | bq={';'.join(bqs)}"
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"],
-                             method="taat", bq=bqs)
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], bq=bqs)
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1949,8 +1947,7 @@ def q_mm_topk(sf_dir: str):
     engine = SearchEngine(_bm25_index(sf_dir))
     rows = []
     for q, spec in MM_CASES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"],
-                             method="taat", mm=spec)
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], mm=spec)
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -1980,8 +1977,7 @@ def q_pf_topk(sf_dir: str):
     engine = SearchEngine(_bm25_index(sf_dir))
     rows = []
     for q, kwargs, label in PF_CASES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"],
-                             method="taat", **kwargs)
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], **kwargs)
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -2080,7 +2076,7 @@ def q_range_topk(sf_dir: str):
     engine = SearchEngine(_bm25_index(sf_dir))
     rows = []
     for q in RANGE_QUERIES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4
@@ -2828,7 +2824,7 @@ def q_boosted_topk(sf_dir: str):
     engine = SearchEngine(_bm25_index(sf_dir))
     rows = []
     for q in BOOST_QUERIES:
-        full = engine.search(q, k=engine.n_docs, fl=["doc_id"], method="taat")
+        full = engine.search(q, k=engine.n_docs, fl=["doc_id"])
         ids = np.asarray(full["doc_id"].to_pylist(), dtype=np.int64)
         scores = _round_half_away(
             np.asarray(full["score"].to_pylist(), dtype=np.float64), 4

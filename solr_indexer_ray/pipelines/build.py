@@ -24,9 +24,8 @@ Stage 2 (the shuffle's reduce side, ``map_batches`` over term shards):
     all-to-all through the object store — and merges one doc-range at a
     time.  The merge concatenates each term's partial lists (disjoint,
     per-unit doc-id intervals -> sort-by-first + concat, no full re-sort),
-    delta-varint-packs doc ids, varint-packs tfs, and attaches per-block
-    block-max metadata ``(last_doc_id, max_tf, min_norm)`` for WAND
-    pruning, all as whole-range columns.  Partitioning by
+    delta-varint-packs doc ids and varint-packs tfs, all as whole-range
+    columns.  Partitioning by
     ``(hash(term) % S, doc-range)`` rather than raw term (a) amortizes
     per-task overhead over many terms and (b) caps any merge's memory at
     one doc-range — the salted-shuffle skew handling the north rule
@@ -87,7 +86,6 @@ RAW_POSTINGS_SCHEMA = pa.schema(
         ("range_id", pa.int64()),
         ("doc_ids", pa.list_(pa.int64())),
         ("tfs", pa.list_(pa.int32())),
-        ("norms", pa.list_(pa.int32())),
     ]
 )
 
@@ -125,9 +123,6 @@ MERGED_POSTINGS_SCHEMA = pa.schema(
         #: lengths are the tfs (tf == number of positions), so the stream
         #: needs no count prefix.  NULL when built without positions.
         ("positions", pa.binary()),
-        ("block_last", pa.list_(pa.int64())),
-        ("block_max_tf", pa.list_(pa.int32())),
-        ("block_min_norm", pa.list_(pa.int32())),
     ]
 )
 
@@ -292,18 +287,16 @@ class UnitIndexer:
 
         # extra analyzed fields (Lucene per-field postings + norms; Solr
         # copyField into a second text field): each source column
-        # tokenizes with the DEFAULT analyzer, its terms join the same
-        # postings stream prefixed "<field>\\x1f", and the posting norms
-        # carry the FIELD's SmallFloat length — per-field BM25 falls out
-        # of the shared spill/merge machinery untouched.
+        # tokenizes with the DEFAULT analyzer and its terms join the same
+        # postings stream prefixed "<field>\\x1f"; the field's SmallFloat
+        # norms go into the docs table — per-field BM25 falls out of the
+        # shared spill/merge machinery untouched.
         ndocs0 = n_rows
         field_doclens: dict = {}
         field_norms: dict = {}
         streams = [(tids_flat, doclens64)]
         term_list = list(term_list)
-        fld_of_tid_blocks = [np.zeros(len(term_list), dtype=np.int32)]
-        norm_rows = [norms]
-        for fi, (fname, src) in enumerate(afields):
+        for fname, src in afields:
             f_tids, f_dl, f_terms = tokenize_unit(
                 table[src], [None] * ndocs0, self.registry
             )
@@ -316,16 +309,9 @@ class UnitIndexer:
                     f_tids, f_dl, f_terms, self.chain
                 )
             field_doclens[fname] = f_dl.astype(np.int32)
-            f_norm = encode_lengths(f_dl.astype(np.int32))
-            field_norms[fname] = f_norm
+            field_norms[fname] = encode_lengths(f_dl.astype(np.int32))
             streams.append((f_tids + len(term_list), f_dl))
             term_list.extend(f"{fname}\x1f{t}" for t in f_terms)
-            fld_of_tid_blocks.append(
-                np.full(len(f_terms), fi + 1, dtype=np.int32)
-            )
-            norm_rows.append(f_norm)
-        fld_of_tid = np.concatenate(fld_of_tid_blocks)
-        norm_matrix = np.stack(norm_rows) if afields else None
 
         # inline validation (config.validate): invalid rows keep their
         # doc-id slot but are routed to the errors side-channel and
@@ -413,11 +399,6 @@ class UnitIndexer:
                 # bigram position = the pair's first-token position (lets
                 # future n>2 chains verify adjacency over bigram postings)
                 pos_parts.append(pos_parts[0][:-1][same])
-            if norm_matrix is not None:
-                # bigram postings carry the CONTENT field's norms
-                fld_of_tid = np.concatenate(
-                    [fld_of_tid, np.zeros(len(uniq), np.int32)]
-                )
 
         pos_in_doc = None
         if len(tid_parts) == 1:
@@ -498,10 +479,6 @@ class UnitIndexer:
             p_tid = ksort[pstart] // ndocs if ndocs else ksort[pstart]
             p_doc = ksort[pstart] % ndocs if ndocs else ksort[pstart]
         p_docid = doc_ids[p_doc].astype(np.int64)
-        if norm_matrix is None:
-            p_norm = norms[p_doc].astype(np.int32)
-        else:  # posting norm = the norm of the posting's FIELD
-            p_norm = norm_matrix[fld_of_tid[p_tid], p_doc].astype(np.int32)
         p_rid = p_docid // dpr
         if store_pos and not use_fused:
             # grouped by posting (stable sort keeps pos ascending)
@@ -569,7 +546,7 @@ class UnitIndexer:
                 # doc_ids ascending => range_id ascending within each term.
                 # No lexsort, no gathers — the position stream is final.
                 s_tid, s_rid, s_shard = p_tid, p_rid, p_shard_fused
-                s_tf, s_docid, s_norm = p_tf, p_docid, p_norm
+                s_tf, s_docid = p_tf, p_docid
                 s_positions = positions_flat
                 out_off = np.concatenate(
                     ([0], np.cumsum(s_tf, dtype=np.int64))
@@ -585,7 +562,6 @@ class UnitIndexer:
                 s_shard = p_shard[order2]
                 s_tf = p_tf[order2]
                 s_docid = p_docid[order2]
-                s_norm = p_norm[order2]
                 if store_pos:
                     in_off = np.concatenate(
                         ([0], np.cumsum(p_tf, dtype=np.int64))
@@ -643,10 +619,6 @@ class UnitIndexer:
                     "tfs": pa.ListArray.from_arrays(
                         pa.array(offs, pa.int32()),
                         pa.array(s_tf[plo:phi], pa.int32()),
-                    ),
-                    "norms": pa.ListArray.from_arrays(
-                        pa.array(offs, pa.int32()),
-                        pa.array(s_norm[plo:phi], pa.int32()),
                     ),
                 }
                 if store_pos:
@@ -741,10 +713,9 @@ class ShardMerger:
     ``shard=`` layout prunes across files).
     """
 
-    def __init__(self, index_dir: str, block_size: int, min_range: int = 0,
+    def __init__(self, index_dir: str, min_range: int = 0,
                  compression: str = "zstd"):
         self.index_dir = os.fspath(index_dir)
-        self.block_size = block_size
         self.compression = compression
         #: incremental extension: ranges below min_range are untouched on
         #: disk and skipped; the boundary range re-merges old + new spills.
@@ -768,7 +739,12 @@ class ShardMerger:
             (pads.field("range_id") >= self.min_range)
             if self.min_range > 0 else None
         )
-        tbl = pads.dataset(src).to_table(filter=flt)
+        ds = pads.dataset(src)
+        # named columns only: spill files may carry columns this merge
+        # does not read
+        names = [n for n in ("term", "range_id", "doc_ids", "tfs",
+                             "positions") if n in ds.schema.names]
+        tbl = ds.to_table(columns=names, filter=flt)
         if tbl.num_rows == 0:
             return {"shard": shard, "n_terms": 0, "n_files": 0}
         order = pc.sort_indices(
@@ -777,8 +753,8 @@ class ShardMerger:
         )
         tbl = tbl.take(order).combine_chunks()
         cols = [
-            tbl[name].chunk(0) if name in tbl.column_names else None
-            for name in ("term", "doc_ids", "tfs", "norms", "positions")
+            tbl[name].chunk(0) if name in names else None
+            for name in ("term", "doc_ids", "tfs", "positions")
         ]
         rids = tbl["range_id"].to_numpy()
         bounds = np.concatenate(
@@ -816,13 +792,12 @@ class ShardMerger:
         over the shared buffer, cut at term boundaries by byte offsets
         (``varint_byte_offsets``).  Positions arrive pre-encoded per spill
         row, so a term's merged positions are its parts' blobs back to
-        back.  Block metadata reduces via ``np.*.reduceat`` at block
-        boundaries laid out per term.  A term whose concatenated doc ids
-        are not strictly increasing (overlapping unit spills) raises.
+        back.  A term whose concatenated doc ids are not strictly
+        increasing (overlapping unit spills) raises.
         """
         import pyarrow.compute as pc
 
-        term, ids_col, tfs_col, norms_col, pos_col = cols
+        term, ids_col, tfs_col, pos_col = cols
         where = f"shard {shard} range {rid}"
         nrow = len(term)
         counts = np.asarray(pc.list_value_length(ids_col).to_numpy(),
@@ -831,8 +806,6 @@ class ShardMerger:
                               dtype=np.int64)
         flat_tfs = np.asarray(pc.list_flatten(tfs_col).to_numpy(),
                               dtype=np.int64)
-        flat_norms = np.asarray(pc.list_flatten(norms_col).to_numpy(),
-                                dtype=np.int64)
         row_starts = np.concatenate(([0], np.cumsum(counts)))
 
         # term runs (spill rows are sorted by term within the range)
@@ -860,7 +833,6 @@ class ShardMerger:
             )
             flat_ids = flat_ids[gidx]
             flat_tfs = flat_tfs[gidx]
-            flat_norms = flat_norms[gidx]
 
         # per-term value extents
         df = np.add.reduceat(counts, run_starts)
@@ -913,17 +885,6 @@ class ShardMerger:
                 pos_boff[np.append(run_starts, nrow)], where,
             )
 
-        # block boundaries laid out per term: ceil(df/bs) blocks each
-        bs = self.block_size
-        nb = (df + bs - 1) // bs
-        b_off = np.concatenate(([0], np.cumsum(nb)))
-        bstarts = (
-            np.repeat(t_starts[:-1], nb)
-            + (np.arange(int(nb.sum()), dtype=np.int64)
-               - np.repeat(b_off[:-1], nb)) * bs
-        )
-        bends = np.minimum(bstarts + bs, np.repeat(t_starts[1:], nb))
-        b_off = pa.array(b_off.astype(np.int32))
         return pa.Table.from_arrays(
             [
                 term.take(pa.array(run_starts)),
@@ -933,13 +894,6 @@ class ShardMerger:
                 doc_ids,
                 tfs,
                 positions,
-                pa.ListArray.from_arrays(b_off, pa.array(flat_ids[bends - 1])),
-                pa.ListArray.from_arrays(b_off, pa.array(
-                    np.maximum.reduceat(flat_tfs, bstarts).astype(np.int32)
-                )),
-                pa.ListArray.from_arrays(b_off, pa.array(
-                    np.minimum.reduceat(flat_norms, bstarts).astype(np.int32)
-                )),
             ],
             schema=MERGED_POSTINGS_SCHEMA,
         )
@@ -962,10 +916,10 @@ def _run_stage1(unit_rows, index_dir, config, registry, doc_enricher) -> list:
     return rows
 
 
-def _run_stage2(index_dir, n_shards, block_size, min_range: int = 0,
+def _run_stage2(index_dir, n_shards, min_range: int = 0,
                 compression: str = "zstd") -> list:
     def run_merge(batch: dict) -> pa.Table:
-        return ShardMerger(index_dir, block_size, min_range, compression)(batch)
+        return ShardMerger(index_dir, min_range, compression)(batch)
 
     ds = rd.from_items([{"shard": s} for s in range(n_shards)]).map_batches(
         run_merge, batch_size=1, batch_format="numpy", num_cpus=1
@@ -1060,7 +1014,7 @@ def _build_index_locked(input_paths, index_dir, config, registry,
         shutil.rmtree(postings_dir)
     os.makedirs(postings_dir, exist_ok=True)
 
-    merged_manifest = _run_stage2(index_dir, n_shards, config.block_size,
+    merged_manifest = _run_stage2(index_dir, n_shards,
                                   compression=config.compression)
     t2 = time.perf_counter()
 
@@ -1076,7 +1030,6 @@ def _build_index_locked(input_paths, index_dir, config, registry,
         "n_units": len(units),
         "n_shards": n_shards,
         "docs_per_range": config.docs_per_range,
-        "block_size": config.block_size,
         "store_positions": bool(config.store_positions),
         "store_bigrams": bool(config.store_bigrams),
         "bigram_first": sorted(config.bigram_first or ()),
@@ -1118,7 +1071,7 @@ def extend_index(
 
     - new units get doc ids continuing after the existing ``doc_id_space``
       (deterministic: sorted new inputs, prefix sums);
-    - index-shape parameters (shards, doc ranges, block size, k1/b,
+    - index-shape parameters (shards, doc ranges, k1/b,
       analyzer pin) come from the committed stats — they define the layout
       and MUST NOT change between extensions;
     - stage 2 re-merges only doc ranges >= the boundary range: fully-old
@@ -1156,7 +1109,6 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
     config = dataclasses.replace(
         config,
         docs_per_range=int(old["docs_per_range"]),
-        block_size=int(old["block_size"]),
         k1=float(old["k1"]),
         b=float(old["b"]),
         store_positions=bool(old.get("store_positions", False)),
@@ -1215,7 +1167,7 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
     t1 = time.perf_counter()
 
     min_range = base // config.docs_per_range
-    merged = _run_stage2(index_dir, n_shards, config.block_size, min_range,
+    merged = _run_stage2(index_dir, n_shards, min_range,
                          compression=config.compression)
     t2 = time.perf_counter()
 

@@ -9,8 +9,7 @@ the build relies on is machine-checkable:
 - stats.json consistent with the docs table (N, sum_dl, doc_id_space);
 - doc ids unique, dense within units, inside [0, doc_id_space);
 - every postings row: strictly-increasing doc ids within its doc range,
-  df == decoded length == tf count, cf == sum(tfs), block metadata arrays
-  sized ceil(df/block_size), block_last[-1] == last doc id;
+  df == decoded length == tf count, cf == sum(tfs);
 - positions stream decodes to exactly sum(tfs) values, each segment
   strictly increasing and non-negative (positional indexes);
 - tombstones/overlays reference existing doc ids.
@@ -36,8 +35,8 @@ from solr_indexer_ray.functions.varint import (
 from solr_indexer_ray.state.manifest import BuildManifest
 
 
-def _check_shard(index_dir: str, shard: int, block_size: int,
-                 dpr: int, store_positions: bool) -> list:
+def _check_shard(index_dir: str, shard: int, dpr: int,
+                 store_positions: bool) -> list:
     """Verify one postings shard; returns a list of problem strings."""
     problems = []
     root = os.path.join(index_dir, "postings", f"shard={shard}")
@@ -46,7 +45,10 @@ def _check_shard(index_dir: str, shard: int, block_size: int,
     for fname in sorted(os.listdir(root)):
         if not fname.endswith(".parquet"):
             continue
-        t = pq.read_table(os.path.join(root, fname))
+        cols = ["term", "range_id", "df", "cf", "doc_ids", "tfs"]
+        if store_positions:
+            cols.append("positions")
+        t = pq.read_table(os.path.join(root, fname), columns=cols)
         loc = f"shard={shard}/{fname}"
         for i in range(t.num_rows):
             term = t["term"][i].as_py()
@@ -68,10 +70,6 @@ def _check_shard(index_dir: str, shard: int, block_size: int,
                 problems.append(f"{tag}: cf != sum(tfs)")
             if (tfs <= 0).any():
                 problems.append(f"{tag}: non-positive tf")
-            nb = (df + block_size - 1) // block_size
-            bl = t["block_last"][i].as_py()
-            if len(bl) != nb or (ids.size and bl[-1] != ids[-1]):
-                problems.append(f"{tag}: block metadata mis-sized")
             if store_positions:
                 buf = t["positions"][i].as_py()
                 if buf is None:
@@ -107,7 +105,6 @@ def check_index(index_dir: str) -> dict:
                 "checked": {}}
     stats = manifest.read_stats()
     dpr = int(stats["docs_per_range"])
-    block_size = int(stats["block_size"])
     store_pos = bool(stats.get("store_positions", False))
 
     # docs table vs stats
@@ -134,8 +131,7 @@ def check_index(index_dir: str) -> dict:
 
         out = []
         for s in batch["shard"]:
-            out.extend(_check_shard(index_dir, int(s), block_size, dpr,
-                                    store_pos))
+            out.extend(_check_shard(index_dir, int(s), dpr, store_pos))
         return pa.table({"problem": pa.array(out, pa.string())})
 
     rows = (

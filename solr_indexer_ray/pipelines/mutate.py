@@ -314,10 +314,14 @@ def _purge_spill_file(path: str, dead_ids) -> bool:
     Terms whose postings become empty are dropped entirely; the original
     (term, range_id) file order is preserved by construction.
     """
-    tbl = pq.read_table(path)
+    with_pos = "positions" in pq.read_schema(path).names
+    # named columns only: the file may carry columns this rewrite drops
+    tbl = pq.read_table(
+        path, columns=["term", "range_id", "doc_ids", "tfs"]
+        + (["positions"] if with_pos else []),
+    )
     if tbl.num_rows == 0:
         return False
-    with_pos = "positions" in tbl.column_names
     docs_col = tbl["doc_ids"].combine_chunks()
     flat_docs = docs_col.flatten().to_numpy(zero_copy_only=False)
     offsets = docs_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -349,14 +353,6 @@ def _purge_spill_file(path: str, dead_ids) -> bool:
             new_offsets,
             pa.array(
                 tbl["tfs"].combine_chunks().flatten()
-                .to_numpy(zero_copy_only=False)[keep],
-                pa.int32(),
-            ),
-        ),
-        "norms": pa.ListArray.from_arrays(
-            new_offsets,
-            pa.array(
-                tbl["norms"].combine_chunks().flatten()
                 .to_numpy(zero_copy_only=False)[keep],
                 pa.int32(),
             ),
@@ -548,7 +544,7 @@ def _compact_locked(index_dir: str, manifest) -> dict:
 
     # 3. re-merge postings
     merged = _run_stage2(
-        index_dir, int(stats["n_shards"]), int(stats["block_size"]),
+        index_dir, int(stats["n_shards"]),
         compression=str(stats.get("compression", "zstd")),
     )
     n_term_rows = sum(r["n_terms"] for r in merged)

@@ -14,18 +14,14 @@ performs the ranking there; here the engine scores natively:
   ``avgdl = sumTotalTermFreq/docCount`` exact — the quantization Lucene
   applies, required for rank-identity (SURVEY.md §7.0).
   Ties broken by ascending doc_id.  Per-doc term contributions are summed
-  in ascending-term order in *every* scorer (TAAT, BMW, oracle) so float64
-  results are bit-identical across methods.
+  in ascending-term order in *every* scorer (TAAT, per-range, oracle) so
+  float64 results are bit-identical across them.
 
-- ``method="taat"`` — vectorized term-at-a-time: a dense numpy score
-  accumulator per doc range; the fast path (numpy kernels, no per-doc
-  Python).  At 10^12-doc scale this runs per doc-range partition and the
-  per-range top-k heaps k-way merge (the doc-range layout from the build
-  makes that fan-out trivial).
-- ``method="bmw"`` — document-at-a-time Block-Max WAND using the per-block
-  ``(last_doc_id, max_tf, min_norm)`` metadata written at merge time; skips
-  blocks whose upper bound cannot enter the current top-k (the north-star
-  pruning path; validated rank-identical to TAAT in tests).
+- **Scorer** — vectorized term-at-a-time: a dense numpy score
+  accumulator per doc range (numpy kernels, no per-doc Python).  At
+  10^12-doc scale this runs per doc-range partition and the per-range
+  top-k heaps k-way merge (the doc-range layout from the build makes
+  that fan-out trivial).
 
 Term lookup goes through a resident term dictionary (:class:`_TermDict`,
 one per index generation) that knows each term's postings rows by file
@@ -740,7 +736,8 @@ def register_scoring_model(name: str, cls) -> None:
 
 
 class TermPostings:
-    """Decoded posting list of one term (all doc ranges concatenated).
+    """Decoded posting list of one term (all doc ranges concatenated):
+    doc ids, tfs and, for phrase queries, the raw position streams.
 
     ``score_vec`` memoizes the per-posting BM25 contribution
     ``idf · tf/(tf + K(norm))`` — valid for the lifetime of the index
@@ -748,25 +745,19 @@ class TermPostings:
     one fancy-indexed add per term instead of recomputing the norm math.
     """
 
-    __slots__ = ("term", "df", "cf", "doc_ids", "tfs",
-                 "block_last", "block_max_tf", "block_min_norm", "score_vec",
-                 "block_ub_vec", "pos_flat", "pos_offsets", "pos_raw",
+    __slots__ = ("term", "df", "cf", "doc_ids", "tfs", "score_vec",
+                 "pos_flat", "pos_offsets", "pos_raw",
                  "lazy_decoded", "gkeys", "gkeys_stride", "maxpos",
                  "_ckparts")
 
     def __init__(self, term, df, cf, doc_ids, tfs,
-                 block_last, block_max_tf, block_min_norm,
                  pos_flat=None, pos_offsets=None, pos_raw=None):
         self.term = term
         self.df = df
         self.cf = cf
         self.doc_ids = doc_ids
         self.tfs = tfs
-        self.block_last = block_last
-        self.block_max_tf = block_max_tf
-        self.block_min_norm = block_min_norm
         self.score_vec = None
-        self.block_ub_vec = None  # per-block UB, memoized like score_vec
         #: token positions (store_positions indexes only): ``pos_flat`` is
         #: every posting's position list concatenated;
         #: ``pos_offsets[i]:pos_offsets[i+1]`` slices posting i's positions.
@@ -892,9 +883,8 @@ class TermPostings:
         (arrays + raw position blobs + cached key streams) — the unit
         of the engine's byte-aware postings-cache eviction."""
         n = self.doc_ids.nbytes + self.tfs.nbytes
-        for a in (self.block_last, self.block_max_tf,
-                  self.block_min_norm, self.score_vec, self.block_ub_vec,
-                  self.pos_flat, self.pos_offsets, self.gkeys):
+        for a in (self.score_vec, self.pos_flat, self.pos_offsets,
+                  self.gkeys):
             if a is not None:
                 n += a.nbytes
         for e in (self.pos_raw or ()):
@@ -1269,7 +1259,6 @@ class SearchEngine:
         #: longest position seen (+ query margin), so cached per-term key
         #: streams stay valid across queries once it stabilizes.
         self._gkey_stride = 0
-        self._bmw_cell_cache: dict = {}  # terms tuple -> cell grid/offsets
         self._func_cols: dict = {}   # field -> dense float64 (bf/boost)
         self._geo_cache: dict = {}   # sfield -> dense lat/lon (or bbox)
         self._filter_fields = None   # dynamic filterable-column set
@@ -1370,7 +1359,6 @@ class SearchEngine:
         self._fq_cache = {}
         self._fuzzy_cache = {}
         self._pattern_cache = {}
-        self._bmw_cell_cache = {}
         self._func_cols = {}  # overlays (atomic updates) can move values
         self._geo_cache = {}
 
@@ -1540,8 +1528,7 @@ class SearchEngine:
         if not terms:
             self._remeasure_term_cache(cached)
             return {t: tp for t, tp in cached.items() if tp is not None}
-        cols = ["range_id", "doc_ids", "tfs", "block_last", "block_max_tf",
-                "block_min_norm"]
+        cols = ["range_id", "doc_ids", "tfs"]
         if with_positions:
             cols.append("positions")
         out = {}
@@ -1556,9 +1543,6 @@ class SearchEngine:
                         got["range_id"][j],
                         decode_doc_ids(got["doc_ids"][j]),
                         varint_decode(got["tfs"][j]).astype(np.int64),
-                        np.asarray(got["block_last"][j], dtype=np.int64),
-                        np.asarray(got["block_max_tf"][j], dtype=np.int64),
-                        np.asarray(got["block_min_norm"][j], dtype=np.int64),
                     ]
                     if with_positions:
                         # LAZY: keep the raw delta-varint blob;
@@ -1572,16 +1556,13 @@ class SearchEngine:
                 rows.sort(key=lambda r: r[0])  # doc-range order
                 pos_raw = None
                 if with_positions:
-                    pos_raw = [[len(r[2]), r[6], r[2], None] for r in rows]
+                    pos_raw = [[len(r[2]), r[3], r[2], None] for r in rows]
                 out[term] = TermPostings(
                     term,
                     df=int(sum(len(r[1]) for r in rows)),
                     cf=int(sum(int(r[2].sum()) for r in rows)),
                     doc_ids=np.concatenate([r[1] for r in rows]),
                     tfs=np.concatenate([r[2] for r in rows]),
-                    block_last=np.concatenate([r[3] for r in rows]),
-                    block_max_tf=np.concatenate([r[4] for r in rows]),
-                    block_min_norm=np.concatenate([r[5] for r in rows]),
                     pos_raw=pos_raw,
                 )
         # bounded decoded-postings cache (misses cached as None too);
@@ -2239,7 +2220,6 @@ class SearchEngine:
         query: str,
         k: int = 10,
         fl=None,
-        method: str = "taat",
         sort: str | None = None,
         start: int = 0,
         hl: bool = False,
@@ -2324,8 +2304,6 @@ class SearchEngine:
                 extra["ps"] = ps
             if tie:
                 extra["tie"] = tie
-            if method != "taat":
-                extra["method"] = method
             heads = self.collapse_search(
                 query, field, k=start + k, fq=fq, null_policy=npol,
                 **extra,
@@ -2381,7 +2359,7 @@ class SearchEngine:
                     "search_after composes with relevance ranking only "
                     "(no sort/start)"
                 )
-            return self._search_after(query, k, fl, method, fq,
+            return self._search_after(query, k, fl, fq,
                                       search_after, hl, mm=mm,
                                       pf=pf, ps=ps, pf2=pf2, pf3=pf3,
                                       bf=bf, boost=boost, bq=bq)
@@ -2419,7 +2397,7 @@ class SearchEngine:
             t = self._search_sorted(parsed, query, k, fl, sort, start, fq=fq)
         elif start:
             deep = self.search(query, k=start + k, fl=["doc_id"],
-                               method=method, fq=fq, mm=mm,
+                               fq=fq, mm=mm,
                                pf=pf, ps=ps, pf2=pf2, pf3=pf3,
                                bf=bf, boost=boost, bq=bq)
             hits = list(
@@ -2439,11 +2417,8 @@ class SearchEngine:
                 t = self._resolve(hits, fl)
                 return self._add_highlights(parsed, t, hl) if hl else t
             want = list(parsed.terms)
-            if self.synonyms:
-                for t_ in parsed.terms:
-                    want += self.synonyms.get(t_, [])
-                if any(t_ in self.synonyms for t_ in parsed.terms):
-                    method = "taat"  # synonym groups score TAAT
+            for t_ in parsed.terms:
+                want += self.synonyms.get(t_, [])
             postings = self.lookup_postings(want)
             excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
 
@@ -2451,21 +2426,7 @@ class SearchEngine:
                 # no scoring clause (match-all / pure-filter query):
                 # filter match, score 0, doc_id order
                 hits = self._match_all(parsed, excluded, k)
-            elif method == "bmw" and parsed.min_should <= 1 and not (
-                parsed.phrases or parsed.prefixes
-                or parsed.fuzzies or parsed.wildcards
-                or parsed.near_phrases
-                or parsed.field_terms or parsed.dismax
-                or parsed.field_phrases or parsed.boost_phrases
-                or parsed.boost_funcs or parsed.mult_funcs
-                or parsed.boost_queries
-            ):
-                hits = self._score_bmw(parsed, postings, excluded, k)
             else:
-                # phrase/prefix/fuzzy/wildcard clauses always score TAAT
-                # (positional intersection / constant-score unions /
-                # blended groups have no block-max bound); rank-identical
-                # to BMW for pure-term queries (tested)
                 hits = self._score_taat(parsed, postings, excluded, k)
             if query in self.elevate:
                 hits = self._apply_elevation(query, hits, k)
@@ -2858,7 +2819,7 @@ class SearchEngine:
         clauses present in the index.  Clause order is PINNED (terms asc,
         fuzzies asc, phrases asc, prefixes asc, wildcards asc): float64
         summation order is part of the rank-identity contract across
-        TAAT / BMW / distributed / oracle scorers."""
+        TAAT / distributed / oracle scorers."""
         n_present = 0
         syn = self.synonyms
         grouped = sorted(set(parsed.terms)) if syn else None
@@ -3531,7 +3492,7 @@ class SearchEngine:
             return []
         return _select_topk(cand, scores[cand], k)
 
-    def _search_after(self, query, k, fl, method, fq, cursor, hl,
+    def _search_after(self, query, k, fl, fq, cursor, hl,
                       mm=None, pf=None, ps=0, pf2=None, pf3=None,
                       bf=None, boost=None, bq=None):
         """Cursor paging (Solr cursorMark): score candidates once, keep
@@ -3587,193 +3548,6 @@ class SearchEngine:
                                     after=(cs, cid))
         t = self._resolve(hits, fl)
         return self._add_highlights(parsed, t, hl) if hl else t
-
-    # -- Block-Max WAND ------------------------------------------------- #
-    def _score_bmw(self, parsed, postings, excluded, k):
-        """Vectorized block-max pruned top-k (the BMW role, score-at-a-time
-        over block-aligned cells instead of a per-doc Python cursor walk).
-
-        Cells = doc-id intervals bounded by the UNION of every query
-        term's block boundaries, so each cell lies entirely inside exactly
-        one block of each term; a cell's upper bound is the ascending-term
-        sum of those blocks' precomputed bounds (the same float order the
-        exact scorer uses, so UB >= score holds in float64 too).
-
-        Two phases over the descending-UB cell order: a short per-cell
-        seed loop establishes theta (the kth true score), then every
-        remaining cell with UB >= theta is scored in ONE bulk vectorized
-        pass (flat gather of the surviving posting ranges, dense
-        accumulation per term in ascending-term order — the exact float
-        sequence dense TAAT performs).  Cells below theta are skipped
-        with their postings untouched: the block-max pruning the north
-        star names, with no per-doc Python.  Rank-identical to TAAT
-        (tested).
-        """
-        if not postings:
-            return []
-        terms = sorted(postings)
-        tps = [postings[t] for t in terms]
-        ws = []
-        for t, tp in zip(terms, tps):
-            w = self.idf(self._df(t, tp.df))
-            b = parsed.boosts.get(t)
-            ws.append(w if b is None else w * b)
-        # distinct PARSED terms, not found terms: AND with a term absent
-        # from the index matches nothing (same rule as _score_taat)
-        required = len(set(parsed.terms)) if parsed.conjunctive else 1
-        if parsed.conjunctive and len(terms) < required:
-            return []
-
-        # per-term per-block upper bounds (one vectorized impact() each,
-        # memoized on the TermPostings like score_vec; query boosts
-        # multiply after, mirroring vec * b in the scorer)
-        block_ubs = []
-        for w, tp, t in zip(ws, tps, terms):
-            if tp.block_ub_vec is None:
-                dl = DECODE_TABLE[tp.block_min_norm]
-                K = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-                tp.block_ub_vec = self.idf(self._df(t, tp.df)) * (
-                    self.scoring.impact(tp.block_max_tf.astype(np.float64), K)
-                )
-            b = parsed.boosts.get(t)
-            block_ubs.append(
-                tp.block_ub_vec if b is None else tp.block_ub_vec * b
-            )
-
-        # cell grid: union of all block end-docids -> each cell maps to
-        # ONE block per term (no boundary falls inside a cell).  The grid
-        # and the per-term posting offsets of every cell boundary are
-        # query-independent for a term set — memoized across queries.
-        ckey = tuple(terms)
-        cached = self._bmw_cell_cache.get(ckey)
-        if cached is None:
-            grid = np.unique(np.concatenate([tp.block_last for tp in tps]))
-            cell_lo = np.concatenate(([0], grid[:-1] + 1))
-            cell_hi = grid
-            starts = [
-                np.searchsorted(tp.doc_ids, cell_lo, side="left")
-                for tp in tps
-            ]
-            ends = [
-                np.searchsorted(tp.doc_ids, cell_hi, side="right")
-                for tp in tps
-            ]
-            block_of = [np.searchsorted(tp.block_last, grid) for tp in tps]
-            if len(self._bmw_cell_cache) > 128:
-                self._bmw_cell_cache.clear()
-            self._bmw_cell_cache[ckey] = (grid, starts, ends, block_of)
-        else:
-            grid, starts, ends, block_of = cached
-        n_cells = grid.size
-        cell_ub = np.zeros(n_cells, dtype=np.float64)
-        for tp, ub, bi in zip(tps, block_ubs, block_of):
-            valid = bi < tp.block_last.size
-            cell_ub += np.where(valid, ub[np.minimum(bi, ub.size - 1)], 0.0)
-
-        order = np.argsort(-cell_ub, kind="stable")
-
-        # reusable dense accumulators (allocated once, cleaned after each
-        # score_cells call by zeroing only the touched slots)
-        dense = np.zeros(self.doc_space, dtype=np.float64)
-        touched_mask = np.zeros(self.doc_space, dtype=bool)
-        dense_seen = (
-            np.zeros(self.doc_space, dtype=np.int32) if required > 1 else None
-        )
-
-        def score_cells(cells: np.ndarray):
-            """Exact (udocs, scores) over a set of disjoint ASCENDING
-            cells.  Adjacent surviving cells merge into contiguous posting
-            runs per term (for weakly-pruned common-term queries this
-            collapses to one slice = plain TAAT cost), then one dense
-            ``+=`` per term in ascending-term order — the EXACT float
-            sequence dense TAAT performs."""
-            touched = []
-            for ti, (t, tp) in enumerate(zip(terms, tps)):
-                s = starts[ti][cells]
-                e = ends[ti][cells]
-                nz = e > s
-                s, e = s[nz], e[nz]
-                if s.size == 0:
-                    continue
-                # cells are disjoint and ascending -> e[i] <= s[i+1];
-                # equality means contiguous postings: merge the runs
-                brk = np.flatnonzero(s[1:] > e[:-1]) + 1
-                rs = s[np.concatenate(([0], brk))]
-                re_ = e[np.concatenate((brk - 1, [e.size - 1]))]
-                if rs.size == 1:
-                    d = tp.doc_ids[rs[0]:re_[0]]
-                    vec = self._term_score_vec(tp)[rs[0]:re_[0]]
-                else:
-                    d = np.concatenate(
-                        [tp.doc_ids[a:b] for a, b in zip(rs, re_)]
-                    )
-                    sv = self._term_score_vec(tp)
-                    vec = np.concatenate([sv[a:b] for a, b in zip(rs, re_)])
-                b = parsed.boosts.get(t)  # same float order as TAAT: vec*b
-                dense[d] += vec if b is None else vec * b
-                touched_mask[d] = True
-                if dense_seen is not None:
-                    dense_seen[d] += 1
-                touched.append(d)
-            if not touched:
-                return None, None
-            # dense flatnonzero beats sorting the concatenated doc lists
-            # (already sorted ascending as a bonus)
-            udocs = np.flatnonzero(touched_mask)
-            touched_mask[udocs] = False
-            scores = dense[udocs]
-            if dense_seen is not None:
-                keep = dense_seen[udocs] >= required
-                out_d, out_s = udocs[keep], scores[keep]
-                dense_seen[udocs] = 0
-            else:
-                out_d, out_s = udocs, scores
-            dense[udocs] = 0.0  # cheap cleanup: only touched slots
-            if excluded is not None and out_d.size:
-                m = ~excluded[out_d]
-                out_d, out_s = out_d[m], out_s[m]
-            return out_d, out_s
-
-        top_d = np.empty(0, dtype=np.int64)
-        top_s = np.empty(0, dtype=np.float64)
-        theta = -math.inf
-
-        def merge_top(udocs, scores):
-            nonlocal top_d, top_s, theta
-            d = np.concatenate([top_d, udocs])
-            s = np.concatenate([top_s, scores])
-            # partition-first selection (exact ties via _select_topk) —
-            # a full lexsort of a big bulk result would dominate the
-            # no-pruning worst case
-            sel = _select_topk(d, s, k)
-            top_d = np.array([x for x, _ in sel], dtype=np.int64)
-            top_s = np.array([x for _, x in sel], dtype=np.float64)
-            if top_d.size == k:
-                theta = top_s[-1]
-
-        # phase 1: seed theta from the highest-bound cells, one at a time
-        seed_n = 0
-        for ci in order[: min(8, order.size)]:
-            if top_d.size >= k and cell_ub[ci] < theta - 1e-9 * abs(theta):
-                seed_n = order.size  # everything below already prunable
-                break
-            udocs, scores = score_cells(np.array([ci]))
-            seed_n += 1
-            if udocs is not None and udocs.size:
-                merge_top(udocs, scores)
-
-        # phase 2: bulk-score every remaining cell whose bound can still
-        # beat theta (epsilon guard: bound and score multiply idf/boost/
-        # impact in different associations, which can cost an ulp)
-        rest = order[seed_n:]
-        if rest.size:
-            if top_d.size >= k:
-                rest = rest[cell_ub[rest] >= theta - 1e-9 * abs(theta)]
-            if rest.size:
-                udocs, scores = score_cells(np.sort(rest))
-                if udocs is not None and udocs.size:
-                    merge_top(udocs, scores)
-        return list(zip(top_d.tolist(), top_s.tolist()))
 
     # ------------------------------------------------------------------ #
     # resolution / projection (reference: fl field lists, realtime get)
@@ -3996,11 +3770,9 @@ class SearchEngine:
         mask = np.zeros(self.doc_space, dtype=bool)
         mask[ids] = True
         if field == "doclen":
-            if gap <= 0 or end <= start:
-                raise ValueError("need gap > 0 and end > start")
+            s_i, e_i, g_i = _int_range_bounds(field, start, end, gap)
             t = self._docs_ds.to_table(columns=["doc_id", field])
             vals = t[field].to_numpy()[mask[t["doc_id"].to_numpy()]]
-            s_i, e_i, g_i = int(start), int(end), int(gap)
         else:
             col_field = self._docs_ds.schema.field(field) \
                 if field in self.stored_fields else None
@@ -6202,14 +5974,10 @@ class RangeScorer:
         self._pinned = pinned
         shards = sorted({term_shard(t, self.n_shards) for t in want})
         if pos_phrases or near_terms or pos_ppos or fph_terms or pos_bg:
-            cols = [
-                "term", "range_id", "doc_ids", "tfs", "positions",
-                "block_last", "block_max_tf", "block_min_norm",
-            ]
+            cols = ["term", "range_id", "doc_ids", "tfs", "positions"]
         else:
             # no positional matcher runs (terms / bigram-served phrase
-            # groups only): skip the positions blob and df/cf/block
-            # metadata columns entirely
+            # groups only): skip the positions blob
             cols = ["term", "range_id", "doc_ids", "tfs"]
         if want:
             # bounded read cache: a resident actor serving repeated
@@ -7366,7 +7134,7 @@ def search_partitioned(index_dir: str, query: str, k: int = 10,
                        fq=None) -> pa.Table:
     """Distributed top-k: fan out per doc range, merge local top-k.
 
-    Bit-identical to ``SearchEngine.search(..., method='taat')`` (tested);
+    Bit-identical to ``SearchEngine.search`` (tested);
     this is the layout-parallel path a multi-node deployment uses — the
     driver ships only (terms, global idf weights), each range task touches
     only its partition's postings + norms, and the merge handles k·ranges
@@ -7689,6 +7457,20 @@ class RangeFacetCounter:
         )
 
 
+def _int_range_bounds(field: str, start, end, gap) -> tuple:
+    """``(start, end, gap)`` of an integer field's range facet, as ints.
+    A fractional value raises, as in Solr, instead of being truncated."""
+    bounds = []
+    for name, v in (("start", start), ("end", end), ("gap", gap)):
+        if not float(v).is_integer():
+            raise ValueError(f"range facet on integer field {field!r}: "
+                             f"{name}={v!r} is not an integer")
+        bounds.append(int(float(v)))
+    if bounds[2] <= 0 or bounds[1] <= bounds[0]:
+        raise ValueError("need gap > 0 and end > start")
+    return tuple(bounds)
+
+
 def range_facet_partitioned(index_dir: str, query: str, field: str,
                             start, end, gap, fq=None) -> dict:
     """Distributed ``facet.range``: per-range bucket-count partials,
@@ -7705,9 +7487,7 @@ def range_facet_partitioned(index_dir: str, query: str, field: str,
     if clauses is None:
         return engine.range_facet(query, field, start, end, gap, fq=fq)
     if field == "doclen":
-        if int(gap) <= 0 or int(end) <= int(start):
-            raise ValueError("need gap > 0 and end > start")
-        s_i, e_i, g_i = int(start), int(end), int(gap)
+        s_i, e_i, g_i = _int_range_bounds(field, start, end, gap)
         n = (e_i - s_i + g_i - 1) // g_i
         bounds = s_i + g_i * np.arange(n + 1, dtype=np.int64)
         labels = [int(b) for b in bounds[:-1]]
@@ -8824,17 +8604,16 @@ class BatchSearcher:
     requests (``solrindexer/indexer.py:83-88`` ST5).
     """
 
-    def __init__(self, index_dir: str, k: int = 10, method: str = "taat"):
+    def __init__(self, index_dir: str, k: int = 10):
         self.engine = SearchEngine(index_dir)
         self.engine.norms  # eager warm-up, once per actor
         self.k = k
-        self.method = method
 
     def __call__(self, batch: dict) -> pa.Table:
         queries, hits, top_doc, top_score = [], [], [], []
         for q in batch["query"]:
             q = str(q)
-            t = self.engine.search(q, k=self.k, fl=["doc_id"], method=self.method)
+            t = self.engine.search(q, k=self.k, fl=["doc_id"])
             queries.append(q)
             hits.append(t.num_rows)
             top_doc.append(t["doc_id"][0].as_py() if t.num_rows else None)

@@ -47,6 +47,6 @@ def built_index(small_corpus_path, tmp_path_factory):
     from solr_indexer_ray.pipelines.build import build_index
 
     index_dir = str(tmp_path_factory.mktemp("index") / "idx")
-    config = IndexConfig(docs_per_range=128, block_size=16, concurrency=2)
+    config = IndexConfig(docs_per_range=128, concurrency=2)
     stats = build_index(small_corpus_path, index_dir, config=config)
     return index_dir, stats

@@ -20,9 +20,9 @@ from solr_indexer_ray.pipelines.oracle import BruteForceBM25
 from solr_indexer_ray.pipelines.search import SearchEngine, search_partitioned
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-CFG_BOTH = IndexConfig(docs_per_range=64, block_size=16,
+CFG_BOTH = IndexConfig(docs_per_range=64,
                        store_positions=True, store_bigrams=True)
-CFG_BG_ONLY = IndexConfig(docs_per_range=64, block_size=16,
+CFG_BG_ONLY = IndexConfig(docs_per_range=64,
                           store_bigrams=True)
 
 
@@ -34,7 +34,7 @@ def bigram_index(tmp_path_factory, ray_session):
     build_index(str(d / "c.parquet"), str(d / "both"), config=CFG_BOTH)
     build_index(str(d / "c.parquet"), str(d / "bg"), config=CFG_BG_ONLY)
     build_index(str(d / "c.parquet"), str(d / "pos"),
-                config=IndexConfig(docs_per_range=64, block_size=16,
+                config=IndexConfig(docs_per_range=64,
                                    store_positions=True))
     ids = pa.array(range(corpus.num_rows), pa.int64())
     return str(d), corpus.append_column("doc_id", ids)
@@ -258,7 +258,7 @@ class TestBigramFirstRestriction:
         toks = BruteForceBM25(corpus).tokens
         covered_lead = toks[3][5]      # a real pair lead
         out = tmp_path_factory.mktemp("bgfirst")
-        cfg = IndexConfig(docs_per_range=64, block_size=16,
+        cfg = IndexConfig(docs_per_range=64,
                           store_positions=True, store_bigrams=True,
                           bigram_first=("the", "read", covered_lead))
         pq.write_table(corpus.drop_columns(["doc_id"]),
@@ -329,7 +329,7 @@ class TestBigramComposition:
         corpus = generate_corpus(120, seed=7, mean_tokens=40)
         pq.write_table(corpus, str(tmp_path / "c.parquet"),
                        row_group_size=32)
-        base = dict(docs_per_range=64, block_size=16,
+        base = dict(docs_per_range=64,
                     filters=("stop", "porter"))
         build_index(str(tmp_path / "c.parquet"), str(tmp_path / "bg"),
                     config=IndexConfig(**base, store_positions=True,
@@ -355,7 +355,7 @@ class TestBigramComposition:
         corpus = generate_corpus(120, seed=9, mean_tokens=40)
         pq.write_table(corpus, str(tmp_path / "c.parquet"),
                        row_group_size=32)
-        base = dict(docs_per_range=64, block_size=16,
+        base = dict(docs_per_range=64,
                     analyzed_fields=("path_text:path",))
         build_index(str(tmp_path / "c.parquet"), str(tmp_path / "bg"),
                     config=IndexConfig(**base, store_positions=True,

@@ -174,7 +174,7 @@ class TestDistributedBq:
     def test_bit_identical_to_single_engine(self, built_index, q, bq):
         index_dir, _ = built_index
         eng = SearchEngine(index_dir)
-        single = eng.search(q, k=25, fl=["doc_id"], method="taat", bq=bq)
+        single = eng.search(q, k=25, fl=["doc_id"], bq=bq)
         dist = search_partitioned(index_dir, q, k=25, bq=bq)
         assert dist["doc_id"].to_pylist() == single["doc_id"].to_pylist()
         assert dist["score"].to_pylist() == single["score"].to_pylist()
@@ -184,8 +184,7 @@ class TestDistributedBq:
         eng = SearchEngine(index_dir)
         kw = dict(bq="read^2", bf="recip(doclen,1,1000,1000)",
                   boost="log(sum(doclen,10))")
-        single = eng.search("def the index", k=25, fl=["doc_id"],
-                            method="taat", **kw)
+        single = eng.search("def the index", k=25, fl=["doc_id"], **kw)
         dist = search_partitioned(index_dir, "def the index", k=25, **kw)
         assert dist["doc_id"].to_pylist() == single["doc_id"].to_pylist()
         assert dist["score"].to_pylist() == single["score"].to_pylist()

@@ -39,10 +39,9 @@ def _index_tables(idx):
 @pytest.mark.parametrize(
     "config",
     [
-        IndexConfig(docs_per_range=64, block_size=16, store_positions=True),
+        IndexConfig(docs_per_range=64, store_positions=True),
         IndexConfig(
             docs_per_range=32,
-            block_size=8,
             store_positions=True,
             analyzed_fields=("path_text:path",),
         ),

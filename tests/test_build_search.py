@@ -97,21 +97,12 @@ class TestRankIdentity:
     @pytest.mark.parametrize("query", QUERIES)
     @pytest.mark.parametrize("k", [10, 100])
     def test_taat_vs_oracle(self, engine, oracle, query, k):
-        got = engine.search(query, k=k, fl=["doc_id"], method="taat")
+        got = engine.search(query, k=k, fl=["doc_id"])
         expect = oracle.search(query, k=k)
         got_pairs = list(zip(got["doc_id"].to_pylist(), got["score"].to_pylist()))
         assert [d for d, _ in got_pairs] == [d for d, _ in expect], query
         for (gd, gs), (ed, es) in zip(got_pairs, expect):
             assert gs == pytest.approx(es, rel=1e-12, abs=1e-12), (query, gd)
-
-    @pytest.mark.parametrize("query", QUERIES)
-    def test_bmw_vs_taat(self, engine, query):
-        a = engine.search(query, k=10, fl=["doc_id"], method="taat")
-        b = engine.search(query, k=10, fl=["doc_id"], method="bmw")
-        assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), query
-        assert a["score"].to_pylist() == pytest.approx(
-            b["score"].to_pylist()
-        ), query
 
     @pytest.mark.parametrize(
         "query",
@@ -124,7 +115,7 @@ class TestRankIdentity:
         from solr_indexer_ray.pipelines.search import search_partitioned
 
         index_dir, _ = built_index
-        a = engine.search(query, k=10, fl=["doc_id"], method="taat")
+        a = engine.search(query, k=10, fl=["doc_id"])
         b = search_partitioned(index_dir, query, k=10)
         assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), query
         assert a["score"].to_pylist() == b["score"].to_pylist(), query

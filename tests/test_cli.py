@@ -64,7 +64,7 @@ class TestCli:
 
     def test_yaml_config(self, small_corpus_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.yml"
-        cfg.write_text("k1: 1.5\nblock_size: 32\n")
+        cfg.write_text("k1: 1.5\ndocs_per_range: 32\n")
         idx = str(tmp_path / "idx2")
         rc = main(["index", "-i", small_corpus_path, "-o", idx,
                    "--config", str(cfg)])
@@ -73,13 +73,16 @@ class TestCli:
         from solr_indexer_ray.state.manifest import BuildManifest
 
         stats = BuildManifest(idx).read_stats()
-        assert stats["k1"] == 1.5 and stats["block_size"] == 32
+        assert stats["k1"] == 1.5 and stats["docs_per_range"] == 32
 
     def test_yaml_config_rejects_unknown_keys(self, tmp_path):
         from solr_indexer_ray.config import load_config
 
         cfg = tmp_path / "bad.yml"
         cfg.write_text("notakey: 1\n")
+        with pytest.raises(ValueError, match="unknown config keys"):
+            load_config(str(cfg))
+        cfg.write_text("block_size: 128\n")
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(str(cfg))
         cfg.write_text("- a list\n")

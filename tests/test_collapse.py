@@ -29,7 +29,7 @@ def cidx(tmp_path_factory, ray_session):
         pa.array(lang, pa.string()),
     )
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
-    cfg = IndexConfig(docs_per_range=64, block_size=16,
+    cfg = IndexConfig(docs_per_range=64,
                       store_positions=True)
     build_index(str(d / "c.parquet"), str(d / "idx"), config=cfg)
     ids = pa.array(range(corpus.num_rows), pa.int64())

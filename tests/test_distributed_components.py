@@ -26,7 +26,7 @@ def didx(tmp_path_factory, ray_session):
     d = tmp_path_factory.mktemp("didx")
     corpus = generate_corpus(150, seed=11, mean_tokens=40)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
-    cfg = IndexConfig(docs_per_range=64, block_size=16, store_positions=True)
+    cfg = IndexConfig(docs_per_range=64, store_positions=True)
     build_index(str(d / "c.parquet"), str(d / "idx"), config=cfg)
     return str(d / "idx")
 
@@ -63,7 +63,7 @@ def test_distributed_respect_tombstones(tmp_path, ray_session):
     pq.write_table(corpus, str(tmp_path / "c.parquet"), row_group_size=32)
     idx = str(tmp_path / "idx")
     build_index(str(tmp_path / "c.parquet"), idx,
-                config=IndexConfig(docs_per_range=64, block_size=16))
+                config=IndexConfig(docs_per_range=64))
     mutate.delete_by_query(idx, "lang:go")
     eng = SearchEngine(idx)
     assert stats_partitioned(idx, "def", "doclen") == eng.field_stats(
@@ -156,7 +156,7 @@ class TestDistributedTombstones:
         corpus = generate_corpus(150, seed=29, mean_tokens=40)
         pq.write_table(corpus, d + "/c.parquet", row_group_size=32)
         build_index(d + "/c.parquet", d + "/idx",
-                    config=IndexConfig(docs_per_range=64, block_size=16,
+                    config=IndexConfig(docs_per_range=64,
                                        store_positions=True))
         top = SearchEngine(d + "/idx").search(
             "def read", k=5, fl=["doc_id"]

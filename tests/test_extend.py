@@ -13,7 +13,7 @@ from solr_indexer_ray.pipelines.oracle import BruteForceBM25
 from solr_indexer_ray.pipelines.search import SearchEngine
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-CFG = IndexConfig(docs_per_range=128, block_size=16, concurrency=2)
+CFG = IndexConfig(docs_per_range=128, concurrency=2)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_generation_and_refresh(tmp_path, ray_session):
                    row_group_size=32)
     pq.write_table(full.slice(80), str(tmp_path / "b.parquet"))
     idx = str(tmp_path / "idx")
-    cfg = IndexConfig(docs_per_range=64, block_size=16)
+    cfg = IndexConfig(docs_per_range=64)
     s1 = build_index(str(tmp_path / "a.parquet"), idx, config=cfg)
     assert s1["generation"] == 1
 

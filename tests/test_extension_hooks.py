@@ -35,13 +35,6 @@ class TestScoringModel:
         assert a.num_rows == b.num_rows == 5
         assert a["score"].to_pylist() != b["score"].to_pylist()
 
-    def test_taat_bmw_agree_under_plugged_model(self, built_index):
-        index_dir, _ = built_index
-        eng = SearchEngine(index_dir, scoring=TfIdfModel())
-        x = eng.search("parse merge", k=10, fl=["doc_id"], method="taat")
-        y = eng.search("parse merge", k=10, fl=["doc_id"], method="bmw")
-        assert x["doc_id"].to_pylist() == y["doc_id"].to_pylist()
-
     def test_registry(self):
         class Constant(TfIdfModel):
             name = "const"

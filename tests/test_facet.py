@@ -22,7 +22,7 @@ def fidx(tmp_path_factory, ray_session):
     d = tmp_path_factory.mktemp("fidx")
     corpus = generate_corpus(150, seed=11, mean_tokens=40)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
-    cfg = IndexConfig(docs_per_range=64, block_size=16, store_positions=True)
+    cfg = IndexConfig(docs_per_range=64, store_positions=True)
     build_index(str(d / "c.parquet"), str(d / "idx"), config=cfg)
     ids = pa.array(range(corpus.num_rows), pa.int64())
     return str(d / "idx"), corpus.append_column("doc_id", ids)
@@ -110,7 +110,7 @@ class TestFacet:
 def test_facet_respects_tombstones(tmp_path, ray_session):
     corpus = generate_corpus(80, seed=4, mean_tokens=25)
     pq.write_table(corpus, str(tmp_path / "c.parquet"), row_group_size=32)
-    cfg = IndexConfig(docs_per_range=64, block_size=16)
+    cfg = IndexConfig(docs_per_range=64)
     idx = str(tmp_path / "idx")
     build_index(str(tmp_path / "c.parquet"), idx, config=cfg)
     before = dict(SearchEngine(idx).facet("*:*", ["lang"])["lang"])

@@ -323,8 +323,7 @@ class TestDistributedIdentity:
                                             boost):
         index_dir, _ = built_index
         eng = SearchEngine(index_dir)
-        single = eng.search(q, k=25, fl=["doc_id"], method="taat",
-                            bf=bf, boost=boost)
+        single = eng.search(q, k=25, fl=["doc_id"], bf=bf, boost=boost)
         dist = search_partitioned(index_dir, q, k=25, bf=bf, boost=boost)
         assert dist["doc_id"].to_pylist() == single["doc_id"].to_pylist()
         assert dist["score"].to_pylist() == single["score"].to_pylist()
@@ -341,8 +340,7 @@ class TestDistributedIdentity:
         mutate.atomic_update(idx, [{"doc_id": did,
                                     "doclen": {"set": 123456}}])
         single = SearchEngine(idx).search(
-            "def the index", k=10, fl=["doc_id"], method="taat",
-            bf="product(doclen,1)",
+            "def the index", k=10, fl=["doc_id"], bf="product(doclen,1)",
         )
         dist = search_partitioned(idx, "def the index", k=10,
                                   bf="product(doclen,1)")

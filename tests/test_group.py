@@ -17,7 +17,7 @@ def gidx(tmp_path_factory, ray_session):
     d = tmp_path_factory.mktemp("gidx")
     corpus = generate_corpus(150, seed=11, mean_tokens=40)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
-    cfg = IndexConfig(docs_per_range=64, block_size=16, store_positions=True)
+    cfg = IndexConfig(docs_per_range=64, store_positions=True)
     build_index(str(d / "c.parquet"), str(d / "idx"), config=cfg)
     ids = pa.array(range(corpus.num_rows), pa.int64())
     return str(d / "idx"), corpus.append_column("doc_id", ids)

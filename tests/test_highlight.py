@@ -10,7 +10,7 @@ from solr_indexer_ray.pipelines.build import build_index, extend_index
 from solr_indexer_ray.pipelines.search import SearchEngine
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-CFG = IndexConfig(docs_per_range=64, block_size=16, store_positions=True,
+CFG = IndexConfig(docs_per_range=64, store_positions=True,
                   store_content=True)
 
 
@@ -42,8 +42,7 @@ class TestStoredContent:
     def test_extend_pins_store_content(self, cidx):
         d, corpus = cidx
         stats = extend_index(f"{d}/b.parquet", f"{d}/idx",
-                             config=IndexConfig(docs_per_range=64,
-                                                block_size=16))
+                             config=IndexConfig(docs_per_range=64))
         assert stats["store_content"] is True
         row = SearchEngine(f"{d}/idx").get(90)
         assert row["content"] == corpus["content"][90].as_py()
@@ -76,7 +75,7 @@ class TestHighlight:
         corpus = generate_corpus(30, seed=3, mean_tokens=15)
         pq.write_table(corpus, str(tmp_path / "c.parquet"))
         build_index(str(tmp_path / "c.parquet"), str(tmp_path / "idx"),
-                    config=IndexConfig(docs_per_range=64, block_size=16))
+                    config=IndexConfig(docs_per_range=64))
         with pytest.raises(ValueError, match="store_content"):
             SearchEngine(str(tmp_path / "idx")).search("def", hl=True)
 

@@ -20,7 +20,7 @@ def jidx(tmp_path_factory, ray_session):
     corpus = generate_corpus(150, seed=19, mean_tokens=40)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
     build_index(str(d / "c.parquet"), str(d / "idx"),
-                config=IndexConfig(docs_per_range=64, block_size=16))
+                config=IndexConfig(docs_per_range=64))
     ids = pa.array(range(corpus.num_rows), pa.int64())
     return str(d / "idx"), corpus.append_column("doc_id", ids)
 

@@ -39,7 +39,7 @@ def kidx(tmp_path_factory, ray_session):
                           pa.float64()))
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
     cfg = IndexConfig(
-        docs_per_range=64, block_size=16, concurrency=2,
+        docs_per_range=64, concurrency=2,
         store_positions=True, store_content=True,
         filters=("stop",),
         analyzed_fields=("path_text:path",),

@@ -13,7 +13,7 @@ from solr_indexer_ray.pipelines.oracle import BruteForceBM25
 from solr_indexer_ray.pipelines.search import SearchEngine, search_partitioned
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-CFG = IndexConfig(docs_per_range=64, block_size=16, concurrency=2)
+CFG = IndexConfig(docs_per_range=64, concurrency=2)
 QUERIES = ["def index", "parse merge buffer", "the", "read AND count"]
 
 

@@ -12,7 +12,7 @@ from solr_indexer_ray.pipelines.oracle import BruteForceBM25
 from solr_indexer_ray.pipelines.search import SearchEngine
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-CFG = IndexConfig(docs_per_range=64, block_size=16, store_content=True)
+CFG = IndexConfig(docs_per_range=64, store_content=True)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ class TestMLT:
         corpus = generate_corpus(30, seed=3, mean_tokens=15)
         pq.write_table(corpus, str(tmp_path / "c.parquet"))
         build_index(str(tmp_path / "c.parquet"), str(tmp_path / "idx"),
-                    config=IndexConfig(docs_per_range=64, block_size=16))
+                    config=IndexConfig(docs_per_range=64))
         with pytest.raises(ValueError, match="store_content"):
             SearchEngine(str(tmp_path / "idx")).more_like_this(0)
 

@@ -294,7 +294,7 @@ class TestResume:
         output + some stage-1 units; rebuild must redo only the damage and
         produce an identical index (north rule: checkpoint/resume)."""
         index_dir = str(tmp_path / "idx")
-        config = IndexConfig(docs_per_range=128, block_size=16, concurrency=2)
+        config = IndexConfig(docs_per_range=128, concurrency=2)
         stats1 = build_index(small_corpus_path, index_dir, config=config)
         eng = SearchEngine(index_dir)
         before = eng.search("def index merge", k=20, fl=["doc_id"])
@@ -325,7 +325,7 @@ class TestResume:
         from solr_indexer_ray.state.manifest import BuildManifest
 
         index_dir = str(tmp_path / "idx")
-        config = IndexConfig(docs_per_range=128, block_size=16, concurrency=2)
+        config = IndexConfig(docs_per_range=128, concurrency=2)
         build_index(small_corpus_path, index_dir, config=config)
         m = BuildManifest(index_dir)
         assert m.unit_complete(0)
@@ -355,7 +355,7 @@ class TestBuildLock:
         corpus = generate_corpus(30, seed=5, mean_tokens=15)
         pq.write_table(corpus, str(tmp_path / "c.parquet"))
         idx = str(tmp_path / "idx")
-        cfg = IndexConfig(docs_per_range=64, block_size=16)
+        cfg = IndexConfig(docs_per_range=64)
 
         holder = subprocess.Popen(["sleep", "60"])
         try:
@@ -402,7 +402,7 @@ ray.init(address="local", num_cpus=2, include_dashboard=False,
 from solr_indexer_ray.config import IndexConfig
 from solr_indexer_ray.pipelines.build import build_index
 build_index({path!r}, {idx!r},
-            config=IndexConfig(docs_per_range=64, block_size=16))
+            config=IndexConfig(docs_per_range=64))
 """
         proc = subprocess.Popen(
             [sys.executable, "-c", script],
@@ -430,7 +430,7 @@ build_index({path!r}, {idx!r},
         from solr_indexer_ray.pipelines.build import build_index
         from solr_indexer_ray.pipelines.search import SearchEngine
 
-        cfg = IndexConfig(docs_per_range=64, block_size=16)
+        cfg = IndexConfig(docs_per_range=64)
         stats = build_index(path, idx, config=cfg)
         clean = str(tmp_path / "clean")
         stats2 = build_index(path, clean, config=cfg)

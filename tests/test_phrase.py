@@ -17,7 +17,7 @@ from solr_indexer_ray.pipelines.oracle import BruteForceBM25
 from solr_indexer_ray.pipelines.search import SearchEngine, search_partitioned
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-CFG = IndexConfig(docs_per_range=64, block_size=16, store_positions=True)
+CFG = IndexConfig(docs_per_range=64, store_positions=True)
 
 
 def _analyze(s):
@@ -124,19 +124,8 @@ class TestPhraseRankIdentity:
     def test_missing_term_conjunction_matches_nothing(self, pos_index):
         idx, corpus, _ = pos_index
         eng = SearchEngine(idx)
-        for method in ("taat", "bmw"):
-            assert eng.search("zzqqnotaterm AND read",
-                              method=method).num_rows == 0
+        assert eng.search("zzqqnotaterm AND read").num_rows == 0
         assert search_partitioned(idx, "zzqqnotaterm AND read").num_rows == 0
-
-    def test_bmw_method_with_phrase_falls_back(self, pos_index):
-        idx, corpus, _ = pos_index
-        oracle = BruteForceBM25(corpus)
-        q = _phrase_queries(oracle)[0]
-        eng = SearchEngine(idx)
-        a = eng.search(q, k=8, fl=["doc_id"], method="bmw")
-        b = eng.search(q, k=8, fl=["doc_id"], method="taat")
-        assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
 
     def test_negated_filter_query(self, pos_index):
         idx, corpus, _ = pos_index
@@ -152,7 +141,7 @@ class TestPositionalLifecycle:
     def test_no_positions_index_rejects_phrases(self, tmp_path, ray_session):
         corpus = generate_corpus(40, seed=2, mean_tokens=20)
         pq.write_table(corpus, str(tmp_path / "c.parquet"))
-        cfg = IndexConfig(docs_per_range=64, block_size=16)
+        cfg = IndexConfig(docs_per_range=64)
         build_index(str(tmp_path / "c.parquet"), str(tmp_path / "idx"),
                     config=cfg)
         eng = SearchEngine(str(tmp_path / "idx"))

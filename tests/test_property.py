@@ -110,7 +110,7 @@ def prop_index(tmp_path_factory, ray_session):
     corpus = generate_corpus(60, seed=13, mean_tokens=20)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
     build_index(str(d / "c.parquet"), str(d / "idx"),
-                config=IndexConfig(docs_per_range=64, block_size=16,
+                config=IndexConfig(docs_per_range=64,
                                    store_positions=True))
     return str(d / "idx")
 

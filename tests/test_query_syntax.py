@@ -679,16 +679,6 @@ class TestMinimumShouldMatch:
         nxt = e.search(q, k=5, fl=["doc_id"], mm=2, search_after=cursor)
         assert nxt["doc_id"].to_pylist() == allr["doc_id"].to_pylist()[5:10]
 
-    def test_bmw_method_falls_back_taat(self, built_index):
-        index_dir, _ = built_index
-        e = SearchEngine(index_dir)
-        t1, t2, t3 = self._pick_terms(e)
-        q = f"{t1} {t2} {t3}"
-        a = e.search(q, k=15, fl=["doc_id"], mm=2, method="bmw")
-        b = e.search(q, k=15, fl=["doc_id"], mm=2, method="taat")
-        assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
-        assert a["score"].to_pylist() == b["score"].to_pylist()
-
     def test_errors(self, built_index):
         index_dir, _ = built_index
         e = SearchEngine(index_dir)

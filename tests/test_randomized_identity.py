@@ -91,7 +91,6 @@ def test_random_corpus_rank_identity(seed, tmp_path):
     index_dir = str(tmp_path / "idx")
     config = IndexConfig(
         docs_per_range=int(rng.choice([32, 64, 1 << 20])),
-        block_size=int(rng.choice([4, 16, 128])),
         concurrency=2,
         store_positions=True,  # the random grammar includes phrases
     )
@@ -114,10 +113,6 @@ def test_random_corpus_rank_identity(seed, tmp_path):
             assert got["score"].to_pylist() == pytest.approx(
                 [s for _, s in expect], rel=1e-12, abs=1e-12
             ), (seed, q)
-        # BMW agrees too
-        bmw = engine.search(q, k=10, fl=["doc_id"], method="bmw")
-        taat = engine.search(q, k=10, fl=["doc_id"], method="taat")
-        assert bmw["doc_id"].to_pylist() == taat["doc_id"].to_pylist(), (seed, q)
 
 
 @pytest.mark.parametrize("seed", [11, 22])

@@ -2,6 +2,8 @@
 bounds and ``*`` open ends over metadata strings and the numeric
 ``doclen`` field; negation; rank identity vs the oracle."""
 
+import re
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -73,7 +75,7 @@ def ridx(tmp_path_factory, ray_session):
     d = tmp_path_factory.mktemp("ridx")
     corpus = generate_corpus(150, seed=11, mean_tokens=40)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
-    cfg = IndexConfig(docs_per_range=64, block_size=16, store_positions=True)
+    cfg = IndexConfig(docs_per_range=64, store_positions=True)
     build_index(str(d / "c.parquet"), str(d / "idx"), config=cfg)
     ids = pa.array(range(corpus.num_rows), pa.int64())
     return str(d / "idx"), corpus.append_column("doc_id", ids)
@@ -393,6 +395,39 @@ class TestRangeFacetPartitioned:
         single = eng.range_facet(q, fld, s, e, g, fq=fq)
         dist = range_facet_partitioned(dpidx, q, fld, s, e, g, fq=fq)
         assert dist == single
+
+    @pytest.mark.parametrize("start,end,gap,bad", [
+        (0, 10, 0.5, "gap=0.5"),
+        (0, 10, 2.5, "gap=2.5"),
+        (0.5, 10, 2, "start=0.5"),
+    ])
+    def test_fractional_doclen_bounds_rejected(self, dpidx, start, end,
+                                               gap, bad):
+        """doclen is an integer field: a fractional start/end/gap raises
+        on both paths (Solr rejects it too) instead of being truncated."""
+        from solr_indexer_ray.pipelines.search import (
+            range_facet_partitioned,
+        )
+
+        eng = SearchEngine(dpidx)
+        msg = f"'doclen'.*{re.escape(bad)}"
+        with pytest.raises(ValueError, match=msg):
+            eng.range_facet("def", "doclen", start, end, gap)
+        with pytest.raises(ValueError, match=msg):
+            range_facet_partitioned(dpidx, "def", "doclen", start, end, gap)
+
+    def test_integral_float_doclen_bounds(self, dpidx):
+        from solr_indexer_ray.pipelines.search import (
+            range_facet_partitioned,
+        )
+
+        eng = SearchEngine(dpidx)
+        single = eng.range_facet("def", "doclen", 10.0, 100.0, 15.0)
+        assert single == eng.range_facet("def", "doclen", 10, 100, 15)
+        assert [lo for lo, _ in single["buckets"]] == list(range(10, 100, 15))
+        assert range_facet_partitioned(
+            dpidx, "def", "doclen", 10.0, 100.0, 15.0
+        ) == single
 
     def test_identity_after_deletes(self, dpidx, tmp_path):
         import shutil

@@ -30,7 +30,7 @@ def idx(tmp_path_factory, ray_session):
                              with_edge_rows=False)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
     build_index(str(d / "c.parquet"), str(d / "idx"),
-                config=IndexConfig(docs_per_range=64, block_size=16))
+                config=IndexConfig(docs_per_range=64))
     return str(d / "idx")
 
 

@@ -28,7 +28,7 @@ from solr_indexer_ray.pipelines.search import (
 from solr_indexer_ray.sources.corpus import generate_corpus
 
 CFG = IndexConfig(
-    docs_per_range=64, block_size=16, concurrency=2, validate=True,
+    docs_per_range=64, concurrency=2, validate=True,
     store_content=True, store_positions=True, extra_stored=("meta_json",),
 )
 

@@ -2,8 +2,8 @@
 
 The reference rebuilds every ``(term, doc-range)`` row straight from the
 spill rows with per-term numpy: concatenate the parts in first-doc-id
-order, ``encode_doc_ids`` / ``varint_encode``, join the pre-encoded
-position blobs, and cut the block metadata by slicing.  Every written
+order, ``encode_doc_ids`` / ``varint_encode``, and join the pre-encoded
+position blobs.  Every written
 ``range-*.parquet`` must equal it exactly, types included.
 """
 
@@ -30,8 +30,7 @@ from solr_indexer_ray.pipelines.mutate import compact_index, delete_by_id
 from solr_indexer_ray.functions.varint import encode_doc_ids, varint_encode
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-BLOCK = 8
-CFG = IndexConfig(docs_per_range=64, block_size=BLOCK, concurrency=2)
+CFG = IndexConfig(docs_per_range=64, concurrency=2)
 
 
 def reference(index_dir: str, shard: int) -> dict:
@@ -45,9 +44,7 @@ def reference(index_dir: str, shard: int) -> dict:
         parts.sort(key=lambda p: p["doc_ids"][0])
         ids = np.concatenate([p["doc_ids"] for p in parts])
         tfs = np.concatenate([p["tfs"] for p in parts])
-        norms = np.concatenate([p["norms"] for p in parts])
         assert (np.diff(ids) > 0).all()
-        cuts = range(0, ids.size, BLOCK)
         out[rid].append({
             "term": term,
             "range_id": rid,
@@ -57,10 +54,6 @@ def reference(index_dir: str, shard: int) -> dict:
             "tfs": varint_encode(tfs),
             "positions": (b"".join(p["positions"] for p in parts)
                           if "positions" in parts[0] else None),
-            "block_last": [int(ids[min(c + BLOCK, ids.size) - 1])
-                           for c in cuts],
-            "block_max_tf": [int(tfs[c:c + BLOCK].max()) for c in cuts],
-            "block_min_norm": [int(norms[c:c + BLOCK].min()) for c in cuts],
         })
     return {rid: pa.Table.from_pylist(rows, schema=MERGED_POSTINGS_SCHEMA)
             for rid, rows in out.items()}
@@ -121,7 +114,7 @@ def pos_index(tmp_path_factory):
     path = write_corpus(root / "c.parquet", 200, 6, 20)
     index_dir = str(root / "idx")
     build_index(path, index_dir, config=IndexConfig(
-        docs_per_range=64, block_size=BLOCK, concurrency=2,
+        docs_per_range=64, concurrency=2,
         store_positions=True))
     return index_dir
 
@@ -135,9 +128,6 @@ def test_multi_unit_ranges_match_reference(plain_index):
     assert max(parts["term_count"].to_pylist()) > 1  # multi-part terms
     merged = pads.dataset(os.path.join(plain_index, "postings"),
                           partitioning="hive").to_table()
-    assert max(merged["df"].to_pylist()) > BLOCK  # multi-block terms
-    assert all(len(b) == -(-df // BLOCK) for b, df in zip(
-        merged["block_last"].to_pylist(), merged["df"].to_pylist()))
     assert merged["positions"].null_count == merged.num_rows
 
 
@@ -169,7 +159,7 @@ def test_spills_out_of_doc_order_merge_identically(fixture, request,
               for rid, f in range_files(index_dir, shard).items()}
     for f in range_files(index_dir, shard).values():
         os.unlink(f)
-    ShardMerger(index_dir, BLOCK)._merge_shard(shard)
+    ShardMerger(index_dir)._merge_shard(shard)
     after = {rid: open(f, "rb").read()
              for rid, f in range_files(index_dir, shard).items()}
     assert after == before
@@ -179,7 +169,7 @@ def test_spills_out_of_doc_order_merge_identically(fixture, request,
 def test_positions_bigrams_fields_then_extend(tmp_path):
     """``store_positions`` + ``store_bigrams`` + an analyzed field, then an
     extension whose boundary range re-merges (``min_range > 0``)."""
-    cfg = IndexConfig(docs_per_range=64, block_size=BLOCK, concurrency=2,
+    cfg = IndexConfig(docs_per_range=64, concurrency=2,
                       store_positions=True, store_bigrams=True,
                       analyzed_fields=("path_text:path_text",))
     base = write_corpus(tmp_path / "a.parquet", 150, 8, 25,
@@ -219,10 +209,10 @@ def test_delete_then_compact_matches_reference(plain_index, tmp_path):
 
 def test_empty_shard_directory(tmp_path):
     os.makedirs(tmp_path / "postings_raw" / "shard=3")
-    row = ShardMerger(str(tmp_path), BLOCK)._merge_shard(3)
+    row = ShardMerger(str(tmp_path))._merge_shard(3)
     assert row == {"shard": 3, "n_terms": 0, "n_files": 0}
     assert not os.path.exists(tmp_path / "postings" / "shard=3")
-    out = ShardMerger(str(tmp_path), BLOCK)({"shard": np.array([3, 4])})
+    out = ShardMerger(str(tmp_path))({"shard": np.array([3, 4])})
     assert out.to_pylist() == [
         {"shard": 3, "n_terms": 0, "n_files": 0},
         {"shard": 4, "n_terms": 0, "n_files": 0},
@@ -241,7 +231,7 @@ def test_overlapping_unit_spills_raise(plain_index, tmp_path):
     out = os.path.join(index_dir, "postings", f"shard={shard}")
     shutil.rmtree(out)
     with pytest.raises(ValueError, match=rf"shard {shard} range \d+: term"):
-        ShardMerger(index_dir, BLOCK)._merge_shard(shard)
+        ShardMerger(index_dir)._merge_shard(shard)
     assert not os.path.exists(out) or not os.listdir(out)
 
 

@@ -26,7 +26,7 @@ def shards(tmp_path_factory, ray_session):
     d = tmp_path_factory.mktemp("shards")
     full = generate_corpus(200, seed=11, mean_tokens=40,
                            with_edge_rows=False)
-    cfg = IndexConfig(docs_per_range=64, block_size=16, store_positions=True)
+    cfg = IndexConfig(docs_per_range=64, store_positions=True)
     pq.write_table(full, str(d / "all.parquet"), row_group_size=32)
     pq.write_table(full.slice(0, SPLIT), str(d / "a.parquet"),
                    row_group_size=32)
@@ -58,7 +58,7 @@ class TestShardedSearch:
         corpus = generate_corpus(30, seed=3, mean_tokens=15)
         pq.write_table(corpus, str(tmp_path / "c.parquet"))
         build_index(str(tmp_path / "c.parquet"), str(tmp_path / "idx"),
-                    config=IndexConfig(docs_per_range=64, block_size=16,
+                    config=IndexConfig(docs_per_range=64,
                                        k1=0.9))
         with pytest.raises(ValueError, match="pins"):
             search_sharded([f"{shards}/idx_a", str(tmp_path / "idx")], "def")
@@ -130,7 +130,7 @@ class TestShardedFuzzy:
                 "content": docs[lo:hi],
             })
 
-        cfg = IndexConfig(docs_per_range=64, block_size=16)
+        cfg = IndexConfig(docs_per_range=64)
         n_a = len(self.A)
         for name, (lo, hi) in {"all": (0, len(docs)), "a": (0, n_a),
                                "b": (n_a, len(docs))}.items():
@@ -162,28 +162,26 @@ class TestShardedFuzzy:
 
 def test_default_engine_postings_reads_unchanged(shards):
     """An engine opened without merged stats reads postings exactly as
-    often as one scoring with stats merged over the two shards: 140
+    often as one scoring with stats merged over the two shards: 70
     row-group reads over this mix (each query on a cold engine, then
     again warm).  Term-dictionary shard builds differ: the merged-stats
     engine takes its fuzzy expansions from the shard engines, so it
-    builds only the shards its own lookups hash to (46 against 70)."""
+    builds only the shards its own lookups hash to (23 against 35)."""
     counts = {}
     for merged in (False, True):
         builds = reads = 0
         for q in [*QUERIES, "read~1 merge", '"def index"~2 read',
                   "pars~1 AND def"]:
-            for method in ("taat", "bmw"):
-                stats = _MergedStats([SearchEngine(f"{shards}/idx_a"),
-                                      SearchEngine(f"{shards}/idx_b")]
-                                     ) if merged else None
-                eng = SearchEngine(f"{shards}/idx_all",
-                                   collection_stats=stats)
-                eng.search(q, k=10, fl=["doc_id"], method=method)
-                eng.search(q, k=10, fl=["doc_id"], method=method)
-                builds += eng._term_dict.builds
-                reads += eng._term_dict.reads
+            stats = _MergedStats([SearchEngine(f"{shards}/idx_a"),
+                                  SearchEngine(f"{shards}/idx_b")]
+                                 ) if merged else None
+            eng = SearchEngine(f"{shards}/idx_all", collection_stats=stats)
+            eng.search(q, k=10, fl=["doc_id"])
+            eng.search(q, k=10, fl=["doc_id"])
+            builds += eng._term_dict.builds
+            reads += eng._term_dict.reads
         counts[merged] = (builds, reads)
-    assert counts == {False: (70, 140), True: (46, 140)}
+    assert counts == {False: (35, 70), True: (23, 70)}
 
 
 class TestSynonyms:

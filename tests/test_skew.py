@@ -30,7 +30,7 @@ def test_stopword_term_is_range_salted(tmp_path, ray_session):
     pq.write_table(corpus, str(tmp_path / "c.parquet"), row_group_size=64)
     idx = str(tmp_path / "idx")
     build_index(str(tmp_path / "c.parquet"), idx,
-                config=IndexConfig(docs_per_range=dpr, block_size=8))
+                config=IndexConfig(docs_per_range=dpr))
 
     # structural bound: the hot term occupies one posting row per range,
     # each row holding <= docs_per_range postings

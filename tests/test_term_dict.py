@@ -31,7 +31,7 @@ from solr_indexer_ray.pipelines.search import (
 )
 from solr_indexer_ray.sources.corpus import generate_corpus
 
-CFG = IndexConfig(docs_per_range=48, block_size=16, concurrency=2,
+CFG = IndexConfig(docs_per_range=48, concurrency=2,
                   store_positions=True, store_bigrams=True,
                   analyzed_fields=("path_text:path",))
 
@@ -40,14 +40,12 @@ CFG = IndexConfig(docs_per_range=48, block_size=16, concurrency=2,
 # the dataset-scan reads the dictionary replaced (reference)
 # --------------------------------------------------------------------- #
 def scan_postings(eng, terms, with_positions=False) -> dict:
-    """term -> (df, cf, doc_ids, tfs, block_last, block_max_tf,
-    block_min_norm, [(n, blob, tfs)] or None) from one filtered scan of
-    the engine's postings dataset."""
+    """term -> (df, cf, doc_ids, tfs, [(n, blob, tfs)] or None) from one
+    filtered scan of the engine's postings dataset."""
     terms = sorted(set(terms))
     shards = sorted({term_shard(t, int(eng.stats["n_shards"]))
                      for t in terms})
-    cols = ["term", "range_id", "doc_ids", "tfs",
-            "block_last", "block_max_tf", "block_min_norm"]
+    cols = ["term", "range_id", "doc_ids", "tfs"]
     if with_positions:
         cols.append("positions")
     tbl = eng._postings_ds.to_table(
@@ -61,9 +59,6 @@ def scan_postings(eng, terms, with_positions=False) -> dict:
             cells["range_id"][i],
             decode_doc_ids(cells["doc_ids"][i]),
             varint_decode(cells["tfs"][i]).astype(np.int64),
-            np.asarray(cells["block_last"][i], dtype=np.int64),
-            np.asarray(cells["block_max_tf"][i], dtype=np.int64),
-            np.asarray(cells["block_min_norm"][i], dtype=np.int64),
             (cells["positions"][i] or b"") if with_positions else None,
         ))
     out = {}
@@ -72,8 +67,8 @@ def scan_postings(eng, terms, with_positions=False) -> dict:
         out[term] = (
             int(sum(len(r[1]) for r in rows)),
             int(sum(int(r[2].sum()) for r in rows)),
-            *(np.concatenate([r[k] for r in rows]) for k in range(1, 6)),
-            [(len(r[2]), r[6], r[2]) for r in rows]
+            *(np.concatenate([r[k] for r in rows]) for k in range(1, 3)),
+            [(len(r[2]), r[3], r[2]) for r in rows]
             if with_positions else None,
         )
     return out
@@ -130,10 +125,9 @@ def assert_same(got: dict, exp: dict, with_positions: bool):
     cached entry that has them; its blobs must match too."""
     assert sorted(got) == sorted(exp)
     for term, tp in got.items():
-        df, cf, ids, tfs, bl, bmt, bmn, pos = exp[term]
+        df, cf, ids, tfs, pos = exp[term]
         assert (tp.term, tp.df, tp.cf) == (term, df, cf), term
-        for a, b in ((tp.doc_ids, ids), (tp.tfs, tfs), (tp.block_last, bl),
-                     (tp.block_max_tf, bmt), (tp.block_min_norm, bmn)):
+        for a, b in ((tp.doc_ids, ids), (tp.tfs, tfs)):
             assert a.dtype == b.dtype and np.array_equal(a, b), term
         if with_positions:
             assert tp.pos_raw is not None, term

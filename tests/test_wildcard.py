@@ -53,7 +53,7 @@ def widx(tmp_path_factory, ray_session):
     d = tmp_path_factory.mktemp("widx")
     corpus = generate_corpus(150, seed=11, mean_tokens=40)
     pq.write_table(corpus, str(d / "c.parquet"), row_group_size=32)
-    cfg = IndexConfig(docs_per_range=64, block_size=16, store_positions=True)
+    cfg = IndexConfig(docs_per_range=64, store_positions=True)
     build_index(str(d / "c.parquet"), str(d / "idx"), config=cfg)
     ids = pa.array(range(corpus.num_rows), pa.int64())
     return str(d / "idx"), corpus.append_column("doc_id", ids)
@@ -142,10 +142,6 @@ class TestBoosts:
             p = search_partitioned(idx, q, k=10)
             assert p["doc_id"].to_pylist() == s["doc_id"].to_pylist(), q
             assert p["score"].to_pylist() == s["score"].to_pylist(), q
-        b = eng.search("read^2 merge", k=10, fl=["doc_id"], method="bmw")
-        t = eng.search("read^2 merge", k=10, fl=["doc_id"])
-        assert b["doc_id"].to_pylist() == t["doc_id"].to_pylist()
-        assert b["score"].to_pylist() == t["score"].to_pylist()
 
     def test_boost_changes_ranking(self, widx):
         idx, _ = widx
