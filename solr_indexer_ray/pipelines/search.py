@@ -14,14 +14,14 @@ performs the ranking there; here the engine scores natively:
   ``avgdl = sumTotalTermFreq/docCount`` exact — the quantization Lucene
   applies, required for rank-identity (SURVEY.md §7.0).
   Ties broken by ascending doc_id.  Per-doc term contributions are summed
-  in ascending-term order in *every* scorer (TAAT, per-range, oracle) so
-  float64 results are bit-identical across them.
+  in ascending-term order in *every* scorer (TAAT, oracle) so float64
+  results are bit-identical across them.
 
 - **Scorer** — vectorized term-at-a-time: a dense numpy score
   accumulator per doc range (numpy kernels, no per-doc Python).  At
-  10^12-doc scale this runs per doc-range partition and the per-range
-  top-k heaps k-way merge (the doc-range layout from the build makes
-  that fan-out trivial).
+  10^12-doc scale the same engine runs once per doc-range partition, fed
+  the whole index's statistics, and the per-range top-k lists k-way merge
+  (the doc-range layout from the build makes that fan-out trivial).
 
 Term lookup goes through a resident term dictionary (:class:`_TermDict`,
 one per index generation) that knows each term's postings rows by file
@@ -31,6 +31,7 @@ and row position, so a read touches only the row groups holding them.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import os
 import re
@@ -51,11 +52,7 @@ from solr_indexer_ray.functions.queryparse import (
     resolve_min_should_match,
 )
 from solr_indexer_ray.functions.smallfloat import DECODE_TABLE
-from solr_indexer_ray.functions.varint import (
-    decode_doc_ids,
-    decode_positions,
-    varint_decode,
-)
+from solr_indexer_ray.functions.varint import decode_doc_ids, varint_decode
 from solr_indexer_ray.state.manifest import BuildManifest
 
 STORED_FIELDS = ["doc_id", "repo", "path", "commit", "lang", "sha256", "doclen"]
@@ -77,8 +74,7 @@ def _typed_range_expr(schema, rf):
     the docs schema: timestamp columns parse Solr-style datetime
     literals (strict ``YYYY-MM-DDTHH:MM:SSZ`` plus the reference's
     lenient forms, ``solrindexer/tools.py:150-193``), integer/float
-    columns parse numerics, strings compare raw.  Shared by the single
-    engine and the per-range distributed tasks."""
+    columns parse numerics, strings compare raw."""
     lo, hi = rf.bounds()
     if rf.field in schema.names:
         typ = schema.field(rf.field).type
@@ -101,28 +97,6 @@ def _typed_range_expr(schema, rf):
     if expr is None:  # [* TO *]: any non-null value
         expr = f.is_valid()
     return expr
-
-
-def _rf_to_dict(rf) -> dict:
-    return {"field": rf.field, "lo": rf.lo, "hi": rf.hi,
-            "lo_incl": rf.lo_incl, "hi_incl": rf.hi_incl}
-
-
-def _rf_from_dict(d) -> "RangeFilter":
-    from solr_indexer_ray.functions.queryparse import RangeFilter
-
-    return RangeFilter(d["field"], d["lo"], d["hi"],
-                       lo_incl=bool(d["lo_incl"]),
-                       hi_incl=bool(d["hi_incl"]))
-
-
-def _sf_to_list(sf) -> list:
-    return [sf.field, sf.op, sf.west, sf.east, sf.south, sf.north]
-
-
-def _sf_from_list(v) -> "SpatialFilter":
-    return SpatialFilter(str(v[0]), str(v[1]), float(v[2]), float(v[3]),
-                         float(v[4]), float(v[5]))
 
 
 def _spatial_pred_expr(sf: "SpatialFilter"):
@@ -412,10 +386,10 @@ def _phrase_survivors(keys, phrase):
     per-doc phrase count is offset-invariant.  A start survives when
     ``anchor_key + (i − a)`` is present in member ``i``'s stream for
     every offset — plain sorted-membership checks, no per-doc Python.
-    The single shared core of :func:`_phrase_freqs`,
-    :func:`_phrase_keys_local` and ``SearchEngine._phrase_match_keys``
-    (the three layouts differ only in how keys are built and how the
-    surviving keys are reduced to freqs)."""
+    The single shared core of :func:`_phrase_freqs` and
+    ``SearchEngine._phrase_match_keys`` (the two layouts differ only in
+    how keys are built and how the surviving keys are reduced to
+    freqs)."""
     order = sorted(range(len(phrase)), key=lambda i: keys[phrase[i]].size)
     a = order[0]
     cand = keys[phrase[a]]
@@ -448,8 +422,7 @@ def _chain_survivors(keys, terms, slop, starts, stride):
     chain minimizes pₙ, so "exists a chain within slop" reduces to one
     searchsorted advance per member.  ``starts`` is the first member's
     (possibly pre-filtered) key stream.  The single shared core of
-    :func:`_near_freqs`, :func:`_near_keys_local` and
-    ``SearchEngine._near_match_keys``."""
+    :func:`_near_freqs` and ``SearchEngine._near_match_keys``."""
     if starts.size == 0:
         return starts
     for t in terms[1:]:
@@ -528,71 +501,6 @@ def _phrase_freqs(docs, segments, phrase):
     return docs[mask], freqs[mask].astype(np.int64)
 
 
-def _decoded_key_streams(decoded, margin):
-    """One-shot global key streams for range-local phrase matching.
-
-    ``decoded`` maps term -> ``(doc_ids, tfs, positions_blob)``; returns
-    ``(keys_by_term, stride)`` built straight from the delta cumsum
-    (rebase = cumsum before segment start — no flat position stream is
-    ever materialized), or None when int64 keys can't cover the range's
-    id space (caller uses the segment matcher)."""
-    from solr_indexer_ray.functions.varint import varint_cumsum
-
-    parts = {}
-    maxp = 0
-    hi_id = 0
-    for t, (ids, tfs, blob) in decoded.items():
-        cs = varint_cumsum(blob)
-        offs = np.cumsum(tfs, dtype=np.int64)
-        starts = offs - tfs
-        base = np.where(starts > 0, cs[np.maximum(starts - 1, 0)], 0)
-        if cs.size:
-            maxp = max(maxp, int((cs[offs - 1] - base).max()))
-        if ids.size:
-            hi_id = max(hi_id, int(ids[-1]))
-        parts[t] = (cs, base)
-    stride = maxp + margin
-    if (hi_id + 1) * stride > (1 << 62):
-        return None
-    keys = {}
-    for t, (ids, tfs, _blob) in decoded.items():
-        cs, base = parts[t]
-        np.add(
-            cs,
-            np.repeat(ids.astype(np.int64) * stride - base, tfs),
-            out=cs,
-        )
-        keys[t] = cs
-    return keys, stride
-
-
-def _phrase_keys_local(decoded, phrase):
-    """(docs, freqs) of an exact phrase from per-term range-local
-    ``(ids, tfs, blob)`` — the one-shot form of the engine's global-key
-    matcher.  None on int64 overflow."""
-    out = _decoded_key_streams(decoded, len(phrase) + 2)
-    if out is None:
-        return None
-    keys, stride = out
-    return _run_lengths(_phrase_survivors(keys, phrase) // stride)
-
-
-def _near_keys_local(decoded, terms, slop):
-    """(docs, freqs) of an ordered span-near from per-term range-local
-    ``(ids, tfs, blob)`` — greedy earliest-next chain over one-shot key
-    streams (docs lacking a member term fail the same-doc check, so no
-    doc-level pre-intersection is needed).  None on int64 overflow."""
-    out = _decoded_key_streams(decoded, len(terms) + slop + 2)
-    if out is None:
-        return None
-    keys, stride = out
-    if len(terms) == 2:
-        return _near2_from_keys(keys[terms[0]], keys[terms[1]],
-                                slop, stride)
-    surv = _chain_survivors(keys, terms, slop, keys[terms[0]], stride)
-    return _run_lengths(surv // stride)
-
-
 def _near2_from_keys(k0, k1, slop, stride):
     """2-term ordered-near ``(docs, freqs)`` from two global key streams
     — min-side work, no doc intersection or chain state.
@@ -630,33 +538,6 @@ def _near2_from_keys(k0, k1, slop, stride):
     docs = d1[starts]
     pos = freqs > 0
     return docs[pos], freqs[pos]
-
-
-def _segments_local(decoded, terms, slop):
-    """Range-local fallback matcher over per-term ``(ids, tfs, blob)``:
-    doc-level conjunction, candidate position segments, then the exact
-    (``slop is None``) or span-near matcher.  Only reached on int64 key
-    overflow."""
-    from solr_indexer_ray.functions.varint import decode_positions
-
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    uniq = list(decoded)
-    docs = decoded[uniq[0]][0]
-    for t in uniq[1:]:
-        docs = _sorted_intersect(docs, decoded[t][0])
-        if docs.size == 0:
-            return empty
-    segments = {}
-    for t in uniq:
-        ids, tfs, blob = decoded[t]
-        flat, offs = decode_positions(blob, tfs)
-        ti = np.searchsorted(ids, docs)
-        lengths = tfs[ti]
-        seg_flat, _ = _gather_segments(flat, offs[ti], lengths)
-        segments[t] = (seg_flat, lengths)
-    if slop is None:
-        return _phrase_freqs(docs, segments, terms)
-    return _near_freqs(docs, segments, terms, slop)
 
 
 def _near_freqs(docs, segments, terms, slop):
@@ -1156,6 +1037,57 @@ class _TermDict:
         return self._view
 
 
+class _DocRange:
+    """The docs table as a range engine sees it: only the rows with
+    ``lo <= doc_id < hi``, their ``doc_id`` made local (``doc_id - lo``).
+    A scan filter still compares the stored global ``doc_id``."""
+
+    def __init__(self, ds, lo: int, hi: int):
+        self._ds = ds
+        self._lo = lo
+        self._rows = (pc.field("doc_id") >= lo) & (pc.field("doc_id") < hi)
+        self.schema = ds.schema
+
+    def to_table(self, columns=None, filter=None) -> pa.Table:
+        t = self._ds.to_table(
+            columns=columns,
+            filter=self._rows if filter is None else self._rows & filter,
+        )
+        i = t.schema.get_field_index("doc_id")
+        if i >= 0 and self._lo:
+            t = t.set_column(i, "doc_id", pc.subtract(t["doc_id"], self._lo))
+        return t
+
+
+def _may_hold_nulls(meta, column: str) -> bool:
+    """Whether a parquet file may hold a null ``column``: it lacks the
+    column, or a row group counts nulls in it or records no count."""
+    names = meta.schema.names
+    if column not in names:
+        return True
+    j = names.index(column)
+    for i in range(meta.num_row_groups):
+        st = meta.row_group(i).column(j).statistics
+        if st is None or not st.has_null_count or st.null_count:
+            return True
+    return False
+
+
+def _capped(label: str, terms: list, cap: int) -> list:
+    """``terms``, or Lucene's TooManyClauses (as a ValueError) when a
+    multi-term clause expands to more than ``cap`` terms."""
+    if len(terms) > cap:
+        raise ValueError(f"{label} expands to {len(terms)} terms "
+                         f"(> max_expansions={cap})")
+    return terms
+
+
+def _pattern_label(pattern: str) -> str:
+    if pattern.startswith("/") and pattern.endswith("/") and len(pattern) > 2:
+        return f"regex {pattern}"
+    return f"wildcard {pattern}"
+
+
 class SearchEngine:
     """Read-side handle on a committed index directory.
 
@@ -1168,22 +1100,29 @@ class SearchEngine:
 
     Scale note: the dense norm/mask arrays are O(doc_id_space) bytes — fine
     for a per-node slice, not for 10^12 docs in one process.  At cluster
-    scale queries run through the per-doc-range fan-out
-    (:func:`search_partitioned` / :class:`RangeScorer`), whose state is
-    range-local, or across per-node indexes via :func:`search_sharded`,
-    where every shard scores with its own engine.
+    scale queries fan out per doc range (:func:`search_partitioned`), each
+    range scored by an engine over that range alone, or across per-node
+    indexes via :func:`search_sharded`, where every shard scores with its
+    own engine.
 
-    ``collection_stats`` (federation only) replaces this index's
-    collection statistics — N, avgdl, per-field docCount/avgdl, term df
-    and fuzzy expansions — with ones merged over several shard indexes
-    (:class:`_MergedStats`), the way Lucene's scorer takes
-    ``CollectionStatistics``/``TermStatistics`` from outside.  Postings,
-    norms and matching stay local; ``n_docs``/``avgdl`` then hold the
-    merged values.
+    ``collection_stats`` replaces this index's collection statistics — N,
+    avgdl, per-field docCount/avgdl, term df and the prefix, wildcard and
+    fuzzy expansions — with outside ones (:class:`_MergedStats`): merged
+    over several shard indexes, or the whole index's for a doc range.
+    This is how Lucene's scorer takes ``CollectionStatistics``/
+    ``TermStatistics`` from outside.  Postings, norms and matching stay
+    local; ``n_docs``/``avgdl`` then hold the outside values.
+
+    ``doc_range`` (with ``collection_stats``) makes the engine a view of
+    one doc range ``[lo, hi)`` of ``docs_per_range`` ids: it reads only
+    that range's postings files and docs rows, and every id it takes or
+    returns is local (``id - lo``; ``doc_space`` is the range width), so
+    its dense state is bounded by the range.  Filters still compare the
+    stored global ``doc_id``.
     """
 
     def __init__(self, index_dir: str, scoring="bm25", synonyms=None,
-                 collection_stats=None):
+                 collection_stats=None, doc_range=None):
         self.index_dir = os.fspath(index_dir)
         if isinstance(scoring, str):
             scoring = SCORING_MODELS[scoring]()
@@ -1208,10 +1147,8 @@ class SearchEngine:
         stats = self.manifest.read_stats()
         self.stats = stats
         self.n_docs = int(stats["n_docs"])          # indexed (valid) docs
-        #: size of the dense doc-id address space (>= n_docs when
-        #: inline validation skipped rows but kept their id slots)
-        self.doc_space = int(stats.get("doc_id_space", stats["n_docs"]))
         self.avgdl = float(stats["avgdl"])
+        self._range = doc_range
         self._collection = collection_stats
         if collection_stats is not None:
             self.n_docs = collection_stats.n_docs
@@ -1237,7 +1174,7 @@ class SearchEngine:
             self.registry = FilteredRegistry(self.registry, chain)
         self._postings_files: dict = {}  # term shard -> [_PostingsFile]
         self._open_postings()
-        self._docs_ds = pads.dataset(os.path.join(self.index_dir, "docs"))
+        self._open_docs()
         self._drop_generation_state()
         self._tombstones = None     # set[int] or None
         self._overlays = None       # doc_id -> {col: value}
@@ -1282,17 +1219,39 @@ class SearchEngine:
                  for f in fs if f.key is not None}
         self._postings_files = {}
         for frag in self._postings_ds.get_fragments():
+            if (self._range is not None and os.path.basename(frag.path)
+                    != f"range-{self._range:06d}.parquet"):
+                continue
             shard = pads.get_partition_keys(frag.partition_expression)["shard"]
             f = _PostingsFile(frag.path)
             self._postings_files.setdefault(int(shard), []).append(
                 known.get(f.key, f)
             )
 
+    def _open_docs(self) -> None:
+        """Open this generation's docs table and set ``doc_space``, the
+        size of the dense doc-id address space (>= n_docs when inline
+        validation skipped rows but kept their id slots) — under
+        ``doc_range``, the range's rows and width."""
+        ds = pads.dataset(os.path.join(self.index_dir, "docs"))
+        space = int(self.stats.get("doc_id_space", self.stats["n_docs"]))
+        self._docs_frags = list(ds.get_fragments())
+        self._lo = 0
+        if self._range is None:
+            self._docs_ds, self.doc_space = ds, space
+            return
+        dpr = int(self.stats["docs_per_range"])
+        self._lo = self._range * dpr
+        hi = min(self._lo + dpr, space)
+        self._docs_ds = _DocRange(ds, self._lo, hi)
+        self.doc_space = max(hi - self._lo, 0)
+
     def _drop_generation_state(self) -> None:
         """Forget everything derived from one index generation's docs and
         postings tables (a commit can grow the doc-id space, so none of
         it may survive a generation change)."""
         self._norms = None          # doc_id -> norm byte (dense)
+        self._null_cols: dict = {}  # field -> docs table may hold nulls
         self._present = None        # doc_id -> row exists in docs table
         #: dense doc_id -> docs-table row position (-1: no row)
         self._locator = None
@@ -1345,9 +1304,12 @@ class SearchEngine:
             if os.path.exists(path):
                 import pyarrow.parquet as pq
 
-                self._tombstones = set(
-                    pq.read_table(path, columns=["doc_id"])["doc_id"].to_pylist()
-                )
+                ids = pq.read_table(path, columns=["doc_id"])[
+                    "doc_id"].to_pylist()
+                if self._range is not None:
+                    hi = self._lo + self.doc_space
+                    ids = [d - self._lo for d in ids if self._lo <= d < hi]
+                self._tombstones = set(ids)
             else:
                 self._tombstones = set()
         return self._tombstones
@@ -1375,10 +1337,9 @@ class SearchEngine:
             return False
         self.stats = new_stats
         self.n_docs = int(new_stats["n_docs"])
-        self.doc_space = int(new_stats.get("doc_id_space", self.n_docs))
         self.avgdl = float(new_stats["avgdl"])
         self._open_postings()
-        self._docs_ds = pads.dataset(os.path.join(self.index_dir, "docs"))
+        self._open_docs()
         self._drop_generation_state()
         self.invalidate_caches()
         return True
@@ -1557,11 +1518,14 @@ class SearchEngine:
                 pos_raw = None
                 if with_positions:
                     pos_raw = [[len(r[2]), r[3], r[2], None] for r in rows]
+                doc_ids = np.concatenate([r[1] for r in rows])
+                if self._lo:
+                    doc_ids -= self._lo  # a range engine's local ids
                 out[term] = TermPostings(
                     term,
-                    df=int(sum(len(r[1]) for r in rows)),
+                    df=int(doc_ids.size),
                     cf=int(sum(int(r[2].sum()) for r in rows)),
-                    doc_ids=np.concatenate([r[1] for r in rows]),
+                    doc_ids=doc_ids,
                     tfs=np.concatenate([r[2] for r in rows]),
                     pos_raw=pos_raw,
                 )
@@ -1612,11 +1576,12 @@ class SearchEngine:
         per-term sums of the ``df`` column — no posting-blob reads or
         varint decodes.  Identical to ``lookup_postings(t).df`` (Lucene
         df: tombstones included until compact; absent terms absent from
-        the dict, like a ``lookup_postings`` miss).  The distributed
-        driver scout and the bigram phrase fast paths need exactly this:
-        at corpus scale, reading a stop-word's doc_ids blob to learn its
-        df is the difference between a dictionary gather and shipping
-        the whole postings list to the driver."""
+        the dict, like a ``lookup_postings`` miss).  Collection
+        statistics for range engines and federated shards and the bigram
+        phrase fast paths need exactly this: at corpus scale, reading a
+        stop-word's doc_ids blob to learn its df is the difference
+        between a dictionary gather and reading the whole postings
+        list."""
         out = {}
         for st, ts, idx in self._terms_dict().locate(sorted(set(terms))):
             out.update((t, int(st.df[i])) for t, i in zip(ts, idx) if i >= 0)
@@ -1643,15 +1608,16 @@ class SearchEngine:
         """Index terms starting with ``prefix`` — two bisects over the
         cached sorted term dictionary (Arrow-native; built once per
         engine), replacing a per-query parquet term-column scan; only
-        the matching slice is materialized as Python strings."""
-        sl, _arr, _lo = self._dict_slice(prefix)
-        if len(sl) > self.max_expansions:
-            # Lucene: TooManyClauses beyond maxClauseCount
-            raise ValueError(
-                f"wildcard {prefix}* expands to {len(sl)} terms "
-                f"(> max_expansions={self.max_expansions})"
-            )
-        return sl.to_pylist()
+        the matching slice is materialized as Python strings.  Under
+        ``collection_stats``, the expansion over the whole collection."""
+        if self._collection is not None:
+            return self._collection.expand_prefix(prefix,
+                                                  self.max_expansions)
+        return _capped(f"wildcard {prefix}*", self._prefix_terms(prefix),
+                       self.max_expansions).to_pylist()
+
+    def _prefix_terms(self, prefix: str) -> pa.Array:
+        return self._dict_slice(prefix)[0]
 
     def eval_prefix(self, prefix: str) -> np.ndarray:
         """Docs containing ANY expansion of ``prefix*`` (constant-score:
@@ -1667,16 +1633,33 @@ class SearchEngine:
 
     def expand_pattern(self, pattern: str) -> list:
         """Dictionary terms matching a general wildcard (``*`` / ``?``
-        anywhere) or a ``/regex/`` clause (Lucene RegexpQuery).  The
-        literal prefix before the first metacharacter bisects the cached
-        sorted term dictionary (same as :meth:`expand_prefix` — no
-        per-query parquet scan); the pattern itself runs as a vectorized
-        kernel over the surviving slice (``pc.match_like`` for wildcards,
-        anchored ``pc.match_substring_regex`` — RE2, the same engine DuckDB
-        uses, so the SQL oracle agrees bit-for-bit — for regexes)."""
+        anywhere) or a ``/regex/`` clause (Lucene RegexpQuery), memoized
+        per pattern; under ``collection_stats``, the expansion over the
+        whole collection."""
         hit = self._pattern_cache.get(pattern)
         if hit is not None:
             return hit
+        if self._collection is not None:
+            out = self._collection.expand_pattern(pattern,
+                                                  self.max_expansions)
+        else:
+            out = _capped(_pattern_label(pattern),
+                          self._pattern_terms(pattern),
+                          self.max_expansions).to_pylist()
+        if len(self._pattern_cache) > 1024:
+            self._pattern_cache.clear()
+        self._pattern_cache[pattern] = out
+        return out
+
+    def _pattern_terms(self, pattern: str) -> pa.Array:
+        """This index's terms matching ``pattern``, sorted.  The literal
+        prefix before the first metacharacter bisects the cached sorted
+        term dictionary (same as :meth:`expand_prefix` — no per-query
+        parquet scan); the pattern itself runs as a vectorized kernel
+        over the surviving slice (``pc.match_like`` for wildcards,
+        anchored ``pc.match_substring_regex`` — RE2, the same engine
+        DuckDB uses, so the SQL oracle agrees bit-for-bit — for
+        regexes)."""
         if pattern.startswith("/") and pattern.endswith("/") and len(pattern) > 2:
             inner = pattern[1:-1]
             # literal prefix: leading word chars not consumed by a
@@ -1685,33 +1668,15 @@ class SearchEngine:
             if lit and len(lit) < len(inner) and inner[len(lit)] in "*+?{":
                 lit = lit[:-1]
             terms, _, _ = self._dict_slice(lit)
-            mask = pc.match_substring_regex(terms, f"^(?:{inner})$")
-            out = sorted(terms.filter(mask).to_pylist())
-            if len(out) > self.max_expansions:
-                raise ValueError(
-                    f"regex {pattern} expands to {len(out)} terms "
-                    f"(> max_expansions={self.max_expansions})"
-                )
-            if len(self._pattern_cache) > 1024:
-                self._pattern_cache.clear()
-            self._pattern_cache[pattern] = out
-            return out
+            return terms.filter(
+                pc.match_substring_regex(terms, f"^(?:{inner})$"))
         lit = re.match(r"^[^*?]*", pattern).group(0)
         terms, _, _ = self._dict_slice(lit)
         like = (
             pattern.replace("\\", "\\\\").replace("%", "\\%")
             .replace("_", "\\_").replace("*", "%").replace("?", "_")
         )
-        out = sorted(terms.filter(pc.match_like(terms, like)).to_pylist())
-        if len(out) > self.max_expansions:
-            raise ValueError(
-                f"wildcard {pattern} expands to {len(out)} terms "
-                f"(> max_expansions={self.max_expansions})"
-            )
-        if len(self._pattern_cache) > 1024:
-            self._pattern_cache.clear()
-        self._pattern_cache[pattern] = out
-        return out
+        return terms.filter(pc.match_like(terms, like))
 
     def eval_pattern(self, pattern: str) -> np.ndarray:
         """Docs containing ANY expansion of a general wildcard pattern
@@ -1756,33 +1721,37 @@ class SearchEngine:
     def expand_fuzzy(self, word: str, max_edits: int) -> list:
         """Index terms within ``max_edits`` classic Levenshtein edits of
         ``word`` (including ``word`` itself when indexed — FuzzyQuery
-        matches at distance 0).  Shares the spellcheck suggester's
-        sorted-trie automaton walk (:func:`_fuzzy_scan`), memoized per
-        (word, edits)."""
+        matches at distance 0), memoized per (word, edits); under
+        ``collection_stats``, the expansion over the whole collection, so
+        a member indexed only elsewhere still sets the blended df."""
         word = (word or "").lower()
         key = (word, max_edits)
         hit = self._fuzzy_cache.get(key)
         if hit is not None:
             return hit
-        terms, _dfs = self._suggest_state()
-        out = [terms[i] for i, _d in _fuzzy_scan(word, terms, max_edits)]
-        if len(out) > self.max_expansions:
-            raise ValueError(
-                f"fuzzy {word}~{max_edits} expands to {len(out)} terms "
-                f"(> max_expansions={self.max_expansions})"
-            )
+        if self._collection is not None:
+            out = self._collection.expand_fuzzy(word, max_edits,
+                                                self.max_expansions)
+        else:
+            out = _capped(f"fuzzy {word}~{max_edits}",
+                          self._fuzzy_terms(word, max_edits),
+                          self.max_expansions)
         if len(self._fuzzy_cache) > 1024:
             self._fuzzy_cache.clear()
         self._fuzzy_cache[key] = out
         return out
 
+    def _fuzzy_terms(self, word: str, max_edits: int) -> list:
+        """This index's terms near ``word`` (lower-cased): the spellcheck
+        suggester's sorted-trie automaton walk (:func:`_fuzzy_scan`)."""
+        terms, _dfs = self._suggest_state()
+        return [terms[i] for i, _d in _fuzzy_scan(word, terms, max_edits)]
+
     def _fuzzy_group(self, word: str, edits: int):
         """Blended stats for a fuzzy clause (Lucene
         TopTermsBlendedFreqScoringRewrite ~ SynonymQuery) over its
-        expansion — under ``collection_stats`` every shard's expansion,
-        so a member indexed only on another shard still sets the df."""
-        members = (self.expand_fuzzy(word, edits) if self._collection is None
-                   else self._collection.expand_fuzzy(word, edits))
+        expansion."""
+        members = self.expand_fuzzy(word, edits)
         return self._blended_group(members, self.lookup_postings(members))
 
     def _blended_group(self, members, postings):
@@ -2075,6 +2044,17 @@ class SearchEngine:
             out = self._phrase_match_segments(pref, postings)
         return out[0], out[1], w
 
+    def _or_null(self, expr, fld: str):
+        """``expr | fld is null``, or ``expr`` when no docs file holds a
+        null ``fld`` — known from the parquet footers' null counts,
+        read once per field and generation."""
+        has = self._null_cols.get(fld)
+        if has is None:
+            has = self._null_cols[fld] = any(
+                _may_hold_nulls(f.metadata, fld) for f in self._docs_frags
+            )
+        return expr | pc.field(fld).is_null() if has else expr
+
     def _excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
         """Boolean mask of docs excluded by filters/prohibitions/tombstones.
 
@@ -2150,10 +2130,13 @@ class SearchEngine:
             docs, _, _ = self.eval_near(*np_clause)
             if docs.size:
                 ensure()[docs] = True
+        # a positive filter also excludes rows whose field is null:
+        # ``~(f == v)`` is null there, and a scan filter drops null rows
         if parsed.filters:
-            t = self._docs_ds.to_table(
-                columns=["doc_id"], filter=~self._filters_expr(parsed.filters)
-            )
+            expr = ~self._filters_expr(parsed.filters)
+            for fld in parsed.filters:
+                expr = self._or_null(expr, fld)
+            t = self._docs_ds.to_table(columns=["doc_id"], filter=expr)
             ensure()[t["doc_id"].to_numpy()] = True
         for fld, val in parsed.neg_filters.items():
             t = self._docs_ds.to_table(
@@ -2162,7 +2145,8 @@ class SearchEngine:
             ensure()[t["doc_id"].to_numpy()] = True
         for rf in parsed.range_filters:
             t = self._docs_ds.to_table(
-                columns=["doc_id"], filter=~self._range_expr(rf)
+                columns=["doc_id"],
+                filter=self._or_null(~self._range_expr(rf), rf.field),
             )
             ensure()[t["doc_id"].to_numpy()] = True
         for rf in parsed.neg_range_filters:
@@ -2325,10 +2309,7 @@ class SearchEngine:
                     "filter directives as the main query are "
                     "constant-score; only k/fl/start/fq compose with them"
                 )
-            ids = self.match_ids(query)
-            fqm = self._merge_fq_mask(None, fq)
-            if fqm is not None and ids.size:
-                ids = ids[~fqm[ids]]
+            ids = self._filtered_match_ids(query, fq)
             hits = [(int(d), 1.0) for d in ids[start:start + k]]
             return self._resolve(hits, fl)
         if qf is not None and (sort is not None or start or search_after):
@@ -2655,7 +2636,7 @@ class SearchEngine:
         ids = t["doc_id"].to_pylist()
         ct = self._docs_ds.to_table(
             columns=["doc_id", "content"],
-            filter=pc.field("doc_id").isin(ids),
+            filter=pc.field("doc_id").isin([d + self._lo for d in ids]),
         )
         content = dict(zip(ct["doc_id"].to_pylist(), ct["content"].to_pylist()))
         snippets = []
@@ -3705,6 +3686,8 @@ class SearchEngine:
         of the wanted doc ids (bodies are too large to keep resident)."""
         ids = self._docs_columns(["doc_id"])["doc_id"].take(
             pa.array(rows, pa.int64()))
+        if self._lo:
+            ids = pc.add(ids, self._lo)  # filters see the stored doc_id
         ct = self._docs_ds.to_table(columns=["doc_id", "content"],
                                     filter=pc.field("doc_id").isin(ids))
         got = self._docs_locator()[ct["doc_id"].to_numpy()]
@@ -3737,8 +3720,14 @@ class SearchEngine:
                 import json
 
                 t = pq.read_table(path)
+                hi = self._lo + self.doc_space
                 for row in t.to_pylist():  # later rows win (append order)
-                    self._overlays.setdefault(row["doc_id"], {})[row["column"]] = (
+                    d = row["doc_id"]
+                    if self._range is not None:
+                        if not self._lo <= d < hi:
+                            continue
+                        d -= self._lo
+                    self._overlays.setdefault(d, {})[row["column"]] = (
                         json.loads(row["value"])
                     )
         return self._overlays
@@ -3763,10 +3752,7 @@ class SearchEngine:
         edge is the previous edge plus the gap (java.util.Calendar
         month-add, day-of-month clamped to the target month's length),
         so a Jan-31 start yields Feb-28/29 then Mar-28/29 edges."""
-        ids = self.match_ids(query)
-        fqm = self._merge_fq_mask(None, fq)
-        if fqm is not None and ids.size:
-            ids = ids[~fqm[ids]]
+        ids = self._filtered_match_ids(query, fq)
         mask = np.zeros(self.doc_space, dtype=bool)
         mask[ids] = True
         if field == "doclen":
@@ -3837,10 +3823,7 @@ class SearchEngine:
         for f in fields:
             if f not in self.stored_fields or f == "doc_id":
                 raise ValueError(f"cannot pivot on field {f!r}")
-        ids = self.match_ids(query)
-        fqm = self._merge_fq_mask(None, fq)
-        if fqm is not None and ids.size:
-            ids = ids[~fqm[ids]]
+        ids = self._filtered_match_ids(query, fq)
         mask = np.zeros(self.doc_space, dtype=bool)
         mask[ids] = True
         t = self._docs_ds.to_table(columns=["doc_id", *fields])
@@ -4158,8 +4141,15 @@ class SearchEngine:
         ``{!parent}`` / ``{!child}`` (block joins over flat rows),
         ``{!geofilt}`` / ``{!bbox}`` (spatial radius), and
         ``{!intersects sfield=F}ENVELOPE(...)`` (rectangle
-        intersection)."""
+        intersection).  A join or block join links docs across doc
+        ranges, so a range engine matches it over the whole index and
+        keeps its own range's ids."""
         bm = _BLOCKJOIN_Q_RE.match(query or "")
+        if self._range is not None and (
+                bm is not None or _JOIN_Q_RE.match(query or "")):
+            ids = self._collection.match_ids(query)
+            ids = ids[(ids >= self._lo) & (ids < self._lo + self.doc_space)]
+            return ids - self._lo
         if bm is not None:
             params = {
                 k: v.strip("'\"")
@@ -4248,6 +4238,20 @@ class SearchEngine:
             cand = cand[~excluded[cand]]
         return cand.astype(np.int64)
 
+    def _filtered_match_ids(self, query: str, fq=None) -> np.ndarray:
+        """:meth:`match_ids` of ``query`` without the docs ``fq``
+        excludes (Solr filter queries)."""
+        ids = self.match_ids(query)
+        fqm = self._merge_fq_mask(None, fq)
+        if fqm is not None and ids.size:
+            ids = ids[~fqm[ids]]
+        return ids
+
+    def _matched_rows(self, ids, cols) -> pa.Table:
+        """Docs rows of the (present) docs ``ids``, in that order,
+        projected to ``cols`` from the resident columns."""
+        return self._docs_take(cols, self._docs_locator()[ids])
+
     # ------------------------------------------------------------------ #
     # faceting (Solr field facets)
     # ------------------------------------------------------------------ #
@@ -4271,41 +4275,37 @@ class SearchEngine:
         ``solrindexer/search.py:59``).
 
         Single-node implementation scans the docs-table columns once; the
-        distributed equivalent is :func:`facet_partitioned` (per-file
+        distributed equivalent is :func:`facet_partitioned` (per-range
         partial counts -> driver sum — a pre-aggregated groupby, no
         shuffle).
         """
-        ids = self.match_ids(query)
-        fqm = self._merge_fq_mask(None, fq)
-        if fqm is not None and ids.size:
-            ids = ids[~fqm[ids]]
-        out = {}
-        for fld in fields:
-            # cached dense per-doc codes (docValues analogue): one
-            # gather + bincount per query, no parquet re-read or
-            # hash-based value_counts
-            dense, labels, has_null = self._field_codes(fld)
-            codes = dense[ids]
-            real = codes[codes >= 0]
-            cnt = np.bincount(real, minlength=len(labels))
-            counts = {labels[i]: int(cnt[i]) for i in np.nonzero(cnt)[0]}
-            n_null = int(codes.size - real.size)
-            if n_null:  # null bucket, same str() key as before
-                counts["None"] = n_null
-            if mincount <= 0:
-                for v in labels:
-                    counts.setdefault(v, 0)
-                if has_null:  # true column nulls only, not doc-id holes
-                    counts.setdefault("None", 0)
-            buckets = sorted(
-                ((v, c) for v, c in counts.items()
-                 if c >= mincount
-                 and (not prefix or str(v).startswith(prefix))),
-                key=(lambda b: (-b[1], b[0])) if sort == "count"
-                else (lambda b: b[0]),
-            )[offset:offset + limit]
-            out[fld] = buckets
-        return out
+        ids = self._filtered_match_ids(query, fq)
+        return {
+            fld: _facet_buckets(self._facet_counts(fld, ids, mincount <= 0),
+                                limit, mincount, prefix, sort, offset)
+            for fld in fields
+        }
+
+    def _facet_counts(self, fld: str, ids, with_zero: bool) -> dict:
+        """Value -> count of ``fld`` over the docs ``ids`` (nulls under
+        ``"None"``); with ``with_zero``, every value of the column too.
+        Cached dense per-doc codes (docValues analogue): one gather +
+        bincount per query, no parquet re-read or hash-based
+        value_counts."""
+        dense, labels, has_null = self._field_codes(fld)
+        codes = dense[ids]
+        real = codes[codes >= 0]
+        cnt = np.bincount(real, minlength=len(labels))
+        counts = {labels[i]: int(cnt[i]) for i in np.nonzero(cnt)[0]}
+        n_null = int(codes.size - real.size)
+        if n_null:  # null bucket, same str() key as before
+            counts["None"] = n_null
+        if with_zero:
+            for v in labels:
+                counts.setdefault(v, 0)
+            if has_null:  # true column nulls only, not doc-id holes
+                counts.setdefault("None", 0)
+        return counts
 
     def facet_stats(self, query: str, by: str, metrics: dict,
                     fq=None, limit: int = 100,
@@ -4328,10 +4328,7 @@ class SearchEngine:
         from merged sum/count).
         """
         specs = self._parse_facet_stats(by, metrics)
-        ids = self.match_ids(query)
-        fqm = self._merge_fq_mask(None, fq)
-        if fqm is not None and ids.size:
-            ids = ids[~fqm[ids]]
+        ids = self._filtered_match_ids(query, fq)
         fields = sorted({f for _, (_, f) in specs})
         t = self._docs_ds.to_table(columns=["doc_id", by, *fields])
         mask = np.zeros(self.doc_space, dtype=bool)
@@ -4340,12 +4337,8 @@ class SearchEngine:
         t = t.filter(pc.is_valid(t[by]))
         if t.num_rows == 0:
             return self._facet_stats_table([], specs)
-        aggs = [([], "count_all")]
-        for f in fields:
-            aggs += [(f, "sum"), (f, "min"), (f, "max")]
-        g = pa.TableGroupBy(t.select([by, *fields]), by).aggregate(aggs)
         rows = []
-        for r in g.to_pylist():
+        for r in _group_aggregates(t, by, fields).to_pylist():
             row = {"value": str(r[by]), "count": int(r["count_all"])}
             for name, (op, f) in specs:
                 if op == "avg":
@@ -4383,10 +4376,7 @@ class SearchEngine:
         don't merge from partials without sketches — the KMV/quantile
         sketches in ``stages/sketch.py`` are the approximate distributed
         route)."""
-        ids = self.match_ids(query)
-        fqm = self._merge_fq_mask(None, fq)
-        if fqm is not None and ids.size:
-            ids = ids[~fqm[ids]]
+        ids = self._filtered_match_ids(query, fq)
         out = {"count": int(ids.size)}
         out.update(self._json_facet_level(spec, ids))
         return out
@@ -4928,43 +4918,23 @@ class SearchEngine:
         computed from the match set's value histogram; Solr approximates
         with a t-digest, we don't need to (documented deviation: ours are
         exact)."""
+        vals = self._stats_values(query, field, fq)
+        out = _value_stats(vals)
+        if percentiles is not None:
+            vs, cs = _value_histogram(vals, field)
+            pv = _weighted_percentiles(vs, cs, list(percentiles))
+            out["percentiles"] = dict(zip(map(str, percentiles), pv))
+        return out
+
+    def _stats_values(self, query: str, field: str, fq=None):
+        """``field``'s values over the FULL match set of ``query``."""
         if field not in self.stored_fields or field == "doc_id":
             raise ValueError(f"cannot compute stats on field {field!r}")
-        ids = self.match_ids(query)
-        fqm = self._merge_fq_mask(None, fq)
-        if fqm is not None and ids.size:
-            ids = ids[~fqm[ids]]
+        ids = self._filtered_match_ids(query, fq)
         mask = np.zeros(self.doc_space, dtype=bool)
         mask[ids] = True
         t = self._docs_ds.to_table(columns=["doc_id", field])
-        vals = t[field].filter(pa.array(mask[t["doc_id"].to_numpy()]))
-        count = len(vals) - vals.null_count
-        out = {
-            "count": int(count),
-            "missing": int(vals.null_count),
-            "min": pc.min(vals).as_py(),
-            "max": pc.max(vals).as_py(),
-        }
-        numeric = (pa.types.is_integer(vals.type)
-                   or pa.types.is_floating(vals.type))
-        if numeric:
-            s = pc.sum(vals).as_py() or 0
-            out["sum"] = s
-            out["mean"] = (s / count) if count else None
-        if percentiles is not None:
-            if not numeric:
-                raise ValueError(
-                    f"percentiles need a numeric field; {field!r} "
-                    f"is {vals.type}"
-                )
-            vc = pc.value_counts(pc.drop_null(vals)).to_pylist()
-            vs = np.array([r["values"] for r in vc], dtype=np.float64)
-            cs = np.array([r["counts"] for r in vc], dtype=np.int64)
-            order = np.argsort(vs)
-            pv = _weighted_percentiles(vs[order], cs[order],
-                                       list(percentiles))
-            out["percentiles"] = dict(zip(map(str, percentiles), pv))
-        return out
+        return t[field].filter(pa.array(mask[t["doc_id"].to_numpy()]))
 
     def group_search(self, query: str, group_field: str,
                      k_groups: int = 10, group_limit: int = 1,
@@ -5150,25 +5120,29 @@ class SearchEngine:
             raise ValueError("start must be >= 0")
         n = max(int(rerank_docs), start + k)
         main = self.search(query, k=n, fl=["doc_id"], fq=fq)
-        # rerank scores come from the dense leaf evaluator (the boolean
-        # path's atom): no full-match top-k sort just to read scores for
-        # an N-doc window (was the dominant cost at match sets >> N)
-        if has_group_syntax(rerank_query or ""):
-            rr = self.search(rerank_query, k=self.doc_space,
-                             fl=["doc_id"])
-            rmap = dict(zip(rr["doc_id"].to_pylist(),
-                            rr["score"].to_pylist()))
-        else:
-            mask, dense = self._eval_leaf(self._parse(rerank_query))
-            cand = np.asarray(main["doc_id"].to_pylist(),
-                              dtype=np.int64)
-            rmap = {int(d): float(dense[d])
-                    for d in cand if mask[d]}
+        rmap = self._rerank_scores(
+            rerank_query, np.asarray(main["doc_id"].to_pylist(), np.int64)
+        )
         hits = _rerank_combine(
             main["doc_id"].to_pylist(), main["score"].to_pylist(),
             rmap, int(rerank_docs), float(rerank_weight), round_scores,
         )
         return self._resolve(hits[start:start + k], fl)
+
+    def _rerank_scores(self, rerank_query: str, cand) -> dict:
+        """Doc id -> rerank-query score for the docs of ``cand`` it
+        matches.  Scores come from the dense leaf evaluator (the boolean
+        path's atom): no full-match top-k sort just to read scores for
+        an N-doc window."""
+        if has_group_syntax(rerank_query or ""):
+            rr = self.search(rerank_query, k=self.doc_space,
+                             fl=["doc_id"])
+            want = set(cand.tolist())
+            return {d: s for d, s in zip(rr["doc_id"].to_pylist(),
+                                         rr["score"].to_pylist())
+                    if d in want}
+        mask, dense = self._eval_leaf(self._parse(rerank_query))
+        return {int(d): float(dense[d]) for d in cand if mask[d]}
 
     def ltr_search(self, query: str, model: dict, k: int = 10,
                    rerank_docs: int = 200, fl=None, fq=None,
@@ -5585,813 +5559,21 @@ def _bigram_chain_keys(group, first=()) -> list | None:
     return [f"{a}\x1e{b}" for a, b in zip(group, group[1:])]
 
 
-#: sentinel distinguishing "not cached" from a cached absent-term None
-_DEC_MISS = object()
-
-
-class RangeScorer:
-    """Per-doc-range scoring task for the distributed query path.
-
-    The build's doc-range layout partitions both the postings
-    (``postings/shard=S/range-R.parquet``) and the docs table (unit files
-    cover contiguous doc-id intervals), so query evaluation fans out as one
-    task per doc range: each task reads only its range's postings rows and
-    norm bytes, scores with the globally-computed idf weights (passed in —
-    df is global state, tiny), and returns its local top-k.  Ranges are
-    disjoint, so the global top-k is a simple k-way merge of the partials.
-    Per-doc float addition order matches the single-process TAAT scorer
-    (ascending terms), so merged results are bit-identical to it.
-    """
-
-    def __init__(self, index_dir: str, k: int = 10):
-        self.index_dir = os.fspath(index_dir)
-        self.manifest = BuildManifest(index_dir)
-        self.stats = self.manifest.read_stats()
-        self.k1 = float(self.stats["k1"])
-        self.b = float(self.stats["b"])
-        self.avgdl = float(self.stats["avgdl"])
-        self.dpr = int(self.stats["docs_per_range"])
-        self.n_shards = int(self.stats["n_shards"])
-        #: next-word index present: eligible 2-term exact-phrase groups
-        #: evaluate from one bigram-postings row per range instead of a
-        #: positional intersection (same scores — the bigram tf IS the
-        #: phrase frequency; see SearchEngine.eval_phrase fast path), and
-        #: with positions too, 3+-term phrases chain the pair streams
-        self.has_bigrams = bool(self.stats.get("store_bigrams", False))
-        self.bigram_first = frozenset(self.stats.get("bigram_first") or ())
-        self.has_positions = bool(self.stats.get("store_positions", False))
-        self.doc_space = int(
-            self.stats.get("doc_id_space", self.stats["n_docs"])
-        )
-        self.k = k
-        self._postings = pads.dataset(
-            os.path.join(self.index_dir, "postings"), partitioning="hive"
-        )
-        self._docs = pads.dataset(os.path.join(self.index_dir, "docs"))
-
-    def _decoded_row(self, tbl, rows, rid, term, lo):
-        """Decoded ``(local doc ids, float64 tfs)`` of one term's
-        postings row in this range, or None when the term has no row —
-        LRU-cached per ``(range, term)`` with a byte budget, so a
-        resident actor (PartitionedSearchService) re-serves hot terms
-        without re-decoding the varint streams every query.  Arrays are
-        read-only downstream, like the raw-table read cache.  Callers
-        only ask for terms in their own ``want`` set, so a missing row
-        really means "term absent from this range" and None is
-        cacheable."""
-        key = (rid, term)
-        pinned = getattr(self, "_pinned", None)
-        if pinned is not None and key in pinned:
-            # snapshotted at scan-prune time: correct even if the LRU
-            # evicted the entry since (the term was dropped from the
-            # scan, so rows would wrongly report it absent)
-            return pinned[key]
-        cache = getattr(self, "_dec_cache", None)
-        if cache is None:
-            cache = self._dec_cache = {}
-            self._dec_bytes = 0
-        _MISS = _DEC_MISS
-        hit = cache.pop(key, _MISS)
-        if hit is not _MISS:
-            cache[key] = hit  # LRU touch
-            return hit
-        ri = rows.get(term)
-        if ri is None:
-            out = None
-        else:
-            out = (
-                decode_doc_ids(tbl["doc_ids"][ri].as_py()) - lo,
-                varint_decode(tbl["tfs"][ri].as_py()).astype(np.float64),
-            )
-            self._dec_bytes += out[0].nbytes + out[1].nbytes
-        cache[key] = out
-        while cache and (len(cache) > 4096
-                         or self._dec_bytes > (256 << 20)):
-            oldest = next(iter(cache))
-            if oldest == key:
-                break  # never evict the entry just built
-            old = cache.pop(oldest)
-            if old is not None:
-                self._dec_bytes -= old[0].nbytes + old[1].nbytes
-        return out
-
-    def _term_vec(self, tbl, rows, rid, term, lo, w, norms):
-        """Unboosted per-term BM25 contribution ``w·tf/(tf+K)`` for one
-        range row -> ``(local ids, float64 vec)`` or None, LRU-cached
-        per ``(range, term)``.  The idf ``w`` ships from the driver and
-        is constant per index snapshot (global df), so resident actors
-        reuse the whole impact product across queries — the range-side
-        analogue of the engine's cached ``_term_score_vec``; query-time
-        boosts multiply AFTER, preserving the pinned float order.  The
-        shipped ``w`` is still compared on every hit as a defensive
-        invalidation (a changed idf recomputes instead of serving a
-        stale product)."""
-        vc = getattr(self, "_vec_cache", None)
-        if vc is None:
-            vc = self._vec_cache = {}
-            self._vec_bytes = 0
-        key = (rid, term)
-        hit = vc.pop(key, None)
-        if hit is not None and hit[0] == w:
-            vc[key] = hit  # LRU touch
-            return hit[1], hit[2]
-        if hit is not None:
-            self._vec_bytes -= hit[2].nbytes + hit[1].nbytes
-        dec = self._decoded_row(tbl, rows, rid, term, lo)
-        if dec is None:
-            return None
-        ids, tfs = dec
-        dl = DECODE_TABLE[norms[ids]]
-        K = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-        vec = w * (tfs / (tfs + K))
-        vc[key] = (w, ids, vec)
-        # ids counted too: the tuple pins it even after the _dec_cache
-        # entry that built it is evicted, so "shared" bytes can become
-        # exclusively this cache's (conservative double-count while
-        # both caches hold it — bounds resident memory either way)
-        self._vec_bytes += vec.nbytes + ids.nbytes
-        while vc and (len(vc) > 4096 or self._vec_bytes > (256 << 20)):
-            oldest = next(iter(vc))
-            if oldest == key:
-                break
-            old = vc.pop(oldest)
-            self._vec_bytes -= old[2].nbytes + old[1].nbytes
-        return ids, vec
-
-    def __call__(self, batch: dict) -> pa.Table:
-        import json
-
-        out = []
-        n = len(batch["range_id"])
-        for i in range(n):
-            out.extend(
-                self._score_range(
-                    int(batch["range_id"][i]),
-                    list(batch["terms"][i]),
-                    list(batch["idfs"][i]),
-                    list(batch["prohibited"][i]),
-                    dict(zip(batch["filter_keys"][i], batch["filter_vals"][i])),
-                    bool(batch["conjunctive"][i]),
-                    json.loads(str(batch["phrases_json"][i]))
-                    if "phrases_json" in batch else [],
-                    json.loads(str(batch["prefix_groups_json"][i]))
-                    if "prefix_groups_json" in batch else [],
-                    json.loads(str(batch["fuzzy_groups_json"][i]))
-                    if "fuzzy_groups_json" in batch else [],
-                    json.loads(str(batch["near_groups_json"][i]))
-                    if "near_groups_json" in batch else [],
-                    json.loads(str(batch["syn_groups_json"][i]))
-                    if "syn_groups_json" in batch else [],
-                    *(json.loads(str(batch["extras_json"][i]))
-                      if "extras_json" in batch else ([], [], [], [], [], [], [])),
-                    min_should=(
-                        int(batch["min_should"][i])
-                        if "min_should" in batch else 0
-                    ),
-                    excl=(list(batch["excl"][i])
-                          if "excl" in batch else ()),
-                    match_all=(bool(batch["match_all"][i])
-                               if "match_all" in batch else False),
-                )
-            )
-        return pa.Table.from_pylist(
-            out,
-            schema=pa.schema(
-                [("doc_id", pa.int64()), ("score", pa.float64())]
-            ),
-        )
-
-    def _score_range(self, rid, terms, idfs, prohibited, filters, conjunctive,
-                     phrases=(), prefix_groups=(), fuzzy_groups=(),
-                     near_groups=(), syn_groups=(), neg_filters=(),
-                     range_filters=(), neg_range_filters=(),
-                     prohibited_groups=(), prohibited_pos=(),
-                     spatial_filters=(), neg_spatial_filters=(),
-                     field_clauses=(), dismax_clauses=(),
-                     field_phrase_groups=(), term_boosts=(),
-                     boost_groups=(), func_boosts=(), bq_plans=(),
-                     min_should=0, excl=(), match_all=False):
-        cand, scores, lo = self._candidates_range(
-            rid, terms, idfs, prohibited, filters, conjunctive,
-            phrases, prefix_groups, fuzzy_groups, near_groups, syn_groups,
-            neg_filters, range_filters, neg_range_filters,
-            prohibited_groups, prohibited_pos,
-            spatial_filters, neg_spatial_filters,
-            field_clauses, dismax_clauses, field_phrase_groups,
-            term_boosts, boost_groups, min_should=min_should,
-            match_all=match_all,
-        )
-        if len(excl) and cand.size:
-            # per-range fq exclusion slice (Solr applies fq on every
-            # shard before collecting) — removed BEFORE the local top-k
-            cand = cand[~np.isin(
-                cand + lo, np.asarray(list(excl), dtype=np.int64)
-            )]
-        if cand.size == 0:
-            return []
-        if bq_plans:
-            # bq boost queries: each ships as one compiled clause plan,
-            # evaluated range-locally and added to MAIN-query matches
-            # only — before the multiplicative boost= functions, same
-            # order as the single engine
-            self._apply_bq_boosts(bq_plans, cand, scores, lo)
-        if func_boosts:
-            # bf/boost function queries: score-only per-doc adjustments
-            # from RANGE-LOCAL stored columns (driver ships only the
-            # parsed ASTs + any overlay values) — local = global because
-            # functions depend on nothing outside the doc's own row
-            self._apply_func_boosts(func_boosts, cand, scores,
-                                    lo, scores.shape[0])
-        s = scores[cand]
-        kk = min(self.k, cand.size)
-        kth = -np.partition(-s, kk - 1)[kk - 1]
-        idx = np.flatnonzero(s >= kth)
-        order = np.lexsort((cand[idx], -s[idx]))[:kk]
-        return [
-            {"doc_id": int(cand[idx[o]] + lo), "score": float(s[idx[o]])}
-            for o in order
-        ]
-
-    def _apply_bq_boosts(self, bq_plans, cand, scores, lo):
-        """Fold shipped bq plans into the candidate scores (same
-        contract as ``SearchEngine._add_bq_scores``: contribution =
-        the bq's own range-local score + its pure-filter constant,
-        added only where the main query matched)."""
-        width = scores.shape[0]
-        rid = lo // self.dpr
-        for plan, const in bq_plans:
-            mask, s = _eval_plan_range(self, rid, plan, lo, width)
-            sel = mask[cand]
-            idx = cand[sel]
-            if idx.size == 0:
-                continue
-            scores[idx] += s[idx]
-            if const:
-                scores[idx] += const
-
-    def _apply_func_boosts(self, func_boosts, cand, scores, lo, width):
-        """Evaluate shipped bf/boost ASTs over this range's stored
-        columns and fold them into the candidate scores (same
-        ``(base + sum(bf)) * product(boost)`` composition as the single
-        engine's ``_apply_func_scores``)."""
-        from solr_indexer_ray.functions.funcquery import (
-            eval_func,
-            func_fields,
-        )
-
-        bf_nodes, mult_nodes, fov = func_boosts
-        if not (bf_nodes and len(bf_nodes)) and not (
-            mult_nodes and len(mult_nodes)
-        ):
-            return
-        fields = sorted({
-            f for nd in (*bf_nodes, *mult_nodes) for f in func_fields(nd)
-        })
-        dense: dict = {}
-        if fields:
-            flt = (pads.field("doc_id") >= lo) & (
-                pads.field("doc_id") < lo + width
-            )
-            t = self._docs.to_table(columns=["doc_id", *fields], filter=flt)
-            ids = t["doc_id"].to_numpy() - lo
-            for f in fields:
-                arr = np.zeros(width, dtype=np.float64)
-                arr[ids] = _func_values(t[f])
-                for did_s, v in (fov or {}).get(f, {}).items():
-                    did = int(did_s)
-                    if lo <= did < lo + width:
-                        arr[did - lo] = float(v)
-                dense[f] = arr
-        cols = {f: a[cand] for f, a in dense.items()}
-        for nd in bf_nodes:
-            v = eval_func(nd, cols)
-            scores[cand] += v if v.shape == cand.shape else v[0]
-        for nd in mult_nodes:
-            v = eval_func(nd, cols)
-            scores[cand] *= v if v.shape == cand.shape else v[0]
-
-    def _candidates_range(self, rid, terms, idfs, prohibited, filters,
-                          conjunctive, phrases=(), prefix_groups=(),
-                          fuzzy_groups=(), near_groups=(),
-                          syn_groups=(), neg_filters=(), range_filters=(),
-                          neg_range_filters=(), prohibited_groups=(),
-                          prohibited_pos=(), spatial_filters=(),
-                          neg_spatial_filters=(),
-                          field_clauses=(), dismax_clauses=(),
-                          field_phrase_groups=(), term_boosts=(),
-                          boost_groups=(), func_boosts=(), bq_plans=(),
-                          min_should=0, match_all=False):
-        """Range-local match set + scores -> ``(cand_local_ids, scores, lo)``.
-
-        ``func_boosts`` and ``bq_plans`` are accepted (the shipped extras
-        list carries them positionally) but IGNORED here: bf/boost/bq are
-        score-only and never affect candidacy — ``_score_range`` applies
-        them after this returns.  Components that only need the match
-        set (stats/group/sorted/facet) therefore unpack the same extras
-        without scoring drift.
-
-        ``phrases``: list of ``[member_terms, weight]`` — weights are the
-        global phrase idf sums, computed driver-side like the term idfs.
-        ``prefix_groups``: driver-expanded wildcard term groups (each scores
-        1.0 per matching doc, Solr CONSTANT_SCORE rewrite).
-        ``fuzzy_groups``: driver-expanded blended SynonymQuery-stats groups
-        ``[members, weight]`` (weight = idf of the GLOBAL max member df ×
-        boost): per range, tf sums over the members present and scores as
-        ONE clause — the fuzzy clause shape, shipped distributed."""
-        lo = rid * self.dpr
-        # clamp to the id space: the tail range's dense accumulators
-        # (scores/seen/dead) need only cover ids that can exist, not the
-        # full docs_per_range width
-        hi = min((rid + 1) * self.dpr, max(self.doc_space, lo))
-        group_terms = {t for g, _ in prefix_groups for t in g}
-        fuzzy_terms = {t for g, _ in fuzzy_groups for t in g}
-        near_terms = {t for g, _, _ in near_groups for t in g}
-        syn_terms = {t for _, g, _ in syn_groups for t in g}
-        pg_terms = {t for g in prohibited_groups for t in g}
-        fld_terms = {pt for _, pt, _, _, _ in field_clauses}
-        dm_terms = {lt for _, sides, _ in dismax_clauses
-                    for _, lt, _, _, _ in sides}
-        fph_terms = {t for _, g, _, _ in field_phrase_groups for t in g}
-        # next-word index: every eligible exact-phrase group reads its
-        # bigram postings row(s) — one row for 2 terms, the chain rows
-        # for 3+ when positions exist — instead of its members'
-        # positional rows (prohibited exact phrases and slop-0 content
-        # pf groups are the same shape).  Members of bigram-served
-        # groups are NOT read (their weights ship from the driver);
-        # ineligible groups keep the positional member path.
-        phrase_terms: set = set()
-        ppos_terms: set = set()
-        bg_terms: set = set()
-        pos_phrases = pos_ppos = pos_bg = False
-        for ph, _w in phrases:
-            t_, needs_pos = self._phrase_fetch_terms(list(ph))
-            phrase_terms.update(t_)
-            pos_phrases |= needs_pos
-        for g, slop in prohibited_pos:
-            t_, needs_pos = (
-                self._phrase_fetch_terms(list(g))
-                if int(slop) < 0 else (list(g), True)
-            )
-            ppos_terms.update(t_)
-            pos_ppos |= needs_pos
-        for _fld, g, slop, _w, _a in boost_groups:
-            t_, needs_pos = (
-                self._phrase_fetch_terms(list(g))
-                if int(slop) == 0 else (list(g), True)
-            )
-            bg_terms.update(t_)
-            pos_bg |= needs_pos
-        want = sorted(
-            set(terms) | set(prohibited) | phrase_terms | group_terms
-            | fuzzy_terms | near_terms | syn_terms | pg_terms | ppos_terms
-            | fld_terms | dm_terms | fph_terms | bg_terms
-        )
-        # positional matchers read their rows from ``tbl`` directly, so
-        # those terms must always be scanned; every other term can skip
-        # the parquet scan when its decoded row is already cached.  The
-        # pruned terms' cached values are SNAPSHOTTED into a per-query
-        # pinned dict (local references survive any mid-query LRU
-        # eviction — without this, an eviction between prune and
-        # consume would make _decoded_row cache a poisoned None for a
-        # term that exists in the range but was pruned from the scan).
-        pos_need = (phrase_terms | near_terms | ppos_terms | fph_terms
-                    | bg_terms)
-        dec_cache = getattr(self, "_dec_cache", None)
-        pinned: dict = {}
-        if dec_cache:
-            keep = []
-            for t in want:
-                if t in pos_need:
-                    keep.append(t)
-                    continue
-                hit = dec_cache.pop((rid, t), _DEC_MISS)
-                if hit is _DEC_MISS:
-                    keep.append(t)
-                else:
-                    dec_cache[(rid, t)] = hit  # LRU touch
-                    pinned[(rid, t)] = hit
-            want = keep
-        self._pinned = pinned
-        shards = sorted({term_shard(t, self.n_shards) for t in want})
-        if pos_phrases or near_terms or pos_ppos or fph_terms or pos_bg:
-            cols = ["term", "range_id", "doc_ids", "tfs", "positions"]
-        else:
-            # no positional matcher runs (terms / bigram-served phrase
-            # groups only): skip the positions blob
-            cols = ["term", "range_id", "doc_ids", "tfs"]
-        if want:
-            # bounded read cache: a resident actor serving repeated
-            # queries reuses the (range, term-set) postings slice instead
-            # of re-scanning parquet (read-only downstream; harmless for
-            # one-shot per-job tasks)
-            if getattr(self, "_read_cache", None) is None:
-                self._read_cache: dict = {}
-            rkey = (rid, tuple(want), len(cols))
-            tbl = self._read_cache.get(rkey)
-            if tbl is None:
-                tbl = self._postings.to_table(
-                    columns=cols,
-                    filter=pc.field("shard").isin(shards)
-                    & pc.field("range_id").isin([rid])
-                    & pc.field("term").isin(want)
-                )
-                self._read_cache[rkey] = tbl
-                while len(self._read_cache) > 64:
-                    self._read_cache.pop(next(iter(self._read_cache)))
-        else:  # match-all without prohibited terms: no postings needed
-            tbl = self._postings.schema.empty_table()
-        rows = {tbl["term"][i].as_py(): i for i in range(tbl.num_rows)}
-
-        width = hi - lo
-        # range-local norms — static per (range, field set), so resident
-        # actors (PartitionedSearchService) and multi-range batches reuse
-        # them across queries instead of re-reading the docs parquet
-        docs_flt = (pc.field("doc_id") >= lo) & (pc.field("doc_id") < hi)
-        flds = sorted(
-            {f for f, _, _, _, _ in field_clauses}
-            | {f for _, sides, _ in dismax_clauses
-               for f, _, _, _, a in sides if a is not None}
-            | {f for f, _, _, _ in field_phrase_groups}
-            | {f for f, _, _, _, _ in boost_groups if f}
-        )
-        if getattr(self, "_norms_cache", None) is None:
-            self._norms_cache: dict = {}
-        nkey = (rid, tuple(flds))
-        hit = self._norms_cache.get(nkey)
-        if hit is not None:
-            norms, fnorms = hit
-        else:
-            dtab = self._docs.to_table(
-                columns=["doc_id", "norm", *[f"norm_{f}" for f in flds]],
-                filter=docs_flt,
-            )
-            norms = np.zeros(width, dtype=np.uint8)
-            norms[dtab["doc_id"].to_numpy() - lo] = dtab["norm"].to_numpy()
-            fnorms = {}
-            for f in flds:
-                a = np.zeros(width, dtype=np.uint8)
-                a[dtab["doc_id"].to_numpy() - lo] = \
-                    dtab[f"norm_{f}"].to_numpy()
-                fnorms[f] = a
-            self._norms_cache[nkey] = (norms, fnorms)
-            while len(self._norms_cache) > 64:
-                self._norms_cache.pop(next(iter(self._norms_cache)))
-
-        scores = np.zeros(width, dtype=np.float64)
-        seen = (
-            np.zeros(width, dtype=np.int32)
-            if conjunctive or min_should > 1 else None
-        )
-        n_terms = 0
-        # plain terms and synonym groups interleave at the mapped term's
-        # sort position — the single-engine _accumulate iterates
-        # sorted(set(terms)) dispatching per kind, so the float order
-        # matches bit-for-bit
-        tb = (
-            list(term_boosts) if len(term_boosts) == len(terms)
-            else [1.0] * len(terms)
-        )
-        term_clauses = [
-            (t, None, w, b) for t, w, b in zip(terms, idfs, tb)
-        ] + [
-            (key, list(g), w, 1.0) for key, g, w in syn_groups
-        ]
-        for term, members, w, b in sorted(term_clauses, key=lambda c: c[0]):
-            n_terms += 1
-            if members is None:
-                tv = self._term_vec(tbl, rows, rid, term, lo, w, norms)
-                if tv is None:
-                    continue
-                ids, vec = tv
-                # boost AFTER the idf*impact product — the engine's
-                # (cached score_vec) * boost float order, bit-identical
-                # (×1.0 is an IEEE identity, so skipping it is exact)
-                scores[ids] += vec if b == 1.0 else vec * b
-                if seen is not None:
-                    seen[ids] += 1
-                continue
-            acc = np.zeros(width, dtype=np.int64)
-            hit = False
-            for t in members:
-                dec = self._decoded_row(tbl, rows, rid, t, lo)
-                if dec is not None:
-                    ids_t, tfs_t = dec
-                    acc[ids_t] += tfs_t.astype(np.int64)
-                    hit = True
-            if hit:
-                ids = np.flatnonzero(acc)
-                tfs = acc[ids].astype(np.float64)
-                dl = DECODE_TABLE[norms[ids]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-                scores[ids] += w * (tfs / (tfs + K))
-                if seen is not None:
-                    seen[ids] += 1
-        # fielded clauses after plain terms (the _accumulate order):
-        # per-field BM25 — field avgdl shipped, field norms range-local
-        for fld, pterm, w, b, avgdl_f in sorted(
-            field_clauses, key=lambda c: (c[0], c[1])
-        ):
-            n_terms += 1
-            dec = self._decoded_row(tbl, rows, rid, pterm, lo)
-            if dec is None:
-                continue
-            ids, tfs = dec
-            dl = DECODE_TABLE[fnorms[fld][ids]]
-            K = self.k1 * (1.0 - self.b + self.b * dl / avgdl_f)
-            scores[ids] += (w * (tfs / (tfs + K))) * b
-            if seen is not None:
-                seen[ids] += 1
-        # fielded phrase groups after fielded terms (_accumulate order):
-        # span match over the field's positional stream, field norms/avgdl
-        for fld, g, w, avgdl_f in sorted(
-            field_phrase_groups, key=lambda c: (c[0], tuple(c[1]))
-        ):
-            n_terms += 1
-            ids, freqs = self._eval_phrase_local(tbl, rows, g, lo)
-            if ids.size:
-                dl = DECODE_TABLE[fnorms[fld][ids]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / avgdl_f)
-                scores[ids] += w * (freqs / (freqs + K))
-                if seen is not None:
-                    seen[ids] += 1
-        # dismax clauses after fielded terms: max over per-field scores
-        # + tie * rest (ship order = the engine's sorted-term order)
-        for term, sides, tie in dismax_clauses:
-            n_terms += 1
-            parts = []
-            for fld, lterm, w, fboost, avgdl_f in sides:
-                dec = self._decoded_row(tbl, rows, rid, lterm, lo)
-                if dec is None:
-                    continue
-                ids, tfs = dec
-                nsrc = norms if avgdl_f is None else fnorms[fld]
-                adl = self.avgdl if avgdl_f is None else avgdl_f
-                dl = DECODE_TABLE[nsrc[ids]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / adl)
-                # (idf * impact) * fboost — engine's score_vec * fboost
-                parts.append((ids, (w * (tfs / (tfs + K))) * fboost))
-            if not parts:
-                continue
-            if len(parts) == 1:
-                ids, contrib = parts[0]
-            else:
-                # union-sized max/sum instead of width-dense passes —
-                # the engine's sparse dismax shape, same float order
-                ids = np.unique(np.concatenate([p[0] for p in parts]))
-                best = np.zeros(ids.size, dtype=np.float64)
-                tot = (np.zeros(ids.size, dtype=np.float64)
-                       if tie != 0.0 else None)
-                buf = np.zeros(ids.size, dtype=np.float64)
-                for pids, pvec in parts:
-                    pos = np.searchsorted(ids, pids)
-                    buf[:] = 0.0
-                    buf[pos] = pvec
-                    np.maximum(best, buf, out=best)
-                    if tot is not None:
-                        tot += buf
-                contrib = (best if tie == 0.0
-                           else best + tie * (tot - best))
-            scores[ids] += contrib
-            if seen is not None:
-                seen[ids] += 1
-        # fuzzy groups after terms (the _accumulate clause order): tf
-        # summed over members present in THIS range, one clause each
-        for g, gw in fuzzy_groups:
-            n_terms += 1
-            acc = np.zeros(width, dtype=np.int64)
-            hit = False
-            for t in g:
-                dec = self._decoded_row(tbl, rows, rid, t, lo)
-                if dec is not None:
-                    ids_t, tfs_t = dec
-                    acc[ids_t] += tfs_t.astype(np.int64)
-                    hit = True
-            if hit:
-                ids = np.flatnonzero(acc)
-                tfs = acc[ids].astype(np.float64)
-                dl = DECODE_TABLE[norms[ids]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-                scores[ids] += gw * (tfs / (tfs + K))
-                if seen is not None:
-                    seen[ids] += 1
-        # phrase clauses after terms, ascending by member tuple — the same
-        # pinned float order as SearchEngine._score_taat
-        for ph, w in sorted(phrases, key=lambda p: tuple(p[0])):
-            n_terms += 1
-            ids, freqs = self._eval_phrase_local(tbl, rows, ph, lo)
-            if ids.size:
-                dl = DECODE_TABLE[norms[ids]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-                scores[ids] += w * (freqs / (freqs + K))
-                if seen is not None:
-                    seen[ids] += 1
-        # proximity groups after phrases (_accumulate order): per-range
-        # span-near match, weight from GLOBAL member dfs (shipped)
-        for g, slop, w in near_groups:
-            n_terms += 1
-            ids, freqs = self._eval_near_local(tbl, rows, g, int(slop), lo)
-            if ids.size:
-                dl = DECODE_TABLE[norms[ids]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-                scores[ids] += w * (freqs / (freqs + K))
-                if seen is not None:
-                    seen[ids] += 1
-        # wildcard groups: union of the group's local postings, + the
-        # group's constant weight (1.0 or the clause boost) each
-        for g, gw in prefix_groups:
-            n_terms += 1
-            hit = []
-            for t in g:
-                dec = self._decoded_row(tbl, rows, rid, t, lo)
-                if dec is not None:
-                    hit.append(dec[0])
-            if hit:
-                ids = np.unique(np.concatenate(hit))
-                scores[ids] += gw
-                if seen is not None:
-                    seen[ids] += 1
-        if match_all:
-            # match-all / pure-filter shape: every doc present in this
-            # range is a candidate at score 0.0 (Solr *:* semantics);
-            # prohibitions + filters below subtract from it
-            cand = np.sort(dtab["doc_id"].to_numpy() - lo)
-        elif seen is not None:
-            # conjunctive: every shipped clause; mm: the driver-resolved
-            # optional-clause minimum (same per-range gating — each doc
-            # lives in exactly one range, so local counts are global)
-            cand = np.flatnonzero(
-                seen >= (n_terms if conjunctive else min_should)
-            )
-        else:
-            cand = np.flatnonzero(scores > 0.0)
-        # edismax pf boost clauses join AFTER membership (score-only:
-        # they rerank the main query's matches, never extend them)
-        for fld, g, slop, w, avgdl_f in boost_groups:
-            if int(slop) == 0:
-                ids, freqs = self._eval_phrase_local(tbl, rows, g, lo)
-            else:
-                ids, freqs = self._eval_near_local(tbl, rows, g,
-                                                   int(slop), lo)
-            if ids.size:
-                nsrc = norms if not fld else fnorms[fld]
-                adl = self.avgdl if not fld else float(avgdl_f)
-                dl = DECODE_TABLE[nsrc[ids]]
-                K = self.k1 * (1.0 - self.b + self.b * dl / adl)
-                scores[ids] += w * (freqs / (freqs + K))
-        if cand.size:
-            # prohibitions + metadata/range filters, range-local
-            dead = np.zeros(width, dtype=bool)
-            for term in prohibited:
-                dec = self._decoded_row(tbl, rows, rid, term, lo)
-                if dec is not None:
-                    dead[dec[0]] = True
-            # prohibited expansion groups (negated prefix/wildcard/fuzzy):
-            # union of the members' local postings
-            for g in prohibited_groups:
-                for t in g:
-                    dec = self._decoded_row(tbl, rows, rid, t, lo)
-                    if dec is not None:
-                        dead[dec[0]] = True
-            # prohibited positional clauses: [members, slop] with slop -1
-            # meaning exact phrase
-            for g, slop in prohibited_pos:
-                if int(slop) < 0:
-                    ids, _ = self._eval_phrase_local(tbl, rows, g, lo)
-                else:
-                    ids, _ = self._eval_near_local(tbl, rows, g, int(slop), lo)
-                dead[ids] = True
-            if filters:
-                # dead = docs failing ANY positive filter (NOT the AND of
-                # matches; a doc passing one filter but failing another is
-                # still excluded)
-                match = None
-                for fld, val in filters.items():
-                    e = SearchEngine._filter_value_expr(fld, val)
-                    match = e if match is None else match & e
-                bad = self._docs.to_table(
-                    columns=["doc_id"], filter=docs_flt & ~match
-                )
-                dead[bad["doc_id"].to_numpy() - lo] = True
-            for fld, val in neg_filters:
-                bad = self._docs.to_table(
-                    columns=["doc_id"],
-                    filter=docs_flt
-                    & SearchEngine._filter_value_expr(fld, val),
-                )
-                dead[bad["doc_id"].to_numpy() - lo] = True
-            schema = self._docs.schema
-            for rf in range_filters:
-                bad = self._docs.to_table(
-                    columns=["doc_id"],
-                    filter=docs_flt
-                    & ~_typed_range_expr(schema, _rf_from_dict(rf)),
-                )
-                dead[bad["doc_id"].to_numpy() - lo] = True
-            for rf in neg_range_filters:
-                bad = self._docs.to_table(
-                    columns=["doc_id"],
-                    filter=docs_flt
-                    & _typed_range_expr(schema, _rf_from_dict(rf)),
-                )
-                dead[bad["doc_id"].to_numpy() - lo] = True
-            for sv in spatial_filters:
-                bad = self._docs.to_table(
-                    columns=["doc_id"],
-                    filter=docs_flt
-                    & _spatial_nonmatch_expr(_sf_from_list(sv)),
-                )
-                dead[bad["doc_id"].to_numpy() - lo] = True
-            for sv in neg_spatial_filters:
-                bad = self._docs.to_table(
-                    columns=["doc_id"],
-                    filter=docs_flt & _spatial_pred_expr(_sf_from_list(sv)),
-                )
-                dead[bad["doc_id"].to_numpy() - lo] = True
-            cand = cand[~dead[cand]]
-        return cand, scores, lo
-
-    def _phrase_fetch_terms(self, group):
-        """Postings terms an exact-phrase group reads in this range, and
-        whether it needs the positions column: the single bigram key
-        (2 terms), the bigram chain keys (3+, positions present), or the
-        member terms themselves (positional fallback).  Must stay in
-        lockstep with the routing in :meth:`_eval_phrase_local`."""
-        if self.has_bigrams:
-            key = _bigram_postings_key(group, self.bigram_first)
-            if key is not None:
-                return [key], False
-            if self.has_positions:
-                chain = _bigram_chain_keys(group, self.bigram_first)
-                if chain is not None:
-                    return chain, True
-        return list(group), True
-
-    def _eval_phrase_local(self, tbl, rows, phrase, lo):
-        """Exact-phrase match within one doc range -> (local ids, freqs)."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if self.has_bigrams:
-            key = _bigram_postings_key(list(phrase), self.bigram_first)
-            if key is not None:
-                # one bigram postings row IS the range's phrase match set
-                # (_candidates_range added the key to the postings read);
-                # absence means no doc in this range contains the pair
-                ri = rows.get(key)
-                if ri is None:
-                    return empty
-                ids = decode_doc_ids(tbl["doc_ids"][ri].as_py())
-                tfs = varint_decode(tbl["tfs"][ri].as_py())
-                return ids - lo, tfs.astype(np.float64)
-            if self.has_positions:
-                chain = _bigram_chain_keys(list(phrase),
-                                           self.bigram_first)
-                if chain is not None:
-                    # 3+ terms: the exact matcher below runs over the
-                    # pair streams (first-token positions) — same freqs,
-                    # far rarer rows than the common member terms
-                    phrase = chain
-        decoded = {}
-        for t in dict.fromkeys(phrase):
-            ri = rows.get(t)
-            if ri is None:
-                return empty
-            ids = decode_doc_ids(tbl["doc_ids"][ri].as_py())
-            tfs = varint_decode(tbl["tfs"][ri].as_py()).astype(np.int64)
-            decoded[t] = (ids, tfs, tbl["positions"][ri].as_py() or b"")
-        out = _phrase_keys_local(decoded, list(phrase))
-        if out is None:
-            out = _segments_local(decoded, list(phrase), None)
-        out_docs, freqs = out
-        return out_docs - lo, freqs.astype(np.float64)
-
-    @staticmethod
-    def _eval_near_local(tbl, rows, terms, slop, lo):
-        """Span-near match within one doc range -> (local ids, freqs)."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        decoded = {}
-        for t in dict.fromkeys(terms):
-            ri = rows.get(t)
-            if ri is None:
-                return empty
-            ids = decode_doc_ids(tbl["doc_ids"][ri].as_py())
-            tfs = varint_decode(tbl["tfs"][ri].as_py()).astype(np.int64)
-            decoded[t] = (ids, tfs, tbl["positions"][ri].as_py() or b"")
-        out = _near_keys_local(decoded, list(terms), slop)
-        if out is None:
-            out = _segments_local(decoded, list(terms), slop)
-        out_docs, freqs = out
-        return out_docs - lo, freqs.astype(np.float64)
-
-
 class _MergedStats:
-    """Collection statistics summed over shard indexes (Solr's
-    ExactStatsCache): the ``collection_stats`` of a federated
-    :class:`SearchEngine`.  N, avgdl and per-field docCount/avgdl are
-    merged up front; a term's df and a fuzzy expansion when scoring asks
-    (each engine caches its own).  ``engines`` are opened WITHOUT merged
-    stats, so every value summed is one shard's own count."""
+    """Collection statistics over whole indexes (Solr's ExactStatsCache):
+    the ``collection_stats`` of a federated shard's :class:`SearchEngine`
+    (summed over every shard) or of a doc range's (the whole index's,
+    from one engine).  N, avgdl and per-field docCount/avgdl are merged
+    up front; a term's df and a prefix, wildcard or fuzzy expansion when
+    scoring asks.  ``engines`` are opened WITHOUT outside stats, so every
+    value summed is one index's own count, and an expansion is the union
+    of theirs, capped as a whole and memoized here, since every engine
+    fed these statistics asks for the same ones."""
 
     def __init__(self, engines):
         self._engines = engines
+        self._memo: dict = {}     # expansion key -> sorted terms
+        self._matches: dict = {}  # join query -> whole-index ids
         self.n_docs = sum(e.n_docs for e in engines)
         sum_dl = sum(int(e.stats["sum_dl"]) for e in engines)
         self.avgdl = (sum_dl / self.n_docs) if self.n_docs else 0.0
@@ -6408,10 +5590,82 @@ class _MergedStats:
     def df(self, term: str) -> int:
         return sum(e.lookup_dfs([term]).get(term, 0) for e in self._engines)
 
-    def expand_fuzzy(self, word: str, max_edits: int) -> list:
-        return sorted(set().union(
-            *(e.expand_fuzzy(word, max_edits) for e in self._engines)
-        ))
+    def _union(self, key, label: str, part, cap: int) -> list:
+        """The sorted union of ``part(engine)`` (each engine's sorted
+        Arrow array of expansion terms) over the engines, or
+        TooManyClauses when it has more than ``cap`` terms — counted in
+        Arrow, before any term becomes a Python string."""
+        hit = self._memo.get(key)
+        if hit is None:
+            parts = [part(e) for e in self._engines]
+            terms = (parts[0] if len(parts) == 1
+                     else pc.unique(pa.chunked_array(parts)))
+            if len(self._memo) > 1024:
+                self._memo.clear()
+            hit = self._memo[key] = sorted(
+                _capped(label, terms, cap).to_pylist())
+        return hit
+
+    def expand_prefix(self, prefix: str, cap: int) -> list:
+        return self._union(("prefix", prefix, cap), f"wildcard {prefix}*",
+                           lambda e: e._prefix_terms(prefix), cap)
+
+    def expand_pattern(self, pattern: str, cap: int) -> list:
+        return self._union(("pattern", pattern, cap), _pattern_label(pattern),
+                           lambda e: e._pattern_terms(pattern), cap)
+
+    def expand_fuzzy(self, word: str, max_edits: int, cap: int) -> list:
+        return self._union(
+            ("fuzzy", word, max_edits, cap), f"fuzzy {word}~{max_edits}",
+            lambda e: pa.array(e._fuzzy_terms(word, max_edits), pa.string()),
+            cap,
+        )
+
+    def match_ids(self, query: str) -> np.ndarray:
+        """The whole index's matches for a doc range's join or block
+        join (a range's statistics come from one whole-index engine),
+        kept for the last few queries: every range of a task asks."""
+        (engine,) = self._engines
+        hit = self._matches.get(query)
+        if hit is None:
+            if len(self._matches) >= 8:
+                self._matches.clear()
+            hit = self._matches[query] = engine.match_ids(query)
+        return hit
+
+
+def _merge_top(parts, k: int, keys=("doc_id",)) -> pa.Table:
+    """The top ``k`` rows of disjoint per-part top-k tables, ranked as
+    the engine ranks: score descending, ties by ``keys`` ascending."""
+    schema = pa.schema([(c, pa.int64()) for c in keys]
+                       + [("score", pa.float64())])
+    t = pa.concat_tables(
+        [p.select(schema.names).cast(schema) for p in parts]
+    ) if parts else schema.empty_table()
+    order = pc.sort_indices(t, sort_keys=[("score", "descending")]
+                            + [(c, "ascending") for c in keys])
+    return t.take(order[:k])
+
+
+def _merge_hits(parts, k: int, fq=None) -> pa.Table:
+    """The top ``k`` of per-range top-k hit tables over disjoint doc
+    ranges: :func:`_merge_top`, or, under a ``{!collapse}`` fq, the best
+    head per group.  A group of the global top k has its head among its
+    own range's top-k heads, so collapsing the ranges' heads again equals
+    collapsing the whole match set.  Collapsed tables keep the field."""
+    _, collapse = _extract_collapse_fq(fq)
+    if collapse is None:
+        return _merge_top(parts, k)
+    import pandas as pd
+
+    field, null_policy = collapse
+    df = pd.concat([p.select(["doc_id", "score", field]).to_pandas()
+                    for p in parts], ignore_index=True)
+    heads = _collapse_frame(df, field, k, null_policy, 0, None)
+    return pa.Table.from_pandas(
+        df.set_index("doc_id").loc[heads["doc_id"].to_numpy()]
+        .reset_index(), preserve_index=False,
+    )
 
 
 def search_sharded(index_dirs, query: str, k: int = 10,
@@ -6419,11 +5673,12 @@ def search_sharded(index_dirs, query: str, k: int = 10,
                    fq=None) -> pa.Table:
     """Distributed search across MULTIPLE independent indexes — Solr's
     ``shards=`` multi-core search with **exact global statistics**
-    (ExactStatsCache): N, avgdl, per-field stats and every term's df are
-    merged across shards (:class:`_MergedStats`), then each shard runs
-    its own engine's ranked path with the merged stats, so scores equal
-    a single index over the union corpus (Solr's default per-shard IDF
-    skew does not occur).  Only the per-shard top-k lists are merged here.
+    (ExactStatsCache): N, avgdl, per-field stats, every term's df and
+    every multi-term expansion are merged across shards
+    (:class:`_MergedStats`), then each shard runs its own engine's
+    ranked path with the merged stats, so scores equal a single index
+    over the union corpus (Solr's default per-shard IDF skew does not
+    occur).  Only the per-shard top-k lists are merged here.
 
     Returns ``(shard, doc_id, score)`` rows — doc ids are shard-local
     (Solr returns per-core ids + shard address the same way).  Any
@@ -6461,22 +5716,14 @@ def search_sharded(index_dirs, query: str, k: int = 10,
                 "analyzed_fields"
             )
     merged = _MergedStats(peers)
-    hits = []
+    parts = []
     for si, d in enumerate(index_dirs):
         t = SearchEngine(d, collection_stats=merged).search(
             query, k=k, fl=["doc_id"], fq=fq, qf=qf, tie=tie
         )
-        hits += [(si, doc, score) for doc, score in zip(
-            t["doc_id"].to_pylist(), t["score"].to_pylist())]
-    hits.sort(key=lambda h: (-h[2], h[0], h[1]))
-    top = hits[:k]
-    return pa.table(
-        {
-            "shard": pa.array([h[0] for h in top], pa.int64()),
-            "doc_id": pa.array([h[1] for h in top], pa.int64()),
-            "score": pa.array([h[2] for h in top], pa.float64()),
-        }
-    )
+        parts.append(t.add_column(
+            0, "shard", pa.array([si] * t.num_rows, pa.int64())))
+    return _merge_top(parts, k, keys=("shard", "doc_id"))
 
 
 def export_matches(index_dir: str, query: str, dest: str, fl=None,
@@ -6497,10 +5744,7 @@ def export_matches(index_dir: str, query: str, dest: str, fl=None,
     import ray.data as rd
 
     engine = SearchEngine(index_dir)
-    ids = engine.match_ids(query)
-    fqm = engine._merge_fq_mask(None, fq)
-    if fqm is not None and ids.size:
-        ids = ids[~fqm[ids]]
+    ids = engine._filtered_match_ids(query, fq)
     mask = np.zeros(engine.doc_space, dtype=bool)
     mask[ids] = True
     mask_ref = ray.put(mask)
@@ -6529,599 +5773,88 @@ def export_matches(index_dir: str, query: str, dest: str, fl=None,
     return {"dest": os.fspath(dest), "n_docs": int(ids.size)}
 
 
-def _search_partitioned_match_all(engine: SearchEngine, parsed,
-                                  index_dir: str, k: int, fq) -> pa.Table:
-    """Distributed match-all / pure-filter query (formerly a single-engine
-    fallback): every range returns its first-k live docs at score 0.0
-    after applying the shipped filter recipe; the driver k-way merges by
-    doc id — the same order the single engine produces for score ties."""
-    import json
+def _n_ranges(stats: dict) -> int:
+    """Doc ranges of an index (at least one)."""
+    space = int(stats.get("doc_id_space", stats["n_docs"]))
+    return max(1, -(-space // int(stats["docs_per_range"])))
 
+
+def _range_engines(index_dir: str, range_ids, synonyms=None):
+    """``(r, range engine)`` for every doc range ``r`` in ``range_ids``
+    (``SearchEngine(..., doc_range=r)``), built one at a time and all fed
+    the whole index's collection statistics from one shared engine —
+    which reads only its term dictionary's df columns, never a postings
+    blob — so each range scores exactly as the whole-index engine does."""
+    stats = _MergedStats([SearchEngine(index_dir)])
+    for r in range_ids:
+        yield r, SearchEngine(index_dir, synonyms=synonyms,
+                              collection_stats=stats, doc_range=r)
+
+
+@contextlib.contextmanager
+def _task_errors():
+    """Re-raise the exception a Ray task raised as itself, so a
+    distributed call rejects a query with the engine's exception type."""
+    import ray
+
+    try:
+        yield
+    except ray.exceptions.RayTaskError as e:
+        if e.cause is None:
+            raise
+        raise e.cause from e
+
+
+def _map_ranges(index_dir: str, task, synonyms=None) -> list:
+    """``task(range engine)`` for every doc range of the index; the
+    results in range order.  The ranges split into one Ray Data task per
+    cluster CPU (at most one per range): a task walks its ranges one
+    range engine at a time (:func:`_range_engines`), reading only that
+    range's postings files and docs rows, and opens the whole-index
+    statistics once for all of them.  Results travel pickled, so a task
+    may return any partial: a top-k table, counts, a histogram."""
+    import pickle
+
+    import ray
     import ray.data as rd
 
-    extras = list(_exclusion_extras(engine, parsed)) + [
-        [], [], [], [], [], [], [],
-    ]
-    dpr = int(engine.stats["docs_per_range"])
-    n_ranges = (engine.doc_space + dpr - 1) // dpr
-    excl_map = _fq_excluded_by_range(engine, fq, dpr)
-    for d_ in engine.tombstones:
-        excl_map.setdefault(d_ // dpr, []).append(int(d_))
-    items = [
-        {
-            "range_id": r,
-            "terms": [],
-            "idfs": [],
-            "prohibited": sorted(set(parsed.prohibited)),
-            "filter_keys": sorted(parsed.filters),
-            "filter_vals": [parsed.filters[f] for f in sorted(parsed.filters)],
-            "conjunctive": False,
-            "min_should": 0,
-            "match_all": True,
-            "extras_json": json.dumps(extras),
-            "excl": sorted(set(excl_map.get(r, ()))),
-        }
-        for r in range(n_ranges)
-    ]
+    n = _n_ranges(BuildManifest(index_dir).read_stats())
+    # ray.cluster_resources() raises before init; the Dataset job below
+    # auto-inits, so estimate from the host until then
+    cpus = (int(ray.cluster_resources().get("CPU", 1))
+            if ray.is_initialized() else (os.cpu_count() or 1))
+    bounds = np.linspace(0, n, min(n, max(cpus, 1)) + 1).astype(np.int64)
 
     def run(batch: dict) -> pa.Table:
-        return RangeScorer(index_dir, k)(batch)
-
-    partials = (
-        rd.from_items(items)
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
-    partials.sort(key=lambda r: (-r["score"], r["doc_id"]))
-    top = partials[:k]
-    return pa.Table.from_pylist(
-        top, schema=pa.schema([("doc_id", pa.int64()), ("score", pa.float64())])
-    )
-
-
-def _exclusion_extras(engine: SearchEngine, parsed: ParsedQuery) -> tuple:
-    """The per-range dead-mask recipe (negative / range / spatial filters
-    + prohibited expansion/positional clauses), in the wire shape the
-    ``RangeScorer`` extras bundle carries — shared by the scored
-    distributed path and the distributed match-all path."""
-    for rf in (*parsed.range_filters, *parsed.neg_range_filters):
-        engine._range_expr(rf)  # eager bound validation (driver-side raise)
-    neg_filters = [[f, v] for f, v in sorted(parsed.neg_filters.items())]
-    range_filters = [_rf_to_dict(rf) for rf in parsed.range_filters]
-    neg_range_filters = [_rf_to_dict(rf) for rf in parsed.neg_range_filters]
-    prohibited_groups = []
-    for pre in sorted(set(parsed.prohibited_prefixes)):
-        g = engine.expand_prefix(pre)
-        if g:
-            prohibited_groups.append(g)
-    for pat in sorted(set(parsed.prohibited_wildcards)):
-        g = engine.expand_pattern(pat)
-        if g:
-            prohibited_groups.append(g)
-    for fz in sorted(set(parsed.prohibited_fuzzies)):
-        g = engine.expand_fuzzy(*fz)
-        if g:
-            prohibited_groups.append(g)
-    for fld, term in sorted(set(parsed.prohibited_field_terms)):
-        # field-prefixed terms live in the shared postings structure, so
-        # a singleton exclusion group is the whole recipe
-        prohibited_groups.append([f"{fld}\x1f{term}"])
-    prohibited_pos = [
-        [list(ph), -1] for ph in sorted(map(tuple, parsed.prohibited_phrases))
-    ] + [
-        [list(nt), int(slop)]
-        for nt, slop in sorted(set(parsed.prohibited_near))
-    ] + [
-        # prohibited FIELD phrases: prefixed members, the positional
-        # matcher is field-agnostic (exclusion needs no stats)
-        [[f"{fld}\x1f{t}" for t in ph], -1]
-        for fld, ph in sorted(set(parsed.prohibited_field_phrases))
-    ]
-    for sf in (*parsed.spatial_filters, *parsed.neg_spatial_filters):
-        engine._spatial_expr(sf)  # eager column validation (driver-side)
-    spatial_filters = [_sf_to_list(sf) for sf in parsed.spatial_filters]
-    neg_spatial_filters = [_sf_to_list(sf) for sf in parsed.neg_spatial_filters]
-    return (neg_filters, range_filters, neg_range_filters,
-            prohibited_groups, prohibited_pos,
-            spatial_filters, neg_spatial_filters)
-
-
-def _distributed_clauses(engine: SearchEngine, parsed: ParsedQuery,
-                         query: str = ""):
-    """Driver-side clause preparation shared by the distributed query and
-    facet paths.
-
-    Returns ``None`` when the query shape needs the single-engine path
-    (match-all / negative phrase-or-prefix / fuzzy / grouped boolean /
-    wildcard metadata filters), the string ``"zero"`` when the query
-    provably matches nothing (AND with a clause absent from the index),
-    else ``(terms, idfs, phrases, prefix_groups)`` ready to ship to range
-    tasks."""
-    if has_group_syntax(query):
-        return None  # boolean tree: compiled separately (search_partitioned)
-    if parsed.scoring_clauses == 0:
-        return None  # match-all / pure-filter: single-engine path
-    if (
-        parsed.phrases or parsed.near_phrases
-        or parsed.prohibited_phrases or parsed.prohibited_near
-        or parsed.field_phrases or parsed.prohibited_field_phrases
-        or parsed.boost_phrases
-    ) and not engine.has_positions:
-        # next-word index: 2-term exact phrases (incl. prohibited ones
-        # and slop-0 content pf groups) ship distributed without
-        # positions — the range tasks read bigram postings rows instead
-        bf_ = engine.bigram_first
-        bigram_serves = (
-            engine.has_bigrams
-            and not (parsed.near_phrases or parsed.prohibited_near
-                     or parsed.field_phrases
-                     or parsed.prohibited_field_phrases)
-            and all(_bigram_postings_key(list(ph), bf_) is not None
-                    for ph in parsed.phrases)
-            and all(_bigram_postings_key(list(ph), bf_) is not None
-                    for ph in parsed.prohibited_phrases)
-            and all(fld is None and int(slop) == 0
-                    and _bigram_postings_key(list(g), bf_) is not None
-                    for fld, g, slop, _b in parsed.boost_phrases)
-        )
-        if not bigram_serves:
-            return None  # positional clause on a non-positional index:
-            #              the single engine raises its rebuild error
-    # global df -> idf (small driver-side scout over postings df column;
-    # phrase member dfs come from the same lookup)
-    phrase_members = [t for ph in parsed.phrases for t in ph]
-    syn_map = engine.synonyms or {}
-    syn_members = [
-        m for t in set(parsed.terms) if t in syn_map
-        for m in (t, *syn_map[t])
-    ]
-    # df-only scout (lookup_dfs): the driver computes global idfs from
-    # the (term, df) metadata columns and never reads postings blobs —
-    # ranges read their own slices
-    postings = engine.lookup_dfs(
-        list(parsed.terms) + phrase_members + syn_members
-    )
-    # mapped terms score as blended groups at their sort position; the
-    # group's presence (ANY member indexed) is what conjunction requires
-    syn_groups = []
-    plain = []
-    for t in sorted(set(parsed.terms)):
-        if t in syn_map:
-            members = [m for m in dict.fromkeys((t, *syn_map[t]))
-                       if m in postings]
-            if not members:
-                if parsed.conjunctive:
-                    return "zero"
-                continue
-            w = engine.idf(max(postings[m] for m in members))
-            b = parsed.boosts.get(t)
-            if b is not None:
-                w *= b
-            syn_groups.append([t, members, float(w)])
-        else:
-            plain.append(t)
-    terms = sorted(t for t in plain if t in postings)
-    if parsed.conjunctive and len(terms) < len(plain):
-        return "zero"  # AND with a term absent from the index
-    phrases = []
-    for ph in parsed.phrases:
-        if all(t in postings for t in ph):
-            w = float(sum(engine.idf(postings[t]) for t in ph))
-            b = parsed.phrase_boosts.get(tuple(ph))
-            if b is not None:
-                w = w * b
-            phrases.append([list(ph), w])
-        elif parsed.conjunctive:
-            return "zero"  # AND with an unmatchable phrase
-    # wildcard clauses: expand once driver-side, ship [terms, weight]
-    # groups — each range unions its local postings for the group
-    # (constant score = 1.0 or the clause boost)
-    prefix_groups = []
-    for pre in parsed.prefixes:
-        group = engine.expand_prefix(pre)
-        if group:
-            prefix_groups.append(
-                [group, float(parsed.prefix_boosts.get(pre, 1.0))]
-            )
-        elif parsed.conjunctive:
-            return "zero"  # AND with an unmatchable wildcard
-    # general wildcards ship the same way: driver-side expansion into a
-    # constant-score [terms, weight] group
-    for pat in sorted(set(parsed.wildcards)):
-        group = engine.expand_pattern(pat)
-        if group:
-            prefix_groups.append(
-                [group, float(parsed.wildcard_boosts.get(pat, 1.0))]
-            )
-        elif parsed.conjunctive:
-            return "zero"
-    # fuzzy clauses: expand against the global dictionary once, ship
-    # [members, weight] with weight = idf(max member GLOBAL df) x boost —
-    # per-range tf-sum grouping then matches the single-engine blend
-    fuzzy_groups = []
-    for fz in sorted(set(parsed.fuzzies)):
-        members = engine.expand_fuzzy(*fz)
-        mpost = engine.lookup_dfs(members)
-        dfs = [mpost[m] for m in members if m in mpost]
-        if not dfs:
-            if parsed.conjunctive:
-                return "zero"  # AND with an unmatchable fuzzy clause
-            continue
-        w = engine.idf(max(dfs))
-        b = parsed.fuzzy_boosts.get(fz)
-        if b is not None:
-            w *= b
-        fuzzy_groups.append([sorted(m for m in members if m in mpost),
-                             float(w)])
-    # proximity clauses: weight = sum of GLOBAL member idfs x boost; the
-    # per-range task span-near matches positions locally
-    near_groups = []
-    if parsed.near_phrases:
-        near_members = sorted(
-            {t for nt, _ in parsed.near_phrases for t in nt}
-        )
-        npost = engine.lookup_dfs(near_members)
-        for nt, slop in sorted(parsed.near_phrases):
-            if any(t not in npost for t in nt):
-                if parsed.conjunctive:
-                    return "zero"  # AND with an unmatchable near clause
-                continue
-            w = float(sum(engine.idf(npost[t]) for t in nt))
-            b = parsed.near_boosts.get((nt, slop))
-            if b is not None:
-                w *= b
-            near_groups.append([list(nt), int(slop), w])
-    # fielded scored clauses: ship [fld, prefixed_term, idf_f x boost,
-    # avgdl_f] — per-field stats are global driver state, the range task
-    # reads its slice of the field's norm column
-    field_clauses = []
-    for ft in sorted(set(parsed.field_terms)):
-        fld, term = ft
-        fdf = engine.lookup_dfs([f"{fld}\x1f{term}"]).get(
-            f"{fld}\x1f{term}"
-        )
-        if fdf is None:
-            if parsed.conjunctive:
-                return "zero"  # AND with an unmatchable field term
-            continue
-        doc_count, avgdl_f = engine._fstat(fld)
-        w = engine.scoring.idf(doc_count, fdf)
-        b = float(parsed.field_term_boosts.get(ft, 1.0))
-        field_clauses.append(
-            [fld, f"{fld}\x1f{term}", float(w), b, float(avgdl_f)]
-        )
-    # fielded PHRASE clauses: prefixed members + w = sum field idfs x
-    # boost + field avgdl; the range task span-matches the field's
-    # positional stream locally (positions are per-field by construction)
-    field_phrase_groups = []
-    for fp in sorted(set(parsed.field_phrases)):
-        fld, ph = fp
-        pref = [f"{fld}\x1f{t}" for t in ph]
-        fpost = engine.lookup_dfs(pref)
-        if any(p not in fpost for p in pref):
-            if parsed.conjunctive:
-                return "zero"  # AND with an unmatchable field phrase
-            continue
-        doc_count, avgdl_f = engine._fstat(fld)
-        w = float(
-            sum(engine.scoring.idf(doc_count, fpost[p]) for p in pref)
-        )
-        b = parsed.field_phrase_boosts.get(fp)
-        if b is not None:
-            w *= b
-        field_phrase_groups.append([fld, pref, w, float(avgdl_f)])
-    # dismax (qf) clauses: per term a [field, lookup_term, idf x fboost,
-    # avgdl_f or None(=content)] side list + the tiebreaker
-    dismax_clauses = []
-    for term, fpairs in parsed.dismax:
-        sides = []
-        for fld, fboost in fpairs:
-            if fld == "content":
-                tpc = engine.lookup_dfs([term]).get(term)
-                if tpc is None:
-                    continue
-                sides.append(
-                    ["content", term, float(engine.idf(tpc)),
-                     float(fboost), None]
-                )
-            else:
-                fdf = engine.lookup_dfs(
-                    [f"{fld}\x1f{term}"]
-                ).get(f"{fld}\x1f{term}")
-                if fdf is None:
-                    continue
-                doc_count, avgdl_f = engine._fstat(fld)
-                sides.append(
-                    [fld, f"{fld}\x1f{term}",
-                     float(engine.scoring.idf(doc_count, fdf)),
-                     float(fboost), float(avgdl_f)]
-                )
-        if not sides:
-            if parsed.conjunctive:
-                return "zero"  # AND with a fully-absent dismax clause
-            continue
-        dismax_clauses.append([term, sides, float(parsed.dismax_tie)])
-    # edismax pf boost clauses: SCORE-ONLY groups [fld_or_"", members
-    # (field-prefixed for fielded), slop, w = idf_sum x boost, avgdl_f
-    # (0 = content) — absent members just drop the clause (pf never
-    # gates membership, so no conjunctive/zero interaction)
-    boost_groups = []
-    for fld, g, slop, b in sorted(
-        parsed.boost_phrases, key=lambda c: (c[0] or "", c[1], c[2], c[3])
-    ):
-        if fld is None:
-            bpost = engine.lookup_dfs(list(g))
-            if any(t not in bpost for t in g):
-                continue
-            w = float(sum(engine.idf(bpost[t]) for t in g)) * b
-            boost_groups.append(["", list(g), int(slop), float(w), 0.0])
-        else:
-            pref = [f"{fld}\x1f{t}" for t in g]
-            fpost = engine.lookup_dfs(pref)
-            if any(p not in fpost for p in pref):
-                continue
-            doc_count, avgdl_f = engine._fstat(fld)
-            w = float(sum(
-                engine.scoring.idf(doc_count, fpost[p]) for p in pref
-            )) * b
-            boost_groups.append(
-                [fld, pref, int(slop), float(w), float(avgdl_f)]
-            )
-    if not terms and not phrases and not prefix_groups and not fuzzy_groups \
-            and not near_groups and not syn_groups \
-            and not field_clauses and not dismax_clauses \
-            and not field_phrase_groups:
-        return "zero"
-    # term weights ship as UNBOOSTED idf + a parallel boost list: the
-    # range task computes (idf * impact) * boost — the engine's exact
-    # float multiplication order (boost applied AFTER the impact product)
-    idfs = []
-    term_boosts = []
-    for t in terms:
-        idfs.append(engine.idf(postings[t]))
-        term_boosts.append(float(parsed.boosts.get(t, 1.0)))
-    # negative / range filters + prohibited expansion/positional clauses
-    # ship as the per-range dead-mask recipe (extras bundle) — shared with
-    # the distributed match-all path
-    (neg_filters, range_filters, neg_range_filters, prohibited_groups,
-     prohibited_pos, spatial_filters, neg_spatial_filters) = \
-        _exclusion_extras(engine, parsed)
-    # function-query boosts (bf/boost): the parsed ASTs are JSON-able
-    # nested lists; referenced-field overlays (atomic updates) ship along
-    # so range tasks score the same values the single engine reads
-    func_boosts = []
-    if parsed.boost_funcs or parsed.mult_funcs:
-        from solr_indexer_ray.functions.funcquery import func_fields
-
-        ffields = sorted({
-            f for nd in (*parsed.boost_funcs, *parsed.mult_funcs)
-            for f in func_fields(nd)
+        rids = range(int(batch["lo"][0]), int(batch["hi"][0]))
+        done = [(r, pickle.dumps(task(e)))
+                for r, e in _range_engines(index_dir, rids, synonyms)]
+        return pa.table({
+            "range_id": pa.array([r for r, _ in done], pa.int64()),
+            "result": pa.array([b for _, b in done], pa.binary()),
         })
-        fov: dict = {}
-        for did, cols in engine._load_overlays().items():
-            for f in ffields:
-                v = cols.get(f)
-                if isinstance(v, (int, float)):
-                    fov.setdefault(f, {})[str(did)] = float(v)
-        func_boosts = [list(parsed.boost_funcs),
-                       list(parsed.mult_funcs), fov]
-    # bq boost queries: each compiles to one clause plan (the same
-    # {"leaf"/"match"/"zero"} shapes the grouped-boolean path ships);
-    # a bq the protocol can't express falls the whole query back to
-    # the single engine
-    bq_plans = []
-    for sub, const in parsed.boost_queries:
-        plan = _compile_bool_tree(engine, sub)
-        if plan is None:
-            return None
-        bq_plans.append([plan, float(const)])
-    extras = [neg_filters, range_filters, neg_range_filters,
-              prohibited_groups, prohibited_pos,
-              spatial_filters, neg_spatial_filters,
-              field_clauses, dismax_clauses, field_phrase_groups,
-              term_boosts, boost_groups, func_boosts, bq_plans]
-    return (terms, idfs, phrases, prefix_groups, fuzzy_groups, near_groups,
-            syn_groups, extras)
+
+    ds = rd.from_items([
+        {"lo": int(lo), "hi": int(hi)}
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]).map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
+    ds.context.raise_original_map_exception = True
+    with _task_errors():
+        rows = ds.take_all()
+    rows.sort(key=lambda r: r["range_id"])
+    return [pickle.loads(r["result"]) for r in rows]
 
 
-def _compile_bool_tree(engine: SearchEngine, node):
-    """Compile a parsed boolean tree into a JSON-able per-range evaluation
-    plan: every leaf becomes a driver-prepared clause bundle (global idf
-    weights, expanded groups — the same preparation
-    :func:`_distributed_clauses` does for flat queries).  Returns ``None``
-    when any leaf has a shape only the single engine evaluates
-    (negative multi-term clauses, range filters, wildcard metadata
-    filters)."""
-    if isinstance(node, BoolNode):
-        kids = []
-        for neg, child in node.children:
-            c = _compile_bool_tree(engine, child)
-            if c is None:
-                return None
-            kids.append([bool(neg), c])
-        out = {"op": node.op, "children": kids}
-        if node.boost != 1.0:
-            out["boost"] = float(node.boost)
-        return out
-    parsed = node  # leaf ParsedQuery
-    if parsed.scoring_clauses == 0:
-        if (
-            parsed.neg_filters or parsed.range_filters
-            or parsed.neg_range_filters or parsed.prohibited
-            or parsed.prohibited_phrases or parsed.prohibited_prefixes
-            or parsed.prohibited_fuzzies or parsed.prohibited_wildcards
-            or parsed.prohibited_near or parsed.spatial_filters
-            or parsed.neg_spatial_filters
-            or parsed.prohibited_field_terms
-            or any(v.endswith("*") for v in parsed.filters.values())
-        ):
-            return None
-        return {
-            "match": {
-                "filter_keys": sorted(parsed.filters),
-                "filter_vals": [
-                    parsed.filters[f] for f in sorted(parsed.filters)
-                ],
-            }
-        }
-    clauses = _distributed_clauses(engine, parsed)
-    if clauses is None:
-        return None
-    if clauses == "zero":
-        return {"zero": True}
-    (terms, idfs, phrases, prefix_groups, fuzzy_groups, near_groups,
-     syn_groups, extras) = clauses
-    return {
-        "leaf": {
-            "terms": terms,
-            "idfs": idfs,
-            "prohibited": sorted(set(parsed.prohibited)),
-            "filter_keys": sorted(parsed.filters),
-            "filter_vals": [
-                parsed.filters[f] for f in sorted(parsed.filters)
-            ],
-            "conjunctive": parsed.conjunctive,
-            "phrases": phrases,
-            "prefix_groups": prefix_groups,
-            "fuzzy_groups": fuzzy_groups,
-            "near_groups": near_groups,
-            "syn_groups": syn_groups,
-            "extras": extras,
-        }
-    }
-
-
-class BoolRangeScorer:
-    """Per-doc-range task for grouped boolean queries: evaluate the
-    compiled clause tree over RANGE-LOCAL dense arrays (bounded by
-    ``docs_per_range`` — the per-range answer to the single engine's
-    doc-space-sized AST accumulators), same Lucene BooleanQuery zeroing
-    as ``SearchEngine._eval_bool_node``; returns the range's top-k."""
-
-    def __init__(self, index_dir: str, k: int = 10):
-        self.scorer = RangeScorer(index_dir, k)
-        self.k = k
-
-    def __call__(self, batch: dict) -> pa.Table:
-        import json
-
-        out = []
-        for i in range(len(batch["range_id"])):
-            rid = int(batch["range_id"][i])
-            tree = json.loads(str(batch["tree_json"][i]))
-            excl = (list(batch["excl"][i])
-                    if "excl" in batch else ())
-            out.extend(self._score_range(rid, tree, excl))
-        return pa.Table.from_pylist(
-            out,
-            schema=pa.schema(
-                [("doc_id", pa.int64()), ("score", pa.float64())]
-            ),
-        )
-
-    def _score_range(self, rid: int, tree, excl=()) -> list:
-        sc = self.scorer
-        lo, hi = rid * sc.dpr, (rid + 1) * sc.dpr
-        width = hi - lo
-        dtab = sc._docs.to_table(
-            columns=["doc_id"],
-            filter=(pc.field("doc_id") >= lo) & (pc.field("doc_id") < hi),
-        )
-        present = np.zeros(width, dtype=bool)
-        present[dtab["doc_id"].to_numpy() - lo] = True
-        mask, scores = self._eval(rid, tree, lo, width)
-        mask &= present
-        if len(excl):
-            # per-range tombstone/fq exclusion BEFORE the local top-k —
-            # a range whose top-k would otherwise fill with deleted docs
-            # must still surface its live matches
-            ex = np.asarray(list(excl), dtype=np.int64) - lo
-            ex = ex[(ex >= 0) & (ex < width)]
-            mask[ex] = False
-        cand = np.flatnonzero(mask)
-        if cand.size == 0:
-            return []
-        s = scores[cand]
-        kk = min(self.k, cand.size)
-        kth = -np.partition(-s, kk - 1)[kk - 1]
-        idx = np.flatnonzero(s >= kth)
-        order = np.lexsort((cand[idx], -s[idx]))[:kk]
-        return [
-            {"doc_id": int(cand[idx[o]] + lo), "score": float(s[idx[o]])}
-            for o in order
-        ]
-
-    def _eval(self, rid: int, tree, lo: int, width: int):
-        return _eval_plan_range(self.scorer, rid, tree, lo, width)
-
-
-def _eval_plan_range(sc, rid: int, tree, lo: int, width: int):
-    """Dense range-local (mask, scores) for one compiled clause plan
-    ({"op"}/{"leaf"}/{"match"}/{"zero"} — :func:`_compile_bool_tree`).
-    Shared by the grouped-boolean range tasks and the distributed bq
-    path (each bq ships as one compiled plan)."""
-    if "op" in tree:
-        # same semantics as SearchEngine._eval_bool_node: negated
-        # children are MUST_NOT in both ops, OPT is mask-neutral,
-        # boost scales subtree scores
-        pos_mask = None
-        neg_mask = None
-        scores = np.zeros(width, dtype=np.float64)
-        for neg, child in tree["children"]:
-            m, s = _eval_plan_range(sc, rid, child, lo, width)
-            if neg:
-                neg_mask = (
-                    m.copy() if neg_mask is None else (neg_mask | m)
-                )
-                continue
-            scores += s
-            if pos_mask is None:
-                pos_mask = m.copy()
-            elif tree["op"] == "AND":
-                pos_mask &= m
-            else:
-                pos_mask |= m
-        if tree["op"] == "OPT":
-            mask = np.ones(width, dtype=bool)
-        elif pos_mask is None:
-            mask = np.zeros(width, dtype=bool)  # pure-negative: nothing
-        else:
-            mask = pos_mask
-        if neg_mask is not None:
-            mask = mask & ~neg_mask
-        scores[~mask] = 0.0
-        boost = float(tree.get("boost", 1.0))
-        if boost != 1.0:
-            scores *= boost
-        return mask, scores
-    if "zero" in tree:
-        return (
-            np.zeros(width, dtype=bool),
-            np.zeros(width, dtype=np.float64),
-        )
-    if "match" in tree:
-        m = tree["match"]
-        flt = (pc.field("doc_id") >= lo) & (pc.field("doc_id") < lo + width)
-        for fld, val in zip(m["filter_keys"], m["filter_vals"]):
-            flt = flt & (pc.field(fld) == val)
-        t = sc._docs.to_table(columns=["doc_id"], filter=flt)
-        mask = np.zeros(width, dtype=bool)
-        mask[t["doc_id"].to_numpy() - lo] = True
-        return mask, np.zeros(width, dtype=np.float64)
-    b = tree["leaf"]
-    cand, scores, _lo = sc._candidates_range(
-        rid, list(b["terms"]), list(b["idfs"]), list(b["prohibited"]),
-        dict(zip(b["filter_keys"], b["filter_vals"])),
-        bool(b["conjunctive"]), b["phrases"], b["prefix_groups"],
-        b["fuzzy_groups"], b["near_groups"], b["syn_groups"],
-        *b.get("extras", ([], [], [], [], [], [], [])),
-    )
-    mask = np.zeros(width, dtype=bool)
-    out = np.zeros(width, dtype=np.float64)
-    if cand.size:
-        mask[cand] = True
-        out[cand] = scores[cand]
-    return mask, out
+def _range_search(engine: SearchEngine, query: str, k: int,
+                  fq=None, **params) -> pa.Table:
+    """A range engine's ranked top-k as ``(doc_id, score)``, ids made
+    global, plus the field a ``{!collapse}`` fq groups by, for
+    :func:`_merge_hits`."""
+    _, collapse = _extract_collapse_fq(fq)
+    fl = ["doc_id"] if collapse is None else ["doc_id", collapse[0]]
+    t = engine.search(query, k=k, fl=fl, fq=fq, **params)
+    i = t.schema.get_field_index("doc_id")
+    return t.set_column(i, "doc_id", pc.add(t["doc_id"], engine._lo))
 
 
 def search_partitioned(index_dir: str, query: str, k: int = 10,
@@ -7134,327 +5867,26 @@ def search_partitioned(index_dir: str, query: str, k: int = 10,
                        fq=None) -> pa.Table:
     """Distributed top-k: fan out per doc range, merge local top-k.
 
-    Bit-identical to ``SearchEngine.search`` (tested);
-    this is the layout-parallel path a multi-node deployment uses — the
-    driver ships only (terms, global idf weights), each range task touches
-    only its partition's postings + norms, and the merge handles k·ranges
-    rows.  Grouped boolean queries compile into a per-range clause-tree
-    plan (:class:`BoolRangeScorer`) so their dense evaluation stays
-    bounded by ``docs_per_range``.
+    Each doc range runs ``SearchEngine.search`` on a range engine — an
+    engine over that range's postings files and docs rows only, fed the
+    whole index's statistics (:func:`_range_engines`) — with every
+    parameter given here, so it applies ``fq``, tombstones, prohibitions
+    and filters itself.  The driver evaluates nothing: it k-way merges
+    the ranges' top-k lists by ``(-score, doc_id)``, the same merge
+    :func:`search_sharded` does.  Results equal ``SearchEngine.search``
+    exactly (tested), and a query the engine rejects raises the same
+    exception here.  A range task's dense state is bounded by
+    ``docs_per_range``.  Joins and block joins (in ``fq`` or as the
+    query) link docs across ranges, so each range matches them over the
+    whole index and keeps its own ids; under a ``{!collapse}`` fq each
+    range returns its group heads and the merge collapses them again.
     """
-    import json
-
-    import ray.data as rd
-
-    engine = SearchEngine(index_dir, synonyms=synonyms)
-    parsed = engine._parse(query)
-    free_seq = list(parsed.terms)
-    if qf is not None:
-        parsed = engine._apply_qf(parsed, qf, tie)
-    if mm is not None:
-        engine._apply_mm(parsed, query, mm)
-    if pf or pf2 or pf3:
-        if has_group_syntax(query or ""):
-            raise ValueError(
-                "pf is a dismax/edismax parameter; use explicit phrase "
-                "clauses inside grouped boolean queries"
-            )
-        engine._apply_pf(parsed, free_seq, pf, ps, pf2, pf3)
-    if bf is not None or boost is not None:
-        if has_group_syntax(query or ""):
-            raise ValueError(
-                "bf/boost are dismax/edismax parameters; not supported "
-                "with grouped boolean queries"
-            )
-        if parsed.scoring_clauses == 0:
-            raise ValueError(
-                "bf/boost rerank a scored match set; match-all / "
-                "pure-filter queries have none"
-            )
-        parsed.boost_funcs, parsed.mult_funcs = engine._prepare_funcs(
-            bf, boost
-        )
-    if bq is not None:
-        if has_group_syntax(query or ""):
-            raise ValueError(
-                "bq is a dismax/edismax parameter; not supported with "
-                "grouped boolean queries"
-            )
-        if parsed.scoring_clauses == 0:
-            raise ValueError(
-                "bq reranks a scored match set; match-all / "
-                "pure-filter main queries have none"
-            )
-        parsed.boost_queries = engine._prepare_bq(bq)
-
-    def _empty():
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "score": pa.array([], pa.float64())}
-        )
-
-    if has_group_syntax(query or ""):
-        ast = engine._parse_bool(query)
-        tree = (
-            _compile_bool_tree(engine, ast) if ast is not None else None
-        )
-        if tree is None:
-            return engine.search(query, k=k, fq=fq)
-        dpr_b = int(engine.stats["docs_per_range"])
-        n_ranges = (engine.doc_space + dpr_b - 1) // dpr_b
-        tombs_b: dict = {}
-        for d_ in engine.tombstones:
-            tombs_b.setdefault(d_ // dpr_b, []).append(d_)
-        # fq rides the same per-range exclusion slot as tombstones (Solr
-        # applies fq on every shard) — the former single-engine fallback
-        for r_, ids_ in _fq_excluded_by_range(engine, fq, dpr_b).items():
-            cur = set(tombs_b.get(r_, ()))
-            cur.update(int(x) for x in ids_)
-            tombs_b[r_] = sorted(cur)
-        items = [
-            {"range_id": r, "tree_json": json.dumps(tree),
-             "excl": sorted(tombs_b.get(r, []))}
-            for r in range(n_ranges)
-        ]
-
-        def run_tree(batch: dict) -> pa.Table:
-            return BoolRangeScorer(index_dir, k)(batch)
-
-        partials = (
-            rd.from_items(items)
-            .map_batches(run_tree, batch_size=1, batch_format="numpy",
-                         num_cpus=1)
-            .take_all()
-        )
-        partials.sort(key=lambda r: (-r["score"], r["doc_id"]))
-        top = partials[:k]
-        return pa.Table.from_pylist(
-            top,
-            schema=pa.schema(
-                [("doc_id", pa.int64()), ("score", pa.float64())]
-            ),
-        )
-
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None:
-        pos_exclusions = (
-            parsed.prohibited_phrases or parsed.prohibited_near
-            or parsed.prohibited_field_phrases
-        )
-        bigram_excl_ok = (
-            engine.has_bigrams
-            and not (parsed.prohibited_near
-                     or parsed.prohibited_field_phrases)
-            and all(
-                _bigram_postings_key(list(ph), engine.bigram_first)
-                is not None for ph in parsed.prohibited_phrases
-            )
-        )
-        if (
-            parsed.scoring_clauses == 0
-            and (engine.has_positions or not pos_exclusions
-                 or bigram_excl_ok)
-            and not any((pf, pf2, pf3, bf, boost, bq))
-        ):
-            # match-all / pure-filter: distribute as per-range
-            # first-k at score 0.0 through the same filter machinery
-            return _search_partitioned_match_all(
-                engine, parsed, index_dir, k, fq
-            )
-        # remaining single-engine shapes: positional exclusions on a
-        # non-positional index (the engine raises its clear rebuild
-        # error) and match-all combined with score-shaping params
-        return engine.search(query, k=k, mm=mm, pf=pf, ps=ps,
-                             pf2=pf2, pf3=pf3, bf=bf, boost=boost,
-                             bq=bq, fq=fq)
-    if clauses == "zero":
-        return _empty()
-    (terms, idfs, phrases, prefix_groups, fuzzy_groups, near_groups,
-     syn_groups, extras) = clauses
-    dpr = int(engine.stats["docs_per_range"])
-    n_ranges = (engine.doc_space + dpr - 1) // dpr
-    fq_excl = _fq_excluded_by_range(engine, fq, dpr)
-    for d_ in engine.tombstones:
-        fq_excl.setdefault(d_ // dpr, []).append(int(d_))
-    items = [
-        {
-            "range_id": r,
-            "terms": terms,
-            "idfs": idfs,
-            "prohibited": sorted(set(parsed.prohibited)),
-            "filter_keys": sorted(parsed.filters),
-            "filter_vals": [parsed.filters[f] for f in sorted(parsed.filters)],
-            "conjunctive": parsed.conjunctive,
-            "min_should": int(parsed.min_should),
-            "phrases_json": json.dumps(phrases),
-            "prefix_groups_json": json.dumps(prefix_groups),
-            "fuzzy_groups_json": json.dumps(fuzzy_groups),
-            "near_groups_json": json.dumps(near_groups),
-            "syn_groups_json": json.dumps(syn_groups),
-            "extras_json": json.dumps(extras),
-            "excl": fq_excl.get(r, []),
-        }
-        for r in range(n_ranges)
-    ]
-
-    def run(batch: dict) -> pa.Table:
-        return RangeScorer(index_dir, k)(batch)
-
-    partials = (
-        rd.from_items(items)
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
+    params = dict(qf=qf, tie=tie, mm=mm, pf=pf, ps=ps, pf2=pf2, pf3=pf3,
+                  bf=bf, boost=boost, bq=bq, fq=fq)
+    parts = _map_ranges(
+        index_dir, lambda e: _range_search(e, query, k, **params), synonyms
     )
-    partials.sort(key=lambda r: (-r["score"], r["doc_id"]))
-    top = partials[:k]
-    return pa.Table.from_pylist(
-        top, schema=pa.schema([("doc_id", pa.int64()), ("score", pa.float64())])
-    )
-
-
-class FacetRangeCounter:
-    """Per-doc-range facet task: compute the range-local match set (same
-    candidate logic as :class:`RangeScorer`), then value-count the facet
-    fields over the matched slice of the docs table.  The driver sums the
-    per-range partials — a pre-aggregated (combiner) groupby with no
-    shuffle, which is how faceting must run at 10^12 docs."""
-
-    def __init__(self, index_dir: str, fields):
-        self.scorer = RangeScorer(index_dir)
-        self.fields = list(fields)
-
-    def __call__(self, batch: dict) -> pa.Table:
-        import json
-
-        out: list = []
-        for i in range(len(batch["range_id"])):
-            rid = int(batch["range_id"][i])
-            cand, _, lo = self.scorer._candidates_range(
-                rid,
-                list(batch["terms"][i]),
-                list(batch["idfs"][i]),
-                list(batch["prohibited"][i]),
-                dict(zip(batch["filter_keys"][i], batch["filter_vals"][i])),
-                bool(batch["conjunctive"][i]),
-                json.loads(str(batch["phrases_json"][i])),
-                json.loads(str(batch["prefix_groups_json"][i])),
-                json.loads(str(batch["fuzzy_groups_json"][i]))
-                if "fuzzy_groups_json" in batch else [],
-                json.loads(str(batch["near_groups_json"][i]))
-                if "near_groups_json" in batch else [],
-                json.loads(str(batch["syn_groups_json"][i]))
-                if "syn_groups_json" in batch else [],
-                *(json.loads(str(batch["extras_json"][i]))
-                  if "extras_json" in batch else ([], [], [], [], [], [], [])),
-            )
-            tombs = np.asarray(list(batch["tombs"][i]), dtype=np.int64)
-            if tombs.size and cand.size:
-                cand = cand[~np.isin(cand + lo, tombs)]
-            if cand.size == 0:
-                continue
-            hi = lo + self.scorer.dpr
-            t = self.scorer._docs.to_table(
-                columns=["doc_id", *self.fields],
-                filter=(pc.field("doc_id") >= lo) & (pc.field("doc_id") < hi),
-            )
-            mask = np.zeros(self.scorer.dpr, dtype=bool)
-            mask[cand] = True
-            hit = pa.array(mask[t["doc_id"].to_numpy() - lo])
-            for fld in self.fields:
-                for s in pc.value_counts(t[fld].filter(hit)).to_pylist():
-                    out.append(
-                        {"field": fld, "value": str(s["values"]),
-                         "count": int(s["counts"])}
-                    )
-        return pa.Table.from_pylist(
-            out,
-            schema=pa.schema(
-                [("field", pa.string()), ("value", pa.string()),
-                 ("count", pa.int64())]
-            ),
-        )
-
-
-class RangeFacetCounter:
-    """Per-doc-range date/numeric range-facet task: range-local match,
-    then bucket-count the field slice against the broadcast bucket
-    boundaries.  The driver sums per-range partials (pre-aggregated,
-    no shuffle) — the distributed form of
-    :meth:`SearchEngine.range_facet`.  Emits ``(bucket_idx, count)``
-    rows with idx -1 = before, -2 = after (from the last bucket's upper
-    edge: Solr's default ``hardend=false``)."""
-
-    def __init__(self, index_dir: str, field: str, bounds: list,
-                 is_timestamp: bool):
-        self.scorer = RangeScorer(index_dir)
-        self.field = field
-        self.bounds = np.asarray(bounds, dtype=np.int64)
-        self.is_timestamp = is_timestamp
-
-    def __call__(self, batch: dict) -> pa.Table:
-        import json
-
-        idxs, counts = [], []
-        for i in range(len(batch["range_id"])):
-            rid = int(batch["range_id"][i])
-            cand, _, lo = self.scorer._candidates_range(
-                rid,
-                list(batch["terms"][i]),
-                list(batch["idfs"][i]),
-                list(batch["prohibited"][i]),
-                dict(zip(batch["filter_keys"][i], batch["filter_vals"][i])),
-                bool(batch["conjunctive"][i]),
-                json.loads(str(batch["phrases_json"][i])),
-                json.loads(str(batch["prefix_groups_json"][i])),
-                json.loads(str(batch["fuzzy_groups_json"][i]))
-                if "fuzzy_groups_json" in batch else [],
-                json.loads(str(batch["near_groups_json"][i]))
-                if "near_groups_json" in batch else [],
-                json.loads(str(batch["syn_groups_json"][i]))
-                if "syn_groups_json" in batch else [],
-                *(json.loads(str(batch["extras_json"][i]))
-                  if "extras_json" in batch else ([], [], [], [], [], [], [])),
-            )
-            tombs = np.asarray(list(batch["tombs"][i]), dtype=np.int64)
-            if tombs.size and cand.size:
-                cand = cand[~np.isin(cand + lo, tombs)]
-            if cand.size == 0:
-                continue
-            hi = lo + self.scorer.dpr
-            t = self.scorer._docs.to_table(
-                columns=["doc_id", self.field],
-                filter=(pc.field("doc_id") >= lo) & (pc.field("doc_id") < hi),
-            )
-            mask = np.zeros(self.scorer.dpr, dtype=bool)
-            mask[cand] = True
-            hit = mask[t["doc_id"].to_numpy() - lo]
-            col = t[self.field]
-            if self.is_timestamp:
-                vals = (col.cast(pa.timestamp("us")).to_numpy()
-                        .astype("datetime64[us]").astype(np.int64)[hit])
-            else:
-                vals = col.to_numpy(zero_copy_only=False).astype(
-                    np.int64)[hit]
-            n_buckets = self.bounds.size - 1
-            bidx = np.searchsorted(self.bounds, vals, side="right") - 1
-            inside = (bidx >= 0) & (bidx < n_buckets)
-            cnt = np.bincount(bidx[inside].astype(np.int64),
-                              minlength=n_buckets)
-            for b in np.nonzero(cnt)[0]:
-                idxs.append(int(b))
-                counts.append(int(cnt[b]))
-            before = int((vals < self.bounds[0]).sum())
-            after = int((vals >= self.bounds[-1]).sum())
-            if before:
-                idxs.append(-1)
-                counts.append(before)
-            if after:
-                idxs.append(-2)
-                counts.append(after)
-        return pa.table(
-            {"bucket_idx": pa.array(idxs, pa.int64()),
-             "count": pa.array(counts, pa.int64())}
-        )
+    return _merge_hits(parts, k, fq).select(["doc_id", "score"])
 
 
 def _int_range_bounds(field: str, start, end, gap) -> tuple:
@@ -7473,386 +5905,134 @@ def _int_range_bounds(field: str, start, end, gap) -> tuple:
 
 def range_facet_partitioned(index_dir: str, query: str, field: str,
                             start, end, gap, fq=None) -> dict:
-    """Distributed ``facet.range``: per-range bucket-count partials,
-    summed on the driver — identical buckets to
-    :meth:`SearchEngine.range_facet` (tested).  Bucket boundaries
-    (including calendar DateMath edges) are computed once on the driver
-    and shipped with the task."""
-    import ray.data as rd
-    from datetime import datetime, timezone
-
-    engine = SearchEngine(index_dir)
-    parsed = engine._parse(query)
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None:
-        return engine.range_facet(query, field, start, end, gap, fq=fq)
-    if field == "doclen":
-        s_i, e_i, g_i = _int_range_bounds(field, start, end, gap)
-        n = (e_i - s_i + g_i - 1) // g_i
-        bounds = s_i + g_i * np.arange(n + 1, dtype=np.int64)
-        labels = [int(b) for b in bounds[:-1]]
-        is_ts = False
-    else:
-        col_field = engine._docs_ds.schema.field(field) \
-            if field in engine.stored_fields else None
-        if col_field is None or not pa.types.is_timestamp(col_field.type):
-            raise ValueError(
-                "range facets support doclen or a timestamp stored "
-                f"column; {field!r} is neither")
-        s_i = int(np.datetime64(str(start).rstrip("Z"), "us")
-                  .astype(np.int64))
-        e_i = int(np.datetime64(str(end).rstrip("Z"), "us")
-                  .astype(np.int64))
-        if e_i <= s_i:
-            raise ValueError("need end > start")
-        bounds = _date_bucket_bounds(s_i, e_i, gap)
-        labels = [
-            datetime.fromtimestamp(int(b) / 1e6, tz=timezone.utc)
-            .strftime("%Y-%m-%dT%H:%M:%SZ")
-            for b in bounds[:-1]
-        ]
-        is_ts = True
-    n_buckets = len(labels)
-    counts = np.zeros(n_buckets, dtype=np.int64)
-    before = after = 0
-    if clauses != "zero":
-        items = _range_items(engine, parsed, clauses, fq=fq)
-        blist = [int(b) for b in bounds]
-
-        def run(batch: dict) -> pa.Table:
-            return RangeFacetCounter(index_dir, field, blist, is_ts)(batch)
-
-        partials = (
-            rd.from_items(items)
-            .map_batches(run, batch_size=1, batch_format="numpy",
-                         num_cpus=1)
-            .take_all()
-        )
-        for r in partials:
-            b = int(r["bucket_idx"])
-            if b == -1:
-                before += int(r["count"])
-            elif b == -2:
-                after += int(r["count"])
-            else:
-                counts[b] += int(r["count"])
+    """Distributed ``facet.range``: every doc range runs
+    :meth:`SearchEngine.range_facet` over its own matches and the driver
+    sums the per-bucket counts — identical buckets to the single engine
+    (tested).  Bucket boundaries depend only on ``start``/``end``/``gap``,
+    so every range reports the same buckets."""
+    parts = _map_ranges(
+        index_dir,
+        lambda e: e.range_facet(query, field, start, end, gap, fq=fq),
+    )
     return {
-        "buckets": [(labels[i], int(counts[i])) for i in range(n_buckets)],
-        "before": int(before),
-        "after": int(after),
+        "buckets": [
+            (label, sum(p["buckets"][i][1] for p in parts))
+            for i, (label, _) in enumerate(parts[0]["buckets"])
+        ],
+        "before": sum(p["before"] for p in parts),
+        "after": sum(p["after"] for p in parts),
     }
-
-
-def _fq_excluded_by_range(engine: SearchEngine, fq, dpr: int) -> dict:
-    """Bucket a filter-query exclusion set per doc range (the same
-    shipping shape as tombstone slices: each range carries at most
-    ``docs_per_range`` excluded ids; at extreme scale a broadcast mask
-    via ``ray.put`` replaces the per-item lists)."""
-    if not fq:
-        return {}
-    m = engine._merge_fq_mask(None, fq)
-    if m is None:
-        return {}
-    ids = np.flatnonzero(m)
-    if ids.size == 0:
-        return {}
-    bounds = np.searchsorted(ids, np.arange(
-        0, (int(ids[-1]) // dpr + 2) * dpr, dpr
-    ))
-    out: dict = {}
-    for r in range(len(bounds) - 1):
-        part = ids[bounds[r]:bounds[r + 1]]
-        if part.size:
-            out[r] = part.tolist()
-    return out
-
-
-def _range_items(engine: SearchEngine, parsed: ParsedQuery, clauses,
-                 fq=None) -> list:
-    """One task-item per doc range for the distributed match paths:
-    prepared clauses + the range's slice of the tombstone set AND the
-    filter-query exclusion set (tiny per range — per-range exclusion
-    instead of a driver-side post-filter; Solr distributed requests
-    apply fq on every shard the same way)."""
-    import json
-
-    (terms, idfs, phrases, prefix_groups, fuzzy_groups, near_groups,
-     syn_groups, extras) = clauses
-    dpr = int(engine.stats["docs_per_range"])
-    n_ranges = (engine.doc_space + dpr - 1) // dpr
-    tombs_by_range: dict = {}
-    for d in engine.tombstones:
-        tombs_by_range.setdefault(d // dpr, []).append(d)
-    for r, ids in _fq_excluded_by_range(engine, fq, dpr).items():
-        cur = set(tombs_by_range.get(r, ()))
-        cur.update(ids)
-        tombs_by_range[r] = list(cur)
-    return [
-        {
-            "range_id": r,
-            "terms": terms,
-            "idfs": idfs,
-            "prohibited": sorted(set(parsed.prohibited)),
-            "filter_keys": sorted(parsed.filters),
-            "filter_vals": [parsed.filters[f] for f in sorted(parsed.filters)],
-            "conjunctive": parsed.conjunctive,
-            "phrases_json": json.dumps(phrases),
-            "prefix_groups_json": json.dumps(prefix_groups),
-            "fuzzy_groups_json": json.dumps(fuzzy_groups),
-            "near_groups_json": json.dumps(near_groups),
-            "syn_groups_json": json.dumps(syn_groups),
-            "extras_json": json.dumps(extras),
-            "tombs": sorted(tombs_by_range.get(r, [])),
-        }
-        for r in range(n_ranges)
-    ]
 
 
 def facet_partitioned(index_dir: str, query: str, fields, limit: int = 100,
                       mincount: int = 0, fq=None, prefix: str = "",
                       sort: str = "count", offset: int = 0) -> dict:
-    """Distributed field facets: per-range match + partial value counts,
-    summed on the driver (identical buckets to ``SearchEngine.facet``,
-    tested).  Tombstones are partitioned per range and shipped with the
-    task (the per-range slice of the delete set is tiny)."""
-    import json
+    """Distributed field facets: every doc range counts the values of its
+    own matches (zero-count values too when ``mincount`` <= 0), the
+    driver sums the counts and orders the buckets — identical to
+    ``SearchEngine.facet`` (tested).  A pre-aggregated groupby with no
+    shuffle, which is how faceting must run at 10^12 docs."""
+    fields = list(fields)
 
-    import ray.data as rd
+    def task(e: SearchEngine) -> list:
+        ids = e._filtered_match_ids(query, fq)
+        return [e._facet_counts(fld, ids, mincount <= 0) for fld in fields]
 
-    engine = SearchEngine(index_dir)
-    parsed = engine._parse(query)
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None:
-        return engine.facet(query, fields, limit=limit, mincount=mincount,
-                            fq=fq, prefix=prefix, sort=sort,
-                            offset=offset)
-    totals: dict = {}
-    if clauses != "zero":
-        items = _range_items(engine, parsed, clauses, fq=fq)
+    totals = [{} for _ in fields]
+    for part in _map_ranges(index_dir, task):
+        for tot, counts in zip(totals, part):
+            for v, c in counts.items():
+                tot[v] = tot.get(v, 0) + c
+    return {
+        fld: _facet_buckets(tot, limit, mincount, prefix, sort, offset)
+        for fld, tot in zip(fields, totals)
+    }
 
-        def run(batch: dict) -> pa.Table:
-            return FacetRangeCounter(index_dir, fields)(batch)
 
-        partials = (
-            rd.from_items(items)
-            .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-            .take_all()
-        )
-        for r in partials:
-            key = (r["field"], r["value"])
-            totals[key] = totals.get(key, 0) + r["count"]
-    out = {}
-    for fld in fields:
-        counts = {v: c for (f, v), c in totals.items() if f == fld}
-        if mincount <= 0:
-            vals = pc.unique(engine._docs_ds.to_table(columns=[fld])[fld])
-            for v in vals.to_pylist():
-                counts.setdefault(str(v), 0)
-        out[fld] = sorted(
-            ((v, c) for v, c in counts.items()
-             if c >= mincount
-             and (not prefix or str(v).startswith(prefix))),
-            key=(lambda b: (-b[1], b[0])) if sort == "count"
-            else (lambda b: b[0]),
-        )[offset:offset + limit]
+def _range_hits(engine: SearchEngine, query: str, fq, cols=()):
+    """A range's FULL match set as a ``(doc_id, score, *cols)`` frame,
+    ids made global: the engine's unranked match arrays, or for the
+    shapes without them (grouped boolean, filter directives, match-all)
+    its ranked search over the whole range.  ``cols`` come from the
+    engine's resident docs columns."""
+    import pandas as pd
+
+    arrays = engine._full_match_arrays(query, fq=fq)
+    if arrays is None:
+        t = engine.search(query, k=engine.doc_space, fl=["doc_id"], fq=fq)
+        arrays = (t["doc_id"].to_numpy(), t["score"].to_numpy())
+    ids = np.asarray(arrays[0], dtype=np.int64)
+    df = pd.DataFrame({"doc_id": ids + engine._lo,
+                       "score": np.asarray(arrays[1], dtype=np.float64)})
+    if cols:
+        t = engine._matched_rows(ids, list(cols))
+        for c in cols:
+            df[c] = t[c].to_pandas()
+    return df
+
+
+def _group_heads(df, field: str, limit: int):
+    """Each ``field`` value's top ``limit`` rows by (score desc, doc_id)
+    — per range, a superset of every group's global top rows, so the
+    driver's merge is exact."""
+    df = df.sort_values(["score", "doc_id"], ascending=[False, True],
+                        kind="mergesort")
+    return df[df.groupby(field, sort=False, dropna=False).cumcount()
+              < limit]
+
+
+def _facet_buckets(counts: dict, limit: int, mincount: int, prefix: str,
+                   sort: str, offset: int) -> list:
+    """Solr facet bucket order and paging over value -> count: count desc
+    then value asc (``sort="index"``: value asc), ``facet.mincount``,
+    ``facet.prefix``, ``facet.offset`` and ``facet.limit``."""
+    return sorted(
+        ((v, c) for v, c in counts.items()
+         if c >= mincount and (not prefix or str(v).startswith(prefix))),
+        key=(lambda b: (-b[1], b[0])) if sort == "count"
+        else (lambda b: b[0]),
+    )[offset:offset + limit]
+
+
+def _group_aggregates(t: pa.Table, by: str, fields) -> pa.Table:
+    """``count_all`` plus each field's ``sum``/``min``/``max`` over
+    ``t``'s rows grouped by ``by`` — the JSON-facet stats partial."""
+    aggs = [([], "count_all")]
+    for f in fields:
+        aggs += [(f, "sum"), (f, "min"), (f, "max")]
+    return pa.TableGroupBy(t.select([by, *fields]), by).aggregate(aggs)
+
+
+def _value_stats(vals) -> dict:
+    """Solr stats-component fields of a value column: count, missing,
+    min, max and, for numerics, sum and mean."""
+    count = len(vals) - vals.null_count
+    out = {
+        "count": int(count),
+        "missing": int(vals.null_count),
+        "min": pc.min(vals).as_py(),
+        "max": pc.max(vals).as_py(),
+    }
+    if pa.types.is_integer(vals.type) or pa.types.is_floating(vals.type):
+        s = pc.sum(vals).as_py() or 0
+        out["sum"] = s
+        out["mean"] = (s / count) if count else None
     return out
 
 
-class _MatchRangeTask:
-    """Base for per-range distributed tasks: compute the range's matched
-    (global doc ids, scores) with tombstones excluded, then hand off to a
-    mode-specific ``_reduce_range``."""
-
-    def __init__(self, index_dir: str):
-        self.scorer = RangeScorer(index_dir)
-
-    def __call__(self, batch: dict) -> pa.Table:
-        import json
-
-        parts = []
-        for i in range(len(batch["range_id"])):
-            rid = int(batch["range_id"][i])
-            cand, scores, lo = self.scorer._candidates_range(
-                rid,
-                list(batch["terms"][i]),
-                list(batch["idfs"][i]),
-                list(batch["prohibited"][i]),
-                dict(zip(batch["filter_keys"][i], batch["filter_vals"][i])),
-                bool(batch["conjunctive"][i]),
-                json.loads(str(batch["phrases_json"][i])),
-                json.loads(str(batch["prefix_groups_json"][i])),
-                json.loads(str(batch["fuzzy_groups_json"][i]))
-                if "fuzzy_groups_json" in batch else [],
-                json.loads(str(batch["near_groups_json"][i]))
-                if "near_groups_json" in batch else [],
-                json.loads(str(batch["syn_groups_json"][i]))
-                if "syn_groups_json" in batch else [],
-                *(json.loads(str(batch["extras_json"][i]))
-                  if "extras_json" in batch else ([], [], [], [], [], [], [])),
-            )
-            tombs = np.asarray(list(batch["tombs"][i]), dtype=np.int64)
-            if tombs.size and cand.size:
-                cand = cand[~np.isin(cand + lo, tombs)]
-            if cand.size:
-                parts.append(
-                    self._reduce_range(cand + lo, scores[cand], lo)
-                )
-        if not parts:
-            return self._empty()
-        return pa.concat_tables(parts)
-
-    def _docs_columns(self, ids: np.ndarray, columns) -> pa.Table:
-        lo, hi = int(ids.min()), int(ids.max())
-        t = self.scorer._docs.to_table(
-            columns=["doc_id", *columns],
-            filter=(pc.field("doc_id") >= lo) & (pc.field("doc_id") <= hi),
+def _value_histogram(vals, field: str) -> tuple:
+    """(sorted distinct values, their counts) of a numeric value column,
+    nulls dropped — the mergeable form exact percentiles derive from."""
+    if not (pa.types.is_integer(vals.type)
+            or pa.types.is_floating(vals.type)):
+        raise ValueError(
+            f"percentiles need a numeric field; {field!r} is {vals.type}"
         )
-        mask = np.zeros(hi - lo + 1, dtype=bool)
-        mask[ids - lo] = True
-        return t.filter(pa.array(mask[t["doc_id"].to_numpy() - lo]))
-
-
-class StatsRangeTask(_MatchRangeTask):
-    """Per-range partials for the distributed stats component."""
-
-    def __init__(self, index_dir: str, field: str):
-        super().__init__(index_dir)
-        self.field = field
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {"count": pa.array([], pa.int64()),
-             "missing": pa.array([], pa.int64()),
-             "min": pa.array([], pa.float64()),
-             "max": pa.array([], pa.float64()),
-             "sum": pa.array([], pa.float64())}
-        )
-
-    def _reduce_range(self, ids, scores, lo) -> pa.Table:
-        vals = self._docs_columns(ids, [self.field])[self.field]
-        count = len(vals) - vals.null_count
-        return pa.table(
-            {"count": pa.array([count], pa.int64()),
-             "missing": pa.array([vals.null_count], pa.int64()),
-             "min": pa.array([float(pc.min(vals).as_py())
-                              if count else None], pa.float64()),
-             "max": pa.array([float(pc.max(vals).as_py())
-                              if count else None], pa.float64()),
-             "sum": pa.array([float(pc.sum(vals).as_py() or 0)], pa.float64())}
-        )
-
-
-class FacetStatsRangeTask(_MatchRangeTask):
-    """Per-range partials for the distributed JSON-facet stats: one row
-    per (range, bucket value) carrying count + per-field sum/min/max —
-    mergeable aggregates only (``avg`` derives on the driver), so a
-    range ships O(distinct values) rows regardless of match size."""
-
-    def __init__(self, index_dir: str, by: str, fields):
-        super().__init__(index_dir)
-        self.by = by
-        self.fields = list(fields)
-
-    def _empty(self) -> pa.Table:
-        cols = {"value": pa.array([], pa.string()),
-                "count": pa.array([], pa.int64())}
-        for f in self.fields:
-            for op in ("sum", "min", "max"):
-                cols[f"{f}_{op}"] = pa.array([], pa.float64())
-        return pa.table(cols)
-
-    def _reduce_range(self, ids, scores, lo) -> pa.Table:
-        t = self._docs_columns(ids, [self.by, *self.fields])
-        t = t.filter(pc.is_valid(t[self.by]))
-        if t.num_rows == 0:
-            return self._empty()
-        aggs = [([], "count_all")]
-        for f in self.fields:
-            aggs += [(f, "sum"), (f, "min"), (f, "max")]
-        g = pa.TableGroupBy(
-            t.select([self.by, *self.fields]), self.by
-        ).aggregate(aggs)
-        cols = {
-            "value": pc.cast(g[self.by], pa.string()),
-            "count": pc.cast(g["count_all"], pa.int64()),
-        }
-        for f in self.fields:
-            for op in ("sum", "min", "max"):
-                cols[f"{f}_{op}"] = pc.cast(g[f"{f}_{op}"], pa.float64())
-        return pa.table(cols)
-
-
-class SortRangeTask(_MatchRangeTask):
-    """Per-range local top-k by the sort keys — the distributed sorted
-    browse ships only k rows per range, never the full match set."""
-
-    def __init__(self, index_dir: str, keys, k: int):
-        super().__init__(index_dir)
-        self.keys = keys  # [(field, ascending)]
-        self.k = k
-        self.cols = [f for f, _ in keys if f not in ("score", "doc_id")]
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "score": pa.array([], pa.float64()),
-             **{c: pa.array([], pa.string()) for c in self.cols}}
-        )
-
-    def _reduce_range(self, ids, scores, lo) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"doc_id": ids, "score": scores})
-        if self.cols:
-            df = df.merge(
-                self._docs_columns(ids, self.cols).to_pandas(),
-                on="doc_id", how="left",
-            )
-        df = df.sort_values(
-            [f for f, _ in self.keys] + ["doc_id"],
-            ascending=[a for _, a in self.keys] + [True],
-            kind="mergesort", na_position="last",
-        ).head(self.k)
-        # metadata-free (an unhashable pandas-metadata schema trips Ray's
-        # schema-dedup warning)
-        return pa.Table.from_pandas(
-            df, preserve_index=False
-        ).replace_schema_metadata(None)
-
-
-class GroupRangeTask(_MatchRangeTask):
-    """Per-range partials for distributed grouping: each range keeps its
-    top ``group_limit`` docs per group value — a superset of every group's
-    global top docs, so the driver merge is exact."""
-
-    def __init__(self, index_dir: str, field: str, group_limit: int):
-        super().__init__(index_dir)
-        self.field = field
-        self.group_limit = group_limit
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "score": pa.array([], pa.float64()),
-             self.field: pa.array([], pa.string())}
-        )
-
-    def _reduce_range(self, ids, scores, lo) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"doc_id": ids, "score": scores}).merge(
-            self._docs_columns(ids, [self.field]).to_pandas(),
-            on="doc_id", how="left",
-        )
-        df = df.sort_values(["score", "doc_id"], ascending=[False, True],
-                            kind="mergesort")
-        df = df[
-            df.groupby(self.field, sort=False, dropna=False).cumcount()
-            < self.group_limit
-        ]
-        return pa.Table.from_pandas(
-            df, preserve_index=False
-        ).replace_schema_metadata(None)
+    vc = pc.value_counts(pc.drop_null(vals)).to_pylist()
+    vs = np.array([r["values"] for r in vc], dtype=np.float64)
+    cs = np.array([r["counts"] for r in vc], dtype=np.int64)
+    order = np.argsort(vs)
+    return vs[order], cs[order]
 
 
 def _weighted_percentiles(values: np.ndarray, counts: np.ndarray,
@@ -7879,148 +6059,45 @@ def _weighted_percentiles(values: np.ndarray, counts: np.ndarray,
     return out
 
 
-class HistStatsRangeTask(_MatchRangeTask):
-    """Per-range value HISTOGRAM of a numeric field over the match set —
-    one (value, count) row per distinct value per range (null value row =
-    missing count), the mergeable partial that makes distributed
-    percentiles EXACT (t-digest-free) when field cardinality is bounded,
-    as it is for doc-length-like numerics."""
-
-    def __init__(self, index_dir: str, field: str):
-        super().__init__(index_dir)
-        self.field = field
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {"value": pa.array([], pa.float64()),
-             "count": pa.array([], pa.int64())}
-        )
-
-    def _reduce_range(self, ids, scores, lo) -> pa.Table:
-        vals = self._docs_columns(ids, [self.field])[self.field]
-        missing = vals.null_count
-        vc = pc.value_counts(pc.drop_null(vals))
-        values = pc.cast(vc.field("values"), pa.float64()).to_pylist()
-        counts = pc.cast(vc.field("counts"), pa.int64()).to_pylist()
-        if missing:
-            values.append(None)
-            counts.append(int(missing))
-        return pa.table(
-            {"value": pa.array(values, pa.float64()),
-             "count": pa.array(counts, pa.int64())}
-        )
-
-
 def stats_partitioned(index_dir: str, query: str, field: str,
                       percentiles=None, fq=None) -> dict:
-    """Distributed stats component: per-range (count, min, max, sum)
-    partials merged on the driver — identical to
-    ``SearchEngine.field_stats`` (tested).  With ``percentiles``, the
-    partials become per-range value histograms (one row per distinct
-    value per range — still a pre-aggregated combiner, no shuffle) and
-    every stat incl. the percentiles derives exactly from the merge."""
-    engine = SearchEngine(index_dir)
-    parsed = engine._parse(query)
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None:
-        return engine.field_stats(query, field, percentiles=percentiles,
-                                  fq=fq)
+    """Distributed stats component: every doc range computes the stats
+    of its own matches' values (plus, with ``percentiles``, their value
+    HISTOGRAM — one row per distinct value), the driver merges them —
+    identical to ``SearchEngine.field_stats`` (tested; integer fields
+    merge exactly, float sums can differ in the last ulp).  The
+    histogram makes the merged percentiles exact (t-digest-free) when
+    field cardinality is bounded, as it is for doc-length-like
+    numerics."""
+    def task(e: SearchEngine):
+        vals = e._stats_values(query, field, fq)
+        return (_value_stats(vals), None if percentiles is None
+                else _value_histogram(vals, field))
+
+    parts = _map_ranges(index_dir, task)
+    stats = [p[0] for p in parts]
+    count = sum(s["count"] for s in stats)
+    mins = [s["min"] for s in stats if s["min"] is not None]
+    maxs = [s["max"] for s in stats if s["max"] is not None]
+    out = {
+        "count": count,
+        "missing": sum(s["missing"] for s in stats),
+        "min": min(mins) if mins else None,
+        "max": max(maxs) if maxs else None,
+    }
+    if "sum" in stats[0]:
+        out["sum"] = sum(s["sum"] for s in stats)
+        out["mean"] = (out["sum"] / count) if count else None
     if percentiles is not None:
-        return _stats_hist_partitioned(engine, index_dir, parsed, clauses,
-                                       query, field, list(percentiles),
-                                       fq=fq)
-    if field not in engine.stored_fields or field == "doc_id":
-        raise ValueError(f"cannot compute stats on field {field!r}")
-    empty = {"count": 0, "missing": 0, "min": None, "max": None,
-             "sum": 0, "mean": None}
-    if clauses == "zero":
-        return empty
-    import ray.data as rd
-
-    def run(batch):
-        return StatsRangeTask(index_dir, field)(batch)
-
-    parts = (
-        rd.from_items(_range_items(engine, parsed, clauses, fq=fq))
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
-    if not parts:
-        return empty
-    count = sum(r["count"] for r in parts)
-    mins = [r["min"] for r in parts if r["min"] is not None]
-    maxs = [r["max"] for r in parts if r["max"] is not None]
-    total = sum(r["sum"] for r in parts)
-    if total == int(total):
-        total = int(total)
-    return {
-        "count": int(count),
-        "missing": int(sum(r["missing"] for r in parts)),
-        "min": (int(min(mins)) if min(mins) == int(min(mins)) else min(mins))
-        if mins else None,
-        "max": (int(max(maxs)) if max(maxs) == int(max(maxs)) else max(maxs))
-        if maxs else None,
-        "sum": total,
-        "mean": (total / count) if count else None,
-    }
-
-
-def _stats_hist_partitioned(engine, index_dir, parsed, clauses, query,
-                            field, percentiles, fq=None) -> dict:
-    """Histogram-partial distributed stats (the percentiles path of
-    :func:`stats_partitioned`)."""
-    if field not in engine.stored_fields or field == "doc_id":
-        raise ValueError(f"cannot compute stats on field {field!r}")
-    empty = {"count": 0, "missing": 0, "min": None, "max": None,
-             "sum": 0, "mean": None,
-             "percentiles": {str(p): None for p in percentiles}}
-    if clauses == "zero":
-        return empty
-    import ray.data as rd
-
-    def run(batch):
-        return HistStatsRangeTask(index_dir, field)(batch)
-
-    parts = (
-        rd.from_items(_range_items(engine, parsed, clauses, fq=fq))
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
-    if not parts:
-        return empty
-    merged: dict = {}
-    missing = 0
-    for r in parts:
-        if r["value"] is None or (isinstance(r["value"], float)
-                                  and np.isnan(r["value"])):
-            missing += int(r["count"])
-        else:
-            v = float(r["value"])
-            merged[v] = merged.get(v, 0) + int(r["count"])
-    if not merged:
-        out = dict(empty)
-        out["missing"] = int(missing)
-        return out
-    vs = np.array(sorted(merged), dtype=np.float64)
-    cs = np.array([merged[v] for v in vs], dtype=np.int64)
-    n = int(cs.sum())
-    total = float((vs * cs).sum())
-    if total == int(total):
-        total = int(total)
-
-    def _num(x):
-        return int(x) if x == int(x) else float(x)
-
-    pv = _weighted_percentiles(vs, cs, percentiles)
-    return {
-        "count": n,
-        "missing": int(missing),
-        "min": _num(vs[0]),
-        "max": _num(vs[-1]),
-        "sum": total,
-        "mean": (total / n) if n else None,
-        "percentiles": dict(zip(map(str, percentiles), pv)),
-    }
+        vs = np.concatenate([p[1][0] for p in parts])
+        cs = np.concatenate([p[1][1] for p in parts])
+        vs, inv = np.unique(vs, return_inverse=True)
+        cs = np.bincount(inv, weights=cs, minlength=vs.size).astype(np.int64)
+        out["percentiles"] = dict(zip(
+            map(str, percentiles),
+            _weighted_percentiles(vs, cs, list(percentiles)),
+        ))
+    return out
 
 
 def facet_stats_partitioned(index_dir: str, query: str, by: str,
@@ -8032,31 +6109,21 @@ def facet_stats_partitioned(index_dir: str, query: str, by: str,
     merge exactly, float sums can differ in the last ulp from the
     single-pass order).  No shuffle: each range pre-aggregates its
     matches and ships one row per bucket value."""
-    engine = SearchEngine(index_dir)
-    specs = engine._parse_facet_stats(by, metrics)
-    parsed = engine._parse(query)
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None:
-        return engine.facet_stats(query, by, metrics, limit=limit,
-                                  mincount=mincount, fq=fq)
-    if clauses == "zero":
-        return SearchEngine._facet_stats_table([], specs)
+    specs = SearchEngine(index_dir)._parse_facet_stats(by, metrics)
     fields = sorted({f for _, (_, f) in specs})
-    import pandas as pd
-    import ray.data as rd
 
-    def run(batch):
-        return FacetStatsRangeTask(index_dir, by, fields)(batch)
+    def task(e: SearchEngine) -> pa.Table:
+        ids = e._filtered_match_ids(query, fq)
+        t = e._matched_rows(ids, [by, *fields])
+        g = _group_aggregates(t.filter(pc.is_valid(t[by])), by, fields)
+        return g.set_column(g.schema.get_field_index(by), "value",
+                            pc.cast(g[by], pa.string()))
 
-    parts = (
-        rd.from_items(_range_items(engine, parsed, clauses, fq=fq))
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
+    parts = [p for p in _map_ranges(index_dir, task) if p.num_rows]
     if not parts:
         return SearchEngine._facet_stats_table([], specs)
-    df = pd.DataFrame(parts)
-    aggmap = {"count": "sum"}
+    df = pa.concat_tables(parts).to_pandas()
+    aggmap = {"count_all": "sum"}
     for f in fields:
         aggmap[f"{f}_sum"] = "sum"
         aggmap[f"{f}_min"] = "min"
@@ -8064,7 +6131,7 @@ def facet_stats_partitioned(index_dir: str, query: str, by: str,
     m = df.groupby("value", sort=False).agg(aggmap).reset_index()
     rows = []
     for r in m.to_dict("records"):
-        row = {"value": str(r["value"]), "count": int(r["count"])}
+        row = {"value": str(r["value"]), "count": int(r["count_all"])}
         for name, (op, f) in specs:
             if op == "avg":
                 row[name] = (
@@ -8088,25 +6155,14 @@ def group_partitioned(index_dir: str, query: str, group_field: str,
     """Distributed result grouping: per-range per-group top docs, global
     re-rank on the driver — identical to ``SearchEngine.group_search``
     (tested; per-range scores are bit-identical to the single engine)."""
-    engine = SearchEngine(index_dir)
-    parsed = engine._parse(query)
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None or clauses == "zero":
-        return engine.group_search(query, group_field, k_groups=k_groups,
-                                   group_limit=group_limit, fq=fq)
-    if group_field not in engine.stored_fields or group_field == "doc_id":
+    if group_field not in SearchEngine(index_dir).stored_fields \
+            or group_field == "doc_id":
         raise ValueError(f"cannot group on field {group_field!r}")
     import pandas as pd
-    import ray.data as rd
 
-    def run(batch):
-        return GroupRangeTask(index_dir, group_field, group_limit)(batch)
-
-    parts = (
-        rd.from_items(_range_items(engine, parsed, clauses, fq=fq))
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
+    df = pd.concat(_map_ranges(index_dir, lambda e: _group_heads(
+        _range_hits(e, query, fq, [group_field]), group_field, group_limit
+    )), ignore_index=True)
     cols = {
         "group": pa.array([], pa.string()),
         "group_rank": pa.array([], pa.int64()),
@@ -8114,9 +6170,8 @@ def group_partitioned(index_dir: str, query: str, group_field: str,
         "doc_id": pa.array([], pa.int64()),
         "score": pa.array([], pa.float64()),
     }
-    if not parts:
+    if df.empty:
         return pa.table(cols)
-    df = pd.DataFrame(parts)
     _null = "\x00<null>"
     df["_grp"] = df[group_field].fillna(_null)
     df = df.sort_values(["score", "doc_id"], ascending=[False, True],
@@ -8423,30 +6478,6 @@ def _rerank_combine(ids, main_scores, rmap: dict, rerank_docs: int,
     return head + tail
 
 
-class RerankRangeTask(_MatchRangeTask):
-    """Per-range partials for distributed reranking: each range scores
-    the RERANK query and ships only the rows whose doc ids are in the
-    broadcast candidate set (the main query's top-N) — O(N) rows total,
-    never the rerank query's full match set."""
-
-    def __init__(self, index_dir: str, candidates: np.ndarray):
-        super().__init__(index_dir)
-        self.candidates = np.sort(np.asarray(candidates, dtype=np.int64))
-
-    def _empty(self) -> pa.Table:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "score": pa.array([], pa.float64())}
-        )
-
-    def _reduce_range(self, ids, scores, lo) -> pa.Table:
-        keep = np.isin(ids, self.candidates)
-        return pa.table(
-            {"doc_id": pa.array(ids[keep], pa.int64()),
-             "score": pa.array(scores[keep], pa.float64())}
-        )
-
-
 def rerank_partitioned(index_dir: str, query: str, rerank_query: str,
                        k: int = 10, rerank_docs: int = 200,
                        rerank_weight: float = 2.0,
@@ -8454,38 +6485,24 @@ def rerank_partitioned(index_dir: str, query: str, rerank_query: str,
                        fq=None) -> pa.Table:
     """Distributed reranking: the main top-N comes from
     ``search_partitioned`` (k rows per range), the rerank scores from
-    per-range tasks that ship only candidate rows — identical to
+    each range's engine for the candidates in that range only — O(N)
+    rows total, never the rerank query's full match set — identical to
     ``SearchEngine.rerank_search`` (tested)."""
     if rerank_docs < 1:
         raise ValueError("rerank_docs must be >= 1")
-    engine = SearchEngine(index_dir)
     n = max(int(rerank_docs), k)
     main = search_partitioned(index_dir, query, k=n, fq=fq)
     ids = main["doc_id"].to_pylist()
-    parsed_rr = engine._parse(rerank_query)
-    clauses_rr = _distributed_clauses(engine, parsed_rr, rerank_query)
-    if clauses_rr == "zero":
-        rmap: dict = {}
-    elif clauses_rr is None or not ids:
-        rr = engine.search(rerank_query, k=engine.doc_space,
-                           fl=["doc_id"])
-        rmap = dict(zip(rr["doc_id"].to_pylist(),
-                        rr["score"].to_pylist()))
-    else:
-        import ray.data as rd
+    cand = np.asarray(ids, dtype=np.int64)
 
-        cand = np.asarray(ids, dtype=np.int64)
+    def task(e: SearchEngine) -> dict:
+        mine = cand[(cand >= e._lo) & (cand < e._lo + e.doc_space)]
+        got = e._rerank_scores(rerank_query, mine - e._lo)
+        return {d + e._lo: s for d, s in got.items()}
 
-        def run(batch):
-            return RerankRangeTask(index_dir, cand)(batch)
-
-        parts = (
-            rd.from_items(_range_items(engine, parsed_rr, clauses_rr))
-            .map_batches(run, batch_size=1, batch_format="numpy",
-                         num_cpus=1)
-            .take_all()
-        )
-        rmap = {r["doc_id"]: r["score"] for r in parts}
+    rmap: dict = {}
+    for part in _map_ranges(index_dir, task):
+        rmap.update(part)
     hits = _rerank_combine(ids, main["score"].to_pylist(), rmap,
                            int(rerank_docs), float(rerank_weight),
                            round_scores)
@@ -8501,21 +6518,13 @@ def collapse_partitioned(index_dir: str, query: str, field: str,
                          expand_limit: int = 0,
                          round_scores: int | None = None,
                          fq=None) -> pa.Table:
-    """Distributed field collapsing: per-range per-group top docs (the
-    ``GroupRangeTask`` partials — a superset of every group's global head
-    + expand members), collapsed on the driver — identical to
-    ``SearchEngine.collapse_search`` (tested)."""
-    engine = SearchEngine(index_dir)
+    """Distributed field collapsing: per-range per-group top docs (a
+    superset of every group's global head + expand members), collapsed
+    on the driver — identical to ``SearchEngine.collapse_search``
+    (tested)."""
     if null_policy not in ("ignore", "expand", "collapse"):
         raise ValueError(f"bad nullPolicy {null_policy!r}")
-    parsed = engine._parse(query)
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None or clauses == "zero":
-        return engine.collapse_search(
-            query, field, k=k, null_policy=null_policy,
-            expand_limit=expand_limit, round_scores=round_scores, fq=fq,
-        )
-    if field not in engine.stored_fields or field == "doc_id":
+    if field not in SearchEngine(index_dir).stored_fields or field == "doc_id":
         raise ValueError(f"cannot collapse on field {field!r}")
     # per-range cap: head + expand members per non-null group; under
     # nullPolicy=expand each null doc is a 1-doc group, so a range must
@@ -8524,21 +6533,12 @@ def collapse_partitioned(index_dir: str, query: str, field: str,
     if null_policy == "expand":
         glim = max(glim, k)
     import pandas as pd
-    import ray.data as rd
 
-    def run(batch):
-        return GroupRangeTask(index_dir, field, glim)(batch)
-
-    parts = (
-        rd.from_items(_range_items(engine, parsed, clauses, fq=fq))
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
-    if not parts:
-        return _collapse_frame(pd.DataFrame(), field, k, null_policy,
-                               expand_limit, round_scores)
-    return _collapse_frame(pd.DataFrame(parts), field, k, null_policy,
-                           expand_limit, round_scores)
+    df = pd.concat(_map_ranges(index_dir, lambda e: _group_heads(
+        _range_hits(e, query, fq, [field]), field, glim
+    )), ignore_index=True)
+    return _collapse_frame(df, field, k, null_policy, expand_limit,
+                           round_scores)
 
 
 def sorted_partitioned(index_dir: str, query: str, sort: str,
@@ -8547,12 +6547,7 @@ def sorted_partitioned(index_dir: str, query: str, sort: str,
     keys (k rows shipped per range, never the full match set), k-way merge
     on the driver — identical doc order to
     ``SearchEngine.search(..., sort=...)`` (tested)."""
-    engine = SearchEngine(index_dir)
-    parsed = engine._parse(query)
-    clauses = _distributed_clauses(engine, parsed, query)
-    if clauses is None or clauses == "zero":
-        return engine.search(query, k=k, fl=["doc_id"], sort=sort,
-                             fq=fq)
+    stored = SearchEngine(index_dir).stored_fields
     keys = []
     for part in sort.split(","):
         toks = part.split()
@@ -8562,32 +6557,25 @@ def sorted_partitioned(index_dir: str, query: str, sort: str,
         order = toks[1].lower() if len(toks) > 1 else "asc"
         if order not in ("asc", "desc"):
             raise ValueError(f"bad sort direction {order!r} in {sort!r}")
-        if fld != "score" and fld != "doc_id" and fld not in engine.stored_fields:
+        if fld != "score" and fld != "doc_id" and fld not in stored:
             raise ValueError(f"cannot sort on unknown field {fld!r}")
         keys.append((fld, order == "asc"))
     if not keys:
         raise ValueError(f"empty sort spec {sort!r}")
     import pandas as pd
-    import ray.data as rd
 
-    def run(batch):
-        return SortRangeTask(index_dir, keys, k)(batch)
+    by = [f for f, _ in keys] + ["doc_id"]
+    asc = [a for _, a in keys] + [True]
+    cols = [f for f, _ in keys if f not in ("score", "doc_id")]
 
-    parts = (
-        rd.from_items(_range_items(engine, parsed, clauses, fq=fq))
-        .map_batches(run, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
-    if not parts:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "score": pa.array([], pa.float64())}
-        )
-    df = pd.DataFrame(parts).sort_values(
-        [f for f, _ in keys] + ["doc_id"],
-        ascending=[a for _, a in keys] + [True],
-        kind="mergesort", na_position="last",
-    ).head(k)
+    def task(e: SearchEngine):
+        return _range_hits(e, query, fq, cols).sort_values(
+            by, ascending=asc, kind="mergesort", na_position="last"
+        ).head(k)
+
+    df = pd.concat(_map_ranges(index_dir, task), ignore_index=True)
+    df = df.sort_values(by, ascending=asc, kind="mergesort",
+                        na_position="last").head(k)
     return pa.table(
         {"doc_id": pa.array(df["doc_id"].astype("int64")),
          "score": pa.array(df["score"].astype("float64"))}

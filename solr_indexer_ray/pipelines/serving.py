@@ -11,6 +11,9 @@ pysolr session per worker process reused across requests,
 across them.  bench.py's ``dist_warm_qps`` row measures exactly this shape
 at ~2-4x the per-job ``dist_qps`` number (the difference is process spawn
 + import + engine init, paid once here instead of per job).
+``PartitionedSearchService`` is the resident form of
+``search_partitioned``: each actor keeps one engine per doc range it
+owns, fed the whole index's statistics, and the driver only merges.
 
 The service never calls ``ray.init()`` — actor creation auto-initialises
 under an existing session (tests / bench / CLI / driver own the session).
@@ -107,52 +110,45 @@ class SearchService:
 
 @ray.remote
 class _RangeActor:
-    """Resident per-range scorer: owns a RangeScorer and a FIXED subset
-    of doc ranges — the shard-resident shape of a multi-node serving
-    deployment (each node holds its ranges' postings/norms warm; no
-    actor ever touches another's partition)."""
+    """Resident range engines for a FIXED subset of doc ranges — the
+    shard-resident shape of a multi-node serving deployment (each node
+    holds its ranges' postings/norms warm; no actor ever touches
+    another's partition).  One engine per range, all fed the whole
+    index's statistics from one shared engine."""
 
-    def __init__(self, index_dir: str, range_ids):
-        from solr_indexer_ray.pipelines.search import RangeScorer
+    def __init__(self, index_dir: str, range_ids, synonyms=None):
+        from solr_indexer_ray.pipelines.search import _range_engines
 
-        self.scorer = RangeScorer(index_dir)
-        self.range_ids = list(range_ids)
+        self.engines = dict(_range_engines(index_dir, range_ids, synonyms))
 
-    def score(self, base_item: dict, excl_by_range: dict, k: int) -> list:
-        self.scorer.k = k
-        rows: list = []
-        for r in self.range_ids:
-            batch = {
-                kk: [vv] for kk, vv in dict(
-                    base_item, range_id=r,
-                    excl=excl_by_range.get(r, []),
-                ).items()
-            }
-            rows.extend(self.scorer(batch).to_pylist())
-        # local k-cut before shipping (ranges are disjoint, so the
-        # global top-k needs at most k rows from each actor)
-        rows.sort(key=lambda x: (-x["score"], x["doc_id"]))
-        return rows[:k]
+    def search(self, query: str, k: int, params: dict):
+        """This actor's top-k over its ranges (ranges are disjoint, so
+        the global top-k needs at most k rows from each actor)."""
+        from solr_indexer_ray.pipelines.search import (
+            _merge_hits,
+            _range_search,
+        )
+
+        return _merge_hits([_range_search(e, query, k, **params)
+                            for e in self.engines.values()], k,
+                           params["fq"])
 
 
 class PartitionedSearchService:
-    """Resident form of the per-range distributed protocol
+    """Resident form of the per-range distributed search
     (:func:`~solr_indexer_ray.pipelines.search.search_partitioned`).
 
     ``SearchService`` replicates the WHOLE index into every actor —
     right for single-node serving, impossible when the index outgrows
     one machine.  This service instead partitions the doc ranges across
-    a resident actor pool (each actor's RangeScorer touches only its
-    ranges' postings/norms — the layout a multi-node cluster pins per
-    node), and the driver does only the clause scout (df-only metadata
-    read) and the k-way merge of per-actor top-k partials.  Results are
-    bit-identical to ``search_partitioned`` / the single engine
-    (tested).
-
-    Query shapes the wire protocol can't ship (grouped boolean trees,
-    match-all, score-shaping params) fall back to the per-job
-    ``search_partitioned`` path, which handles them distributed or
-    single-engine as documented there.
+    a resident actor pool: each actor keeps one range engine per range
+    it owns, which touches only that range's postings and docs rows (the
+    layout a multi-node cluster pins per node).  A query ships as the
+    query string and ``SearchEngine.search``'s parameters; every range
+    applies ``fq``, tombstones, prohibitions and filters itself, and the
+    driver only k-way merges the per-actor top-k lists.  Results are
+    bit-identical to ``search_partitioned`` and the single engine
+    (tested), and a query the engine rejects raises the same exception.
 
     Mutations (delete / extend / compact) follow the engine-wide
     invalidation rule: construct a NEW service after committing them
@@ -162,90 +158,42 @@ class PartitionedSearchService:
 
     def __init__(self, index_dir: str, pool: int = 8, synonyms=None,
                  num_cpus: float = 1):
-        from solr_indexer_ray.pipelines.search import SearchEngine
+        from solr_indexer_ray.pipelines.search import SearchEngine, _n_ranges
 
         if pool < 1:
             raise ValueError("pool must be >= 1")
         self.index_dir = index_dir
-        #: driver-side engine: query parsing + the df-only clause scout
-        #: (never reads postings blobs — lookup_dfs)
+        #: whole-index engine on the driver: the range layout, and
+        #: statistics or dictionary lookups (it never scores a query)
         self.engine = SearchEngine(index_dir, synonyms=synonyms)
-        self._synonyms = synonyms
-        dpr = int(self.engine.stats["docs_per_range"])
-        n_ranges = (self.engine.doc_space + dpr - 1) // dpr
-        self._dpr = dpr
-        pool = min(pool, max(1, n_ranges))
+        n_ranges = _n_ranges(self.engine.stats)
+        pool = min(pool, n_ranges)
         self._actors = [
             _RangeActor.options(num_cpus=num_cpus).remote(
-                index_dir, list(range(p, n_ranges, pool))
+                index_dir, list(range(p, n_ranges, pool)), synonyms
             )
             for p in range(pool)
         ]
         self._closed = False
 
-    def search(self, query: str, k: int = 10, fq=None):
+    def search(self, query: str, k: int = 10, fq=None, **params):
         """Top-k for one query -> ``(doc_id, score)`` table, bit-identical
-        to ``search_partitioned(index_dir, query, k=k, fq=fq)``."""
-        import json
-
-        import pyarrow as pa
-
+        to ``search_partitioned(index_dir, query, k=k, fq=fq, **params)``;
+        ``params`` are ``SearchEngine.search``'s ranking parameters
+        (``qf``/``tie``/``mm``/``pf``/``ps``/``pf2``/``pf3``/``bf``/
+        ``boost``/``bq``)."""
         from solr_indexer_ray.pipelines.search import (
-            _distributed_clauses,
-            _fq_excluded_by_range,
-            search_partitioned,
+            _merge_hits,
+            _task_errors,
         )
 
         if self._closed:
             raise RuntimeError("PartitionedSearchService is closed")
-        engine = self.engine
-        parsed = engine._parse(query)
-        clauses = _distributed_clauses(engine, parsed, query)
-        if clauses is None:
-            # tree / match-all / single-engine shapes: per-job path
-            # (same synonym map — fallbacks must not change semantics)
-            return search_partitioned(self.index_dir, query, k=k, fq=fq,
-                                      synonyms=self._synonyms)
-        if clauses == "zero":
-            return pa.Table.from_pylist(
-                [], schema=pa.schema(
-                    [("doc_id", pa.int64()), ("score", pa.float64())]
-                ),
-            )
-        (terms, idfs, phrases, prefix_groups, fuzzy_groups, near_groups,
-         syn_groups, extras) = clauses
-        excl = _fq_excluded_by_range(engine, fq, self._dpr)
-        for d_ in engine.tombstones:
-            excl.setdefault(d_ // self._dpr, []).append(int(d_))
-        base = {
-            "terms": terms,
-            "idfs": idfs,
-            "prohibited": sorted(set(parsed.prohibited)),
-            "filter_keys": sorted(parsed.filters),
-            "filter_vals": [
-                parsed.filters[f] for f in sorted(parsed.filters)
-            ],
-            "conjunctive": parsed.conjunctive,
-            "min_should": int(parsed.min_should),
-            "phrases_json": json.dumps(phrases),
-            "prefix_groups_json": json.dumps(prefix_groups),
-            "fuzzy_groups_json": json.dumps(fuzzy_groups),
-            "near_groups_json": json.dumps(near_groups),
-            "syn_groups_json": json.dumps(syn_groups),
-            "extras_json": json.dumps(extras),
-        }
-        partials: list = []
-        for chunk in ray.get([
-            a.score.remote(base, excl, k) for a in self._actors
-        ]):
-            partials.extend(chunk)
-        partials.sort(key=lambda r: (-r["score"], r["doc_id"]))
-        return pa.Table.from_pylist(
-            partials[:k],
-            schema=pa.schema(
-                [("doc_id", pa.int64()), ("score", pa.float64())]
-            ),
-        )
+        params["fq"] = fq
+        with _task_errors():
+            parts = ray.get([a.search.remote(query, k, params)
+                             for a in self._actors])
+        return _merge_hits(parts, k, fq).select(["doc_id", "score"])
 
     def close(self) -> None:
         if not self._closed:

@@ -178,8 +178,8 @@ class TestBigramDictionaryHygiene:
 
 
 class TestBigramDistributed:
-    """The per-range protocol serves eligible 2-term phrase shapes from
-    bigram postings rows — distributed works WITHOUT positions and stays
+    """Range engines serve eligible 2-term phrase shapes from bigram
+    postings rows — distributed works WITHOUT positions and stays
     bit-identical to the single engine (which is itself positional-path
     identical, proven above)."""
 

@@ -78,7 +78,7 @@ def test_distributed_respect_tombstones(tmp_path, ray_session):
 
 
 class TestDistributedFq:
-    """fq ships through the per-range protocol: every distributed
+    """Every range engine applies the fq itself: every distributed
     component with an fq parameter matches its single-engine twin."""
 
     FQS = [["lang:python"], ["doclen:[40 TO 200]", "-lang:go"]]
@@ -174,10 +174,9 @@ class TestDistributedTombstones:
 
 
 class TestDistributedMatchAllAndTreeFq:
-    """r5: the two former single-engine fallbacks now distribute —
-    match-all / pure-filter queries (per-range first-k at score 0.0) and
-    grouped-boolean queries combined with fq (fq rides the per-range
-    exclusion slot)."""
+    """Match-all / pure-filter queries (per-range first-k at score 0.0)
+    and grouped-boolean queries combined with fq (each range engine
+    applies the fq) distribute like every other shape."""
 
     MATCH_ALL = [
         ("", None),                       # bare match-all
@@ -229,9 +228,9 @@ class TestDistributedMatchAllAndTreeFq:
 
     def test_remaining_fallback_is_positional_rebuild_error(self, tmp_path,
                                                             ray_session):
-        """The one inherently single-engine shape left: a positional
-        exclusion on a NON-positional index — distributed must surface
-        the same clear rebuild error the single engine raises."""
+        """A positional exclusion on a NON-positional index —
+        distributed must surface the same clear rebuild error the single
+        engine raises."""
         import pyarrow.parquet as pq2
         import pytest as _pytest
 

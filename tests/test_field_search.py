@@ -142,8 +142,8 @@ class TestFieldTermQuery:
         )
 
     def test_grouped_and_distributed_identical(self, field_index):
-        """Fielded clauses ship through the per-range protocol (field idf
-        + avgdl driver-computed, field norms range-local) — bit-identical
+        """Fielded clauses through range engines (field docCount + avgdl
+        from the whole index, field norms range-local) — bit-identical
         to the single engine, flat and grouped."""
         index_dir, _ = field_index
         e = SearchEngine(index_dir)
@@ -269,9 +269,9 @@ class TestFieldPhrase:
             e.search('path_text:"src mod0"~2', k=5)
 
     def test_distributed_identical(self, field_index):
-        """Field phrase groups ship through the per-range protocol
-        (prefixed members + field idf-sum weight + field avgdl; field
-        norms range-local) — bit-identical to the single engine."""
+        """Field phrases through range engines (field idfs and avgdl from
+        the whole index; field norms range-local) — bit-identical to the
+        single engine."""
         index_dir, _ = field_index
         e = SearchEngine(index_dir)
         for q in ['path_text:"src mod0" parse',

@@ -284,9 +284,9 @@ class TestProximity:
 
 
 class TestDistributedProximity:
-    """Near clauses ship through the per-range protocol as
-    [members, slop, weight] groups with globally-computed phrase weights;
-    per-range span-near matching is bit-identical to the single engine."""
+    """Near clauses through range engines: phrase weights from the whole
+    index's dfs, span-near matching per range — bit-identical to the
+    single engine."""
 
     def test_partitioned_near_identical(self, pos_index):
         idx, _, _ = pos_index

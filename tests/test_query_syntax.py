@@ -291,9 +291,9 @@ class TestCompositeGroups:
 
 
 class TestDistributedFuzzy:
-    """Fuzzy clauses ship through the per-range protocol as driver-expanded
-    blended groups [members, idf(max global df) x boost] — bit-identical
-    to the single engine (same float order as _accumulate)."""
+    """Fuzzy clauses through range engines: expanded over the whole
+    index's dictionary, blended with the max member df of the whole
+    index — bit-identical to the single engine."""
 
     def test_partitioned_fuzzy_identical(self, built_index):
         index_dir, _ = built_index
@@ -321,9 +321,9 @@ class TestDistributedFuzzy:
 
 
 class TestDistributedBooleanGroups:
-    """Grouped queries compile into per-range clause-tree plans
-    (BoolRangeScorer): dense evaluation bounded by docs_per_range, same
-    BooleanQuery zeroing, bit-identical to the single engine."""
+    """Grouped queries run on range engines: dense evaluation bounded by
+    docs_per_range, same BooleanQuery zeroing, bit-identical to the
+    single engine."""
 
     QUERIES = [
         "(parse OR merge) AND read",

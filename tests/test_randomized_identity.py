@@ -245,7 +245,7 @@ def test_random_boolean_trees_match_set_algebra(seed, tmp_path):
 def test_random_field_queries_distributed_identity(seed, tmp_path):
     """Random fielded queries (field terms/phrases, boosts, negation,
     AND, mixed content terms, dismax qf): the per-range distributed
-    protocol must be bit-identical to the single engine (whose fielded
+    path must be bit-identical to the single engine (whose fielded
     scoring is separately verified against an independent brute force in
     test_field_search)."""
     from solr_indexer_ray.functions.tokenize import simple_analyzer

@@ -80,9 +80,9 @@ class TestSearchService:
 
 
 class TestPartitionedSearchService:
-    """Resident per-range protocol: each actor owns a FIXED range
-    subset; results must be bit-identical to search_partitioned (which
-    is itself bit-identical to the single engine)."""
+    """Resident range engines: each actor owns a FIXED range subset;
+    results must be bit-identical to search_partitioned (which is itself
+    bit-identical to the single engine)."""
 
     def test_identical_to_partitioned(self, serve_index):
         with PartitionedSearchService(serve_index, pool=2) as svc:
@@ -96,25 +96,24 @@ class TestPartitionedSearchService:
 
     def test_fq_and_zero_and_fallback(self, serve_index):
         with PartitionedSearchService(serve_index, pool=2) as svc:
-            # fq exclusion ships per range
+            # every range engine applies the fq
             a = svc.search("parse read", k=10, fq=["lang:python"])
             b = search_partitioned(serve_index, "parse read", k=10,
                                    fq=["lang:python"])
             assert a.to_pylist() == b.to_pylist()
             # conjunction with a missing term -> provably zero
             assert svc.search("zzqqnotaterm AND read").num_rows == 0
-            # match-all falls back to the per-job path
+            # match-all runs on the range engines too
             c = svc.search("*:*", k=5)
             d = search_partitioned(serve_index, "*:*", k=5)
             assert c.to_pylist() == d.to_pylist()
 
     def test_randomized_stream_identity(self, serve_index):
         """A long shuffled stream of varied query shapes through ONE
-        resident service — repeated, so every query hits the warm
-        decoded/impact caches with arbitrary interleavings — must stay
-        bit-identical to fresh per-job results.  Guards the resident
-        cache interactions (scan pruning, pinned snapshots, vec reuse)
-        beyond the fixed one-shot query list above."""
+        resident service — repeated, so every query hits the range
+        engines' warm postings and score caches with arbitrary
+        interleavings — must stay bit-identical to fresh per-job
+        results, beyond the fixed one-shot query list above."""
         import numpy as np
 
         eng = SearchEngine(serve_index)
@@ -168,13 +167,12 @@ class TestPartitionedSearchService:
             assert after.to_pylist() == ref.to_pylist()
 
     def test_synonyms_on_both_paths(self, serve_index):
-        """The service's synonym map applies on the resident path AND
-        carries through the per-job fallback (tree shapes)."""
+        """The service's synonym map applies to flat and grouped shapes
+        alike."""
         syn = {"read": ["parse"]}
         with PartitionedSearchService(serve_index, pool=2,
                                       synonyms=syn) as svc:
-            for q in ("read merge",                    # resident
-                      "(read OR sort) AND merge"):     # fallback (tree)
+            for q in ("read merge", "(read OR sort) AND merge"):
                 a = svc.search(q, k=10)
                 b = search_partitioned(serve_index, q, k=10,
                                        synonyms=syn)

@@ -165,8 +165,9 @@ def test_default_engine_postings_reads_unchanged(shards):
     often as one scoring with stats merged over the two shards: 70
     row-group reads over this mix (each query on a cold engine, then
     again warm).  Term-dictionary shard builds differ: the merged-stats
-    engine takes its fuzzy expansions from the shard engines, so it
-    builds only the shards its own lookups hash to (23 against 35)."""
+    engine takes its fuzzy, prefix and wildcard expansions from the shard
+    engines, so it builds only the shards its own lookups hash to (19
+    against 35)."""
     counts = {}
     for merged in (False, True):
         builds = reads = 0
@@ -181,7 +182,7 @@ def test_default_engine_postings_reads_unchanged(shards):
             builds += eng._term_dict.builds
             reads += eng._term_dict.reads
         counts[merged] = (builds, reads)
-    assert counts == {False: (35, 70), True: (23, 70)}
+    assert counts == {False: (35, 70), True: (19, 70)}
 
 
 class TestSynonyms:
@@ -297,9 +298,9 @@ class TestElevation:
 
 
 class TestDistributedSynonyms:
-    """Query-time synonyms ship through the per-range protocol as blended
-    groups interleaved at the mapped term's sort position — bit-identical
-    to the single-engine SynonymQuery path."""
+    """Query-time synonyms through range engines (blended df from the
+    whole index) — bit-identical to the single-engine SynonymQuery
+    path."""
 
     def test_partitioned_synonyms_identical(self, built_index):
         from solr_indexer_ray.pipelines.search import (
@@ -344,3 +345,67 @@ class TestShardedFq:
                 uni["doc_id"].to_pylist()
             ), q
             assert fed["score"].to_pylist() == uni["score"].to_pylist(), q
+
+
+class TestShardedExpansionCap:
+    """Lucene's ``max_expansions`` cap (TooManyClauses) applies to a
+    multi-term clause's expansion over EVERY shard, as on the union
+    index — not to each shard's expansion on its own."""
+
+    @pytest.fixture(scope="class")
+    def cap_shards(self, tmp_path_factory, ray_session):
+        import pyarrow as pa
+
+        d = tmp_path_factory.mktemp("cap_shards")
+        # 120 docs x 10 disjoint terms zq00000..zq01199: 600 per shard
+        docs = [" ".join(f"zq{j:05d}" for j in range(i * 10, i * 10 + 10))
+                + " common" for i in range(120)]
+
+        def table(lo, hi):
+            return pa.table({
+                "repo": ["org0/proj0"] * (hi - lo),
+                "path": [f"src/f{i}.py" for i in range(lo, hi)],
+                "commit": [f"{i:040x}" for i in range(lo, hi)],
+                "lang": ["python"] * (hi - lo),
+                "content": docs[lo:hi],
+            })
+
+        cfg = IndexConfig(docs_per_range=64)
+        for name, (lo, hi) in {"all": (0, 120), "a": (0, 60),
+                               "b": (60, 120)}.items():
+            pq.write_table(table(lo, hi), str(d / f"{name}.parquet"))
+            build_index(str(d / f"{name}.parquet"), str(d / f"idx_{name}"),
+                        config=cfg)
+        return str(d)
+
+    @pytest.mark.parametrize("q", ["zq*", "zq0*", "zq?????"])
+    def test_cap_applies_to_union(self, cap_shards, q):
+        a = SearchEngine(f"{cap_shards}/idx_a")
+        assert len(a.expand_pattern(q) if "?" in q
+                   else a.expand_prefix(q[:-1])) == 600
+        with pytest.raises(ValueError, match="expands to 1200") as ref:
+            SearchEngine(f"{cap_shards}/idx_all").search(q, k=5)
+        with pytest.raises(ValueError) as got:
+            search_sharded([f"{cap_shards}/idx_a", f"{cap_shards}/idx_b"],
+                           q, k=5)
+        assert str(got.value) == str(ref.value)
+
+    def test_fuzzy_cap_applies_to_union(self, cap_shards):
+        word = "zq00000"
+        a = SearchEngine(f"{cap_shards}/idx_a")
+        b = SearchEngine(f"{cap_shards}/idx_b")
+        na, nb = len(a.expand_fuzzy(word, 1)), len(b.expand_fuzzy(word, 1))
+        union = SearchEngine(f"{cap_shards}/idx_all")
+        n = len(union.expand_fuzzy(word, 1))
+        cap = max(na, nb)
+        assert n > cap
+        union = SearchEngine(f"{cap_shards}/idx_all")
+        union.max_expansions = cap
+        with pytest.raises(ValueError, match=f"expands to {n} terms") as ref:
+            union.search(f"{word}~1", k=5)
+        merged = _MergedStats([a, b])
+        shard = SearchEngine(f"{cap_shards}/idx_a", collection_stats=merged)
+        shard.max_expansions = cap
+        with pytest.raises(ValueError) as got:
+            shard.search(f"{word}~1", k=5)
+        assert str(got.value) == str(ref.value)
