@@ -25,16 +25,22 @@ performs the ranking there; here the engine scores natively:
 
 Term lookup goes through a resident term dictionary (:class:`_TermDict`,
 one per index generation) that knows each term's postings rows by file
-and row position, so a read touches only the row groups holding them.
+and row position; a read slices those rows out of row groups kept
+decompressed in memory, shared by every engine of the process
+(:class:`_PostingsFile`), so only a row group's first read touches parquet.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
+import itertools
 import math
 import os
 import re
+import threading
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -836,34 +842,158 @@ def _file_identity(path: str) -> tuple:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
+class _ResidentGroups:
+    """The process's least-recently-used order over the postings row
+    groups every :class:`_PostingsFile` keeps decompressed (its
+    ``groups``), with their byte total.  A postings read trims it, whole
+    row groups at a time, to the reading engine's ``term_cache_bytes``.
+    A collected file's finalizer only appends its serial to ``dead``
+    (safe wherever a collection runs); its entries leave at the next
+    trim."""
+
+    def __init__(self):
+        #: (file serial, row group) -> (weak ref to the file, bytes)
+        self.lru: collections.OrderedDict = collections.OrderedDict()
+        self.nbytes = 0
+        self.dead: list = []
+        #: held to change the order, the total or a file's groups:
+        #: engines on different threads share them
+        self.lock = threading.Lock()
+
+    def touch(self, f, g, grown: int) -> None:
+        """Mark row group ``g`` of ``f`` most recently used; ``grown``
+        bytes were just added to it.  The caller holds ``lock``."""
+        ref, n = self.lru.pop((f.serial, g), (None, 0))
+        if ref is None:
+            ref = weakref.ref(f)
+        self.lru[(f.serial, g)] = (ref, n + grown)
+        self.nbytes += grown
+
+    def trim(self, budget: int) -> None:
+        """Evict the least recently used row groups until at most
+        ``budget`` bytes stay resident (0: no cap)."""
+        with self.lock:
+            if self.dead:
+                gone = set()
+                while self.dead:
+                    gone.add(self.dead.pop())
+                for key in [k for k in self.lru if k[0] in gone]:
+                    self.nbytes -= self.lru.pop(key)[1]
+            while budget and self.nbytes > budget and self.lru:
+                (_, g), (ref, n) = self.lru.popitem(last=False)
+                self.nbytes -= n
+                f = ref()
+                if f is not None:
+                    del f.groups[g]
+
+
+_RESIDENT = _ResidentGroups()
+
+
+def _resident_column(arr: pa.Array):
+    """One decompressed row-group column as :meth:`_PostingsFile.group`
+    keeps it: an integer column (``range_id``) as a numpy array, a
+    binary one as its numpy offsets and a read-only memoryview of its
+    bytes."""
+    if pa.types.is_integer(arr.type):
+        ids = arr.to_numpy()
+        if ids.size and (ids == ids[0]).all():
+            # one doc range (every group the build writes): keep its id
+            # once, as a stride-0 view
+            ids = np.broadcast_to(ids[:1].copy(), ids.shape)
+        return ids
+    if arr.null_count:
+        arr = arr.fill_null(pa.scalar(b"", arr.type))
+    _, ob, db = arr.buffers()
+    offs = np.frombuffer(
+        ob, np.int64 if pa.types.is_large_binary(arr.type) else np.int32)
+    return (offs[arr.offset:arr.offset + len(arr) + 1],
+            memoryview(db or b""))
+
+
+def _resident_nbytes(col) -> int:
+    """Bytes one resident row-group column holds (see
+    :meth:`_PostingsFile.group`)."""
+    if isinstance(col, tuple):
+        return col[0].nbytes + col[1].nbytes
+    return col.itemsize if col.strides == (0,) else col.nbytes
+
+
 class _PostingsFile:
     """One postings file, opened by a handle that pins its bytes (an
     ``os.replace`` of the path leaves them readable), with its parquet
     reader, row-group starts and ``(term, df)`` columns loaded on first
-    use.  The engine keeps these across generations by file identity,
-    so after a commit only new or rewritten files are read again."""
+    use, and every row group a read decompressed kept resident
+    (:meth:`group`).  The engines of a process share one per file
+    (:func:`_open_postings_file`), across generations too, so after a
+    commit only new or rewritten files are read again."""
+
+    _serials = itertools.count()
 
     def __init__(self, path: str):
         before = _file_identity(path)
         self.handle = pa.OSFile(path)
         #: identity of the file the handle holds; None when the path
-        #: changed while it was being opened (never reused then)
+        #: changed while it was being opened (never shared then)
         self.key = before if _file_identity(path) == before else None
         self.reader = None
+        #: row group -> {column: resident values}, evicted by _RESIDENT
+        self.groups: dict = {}
+        #: row-group column reads (decompressions) made so far
+        self.decompressed = 0
+        self.serial = next(self._serials)
+        weakref.finalize(self, _RESIDENT.dead.append, self.serial)
 
     def load(self) -> "_PostingsFile":
         if self.reader is None:
             import pyarrow.parquet as pq
 
-            self.reader = pq.ParquetFile(self.handle)
-            md = self.reader.metadata
+            reader = pq.ParquetFile(self.handle)
+            md = reader.metadata
             #: first row of each row group, plus the row count
-            self.rg_starts = np.cumsum(
-                [0] + [md.row_group(g).num_rows
-                       for g in range(md.num_row_groups)], dtype=np.int64,
-            )
-            self.term_df = self.reader.read(columns=["term", "df"])
+            self.rg_starts = list(itertools.accumulate(
+                [md.row_group(g).num_rows for g in range(md.num_row_groups)],
+                initial=0,
+            ))
+            self.term_df = reader.read(columns=["term", "df"])
+            self.reader = reader  # last: engines on other threads test it
         return self
+
+    def group(self, g: int, columns) -> dict:
+        """Row group ``g``'s ``columns``, each decompressed on first use
+        and then kept (:func:`_resident_column`), so a row's value is a
+        slice of resident memory.  Nothing here is ever written to:
+        decoding makes new arrays."""
+        with _RESIDENT.lock:
+            cols = self.groups.get(g, {})
+            missing = [c for c in columns if c not in cols]
+            grown = 0
+            if missing:
+                t = self.reader.read_row_group(g, columns=missing)
+                self.decompressed += 1
+                for c in missing:
+                    cols[c] = _resident_column(_one_array(t[c]))
+                    grown += _resident_nbytes(cols[c])
+                self.groups[g] = cols
+            _RESIDENT.touch(self, g, grown)
+        return cols
+
+
+#: the process's open postings files by identity.  An entry lives only
+#: while some engine holds the file, whose open handle keeps its inode
+#: from being reused meanwhile: no other file can take its identity.
+_OPEN_POSTINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _open_postings_file(path: str) -> _PostingsFile:
+    """The :class:`_PostingsFile` of the file at ``path`` — the one an
+    engine of this process already holds, or a new one."""
+    f = _OPEN_POSTINGS.get(_file_identity(path))
+    if f is None:
+        f = _PostingsFile(path)
+        if f.key is not None:
+            f = _OPEN_POSTINGS.setdefault(f.key, f)
+    return f
 
 
 class _ShardTerms:
@@ -910,7 +1040,9 @@ class _ShardTerms:
         self._toffs = memoryview(bufs[1]).cast("i")[
             self.terms.offset:self.terms.offset + len(self.terms) + 1]
         self._tdata = memoryview(bufs[2] or b"")
-        #: ``read_row_groups`` calls made so far (one per file per read)
+        #: row-group column reads (decompressions) this shard's reads
+        #: made so far; a row group another engine of the process
+        #: already holds resident costs none
         self.reads = 0
 
     def find(self, terms) -> np.ndarray:
@@ -934,46 +1066,39 @@ class _ShardTerms:
 
     def read(self, idx, columns) -> tuple:
         """``columns`` of every postings row of the terms at dictionary
-        indices ``idx`` — Python lists, each term's rows together in
-        ``idx`` order — plus each term's row count.  Per file, only the
-        row groups holding wanted rows are read (one call), then those
-        rows taken."""
+        indices ``idx`` — lists, each term's rows together in ``idx``
+        order: ``range_id`` ints, and for a binary column a read-only
+        memoryview of the row's bytes — plus each term's row count.
+        Each row is sliced out of its row group's resident columns
+        (:meth:`_PostingsFile.group`); only a row group no read has
+        decompressed yet, or one evicted since, is read from the file."""
         lo = self.offsets[idx]
         counts = self.offsets[idx + 1] - lo
-        files, _ = _gather_segments(self.row_file, lo, counts)
-        pos, _ = _gather_segments(self.row_pos, lo, counts)
-        parts, where = [], []
-        for f in np.unique(files):
-            sel = np.flatnonzero(files == f)
-            p = pos[sel].astype(np.int64)
-            starts = self.files[f].rg_starts
-            rg = np.searchsorted(starts, p, side="right") - 1
-            groups = np.unique(rg)
-            # each group's first row inside the concatenated read
-            sizes = starts[groups + 1] - starts[groups]
-            base = np.cumsum(sizes) - sizes
-            local = base[np.searchsorted(groups, rg)] + (p - starts[rg])
-            parts.append(self.files[f].reader.read_row_groups(
-                groups.tolist(), columns=columns
-            ).take(local))
-            where.append(sel)
-            self.reads += 1
-        if not parts:
-            return {c: [] for c in columns}, counts
-        tbl = pa.concat_tables(parts)
-        order = np.argsort(np.concatenate(where)).tolist()
-        out = {}
-        for c in columns:
-            vals = tbl[c].to_pylist()
-            out[c] = [vals[k] for k in order]
+        rows = [r for a, n in zip(lo.tolist(), counts.tolist())
+                for r in range(a, a + n)]
+        out = {c: [] for c in columns}
+        for fi, p in zip(self.row_file[rows].tolist(),
+                         self.row_pos[rows].tolist()):
+            f = self.files[fi]
+            g = bisect.bisect_right(f.rg_starts, p) - 1
+            before = f.decompressed
+            cols = f.group(g, columns)
+            self.reads += f.decompressed - before
+            r = p - f.rg_starts[g]
+            for c in columns:
+                if c == "range_id":
+                    out[c].append(int(cols[c][r]))
+                else:
+                    offs, data = cols[c]
+                    out[c].append(data[offs[r]:offs[r + 1]])
         return out, counts
 
 
 class _TermDict:
     """One index generation's term dictionary — Lucene's in-memory terms
     index, which points straight into the terms file instead of
-    searching it.  A term's postings are then read by position (only
-    the row groups holding its rows) and its df is a gather.
+    searching it.  A term's postings are then sliced by position out of
+    the resident row groups holding its rows, and its df is a gather.
 
     Kept per term shard (:class:`_ShardTerms`), each built on the first
     read that touches the shard, so the first read after a commit pays
@@ -1001,7 +1126,7 @@ class _TermDict:
 
     @property
     def reads(self) -> int:
-        """``read_row_groups`` calls made so far."""
+        """Row-group column reads (decompressions) made so far."""
         return sum(st.reads for st in self._shards.values())
 
     def locate(self, terms):
@@ -1176,6 +1301,7 @@ class SearchEngine:
         self._open_postings()
         self._open_docs()
         self._drop_generation_state()
+        self._side = self._side_files()
         self._tombstones = None     # set[int] or None
         self._overlays = None       # doc_id -> {col: value}
         self.term_cache_size = 1024
@@ -1184,6 +1310,8 @@ class SearchEngine:
         #: and key streams) blow a worker heap on a big shard; eviction
         #: drops the least-recently-used entries until under budget,
         #: never the current query's terms.  0 disables the byte cap.
+        #: The process's resident postings row groups are trimmed to
+        #: the same budget after each read.
         self.term_cache_bytes = 1 << 30
         #: wildcard-expansion cap (Lucene BooleanQuery.maxClauseCount)
         self.max_expansions = 1024
@@ -1209,24 +1337,21 @@ class SearchEngine:
         bytes the engine opened — ``extend_index`` replaces boundary
         range files under the same name — so the term dictionary, built
         from them on first use, never reads a later generation before
-        ``refresh()``."""
+        ``refresh()``.  A file some engine of the process already holds
+        (this one's previous generation included) is shared, with its
+        resident row groups (:func:`_open_postings_file`)."""
         self._postings_ds = pads.dataset(
             os.path.join(self.index_dir, "postings"), partitioning="hive"
         )
-        # a file the previous generation already loaded (same inode,
-        # size and mtime) is reused as is
-        known = {f.key: f for fs in self._postings_files.values()
-                 for f in fs if f.key is not None}
-        self._postings_files = {}
+        files: dict = {}
         for frag in self._postings_ds.get_fragments():
             if (self._range is not None and os.path.basename(frag.path)
                     != f"range-{self._range:06d}.parquet"):
                 continue
             shard = pads.get_partition_keys(frag.partition_expression)["shard"]
-            f = _PostingsFile(frag.path)
-            self._postings_files.setdefault(int(shard), []).append(
-                known.get(f.key, f)
-            )
+            files.setdefault(int(shard), []).append(
+                _open_postings_file(frag.path))
+        self._postings_files = files
 
     def _open_docs(self) -> None:
         """Open this generation's docs table and set ``doc_space``, the
@@ -1324,17 +1449,36 @@ class SearchEngine:
         self._func_cols = {}  # overlays (atomic updates) can move values
         self._geo_cache = {}
 
+    def _side_files(self) -> tuple:
+        """Identity of the tombstones and overlays files (None: absent),
+        which deletes and atomic updates replace without a new
+        generation."""
+        out = []
+        for name in ("tombstones.parquet", "overlays.parquet"):
+            try:
+                out.append(_file_identity(os.path.join(self.index_dir, name)))
+            except FileNotFoundError:
+                out.append(None)
+        return tuple(out)
+
     def refresh(self) -> bool:
         """Reopen the searcher (Solr: openSearcher after a commit): re-read
         the committed stats and drop every cache if the index generation
-        moved.  Returns True when a newer commit was picked up — the
-        long-lived-actor pattern (BatchSearcher) calls this between
-        batches instead of constructing a new engine."""
+        moved, or only the tombstone- and overlay-derived ones if just
+        those files changed (a delete or an atomic update; postings,
+        docs columns and their resident bytes stay).  Returns True when
+        a newer commit was picked up — the long-lived-actor pattern
+        (BatchSearcher) calls this between batches instead of
+        constructing a new engine."""
         new_stats = self.manifest.read_stats()
+        side = self._side_files()
+        changed, self._side = side != self._side, side
         if int(new_stats.get("generation", 1)) == int(
             self.stats.get("generation", 1)
         ) and new_stats.get("n_docs") == self.stats.get("n_docs"):
-            return False
+            if changed:
+                self.invalidate_caches()
+            return changed
         self.stats = new_stats
         self.n_docs = int(new_stats["n_docs"])
         self.avgdl = float(new_stats["avgdl"])
@@ -1456,8 +1600,10 @@ class SearchEngine:
 
     def lookup_postings(self, terms, with_positions: bool = False) -> dict:
         """Fetch + decode postings for terms.  A miss is located in the
-        term dictionary and read by position: only the row groups
-        holding the terms' rows, one read per postings file.
+        term dictionary and its rows sliced out of their resident row
+        groups, which the first read of each decompresses; afterwards
+        the process's resident row groups are trimmed to
+        ``term_cache_bytes``.
 
         ``with_positions=True`` also decodes the delta-varint position
         stream (phrase queries); a cached entry decoded without positions
@@ -1511,7 +1657,7 @@ class SearchEngine:
                         # postings a phrase/near match actually inspects
                         # (a common member term never pays an O(total
                         # positions) decode).
-                        row.append(got["positions"][j] or b"")
+                        row.append(bytes(got["positions"][j]))
                     rows.append(row)
                 i += n
                 rows.sort(key=lambda r: r[0])  # doc-range order
@@ -1547,6 +1693,7 @@ class SearchEngine:
             while (self._term_cache_nbytes > self.term_cache_bytes
                    and len(self._term_cache) > floor):
                 self._drop_cached_term(next(iter(self._term_cache)))
+        _RESIDENT.trim(self.term_cache_bytes)
         out.update({t: tp for t, tp in cached.items() if tp is not None})
         return out
 

@@ -52,6 +52,42 @@ class TestDelete:
         assert eng2.count() == stats["n_docs"] - n_go
 
 
+class TestRefreshSeesMutations:
+    """A delete or an atomic update replaces ``tombstones.parquet`` or
+    ``overlays.parquet`` without a new generation; a long-lived engine's
+    ``refresh()`` still picks it up, and keeps its postings files."""
+
+    def test_delete(self, mut_index):
+        index_dir, _ = mut_index
+        eng = SearchEngine(index_dir)
+        top = eng.search("read", k=10, fl=["doc_id"])
+        files = eng._postings_files
+        mutate.delete_by_id(index_dir, [top["doc_id"][0].as_py()])
+        assert eng.refresh()
+        assert not eng.refresh()
+        got = eng.search("read", k=10, fl=["doc_id"])
+        assert got.equals(SearchEngine(index_dir).search(
+            "read", k=10, fl=["doc_id"]))
+        assert got["doc_id"].to_pylist()[:9] == top["doc_id"].to_pylist()[1:]
+        assert eng.get(top["doc_id"][0].as_py()) is None
+        assert eng._postings_files is files
+
+    def test_atomic_update(self, mut_index):
+        index_dir, _ = mut_index
+        eng = SearchEngine(index_dir)
+        assert eng.get(3)["lang"] != "cobol"
+        files = eng._postings_files
+        mutate.atomic_update(index_dir, [{"doc_id": 3,
+                                          "lang": {"set": "cobol"}}])
+        assert eng.refresh()
+        assert not eng.refresh()
+        assert eng.get(3)["lang"] == "cobol"
+        fl = ["doc_id", "lang"]
+        assert eng.search("def", k=50, fl=fl).equals(
+            SearchEngine(index_dir).search("def", k=50, fl=fl))
+        assert eng._postings_files is files
+
+
 class TestParentFlags:
     def test_mark_parents(self, mut_index, small_corpus):
         index_dir, _ = mut_index

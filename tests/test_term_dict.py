@@ -6,12 +6,18 @@ postings dataset per cache miss, kept here verbatim (``scan_postings``,
 ``scan_dfs``, ``scan_terms``, ``scan_n_terms``).  Every read through the
 dictionary must equal it exactly — same arrays, dtypes, df and cf — on a
 multi-range index with positions, bigrams and an extra analyzed field,
-and across extend, delete + compact and spill GC.
+and across extend, delete + compact and spill GC.  The row groups those
+reads decompress stay resident, shared by the engines of a process and
+trimmed to the reading engine's byte budget; the tests at the end check
+the sharing, the budget and the isolation between engines.
 """
 
+import gc
 import os
 import random
 import shutil
+import sys
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -26,8 +32,11 @@ from solr_indexer_ray.functions.varint import decode_doc_ids, varint_decode
 from solr_indexer_ray.pipelines import mutate
 from solr_indexer_ray.pipelines.build import build_index, extend_index
 from solr_indexer_ray.pipelines.search import (
+    _RESIDENT,
     _SYNTHETIC_TERM_RE,
     SearchEngine,
+    _range_engines,
+    _resident_nbytes,
 )
 from solr_indexer_ray.sources.corpus import generate_corpus
 
@@ -165,6 +174,11 @@ def term_sets(index_dir, n, seed) -> list:
     return out
 
 
+def files_of(eng) -> list:
+    """The engine's postings files (:class:`_PostingsFile`)."""
+    return [f for fs in eng._postings_files.values() for f in fs]
+
+
 def check_reads(eng, index_dir, n=25, seed=0):
     for i, ts in enumerate(term_sets(index_dir, n, seed)):
         wp = bool(i % 2)
@@ -296,6 +310,28 @@ class TestGenerations:
         assert eng.search("def read", k=5).equals(
             fresh.search("def read", k=5))
 
+    def test_commit_keeps_untouched_files_resident(self, index_copy,
+                                                   corpora):
+        """After extend + refresh, the files the extend left alone answer
+        from their resident row groups (no decompression), new and
+        rewritten ones are read from disk, and every read equals the
+        dataset scan."""
+        eng = SearchEngine(index_copy)
+        eng.lookup_postings(all_terms(index_copy), with_positions=True)
+        before = {f.key for f in files_of(eng)}
+        extend_index(corpora[1][1], index_copy, config=CFG)
+        assert eng.refresh()
+        done = {id(f): f.decompressed for f in files_of(eng)}
+        vocab = all_terms(index_copy)
+        assert_same(eng.lookup_postings(vocab, with_positions=True),
+                    scan_postings(eng, vocab, True), True)
+        kept = [f for f in files_of(eng) if f.key in before]
+        read = [f for f in files_of(eng) if f.key not in before]
+        assert kept and read
+        assert all(f.decompressed == done[id(f)] for f in kept)
+        assert all(f.decompressed > done[id(f)] for f in read)
+        check_reads(eng, index_copy, n=10, seed=14)
+
     def test_after_delete_and_compact(self, index_copy):
         eng = SearchEngine(index_copy)
         check_reads(eng, index_copy, n=4, seed=8)
@@ -384,3 +420,157 @@ def test_term_cache_byte_total_is_exact(index_copy):
         assert eng._term_sizes.keys() == eng._term_cache.keys()
         assert len(eng._term_cache) <= eng.term_cache_size
     assert evicted
+
+
+# --------------------------------------------------------------------- #
+# resident row groups, shared by the engines of a process
+# --------------------------------------------------------------------- #
+class TestResidentRowGroups:
+    def test_two_engines_decompress_each_group_once(self, index_copy):
+        a, b = SearchEngine(index_copy), SearchEngine(index_copy)
+        assert all(x is y for x, y in zip(files_of(a), files_of(b)))
+        vocab = all_terms(index_copy)
+        exp = scan_postings(a, vocab, True)
+        assert_same(a.lookup_postings(vocab, with_positions=True), exp, True)
+        groups = sum(len(f.rg_starts) - 1 for f in files_of(a))
+        assert sum(f.decompressed for f in files_of(a)) == groups
+        assert_same(b.lookup_postings(vocab, with_positions=True), exp, True)
+        assert b._term_dict.reads == 0
+        assert sum(f.decompressed for f in files_of(a)) == groups
+        for q in ["def read", '"def index"', "path_text:src def"]:
+            assert a.search(q, k=10).equals(b.search(q, k=10)), q
+
+    def test_old_and_new_generation_side_by_side(self, index_copy,
+                                                 corpora):
+        """An engine pinned to the generation before an extend and one
+        opened after it share the files the extend left alone, and each
+        reads its own generation."""
+        old = SearchEngine(index_copy)
+        sets = term_sets(index_copy, 12, seed=15)
+        exp_old = [scan_postings(old, ts, True) for ts in sets]
+        dfs_old = [scan_dfs(old, ts) for ts in sets]
+        old.lookup_dfs(["def"])  # builds the dictionary
+        extend_index(corpora[1][1], index_copy, config=CFG)
+        new = SearchEngine(index_copy)
+        shared = {id(f) for f in files_of(old)} & {
+            id(f) for f in files_of(new)}
+        assert 0 < len(shared) < len(files_of(new))
+        exp_new = [scan_postings(new, ts, True) for ts in sets]
+        dfs_new = [scan_dfs(new, ts) for ts in sets]
+        assert dfs_old != dfs_new
+        for i in range(len(sets)):
+            for eng, exp, dfs in ((old, exp_old, dfs_old),
+                                  (new, exp_new, dfs_new)):
+                wp = bool(i % 2)
+                assert_same(eng.lookup_postings(sets[i], with_positions=wp),
+                            exp[i], wp)
+                assert eng.lookup_dfs(sets[i]) == dfs[i]
+
+    def test_range_and_whole_engines_interleaved(self, index_copy):
+        """A doc-range engine shifts the ids it decodes; reading the same
+        resident row groups interleaved with the whole-index engine, each
+        answers as it does alone, so no write reaches a shared buffer."""
+        qs = ["def read", '"def index" read', "path_text:src def",
+              "pars* read", "read^2 merge -def"]
+
+        def whole():
+            return SearchEngine(index_copy)
+
+        def doc_range():
+            return dict(_range_engines(index_copy, [2]))[2]
+
+        def alone(make):
+            eng = make()
+            out = [eng.search(q, k=20, fl=["doc_id"]) for q in qs]
+            del eng
+            gc.collect()
+            return out
+
+        exp_w, exp_r = alone(whole), alone(doc_range)
+        assert all(t.num_rows for t in exp_r)
+        w, r = whole(), doc_range()
+        assert {id(f) for f in files_of(r)} < {id(f) for f in files_of(w)}
+        for _ in range(2):
+            for q, ew, er in zip(qs, exp_w, exp_r):
+                assert r.search(q, k=20, fl=["doc_id"]).equals(er), q
+                assert w.search(q, k=20, fl=["doc_id"]).equals(ew), q
+
+
+def test_resident_bytes_stay_under_budget(index_copy):
+    """With a small ``term_cache_bytes`` every read trims the process's
+    resident row groups to it, whole groups least recently used first;
+    the byte total stays exact, and every search answers like an engine
+    with the default budget."""
+    rng = random.Random(16)
+    vocab = all_terms(index_copy)
+    plain = [t for t in vocab if "\x1e" not in t and "\x1f" not in t]
+    pairs = [t.replace("\x1e", " ") for t in vocab if "\x1e" in t]
+    qs = [" ".join(rng.sample(plain, 2)) for _ in range(20)]
+    qs += [f'"{p}"' for p in rng.sample(pairs, 10)]
+    ref = SearchEngine(index_copy)
+    exp = {q: ref.search(q, k=10) for q in qs}
+    eng = SearchEngine(index_copy)
+    budget = eng.term_cache_bytes = 30_000
+    evicted = False
+    for step in range(200):
+        before = {(f.serial, g) for f in files_of(eng) for g in f.groups}
+        if rng.random() < 0.5:
+            eng.lookup_postings(rng.sample(vocab, rng.randint(1, 6)),
+                                with_positions=rng.random() < 0.3)
+        else:
+            q = rng.choice(qs)
+            assert eng.search(q, k=10).equals(exp[q]), (step, q)
+        after = {(f.serial, g) for f in files_of(eng) for g in f.groups}
+        evicted |= not before <= after
+        assert _RESIDENT.nbytes <= budget, step
+        assert _RESIDENT.nbytes == sum(n for _, n in _RESIDENT.lru.values())
+        for f in files_of(eng):
+            for g, cols in f.groups.items():
+                assert _RESIDENT.lru[(f.serial, g)][1] == sum(
+                    _resident_nbytes(c) for c in cols.values()), step
+        assert after == {k for k in _RESIDENT.lru
+                         if k[0] in {f.serial for f in files_of(eng)}}
+    assert evicted
+
+
+def test_engines_on_threads_share_row_groups(index_copy):
+    """Engines on more threads than cores, each trimming to a small
+    budget, read the row groups they share: every read equals the
+    dataset scan, and each resident group's size is counted once."""
+    sets = term_sets(index_copy, 30, seed=17)
+    exp = [scan_postings(SearchEngine(index_copy), ts, True) for ts in sets]
+    engines = [SearchEngine(index_copy) for _ in range(8)]
+    errors = []
+
+    def work(eng, seed):
+        eng.term_cache_bytes = 20_000
+        rng = random.Random(seed)
+        try:
+            for _ in range(40):
+                i = rng.randrange(len(sets))
+                wp = rng.random() < 0.5
+                assert_same(eng.lookup_postings(sets[i], with_positions=wp),
+                            exp[i], wp)
+        except Exception as e:  # reported below, with the thread's seed
+            errors.append((seed, e))
+
+    threads = [threading.Thread(target=work, args=(e, s))
+               for s, e in enumerate(engines)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert _RESIDENT.nbytes == sum(n for _, n in _RESIDENT.lru.values())
+    for f in files_of(engines[0]):
+        assert f.groups.keys() == {g for s, g in _RESIDENT.lru
+                                   if s == f.serial}
+        for g, cols in f.groups.items():
+            assert _RESIDENT.lru[(f.serial, g)][1] == sum(
+                _resident_nbytes(c) for c in cols.values())
