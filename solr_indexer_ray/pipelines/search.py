@@ -39,6 +39,7 @@ import itertools
 import math
 import os
 import re
+import sys
 import threading
 import weakref
 
@@ -1198,6 +1199,156 @@ def _may_hold_nulls(meta, column: str) -> bool:
     return False
 
 
+_MISS = object()  # a cache lookup found nothing (None is a cached value)
+
+
+def _positional(tp) -> bool:
+    """Whether a cached postings entry serves a positional read."""
+    return tp is None or tp.pos_flat is not None or tp.pos_raw is not None
+
+
+def _nbytes(value) -> int:
+    """Bytes one cache entry holds, as the engine's cache budget counts
+    them: numpy buffers, decoded postings (:meth:`TermPostings.nbytes`),
+    tuples and lists of these, and ``sys.getsizeof`` of anything else
+    (an expansion's strings)."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, TermPostings):
+        return value.nbytes()
+    if isinstance(value, (tuple, list)):
+        return sum(map(_nbytes, value))
+    return 0 if value is None else sys.getsizeof(value)
+
+
+class _Caches:
+    """Every cache of one engine under one byte budget: like Solr's
+    searcher caches, each named cache is a least-recently-used map with
+    an entry cap and hit, miss and eviction counts.
+
+    ``SPECS`` gives each cache its entry cap (None: none) and what its
+    entries are derived from: ``"generation"``, one generation's
+    postings or docs columns, or ``"side"``, the tombstones or overlays
+    too, which deletes and atomic updates replace within a generation
+    (:meth:`clear`).  Every entry's bytes (:func:`_nbytes`) count against
+    ``budget`` (0: no byte cap); going over it evicts the least recently
+    used entries of any cache except the pinned ones, the postings the
+    current lookup hands out (:meth:`pin`).  Handed-out postings grow
+    afterwards (score vectors, key streams, decoded positions), so they
+    are measured again at the next pin and when statistics are read."""
+
+    SPECS = {
+        "postings": (1024, "generation"),   # term -> TermPostings | None
+        "patterns": (1024, "generation"),   # (pattern, cap) -> terms
+        "fuzzy": (1024, "generation"),      # (word, edits, cap) -> terms
+        "expansions": (1024, "generation"),  # _MergedStats expansions
+        "geo": (None, "generation"),        # sfield -> lat/lon or bbox
+        "dense_fields": (16, "generation"),  # field -> dense sort keys
+        "field_codes": (16, "generation"),  # field -> factorized codes
+        "field_norms": (None, "generation"),  # field -> dense norm bytes
+        "masks": (256, "side"),             # _excluded_mask key -> mask
+        "fq": (256, "side"),                # fq string -> exclusion mask
+        "func": (None, "side"),             # field -> dense float64
+        "joins": (8, "side"),               # join query -> whole-index ids
+    }
+
+    def __init__(self):
+        self.budget = 1 << 30
+        self.caps = {name: cap for name, (cap, _) in self.SPECS.items()}
+        #: name -> key -> [value, bytes, last use], in use order
+        self.maps = {name: collections.OrderedDict() for name in self.SPECS}
+        self.counts = {
+            name: dict.fromkeys(("hits", "misses", "evictions", "bytes"), 0)
+            for name in self.SPECS
+        }
+        self.nbytes = 0
+        self.pinned: set = set()  # postings keys
+        self._clock = itertools.count()
+
+    def get(self, name: str, key, usable=None):
+        """Cache ``name``'s value under ``key``, now its most recently
+        used, or ``_MISS`` (also when ``usable(value)`` is false)."""
+        e = self.maps[name].get(key)
+        if e is None or usable is not None and not usable(e[0]):
+            self.counts[name]["misses"] += 1
+            return _MISS
+        self.counts[name]["hits"] += 1
+        self.maps[name].move_to_end(key)
+        e[2] = next(self._clock)
+        return e[0]
+
+    def put(self, name: str, key, value):
+        """Cache ``value`` under ``key`` as ``name``'s most recently used
+        entry, evict down to its cap and the budget, return ``value``."""
+        m = self.maps[name]
+        self._drop(name, key)
+        m[key] = e = [value, 0, next(self._clock)]
+        self._resize(name, e, _nbytes(value))
+        while self.caps[name] is not None and len(m) > self.caps[name]:
+            self._drop(name, next(iter(m)), evicted=True)
+        while self.budget and self.nbytes > self.budget:
+            oldest = self._oldest()
+            if oldest is None:
+                break
+            self._drop(*oldest, evicted=True)
+        return value
+
+    def memo(self, name: str, key, make):
+        """Cache ``name``'s value under ``key``; on a miss ``make()``'s,
+        cached."""
+        hit = self.get(name, key)
+        return self.put(name, key, make()) if hit is _MISS else hit
+
+    def pin(self, keys) -> None:
+        """Measure the pinned postings and those under ``keys`` again
+        (handed out, they may have grown), then pin ``keys`` instead: no
+        budget eviction drops them until the next pin."""
+        m = self.maps["postings"]
+        for k in self.pinned.union(keys):
+            if k in m:
+                self._resize("postings", m[k], _nbytes(m[k][0]))
+        self.pinned = set(keys)
+
+    def clear(self, on: str | None = None) -> None:
+        """Drop every entry, or those of the caches derived from ``on``."""
+        for name, (_, dep) in self.SPECS.items():
+            if on in (None, dep):
+                self.nbytes -= self.counts[name]["bytes"]
+                self.counts[name]["bytes"] = 0
+                self.maps[name].clear()
+
+    def stats(self) -> dict:
+        """Per cache: hits, misses, evictions, entries and bytes (every
+        postings entry measured again first)."""
+        for e in self.maps["postings"].values():
+            self._resize("postings", e, _nbytes(e[0]))
+        return {name: {**c, "entries": len(self.maps[name])}
+                for name, c in self.counts.items()}
+
+    def _oldest(self):
+        """``(name, key)`` of the least recently used unpinned entry, or
+        None: each map's first unpinned entry is its candidate."""
+        best = None
+        for name, m in self.maps.items():
+            for key, e in m.items():
+                if name != "postings" or key not in self.pinned:
+                    if best is None or e[2] < best[0]:
+                        best = (e[2], name, key)
+                    break
+        return best and best[1:]
+
+    def _resize(self, name: str, e: list, n: int) -> None:
+        self.counts[name]["bytes"] += n - e[1]
+        self.nbytes += n - e[1]
+        e[1] = n
+
+    def _drop(self, name: str, key, evicted: bool = False) -> None:
+        e = self.maps[name].pop(key, None)
+        if e is not None:
+            self._resize(name, e, 0)
+            self.counts[name]["evictions"] += evicted
+
+
 def _capped(label: str, terms: list, cap: int) -> list:
     """``terms``, or Lucene's TooManyClauses (as a ValueError) when a
     multi-term clause expands to more than ``cap`` terms."""
@@ -1216,12 +1367,16 @@ def _pattern_label(pattern: str) -> str:
 class SearchEngine:
     """Read-side handle on a committed index directory.
 
-    Loads small state eagerly (stats, norms) and postings lazily per query —
-    the analogue of the reference's one-session-per-process Solr client
-    (``solrindexer/indexer.py:83-88``); in Ray pipelines one engine instance
-    lives per actor (built once in ``__init__``).  Postings and dfs are
-    read through a term dictionary built once per index generation
-    (:class:`_TermDict`), which addresses each term's rows by position.
+    Reads the stats eagerly, and the norms, docs columns and postings on
+    first use — the analogue of the reference's one-session-per-process
+    Solr client (``solrindexer/indexer.py:83-88``); in Ray pipelines one
+    engine instance lives per actor (built once in ``__init__``).
+    Postings and dfs are read through a term dictionary built once per
+    index generation (:class:`_TermDict`), which addresses each term's
+    rows by position.  Everything derived per query shape — decoded
+    postings, expansions, filter masks, sort and function columns — sits
+    in one set of LRU caches under ``term_cache_bytes``
+    (:meth:`cache_stats`).
 
     Scale note: the dense norm/mask arrays are O(doc_id_space) bytes — fine
     for a per-node slice, not for 10^12 docs in one process.  At cluster
@@ -1304,29 +1459,46 @@ class SearchEngine:
         self._side = self._side_files()
         self._tombstones = None     # set[int] or None
         self._overlays = None       # doc_id -> {col: value}
-        self.term_cache_size = 1024
-        #: byte budget for the decoded-postings cache — a count-only cap
-        #: lets 1024 stop-word streams (8-9 B/occurrence with positions
-        #: and key streams) blow a worker heap on a big shard; eviction
-        #: drops the least-recently-used entries until under budget,
-        #: never the current query's terms.  0 disables the byte cap.
-        #: The process's resident postings row groups are trimmed to
-        #: the same budget after each read.
-        self.term_cache_bytes = 1 << 30
+        self._cache = _Caches()
         #: wildcard-expansion cap (Lucene BooleanQuery.maxClauseCount)
         self.max_expansions = 1024
-        self._mask_cache: dict = {}  # (filters, prohibited, n_tomb) -> mask
-        self._fq_cache: dict = {}    # fq string -> exclusion mask (filterCache)
-        self._fuzzy_cache: dict = {}  # (word, edits) -> expansion terms
-        self._pattern_cache: dict = {}  # wildcard pattern -> expansion
         #: stride of the global phrase-key encoding (doc·stride + pos).
         #: Grows monotonically to the next power of two covering the
         #: longest position seen (+ query margin), so cached per-term key
         #: streams stay valid across queries once it stabilizes.
         self._gkey_stride = 0
-        self._func_cols: dict = {}   # field -> dense float64 (bf/boost)
-        self._geo_cache: dict = {}   # sfield -> dense lat/lon (or bbox)
         self._filter_fields = None   # dynamic filterable-column set
+
+    @property
+    def term_cache_bytes(self) -> int:
+        """Byte budget of all of this engine's caches together
+        (:class:`_Caches`); a count-only cap lets 1024 stop-word streams
+        (8-9 B/occurrence with positions and key streams) blow a worker
+        heap on a big shard.  Eviction drops the least recently used
+        entries until under budget, never the current query's postings.
+        0 disables the byte cap.  The process's resident postings row
+        groups are trimmed to the same budget after each read."""
+        return self._cache.budget
+
+    @term_cache_bytes.setter
+    def term_cache_bytes(self, n: int) -> None:
+        self._cache.budget = n
+
+    @property
+    def term_cache_size(self) -> int:
+        """Entry cap of the decoded-postings cache."""
+        return self._cache.caps["postings"]
+
+    @term_cache_size.setter
+    def term_cache_size(self, n: int) -> None:
+        self._cache.caps["postings"] = n
+
+    def cache_stats(self) -> dict:
+        """Hits, misses, evictions, entries and bytes of every engine
+        cache, by name (Solr's cache statistics); the bytes of all of
+        them together stay within ``term_cache_bytes`` plus the current
+        query's postings."""
+        return self._cache.stats()
 
     # ------------------------------------------------------------------ #
     # small state
@@ -1382,19 +1554,9 @@ class SearchEngine:
         self._locator = None
         #: docs-table columns in table row order, read once per generation
         self._doc_cols: dict = {}
-        self._field_norms: dict = {}  # analyzed field -> dense norm bytes
-        self._dense_field_cache: dict = {}  # field -> dense sort keys
-        self._field_codes_cache: dict = {}  # field -> factorized codes
         #: the generation's term dictionary (:class:`_TermDict`), built
         #: on the first postings or df access
         self._term_dict = None
-        self._term_cache: dict = {}  # decoded TermPostings LRU (insertion order)
-        #: ``_term_cache``'s bytes: each entry's size when last measured,
-        #: their running total, and the entries handed out since (which
-        #: may have grown: score vectors, key streams, decoded positions)
-        self._term_sizes: dict = {}
-        self._term_cache_nbytes = 0
-        self._term_dirty: set = set()
         self._suggest_cache = None
         self._stored_fields = None
 
@@ -1439,16 +1601,6 @@ class SearchEngine:
                 self._tombstones = set()
         return self._tombstones
 
-    def invalidate_caches(self) -> None:
-        self._tombstones = None
-        self._overlays = None
-        self._mask_cache = {}
-        self._fq_cache = {}
-        self._fuzzy_cache = {}
-        self._pattern_cache = {}
-        self._func_cols = {}  # overlays (atomic updates) can move values
-        self._geo_cache = {}
-
     def _side_files(self) -> tuple:
         """Identity of the tombstones and overlays files (None: absent),
         which deletes and atomic updates replace without a new
@@ -1463,29 +1615,33 @@ class SearchEngine:
 
     def refresh(self) -> bool:
         """Reopen the searcher (Solr: openSearcher after a commit): re-read
-        the committed stats and drop every cache if the index generation
-        moved, or only the tombstone- and overlay-derived ones if just
-        those files changed (a delete or an atomic update; postings,
-        docs columns and their resident bytes stay).  Returns True when
-        a newer commit was picked up — the long-lived-actor pattern
-        (BatchSearcher) calls this between batches instead of
-        constructing a new engine."""
+        the committed stats and clear every engine cache if the index
+        generation moved, or only the caches derived from the tombstones
+        and overlays (:class:`_Caches`) if just those files changed (a
+        delete or an atomic update; postings, expansions, docs columns
+        and their resident bytes stay).  Returns True when a newer commit
+        was picked up — the long-lived-actor pattern (BatchSearcher)
+        calls this between batches instead of constructing a new
+        engine."""
         new_stats = self.manifest.read_stats()
         side = self._side_files()
         changed, self._side = side != self._side, side
-        if int(new_stats.get("generation", 1)) == int(
+        same = int(new_stats.get("generation", 1)) == int(
             self.stats.get("generation", 1)
-        ) and new_stats.get("n_docs") == self.stats.get("n_docs"):
-            if changed:
-                self.invalidate_caches()
-            return changed
+        ) and new_stats.get("n_docs") == self.stats.get("n_docs")
+        if same and not changed:
+            return False
+        self._tombstones = self._overlays = None
+        if same:
+            self._cache.clear("side")
+            return True
         self.stats = new_stats
         self.n_docs = int(new_stats["n_docs"])
         self.avgdl = float(new_stats["avgdl"])
         self._open_postings()
         self._open_docs()
         self._drop_generation_state()
-        self.invalidate_caches()
+        self._cache.clear()
         return True
 
     # ------------------------------------------------------------------ #
@@ -1616,25 +1772,15 @@ class SearchEngine:
                 "rebuild with store_positions=True"
             )
         terms = sorted(set(terms))
-        cached = {
-            t: self._term_cache[t]
-            for t in terms
-            if t in self._term_cache
-            and not (
-                with_positions
-                and self._term_cache[t] is not None
-                and self._term_cache[t].pos_flat is None
-                and self._term_cache[t].pos_raw is None
-            )
-        }
-        for t in cached:
-            # LRU touch: re-accessed entries move to the recent end so
-            # byte eviction drops genuinely cold streams first
-            self._term_cache[t] = self._term_cache.pop(t)
-        terms = [t for t in terms if t not in cached]
+        cache = self._cache
+        cache.pin(terms)
+        usable = _positional if with_positions else None
+        got = {t: cache.get("postings", t, usable) for t in terms}
+        terms = [t for t, tp in got.items() if tp is _MISS]
+        cached = {t: tp for t, tp in got.items()
+                  if tp is not _MISS and tp is not None}
         if not terms:
-            self._remeasure_term_cache(cached)
-            return {t: tp for t, tp in cached.items() if tp is not None}
+            return cached
         cols = ["range_id", "doc_ids", "tfs"]
         if with_positions:
             cols.append("positions")
@@ -1675,48 +1821,18 @@ class SearchEngine:
                     tfs=np.concatenate([r[2] for r in rows]),
                     pos_raw=pos_raw,
                 )
-        # bounded decoded-postings cache (misses cached as None too);
-        # pop-then-insert so a re-decode (positions upgrade) of an old
-        # entry lands at the recent end like any other fresh entry
-        for t in terms:
-            self._drop_cached_term(t)
-            self._term_cache[t] = out.get(t)
-            self._term_sizes[t] = 0  # measured just below
-        self._remeasure_term_cache([*cached, *terms])
-        while len(self._term_cache) > self.term_cache_size:
-            self._drop_cached_term(next(iter(self._term_cache)))
-        if self.term_cache_bytes:
-            # byte-aware pass: evict cold entries until under budget,
-            # keeping at least the current query's terms (just touched /
-            # inserted, so they sit at the recent end)
-            floor = len(terms) + len(cached)
-            while (self._term_cache_nbytes > self.term_cache_bytes
-                   and len(self._term_cache) > floor):
-                self._drop_cached_term(next(iter(self._term_cache)))
+        for t in terms:  # misses are cached as None too
+            cache.put("postings", t, out.get(t))
         _RESIDENT.trim(self.term_cache_bytes)
-        out.update({t: tp for t, tp in cached.items() if tp is not None})
+        out.update(cached)
         return out
 
-    def _drop_cached_term(self, t) -> None:
-        """Remove ``t`` from the postings cache (if there) and its bytes
-        from the running total."""
-        if t in self._term_cache:
-            del self._term_cache[t]
-            self._term_cache_nbytes -= self._term_sizes.pop(t)
-
-    def _remeasure_term_cache(self, handed_out) -> None:
-        """Bring the running byte total up to date.  Entries grow after
-        they are handed out (score vectors, phrase key streams, decoded
-        positions), so the ones handed out by the previous call and by
-        this one are measured again; this call's stay marked for the
-        next."""
-        for t in self._term_dirty.union(handed_out):
-            tp = self._term_cache.get(t)
-            if tp is not None:
-                n = tp.nbytes()
-                self._term_cache_nbytes += n - self._term_sizes[t]
-                self._term_sizes[t] = n
-        self._term_dirty = set(handed_out)
+    def _term_postings(self, parsed: ParsedQuery) -> dict:
+        """Postings of the query's scored terms and their synonyms."""
+        return self.lookup_postings([
+            *parsed.terms,
+            *(s for t in parsed.terms for s in self.synonyms.get(t, ())),
+        ])
 
     def lookup_dfs(self, terms) -> dict:
         """Global df per term, gathered from the term dictionary's
@@ -1770,10 +1886,11 @@ class SearchEngine:
         """Docs containing ANY expansion of ``prefix*`` (constant-score:
         each matching doc scores 1.0 for the clause, the Solr/Lucene
         default multi-term rewrite)."""
-        terms = self.expand_prefix(prefix)
-        if not terms:
-            return np.empty(0, np.int64)
-        postings = self.lookup_postings(terms)
+        return self._eval_expansion(self.expand_prefix(prefix))
+
+    def _eval_expansion(self, terms: list) -> np.ndarray:
+        """Docs containing any of ``terms``, a multi-term expansion."""
+        postings = self.lookup_postings(terms) if terms else {}
         if not postings:
             return np.empty(0, np.int64)
         return self._union_doc_ids(list(postings.values()))
@@ -1781,22 +1898,17 @@ class SearchEngine:
     def expand_pattern(self, pattern: str) -> list:
         """Dictionary terms matching a general wildcard (``*`` / ``?``
         anywhere) or a ``/regex/`` clause (Lucene RegexpQuery), memoized
-        per pattern; under ``collection_stats``, the expansion over the
-        whole collection."""
-        hit = self._pattern_cache.get(pattern)
-        if hit is not None:
-            return hit
-        if self._collection is not None:
-            out = self._collection.expand_pattern(pattern,
-                                                  self.max_expansions)
-        else:
-            out = _capped(_pattern_label(pattern),
-                          self._pattern_terms(pattern),
-                          self.max_expansions).to_pylist()
-        if len(self._pattern_cache) > 1024:
-            self._pattern_cache.clear()
-        self._pattern_cache[pattern] = out
-        return out
+        per pattern and cap; under ``collection_stats``, the expansion
+        over the whole collection."""
+        cap = self.max_expansions
+
+        def expand():
+            if self._collection is not None:
+                return self._collection.expand_pattern(pattern, cap)
+            return _capped(_pattern_label(pattern),
+                           self._pattern_terms(pattern), cap).to_pylist()
+
+        return self._cache.memo("patterns", (pattern, cap), expand)
 
     def _pattern_terms(self, pattern: str) -> pa.Array:
         """This index's terms matching ``pattern``, sorted.  The literal
@@ -1828,13 +1940,7 @@ class SearchEngine:
     def eval_pattern(self, pattern: str) -> np.ndarray:
         """Docs containing ANY expansion of a general wildcard pattern
         (constant-score, like :meth:`eval_prefix`)."""
-        terms = self.expand_pattern(pattern)
-        if not terms:
-            return np.empty(0, np.int64)
-        postings = self.lookup_postings(terms)
-        if not postings:
-            return np.empty(0, np.int64)
-        return self._union_doc_ids(list(postings.values()))
+        return self._eval_expansion(self.expand_pattern(pattern))
 
     def _union_doc_ids(self, tps) -> np.ndarray:
         """Sorted union of the postings' doc ids.  Doc ids are dense in
@@ -1868,25 +1974,19 @@ class SearchEngine:
     def expand_fuzzy(self, word: str, max_edits: int) -> list:
         """Index terms within ``max_edits`` classic Levenshtein edits of
         ``word`` (including ``word`` itself when indexed — FuzzyQuery
-        matches at distance 0), memoized per (word, edits); under
+        matches at distance 0), memoized per (word, edits, cap); under
         ``collection_stats``, the expansion over the whole collection, so
         a member indexed only elsewhere still sets the blended df."""
         word = (word or "").lower()
-        key = (word, max_edits)
-        hit = self._fuzzy_cache.get(key)
-        if hit is not None:
-            return hit
-        if self._collection is not None:
-            out = self._collection.expand_fuzzy(word, max_edits,
-                                                self.max_expansions)
-        else:
-            out = _capped(f"fuzzy {word}~{max_edits}",
-                          self._fuzzy_terms(word, max_edits),
-                          self.max_expansions)
-        if len(self._fuzzy_cache) > 1024:
-            self._fuzzy_cache.clear()
-        self._fuzzy_cache[key] = out
-        return out
+        cap = self.max_expansions
+
+        def expand():
+            if self._collection is not None:
+                return self._collection.expand_fuzzy(word, max_edits, cap)
+            return _capped(f"fuzzy {word}~{max_edits}",
+                           self._fuzzy_terms(word, max_edits), cap)
+
+        return self._cache.memo("fuzzy", (word, max_edits, cap), expand)
 
     def _fuzzy_terms(self, word: str, max_edits: int) -> list:
         """This index's terms near ``word`` (lower-cased): the spellcheck
@@ -2127,12 +2227,13 @@ class SearchEngine:
     def field_norms(self, fld: str) -> np.ndarray:
         """Dense doc_id -> SmallFloat norm byte for one analyzed field
         (the ``norm_<field>`` docs column)."""
-        if fld not in self._field_norms:
+        arr = self._cache.get("field_norms", fld)
+        if arr is _MISS:
             t = self._docs_ds.to_table(columns=["doc_id", f"norm_{fld}"])
             arr = np.zeros(self.doc_space, dtype=np.uint8)
             arr[t["doc_id"].to_numpy()] = t[f"norm_{fld}"].to_numpy()
-            self._field_norms[fld] = arr
-        return self._field_norms[fld]
+            self._cache.put("field_norms", fld, arr)
+        return arr
 
     def _fstat(self, fld: str) -> tuple:
         """(docCount, avgdl) of an analyzed field (Lucene per-field
@@ -2205,9 +2306,10 @@ class SearchEngine:
     def _excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
         """Boolean mask of docs excluded by filters/prohibitions/tombstones.
 
-        Memoized per (filters, prohibited, tombstone-count) — metadata
-        filters repeat across queries and the mask build reads the docs
-        table, which should happen once per distinct filter, not per query.
+        Memoized per (filters, prohibited) until the tombstones or
+        overlays change — metadata filters repeat across queries and the
+        mask build reads the docs table, which should happen once per
+        distinct filter, not per query.
         """
         key = (
             tuple(sorted(parsed.filters.items())),
@@ -2224,15 +2326,9 @@ class SearchEngine:
             tuple(sorted(set(parsed.prohibited_near))),
             tuple(sorted(set(parsed.prohibited_field_terms))),
             tuple(sorted(set(parsed.prohibited_field_phrases))),
-            len(self.tombstones),
         )
-        if key in self._mask_cache:
-            return self._mask_cache[key]
-        mask = self._build_excluded_mask(parsed)
-        if len(self._mask_cache) > 256:
-            self._mask_cache.clear()
-        self._mask_cache[key] = mask
-        return mask
+        return self._cache.memo("masks", key,
+                                lambda: self._build_excluded_mask(parsed))
 
     def _build_excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
         mask = None
@@ -2412,8 +2508,7 @@ class SearchEngine:
         documented deviation from Solr's per-field BM25 there).
         Composition: ``final = (base + bf + pf + bq) * product(boost)``.
         """
-        if start < 0:
-            raise ValueError("start must be >= 0")
+        _check_page(k, start)
         fq, _collapse = _extract_collapse_fq(fq)
         if _collapse is not None:
             field, npol = _collapse
@@ -2499,28 +2594,7 @@ class SearchEngine:
             self._apply_mm(parsed, query, mm)
         if has_pf:
             self._apply_pf(parsed, free_seq, pf, ps, pf2, pf3)
-        if has_func:
-            if parsed.scoring_clauses == 0:
-                raise ValueError(
-                    "bf/boost rerank a scored match set; match-all / "
-                    "pure-filter queries have none (sort by the field "
-                    "instead)"
-                )
-            parsed.boost_funcs, parsed.mult_funcs = self._prepare_funcs(
-                bf, boost
-            )
-        if bq is not None:
-            if parsed.scoring_clauses == 0:
-                raise ValueError(
-                    "bq reranks a scored match set; match-all / "
-                    "pure-filter main queries have none"
-                )
-            parsed.boost_queries = self._prepare_bq(bq)
-        if hl and not self.stats.get("store_content"):
-            raise ValueError(
-                "highlighting needs stored content; rebuild with "
-                "IndexConfig(store_content=True)"
-            )
+        self._prepare_rerank(parsed, bf, boost, bq, hl)
         if sort is not None:
             t = self._search_sorted(parsed, query, k, fl, sort, start, fq=fq)
         elif start:
@@ -2544,10 +2618,7 @@ class SearchEngine:
                     hits = self._apply_elevation(query, hits, k)
                 t = self._resolve(hits, fl)
                 return self._add_highlights(parsed, t, hl) if hl else t
-            want = list(parsed.terms)
-            for t_ in parsed.terms:
-                want += self.synonyms.get(t_, [])
-            postings = self.lookup_postings(want)
+            postings = self._term_postings(parsed)
             excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
 
             if parsed.scoring_clauses == 0:
@@ -2582,11 +2653,7 @@ class SearchEngine:
         parsed = self._parse(query)
         if parsed.scoring_clauses == 0:
             return None
-        want = list(parsed.terms)
-        if self.synonyms:
-            for t_ in parsed.terms:
-                want += self.synonyms.get(t_, [])
-        postings = self.lookup_postings(want)
+        postings = self._term_postings(parsed)
         excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
         arrays = self._match_score_arrays(parsed, postings, excluded)
         if arrays is None:
@@ -2724,14 +2791,11 @@ class SearchEngine:
             return excluded
         fqs = [fq] if isinstance(fq, str) else list(fq)
         for f in fqs:
-            m = self._fq_cache.get(f)
-            if m is None:
+            m = self._cache.get("fq", f)
+            if m is _MISS:
                 member = np.zeros(self.doc_space, dtype=bool)
                 member[self.match_ids(f)] = True
-                m = ~member
-                if len(self._fq_cache) > 256:
-                    self._fq_cache.clear()
-                self._fq_cache[f] = m
+                m = self._cache.put("fq", f, ~member)
             excluded = m.copy() if excluded is None else (excluded | m)
         return excluded
 
@@ -2817,20 +2881,7 @@ class SearchEngine:
         a sort key uses the BM25 score; other keys read the stored fields
         of the matched docs only (at cluster scale this is a per-range
         top-k + k-way merge, same layout as ``search_partitioned``)."""
-        keys = []
-        for part in sort.split(","):
-            toks = part.split()
-            if not toks:
-                continue
-            fld = toks[0]
-            order = toks[1].lower() if len(toks) > 1 else "asc"
-            if order not in ("asc", "desc"):
-                raise ValueError(f"bad sort direction {order!r} in {sort!r}")
-            if fld != "score" and fld != "doc_id" and fld not in self.stored_fields:
-                raise ValueError(f"cannot sort on unknown field {fld!r}")
-            keys.append((fld, order == "asc"))
-        if not keys:
-            raise ValueError(f"empty sort spec {sort!r}")
+        keys = _sort_keys(sort, self.stored_fields)
 
         # full match set with scores (score may itself be a sort key);
         # the unranked arrays skip the ranked path's full top-k sort +
@@ -3128,8 +3179,8 @@ class SearchEngine:
         Timestamp columns evaluate as epoch MILLISECONDS (the ``ms()``
         convention).  Atomic-update overlays are applied, so function
         scores track ``update_doc`` changes like ``fl`` reads do."""
-        cached = self._func_cols.get(field)
-        if cached is not None:
+        cached = self._cache.get("func", field)
+        if cached is not _MISS:
             return cached
         if field not in self.stored_fields or field in ("doc_id",):
             raise ValueError(
@@ -3153,8 +3204,7 @@ class SearchEngine:
             v = cols.get(field)
             if isinstance(v, (int, float)) and 0 <= did < self.doc_space:
                 dense[did] = float(v)
-        self._func_cols[field] = dense
-        return dense
+        return self._cache.put("func", field, dense)
 
     def _prepare_funcs(self, bf, boost):
         """Parse + validate ``bf``/``boost`` expressions into AST lists.
@@ -3340,18 +3390,9 @@ class SearchEngine:
             phrase = list(near[0])
             slop = int(near[1])
             boost = parsed.near_boosts.get(near)
-        if slop is None and self.has_bigrams and (
-            _bigram_postings_key(phrase, self.bigram_first) is not None
-            or (self.has_positions
-                and _bigram_chain_keys(phrase, self.bigram_first)
-                is not None)
-        ):
-            # next-word index: exact match set + freqs from one postings
-            # lookup (2 terms) or the pair-stream chain matcher (3+) —
-            # no upper bounds, no chunked verification needed
-            docs, freqs, w = self.eval_phrase(phrase)
-            if boost is not None:
-                w *= boost
+
+        def exact(docs, freqs, w):
+            """The top k of docs whose phrase freqs are known exactly."""
             if excluded is not None and docs.size:
                 m = ~excluded[docs]
                 docs, freqs = docs[m], freqs[m]
@@ -3365,6 +3406,18 @@ class SearchEngine:
                 m = (sc < cs) | ((sc == cs) & (docs > cid))
                 docs, sc = docs[m], sc[m]
             return _select_topk(docs, sc, k)
+
+        if slop is None and self.has_bigrams and (
+            _bigram_postings_key(phrase, self.bigram_first) is not None
+            or (self.has_positions
+                and _bigram_chain_keys(phrase, self.bigram_first)
+                is not None)
+        ):
+            # next-word index: exact match set + freqs from one postings
+            # lookup (2 terms) or the pair-stream chain matcher (3+) —
+            # no upper bounds, no chunked verification needed
+            docs, freqs, w = self.eval_phrase(phrase)
+            return exact(docs, freqs, w if boost is None else w * boost)
         postings = self.lookup_postings(phrase, with_positions=True)
         if any(t not in postings for t in phrase):
             return []
@@ -3379,21 +3432,7 @@ class SearchEngine:
         out = (self._phrase_match_keys(phrase, postings) if slop is None
                else self._near_match_keys(phrase, slop, postings))
         if out is not None:
-            docs, freqs = out
-            if excluded is not None and docs.size:
-                m = ~excluded[docs]
-                docs, freqs = docs[m], freqs[m]
-            if docs.size == 0:
-                return []
-            sc = w * self.scoring.impact(
-                freqs.astype(np.float64),
-                self._norm_factor(self.norms[docs]),
-            )
-            if after is not None:
-                cs, cid = after
-                m = (sc < cs) | ((sc == cs) & (docs > cid))
-                docs, sc = docs[m], sc[m]
-            return _select_topk(docs, sc, k)
+            return exact(*out, w)
         # int64 key overflow (enormous doc space · doc length): fall back
         # to per-candidate segments with chunked upper-bound verification
         uniq = list(dict.fromkeys(phrase))
@@ -3532,10 +3571,7 @@ class SearchEngine:
             if hits:
                 mask[np.array([d for d, _ in hits], dtype=np.int64)] = True
             return mask, np.zeros(self.doc_space, dtype=np.float64)
-        want = list(parsed.terms)
-        for t_ in parsed.terms:
-            want += self.synonyms.get(t_, [])
-        postings = self.lookup_postings(want)
+        postings = self._term_postings(parsed)
         scores = np.zeros(self.doc_space, dtype=np.float64)
         seen = np.zeros(self.doc_space, dtype=np.int32)
         n_present = self._accumulate(parsed, postings, scores, seen)
@@ -3620,23 +3656,17 @@ class SearchEngine:
             return []
         return _select_topk(cand, scores[cand], k)
 
-    def _search_after(self, query, k, fl, fq, cursor, hl,
-                      mm=None, pf=None, ps=0, pf2=None, pf3=None,
-                      bf=None, boost=None, bq=None):
-        """Cursor paging (Solr cursorMark): score candidates once, keep
-        those strictly after ``(score, doc_id)`` in ranking order, take
-        top-k of the remainder."""
-        cs, cid = float(cursor[0]), int(cursor[1])
-        parsed = self._parse(query)
-        if mm is not None:
-            self._apply_mm(parsed, query, mm)
-        if pf or pf2 or pf3:
-            self._apply_pf(parsed, list(parsed.terms), pf, ps, pf2, pf3)
+    def _prepare_rerank(self, parsed: ParsedQuery, bf, boost, bq,
+                        hl) -> None:
+        """Attach the ``bf``/``boost`` functions and ``bq`` queries to a
+        parsed query, or reject them (and ``hl`` without stored
+        content)."""
         if bf is not None or boost is not None:
             if parsed.scoring_clauses == 0:
                 raise ValueError(
                     "bf/boost rerank a scored match set; match-all / "
-                    "pure-filter queries have none"
+                    "pure-filter queries have none (sort by the field "
+                    "instead)"
                 )
             parsed.boost_funcs, parsed.mult_funcs = self._prepare_funcs(
                 bf, boost
@@ -3653,6 +3683,20 @@ class SearchEngine:
                 "highlighting needs stored content; rebuild with "
                 "IndexConfig(store_content=True)"
             )
+
+    def _search_after(self, query, k, fl, fq, cursor, hl,
+                      mm=None, pf=None, ps=0, pf2=None, pf3=None,
+                      bf=None, boost=None, bq=None):
+        """Cursor paging (Solr cursorMark): score candidates once, keep
+        those strictly after ``(score, doc_id)`` in ranking order, take
+        top-k of the remainder."""
+        cs, cid = float(cursor[0]), int(cursor[1])
+        parsed = self._parse(query)
+        if mm is not None:
+            self._apply_mm(parsed, query, mm)
+        if pf or pf2 or pf3:
+            self._apply_pf(parsed, list(parsed.terms), pf, ps, pf2, pf3)
+        self._prepare_rerank(parsed, bf, boost, bq, hl)
         ast = (
             self._parse_bool(query)
             if has_group_syntax(query or "") else None
@@ -3668,10 +3712,7 @@ class SearchEngine:
             hits = self._match_all(parsed, excluded, self.doc_space)
             hits = [(d, s) for d, s in hits if d > cid][:k]
         else:
-            want = list(parsed.terms)
-            for t_ in parsed.terms:
-                want += self.synonyms.get(t_, [])
-            postings = self.lookup_postings(want)
+            postings = self._term_postings(parsed)
             hits = self._score_taat(parsed, postings, excluded, k=k,
                                     after=(cs, cid))
         t = self._resolve(hits, fl)
@@ -4042,13 +4083,21 @@ class SearchEngine:
         return pa.Table.from_arrays([cols["doc_id"], cols[field]],
                                     names=["doc_id", field])
 
+    def _join_field(self, df, field: str):
+        """A hits frame (``doc_id``, ...) left-joined with the hit docs'
+        ``field`` values."""
+        t = self._field_table(field)
+        mask = np.zeros(self.doc_space, dtype=bool)
+        mask[df["doc_id"].to_numpy()] = True
+        t = t.filter(pa.array(mask[t["doc_id"].to_numpy()]))
+        return df.merge(t.to_pandas(), on="doc_id", how="left")
+
     def _dense_field(self, field: str) -> np.ndarray:
         """Dense per-doc column array (position d = doc d's value):
         float64/NaN for numerics, datetime64/NaT for timestamps, object/
         None otherwise — the sort-key value source, cached per engine."""
-        cache = self._dense_field_cache
-        hit = cache.get(field)
-        if hit is None:
+        hit = self._cache.get("dense_fields", field)
+        if hit is _MISS:
             t = self._field_table(field)
             ids = t["doc_id"].to_numpy()
             col = t[field]
@@ -4071,10 +4120,7 @@ class SearchEngine:
             else:
                 dense = np.full(self.doc_space, None, dtype=object)
                 dense[ids] = np.asarray(col.to_pylist(), dtype=object)
-            if len(cache) > 16:
-                cache.clear()
-            cache[field] = dense
-            hit = dense
+            hit = self._cache.put("dense_fields", field, dense)
         return hit
 
     def _field_codes(self, field: str):
@@ -4085,9 +4131,8 @@ class SearchEngine:
         sparse doc-id space can also mean "slot outside the docs
         table").  Factorized once per engine per field — collapse/group/
         facet queries then just gather, no per-query join or factorize."""
-        cache = self._field_codes_cache
-        hit = cache.get(field)
-        if hit is None:
+        hit = self._cache.get("field_codes", field)
+        if hit is _MISS:
             import pandas as pd
 
             t = self._field_table(field)
@@ -4103,10 +4148,8 @@ class SearchEngine:
                 labels = [str(u) for u in uniques]
             dense = np.full(self.doc_space, -1, dtype=np.int64)
             dense[t["doc_id"].to_numpy()] = codes.astype(np.int64)
-            hit = (dense, labels, col.null_count > 0)
-            if len(cache) > 16:
-                cache.clear()
-            cache[field] = hit
+            hit = self._cache.put("field_codes", field,
+                                  (dense, labels, col.null_count > 0))
         return hit
 
     def _geo_columns(self, sfield: str):
@@ -4115,8 +4158,8 @@ class SearchEngine:
         stored string column holding Solr's ``"lat,lon"`` point format.
         Parsed once per engine instance (the spatial analogue of the
         filterCache)."""
-        cached = self._geo_cache.get(sfield)
-        if cached is not None:
+        cached = self._cache.get("geo", sfield)
+        if cached is not _MISS:
             return cached
         lat = np.full(self.doc_space, np.nan)
         lon = np.full(self.doc_space, np.nan)
@@ -4142,8 +4185,7 @@ class SearchEngine:
                     lat[i], lon[i] = float(a), float(b)
                 except ValueError:
                     continue
-        self._geo_cache[sfield] = (lat, lon)
-        return lat, lon
+        return self._cache.put("geo", sfield, (lat, lon))
 
     def geo_match_ids(self, kind: str, params: dict) -> np.ndarray:
         """Solr spatial filters: ``{!geofilt sfield=lat,lon pt=LAT,LON
@@ -4203,8 +4245,8 @@ class SearchEngine:
         if field not in self.stored_fields:
             raise ValueError(f"unknown spatial field {field!r}")
         qw, qs, qe, qn = parse_envelope_to_bbox(envelope)
-        cached = self._geo_cache.get(("env", field))
-        if cached is None:
+        cached = self._cache.get("geo", ("env", field))
+        if cached is _MISS:
             w = np.full(self.doc_space, np.nan)
             s = np.full(self.doc_space, np.nan)
             e = np.full(self.doc_space, np.nan)
@@ -4218,8 +4260,7 @@ class SearchEngine:
                     w[i], s[i], e[i], n[i] = parse_envelope_to_bbox(v)
                 except SpatialError:
                     continue
-            cached = (w, s, e, n)
-            self._geo_cache[("env", field)] = cached
+            cached = self._cache.put("geo", ("env", field), (w, s, e, n))
         w, s, e, n = cached
 
         def lon_overlap(aw, ae, bw, be):
@@ -4348,10 +4389,7 @@ class SearchEngine:
             return np.array([d for d, _ in hits], dtype=np.int64)
         seen = np.zeros(self.doc_space, dtype=np.int32)
         required = parsed.scoring_clauses if parsed.conjunctive else 1
-        want = list(parsed.terms)
-        for t_ in parsed.terms:
-            want += self.synonyms.get(t_, [])
-        postings = self.lookup_postings(want)
+        postings = self._term_postings(parsed)
         for term in sorted(set(parsed.terms)):
             if term in self.synonyms:
                 docs, _, _ = self._synonym_group(term, postings)
@@ -4484,24 +4522,9 @@ class SearchEngine:
         t = t.filter(pc.is_valid(t[by]))
         if t.num_rows == 0:
             return self._facet_stats_table([], specs)
-        rows = []
-        for r in _group_aggregates(t, by, fields).to_pylist():
-            row = {"value": str(r[by]), "count": int(r["count_all"])}
-            for name, (op, f) in specs:
-                if op == "avg":
-                    row[name] = (
-                        float(r[f"{f}_sum"]) / row["count"]
-                        if row["count"] else None
-                    )
-                else:
-                    v = r[f"{f}_{op}"]
-                    row[name] = float(v) if v is not None else None
-            rows.append(row)
-        rows = sorted(
-            (r for r in rows if r["count"] >= mincount),
-            key=lambda r: (-r["count"], r["value"]),
-        )[:limit]
-        return self._facet_stats_table(rows, specs)
+        return self._facet_stats_rows(
+            _group_aggregates(t, by, fields).to_pylist(), by, specs,
+            mincount, limit)
 
     def json_facet(self, query: str, spec: dict, fq=None) -> dict:
         """Solr JSON Facet API subset (``json.facet=...``): RECURSIVE
@@ -4709,6 +4732,31 @@ class SearchEngine:
         return specs
 
     @staticmethod
+    def _facet_stats_rows(records, by, specs, mincount, limit) -> pa.Table:
+        """The facet-stats table of per-bucket aggregates (``by``,
+        ``count_all`` and each field's sum, min and max): buckets of at
+        least ``mincount`` docs, count desc then value asc, at most
+        ``limit``."""
+        rows = []
+        for r in records:
+            row = {"value": str(r[by]), "count": int(r["count_all"])}
+            for name, (op, f) in specs:
+                if op == "avg":
+                    row[name] = (
+                        float(r[f"{f}_sum"]) / row["count"]
+                        if row["count"] else None
+                    )
+                else:
+                    v = r[f"{f}_{op}"]
+                    row[name] = float(v) if v is not None else None
+            rows.append(row)
+        rows = sorted(
+            (r for r in rows if r["count"] >= mincount),
+            key=lambda r: (-r["count"], r["value"]),
+        )[:limit]
+        return SearchEngine._facet_stats_table(rows, specs)
+
+    @staticmethod
     def _facet_stats_table(rows, specs) -> pa.Table:
         schema = pa.schema(
             [("value", pa.string()), ("count", pa.int64())]
@@ -4849,11 +4897,7 @@ class SearchEngine:
                     if fg_pct > bg_pct else 0.0
                 )
                 if round_scores is not None:
-                    m = 10.0 ** round_scores
-                    score = float(
-                        np.copysign(np.floor(abs(score) * m + 0.5) / m,
-                                    score)
-                    )
+                    score = float(_round_half_away(score, round_scores))
                 rows.append((term, fg, bg, score))
         rows.sort(key=lambda r: (-r[3], r[0]))
         rows = rows[:limit]
@@ -5132,52 +5176,13 @@ class SearchEngine:
             {"doc_id": full["doc_id"].to_numpy(),
              "score": full["score"].to_numpy()}
         )
-        if df.empty:
-            empty_t = pa.table(
-                {"group": pa.array([], pa.string()),
-                 "group_rank": pa.array([], pa.int64()),
-                 "position": pa.array([], pa.int64()),
-                 "doc_id": pa.array([], pa.int64()),
-                 "score": pa.array([], pa.float64())}
-            )
-            return (empty_t, 0) if with_ngroups else empty_t
-        ids = df["doc_id"].to_numpy()
-        t = self._field_table(group_field)
-        mask = np.zeros(self.doc_space, dtype=bool)
-        mask[ids] = True
-        t = t.filter(pa.array(mask[t["doc_id"].to_numpy()]))
-        df = df.merge(t.to_pandas(), on="doc_id", how="left")
-        if round_scores is not None:
-            m = 10.0 ** round_scores
-            s = df["score"].to_numpy()
-            df["score"] = np.copysign(np.floor(np.abs(s) * m + 0.5) / m, s)
-        _null = "\x00<null>"  # NaN-safe grouping sentinel
-        df["_grp"] = df[group_field].fillna(_null)
-        df = df.sort_values(["score", "doc_id"], ascending=[False, True],
-                            kind="mergesort")
-        df["position"] = df.groupby("_grp", sort=False).cumcount()
-        heads = df[df["position"] == 0].reset_index(drop=True)
-        order = {v: i for i, v in enumerate(heads["_grp"].head(k_groups))}
-        out = df[
-            df["_grp"].isin(order) & (df["position"] < group_limit)
-        ].copy()
-        out["group_rank"] = out["_grp"].map(order)
-        out = out.sort_values(["group_rank", "position"])
-        out_t = pa.table(
-            {
-                "group": pa.array(
-                    [None if v == _null else str(v)
-                     for v in out["_grp"]], pa.string()
-                ),
-                "group_rank": pa.array(out["group_rank"].astype("int64")),
-                "position": pa.array(out["position"].astype("int64")),
-                "doc_id": pa.array(out["doc_id"].astype("int64")),
-                "score": pa.array(out["score"].astype("float64")),
-            }
-        )
-        if with_ngroups:
-            return out_t, int(df["_grp"].nunique())
-        return out_t
+        if not df.empty:
+            df = self._join_field(df, group_field)
+            df["score"] = _round_half_away(df["score"].to_numpy(),
+                                           round_scores)
+        out_t, ngroups = _ranked_groups(df, group_field, k_groups,
+                                        group_limit)
+        return (out_t, ngroups) if with_ngroups else out_t
 
     def collapse_search(self, query: str, field: str, k: int = 10,
                         fq=None, null_policy: str = "ignore",
@@ -5234,12 +5239,7 @@ class SearchEngine:
              "score": full["score"].to_numpy()}
         )
         if not df.empty:
-            ids = df["doc_id"].to_numpy()
-            t = self._field_table(field)
-            mask = np.zeros(self.doc_space, dtype=bool)
-            mask[ids] = True
-            t = t.filter(pa.array(mask[t["doc_id"].to_numpy()]))
-            df = df.merge(t.to_pandas(), on="doc_id", how="left")
+            df = self._join_field(df, field)
         return _collapse_frame(df, field, k, null_policy, expand_limit,
                                round_scores)
 
@@ -5263,8 +5263,7 @@ class SearchEngine:
         """
         if rerank_docs < 1:
             raise ValueError("rerank_docs must be >= 1")
-        if start < 0:
-            raise ValueError("start must be >= 0")
+        _check_page(k, start)
         n = max(int(rerank_docs), start + k)
         main = self.search(query, k=n, fl=["doc_id"], fq=fq)
         rmap = self._rerank_scores(
@@ -5367,14 +5366,10 @@ class SearchEngine:
                 _validate_ltr_tree(t_.get("root"), feat_names)
         if rerank_docs < 1:
             raise ValueError("rerank_docs must be >= 1")
-        if start < 0:
-            raise ValueError("start must be >= 0")
+        _check_page(k, start)
 
         def _r(x):
-            if round_scores is None:
-                return float(x)
-            m = 10.0 ** round_scores
-            return float(np.copysign(np.floor(abs(x) * m + 0.5) / m, x))
+            return float(_round_half_away(x, round_scores))
 
         main = self.search(query, k=max(int(rerank_docs), start + k),
                            fl=["doc_id"], fq=fq)
@@ -5566,11 +5561,7 @@ class SearchEngine:
         d = int(doc_id)
         if not (0 <= d < self.doc_space):
             raise ValueError(f"doc_id {d} outside [0, {self.doc_space})")
-        want = list(parsed.terms)
-        if self.synonyms:
-            for t_ in parsed.terms:
-                want += self.synonyms.get(t_, [])
-        postings = self.lookup_postings(want)
+        postings = self._term_postings(parsed)
 
         import copy
 
@@ -5714,13 +5705,13 @@ class _MergedStats:
     up front; a term's df and a prefix, wildcard or fuzzy expansion when
     scoring asks.  ``engines`` are opened WITHOUT outside stats, so every
     value summed is one index's own count, and an expansion is the union
-    of theirs, capped as a whole and memoized here, since every engine
-    fed these statistics asks for the same ones."""
+    of theirs, capped as a whole and memoized in the first engine's
+    caches, since every engine fed these statistics asks for the same
+    ones."""
 
     def __init__(self, engines):
         self._engines = engines
-        self._memo: dict = {}     # expansion key -> sorted terms
-        self._matches: dict = {}  # join query -> whole-index ids
+        self._cache = engines[0]._cache
         self.n_docs = sum(e.n_docs for e in engines)
         sum_dl = sum(int(e.stats["sum_dl"]) for e in engines)
         self.avgdl = (sum_dl / self.n_docs) if self.n_docs else 0.0
@@ -5742,15 +5733,13 @@ class _MergedStats:
         Arrow array of expansion terms) over the engines, or
         TooManyClauses when it has more than ``cap`` terms — counted in
         Arrow, before any term becomes a Python string."""
-        hit = self._memo.get(key)
-        if hit is None:
+        hit = self._cache.get("expansions", key)
+        if hit is _MISS:
             parts = [part(e) for e in self._engines]
             terms = (parts[0] if len(parts) == 1
                      else pc.unique(pa.chunked_array(parts)))
-            if len(self._memo) > 1024:
-                self._memo.clear()
-            hit = self._memo[key] = sorted(
-                _capped(label, terms, cap).to_pylist())
+            hit = self._cache.put("expansions", key, sorted(
+                _capped(label, terms, cap).to_pylist()))
         return hit
 
     def expand_prefix(self, prefix: str, cap: int) -> list:
@@ -5773,12 +5762,17 @@ class _MergedStats:
         join (a range's statistics come from one whole-index engine),
         kept for the last few queries: every range of a task asks."""
         (engine,) = self._engines
-        hit = self._matches.get(query)
-        if hit is None:
-            if len(self._matches) >= 8:
-                self._matches.clear()
-            hit = self._matches[query] = engine.match_ids(query)
-        return hit
+        return self._cache.memo("joins", query,
+                                lambda: engine.match_ids(query))
+
+
+def _check_page(k: int, start: int = 0) -> None:
+    """Reject a negative ``k`` or ``start``, as Solr rejects a negative
+    ``rows`` or ``start``."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0 (got {k})")
+    if start < 0:
+        raise ValueError("start must be >= 0")
 
 
 def _merge_top(parts, k: int, keys=("doc_id",)) -> pa.Table:
@@ -6028,6 +6022,7 @@ def search_partitioned(index_dir: str, query: str, k: int = 10,
     whole index and keeps its own ids; under a ``{!collapse}`` fq each
     range returns its group heads and the merge collapses them again.
     """
+    _check_page(k)
     params = dict(qf=qf, tie=tie, mm=mm, pf=pf, ps=ps, pf2=pf2, pf3=pf3,
                   bf=bf, boost=boost, bq=bq, fq=fq)
     parts = _map_ranges(
@@ -6276,24 +6271,8 @@ def facet_stats_partitioned(index_dir: str, query: str, by: str,
         aggmap[f"{f}_min"] = "min"
         aggmap[f"{f}_max"] = "max"
     m = df.groupby("value", sort=False).agg(aggmap).reset_index()
-    rows = []
-    for r in m.to_dict("records"):
-        row = {"value": str(r["value"]), "count": int(r["count_all"])}
-        for name, (op, f) in specs:
-            if op == "avg":
-                row[name] = (
-                    float(r[f"{f}_sum"]) / row["count"]
-                    if row["count"] else None
-                )
-            else:
-                v = r[f"{f}_{op}"]
-                row[name] = float(v) if v is not None else None
-        rows.append(row)
-    rows = sorted(
-        (r for r in rows if r["count"] >= mincount),
-        key=lambda r: (-r["count"], r["value"]),
-    )[:limit]
-    return SearchEngine._facet_stats_table(rows, specs)
+    return SearchEngine._facet_stats_rows(m.to_dict("records"), "value",
+                                          specs, mincount, limit)
 
 
 def group_partitioned(index_dir: str, query: str, group_field: str,
@@ -6310,16 +6289,25 @@ def group_partitioned(index_dir: str, query: str, group_field: str,
     df = pd.concat(_map_ranges(index_dir, lambda e: _group_heads(
         _range_hits(e, query, fq, [group_field]), group_field, group_limit
     )), ignore_index=True)
-    cols = {
-        "group": pa.array([], pa.string()),
-        "group_rank": pa.array([], pa.int64()),
-        "position": pa.array([], pa.int64()),
-        "doc_id": pa.array([], pa.int64()),
-        "score": pa.array([], pa.float64()),
-    }
+    return _ranked_groups(df, group_field, k_groups, group_limit)[0]
+
+
+def _ranked_groups(df, group_field: str, k_groups: int,
+                   group_limit: int) -> tuple:
+    """``(table, ngroups)``: the ``(group, group_rank, position, doc_id,
+    score)`` rows of the first ``k_groups`` groups of the hits in ``df``
+    (groups ranked by their best hit, hits by score desc then doc id
+    asc, at most ``group_limit`` per group; null values form one group)
+    and the number of groups."""
     if df.empty:
-        return pa.table(cols)
-    _null = "\x00<null>"
+        return pa.table({
+            "group": pa.array([], pa.string()),
+            "group_rank": pa.array([], pa.int64()),
+            "position": pa.array([], pa.int64()),
+            "doc_id": pa.array([], pa.int64()),
+            "score": pa.array([], pa.float64()),
+        }), 0
+    _null = "\x00<null>"  # NaN-safe grouping sentinel
     df["_grp"] = df[group_field].fillna(_null)
     df = df.sort_values(["score", "doc_id"], ascending=[False, True],
                         kind="mergesort")
@@ -6340,7 +6328,7 @@ def group_partitioned(index_dir: str, query: str, group_field: str,
             "doc_id": pa.array(out["doc_id"].astype("int64")),
             "score": pa.array(out["score"].astype("float64")),
         }
-    )
+    ), int(df["_grp"].nunique())
 
 
 _DATEMATH_GAP = re.compile(r"^\+(\d+)(SECONDS?|MINUTES?|HOURS?|DAYS?)$")
@@ -6445,17 +6433,10 @@ def _collapse_frame(df, field: str, k: int, null_policy: str,
     """Collapse a ``(doc_id, score, <field>)`` frame to ranked group heads
     (+ expanded members) — shared by ``SearchEngine.collapse_search`` and
     ``collapse_partitioned`` so both paths are definitionally identical."""
-    empty = pa.table(
-        {"rank": pa.array([], pa.int64()),
-         "position": pa.array([], pa.int64()),
-         "doc_id": pa.array([], pa.int64()),
-         "score": pa.array([], pa.float64()),
-         "group": pa.array([], pa.string())}
-    )
-    if df.empty:
-        return empty
     import pandas as pd
 
+    if df.empty:
+        df = pd.DataFrame({"doc_id": [], "score": [], field: []})
     doc_ids = df["doc_id"].to_numpy().astype(np.int64)
     scores = df["score"].to_numpy().astype(np.float64)
     # hash-factorize the raw group values (no sort, no sentinel-string
@@ -6484,10 +6465,7 @@ def _collapse_codes(doc_ids, scores, codes, uniques, k: int,
     )
     if doc_ids.size == 0:
         return empty
-    if round_scores is not None:
-        m = 10.0 ** round_scores
-        scores = np.copysign(np.floor(np.abs(scores) * m + 0.5) / m,
-                             scores)
+    scores = _round_half_away(scores, round_scores)
     n_real = len(uniques)
     null_rows = codes < 0
     if null_policy == "ignore":
@@ -6601,6 +6579,16 @@ def _eval_ltr_tree(node, fvals: dict, n: int) -> np.ndarray:
     )
 
 
+def _round_half_away(x, digits: int | None):
+    """``x`` (a number or an array) rounded half away from zero to
+    ``digits`` decimals, so a SQL oracle reproduces a ranking; as is
+    when ``digits`` is None."""
+    if digits is None:
+        return x
+    m = 10.0 ** digits
+    return np.copysign(np.floor(np.abs(x) * m + 0.5) / m, x)
+
+
 def _rerank_combine(ids, main_scores, rmap: dict, rerank_docs: int,
                     rerank_weight: float,
                     round_scores: int | None):
@@ -6610,10 +6598,7 @@ def _rerank_combine(ids, main_scores, rmap: dict, rerank_docs: int,
     and scores — shared by ``SearchEngine.rerank_search`` and
     ``rerank_partitioned``."""
     def _r(x):
-        if round_scores is None:
-            return float(x)
-        m = 10.0 ** round_scores
-        return float(np.copysign(np.floor(abs(x) * m + 0.5) / m, x))
+        return float(_round_half_away(x, round_scores))
 
     seg = min(rerank_docs, len(ids))
     head = [
@@ -6688,13 +6673,9 @@ def collapse_partitioned(index_dir: str, query: str, field: str,
                            round_scores)
 
 
-def sorted_partitioned(index_dir: str, query: str, sort: str,
-                       k: int = 10, fq=None) -> pa.Table:
-    """Distributed field-sorted browse: per-range local top-k by the sort
-    keys (k rows shipped per range, never the full match set), k-way merge
-    on the driver — identical doc order to
-    ``SearchEngine.search(..., sort=...)`` (tested)."""
-    stored = SearchEngine(index_dir).stored_fields
+def _sort_keys(sort: str, stored) -> list:
+    """``[(field, ascending)]`` of a Solr sort spec (``"doclen desc,
+    path asc"``) over ``score``, ``doc_id`` and the ``stored`` fields."""
     keys = []
     for part in sort.split(","):
         toks = part.split()
@@ -6709,6 +6690,17 @@ def sorted_partitioned(index_dir: str, query: str, sort: str,
         keys.append((fld, order == "asc"))
     if not keys:
         raise ValueError(f"empty sort spec {sort!r}")
+    return keys
+
+
+def sorted_partitioned(index_dir: str, query: str, sort: str,
+                       k: int = 10, fq=None) -> pa.Table:
+    """Distributed field-sorted browse: per-range local top-k by the sort
+    keys (k rows shipped per range, never the full match set), k-way merge
+    on the driver — identical doc order to
+    ``SearchEngine.search(..., sort=...)`` (tested)."""
+    _check_page(k)
+    keys = _sort_keys(sort, SearchEngine(index_dir).stored_fields)
     import pandas as pd
 
     by = [f for f, _ in keys] + ["doc_id"]

@@ -183,12 +183,14 @@ class PartitionedSearchService:
         (``qf``/``tie``/``mm``/``pf``/``ps``/``pf2``/``pf3``/``bf``/
         ``boost``/``bq``)."""
         from solr_indexer_ray.pipelines.search import (
+            _check_page,
             _merge_hits,
             _task_errors,
         )
 
         if self._closed:
             raise RuntimeError("PartitionedSearchService is closed")
+        _check_page(k)
         params["fq"] = fq
         with _task_errors():
             parts = ray.get([a.search.remote(query, k, params)

@@ -263,19 +263,20 @@ class TestPostingsCacheBudget:
         eng.term_cache_bytes = 4096  # tiny: force constant eviction
         qs = ["def read", '"def index"', "parse return^2",
               "import", '"def index"~2', "write def read"]
+        postings = eng._cache.maps["postings"]
         for q in qs * 2:
             a = eng.search(q, k=10, fl=["doc_id"])
             b = ref.search(q, k=10, fl=["doc_id"])
             assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), q
             assert a["score"].to_pylist() == b["score"].to_pylist(), q
             total = sum(
-                tp.nbytes() for tp in eng._term_cache.values()
+                tp.nbytes() for tp, _, _ in postings.values()
                 if tp is not None
             )
             # bound: budget + the current query's own (kept) terms
-            kept = [tp for tp in eng._term_cache.values()
+            kept = [tp for tp, _, _ in postings.values()
                     if tp is not None]
-            assert len(eng._term_cache) <= 8
+            assert len(postings) <= 8
             assert total <= 4096 + sum(tp.nbytes() for tp in kept[-6:])
 
     def test_lru_touch_keeps_hot_term(self, tmp_path, ray_session):
@@ -295,8 +296,9 @@ class TestPostingsCacheBudget:
         eng.search("def", k=5, fl=["doc_id"])    # touch: def newest
         eng.search("parse", k=5, fl=["doc_id"])
         eng.search("import", k=5, fl=["doc_id"])  # evicts oldest
-        assert "def" in eng._term_cache        # touched -> survived
-        assert "read" not in eng._term_cache   # untouched -> evicted
+        postings = eng._cache.maps["postings"]
+        assert "def" in postings        # touched -> survived
+        assert "read" not in postings   # untouched -> evicted
 
 
 class TestSingleKeySortFastPath:

@@ -288,9 +288,11 @@ class TestFilterQueries:
         idx, _, _ = sidx
         eng = SearchEngine(idx)
         eng.search("read", k=3, fq="lang:python")
-        assert "lang:python" in eng._fq_cache
+        assert "lang:python" in eng._cache.maps["fq"]
         eng.search("merge", k=3, fq="lang:python")  # hits the cache
-        assert len(eng._fq_cache) == 1
+        assert len(eng._cache.maps["fq"]) == 1
+        fq = eng.cache_stats()["fq"]
+        assert (fq["hits"], fq["misses"], fq["entries"]) == (1, 1, 1)
 
 
 class TestCursorPaging:

@@ -234,7 +234,7 @@ class TestEqualsScan:
     def test_absent_terms_cached_as_none(self, index_copy):
         eng = SearchEngine(index_copy)
         assert eng.lookup_postings(["zzqx", "def"]).keys() == {"def"}
-        assert eng._term_cache["zzqx"] is None
+        assert eng._cache.maps["postings"]["zzqx"][0] is None
         assert eng.lookup_dfs(["zzqx"]) == {}
 
     @pytest.mark.parametrize("kw", [
@@ -392,11 +392,14 @@ def test_no_dataset_scans_after_dictionary_build(index_copy):
 def test_term_cache_byte_total_is_exact(index_copy):
     """Insert, touch, positions upgrade, growth of handed-out entries,
     count- and byte-budget eviction in random order: the running total
-    always equals the sum of the cached entries' sizes."""
+    always equals the sum of the cached entries' sizes, and each entry's
+    recorded size its size."""
     rng = random.Random(12)
     eng = SearchEngine(index_copy)
     eng.term_cache_size = 40
     eng.term_cache_bytes = 30_000
+    cache = eng._cache
+    postings = cache.maps["postings"]
     vocab = [t for t in all_terms(index_copy) if "\x1e" not in t]
     last: dict = {}
     evicted = False
@@ -407,18 +410,19 @@ def test_term_cache_byte_total_is_exact(index_copy):
             for tp in last.values():
                 eng._term_score_vec(tp)
             continue
-        if op < 0.4 and eng._term_cache:
-            ts = rng.sample(list(eng._term_cache), min(3, len(eng._term_cache)))
+        if op < 0.4 and postings:
+            ts = rng.sample(list(postings), min(3, len(postings)))
         else:
             ts = rng.sample(vocab, rng.randint(1, 5)) + ["zzqx"] * (op > 0.9)
-        before = set(eng._term_cache)
+        before = set(postings)
         last = eng.lookup_postings(ts, with_positions=rng.random() < 0.3)
-        evicted |= not before <= set(eng._term_cache)
-        assert eng._term_cache_nbytes == sum(
-            tp.nbytes() for tp in eng._term_cache.values() if tp is not None
+        evicted |= not before <= set(postings)
+        assert cache.nbytes == cache.counts["postings"]["bytes"] == sum(
+            tp.nbytes() for tp, _, _ in postings.values() if tp is not None
         ), step
-        assert eng._term_sizes.keys() == eng._term_cache.keys()
-        assert len(eng._term_cache) <= eng.term_cache_size
+        assert all(n == (0 if tp is None else tp.nbytes())
+                   for tp, n, _ in postings.values()), step
+        assert len(postings) <= eng.term_cache_size
     assert evicted
 
 
