@@ -23,11 +23,14 @@ performs the ranking there; here the engine scores natively:
   the whole index's statistics, and the per-range top-k lists k-way merge
   (the doc-range layout from the build makes that fan-out trivial).
 
-Term lookup goes through a resident term dictionary (:class:`_TermDict`,
-one per index generation) that knows each term's postings rows by file
-and row position; a read slices those rows out of row groups kept
-decompressed in memory, shared by every engine of the process
-(:class:`_PostingsFile`), so only a row group's first read touches parquet.
+Term lookup goes through a resident term dictionary (:class:`_TermDict`)
+that knows each term's postings rows by file and row position; a read
+slices those rows out of row groups kept decompressed in memory, shared
+by every engine of the process (:class:`_PostingsFile`), so only a row
+group's first read touches parquet.  A commit costs only what it wrote:
+``SearchEngine.refresh()`` keeps everything derived from the files the
+commit left alone (docs state, dictionary shards, decoded postings,
+filter masks) and reads only new or rewritten files.
 """
 
 from __future__ import annotations
@@ -152,6 +155,11 @@ def _spatial_pred_expr(sf: "SpatialFilter"):
         lon_cross = (w <= sf.west) | (e >= sf.east)
         return lat_ok & ((doc_plain & lon_plain) | (~doc_plain & lon_cross))
     raise ValueError(f"unknown spatial predicate {sf.op!r}")
+
+
+def _spatial_columns(sf: "SpatialFilter") -> list:
+    """The four stored bbox columns of a spatial filter's field."""
+    return [f"{sf.field}_{p}" for p in ("west", "east", "south", "north")]
 
 
 def _spatial_nonmatch_expr(sf: "SpatialFilter"):
@@ -628,15 +636,16 @@ class TermPostings:
     doc ids, tfs and, for phrase queries, the raw position streams.
 
     ``score_vec`` memoizes the per-posting BM25 contribution
-    ``idf · tf/(tf + K(norm))`` — valid for the lifetime of the index
-    (N, avgdl, norms are immutable once committed), so repeated queries pay
-    one fancy-indexed add per term instead of recomputing the norm math.
+    ``idf · tf/(tf + K(norm))`` — valid for one index generation (a
+    commit moves N, avgdl and df, and ``refresh()`` drops it), so repeated
+    queries pay one fancy-indexed add per term instead of recomputing the
+    norm math.
     """
 
     __slots__ = ("term", "df", "cf", "doc_ids", "tfs", "score_vec",
                  "pos_flat", "pos_offsets", "pos_raw",
                  "lazy_decoded", "gkeys", "gkeys_stride", "maxpos",
-                 "_ckparts")
+                 "_ckparts", "parts")
 
     def __init__(self, term, df, cf, doc_ids, tfs,
                  pos_flat=None, pos_offsets=None, pos_raw=None):
@@ -677,6 +686,10 @@ class TermPostings:
         #: streams — shared by max_position() and the first key build,
         #: dropped once keys exist (keys re-stride WITHOUT re-decoding).
         self._ckparts = None
+        #: ``(range_id, file serial, postings)`` of each postings row the
+        #: lists were decoded from, in range order: ``refresh()`` keeps
+        #: the rows whose files a commit left alone
+        self.parts = ()
 
     def _key_parts(self):
         """Per-range ``(cumsum(deltas), per-segment rebase, counts)`` of
@@ -924,10 +937,13 @@ class _PostingsFile:
     """One postings file, opened by a handle that pins its bytes (an
     ``os.replace`` of the path leaves them readable), with its parquet
     reader, row-group starts and ``(term, df)`` columns loaded on first
-    use, and every row group a read decompressed kept resident
-    (:meth:`group`).  The engines of a process share one per file
-    (:func:`_open_postings_file`), across generations too, so after a
-    commit only new or rewritten files are read again."""
+    use (:meth:`load`), and every row group a read decompressed kept
+    resident (:meth:`group`).  Its identity is the object itself
+    (``serial``): the engines of a process share one per file
+    (:func:`_open_postings_file`), across generations too, so a refresh
+    knows which files a commit left alone, keeps what it derived from
+    them, and reads only new or rewritten files — whose terms locate
+    the new rows of the postings it keeps decoded."""
 
     _serials = itertools.count()
 
@@ -956,7 +972,10 @@ class _PostingsFile:
                 [md.row_group(g).num_rows for g in range(md.num_row_groups)],
                 initial=0,
             ))
-            self.term_df = reader.read(columns=["term", "df"])
+            t = reader.read(columns=["term", "df"])
+            #: each row's term and df
+            self.terms = _one_array(t["term"])
+            self.dfs = _one_array(t["df"]).to_numpy()
             self.reader = reader  # last: engines on other threads test it
         return self
 
@@ -997,45 +1016,102 @@ def _open_postings_file(path: str) -> _PostingsFile:
     return f
 
 
+def _sorted_rows(terms: pa.Array, row_file, row_pos, row_df) -> tuple:
+    """Postings rows, given per row (term, file index, row position, df),
+    grouped by term: ``(sorted unique terms, CSR offsets into the rows,
+    row_file, row_pos, per-term summed df)`` — the arrays of a
+    :class:`_ShardTerms`."""
+    order = pc.array_sort_indices(terms).to_numpy()
+    terms = terms.take(order)
+    n = len(terms)
+    starts = np.zeros(min(n, 1), dtype=np.int64)  # first row per term
+    if n > 1:
+        new = pc.not_equal(terms.slice(1), terms.slice(0, n - 1))
+        starts = np.concatenate((
+            starts,
+            np.flatnonzero(new.to_numpy(zero_copy_only=False)) + 1,
+        ))
+    df = (np.add.reduceat(row_df[order], starts).astype(np.int64)
+          if n else np.zeros(0, np.int64))
+    return (terms.take(starts), np.append(starts, n).astype(np.int32),
+            row_file[order], row_pos[order], df)
+
+
+def _file_rows(files, which) -> tuple:
+    """:func:`_sorted_rows` of every row of the files at indices
+    ``which`` of ``files`` (loaded)."""
+    which = list(which)
+    return _sorted_rows(
+        pa.concat_arrays([files[i].terms for i in which])
+        if which else pa.array([], pa.string()),
+        np.concatenate([np.full(len(files[i].terms), i, dtype=np.int32)
+                        for i in which] or [np.zeros(0, np.int32)]),
+        np.concatenate([np.arange(len(files[i].terms), dtype=np.int32)
+                        for i in which] or [np.zeros(0, np.int32)]),
+        np.concatenate([files[i].dfs for i in which]
+                       or [np.zeros(0, np.int64)]),
+    )
+
+
+def _union_rows(a: tuple, b: tuple) -> tuple:
+    """Two sets of :func:`_sorted_rows` arrays with disjoint rows as one:
+    the sorted terms merged, each term's rows ``a``'s then ``b``'s and
+    its df their sum.  Only the unique terms are sorted again, not the
+    rows."""
+    (ta, oa, fa, ra, da), (tb, ob, fb, rb, db) = a, b
+    both = pa.concat_arrays([ta, tb])
+    order = pc.array_sort_indices(both).to_numpy()
+    merged = both.take(order)
+    first = np.ones(len(merged), dtype=bool)  # first of equal terms
+    if len(merged) > 1:
+        first[1:] = pc.not_equal(
+            merged.slice(1), merged.slice(0, len(merged) - 1)
+        ).to_numpy(zero_copy_only=False)
+    slot = np.empty(len(merged), dtype=np.int64)  # union index per term
+    slot[order] = np.cumsum(first) - 1
+    ua, ub = slot[:len(ta)], slot[len(ta):]
+    ca, cb = np.diff(oa), np.diff(ob)
+    n = int(first.sum())
+    from_a = np.zeros(n, dtype=np.int64)
+    from_a[ua] = ca
+    count = from_a.copy()
+    count[ub] += cb
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(count, out=offsets[1:])
+    # each row's place: its term's first slot plus its rank in the term,
+    # b's rows after a's
+    dst_a = (np.repeat(offsets[ua], ca) + np.arange(ca.sum())
+             - np.repeat(oa[:-1], ca))
+    dst_b = (np.repeat(offsets[ub] + from_a[ub], cb) + np.arange(cb.sum())
+             - np.repeat(ob[:-1], cb))
+    row_file = np.empty(offsets[-1], dtype=np.int32)
+    row_pos = np.empty(offsets[-1], dtype=np.int32)
+    row_file[dst_a], row_file[dst_b] = fa, fb
+    row_pos[dst_a], row_pos[dst_b] = ra, rb
+    df = np.zeros(n, dtype=np.int64)
+    df[ua] = da
+    df[ub] += db
+    return (merged.filter(pa.array(first)), offsets.astype(np.int32),
+            row_file, row_pos, df)
+
+
 class _ShardTerms:
     """One term shard's part of the term dictionary: every term of the
     shard's postings files (one per doc range), sorted, with CSR
     ``offsets`` into its rows and each row's file index and row
     position; ``df`` is the per-term sum of the rows' df.  Built from
-    the files' ``(term, df)`` columns; everything is an Arrow or numpy
-    array aligned with the sorted terms — no per-term Python objects."""
+    the files' ``(term, df)`` columns (:meth:`build`), or from an older
+    shard's arrays and only its new files' columns (:meth:`merged`);
+    everything is an Arrow or numpy array aligned with the sorted terms —
+    no per-term Python objects."""
 
-    def __init__(self, files):
-        self.files = [f.load() for f in files]
-        parts = [f.term_df for f in self.files]
-        row_file = [np.full(t.num_rows, fi, dtype=np.int32)
-                    for fi, t in enumerate(parts)]
-        row_pos = [np.arange(t.num_rows, dtype=np.int32) for t in parts]
-        if parts:
-            tbl = pa.concat_tables(parts)
-        else:
-            tbl = pa.table({"term": pa.array([], pa.string()),
-                            "df": pa.array([], pa.int64())})
-        terms = _one_array(tbl["term"])
-        order = pc.array_sort_indices(terms).to_numpy()
-        terms = terms.take(order)
-        n = len(terms)
-        starts = np.zeros(min(n, 1), dtype=np.int64)  # first row per term
-        if n > 1:
-            new = pc.not_equal(terms.slice(1), terms.slice(0, n - 1))
-            starts = np.concatenate((
-                starts,
-                np.flatnonzero(new.to_numpy(zero_copy_only=False)) + 1,
-            ))
-        self.offsets = np.append(starts, n).astype(np.int32)
-        self.terms = terms.take(starts)
-        self.row_file = np.concatenate(row_file or [np.zeros(0, np.int32)]
-                                       )[order]
-        self.row_pos = np.concatenate(row_pos or [np.zeros(0, np.int32)]
-                                      )[order]
-        row_df = _one_array(tbl["df"]).to_numpy()[order]
-        self.df = (np.add.reduceat(row_df, starts).astype(np.int64)
-                   if n else np.zeros(0, np.int64))
+    def __init__(self, files, terms, offsets, row_file, row_pos, df):
+        self.files = files
+        self.terms = terms
+        self.offsets = offsets
+        self.row_file = row_file
+        self.row_pos = row_pos
+        self.df = df
         # the sorted terms' raw UTF-8 bytes and int32 offsets, for find()
         bufs = self.terms.buffers()
         self._toffs = memoryview(bufs[1]).cast("i")[
@@ -1045,6 +1121,38 @@ class _ShardTerms:
         #: made so far; a row group another engine of the process
         #: already holds resident costs none
         self.reads = 0
+
+    @classmethod
+    def build(cls, files) -> "_ShardTerms":
+        """The shard of ``files``, from all their ``(term, df)`` columns."""
+        files = [f.load() for f in files]
+        return cls(files, *_file_rows(files, range(len(files))))
+
+    def merged(self, files) -> "_ShardTerms":
+        """The shard of ``files``, some of which this one was built from:
+        the rows of files no longer listed are dropped and only the other
+        files' sorted terms are merged in (:func:`_union_rows`)."""
+        files = [f.load() for f in files]
+        at = {f.serial: i for i, f in enumerate(files)}
+        remap = np.array([at.get(f.serial, -1) for f in self.files],
+                         dtype=np.int32)
+        keep = remap[self.row_file] >= 0
+        row_file, row_pos = remap[self.row_file][keep], self.row_pos[keep]
+        row_df = np.zeros(row_file.size, dtype=np.int64)
+        for i in remap[remap >= 0].tolist():
+            mine = row_file == i
+            row_df[mine] = files[i].dfs[row_pos[mine]]
+        counts = np.diff(self.offsets)
+        row_term = np.repeat(np.arange(counts.size), counts)[keep]
+        n_rows = np.bincount(row_term, minlength=counts.size)
+        df = np.bincount(row_term, weights=row_df,
+                         minlength=counts.size).astype(np.int64)
+        live = n_rows > 0
+        kept = (self.terms.filter(pa.array(live)),
+                np.append(0, np.cumsum(n_rows[live])).astype(np.int32),
+                row_file, row_pos, df[live])
+        added = sorted(set(range(len(files))) - set(remap.tolist()))
+        return _ShardTerms(files, *_union_rows(kept, _file_rows(files, added)))
 
     def find(self, terms) -> np.ndarray:
         """Dictionary index of each term (-1: absent): a bisect over the
@@ -1065,34 +1173,59 @@ class _ShardTerms:
                 out[j] = lo
         return out
 
-    def read(self, idx, columns) -> tuple:
-        """``columns`` of every postings row of the terms at dictionary
-        indices ``idx`` — lists, each term's rows together in ``idx``
-        order: ``range_id`` ints, and for a binary column a read-only
-        memoryview of the row's bytes — plus each term's row count.
-        Each row is sliced out of its row group's resident columns
-        (:meth:`_PostingsFile.group`); only a row group no read has
-        decompressed yet, or one evicted since, is read from the file."""
-        lo = self.offsets[idx]
-        counts = self.offsets[idx + 1] - lo
-        rows = [r for a, n in zip(lo.tolist(), counts.tolist())
-                for r in range(a, a + n)]
-        out = {c: [] for c in columns}
-        for fi, p in zip(self.row_file[rows].tolist(),
-                         self.row_pos[rows].tolist()):
-            f = self.files[fi]
-            g = bisect.bisect_right(f.rg_starts, p) - 1
-            before = f.decompressed
-            cols = f.group(g, columns)
-            self.reads += f.decompressed - before
-            r = p - f.rg_starts[g]
-            for c in columns:
-                if c == "range_id":
-                    out[c].append(int(cols[c][r]))
-                else:
-                    offs, data = cols[c]
-                    out[c].append(data[offs[r]:offs[r + 1]])
-        return out, counts
+    def rows(self, i: int) -> range:
+        """Postings rows of the term at dictionary index ``i``."""
+        return range(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+    def at(self, rows) -> list:
+        """``(file, row position)`` of each postings row in ``rows``."""
+        return list(zip([self.files[f] for f in self.row_file[rows].tolist()],
+                        self.row_pos[rows].tolist()))
+
+
+def _decode_varints(blobs, deltas: bool = False, minus: int = 0) -> list:
+    """Each varint blob of ``blobs`` decoded to int64 — summed as a delta
+    stream when ``deltas`` (doc ids), less ``minus`` — by one decode over
+    their concatenation: many short rows, as new files add, cost one
+    call's overhead instead of one per row."""
+    buf = b"".join(blobs)
+    vals = varint_decode(buf)
+    done = np.zeros(len(buf) + 1, dtype=np.int64)  # values ended by a byte
+    np.cumsum(np.frombuffer(buf, np.uint8) < 0x80, out=done[1:])
+    bounds = done[np.cumsum([0, *map(len, blobs)])]
+    if deltas:
+        vals = np.cumsum(vals, dtype=np.uint64)
+        before = np.concatenate((np.zeros(1, np.uint64), vals))[bounds[:-1]]
+        vals -= np.repeat(before, np.diff(bounds))
+    vals = vals.astype(np.int64)
+    if minus:
+        vals -= minus
+    return np.split(vals, bounds[1:-1])
+
+
+def _read_rows(at, columns) -> tuple:
+    """``columns`` of the postings rows ``at`` (``(file, row position)``
+    pairs), lists in that order: ``range_id`` ints, and for a binary
+    column a read-only memoryview of the row's bytes; plus the row-group
+    column reads (decompressions) this made.  Each row is sliced out of
+    its row group's resident columns (:meth:`_PostingsFile.group`); only
+    a row group no read has decompressed yet, or one evicted since, is
+    read from the file."""
+    out = {c: [] for c in columns}
+    reads = 0
+    for f, p in at:
+        g = bisect.bisect_right(f.rg_starts, p) - 1
+        before = f.decompressed
+        cols = f.group(g, columns)
+        reads += f.decompressed - before
+        r = p - f.rg_starts[g]
+        for c in columns:
+            if c == "range_id":
+                out[c].append(int(cols[c][r]))
+            else:
+                offs, data = cols[c]
+                out[c].append(data[offs[r]:offs[r + 1]])
+    return out, reads
 
 
 class _TermDict:
@@ -1102,28 +1235,66 @@ class _TermDict:
     the resident row groups holding its rows, and its df is a gather.
 
     Kept per term shard (:class:`_ShardTerms`), each built on the first
-    read that touches the shard, so the first read after a commit pays
-    only for the shards of its own terms.  ``sources`` maps each shard
-    to its :class:`_PostingsFile` s, whose handles pin the bytes the row
-    positions come from: ``extend_index`` replaces boundary range files
-    under the same name (``os.replace``)."""
+    read that touches the shard.  ``refresh()`` carries the shards to
+    the next generation (:meth:`carried`): a shard whose files the
+    commit left alone is kept as it is; one whose files changed is, on
+    the first read that touches it, merged with only its new files'
+    terms, or built again when it shares no file with the old one.
+    ``counts`` tallies these since the dictionary was carried.
+    ``sources`` maps each shard to its :class:`_PostingsFile` s, whose
+    handles pin the bytes the row positions come from: ``extend_index``
+    replaces boundary range files under the same name (``os.replace``)."""
 
-    def __init__(self, sources: dict, n_shards: int):
+    def __init__(self, sources: dict, n_shards: int, shards=None,
+                 pending=None):
         self._sources = sources
         self._n_shards = n_shards
-        self._shards: dict = {}
+        self._shards: dict = dict(shards or {})
+        #: shard -> the dictionary of an older generation to merge with
+        #: the shard's files on first use (None: build it anew)
+        self._pending: dict = dict(pending or {})
         self._view = None
+        #: shard dictionaries built from all their files' columns so far
+        self.builds = 0
+        self.counts = {"kept": len(self._shards), "merged": 0, "rebuilt": 0}
 
     def shard(self, s: int) -> _ShardTerms:
         st = self._shards.get(s)
         if st is None:
-            st = self._shards[s] = _ShardTerms(self._sources.get(s, ()))
+            files = self._sources.get(s, ())
+            carried = s in self._pending
+            old = self._pending.pop(s, None)
+            if old is not None:
+                st = old.merged(files)
+                self.counts["merged"] += 1
+            else:
+                st = _ShardTerms.build(files)
+                self.builds += 1
+                self.counts["rebuilt"] += carried
+            self._shards[s] = st
         return st
 
-    @property
-    def builds(self) -> int:
-        """Shard dictionaries built so far."""
-        return len(self._shards)
+    def carried(self, sources: dict) -> "_TermDict":
+        """This dictionary over ``sources``, another generation's files:
+        each shard, built or still to merge, is kept when its files are
+        the same, or left to merge with its new files (or to build again,
+        when it shares none) on first use.  With the same files, this
+        dictionary itself, its counts started again."""
+        if {s: [f.serial for f in fs] for s, fs in sources.items()} == {
+                s: [f.serial for f in fs] for s, fs in self._sources.items()}:
+            self.counts = {"kept": len(self._shards), "merged": 0,
+                           "rebuilt": 0}
+            return self
+        shards, pending = {}, {}
+        for s, st in (*self._pending.items(), *self._shards.items()):
+            files = [f.serial for f in sources.get(s, ())]
+            if st is not None and files == [f.serial for f in st.files]:
+                shards[s] = st
+            elif st is not None and set(files) & {f.serial for f in st.files}:
+                pending[s] = st
+            else:
+                pending[s] = None
+        return _TermDict(sources, self._n_shards, shards, pending)
 
     @property
     def reads(self) -> int:
@@ -1227,18 +1398,25 @@ class _Caches:
     an entry cap and hit, miss and eviction counts.
 
     ``SPECS`` gives each cache its entry cap (None: none) and what its
-    entries are derived from: ``"generation"``, one generation's
-    postings or docs columns, or ``"side"``, the tombstones or overlays
-    too, which deletes and atomic updates replace within a generation
-    (:meth:`clear`).  Every entry's bytes (:func:`_nbytes`) count against
-    ``budget`` (0: no byte cap); going over it evicts the least recently
-    used entries of any cache except the pinned ones, the postings the
-    current lookup hands out (:meth:`pin`).  Handed-out postings grow
-    afterwards (score vectors, key streams, decoded positions), so they
-    are measured again at the next pin and when statistics are read."""
+    entries are derived from, which says what ``refresh()`` drops
+    (:meth:`clear`): ``"side"``, the tombstones or overlays too, which
+    deletes and atomic updates replace within a generation, so every
+    commit drops them; ``"generation"``, one generation's postings and
+    docs together, dropped when the generation moves; ``"docs"``, the
+    docs rows alone, which an extend only appends to, so entries grow
+    instead (the filter masks), dropped only when a docs file is
+    replaced; and ``"postings"``, whose entries the first lookup in
+    their term shard after ``refresh()`` brings to the new files.  Every
+    entry's bytes (:func:`_nbytes`)
+    count against ``budget`` (0: no byte cap); going over it evicts the
+    least recently used entries of any cache except the pinned ones, the
+    postings the current lookup hands out (:meth:`pin`).  Handed-out
+    postings grow afterwards (score vectors, key streams, decoded
+    positions), so they are measured again at the next pin and when
+    statistics are read."""
 
     SPECS = {
-        "postings": (1024, "generation"),   # term -> TermPostings | None
+        "postings": (1024, "postings"),     # term -> TermPostings | None
         "patterns": (1024, "generation"),   # (pattern, cap) -> terms
         "fuzzy": (1024, "generation"),      # (word, edits, cap) -> terms
         "expansions": (1024, "generation"),  # _MergedStats expansions
@@ -1246,10 +1424,13 @@ class _Caches:
         "dense_fields": (16, "generation"),  # field -> dense sort keys
         "field_codes": (16, "generation"),  # field -> factorized codes
         "field_norms": (None, "generation"),  # field -> dense norm bytes
-        "masks": (256, "side"),             # _excluded_mask key -> mask
-        "fq": (256, "side"),                # fq string -> exclusion mask
+        "filters": (256, "docs"),           # filter clause -> (rows, n)
+        "masks": (256, "generation"),       # _excluded_mask key -> mask
+        "fq": (256, "generation"),          # fq string -> exclusion mask
         "func": (None, "side"),             # field -> dense float64
-        "joins": (8, "side"),               # join query -> whole-index ids
+        #: cross-doc queries, whose matches depend on what is deleted:
+        #: join query -> whole-index ids, ("fq", directive) -> mask
+        "joins": (8, "side"),
     }
 
     def __init__(self):
@@ -1309,10 +1490,18 @@ class _Caches:
                 self._resize("postings", m[k], _nbytes(m[k][0]))
         self.pinned = set(keys)
 
-    def clear(self, on: str | None = None) -> None:
-        """Drop every entry, or those of the caches derived from ``on``."""
+    def replace(self, name: str, key, value) -> None:
+        """Put ``value`` in place of the entry under ``key``, keeping its
+        place in the use order."""
+        e = self.maps[name][key]
+        e[0] = value
+        self._resize(name, e, _nbytes(value))
+
+    def clear(self, *on: str) -> None:
+        """Drop every entry, or those of the caches derived from one of
+        ``on``."""
         for name, (_, dep) in self.SPECS.items():
-            if on in (None, dep):
+            if not on or dep in on:
                 self.nbytes -= self.counts[name]["bytes"]
                 self.counts[name]["bytes"] = 0
                 self.maps[name].clear()
@@ -1371,12 +1560,19 @@ class SearchEngine:
     first use — the analogue of the reference's one-session-per-process
     Solr client (``solrindexer/indexer.py:83-88``); in Ray pipelines one
     engine instance lives per actor (built once in ``__init__``).
-    Postings and dfs are read through a term dictionary built once per
-    index generation (:class:`_TermDict`), which addresses each term's
-    rows by position.  Everything derived per query shape — decoded
-    postings, expansions, filter masks, sort and function columns — sits
-    in one set of LRU caches under ``term_cache_bytes``
-    (:meth:`cache_stats`).
+    Postings and dfs are read through a term dictionary
+    (:class:`_TermDict`), which addresses each term's rows by position.
+    Everything derived per query shape — decoded postings, expansions,
+    filter masks, sort and function columns — sits in one set of LRU
+    caches under ``term_cache_bytes`` (:meth:`cache_stats`).
+
+    Opening an engine and ``refresh()`` after a commit are one path
+    (:meth:`_open_generation`): the engine opens its first generation as
+    a refresh from nothing, and a refresh keeps what it derived from the
+    docs and postings files the commit left alone — per docs file the
+    docs rows and the filter masks over them, per postings file the
+    dictionary rows and decoded postings — so it reads only new or
+    rewritten files (:meth:`refresh_stats`).
 
     Scale note: the dense norm/mask arrays are O(doc_id_space) bytes — fine
     for a per-node slice, not for 10^12 docs in one process.  At cluster
@@ -1425,14 +1621,8 @@ class SearchEngine:
             # reference analogue: ping failure exits (solrindexer/cli.py:108-110)
             raise FileNotFoundError(f"index at {index_dir} is not committed")
         stats = self.manifest.read_stats()
-        self.stats = stats
-        self.n_docs = int(stats["n_docs"])          # indexed (valid) docs
-        self.avgdl = float(stats["avgdl"])
         self._range = doc_range
         self._collection = collection_stats
-        if collection_stats is not None:
-            self.n_docs = collection_stats.n_docs
-            self.avgdl = collection_stats.avgdl
         self.k1 = float(stats["k1"])
         self.b = float(stats["b"])
         from solr_indexer_ray.functions.tokenize import AnalyzerRegistry
@@ -1452,13 +1642,6 @@ class SearchEngine:
         chain = FilterChain.from_stats(stats)
         if chain:
             self.registry = FilteredRegistry(self.registry, chain)
-        self._postings_files: dict = {}  # term shard -> [_PostingsFile]
-        self._open_postings()
-        self._open_docs()
-        self._drop_generation_state()
-        self._side = self._side_files()
-        self._tombstones = None     # set[int] or None
-        self._overlays = None       # doc_id -> {col: value}
         self._cache = _Caches()
         #: wildcard-expansion cap (Lucene BooleanQuery.maxClauseCount)
         self.max_expansions = 1024
@@ -1467,7 +1650,28 @@ class SearchEngine:
         #: longest position seen (+ query margin), so cached per-term key
         #: streams stay valid across queries once it stabilizes.
         self._gkey_stride = 0
-        self._filter_fields = None   # dynamic filterable-column set
+        # nothing is open yet: the first generation opens the way a
+        # refresh() opens any later one, with nothing to keep
+        self._postings_files: dict = {}  # term shard -> [_PostingsFile]
+        #: the term dictionary (:class:`_TermDict`), built on the first
+        #: postings or df access and carried across refresh()
+        self._term_dict = None
+        self._suggest_cache = None
+        #: term shard -> (serials of its files when its cached postings
+        #: were decoded, those terms) for the shards a commit changed
+        #: since: the next lookup there brings them over (_carry_postings)
+        self._stale: dict = {}
+        #: (path, identity) of each docs file, in docs-table row order
+        self._docs_files: list = []
+        self.doc_space = 0
+        self._norms = None          # doc_id -> norm byte (dense)
+        self._present = None        # doc_id -> row exists in docs table
+        #: dense doc_id -> docs-table row position (-1: no row)
+        self._locator = None
+        #: resident docs-table columns, in table row order
+        self._doc_cols: dict = {}
+        self._null_cols: dict = {}  # field -> docs table may hold nulls
+        self._open_generation(stats)
 
     @property
     def term_cache_bytes(self) -> int:
@@ -1500,9 +1704,102 @@ class SearchEngine:
         query's postings."""
         return self._cache.stats()
 
+    def refresh_stats(self) -> dict:
+        """The index generation open, and what the last ``refresh()`` (or
+        the engine's open) reused: docs files read and kept, postings
+        files opened and kept, and, counted as the reads after it bring
+        them to the new files, term-dictionary shards kept, merged and
+        rebuilt (:meth:`_TermDict.carried`) and decoded postings entries
+        kept, extended and dropped (:meth:`_carry_postings`)."""
+        td = self._term_dict
+        counts = td.counts if td is not None else dict.fromkeys(
+            ("kept", "merged", "rebuilt"), 0)
+        return {**self._reuse,
+                **{f"term_shards_{k}": n for k, n in counts.items()}}
+
     # ------------------------------------------------------------------ #
     # small state
     # ------------------------------------------------------------------ #
+    def _open_generation(self, stats: dict) -> None:
+        """Open the committed generation ``stats`` describe, keeping what
+        was derived from the files it shares with the generation open
+        before (nothing, for a new engine) — Lucene's
+        ``DirectoryReader.openIfChanged``, which shares the readers of
+        unchanged segments.  A commit leaves most files alone:
+        ``extend_index`` appends docs files and rewrites only the boundary
+        range's postings, a delete or an atomic update rewrites only the
+        tombstones or overlays.  So the resident docs state grows by the
+        new docs files' rows now (:meth:`_open_docs`); the decoded
+        postings of a term shard whose files changed are brought to the
+        new files by the first lookup in the shard, from their rows in
+        the files the commit left alone plus their rows in the new files,
+        which are opened now (:meth:`_carry_postings`); a term-dictionary
+        shard is merged with its new files' terms on first use
+        (:meth:`_TermDict.carried`); the filter masks grow by the new
+        rows on first use (:meth:`_filter_rows`); and only the caches
+        derived from the statistics or the whole index (``"generation"``)
+        or from the side files (``"side"``) start empty.  Spreading the
+        work this way keeps both the refresh and the first read after it
+        short: a read pays only for the shards it touches."""
+        self.stats = stats
+        self.n_docs = int(stats["n_docs"])          # indexed (valid) docs
+        self.avgdl = float(stats["avgdl"])
+        if self._collection is not None:
+            self.n_docs = self._collection.n_docs
+            self.avgdl = self._collection.avgdl
+        self._stored_fields = self._filter_fields = None
+        old = self._postings_files
+        self._open_postings()
+        new = self._postings_files
+        changed = {s for s in old.keys() | new.keys()
+                   if [f.serial for f in old.get(s, ())]
+                   != [f.serial for f in new.get(s, ())]}
+        if self._term_dict is not None:
+            self._term_dict = self._term_dict.carried(new)
+        if changed:
+            self._suggest_cache = None
+        docs_kept, docs_read = self._open_docs()
+        # N, avgdl and df moved: no score vector survives
+        n_shards = int(stats["n_shards"])
+        cached = self._cache.maps["postings"]
+        stale: dict = {}
+        for term, (tp, *_) in cached.items():
+            if tp is not None and tp.score_vec is not None:
+                tp.score_vec = None
+                self._cache.replace("postings", term, tp)
+            s = term_shard(term, n_shards)
+            if s in changed:
+                stale.setdefault(s, []).append(term)
+        for s, terms in stale.items():
+            # a shard still stale from an earlier commit keeps the files
+            # its entries were decoded from; its new files open now
+            self._stale.setdefault(
+                s, ({f.serial for f in old.get(s, ())}, terms))
+            for f in new.get(s, ()):
+                f.load()
+        self._cache.clear("generation")
+        self._open_side()
+        was = {f.serial for fs in old.values() for f in fs}
+        files = [f for fs in new.values() for f in fs]
+        kept = sum(f.serial in was for f in files)
+        self._reuse = {
+            "generation": int(stats.get("generation", 1)),
+            "docs_files_read": docs_read, "docs_files_kept": docs_kept,
+            "postings_files_opened": len(files) - kept,
+            "postings_files_kept": kept,
+            "postings_kept": len(cached) - self._n_stale(),
+            "postings_extended": 0, "postings_dropped": 0,
+        }
+
+    def _open_side(self) -> None:
+        """Take the current tombstones and overlays files (read on first
+        use) and drop every cache entry derived from them."""
+        self._side = self._side_files()
+        self._tombstones = None     # set[int] or None
+        self._overlays = None       # doc_id -> {col: value}
+        self._dead = _MISS          # dense tombstone mask, or None
+        self._cache.clear("side")
+
     def _open_postings(self) -> None:
         """Open this generation's postings: the hive dataset and a raw
         handle on each of its files, by term shard.  The handles pin the
@@ -1525,56 +1822,85 @@ class SearchEngine:
                 _open_postings_file(frag.path))
         self._postings_files = files
 
-    def _open_docs(self) -> None:
+    def _open_docs(self) -> tuple:
         """Open this generation's docs table and set ``doc_space``, the
         size of the dense doc-id address space (>= n_docs when inline
         validation skipped rows but kept their id slots) — under
-        ``doc_range``, the range's rows and width."""
+        ``doc_range``, the range's rows and width.
+
+        The resident docs state (norms, present, locator, columns and
+        the filter masks) is kept when the files it was read from are
+        still the table's first files, unchanged: an extend only adds
+        files, named after their ascending unit ids, so they list last.
+        The state then grows by the new files' rows, read now if it was
+        read before.  Any other change (a compaction rewrites files)
+        drops it.  Returns ``(docs files kept, docs files read)``."""
         ds = pads.dataset(os.path.join(self.index_dir, "docs"))
         space = int(self.stats.get("doc_id_space", self.stats["n_docs"]))
-        self._docs_frags = list(ds.get_fragments())
+        frags = list(ds.get_fragments())
+        files = [(f.path, _file_identity(f.path)) for f in frags]
+        old, old_space = self._docs_files, self.doc_space
         self._lo = 0
         if self._range is None:
-            self._docs_ds, self.doc_space = ds, space
-            return
-        dpr = int(self.stats["docs_per_range"])
-        self._lo = self._range * dpr
-        hi = min(self._lo + dpr, space)
-        self._docs_ds = _DocRange(ds, self._lo, hi)
-        self.doc_space = max(hi - self._lo, 0)
+            self.doc_space = space
+        else:
+            dpr = int(self.stats["docs_per_range"])
+            self._lo = self._range * dpr
+            self.doc_space = max(min(self._lo + dpr, space) - self._lo, 0)
+        self._docs_ds = self._docs_view(ds)
+        new = frags[len(old):]
+        if files[:len(old)] != old or self.doc_space < old_space:
+            self._norms = self._present = self._locator = None
+            self._doc_cols, self._null_cols = {}, {}
+            self._cache.clear("docs")
+            old, new = [], frags
+        self._docs_files, self._docs_frags = files, frags
+        for fld, has in self._null_cols.items():
+            self._null_cols[fld] = has or any(
+                _may_hold_nulls(f.metadata, fld) for f in new)
+        if self._norms is None:
+            return len(old), 0
+        self._add_docs_rows(self._docs_view(pads.dataset(
+            [f.path for f in new])).to_table(columns=list(self._doc_cols))
+            if new else None)
+        return len(old), len(new)
 
-    def _drop_generation_state(self) -> None:
-        """Forget everything derived from one index generation's docs and
-        postings tables (a commit can grow the doc-id space, so none of
-        it may survive a generation change)."""
-        self._norms = None          # doc_id -> norm byte (dense)
-        self._null_cols: dict = {}  # field -> docs table may hold nulls
-        self._present = None        # doc_id -> row exists in docs table
-        #: dense doc_id -> docs-table row position (-1: no row)
-        self._locator = None
-        #: docs-table columns in table row order, read once per generation
-        self._doc_cols: dict = {}
-        #: the generation's term dictionary (:class:`_TermDict`), built
-        #: on the first postings or df access
-        self._term_dict = None
-        self._suggest_cache = None
-        self._stored_fields = None
+    def _docs_view(self, ds):
+        """Docs dataset ``ds`` as this engine reads it: whole, or only the
+        rows of its doc range (:class:`_DocRange`)."""
+        if self._range is None:
+            return ds
+        return _DocRange(ds, self._lo, self._lo + self.doc_space)
+
+    def _add_docs_rows(self, t) -> None:
+        """Put the docs rows ``t`` (None: none) after the resident ones:
+        the dense norms, present and locator arrays grow to
+        ``doc_space`` and address them too, and each resident column
+        gets their values (``t`` has exactly those columns)."""
+        n = 0 if self._norms is None else len(self._doc_cols["doc_id"])
+        norms = np.zeros(self.doc_space, dtype=np.uint8)
+        present = np.zeros(self.doc_space, dtype=bool)
+        locator = np.full(self.doc_space, -1, dtype=np.int64)
+        if self._norms is not None:
+            k = self._norms.size
+            norms[:k], present[:k] = self._norms, self._present
+            locator[:k] = self._locator
+        if t is not None:
+            ids = t["doc_id"].to_numpy()
+            norms[ids] = t["norm"].to_numpy()
+            present[ids] = True
+            locator[ids] = n + np.arange(ids.size, dtype=np.int64)
+            for c in t.column_names:
+                col = _one_array(t[c])
+                self._doc_cols[c] = (pa.concat_arrays([self._doc_cols[c], col])
+                                     if n else col)
+        self._norms, self._present, self._locator = norms, present, locator
 
     @property
     def norms(self) -> np.ndarray:
         if self._norms is None:
-            t = self._docs_ds.to_table(columns=["doc_id", "norm"])
-            arr = np.zeros(self.doc_space, dtype=np.uint8)
-            ids = t["doc_id"].to_numpy()
-            arr[ids] = t["norm"].to_numpy()
-            self._norms = arr
-            present = np.zeros(self.doc_space, dtype=bool)
-            present[ids] = True
-            self._present = present
-            locator = np.full(self.doc_space, -1, dtype=np.int64)
-            locator[ids] = np.arange(ids.size, dtype=np.int64)
-            self._locator = locator
-            self._doc_cols = {c: _one_array(t[c]) for c in t.column_names}
+            self._add_docs_rows(
+                self._docs_ds.to_table(columns=["doc_id", "norm"]))
         return self._norms
 
     @property
@@ -1591,7 +1917,7 @@ class SearchEngine:
             if os.path.exists(path):
                 import pyarrow.parquet as pq
 
-                ids = pq.read_table(path, columns=["doc_id"])[
+                ids = pq.ParquetFile(path).read(columns=["doc_id"])[
                     "doc_id"].to_pylist()
                 if self._range is not None:
                     hi = self._lo + self.doc_space
@@ -1600,6 +1926,19 @@ class SearchEngine:
             else:
                 self._tombstones = set()
         return self._tombstones
+
+    def _dead_mask(self):
+        """Dense doc_id -> deleted mask (read-only), or None when no doc
+        is deleted: ORed into every read's exclusions, so no cached
+        filter or match mask depends on the tombstones."""
+        if self._dead is _MISS:
+            self._dead = None
+            if self.tombstones:
+                dead = np.zeros(self.doc_space, dtype=bool)
+                dead[np.fromiter(self.tombstones, dtype=np.int64)] = True
+                dead.flags.writeable = False
+                self._dead = dead
+        return self._dead
 
     def _side_files(self) -> tuple:
         """Identity of the tombstones and overlays files (None: absent),
@@ -1614,34 +1953,37 @@ class SearchEngine:
         return tuple(out)
 
     def refresh(self) -> bool:
-        """Reopen the searcher (Solr: openSearcher after a commit): re-read
-        the committed stats and clear every engine cache if the index
-        generation moved, or only the caches derived from the tombstones
-        and overlays (:class:`_Caches`) if just those files changed (a
-        delete or an atomic update; postings, expansions, docs columns
-        and their resident bytes stay).  Returns True when a newer commit
-        was picked up — the long-lived-actor pattern (BatchSearcher)
-        calls this between batches instead of constructing a new
-        engine."""
+        """Reopen the searcher (Solr: openSearcher after a commit) and
+        return True when a newer commit was picked up — the
+        long-lived-actor pattern (BatchSearcher) calls this between
+        batches instead of constructing a new engine.
+
+        A commit costs what it wrote.  When only the tombstones or
+        overlays changed (a delete or an atomic update), only the caches
+        derived from them are dropped.  When the generation moved, the
+        new generation is opened keeping everything derived from the
+        files it shares with the old one (:meth:`_open_generation`): an
+        extend reads only its new docs files and its new or rewritten
+        postings files.  :meth:`refresh_stats` reports what was
+        reused."""
         new_stats = self.manifest.read_stats()
-        side = self._side_files()
-        changed, self._side = side != self._side, side
         same = int(new_stats.get("generation", 1)) == int(
             self.stats.get("generation", 1)
         ) and new_stats.get("n_docs") == self.stats.get("n_docs")
-        if same and not changed:
-            return False
-        self._tombstones = self._overlays = None
-        if same:
-            self._cache.clear("side")
+        if not same:
+            self._open_generation(new_stats)
             return True
-        self.stats = new_stats
-        self.n_docs = int(new_stats["n_docs"])
-        self.avgdl = float(new_stats["avgdl"])
-        self._open_postings()
-        self._open_docs()
-        self._drop_generation_state()
-        self._cache.clear()
+        if self._side_files() == self._side:
+            return False
+        self._open_side()
+        if self._term_dict is not None:
+            self._term_dict = self._term_dict.carried(self._postings_files)
+        self._reuse = dict.fromkeys(self._reuse, 0)
+        self._reuse.update(
+            generation=int(self.stats.get("generation", 1)),
+            docs_files_kept=len(self._docs_files) * (self._norms is not None),
+            postings_files_kept=sum(map(len, self._postings_files.values())),
+            postings_kept=len(self._cache.maps["postings"]) - self._n_stale())
         return True
 
     # ------------------------------------------------------------------ #
@@ -1759,7 +2101,9 @@ class SearchEngine:
         term dictionary and its rows sliced out of their resident row
         groups, which the first read of each decompresses; afterwards
         the process's resident row groups are trimmed to
-        ``term_cache_bytes``.
+        ``term_cache_bytes``.  Cached entries of a term shard a commit
+        changed are first brought to the open files
+        (:meth:`_carry_postings`).
 
         ``with_positions=True`` also decodes the delta-varint position
         stream (phrase queries); a cached entry decoded without positions
@@ -1772,6 +2116,11 @@ class SearchEngine:
                 "rebuild with store_positions=True"
             )
         terms = sorted(set(terms))
+        if self._stale:
+            n_shards = int(self.stats["n_shards"])
+            for s in self._stale.keys() & {term_shard(t, n_shards)
+                                           for t in terms}:
+                self._carry_postings(s)
         cache = self._cache
         cache.pin(terms)
         usable = _positional if with_positions else None
@@ -1786,46 +2135,114 @@ class SearchEngine:
             cols.append("positions")
         out = {}
         for st, ts, idx in self._terms_dict().locate(terms):
-            got, counts = st.read(idx[idx >= 0], cols)
-            i = 0
-            for term, n in zip([t for t, x in zip(ts, idx) if x >= 0],
-                               counts.tolist()):
-                rows = []
-                for j in range(i, i + n):
-                    row = [
-                        got["range_id"][j],
-                        decode_doc_ids(got["doc_ids"][j]),
-                        varint_decode(got["tfs"][j]).astype(np.int64),
-                    ]
-                    if with_positions:
-                        # LAZY: keep the raw delta-varint blob;
-                        # positions_for() decodes only the candidate
-                        # postings a phrase/near match actually inspects
-                        # (a common member term never pays an O(total
-                        # positions) decode).
-                        row.append(bytes(got["positions"][j]))
-                    rows.append(row)
-                i += n
-                rows.sort(key=lambda r: r[0])  # doc-range order
-                pos_raw = None
-                if with_positions:
-                    pos_raw = [[len(r[2]), r[3], r[2], None] for r in rows]
-                doc_ids = np.concatenate([r[1] for r in rows])
-                if self._lo:
-                    doc_ids -= self._lo  # a range engine's local ids
-                out[term] = TermPostings(
-                    term,
-                    df=int(doc_ids.size),
-                    cf=int(sum(int(r[2].sum()) for r in rows)),
-                    doc_ids=doc_ids,
-                    tfs=np.concatenate([r[2] for r in rows]),
-                    pos_raw=pos_raw,
-                )
+            found = [(t, st.rows(i)) for t, i in zip(ts, idx.tolist())
+                     if i >= 0]
+            rows = iter(self._decode_rows(
+                st, [r for _, rs in found for r in rs], cols))
+            for term, rs in found:
+                out[term] = self._postings_of(term, [next(rows) for _ in rs])
         for t in terms:  # misses are cached as None too
             cache.put("postings", t, out.get(t))
         _RESIDENT.trim(self.term_cache_bytes)
         out.update(cached)
         return out
+
+    def _decode_rows(self, st: _ShardTerms, rows, cols) -> list:
+        """Postings rows ``rows`` of shard dictionary ``st``, decoded:
+        ``[range_id, file serial, doc ids (local), tfs]`` each, plus the
+        raw position stream when ``cols`` asks for ``positions``."""
+        at = st.at(rows)
+        got, reads = _read_rows(at, cols)
+        st.reads += reads
+        out = []
+        for j, (f, _) in enumerate(at):
+            doc_ids = decode_doc_ids(got["doc_ids"][j])
+            row = [got["range_id"][j], f.serial,
+                   doc_ids - self._lo if self._lo else doc_ids,
+                   varint_decode(got["tfs"][j]).astype(np.int64)]
+            if "positions" in got:
+                # LAZY: keep the raw delta-varint blob; positions_for()
+                # decodes only the candidate postings a phrase/near match
+                # actually inspects (a common member term never pays an
+                # O(total positions) decode).
+                row.append(bytes(got["positions"][j]))
+            out.append(row)
+        return out
+
+    @staticmethod
+    def _postings_of(term: str, rows: list) -> TermPostings:
+        """``term``'s :class:`TermPostings` from its decoded rows (see
+        :meth:`_decode_rows`), put in doc-range order."""
+        rows.sort(key=lambda r: r[0])
+        tfs = np.concatenate([r[3] for r in rows])
+        doc_ids = np.concatenate([r[2] for r in rows])
+        tp = TermPostings(
+            term, df=int(doc_ids.size), cf=int(tfs.sum()), doc_ids=doc_ids,
+            tfs=tfs, pos_raw=[[len(r[3]), r[4], r[3], None] for r in rows]
+            if len(rows[0]) > 4 else None,
+        )
+        tp.parts = tuple((r[0], r[1], r[2].size) for r in rows)
+        return tp
+
+    def _n_stale(self) -> int:
+        """Cached postings entries still to bring to the open files."""
+        cached = self._cache.maps["postings"]
+        return sum(t in cached for _, ts in self._stale.values() for t in ts)
+
+    def _carry_postings(self, s: int) -> None:
+        """Bring the cached postings of term shard ``s``, decoded before
+        the last commits changed its files, to the files open now — all
+        of the shard's entries together, so that a burst of reads after a
+        commit pays for a few shards, not for most of its terms one by
+        one.  An entry whose rows all sit in files the commits left alone
+        keeps its doc ids and tfs (and its position keys, which depend on
+        the postings alone).  Otherwise its rows from those files are
+        kept, only its rows in the new files — looked up in those files'
+        terms, no dictionary needed — are decoded, and they join in range
+        order: one new entry in place of the old, never both held.  A
+        positional entry is dropped instead, and read again when a phrase
+        asks.  A term cached as absent gets its rows in the new files."""
+        was, terms = self._stale.pop(s)
+        cached = self._cache.maps["postings"]
+        terms = [t for t in terms if t in cached]
+        files = self._postings_files.get(s, [])
+        have = {f.serial for f in files}
+        added = [f.load() for f in files if f.serial not in was]
+        names = pa.array(terms, pa.string())
+        found = [pc.index_in(names, value_set=f.terms).fill_null(-1)
+                 .to_numpy().tolist() for f in added]
+        counts = self._reuse
+        todo = []  # (term, entry, its parts kept, rows to decode)
+        for j, term in enumerate(terms):
+            tp = cached[term][0]
+            parts = () if tp is None else tp.parts
+            kept = [p for p in parts if p[1] in have]
+            fresh = [(f, at[j]) for f, at in zip(added, found) if at[j] >= 0]
+            if not fresh and len(kept) == len(parts):
+                counts["postings_kept"] += 1
+            elif tp is not None and _positional(tp):
+                self._cache._drop("postings", term)
+                counts["postings_dropped"] += 1
+            else:
+                todo.append((term, tp, kept, fresh))
+        at = [r for *_, fresh in todo for r in fresh]
+        got, _ = _read_rows(at, ["range_id", "doc_ids", "tfs"])
+        decoded = iter(zip(
+            got["range_id"], (f.serial for f, _ in at),
+            _decode_varints(got["doc_ids"], deltas=True, minus=self._lo),
+            _decode_varints(got["tfs"])))
+        for term, tp, kept, fresh in todo:
+            rows = [list(next(decoded)) for _ in fresh]
+            lo = 0
+            for part in () if tp is None else tp.parts:
+                if part in kept:
+                    rows.append([*part[:2], tp.doc_ids[lo:lo + part[2]],
+                                 tp.tfs[lo:lo + part[2]]])
+                lo += part[2]
+            self._cache.replace("postings", term, self._postings_of(
+                term, rows) if rows else None)
+            counts["postings_extended"] += 1
+        _RESIDENT.trim(self.term_cache_bytes)
 
     def _term_postings(self, parsed: ParsedQuery) -> dict:
         """Postings of the query's scored terms and their synonyms."""
@@ -2295,7 +2712,7 @@ class SearchEngine:
     def _or_null(self, expr, fld: str):
         """``expr | fld is null``, or ``expr`` when no docs file holds a
         null ``fld`` — known from the parquet footers' null counts,
-        read once per field and generation."""
+        read once per field and docs file."""
         has = self._null_cols.get(fld)
         if has is None:
             has = self._null_cols[fld] = any(
@@ -2303,13 +2720,34 @@ class SearchEngine:
             )
         return expr | pc.field(fld).is_null() if has else expr
 
-    def _excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
-        """Boolean mask of docs excluded by filters/prohibitions/tombstones.
+    def _filter_rows(self, key, expr, fields) -> np.ndarray:
+        """Dense doc_id -> whether its docs row makes the scan filter
+        ``expr()`` true, over the docs columns ``fields``.  Evaluated
+        over the resident docs columns by the filter a parquet scan
+        applies (Acero's, through ``Table.filter``), so nulls count
+        exactly as there, and cached under ``key`` with the number of
+        rows covered: after an extend only the rows of the new docs
+        files are evaluated.  Independent of the tombstones, so a delete
+        keeps it."""
+        cols = self._docs_columns(["doc_id", *dict.fromkeys(fields)])
+        n = len(cols["doc_id"])
+        hit = self._cache.get("filters", key)
+        mask, done = (np.zeros(0, dtype=bool), 0) if hit is _MISS else hit
+        if done == n and mask.size == self.doc_space:
+            return mask
+        grown = np.zeros(self.doc_space, dtype=bool)
+        grown[:mask.size] = mask
+        rows = pa.table({c: a.slice(done) for c, a in cols.items()})
+        grown[rows.filter(expr())["doc_id"].to_numpy()] = True
+        return self._cache.put("filters", key, (grown, n))[0]
 
-        Memoized per (filters, prohibited) until the tombstones or
-        overlays change — metadata filters repeat across queries and the
-        mask build reads the docs table, which should happen once per
-        distinct filter, not per query.
+    def _excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
+        """Boolean mask of docs excluded by filters/prohibitions (the
+        deleted docs not included: :meth:`_exclusions` adds them).
+
+        Memoized per (filters, prohibited) for one generation — metadata
+        filters repeat across queries; each filter clause's rows come
+        from :meth:`_filter_rows`, which a commit keeps.
         """
         key = (
             tuple(sorted(parsed.filters.items())),
@@ -2330,6 +2768,15 @@ class SearchEngine:
         return self._cache.memo("masks", key,
                                 lambda: self._build_excluded_mask(parsed))
 
+    def _exclusions(self, parsed: ParsedQuery, fq=None):
+        """Every doc a read of ``parsed`` under ``fq`` skips: the query's
+        filters and prohibitions, the fq masks and the deleted docs."""
+        excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
+        dead = self._dead_mask()
+        if dead is None:
+            return excluded
+        return dead if excluded is None else excluded | dead
+
     def _build_excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
         mask = None
 
@@ -2339,9 +2786,6 @@ class SearchEngine:
                 mask = np.zeros(self.doc_space, dtype=bool)
             return mask
 
-        if self.tombstones:
-            m = ensure()
-            m[np.fromiter(self.tombstones, dtype=np.int64)] = True
         if parsed.prohibited:
             for tp in self.lookup_postings(parsed.prohibited).values():
                 ensure()[tp.doc_ids] = True
@@ -2375,46 +2819,38 @@ class SearchEngine:
                 ensure()[docs] = True
         # a positive filter also excludes rows whose field is null:
         # ``~(f == v)`` is null there, and a scan filter drops null rows
-        if parsed.filters:
-            expr = ~self._filters_expr(parsed.filters)
-            for fld in parsed.filters:
-                expr = self._or_null(expr, fld)
-            t = self._docs_ds.to_table(columns=["doc_id"], filter=expr)
-            ensure()[t["doc_id"].to_numpy()] = True
+        for fld, val in parsed.filters.items():
+            ensure()[self._filter_rows(
+                ("out", fld, val), lambda: self._or_null(
+                    ~self._filter_value_expr(fld, val), fld), [fld])] = True
         for fld, val in parsed.neg_filters.items():
-            t = self._docs_ds.to_table(
-                columns=["doc_id"], filter=self._filter_value_expr(fld, val)
-            )
-            ensure()[t["doc_id"].to_numpy()] = True
+            ensure()[self._filter_rows(
+                ("in", fld, val), lambda: self._filter_value_expr(fld, val),
+                [fld])] = True
         for rf in parsed.range_filters:
-            t = self._docs_ds.to_table(
-                columns=["doc_id"],
-                filter=self._or_null(~self._range_expr(rf), rf.field),
-            )
-            ensure()[t["doc_id"].to_numpy()] = True
+            ensure()[self._filter_rows(
+                ("out", rf), lambda: self._or_null(~self._range_expr(rf),
+                                                   rf.field),
+                [rf.field])] = True
         for rf in parsed.neg_range_filters:
-            t = self._docs_ds.to_table(
-                columns=["doc_id"], filter=self._range_expr(rf)
-            )
-            ensure()[t["doc_id"].to_numpy()] = True
+            ensure()[self._filter_rows(
+                ("in", rf), lambda: self._range_expr(rf), [rf.field])] = True
         for sf in parsed.spatial_filters:
             self._spatial_expr(sf)  # column validation
-            t = self._docs_ds.to_table(
-                columns=["doc_id"], filter=_spatial_nonmatch_expr(sf)
-            )
-            ensure()[t["doc_id"].to_numpy()] = True
+            ensure()[self._filter_rows(
+                ("out", sf), lambda: _spatial_nonmatch_expr(sf),
+                _spatial_columns(sf))] = True
         for sf in parsed.neg_spatial_filters:
-            t = self._docs_ds.to_table(
-                columns=["doc_id"], filter=self._spatial_expr(sf)
-            )
-            ensure()[t["doc_id"].to_numpy()] = True
+            ensure()[self._filter_rows(
+                ("in", sf), lambda: self._spatial_expr(sf),
+                _spatial_columns(sf))] = True
         return mask
 
     def _spatial_expr(self, sf):
         """Validated pyarrow scan expression for one envelope predicate
         against this index's stored bbox columns."""
         schema_names = set(self._docs_ds.schema.names)
-        cols = [f"{sf.field}_{p}" for p in ("west", "east", "south", "north")]
+        cols = _spatial_columns(sf)
         missing = [c for c in cols if c not in schema_names]
         if missing:
             raise ValueError(
@@ -2537,10 +2973,7 @@ class SearchEngine:
             hits = list(zip(heads["doc_id"].to_pylist(),
                             heads["score"].to_pylist()))[start:start + k]
             return self._resolve(hits, fl)
-        if (_JOIN_Q_RE.match(query or "")
-                or _GEO_Q_RE.match(query or "")
-                or _INTERSECTS_Q_RE.match(query or "")
-                or _BLOCKJOIN_Q_RE.match(query or "")):
+        if _is_directive(query):
             # Solr {!join} / {!geofilt} / {!bbox} / {!intersects} /
             # {!parent} / {!child} as the main query: constant-score
             # matches, ascending doc id
@@ -2619,12 +3052,13 @@ class SearchEngine:
                 t = self._resolve(hits, fl)
                 return self._add_highlights(parsed, t, hl) if hl else t
             postings = self._term_postings(parsed)
-            excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
+            excluded = self._exclusions(parsed, fq)
 
             if parsed.scoring_clauses == 0:
                 # no scoring clause (match-all / pure-filter query):
                 # filter match, score 0, doc_id order
-                hits = self._match_all(parsed, excluded, k)
+                hits = [(d, 0.0) for d in
+                        self._match_all(excluded)[:k].tolist()]
             else:
                 hits = self._score_taat(parsed, postings, excluded, k)
             if query in self.elevate:
@@ -2643,10 +3077,7 @@ class SearchEngine:
         ``_match_score_arrays`` under ``_score_taat``)."""
         if has_group_syntax(query or ""):
             return None
-        if (_JOIN_Q_RE.match(query or "")
-                or _GEO_Q_RE.match(query or "")
-                or _INTERSECTS_Q_RE.match(query or "")
-                or _BLOCKJOIN_Q_RE.match(query or "")):
+        if _is_directive(query):
             return None
         if query in self.elevate:
             return None
@@ -2654,7 +3085,7 @@ class SearchEngine:
         if parsed.scoring_clauses == 0:
             return None
         postings = self._term_postings(parsed)
-        excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
+        excluded = self._exclusions(parsed, fq)
         arrays = self._match_score_arrays(parsed, postings, excluded)
         if arrays is None:
             return np.empty(0, np.int64), np.empty(0, np.float64)
@@ -2786,16 +3217,22 @@ class SearchEngine:
 
         Each distinct fq string computes its match set ONCE and caches the
         inverse as a dense exclusion mask (Solr filterCache: filters are
-        evaluated independently of the main query and reused)."""
+        evaluated independently of the main query and reused).  The mask
+        holds the deleted docs as matches (:meth:`_matches`), so a delete
+        keeps it; only a filter directive, whose matches may depend on
+        what is deleted (a join), is kept until the next commit."""
         if not fq:
             return excluded
         fqs = [fq] if isinstance(fq, str) else list(fq)
         for f in fqs:
-            m = self._cache.get("fq", f)
+            name, key = ("joins", ("fq", f)) if _is_directive(f) \
+                else ("fq", f)
+            m = self._cache.get(name, key)
             if m is _MISS:
                 member = np.zeros(self.doc_space, dtype=bool)
-                member[self.match_ids(f)] = True
-                m = self._cache.put("fq", f, ~member)
+                member[self.match_ids(f) if name == "joins"
+                       else self._matches(f)] = True
+                m = self._cache.put(name, key, ~member)
             excluded = m.copy() if excluded is None else (excluded | m)
         return excluded
 
@@ -2971,19 +3408,12 @@ class SearchEngine:
             list(zip(df["doc_id"].tolist(), df["score"].tolist())), fl
         )
 
-    def _match_all(self, parsed, excluded, k):
-        expr = self._filters_expr(parsed.filters) if parsed.filters else None
-        for rf in parsed.range_filters:
-            e = self._range_expr(rf)
-            expr = e if expr is None else expr & e
-        for sf in parsed.spatial_filters:
-            e = self._spatial_expr(sf)
-            expr = e if expr is None else expr & e
-        t = self._docs_ds.to_table(columns=["doc_id"], filter=expr)
-        ids = np.sort(t["doc_id"].to_numpy())
-        if excluded is not None:
-            ids = ids[~excluded[ids]]
-        return [(int(i), 0.0) for i in ids[:k]]
+    def _match_all(self, excluded) -> np.ndarray:
+        """Sorted ids of the docs rows ``excluded`` leaves — the matches
+        of a query with no scoring clause, whose positive filters are in
+        ``excluded`` already as the rows they reject."""
+        return np.flatnonzero(
+            self.present if excluded is None else self.present & ~excluded)
 
     def _term_score_vec(self, tp: TermPostings) -> np.ndarray:
         if tp.score_vec is None:
@@ -3564,12 +3994,11 @@ class SearchEngine:
         parent node can sum child score vectors directly."""
         excluded = self._excluded_mask(parsed)
         if parsed.scoring_clauses == 0:
-            # pure filter / match-all atom: mask from the docs table,
-            # score 0 (Lucene: filter clauses contribute no score)
-            hits = self._match_all(parsed, excluded, k=self.doc_space)
-            mask = np.zeros(self.doc_space, dtype=bool)
-            if hits:
-                mask[np.array([d for d, _ in hits], dtype=np.int64)] = True
+            # pure filter / match-all atom: the docs rows the filters
+            # keep, score 0 (Lucene: filter clauses contribute no score)
+            mask = self.present.copy()
+            if excluded is not None:
+                mask &= ~excluded
             return mask, np.zeros(self.doc_space, dtype=np.float64)
         postings = self._term_postings(parsed)
         scores = np.zeros(self.doc_space, dtype=np.float64)
@@ -3642,8 +4071,9 @@ class SearchEngine:
         validation-rejected id slots), then the usual candidate top-k."""
         mask, scores = self._eval_bool_node(ast)
         mask &= self.present
-        if self.tombstones:
-            mask[np.fromiter(self.tombstones, dtype=np.int64)] = False
+        dead = self._dead_mask()
+        if dead is not None:
+            mask &= ~dead
         fqm = self._merge_fq_mask(None, fq)
         if fqm is not None:
             mask &= ~fqm
@@ -3705,12 +4135,12 @@ class SearchEngine:
             hits = self._score_ast(ast, fq, k, after=(cs, cid))
             t = self._resolve(hits, fl)
             return self._add_highlights(parsed, t, hl) if hl else t
-        excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
+        excluded = self._exclusions(parsed, fq)
         if parsed.scoring_clauses == 0:
             # match-all ranking is (score 0, ascending id): after-cursor
             # means ids > cid
-            hits = self._match_all(parsed, excluded, self.doc_space)
-            hits = [(d, s) for d, s in hits if d > cid][:k]
+            ids = self._match_all(excluded)
+            hits = [(d, 0.0) for d in ids[ids > cid][:k].tolist()]
         else:
             postings = self._term_postings(parsed)
             hits = self._score_taat(parsed, postings, excluded, k=k,
@@ -3907,7 +4337,7 @@ class SearchEngine:
 
                 import json
 
-                t = pq.read_table(path)
+                t = pq.ParquetFile(path).read()
                 hi = self._lo + self.doc_space
                 for row in t.to_pylist():  # later rows win (append order)
                     d = row["doc_id"]
@@ -4372,21 +4802,25 @@ class SearchEngine:
             return self.join_match_ids(
                 jm.group(2).strip(), params["from"], params["to"]
             )
+        ids = self._matches(query)
+        dead = self._dead_mask()
+        return ids if dead is None else ids[~dead[ids]]
+
+    def _matches(self, query: str) -> np.ndarray:
+        """:meth:`match_ids` of a query that is no filter directive, the
+        deleted docs included — what its cached fq mask is made of, which
+        a delete then leaves valid."""
         ast = (
             self._parse_bool(query)
             if has_group_syntax(query or "") else None
         )
         if ast is not None:
             mask, _ = self._eval_bool_node(ast)
-            mask &= self.present
-            if self.tombstones:
-                mask[np.fromiter(self.tombstones, dtype=np.int64)] = False
-            return np.flatnonzero(mask).astype(np.int64)
+            return np.flatnonzero(mask & self.present).astype(np.int64)
         parsed = self._parse(query)
         excluded = self._excluded_mask(parsed)
         if parsed.scoring_clauses == 0:
-            hits = self._match_all(parsed, excluded, k=self.doc_space)
-            return np.array([d for d, _ in hits], dtype=np.int64)
+            return self._match_all(excluded)
         seen = np.zeros(self.doc_space, dtype=np.int32)
         required = parsed.scoring_clauses if parsed.conjunctive else 1
         postings = self._term_postings(parsed)
@@ -4931,6 +5365,9 @@ class SearchEngine:
         member = ~fqm if fqm is not None else np.ones(
             self.doc_space, dtype=bool
         )
+        dead = self._dead_mask()
+        if dead is not None:
+            member &= ~dead
         out = []
         names = [t for t, _ in cands]
         for i in range(0, len(names), 256):
@@ -5143,6 +5580,7 @@ class SearchEngine:
         (half-away) before ranking — the contract pins ranking on rounded
         scores so a SQL oracle is float-order-independent.
         """
+        _check_page(k_groups)
         if group_field not in self.stored_fields or group_field == "doc_id":
             raise ValueError(f"cannot group on field {group_field!r}")
         import pandas as pd
@@ -5214,6 +5652,7 @@ class SearchEngine:
         dataset catalogue shows one hit per parent dataset
         (``solrindexer/search.py:125-140`` passes arbitrary Solr params).
         """
+        _check_page(k)
         if field not in self.stored_fields or field == "doc_id":
             raise ValueError(f"cannot collapse on field {field!r}")
         if null_policy not in ("ignore", "expand", "collapse"):
@@ -5516,7 +5955,7 @@ class SearchEngine:
         parsed = ParsedQuery(terms=sel)
         hits = self._score_taat(
             parsed, {t: postings[t] for t in sel},
-            self._excluded_mask(parsed), k + 1,
+            self._exclusions(parsed), k + 1,
         )
         hits = [(d, s) for d, s in hits if d != doc_id][:k]
         return self._resolve(hits, fl)
@@ -5627,7 +6066,7 @@ class SearchEngine:
         # exact score: the real accumulator over the whole query
         scores = np.zeros(self.doc_space, dtype=np.float64)
         self._accumulate(parsed, postings, scores, None)
-        excluded = self._excluded_mask(parsed)
+        excluded = self._exclusions(parsed)
         required = parsed.scoring_clauses if parsed.conjunctive else 1
         matches = (
             seen_d >= required
@@ -6281,6 +6720,7 @@ def group_partitioned(index_dir: str, query: str, group_field: str,
     """Distributed result grouping: per-range per-group top docs, global
     re-rank on the driver — identical to ``SearchEngine.group_search``
     (tested; per-range scores are bit-identical to the single engine)."""
+    _check_page(k_groups)
     if group_field not in SearchEngine(index_dir).stored_fields \
             or group_field == "doc_id":
         raise ValueError(f"cannot group on field {group_field!r}")
@@ -6400,6 +6840,13 @@ _JOIN_Q_RE = re.compile(r"^\{!join\s+([^}]*)\}(.*)$")
 _GEO_Q_RE = re.compile(r"^\{!(geofilt|bbox)\s+([^}]*)\}\s*$")
 _BLOCKJOIN_Q_RE = re.compile(r"^\{!(parent|child)\s+([^}]*)\}(.*)$")
 _INTERSECTS_Q_RE = re.compile(r"^\{!intersects\s+([^}]*)\}(.*)$")
+
+
+def _is_directive(query: str) -> bool:
+    """Whether ``query`` is a filter directive: a join, spatial or block
+    join query (:meth:`SearchEngine.match_ids`)."""
+    return any(r.match(query or "") for r in (
+        _JOIN_Q_RE, _GEO_Q_RE, _INTERSECTS_Q_RE, _BLOCKJOIN_Q_RE))
 
 
 def _extract_collapse_fq(fq):
@@ -6654,6 +7101,7 @@ def collapse_partitioned(index_dir: str, query: str, field: str,
     superset of every group's global head + expand members), collapsed
     on the driver — identical to ``SearchEngine.collapse_search``
     (tested)."""
+    _check_page(k)
     if null_policy not in ("ignore", "expand", "collapse"):
         raise ValueError(f"bad nullPolicy {null_policy!r}")
     if field not in SearchEngine(index_dir).stored_fields or field == "doc_id":

@@ -20,6 +20,8 @@ from solr_indexer_ray.pipelines.build import build_index
 from solr_indexer_ray.pipelines.search import (
     SearchEngine,
     _nbytes,
+    collapse_partitioned,
+    group_partitioned,
     search_partitioned,
     sorted_partitioned,
 )
@@ -143,14 +145,17 @@ def test_default_engine_counts_hits_and_misses(cidx):
 # --------------------------------------------------------------------- #
 # refresh() clears by dependency
 # --------------------------------------------------------------------- #
-SURVIVE = ("postings", "patterns", "fuzzy", "geo", "dense_fields")
-REBUILT = ("fq", "masks")
+SURVIVE = ("postings", "patterns", "fuzzy", "geo", "dense_fields", "fq",
+           "masks")
+REBUILT = ("joins",)
 
 
-def test_delete_keeps_derived_caches_rebuilds_masks(cidx, tmp_path):
+def test_delete_keeps_derived_caches_and_masks(cidx, tmp_path):
     """A delete-only commit clears only the caches derived from the
-    tombstones or overlays; expansions, spatial arrays, postings and
-    sort fields survive — and every read still equals a fresh engine's."""
+    tombstones or overlays (function columns, and the fq masks of
+    spatial and join directives); expansions, spatial arrays, postings,
+    sort fields and the fq and filter masks survive, since reads OR the
+    deleted docs in — and every read still equals a fresh engine's."""
     idx = _copy(cidx, tmp_path)
     eng = SearchEngine(idx)
     for method, q, kw in STREAM:
@@ -164,6 +169,7 @@ def test_delete_keeps_derived_caches_rebuilds_masks(cidx, tmp_path):
         assert cleared[name]["entries"] == before[name]["entries"], name
     for name in (*REBUILT, "func"):
         assert cleared[name]["entries"] == 0, name
+    assert cleared["filters"]["entries"] == before["filters"]["entries"] > 0
     fresh = SearchEngine(idx)
     for method, q, kw in STREAM:
         assert _call(eng, method, q, kw) == _call(fresh, method, q, kw), q
@@ -192,7 +198,10 @@ def test_atomic_update_rebuilds_function_columns(cidx, tmp_path):
     assert got != base
 
 
-def test_new_generation_clears_everything(cidx, tmp_path):
+def test_new_generation_keeps_only_file_state(cidx, tmp_path):
+    """An extend clears every cache derived from the statistics or the
+    whole index; decoded postings and filter masks, kept per file, stay
+    and grow — and every read still equals a fresh engine's."""
     idx = _copy(cidx, tmp_path)
     eng = SearchEngine(idx)
     for method, q, kw in STREAM:
@@ -206,13 +215,23 @@ def test_new_generation_clears_everything(cidx, tmp_path):
     pq.write_table(more, str(tmp_path / "more.parquet"))
     from solr_indexer_ray.pipelines.build import extend_index
 
+    before = eng.cache_stats()
     extend_index(str(tmp_path / "more.parquet"), idx)
     assert eng.refresh()
+    after = eng.cache_stats()
     assert all(s["entries"] == 0 and s["bytes"] == 0
-               for s in eng.cache_stats().values())
+               for name, s in after.items()
+               if name not in ("postings", "filters"))
+    assert after["postings"]["entries"] == before["postings"]["entries"] > 0
+    assert after["filters"]["entries"] == before["filters"]["entries"] > 0
+    assert eng._cache.nbytes == _sizes(eng)
     fresh = SearchEngine(idx)
     for method, q, kw in STREAM:
         assert _call(eng, method, q, kw) == _call(fresh, method, q, kw), q
+    # the reads brought the postings they used to the new files
+    assert eng.refresh_stats()["postings_extended"] > 0
+    eng.cache_stats()  # measures the handed-out postings again
+    assert eng._cache.nbytes == _sizes(eng)
 
 
 # --------------------------------------------------------------------- #
@@ -260,3 +279,20 @@ def test_negative_k_rejected_distributed(cidx):
             svc.search("def read", k=-1)
         assert svc.search("def read", k=0).num_rows == 0
     assert SearchEngine(cidx).search("def read", k=0).num_rows == 0
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_negative_group_and_collapse_sizes_rejected(cidx, k):
+    """Grouping and collapsing reject a negative group count or size, in
+    process and per job, as ``search()`` does; 0 stays an empty page."""
+    eng = SearchEngine(cidx)
+    calls = [
+        lambda n: eng.group_search("def", "lang", k_groups=n),
+        lambda n: eng.collapse_search("def", "lang", k=n),
+        lambda n: group_partitioned(cidx, "def", "lang", k_groups=n),
+        lambda n: collapse_partitioned(cidx, "def", "lang", k=n),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            call(k)
+        assert call(0).num_rows == 0

@@ -348,6 +348,83 @@ class TestGenerations:
         assert eng.refresh()
         check_reads(eng, index_copy, n=20, seed=11)
 
+    def test_long_lived_engine_equals_fresh_through_every_commit(
+            self, commit_corpus, tmp_path):
+        """One engine refreshed through a seeded run of every kind of
+        commit answers every read shape — ranked with fq, negation,
+        in-query, null-field, prefix, range and spatial filters, facets,
+        sort, highlighting, match_ids — exactly as an engine opened on
+        the same generation, and so do two long-lived doc-range
+        engines."""
+        idx = str(tmp_path / "idx")
+        shutil.copytree(commit_corpus[0], idx)
+        rng = random.Random(21)
+        geo = "{!geofilt sfield=lat,lon pt=10,20 d=4000}"
+        reads = [
+            ("search", "def read", {"fq": "lang:python"}),
+            ("search", "def -read", {"fq": ["lang:go", geo]}),
+            ("search", "lang:python def", {}),
+            ("search", "read -lang:python", {}),
+            ("search", "read lang:py*", {"fl": ["doc_id", "lang"]}),
+            ("search", "def doclen:[20 TO 300]", {"fq": "lang:[a TO q]"}),
+            ("search", 'bbox:"Intersects(ENVELOPE(-60, 60, 50, -50))" def',
+             {}),
+            ("search", "read", {"fq": '-bbox:"IsWithin(ENVELOPE('
+                                      '-120, 120, 60, -60))"'}),
+            ("search", "lang:go", {"k": 40}),
+            ("search", "(def OR read) AND -lang:rust", {}),
+            ("search", "def", {"sort": "doclen desc", "k": 15}),
+            ("search", '"def index" read', {"hl": True}),
+            ("facet", "def", {"fields": ["lang", "repo"]}),
+            ("match_ids", "read -lang:python", {}),
+            ("match_ids", "lang:[a TO q] -def", {}),
+        ]
+
+        def answers(e):
+            out = []
+            for method, q, kw in reads:
+                got = getattr(e, method)(q, **kw)
+                out.append(got.tolist() if method == "match_ids" else got)
+            return out
+
+        def range_reads(e):
+            return [e.search(q, k=50, fl=["doc_id"]) for q in
+                    ("def read", "lang:python", "read -lang:go")] + [
+                e.match_ids("def lang:[a TO q]").tolist()]
+
+        eng = SearchEngine(idx)
+        ranges = {r: SearchEngine(idx, doc_range=r) for r in (1, 3)}
+        answers(eng)
+        for e in ranges.values():
+            range_reads(e)
+        steps = ["extend", "delete", "update", "extend", "delete",
+                 "compact", "extend", "update", "drop_spills"]
+        batches = iter(commit_corpus[1])
+        for step in steps:
+            live = [int(d) for d in np.flatnonzero(eng.present)
+                    if int(d) not in eng.tombstones]
+            if step == "extend":
+                extend_index(next(batches), idx)
+            elif step == "delete":
+                mutate.delete_by_id(idx, rng.sample(live, 4))
+            elif step == "update":
+                mutate.atomic_update(idx, [
+                    {"doc_id": d, "lang": {"set": rng.choice(["go", "x"])}}
+                    for d in rng.sample(live, 3)])
+            elif step == "compact":
+                mutate.compact_index(idx)
+            else:
+                mutate.drop_spills(idx)
+            assert eng.refresh(), step
+            fresh = SearchEngine(idx)
+            for (method, q, kw), got, want in zip(reads, answers(eng),
+                                                  answers(fresh)):
+                assert got == want, (step, method, q, kw)
+            for r, e in ranges.items():
+                assert e.refresh(), step
+                assert range_reads(e) == range_reads(
+                    SearchEngine(idx, doc_range=r)), (step, r)
+
 
 # --------------------------------------------------------------------- #
 # one dictionary serves every read
