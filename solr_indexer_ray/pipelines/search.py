@@ -62,7 +62,7 @@ from solr_indexer_ray.functions.queryparse import (
     resolve_min_should_match,
 )
 from solr_indexer_ray.functions.smallfloat import DECODE_TABLE
-from solr_indexer_ray.functions.varint import decode_doc_ids, varint_decode
+from solr_indexer_ray.functions.varint import varint_decode
 from solr_indexer_ray.state.manifest import BuildManifest
 
 STORED_FIELDS = ["doc_id", "repo", "path", "commit", "lang", "sha256", "doclen"]
@@ -972,7 +972,9 @@ class _PostingsFile:
                 [md.row_group(g).num_rows for g in range(md.num_row_groups)],
                 initial=0,
             ))
-            t = reader.read(columns=["term", "df"])
+            # one file's two columns: a thread pool costs more than
+            # it saves (about 25 % of the read on one core)
+            t = reader.read(columns=["term", "df"], use_threads=False)
             #: each row's term and df
             self.terms = _one_array(t["term"])
             self.dfs = _one_array(t["df"]).to_numpy()
@@ -989,7 +991,8 @@ class _PostingsFile:
             missing = [c for c in columns if c not in cols]
             grown = 0
             if missing:
-                t = self.reader.read_row_group(g, columns=missing)
+                t = self.reader.read_row_group(g, columns=missing,
+                                               use_threads=False)
                 self.decompressed += 1
                 for c in missing:
                     cols[c] = _resident_column(_one_array(t[c]))
@@ -1016,94 +1019,14 @@ def _open_postings_file(path: str) -> _PostingsFile:
     return f
 
 
-def _sorted_rows(terms: pa.Array, row_file, row_pos, row_df) -> tuple:
-    """Postings rows, given per row (term, file index, row position, df),
-    grouped by term: ``(sorted unique terms, CSR offsets into the rows,
-    row_file, row_pos, per-term summed df)`` — the arrays of a
-    :class:`_ShardTerms`."""
-    order = pc.array_sort_indices(terms).to_numpy()
-    terms = terms.take(order)
-    n = len(terms)
-    starts = np.zeros(min(n, 1), dtype=np.int64)  # first row per term
-    if n > 1:
-        new = pc.not_equal(terms.slice(1), terms.slice(0, n - 1))
-        starts = np.concatenate((
-            starts,
-            np.flatnonzero(new.to_numpy(zero_copy_only=False)) + 1,
-        ))
-    df = (np.add.reduceat(row_df[order], starts).astype(np.int64)
-          if n else np.zeros(0, np.int64))
-    return (terms.take(starts), np.append(starts, n).astype(np.int32),
-            row_file[order], row_pos[order], df)
-
-
-def _file_rows(files, which) -> tuple:
-    """:func:`_sorted_rows` of every row of the files at indices
-    ``which`` of ``files`` (loaded)."""
-    which = list(which)
-    return _sorted_rows(
-        pa.concat_arrays([files[i].terms for i in which])
-        if which else pa.array([], pa.string()),
-        np.concatenate([np.full(len(files[i].terms), i, dtype=np.int32)
-                        for i in which] or [np.zeros(0, np.int32)]),
-        np.concatenate([np.arange(len(files[i].terms), dtype=np.int32)
-                        for i in which] or [np.zeros(0, np.int32)]),
-        np.concatenate([files[i].dfs for i in which]
-                       or [np.zeros(0, np.int64)]),
-    )
-
-
-def _union_rows(a: tuple, b: tuple) -> tuple:
-    """Two sets of :func:`_sorted_rows` arrays with disjoint rows as one:
-    the sorted terms merged, each term's rows ``a``'s then ``b``'s and
-    its df their sum.  Only the unique terms are sorted again, not the
-    rows."""
-    (ta, oa, fa, ra, da), (tb, ob, fb, rb, db) = a, b
-    both = pa.concat_arrays([ta, tb])
-    order = pc.array_sort_indices(both).to_numpy()
-    merged = both.take(order)
-    first = np.ones(len(merged), dtype=bool)  # first of equal terms
-    if len(merged) > 1:
-        first[1:] = pc.not_equal(
-            merged.slice(1), merged.slice(0, len(merged) - 1)
-        ).to_numpy(zero_copy_only=False)
-    slot = np.empty(len(merged), dtype=np.int64)  # union index per term
-    slot[order] = np.cumsum(first) - 1
-    ua, ub = slot[:len(ta)], slot[len(ta):]
-    ca, cb = np.diff(oa), np.diff(ob)
-    n = int(first.sum())
-    from_a = np.zeros(n, dtype=np.int64)
-    from_a[ua] = ca
-    count = from_a.copy()
-    count[ub] += cb
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(count, out=offsets[1:])
-    # each row's place: its term's first slot plus its rank in the term,
-    # b's rows after a's
-    dst_a = (np.repeat(offsets[ua], ca) + np.arange(ca.sum())
-             - np.repeat(oa[:-1], ca))
-    dst_b = (np.repeat(offsets[ub] + from_a[ub], cb) + np.arange(cb.sum())
-             - np.repeat(ob[:-1], cb))
-    row_file = np.empty(offsets[-1], dtype=np.int32)
-    row_pos = np.empty(offsets[-1], dtype=np.int32)
-    row_file[dst_a], row_file[dst_b] = fa, fb
-    row_pos[dst_a], row_pos[dst_b] = ra, rb
-    df = np.zeros(n, dtype=np.int64)
-    df[ua] = da
-    df[ub] += db
-    return (merged.filter(pa.array(first)), offsets.astype(np.int32),
-            row_file, row_pos, df)
-
-
 class _ShardTerms:
     """One term shard's part of the term dictionary: every term of the
     shard's postings files (one per doc range), sorted, with CSR
     ``offsets`` into its rows and each row's file index and row
     position; ``df`` is the per-term sum of the rows' df.  Built from
-    the files' ``(term, df)`` columns (:meth:`build`), or from an older
-    shard's arrays and only its new files' columns (:meth:`merged`);
-    everything is an Arrow or numpy array aligned with the sorted terms —
-    no per-term Python objects."""
+    the files' ``(term, df)`` columns (:meth:`build`); everything is an
+    Arrow or numpy array aligned with the sorted terms — no per-term
+    Python objects."""
 
     def __init__(self, files, terms, offsets, row_file, row_pos, df):
         self.files = files
@@ -1126,33 +1049,31 @@ class _ShardTerms:
     def build(cls, files) -> "_ShardTerms":
         """The shard of ``files``, from all their ``(term, df)`` columns."""
         files = [f.load() for f in files]
-        return cls(files, *_file_rows(files, range(len(files))))
-
-    def merged(self, files) -> "_ShardTerms":
-        """The shard of ``files``, some of which this one was built from:
-        the rows of files no longer listed are dropped and only the other
-        files' sorted terms are merged in (:func:`_union_rows`)."""
-        files = [f.load() for f in files]
-        at = {f.serial: i for i, f in enumerate(files)}
-        remap = np.array([at.get(f.serial, -1) for f in self.files],
-                         dtype=np.int32)
-        keep = remap[self.row_file] >= 0
-        row_file, row_pos = remap[self.row_file][keep], self.row_pos[keep]
-        row_df = np.zeros(row_file.size, dtype=np.int64)
-        for i in remap[remap >= 0].tolist():
-            mine = row_file == i
-            row_df[mine] = files[i].dfs[row_pos[mine]]
-        counts = np.diff(self.offsets)
-        row_term = np.repeat(np.arange(counts.size), counts)[keep]
-        n_rows = np.bincount(row_term, minlength=counts.size)
-        df = np.bincount(row_term, weights=row_df,
-                         minlength=counts.size).astype(np.int64)
-        live = n_rows > 0
-        kept = (self.terms.filter(pa.array(live)),
-                np.append(0, np.cumsum(n_rows[live])).astype(np.int32),
-                row_file, row_pos, df[live])
-        added = sorted(set(range(len(files))) - set(remap.tolist()))
-        return _ShardTerms(files, *_union_rows(kept, _file_rows(files, added)))
+        terms = (pa.concat_arrays([f.terms for f in files]) if files
+                 else pa.array([], pa.string()))
+        row_file = np.concatenate(
+            [np.full(len(f.terms), i, dtype=np.int32)
+             for i, f in enumerate(files)] or [np.zeros(0, np.int32)])
+        row_pos = np.concatenate(
+            [np.arange(len(f.terms), dtype=np.int32) for f in files]
+            or [np.zeros(0, np.int32)])
+        row_df = np.concatenate([f.dfs for f in files]
+                                or [np.zeros(0, np.int64)])
+        order = pc.array_sort_indices(terms).to_numpy()
+        terms = terms.take(order)
+        n = len(terms)
+        starts = np.zeros(min(n, 1), dtype=np.int64)  # first row per term
+        if n > 1:
+            new = pc.not_equal(terms.slice(1), terms.slice(0, n - 1))
+            starts = np.concatenate((
+                starts,
+                np.flatnonzero(new.to_numpy(zero_copy_only=False)) + 1,
+            ))
+        df = (np.add.reduceat(row_df[order], starts).astype(np.int64)
+              if n else np.zeros(0, np.int64))
+        return cls(files, terms.take(starts),
+                   np.append(starts, n).astype(np.int32),
+                   row_file[order], row_pos[order], df)
 
     def find(self, terms) -> np.ndarray:
         """Dictionary index of each term (-1: absent): a bisect over the
@@ -1183,24 +1104,32 @@ class _ShardTerms:
                         self.row_pos[rows].tolist()))
 
 
-def _decode_varints(blobs, deltas: bool = False, minus: int = 0) -> list:
-    """Each varint blob of ``blobs`` decoded to int64 — summed as a delta
-    stream when ``deltas`` (doc ids), less ``minus`` — by one decode over
-    their concatenation: many short rows, as new files add, cost one
-    call's overhead instead of one per row."""
-    buf = b"".join(blobs)
-    vals = varint_decode(buf)
-    done = np.zeros(len(buf) + 1, dtype=np.int64)  # values ended by a byte
-    np.cumsum(np.frombuffer(buf, np.uint8) < 0x80, out=done[1:])
-    bounds = done[np.cumsum([0, *map(len, blobs)])]
+def _decode_varints(blobs, counts, deltas: bool = False,
+                    minus: int = 0) -> list:
+    """Each varint blob of ``blobs``, holding ``counts`` values each,
+    decoded to int64 — summed as a delta stream when ``deltas`` (doc
+    ids), less ``minus`` — by one decode over their concatenation: a
+    read's many rows cost one call's overhead instead of one per row."""
+    vals = varint_decode(b"".join(blobs))
+    bounds = np.cumsum(counts)
+    if vals.size != bounds[-1]:
+        raise ValueError(f"postings rows hold {vals.size} values, their "
+                         f"df {int(bounds[-1])}")
     if deltas:
         vals = np.cumsum(vals, dtype=np.uint64)
-        before = np.concatenate((np.zeros(1, np.uint64), vals))[bounds[:-1]]
-        vals -= np.repeat(before, np.diff(bounds))
+        # each row's deltas start again: take off the rows before it
+        before = np.concatenate((np.zeros(1, np.uint64), vals))[
+            np.concatenate(([0], bounds[:-1]))]
+        vals -= np.repeat(before, counts)
     vals = vals.astype(np.int64)
     if minus:
         vals -= minus
-    return np.split(vals, bounds[1:-1])
+    return np.split(vals, bounds[:-1])
+
+
+def _group_of(f: "_PostingsFile", p: int) -> int:
+    """Row group of row ``p`` of postings file ``f`` (loaded)."""
+    return bisect.bisect_right(f.rg_starts, p) - 1
 
 
 def _read_rows(at, columns) -> tuple:
@@ -1213,11 +1142,14 @@ def _read_rows(at, columns) -> tuple:
     read from the file."""
     out = {c: [] for c in columns}
     reads = 0
+    held: dict = {}  # (file serial, row group) -> its resident columns
     for f, p in at:
-        g = bisect.bisect_right(f.rg_starts, p) - 1
-        before = f.decompressed
-        cols = f.group(g, columns)
-        reads += f.decompressed - before
+        g = _group_of(f, p)
+        cols = held.get((f.serial, g))
+        if cols is None:
+            before = f.decompressed
+            cols = held[f.serial, g] = f.group(g, columns)
+            reads += f.decompressed - before
         r = p - f.rg_starts[g]
         for c in columns:
             if c == "range_id":
@@ -1237,64 +1169,45 @@ class _TermDict:
     Kept per term shard (:class:`_ShardTerms`), each built on the first
     read that touches the shard.  ``refresh()`` carries the shards to
     the next generation (:meth:`carried`): a shard whose files the
-    commit left alone is kept as it is; one whose files changed is, on
-    the first read that touches it, merged with only its new files'
-    terms, or built again when it shares no file with the old one.
-    ``counts`` tallies these since the dictionary was carried.
-    ``sources`` maps each shard to its :class:`_PostingsFile` s, whose
-    handles pin the bytes the row positions come from: ``extend_index``
-    replaces boundary range files under the same name (``os.replace``)."""
+    commit left alone is kept as it is; one whose files changed is built
+    again from all its files by the first read that touches it, so the
+    first read after a commit pays only for the changed shards of its
+    own terms.  ``sources`` maps each shard to its :class:`_PostingsFile`
+    s, whose handles pin the bytes the row positions come from:
+    ``extend_index`` replaces boundary range files under the same name
+    (``os.replace``)."""
 
-    def __init__(self, sources: dict, n_shards: int, shards=None,
-                 pending=None):
+    def __init__(self, sources: dict, n_shards: int, shards=None):
         self._sources = sources
         self._n_shards = n_shards
         self._shards: dict = dict(shards or {})
-        #: shard -> the dictionary of an older generation to merge with
-        #: the shard's files on first use (None: build it anew)
-        self._pending: dict = dict(pending or {})
         self._view = None
-        #: shard dictionaries built from all their files' columns so far
+        #: shard dictionaries built so far
         self.builds = 0
-        self.counts = {"kept": len(self._shards), "merged": 0, "rebuilt": 0}
+        #: shard dictionaries the last :meth:`carried` kept
+        self.kept = len(self._shards)
 
     def shard(self, s: int) -> _ShardTerms:
         st = self._shards.get(s)
         if st is None:
-            files = self._sources.get(s, ())
-            carried = s in self._pending
-            old = self._pending.pop(s, None)
-            if old is not None:
-                st = old.merged(files)
-                self.counts["merged"] += 1
-            else:
-                st = _ShardTerms.build(files)
-                self.builds += 1
-                self.counts["rebuilt"] += carried
+            st = _ShardTerms.build(self._sources.get(s, ()))
+            self.builds += 1
             self._shards[s] = st
         return st
 
     def carried(self, sources: dict) -> "_TermDict":
-        """This dictionary over ``sources``, another generation's files:
-        each shard, built or still to merge, is kept when its files are
-        the same, or left to merge with its new files (or to build again,
-        when it shares none) on first use.  With the same files, this
-        dictionary itself, its counts started again."""
+        """This dictionary over ``sources``, another generation's files,
+        keeping each built shard whose files are the same; the others are
+        built on first use.  With the same files everywhere, this
+        dictionary itself."""
         if {s: [f.serial for f in fs] for s, fs in sources.items()} == {
                 s: [f.serial for f in fs] for s, fs in self._sources.items()}:
-            self.counts = {"kept": len(self._shards), "merged": 0,
-                           "rebuilt": 0}
+            self.kept = len(self._shards)
             return self
-        shards, pending = {}, {}
-        for s, st in (*self._pending.items(), *self._shards.items()):
-            files = [f.serial for f in sources.get(s, ())]
-            if st is not None and files == [f.serial for f in st.files]:
-                shards[s] = st
-            elif st is not None and set(files) & {f.serial for f in st.files}:
-                pending[s] = st
-            else:
-                pending[s] = None
-        return _TermDict(sources, self._n_shards, shards, pending)
+        return _TermDict(sources, self._n_shards, {
+            s: st for s, st in self._shards.items()
+            if [f.serial for f in sources.get(s, ())]
+            == [f.serial for f in st.files]})
 
     @property
     def reads(self) -> int:
@@ -1429,7 +1342,7 @@ class _Caches:
         "fq": (256, "generation"),          # fq string -> exclusion mask
         "func": (None, "side"),             # field -> dense float64
         #: cross-doc queries, whose matches depend on what is deleted:
-        #: join query -> whole-index ids, ("fq", directive) -> mask
+        #: join query -> whole-index ids, ("fq", join) -> mask
         "joins": (8, "side"),
     }
 
@@ -1657,9 +1570,10 @@ class SearchEngine:
         #: postings or df access and carried across refresh()
         self._term_dict = None
         self._suggest_cache = None
-        #: term shard -> (serials of its files when its cached postings
-        #: were decoded, those terms) for the shards a commit changed
-        #: since: the next lookup there brings them over (_carry_postings)
+        #: term shard -> (serials of the files every one of its cached
+        #: postings was decoded with, {term: rows to decode, None until
+        #: located}) for the shards a commit changed since those were
+        #: decoded: lookups there bring them over (_carry_postings)
         self._stale: dict = {}
         #: (path, identity) of each docs file, in docs-table row order
         self._docs_files: list = []
@@ -1708,14 +1622,14 @@ class SearchEngine:
         """The index generation open, and what the last ``refresh()`` (or
         the engine's open) reused: docs files read and kept, postings
         files opened and kept, and, counted as the reads after it bring
-        them to the new files, term-dictionary shards kept, merged and
-        rebuilt (:meth:`_TermDict.carried`) and decoded postings entries
-        kept, extended and dropped (:meth:`_carry_postings`)."""
+        them to the new files, term-dictionary shards kept and built
+        (:meth:`_TermDict.carried`) and decoded postings entries kept,
+        extended and dropped (:meth:`_carry_postings`)."""
         td = self._term_dict
-        counts = td.counts if td is not None else dict.fromkeys(
-            ("kept", "merged", "rebuilt"), 0)
         return {**self._reuse,
-                **{f"term_shards_{k}": n for k, n in counts.items()}}
+                "term_shards_kept": td.kept if td is not None else 0,
+                "term_shards_built": (td.builds if td is not None else 0)
+                - self._builds_before}
 
     # ------------------------------------------------------------------ #
     # small state
@@ -1731,16 +1645,16 @@ class SearchEngine:
         tombstones or overlays.  So the resident docs state grows by the
         new docs files' rows now (:meth:`_open_docs`); the decoded
         postings of a term shard whose files changed are brought to the
-        new files by the first lookup in the shard, from their rows in
-        the files the commit left alone plus their rows in the new files,
-        which are opened now (:meth:`_carry_postings`); a term-dictionary
-        shard is merged with its new files' terms on first use
+        new files by the lookups there, from their rows in the files the
+        commit left alone plus their rows in the new files
+        (:meth:`_carry_postings`); a term-dictionary shard
+        whose files changed is built again on first use
         (:meth:`_TermDict.carried`); the filter masks grow by the new
         rows on first use (:meth:`_filter_rows`); and only the caches
         derived from the statistics or the whole index (``"generation"``)
         or from the side files (``"side"``) start empty.  Spreading the
         work this way keeps both the refresh and the first read after it
-        short: a read pays only for the shards it touches."""
+        short: a read pays only for the row groups it touches."""
         self.stats = stats
         self.n_docs = int(stats["n_docs"])          # indexed (valid) docs
         self.avgdl = float(stats["avgdl"])
@@ -1756,6 +1670,9 @@ class SearchEngine:
                    != [f.serial for f in new.get(s, ())]}
         if self._term_dict is not None:
             self._term_dict = self._term_dict.carried(new)
+        #: shards the dictionary had built before this generation opened
+        self._builds_before = (self._term_dict.builds
+                               if self._term_dict is not None else 0)
         if changed:
             self._suggest_cache = None
         docs_kept, docs_read = self._open_docs()
@@ -1767,16 +1684,15 @@ class SearchEngine:
             if tp is not None and tp.score_vec is not None:
                 tp.score_vec = None
                 self._cache.replace("postings", term, tp)
-            s = term_shard(term, n_shards)
-            if s in changed:
-                stale.setdefault(s, []).append(term)
+            if changed and term_shard(term, n_shards) in changed:
+                stale.setdefault(term_shard(term, n_shards), []).append(term)
         for s, terms in stale.items():
-            # a shard still stale from an earlier commit keeps the files
-            # its entries were decoded from; its new files open now
-            self._stale.setdefault(
-                s, ({f.serial for f in old.get(s, ())}, terms))
-            for f in new.get(s, ()):
-                f.load()
+            # files every entry was decoded with: those it had then, less
+            # any rewritten since
+            seen = {f.serial for f in old.get(s, ())}
+            if s in self._stale:
+                seen &= self._stale[s][0]
+            self._stale[s] = (seen, dict.fromkeys(terms))
         self._cache.clear("generation")
         self._open_side()
         was = {f.serial for fs in old.values() for f in fs}
@@ -1860,9 +1776,11 @@ class SearchEngine:
                 _may_hold_nulls(f.metadata, fld) for f in new)
         if self._norms is None:
             return len(old), 0
+        # the new files read with the table's schema, as the whole
+        # table is: one file may type a stored column differently
         self._add_docs_rows(self._docs_view(pads.dataset(
-            [f.path for f in new])).to_table(columns=list(self._doc_cols))
-            if new else None)
+            [f.path for f in new], schema=ds.schema)).to_table(
+                columns=list(self._doc_cols)) if new else None)
         return len(old), len(new)
 
     def _docs_view(self, ds):
@@ -2120,7 +2038,7 @@ class SearchEngine:
             n_shards = int(self.stats["n_shards"])
             for s in self._stale.keys() & {term_shard(t, n_shards)
                                            for t in terms}:
-                self._carry_postings(s)
+                self._carry_postings(s, terms)
         cache = self._cache
         cache.pin(terms)
         usable = _positional if with_positions else None
@@ -2137,8 +2055,10 @@ class SearchEngine:
         for st, ts, idx in self._terms_dict().locate(terms):
             found = [(t, st.rows(i)) for t, i in zip(ts, idx.tolist())
                      if i >= 0]
-            rows = iter(self._decode_rows(
-                st, [r for _, rs in found for r in rs], cols))
+            decoded, reads = self._decode_rows(
+                st.at([r for _, rs in found for r in rs]), cols)
+            st.reads += reads
+            rows = iter(decoded)
             for term, rs in found:
                 out[term] = self._postings_of(term, [next(rows) for _ in rs])
         for t in terms:  # misses are cached as None too
@@ -2147,19 +2067,22 @@ class SearchEngine:
         out.update(cached)
         return out
 
-    def _decode_rows(self, st: _ShardTerms, rows, cols) -> list:
-        """Postings rows ``rows`` of shard dictionary ``st``, decoded:
-        ``[range_id, file serial, doc ids (local), tfs]`` each, plus the
-        raw position stream when ``cols`` asks for ``positions``."""
-        at = st.at(rows)
+    def _decode_rows(self, at, cols) -> tuple:
+        """The postings rows ``at`` (``(file, row position)`` pairs),
+        decoded: ``[range_id, file serial, doc ids (local), tfs]`` each,
+        plus the raw position stream when ``cols`` asks for
+        ``positions``; and the row-group column reads this made."""
+        if not at:
+            return [], 0
         got, reads = _read_rows(at, cols)
-        st.reads += reads
+        # a row's df is the number of its postings
+        counts = np.array([f.dfs[p] for f, p in at], dtype=np.int64)
+        doc_ids = _decode_varints(got["doc_ids"], counts, deltas=True,
+                                  minus=self._lo)
+        tfs = _decode_varints(got["tfs"], counts)
         out = []
         for j, (f, _) in enumerate(at):
-            doc_ids = decode_doc_ids(got["doc_ids"][j])
-            row = [got["range_id"][j], f.serial,
-                   doc_ids - self._lo if self._lo else doc_ids,
-                   varint_decode(got["tfs"][j]).astype(np.int64)]
+            row = [got["range_id"][j], f.serial, doc_ids[j], tfs[j]]
             if "positions" in got:
                 # LAZY: keep the raw delta-varint blob; positions_for()
                 # decodes only the candidate postings a phrase/near match
@@ -2167,7 +2090,7 @@ class SearchEngine:
                 # O(total positions) decode).
                 row.append(bytes(got["positions"][j]))
             out.append(row)
-        return out
+        return out, reads
 
     @staticmethod
     def _postings_of(term: str, rows: list) -> TermPostings:
@@ -2189,35 +2112,55 @@ class SearchEngine:
         cached = self._cache.maps["postings"]
         return sum(t in cached for _, ts in self._stale.values() for t in ts)
 
-    def _carry_postings(self, s: int) -> None:
-        """Bring the cached postings of term shard ``s``, decoded before
-        the last commits changed its files, to the files open now — all
-        of the shard's entries together, so that a burst of reads after a
-        commit pays for a few shards, not for most of its terms one by
-        one.  An entry whose rows all sit in files the commits left alone
-        keeps its doc ids and tfs (and its position keys, which depend on
-        the postings alone).  Otherwise its rows from those files are
-        kept, only its rows in the new files — looked up in those files'
-        terms, no dictionary needed — are decoded, and they join in range
-        order: one new entry in place of the old, never both held.  A
-        positional entry is dropped instead, and read again when a phrase
-        asks.  A term cached as absent gets its rows in the new files."""
-        was, terms = self._stale.pop(s)
+    def _carry_postings(self, s: int, wanted) -> None:
+        """Bring cached postings of term shard ``s``, decoded before the
+        last commits changed its files, to the files open now: those of
+        the ``wanted`` terms, and with them every other entry of the
+        shard whose new rows sit in row groups already decompressed or
+        decompressed for the wanted ones — so a burst of reads after a
+        commit pays for a few row groups per shard, not for most of its
+        terms one by one, nor for row groups no read needs.
+
+        The first call after a commit locates every entry's rows in the
+        shard's files that some entry was not decoded with, in those
+        files' own terms (no dictionary needed): an entry keeps its rows
+        in files the commits left alone, with
+        their doc ids and tfs (and its position keys, which depend on the
+        postings alone), and only its rows in other files are decoded;
+        they join in range order, one new entry in place of the old,
+        never both held.  A positional entry that changed is dropped
+        instead, and read again when a phrase asks.  A term cached as
+        absent gets its rows in the new files."""
+        seen, pending = self._stale[s]
         cached = self._cache.maps["postings"]
-        terms = [t for t in terms if t in cached]
+        for t in [t for t in pending if t not in cached]:
+            del pending[t]  # evicted since
         files = self._postings_files.get(s, [])
         have = {f.serial for f in files}
-        added = [f.load() for f in files if f.serial not in was]
-        names = pa.array(terms, pa.string())
-        found = [pc.index_in(names, value_set=f.terms).fill_null(-1)
-                 .to_numpy().tolist() for f in added]
+        unknown = [t for t, at in pending.items() if at is None]
+        if unknown:
+            added = [f.load() for f in files if f.serial not in seen]
+            names = pa.array(unknown, pa.string())
+            found = [pc.index_in(names, value_set=f.terms).fill_null(-1)
+                     .to_numpy().tolist() for f in added]
+            for j, t in enumerate(unknown):
+                tp = cached[t][0]
+                kept = {p[1] for p in (() if tp is None else tp.parts)}
+                pending[t] = [(f, at[j]) for f, at in zip(added, found)
+                              if at[j] >= 0 and f.serial not in kept]
+        cols = ["range_id", "doc_ids", "tfs"]
+        needed = {(f.serial, _group_of(f, p))
+                  for t in wanted for f, p in pending.get(t, ())}
+        now = [t for t, at in pending.items() if t in wanted or all(
+            (f.serial, g) in needed or f.groups.get(g, {}).keys() >= {*cols}
+            for f, p in at for g in (_group_of(f, p),))]
         counts = self._reuse
         todo = []  # (term, entry, its parts kept, rows to decode)
-        for j, term in enumerate(terms):
+        for term in now:
+            fresh = pending.pop(term)
             tp = cached[term][0]
             parts = () if tp is None else tp.parts
             kept = [p for p in parts if p[1] in have]
-            fresh = [(f, at[j]) for f, at in zip(added, found) if at[j] >= 0]
             if not fresh and len(kept) == len(parts):
                 counts["postings_kept"] += 1
             elif tp is not None and _positional(tp):
@@ -2225,14 +2168,12 @@ class SearchEngine:
                 counts["postings_dropped"] += 1
             else:
                 todo.append((term, tp, kept, fresh))
+        if not pending:
+            del self._stale[s]
         at = [r for *_, fresh in todo for r in fresh]
-        got, _ = _read_rows(at, ["range_id", "doc_ids", "tfs"])
-        decoded = iter(zip(
-            got["range_id"], (f.serial for f, _ in at),
-            _decode_varints(got["doc_ids"], deltas=True, minus=self._lo),
-            _decode_varints(got["tfs"])))
+        decoded = iter(self._decode_rows(at, cols)[0])
         for term, tp, kept, fresh in todo:
-            rows = [list(next(decoded)) for _ in fresh]
+            rows = [next(decoded) for _ in fresh]
             lo = 0
             for part in () if tp is None else tp.parts:
                 if part in kept:
@@ -2870,14 +2811,6 @@ class SearchEngine:
             return pc.starts_with(pc.field(fld), val[:-1])
         return pc.field(fld) == val
 
-    @classmethod
-    def _filters_expr(cls, filters: dict):
-        expr = None
-        for fld, val in filters.items():
-            e = cls._filter_value_expr(fld, val)
-            expr = e if expr is None else expr & e
-        return expr
-
     def search(
         self,
         query: str,
@@ -3217,20 +3150,20 @@ class SearchEngine:
 
         Each distinct fq string computes its match set ONCE and caches the
         inverse as a dense exclusion mask (Solr filterCache: filters are
-        evaluated independently of the main query and reused).  The mask
-        holds the deleted docs as matches (:meth:`_matches`), so a delete
-        keeps it; only a filter directive, whose matches may depend on
-        what is deleted (a join), is kept until the next commit."""
+        evaluated independently of the main query and reused).  Every read
+        ORs the deleted docs in, so a delete keeps the mask; only a join
+        or block join, whose matches depend on what is deleted, is kept
+        until the next commit."""
         if not fq:
             return excluded
         fqs = [fq] if isinstance(fq, str) else list(fq)
         for f in fqs:
-            name, key = ("joins", ("fq", f)) if _is_directive(f) \
+            name, key = ("joins", ("fq", f)) if _links_docs(f) \
                 else ("fq", f)
             m = self._cache.get(name, key)
             if m is _MISS:
                 member = np.zeros(self.doc_space, dtype=bool)
-                member[self.match_ids(f) if name == "joins"
+                member[self.match_ids(f) if _is_directive(f)
                        else self._matches(f)] = True
                 m = self._cache.put(name, key, ~member)
             excluded = m.copy() if excluded is None else (excluded | m)
@@ -6847,6 +6780,12 @@ def _is_directive(query: str) -> bool:
     join query (:meth:`SearchEngine.match_ids`)."""
     return any(r.match(query or "") for r in (
         _JOIN_Q_RE, _GEO_Q_RE, _INTERSECTS_Q_RE, _BLOCKJOIN_Q_RE))
+
+
+def _links_docs(query: str) -> bool:
+    """Whether ``query`` is a join or block join, whose matches depend on
+    what is deleted: a deleted doc links no other."""
+    return any(r.match(query or "") for r in (_JOIN_Q_RE, _BLOCKJOIN_Q_RE))
 
 
 def _extract_collapse_fq(fq):

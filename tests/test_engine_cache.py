@@ -29,6 +29,7 @@ from solr_indexer_ray.pipelines.serving import PartitionedSearchService
 from solr_indexer_ray.sources.corpus import generate_corpus
 
 GEO = "{!geofilt sfield=lat,lon pt=10,20 d=4000}"
+JOIN = "{!join from=repo to=repo}lang:go"
 ENV = "{!intersects sfield=bbox}ENVELOPE(-60, 60, 50, -50)"
 BF = "recip(doclen,1,1000,1000)"
 
@@ -60,8 +61,8 @@ def _copy(idx, tmp_path) -> str:
 
 
 #: (method, query, keyword arguments): terms, phrases, wildcards, fuzzy,
-#: fq (term, spatial, envelope), a spatial main query, negation, facets,
-#: sort= and bf
+#: fq (term, spatial, envelope, join), a spatial main query, negation,
+#: facets, sort= and bf
 STREAM = [
     ("search", "def read", {}),
     ("search", '"def index"', {}),
@@ -76,6 +77,7 @@ STREAM = [
     ("search", "read", {"fq": GEO}),
     ("search", GEO, {"k": 5}),
     ("search", "read", {"fq": ENV}),
+    ("search", "read", {"fq": JOIN}),
     ("search", "import -def", {"fq": ["lang:go", GEO]}),
     ("search", "write", {"sort": "path asc"}),
 ]
@@ -152,9 +154,9 @@ REBUILT = ("joins",)
 
 def test_delete_keeps_derived_caches_and_masks(cidx, tmp_path):
     """A delete-only commit clears only the caches derived from the
-    tombstones or overlays (function columns, and the fq masks of
-    spatial and join directives); expansions, spatial arrays, postings,
-    sort fields and the fq and filter masks survive, since reads OR the
+    tombstones or overlays (function columns, and join fq masks);
+    expansions, spatial arrays, postings, sort fields and the fq
+    (spatial fqs included) and filter masks survive, since reads OR the
     deleted docs in — and every read still equals a fresh engine's."""
     idx = _copy(cidx, tmp_path)
     eng = SearchEngine(idx)
@@ -170,6 +172,7 @@ def test_delete_keeps_derived_caches_and_masks(cidx, tmp_path):
     for name in (*REBUILT, "func"):
         assert cleared[name]["entries"] == 0, name
     assert cleared["filters"]["entries"] == before["filters"]["entries"] > 0
+    assert {GEO, ENV} <= eng._cache.maps["fq"].keys()
     fresh = SearchEngine(idx)
     for method, q, kw in STREAM:
         assert _call(eng, method, q, kw) == _call(fresh, method, q, kw), q

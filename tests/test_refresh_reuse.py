@@ -2,12 +2,11 @@
 
 A refresh opens the new generation keeping everything derived from the
 files it shares with the old one: the resident docs state grows by the
-new docs files' rows, term-dictionary shards are kept or merged with
-their new files' terms, decoded postings keep their rows from unchanged
-files, and filter masks — evaluated over the resident docs columns —
-grow by the new rows.  These tests count what a refresh and the reads
-after it actually read, check the merged dictionary against one built
-from scratch, and check the resident filter evaluation against the
+new docs files' rows, term-dictionary shards whose files did not change
+are kept, decoded postings keep their rows from unchanged files, and
+filter masks — evaluated over the resident docs columns — grow by the
+new rows.  These tests count what a refresh and the reads after it
+actually read, and check the resident filter evaluation against the
 parquet scan it replaced.
 """
 
@@ -15,20 +14,23 @@ import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 
+from solr_indexer_ray.config import IndexConfig
 from solr_indexer_ray.functions.queryparse import RangeFilter, SpatialFilter
 from solr_indexer_ray.pipelines import mutate
 from solr_indexer_ray.pipelines import search as search_mod
-from solr_indexer_ray.pipelines.build import extend_index
+from solr_indexer_ray.pipelines.build import build_index, extend_index
 from solr_indexer_ray.pipelines.search import (
     SearchEngine,
-    _ShardTerms,
     _spatial_nonmatch_expr,
     _spatial_pred_expr,
 )
+from solr_indexer_ray.sources.corpus import generate_corpus
 
 #: ranked, filtered and resolved reads over every per-file state kind
 READS = [
@@ -109,10 +111,10 @@ class TestRefreshReadsOnlyWhatTheCommitWrote:
         extend_index(commit_corpus[1][0], idx)
         docs_reads()
         assert eng.refresh()
-        stale = sum(len(terms) for _, terms in eng._stale.values())
+        stale = eng._n_stale()
         assert stale and eng.refresh_stats()["postings_kept"] + stale == cached
         got = _read_all(eng)
-        eng.lookup_dfs(["def", "read"])  # merges the shards they hash to
+        eng.lookup_dfs(["def", "read"])  # builds the shards they hash to
         stats = eng.refresh_stats()
         new_docs = _docs_files(idx) - docs_before
         assert len(new_docs) == 1
@@ -123,13 +125,18 @@ class TestRefreshReadsOnlyWhatTheCommitWrote:
         assert kept and new
         assert all(after[k] == groups[k] for k in kept)
         assert eng._term_dict is not tdict
-        assert eng._term_dict.builds == 0  # every touched shard carried
+        for s, st in eng._term_dict._shards.items():
+            old = tdict._shards.get(s)  # kept only if its files stayed
+            assert (st is old) == (old is not None and [
+                f.serial for f in st.files] == [f.serial for f in old.files])
         assert stats["generation"] == 2
         assert (stats["docs_files_read"], stats["docs_files_kept"]) == (
             1, len(docs_before))
         assert stats["postings_files_kept"] == len(kept)
         assert stats["postings_files_opened"] == len(new)
-        assert stats["term_shards_merged"] > 0
+        assert stats["term_shards_built"] == eng._term_dict.builds > 0
+        assert stats["term_shards_kept"] + stats["term_shards_built"] \
+            == len(eng._term_dict._shards)
         assert stats["postings_extended"] > 0
         fresh = SearchEngine(idx)
         for t, want in zip(got, _read_all(fresh)):
@@ -183,29 +190,87 @@ class TestRefreshReadsOnlyWhatTheCommitWrote:
             assert t.equals(want)
 
 
-def test_merged_shards_equal_built_ones(idx, commit_corpus):
-    """A shard merged with an extend's new files holds the same terms,
-    dfs and rows as one built from all its files."""
+def test_changed_shards_rebuilt_unchanged_kept(idx, commit_corpus):
+    """After an extend, a shard whose files all stayed is the same object
+    and reads nothing; a shard with a new or rewritten file is built
+    again from all its files on first use."""
     eng = SearchEngine(idx)
     shards = range(int(eng.stats["n_shards"]))
     for s in shards:
         eng._terms_dict().shard(s)
     for batch in commit_corpus[1][:2]:
+        before = dict(eng._term_dict._shards)
         extend_index(batch, idx)
         assert eng.refresh()
-        for s in shards:  # each merged on first use
-            eng._terms_dict().shard(s)
-        assert eng.refresh_stats()["term_shards_merged"] > 0
-        assert eng._term_dict.builds == 0
-        for st in eng._term_dict._shards.values():
-            ref = _ShardTerms.build(st.files)
-            assert st.terms.equals(ref.terms)
-            assert np.array_equal(st.offsets, ref.offsets)
-            assert np.array_equal(st.df, ref.df)
-            for i in range(len(st.terms)):
-                rows, want = st.rows(i), ref.rows(i)
-                assert sorted(zip(st.row_file[rows], st.row_pos[rows])) == \
-                    sorted(zip(ref.row_file[want], ref.row_pos[want]))
+        for s in shards:
+            st = eng._terms_dict().shard(s)
+            same = [f.serial for f in st.files] == [
+                f.serial for f in before[s].files]
+            assert (st is before[s]) == same
+        stats = eng.refresh_stats()
+        assert stats["term_shards_kept"] + stats["term_shards_built"] \
+            == len(shards)
+        assert stats["term_shards_built"] > 0
+        fresh = SearchEngine(idx)
+        assert eng.lookup_dfs(["def", "read", "lang"]) == \
+            fresh.lookup_dfs(["def", "read", "lang"])
+
+
+def test_partial_carry_across_commits(tmp_path):
+    """When a shard's new postings file holds more than one row group, a
+    lookup brings over only the cached entries whose new rows sit in the
+    row groups it decompresses; the rest stay pending through a second
+    commit, and then every cached entry equals a fresh engine's."""
+    rng = np.random.default_rng(11)
+    letters = np.array(list("bcdfghjkmnpqrtvwxz"))  # no stemmer suffixes
+    vocab = sorted({"".join(w) for w in rng.choice(letters, (9000, 6))})
+    t = generate_corpus(360, seed=3, with_edge_rows=False)
+    t = t.set_column(t.schema.get_field_index("content"), "content",
+                     pa.array([" ".join(rng.choice(vocab, 60))
+                               for _ in range(t.num_rows)]))
+    paths = [str(tmp_path / f"{n}.parquet") for n in ("base", "b1", "b2")]
+    for path, part in zip(paths, (t.slice(0, 300), t.slice(300, 30),
+                                  t.slice(330))):
+        pq.write_table(part, path)
+    idx = str(tmp_path / "idx")
+    # the first extend fills doc range 0, the second starts range 1
+    build_index(paths[0], idx, config=IndexConfig(docs_per_range=330))
+    eng = SearchEngine(idx)
+    eng.lookup_postings(vocab)
+    cached = list(eng._cache.maps["postings"])
+    extend_index(paths[1], idx)
+    assert eng.refresh()
+    eng.lookup_postings(cached[:3])
+    stats = eng.refresh_stats()
+    assert stats["postings_extended"] > 0
+    assert eng._n_stale() > 0  # others wait for their row groups
+    extend_index(paths[2], idx)
+    assert eng.refresh()
+    got = eng.lookup_postings(cached)
+    want = SearchEngine(idx).lookup_postings(cached)
+    assert got.keys() == want.keys()
+    for term, tp in want.items():
+        assert np.array_equal(got[term].doc_ids, tp.doc_ids), term
+        assert np.array_equal(got[term].tfs, tp.tfs), term
+    assert eng._n_stale() == 0
+
+
+def test_extend_with_another_column_type(idx, commit_corpus, tmp_path):
+    """A batch whose stored ``lat`` is int64, not float64, is read with
+    the docs table's schema at refresh, as a fresh engine reads it."""
+    t = pq.read_table(commit_corpus[1][0])
+    t = t.set_column(t.schema.get_field_index("lat"), "lat",
+                     pc.cast(pc.round(t["lat"]), pa.int64()))
+    path = str(tmp_path / "int-lat.parquet")
+    pq.write_table(t, path)
+    q, kw = "lat:[0 TO 50]", {"k": 300, "fl": ["doc_id", "lat"]}
+    eng = SearchEngine(idx)
+    before = eng.search(q, **kw)
+    extend_index(path, idx)
+    assert eng.refresh()
+    got = eng.search(q, **kw)
+    assert got.num_rows > before.num_rows
+    assert got.equals(SearchEngine(idx).search(q, **kw))
 
 
 # --------------------------------------------------------------------- #
