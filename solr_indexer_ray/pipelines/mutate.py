@@ -34,17 +34,10 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from solr_indexer_ray.pipelines.search import SearchEngine
+from solr_indexer_ray.pipelines.search import SearchEngine, read_tombstones
 
 TOMBSTONES = "tombstones.parquet"
 OVERLAYS = "overlays.parquet"
-
-
-def _read_tombstones(index_dir: str) -> set:
-    path = os.path.join(index_dir, TOMBSTONES)
-    if not os.path.exists(path):
-        return set()
-    return set(pq.read_table(path, columns=["doc_id"])["doc_id"].to_pylist())
 
 
 def _write_tombstones(index_dir: str, ids: set) -> None:
@@ -65,7 +58,7 @@ def delete_by_id(index_dir: str, doc_ids) -> dict:
     present = engine.present
     existing = {d for d in requested if 0 <= d < engine.doc_space and present[d]}
     missing = sorted(requested - existing)
-    tombs = _read_tombstones(index_dir)
+    tombs = read_tombstones(index_dir)
     already = sorted(existing & tombs)
     tombs |= existing
     _write_tombstones(index_dir, tombs)
@@ -87,7 +80,7 @@ def delete_by_query(index_dir: str, query: str) -> dict:
     """Search-then-delete (reference: ``solrindexer/search.py:306-328``)."""
     engine = SearchEngine(index_dir)
     ids = match_ids(engine, query)
-    tombs = _read_tombstones(index_dir)
+    tombs = read_tombstones(index_dir)
     tombs |= set(int(i) for i in ids)
     _write_tombstones(index_dir, tombs)
     return {"query": query, "deleted": int(ids.size)}
@@ -226,10 +219,7 @@ def atomic_update(index_dir: str, updates) -> dict:
     )
     base_rows: dict = {d: {} for d in existing}
     if stored_needed and existing:
-        t = engine._docs_ds.to_table(
-            columns=["doc_id", *stored_needed],
-            filter=pc.field("doc_id").isin(sorted(existing)),
-        )
+        t = engine._matched_rows(sorted(existing), ["doc_id", *stored_needed])
         for row in t.to_pylist():
             base_rows[row["doc_id"]] = row
     overlays = engine._load_overlays()
@@ -446,7 +436,7 @@ def _compact_locked(index_dir: str, manifest) -> dict:
     from solr_indexer_ray.pipelines.build import _run_stage2
 
     stats = manifest.read_stats()
-    tombs = _read_tombstones(index_dir)
+    tombs = read_tombstones(index_dir)
     if not tombs:
         return {"removed": 0, "stats": stats}
     _require_spills(index_dir, stats, "compact")
@@ -604,7 +594,7 @@ def apply_upsert_semantics(index_dir: str, key_cols=("repo", "path")) -> dict:
         int(i) for b in dead.iter_batches(batch_format="pyarrow")
         for i in b["doc_id"].to_pylist()
     )
-    tombs = _read_tombstones(index_dir)
+    tombs = read_tombstones(index_dir)
     _write_tombstones(index_dir, tombs | dead_ids)
     return {"shadowed": len(dead_ids)}
 # --------------------------------------------------------------------- #

@@ -851,6 +851,18 @@ class TermPostings:
         return flat
 
 
+def read_tombstones(index_dir: str) -> set:
+    """The deleted doc ids of the index at ``index_dir`` (its
+    ``tombstones.parquet``; none when the file is absent)."""
+    path = os.path.join(index_dir, "tombstones.parquet")
+    if not os.path.exists(path):
+        return set()
+    import pyarrow.parquet as pq
+
+    return set(pq.ParquetFile(path).read(columns=["doc_id"])[
+        "doc_id"].to_pylist())
+
+
 def _file_identity(path: str) -> tuple:
     st = os.stat(path)
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
@@ -1250,7 +1262,9 @@ class _TermDict:
 class _DocRange:
     """The docs table as a range engine sees it: only the rows with
     ``lo <= doc_id < hi``, their ``doc_id`` made local (``doc_id - lo``).
-    A scan filter still compares the stored global ``doc_id``."""
+    A scan filter still compares the stored global ``doc_id``.  The
+    engine reads it only to fill its resident columns and to fetch
+    ``content`` for the rows a request asks for."""
 
     def __init__(self, ds, lo: int, hi: int):
         self._ds = ds
@@ -1831,18 +1845,11 @@ class SearchEngine:
     @property
     def tombstones(self) -> set:
         if self._tombstones is None:
-            path = os.path.join(self.index_dir, "tombstones.parquet")
-            if os.path.exists(path):
-                import pyarrow.parquet as pq
-
-                ids = pq.ParquetFile(path).read(columns=["doc_id"])[
-                    "doc_id"].to_pylist()
-                if self._range is not None:
-                    hi = self._lo + self.doc_space
-                    ids = [d - self._lo for d in ids if self._lo <= d < hi]
-                self._tombstones = set(ids)
-            else:
-                self._tombstones = set()
+            ids = read_tombstones(self.index_dir)
+            if self._range is not None:
+                hi = self._lo + self.doc_space
+                ids = {d - self._lo for d in ids if self._lo <= d < hi}
+            self._tombstones = ids
         return self._tombstones
 
     def _dead_mask(self):
@@ -2587,7 +2594,7 @@ class SearchEngine:
         (the ``norm_<field>`` docs column)."""
         arr = self._cache.get("field_norms", fld)
         if arr is _MISS:
-            t = self._docs_ds.to_table(columns=["doc_id", f"norm_{fld}"])
+            t = self._field_table(f"norm_{fld}")
             arr = np.zeros(self.doc_space, dtype=np.uint8)
             arr[t["doc_id"].to_numpy()] = t[f"norm_{fld}"].to_numpy()
             self._cache.put("field_norms", fld, arr)
@@ -3214,15 +3221,13 @@ class SearchEngine:
                 "hl", pa.array([None] * t.num_rows, pa.string())
             )
         pat = re.compile("|".join(alts), re.IGNORECASE)
-        ids = t["doc_id"].to_pylist()
-        ct = self._docs_ds.to_table(
-            columns=["doc_id", "content"],
-            filter=pc.field("doc_id").isin([d + self._lo for d in ids]),
-        )
-        content = dict(zip(ct["doc_id"].to_pylist(), ct["content"].to_pylist()))
+        ids = t["doc_id"].to_numpy()
+        idx, rows = self._hit_rows(ids)
+        content = dict(zip(ids[idx].tolist(),
+                           self._content_take(rows).to_pylist()))
         snippets = []
         lead = max(0, (fragsize * 3) // 8)
-        for d in ids:
+        for d in ids.tolist():
             text = content.get(d) or ""
             frags = []
             pos = 0
@@ -3550,7 +3555,7 @@ class SearchEngine:
                 f"function queries need a stored numeric field; {field!r} "
                 f"is not one (have: {sorted(self.stored_fields)})"
             )
-        t = self._docs_ds.to_table(columns=["doc_id", field])
+        t = self._field_table(field)
         col = t[field]
         if not (
             pa.types.is_timestamp(col.type)
@@ -4209,9 +4214,13 @@ class SearchEngine:
 
     def _docs_columns(self, names) -> dict:
         """Docs-table columns by name, in table row order (the order the
-        locator points into): read once per index generation, in one scan
-        for all that are missing, and kept until the next generation —
-        the stored-fields / docValues analogue."""
+        locator points into): read in one scan for all that are missing
+        and kept resident, growing by the rows an extend appends — the
+        stored-fields / docValues analogue.  Every per-doc read of a
+        stored field (``fl``, sort, facets, stats, joins, spatial
+        arrays, function columns, field norms, filters) is served from
+        here; only ``content`` is read per request
+        (:meth:`_content_take`)."""
         self.norms  # the locator's row order comes first
         missing = [n for n in dict.fromkeys(names) if n not in self._doc_cols]
         if missing:
@@ -4304,12 +4313,9 @@ class SearchEngine:
         month-add, day-of-month clamped to the target month's length),
         so a Jan-31 start yields Feb-28/29 then Mar-28/29 edges."""
         ids = self._filtered_match_ids(query, fq)
-        mask = np.zeros(self.doc_space, dtype=bool)
-        mask[ids] = True
         if field == "doclen":
             s_i, e_i, g_i = _int_range_bounds(field, start, end, gap)
-            t = self._docs_ds.to_table(columns=["doc_id", field])
-            vals = t[field].to_numpy()[mask[t["doc_id"].to_numpy()]]
+            vals = self._matched_rows(ids, [field])[field].to_numpy()
         else:
             col_field = self._docs_ds.schema.field(field) \
                 if field in self.stored_fields else None
@@ -4326,10 +4332,9 @@ class SearchEngine:
                       .astype(np.int64))
             if e_i <= s_i:
                 raise ValueError("need end > start")
-            t = self._docs_ds.to_table(columns=["doc_id", field])
-            hit = mask[t["doc_id"].to_numpy()]
-            vals = (t[field].cast(pa.timestamp("us")).to_numpy()
-                    .astype("datetime64[us]").astype(np.int64)[hit])
+            vals = (self._matched_rows(ids, [field])[field]
+                    .cast(pa.timestamp("us")).to_numpy()
+                    .astype("datetime64[us]").astype(np.int64))
             bounds = _date_bucket_bounds(s_i, e_i, gap)
             n_buckets = len(bounds) - 1
             idx = np.searchsorted(bounds, vals, side="right") - 1
@@ -4368,17 +4373,15 @@ class SearchEngine:
                     fq=None) -> list:
         """Solr ``facet.pivot=f1,f2``: nested value counts over the match
         set, flattened to ``(v1, v2, count)`` rows ordered count desc then
-        values asc (two-level pivots; Solr's common case)."""
+        values asc, a null value after the others (two-level pivots;
+        Solr's common case)."""
         if len(fields) != 2:
             raise ValueError("pivot_facet supports exactly two fields")
         for f in fields:
             if f not in self.stored_fields or f == "doc_id":
                 raise ValueError(f"cannot pivot on field {f!r}")
-        ids = self._filtered_match_ids(query, fq)
-        mask = np.zeros(self.doc_space, dtype=bool)
-        mask[ids] = True
-        t = self._docs_ds.to_table(columns=["doc_id", *fields])
-        t = t.filter(pa.array(mask[t["doc_id"].to_numpy()]))
+        t = self._matched_rows(self._filtered_match_ids(query, fq),
+                               ["doc_id", *fields])
         agg = pa.TableGroupBy(t, list(fields)).aggregate([("doc_id", "count")])
         rows = sorted(
             zip(
@@ -4386,7 +4389,7 @@ class SearchEngine:
                 agg[fields[1]].to_pylist(),
                 agg["doc_id_count"].to_pylist(),
             ),
-            key=lambda r: (-r[2], r[0], r[1]),
+            key=lambda r: (-r[2], r[0] is None, r[0], r[1] is None, r[1]),
         )
         return [(a, b, int(c)) for a, b, c in rows if c >= mincount]
 
@@ -4410,17 +4413,12 @@ class SearchEngine:
         for f in (from_field, to_field):
             if f not in self.stored_fields or f == "doc_id":
                 raise ValueError(f"cannot join on field {f!r}")
-        inner = self.match_ids(inner_query)
-        src = self._docs_ds.to_table(columns=["doc_id", from_field])
-        mask = np.zeros(self.doc_space, dtype=bool)
-        mask[inner] = True
-        vals = src[from_field].filter(
-            pa.array(mask[src["doc_id"].to_numpy()])
-        )
+        vals = self._matched_rows(self.match_ids(inner_query),
+                                  [from_field])[from_field]
         vset = pc.unique(pc.drop_null(vals))
         if len(vset) == 0:
             return np.array([], dtype=np.int64)
-        dst = self._docs_ds.to_table(columns=["doc_id", to_field])
+        dst = self._field_table(to_field)
         hit = pc.is_in(dst[to_field], value_set=vset)
         ids = dst["doc_id"].to_numpy()[
             pc.fill_null(hit, False).to_numpy(zero_copy_only=False)
@@ -4431,17 +4429,17 @@ class SearchEngine:
         """Restrict raw docs-table ids to live docs (present, not
         tombstoned), sorted ascending."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size:
-            ids = ids[self.present[ids]]
-        if self.tombstones and ids.size:
-            ids = ids[~np.isin(
-                ids, np.fromiter(self.tombstones, dtype=np.int64)
-            )]
+        ids = ids[self.present[ids]]
+        dead = self._dead_mask()
+        if dead is not None:
+            ids = ids[~dead[ids]]
         return np.sort(ids)
 
     def _field_table(self, field: str) -> pa.Table:
-        """``(doc_id, field)`` projection of the docs table, served from
-        the resident columns — the grouping/collapsing value source."""
+        """``(doc_id, field)`` projection of the whole docs table, served
+        from the resident columns: the source of every dense per-doc
+        array (sort keys, facet codes, function columns, field norms,
+        spatial arrays) and of a join's target values."""
         cols = self._docs_columns(["doc_id", field])
         return pa.Table.from_arrays([cols["doc_id"], cols[field]],
                                     names=["doc_id", field])
@@ -4449,10 +4447,8 @@ class SearchEngine:
     def _join_field(self, df, field: str):
         """A hits frame (``doc_id``, ...) left-joined with the hit docs'
         ``field`` values."""
-        t = self._field_table(field)
-        mask = np.zeros(self.doc_space, dtype=bool)
-        mask[df["doc_id"].to_numpy()] = True
-        t = t.filter(pa.array(mask[t["doc_id"].to_numpy()]))
+        t = self._matched_rows(np.unique(df["doc_id"].to_numpy()),
+                               ["doc_id", field])
         return df.merge(t.to_pandas(), on="doc_id", how="left")
 
     def _dense_field(self, field: str) -> np.ndarray:
@@ -4531,14 +4527,14 @@ class SearchEngine:
             for c in (latc, lonc):
                 if c not in self.stored_fields:
                     raise ValueError(f"unknown spatial column {c!r}")
-            t = self._docs_ds.to_table(columns=["doc_id", latc, lonc])
+            t = self._docs_columns(["doc_id", latc, lonc])
             ids = t["doc_id"].to_numpy()
             lat[ids] = t[latc].to_numpy(zero_copy_only=False).astype(float)
             lon[ids] = t[lonc].to_numpy(zero_copy_only=False).astype(float)
         else:
             if sfield not in self.stored_fields:
                 raise ValueError(f"unknown spatial field {sfield!r}")
-            t = self._docs_ds.to_table(columns=["doc_id", sfield])
+            t = self._field_table(sfield)
             ids = t["doc_id"].to_numpy()
             for i, v in zip(ids, t[sfield].to_pylist()):
                 if not v:
@@ -4614,7 +4610,7 @@ class SearchEngine:
             s = np.full(self.doc_space, np.nan)
             e = np.full(self.doc_space, np.nan)
             n = np.full(self.doc_space, np.nan)
-            t = self._docs_ds.to_table(columns=["doc_id", field])
+            t = self._field_table(field)
             for i, v in zip(t["doc_id"].to_numpy(),
                             t[field].to_pylist()):
                 if not v:
@@ -4880,18 +4876,17 @@ class SearchEngine:
         from merged sum/count).
         """
         specs = self._parse_facet_stats(by, metrics)
-        ids = self._filtered_match_ids(query, fq)
         fields = sorted({f for _, (_, f) in specs})
-        t = self._docs_ds.to_table(columns=["doc_id", by, *fields])
-        mask = np.zeros(self.doc_space, dtype=bool)
-        mask[ids] = True
-        t = t.filter(pa.array(mask[t["doc_id"].to_numpy()]))
-        t = t.filter(pc.is_valid(t[by]))
-        if t.num_rows == 0:
-            return self._facet_stats_table([], specs)
         return self._facet_stats_rows(
-            _group_aggregates(t, by, fields).to_pylist(), by, specs,
-            mincount, limit)
+            self._facet_stats_groups(query, by, fields, fq).to_pylist(), by,
+            specs, mincount, limit)
+
+    def _facet_stats_groups(self, query, by, fields, fq) -> pa.Table:
+        """:func:`_group_aggregates` of the matches of ``query`` (under
+        ``fq``) with a non-null ``by``: one row per bucket value."""
+        t = self._matched_rows(self._filtered_match_ids(query, fq),
+                               [by, *fields])
+        return _group_aggregates(t.filter(pc.is_valid(t[by])), by, fields)
 
     def json_facet(self, query: str, spec: dict, fq=None) -> dict:
         """Solr JSON Facet API subset (``json.facet=...``): RECURSIVE
@@ -5492,10 +5487,7 @@ class SearchEngine:
         if field not in self.stored_fields or field == "doc_id":
             raise ValueError(f"cannot compute stats on field {field!r}")
         ids = self._filtered_match_ids(query, fq)
-        mask = np.zeros(self.doc_space, dtype=bool)
-        mask[ids] = True
-        t = self._docs_ds.to_table(columns=["doc_id", field])
-        return t[field].filter(pa.array(mask[t["doc_id"].to_numpy()]))
+        return self._matched_rows(ids, [field])[field]
 
     def group_search(self, query: str, group_field: str,
                      k_groups: int = 10, group_limit: int = 1,
@@ -6627,9 +6619,7 @@ def facet_stats_partitioned(index_dir: str, query: str, by: str,
     fields = sorted({f for _, (_, f) in specs})
 
     def task(e: SearchEngine) -> pa.Table:
-        ids = e._filtered_match_ids(query, fq)
-        t = e._matched_rows(ids, [by, *fields])
-        g = _group_aggregates(t.filter(pc.is_valid(t[by])), by, fields)
+        g = e._facet_stats_groups(query, by, fields, fq)
         return g.set_column(g.schema.get_field_index(by), "value",
                             pc.cast(g[by], pa.string()))
 

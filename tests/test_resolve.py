@@ -22,6 +22,7 @@ from solr_indexer_ray.pipelines.build import build_index, extend_index
 from solr_indexer_ray.pipelines.mutate import apply_overlay, delete_by_id
 from solr_indexer_ray.pipelines.search import (
     SearchEngine,
+    _range_engines,
     group_partitioned,
     search_partitioned,
 )
@@ -70,6 +71,29 @@ def base_index(corpora, tmp_path_factory):
     index_dir = str(tmp_path_factory.mktemp("resolve_idx") / "idx")
     build_index(corpora[0], index_dir, config=CFG)
     return index_dir
+
+
+@pytest.fixture(scope="module")
+def reads_index(tmp_path_factory):
+    """An index with every stored-field read shape: points (``lat``,
+    ``lon``), ENVELOPE strings (``bbox``), an analyzed field
+    (``path_text``) and stored content, over three doc ranges."""
+    d = tmp_path_factory.mktemp("reads")
+    corpus = generate_corpus(160, seed=5, mean_tokens=40)
+    n = corpus.num_rows
+    lat = [((i * 37) % 1700) / 10.0 - 85.0 for i in range(n)]
+    lon = [((i * 73) % 3600) / 10.0 - 180.0 for i in range(n)]
+    bbox = [f"ENVELOPE({lo - 5}, {lo + 5}, {min(la + 5, 90.0)}, "
+            f"{max(la - 5, -90.0)})" for la, lo in zip(lat, lon)]
+    corpus = corpus.append_column("lat", pa.array(lat, pa.float64()))
+    corpus = corpus.append_column("lon", pa.array(lon, pa.float64()))
+    corpus = corpus.append_column("bbox", pa.array(bbox, pa.string()))
+    pq.write_table(corpus, str(d / "c.parquet"))
+    build_index(str(d / "c.parquet"), str(d / "idx"), config=IndexConfig(
+        docs_per_range=64, store_content=True, store_positions=True,
+        analyzed_fields=("path_text:path",),
+        extra_stored=("lat", "lon", "bbox")))
+    return str(d / "idx")
 
 
 @pytest.fixture
@@ -210,14 +234,19 @@ class TestResolveEquivalence:
 
 
 class _CountingDataset:
-    """Delegating docs dataset that counts ``to_table`` calls."""
+    """Delegating docs dataset that counts ``to_table`` calls and keeps
+    the keyword arguments of each."""
 
     def __init__(self, ds):
         self._ds = ds
-        self.reads = 0
+        self.calls = []
+
+    @property
+    def reads(self) -> int:
+        return len(self.calls)
 
     def to_table(self, *args, **kwargs):
-        self.reads += 1
+        self.calls.append(kwargs)
         return self._ds.to_table(*args, **kwargs)
 
     def __getattr__(self, name):
@@ -236,6 +265,40 @@ class TestResolvePerfGuard:
             q = f"{terms[i % len(terms)]} {terms[(3 * i + 1) % len(terms)]}"
             assert eng.search(q, k=10).num_rows > 0
         assert counting.reads == 0
+
+    def test_no_docs_scan_after_warm_up(self, reads_index):
+        """Facets, pivots, range facets, stats, facet stats, joins,
+        spatial filters, function queries, fielded scoring and
+        highlighting read stored fields from the resident columns: once
+        a stream has run, running it again reads the docs table only
+        for the ``content`` of the highlighted hits."""
+        geo = "{!geofilt sfield=lat,lon pt=10,20 d=4000}"
+        env = "{!intersects sfield=bbox}ENVELOPE(-60, 60, 50, -50)"
+        stream = [
+            ("facet", "def", {"fields": ["lang", "repo"]}),
+            ("pivot_facet", "def", {"fields": ["lang", "repo"]}),
+            ("range_facet", "def", {"field": "doclen", "start": 0,
+                                    "end": 400, "gap": 50}),
+            ("field_stats", "def", {"field": "doclen",
+                                    "percentiles": [5, 50, 95]}),
+            ("facet_stats", "read", {"by": "lang",
+                                     "metrics": {"n": "avg(doclen)"}}),
+            ("search", "read", {"fq": "{!join from=repo to=repo}lang:go"}),
+            ("search", "read", {"fq": geo}),
+            ("search", "read", {"fq": env}),
+            ("search", "def read", {"bf": "recip(doclen,1,1000,1000)"}),
+            ("search", "path_text:mod0 def", {}),
+            ("search", '"def index" read', {"hl": True}),
+        ]
+        (_, ranged), = _range_engines(reads_index, [1])
+        for eng in (SearchEngine(reads_index), ranged):
+            eng._docs_ds = counting = _CountingDataset(eng._docs_ds)
+            first = [getattr(eng, m)(q, **kw) for m, q, kw in stream]
+            counting.calls.clear()
+            assert [getattr(eng, m)(q, **kw) for m, q, kw in stream] == first
+            calls = counting.calls
+            assert [c["columns"] for c in calls] == [["doc_id", "content"]]
+            assert calls[0]["filter"] is not None
 
 
 class TestRowsZero:

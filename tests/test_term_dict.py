@@ -352,8 +352,9 @@ class TestGenerations:
             self, commit_corpus, tmp_path):
         """One engine refreshed through a seeded run of every kind of
         commit answers every read shape — ranked with fq, negation,
-        in-query, null-field, prefix, range and spatial filters, facets,
-        sort, highlighting, match_ids — exactly as an engine opened on
+        in-query, null-field, prefix, range and spatial filters, joins,
+        facets, pivot and range facets, stats, facet stats, sort,
+        highlighting, match_ids — exactly as an engine opened on
         the same generation, and so do two long-lived doc-range
         engines."""
         idx = str(tmp_path / "idx")
@@ -376,8 +377,18 @@ class TestGenerations:
             ("search", "def", {"sort": "doclen desc", "k": 15}),
             ("search", '"def index" read', {"hl": True}),
             ("facet", "def", {"fields": ["lang", "repo"]}),
+            ("range_facet", "def", {"field": "doclen", "start": 0,
+                                    "end": 400, "gap": 50}),
+            ("pivot_facet", "read", {"fields": ["repo", "lang"]}),
+            ("field_stats", "def", {"field": "doclen",
+                                    "percentiles": [5, 50, 95]}),
+            ("facet_stats", "read", {"by": "lang", "metrics": {
+                "len": "avg(doclen)", "north": "max(lat)"}}),
+            ("search", "read", {"fq": "{!join from=repo to=repo}lang:go"}),
             ("match_ids", "read -lang:python", {}),
             ("match_ids", "lang:[a TO q] -def", {}),
+            ("match_ids", geo, {}),
+            ("match_ids", "{!bbox sfield=lat,lon pt=30,-60 d=3000}", {}),
         ]
 
         def answers(e):
