@@ -294,19 +294,23 @@ def apply_chain_to_unit(tids, doclens, terms, chain: FilterChain):
     """Vocab-level chain application over one tokenized unit.
 
     ``(tids, doclens, terms)`` is ``tokenize_unit``'s output: flat token
-    ids in row order, per-row token counts, distinct terms.  The chain
-    maps the DISTINCT terms (O(|vocab|) Python), then token ids remap /
-    drop via numpy — zero per-token Python.  Stemming can merge vocab
-    entries; the downstream sort-based SPIMI aggregation sums their tfs.
-    Returns the same triple; doclens become POST-filter counts (Lucene
-    norm semantics) and positions derived downstream are consecutive
-    over the surviving stream (see module docstring).
+    ids in row order, per-row token counts, and the distinct terms as an
+    Arrow ``StringArray``.  Without a chain the triple passes through
+    untouched (no Python objects).  With one, the chain maps the DISTINCT
+    terms (O(|vocab|) Python, the only place the build turns terms into
+    ``str``), then token ids remap / drop via numpy — zero per-token
+    Python.  Stemming can merge vocab entries; the downstream sort-based
+    SPIMI aggregation sums their tfs.  Returns the same triple, the
+    vocabulary again as a ``StringArray``; doclens become POST-filter
+    counts (Lucene norm semantics) and positions derived downstream are
+    consecutive over the surviving stream (see module docstring).
     """
     import numpy as np
+    import pyarrow as pa
 
-    if not chain or not terms:
-        return tids, doclens, list(terms)
-    mapped = chain.map_vocab(terms)
+    if not chain or not len(terms):
+        return tids, doclens, terms
+    mapped = chain.map_vocab(terms.to_pylist())
     vocab: dict = {}
     remap = np.zeros(len(terms), dtype=np.int64)
     drop = np.zeros(len(terms), dtype=bool)
@@ -318,15 +322,16 @@ def apply_chain_to_unit(tids, doclens, terms, chain: FilterChain):
             if v is None:
                 vocab[m] = v = len(vocab)
             remap[i] = v
+    new_terms = pa.array(list(vocab), pa.string())
     if not drop.any():
-        return remap[tids], doclens, list(vocab)
+        return remap[tids], doclens, new_terms
     keep = ~drop[tids]
     n = len(doclens)
     row_of = np.repeat(np.arange(n, dtype=np.int64), doclens)
     new_doclens = np.bincount(
         row_of[keep], minlength=n
     ).astype(np.int64)
-    return remap[tids][keep], new_doclens, list(vocab)
+    return remap[tids][keep], new_doclens, new_terms
 
 
 class FilteredRegistry:

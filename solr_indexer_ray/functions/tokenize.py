@@ -183,7 +183,7 @@ def _tokenize_block_bytes(texts, analyzer_name: str):
     nrows = len(texts)
     total = int(buf.size)
     if total == 0:
-        return np.empty(0, np.int64), np.zeros(nrows, np.int64), []
+        return _empty_block(nrows)
 
     # row boundaries as flag arrays (no padded copy): tokens never span
     # rows because ``start`` is forced at row starts, and the lookahead
@@ -241,7 +241,7 @@ def _tokenize_block_bytes(texts, analyzer_name: str):
     start[1:] |= tokchar[1:] & ~tokchar[:-1]
     tok_starts = np.flatnonzero(start)
     if tok_starts.size == 0:
-        return np.empty(0, np.int64), np.zeros(nrows, np.int64), []
+        return _empty_block(nrows)
     end_flag = tokchar.copy()
     end_flag[:-1] = tokchar[:-1] & (
         ~tokchar[1:] | start[1:]
@@ -265,16 +265,23 @@ def _tokenize_block_bytes(texts, analyzer_name: str):
     )
     enc = sa.dictionary_encode()
     tids = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    terms = enc.dictionary.to_pylist()
-    # doclens: row of each token via its start position
-    row_of = np.searchsorted(offs, tok_starts, side="right") - 1
-    doclens = np.bincount(row_of, minlength=nrows).astype(np.int64)
-    return tids, doclens, terms
+    # doclens: tokens starting inside each row's byte span
+    doclens = np.diff(np.searchsorted(tok_starts, offs)).astype(np.int64)
+    return tids, doclens, enc.dictionary
+
+
+def _empty_block(nrows: int):
+    import numpy as np
+    import pyarrow as pa
+
+    return (np.empty(0, np.int64), np.zeros(nrows, np.int64),
+            pa.array([], pa.string()))
 
 
 def _tokenize_block_arrow(texts, analyzer_name: str):
     """One analyzer over a block of texts -> (flat token ids int64,
-    per-row token counts int64, vocab terms in first-appearance order).
+    per-row token counts int64, vocab terms in first-appearance order as
+    an Arrow ``StringArray``).
 
     Everything runs in Arrow C++ (RE2 replaces, utf8_lower, regex split,
     dictionary encode): zero per-token Python objects.
@@ -308,65 +315,85 @@ def _tokenize_block_arrow(texts, analyzer_name: str):
     if isinstance(enc, pa.ChunkedArray):
         enc = enc.combine_chunks()
     tids = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    terms = enc.dictionary.to_pylist()
-    return tids, doclens, terms
+    return tids, doclens, enc.dictionary.cast(pa.string())
+
+
+_BUILTIN = frozenset({"simple", "code"})
+
+
+def _tokenize_rows_python(texts, rows, analyze):
+    """A plugin analyzer over ``texts[rows]``, one row at a time ->
+    ``_tokenize_block_arrow``'s triple for just those rows."""
+    import numpy as np
+    import pyarrow as pa
+
+    vocab: dict = {}
+    ids: list = []
+    lens = np.zeros(len(rows), dtype=np.int64)
+    for j, r in enumerate(rows):
+        toks = analyze(texts[int(r)].as_py() or "")
+        ids.extend(vocab.setdefault(t, len(vocab)) for t in toks)
+        lens[j] = len(toks)
+    return (np.asarray(ids, dtype=np.int64), lens,
+            pa.array(list(vocab), pa.string()))
 
 
 def tokenize_unit(texts, langs, registry: AnalyzerRegistry):
     """Vectorized whole-unit tokenization honoring per-lang analyzer
-    routing -> (flat token ids in ROW order, per-row doclens, unified
-    vocab list).  Rows route to per-analyzer Arrow blocks; unknown
-    (plugin) analyzers fall back to the per-row Python path for just
-    their rows.  Vocab ids are unified across blocks (first-appearance
-    order over block results — deterministic)."""
+    routing -> (flat token ids in ROW order, per-row doclens, the unit's
+    vocabulary as an Arrow ``StringArray`` indexed by token id).
+
+    Rows route to one block per analyzer, in sorted analyzer-name order:
+    the built-in analyzers tokenize as Arrow/numpy blocks, a plugin
+    analyzer runs per row in Python for just its rows.  The unit's
+    vocabulary is the blocks' vocabularies concatenated and dictionary
+    encoded, so term ids are in first-appearance order over the blocks
+    (deterministic; the spill order depends on it) and the encoding's
+    indices remap each block's ids.  One offset computation scatters
+    the block tokens back into row order."""
     import numpy as np
     import pyarrow as pa
 
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     n = len(texts)
-    names = [registry.analyzer_name(lang) for lang in langs]
-    builtin = {"simple", "code"}
-    distinct = set(names)
-
-    if distinct <= builtin and len(distinct) == 1:
-        return _tokenize_block_arrow(texts, names[0])
-
-    # group rows per analyzer; run Arrow blocks for builtins, python for
-    # plugins; then unify vocabs and stitch back into row order
-    vocab: dict = {}
-    row_tids: list = [None] * n
-    doclens = np.zeros(n, dtype=np.int64)
-    for name in sorted(distinct):
-        rows = np.flatnonzero(np.asarray([x == name for x in names]))
-        if name in builtin:
-            sub = texts.take(pa.array(rows))
-            tids, lens, terms = _tokenize_block_arrow(sub, name)
-            remap = np.empty(max(len(terms), 1), dtype=np.int64)
-            for i, t in enumerate(terms):
-                v = vocab.get(t)
-                if v is None:
-                    vocab[t] = v = len(vocab)
-                remap[i] = v
-            mapped = remap[tids] if tids.size else tids
-            off = np.concatenate(([0], np.cumsum(lens)))
-            for j, r in enumerate(rows):
-                row_tids[r] = mapped[off[j]:off[j + 1]]
-                doclens[r] = lens[j]
-        else:
-            analyze = registry.ANALYZERS[name]
-            vget = vocab.get
-            for r in rows:
-                toks = analyze(texts[int(r)].as_py() or "")
-                ids = np.empty(len(toks), dtype=np.int64)
-                for k, t in enumerate(toks):
-                    v = vget(t)
-                    if v is None:
-                        vocab[t] = v = len(vocab)
-                    ids[k] = v
-                row_tids[r] = ids
-                doclens[r] = len(toks)
-    flat = (
-        np.concatenate(row_tids) if n else np.empty(0, np.int64)
+    names = np.asarray(
+        [registry.analyzer_name(lang) for lang in langs], dtype=object
     )
-    return flat, doclens, list(vocab)
+    distinct = sorted(set(names.tolist()))
+    if not distinct:
+        return _empty_block(n)
+    if len(distinct) == 1 and distinct[0] in _BUILTIN:
+        return _tokenize_block_arrow(texts, distinct[0])
+
+    row_parts, tid_parts, len_parts, vocab_parts = [], [], [], []
+    base = 0
+    for name in distinct:
+        rows = np.flatnonzero(names == name)
+        if name in _BUILTIN:
+            tids, lens, terms = _tokenize_block_arrow(
+                texts.take(pa.array(rows)), name
+            )
+        else:
+            tids, lens, terms = _tokenize_rows_python(
+                texts, rows, registry.ANALYZERS[name]
+            )
+        row_parts.append(rows)
+        tid_parts.append(tids + base)
+        len_parts.append(lens)
+        vocab_parts.append(terms)
+        base += len(terms)
+    enc = pa.concat_arrays(vocab_parts).dictionary_encode()
+    remap = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    rows = np.concatenate(row_parts)
+    lens = np.concatenate(len_parts)
+    doclens = np.zeros(n, dtype=np.int64)
+    doclens[rows] = lens
+    row_start = np.cumsum(doclens) - doclens
+    # block token k of row r lands at row_start[r] + (k - its block start)
+    ntok = int(lens.sum())
+    dest = np.repeat(row_start[rows] - (np.cumsum(lens) - lens), lens)
+    dest += np.arange(ntok, dtype=np.int64)
+    flat = np.empty(ntok, dtype=np.int64)
+    flat[dest] = remap[np.concatenate(tid_parts)]
+    return flat, doclens, enc.dictionary

@@ -47,6 +47,7 @@ import shutil
 import time
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -272,14 +273,14 @@ class UnitIndexer:
         # Python (functions.tokenize.tokenize_unit; per-row analyzers
         # remain the reference implementation, equality property-tested)
         store_pos = self.config.store_positions
-        tids_flat, doclens64, term_list = tokenize_unit(
+        tids_flat, doclens64, content_terms = tokenize_unit(
             table["content"], langs, self.registry
         )
         if self.chain:
             from solr_indexer_ray.functions.filters import apply_chain_to_unit
 
-            tids_flat, doclens64, term_list = apply_chain_to_unit(
-                tids_flat, doclens64, term_list, self.chain
+            tids_flat, doclens64, content_terms = apply_chain_to_unit(
+                tids_flat, doclens64, content_terms, self.chain
             )
         doclens = doclens64.astype(np.int32)
 
@@ -295,7 +296,14 @@ class UnitIndexer:
         field_doclens: dict = {}
         field_norms: dict = {}
         streams = [(tids_flat, doclens64)]
-        term_list = list(term_list)
+        #: the unit's term dictionary as Arrow string arrays, indexed by
+        #: token id: content terms, then each analyzed field's terms
+        #: prefixed ``<field>\x1f`` — term strings for spills / shard
+        #: hashing flow through Arrow kernels (take, concat,
+        #: binary_join_element_wise) and the vectorized crc32, never
+        #: per-term Python objects
+        term_parts = [content_terms]
+        n_vocab = len(content_terms)
         for fname, src in afields:
             f_tids, f_dl, f_terms = tokenize_unit(
                 table[src], [None] * ndocs0, self.registry
@@ -310,8 +318,11 @@ class UnitIndexer:
                 )
             field_doclens[fname] = f_dl.astype(np.int32)
             field_norms[fname] = encode_lengths(f_dl.astype(np.int32))
-            streams.append((f_tids + len(term_list), f_dl))
-            term_list.extend(f"{fname}\x1f{t}" for t in f_terms)
+            streams.append((f_tids + n_vocab, f_dl))
+            term_parts.append(
+                pc.binary_join_element_wise(fname, f_terms, "\x1f")
+            )
+            n_vocab += len(f_terms)
 
         # inline validation (config.validate): invalid rows keep their
         # doc-id slot but are routed to the errors side-channel and
@@ -358,42 +369,36 @@ class UnitIndexer:
                     - np.repeat(s_off[:-1], s_dl64)
                 )
                 pos_parts.append(s_pos)
-        #: the unit's term dictionary as ONE Arrow string array — term
-        #: strings for spills / shard hashing flow through Arrow kernels
-        #: (take, binary_join_element_wise) and buffer-slice crc32, never
-        #: per-term Python objects (page-fault-heavy hosts punish the
-        #: 10^4-10^5 tiny allocations a bigram vocabulary would cost).
-        term_arr = pa.array(term_list, pa.string())
+        term_arr = pa.concat_arrays(term_parts)
         if self.config.store_bigrams and tid_parts[0].size:
             # next-word index (IndexConfig.store_bigrams): a synthetic
             # ``a\x1eb`` term per adjacent CONTENT-stream pair within a
             # doc; its tf IS the exact 2-term phrase frequency and its
             # postings ride the same spill/merge machinery untouched.
-            import pyarrow.compute as _pc
-
             c_tids, c_idx = tid_parts[0], idx_parts[0]
-            nv = len(term_list)
             same = c_idx[:-1] == c_idx[1:]
             if self.config.bigram_first:
                 # common-word nextword index: only pairs whose FIRST
                 # token is in the pinned list (query routing applies the
                 # same list, so absence still means zero occurrences)
-                first_set = set(self.config.bigram_first)
-                lead_ok = np.fromiter(
-                    (t in first_set for t in term_list), bool, nv
-                )
+                lead_ok = pc.is_in(
+                    term_arr,
+                    value_set=pa.array(
+                        list(self.config.bigram_first), pa.string()
+                    ),
+                ).to_numpy(zero_copy_only=False)
                 same = same & lead_ok[c_tids[:-1]]
-            pair = c_tids[:-1][same] * nv + c_tids[1:][same]
+            pair = c_tids[:-1][same] * n_vocab + c_tids[1:][same]
             uniq, btids = np.unique(pair, return_inverse=True)
-            bterm_arr = _pc.binary_join_element_wise(
-                term_arr.take(pa.array((uniq // nv).astype(np.int64))),
-                term_arr.take(pa.array((uniq % nv).astype(np.int64))),
+            bterm_arr = pc.binary_join_element_wise(
+                term_arr.take(pa.array((uniq // n_vocab).astype(np.int64))),
+                term_arr.take(pa.array((uniq % n_vocab).astype(np.int64))),
                 "\x1e",
             )
             term_arr = pa.concat_arrays(
                 [term_arr, bterm_arr.cast(pa.string())]
             )
-            tid_parts.append(btids.astype(np.int64) + nv)
+            tid_parts.append(btids.astype(np.int64) + n_vocab)
             idx_parts.append(c_idx[:-1][same])
             if store_pos:
                 # bigram position = the pair's first-token position (lets
@@ -729,7 +734,6 @@ class ShardMerger:
         )
 
     def _merge_shard(self, shard: int) -> dict:
-        import pyarrow.compute as pc
         import pyarrow.dataset as pads
 
         src = os.path.join(self.index_dir, "postings_raw", f"shard={shard}")
@@ -795,8 +799,6 @@ class ShardMerger:
         back.  A term whose concatenated doc ids are not strictly
         increasing (overlapping unit spills) raises.
         """
-        import pyarrow.compute as pc
-
         term, ids_col, tfs_col, pos_col = cols
         where = f"shard {shard} range {rid}"
         nrow = len(term)

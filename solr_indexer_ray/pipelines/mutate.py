@@ -35,6 +35,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from solr_indexer_ray.pipelines.search import SearchEngine, read_tombstones
+from solr_indexer_ray.state.manifest import BuildManifest
 
 TOMBSTONES = "tombstones.parquet"
 OVERLAYS = "overlays.parquet"
@@ -48,15 +49,45 @@ def _write_tombstones(index_dir: str, ids: set) -> None:
     os.replace(tmp, path)
 
 
+def _existing_ids(index_dir: str, requested: set) -> set:
+    """The requested ids that have a docs row: below ``stats.json``'s
+    ``doc_id_space`` and present in a docs file's ``doc_id`` column (an
+    invalid row has no docs row; a compaction drops rows).  Reads only
+    that column, of the row groups whose footer min/max can hold a
+    requested id."""
+    manifest = BuildManifest(index_dir)
+    if not manifest.is_committed():
+        raise FileNotFoundError(f"index at {index_dir} is not committed")
+    stats = manifest.read_stats()
+    space = int(stats.get("doc_id_space", stats["n_docs"]))
+    wanted = np.array(sorted(d for d in requested if 0 <= d < space),
+                      dtype=np.int64)
+    found: set = set()
+    docs_dir = os.path.join(index_dir, "docs")
+    names = sorted(os.listdir(docs_dir)) if wanted.size else []
+    for name in names:
+        if not name.endswith(".parquet"):
+            continue
+        pf = pq.ParquetFile(os.path.join(docs_dir, name))
+        col = pf.schema_arrow.get_field_index("doc_id")
+        for g in range(pf.num_row_groups):
+            st = pf.metadata.row_group(g).column(col).statistics
+            sel = wanted
+            if st is not None and st.has_min_max:
+                sel = wanted[(wanted >= st.min) & (wanted <= st.max)]
+            if sel.size:
+                ids = pf.read_row_group(g, columns=["doc_id"])["doc_id"]
+                found.update(np.intersect1d(ids.to_numpy(), sel).tolist())
+    return found
+
+
 def delete_by_id(index_dir: str, doc_ids) -> dict:
     """Tombstone docs by id; reports which ids did not exist.
 
     Reference: existence check before delete (``solrindexer/mmd.py:1459-1468``).
     """
-    engine = SearchEngine(index_dir)
     requested = set(int(d) for d in doc_ids)
-    present = engine.present
-    existing = {d for d in requested if 0 <= d < engine.doc_space and present[d]}
+    existing = _existing_ids(index_dir, requested)
     missing = sorted(requested - existing)
     tombs = read_tombstones(index_dir)
     already = sorted(existing & tombs)
@@ -420,7 +451,6 @@ def compact_index(index_dir: str) -> dict:
     import ray.data as rd
 
     from solr_indexer_ray.pipelines.build import _run_stage2
-    from solr_indexer_ray.state.manifest import BuildManifest
 
     manifest = BuildManifest(index_dir)
     manifest.acquire_lock()  # single writer (same lock as build/extend)
@@ -608,8 +638,6 @@ def backup_index(index_dir: str, dest: str, verify: bool = True) -> dict:
     import shutil
     import time as _time
 
-    from solr_indexer_ray.state.manifest import BuildManifest
-
     manifest = BuildManifest(index_dir)
     if not manifest.is_committed():
         raise FileNotFoundError(f"no committed index at {index_dir}")
@@ -649,8 +677,6 @@ def restore_index(backup_dir: str, index_dir: str,
     """Restore a backup into ``index_dir`` (Solr ``command=restore``)."""
     import shutil
 
-    from solr_indexer_ray.state.manifest import BuildManifest
-
     if not os.path.exists(os.path.join(backup_dir, "stats.json")):
         raise FileNotFoundError(f"{backup_dir} is not an index backup")
     if os.path.exists(index_dir):
@@ -685,8 +711,6 @@ def drop_spills(index_dir: str) -> dict:
     stats as ``spills_dropped`` (generation bump = Solr commit).
     """
     import shutil
-
-    from solr_indexer_ray.state.manifest import BuildManifest
 
     manifest = BuildManifest(index_dir)
     if not manifest.is_committed():

@@ -4694,6 +4694,12 @@ class SearchEngine:
         bm = _BLOCKJOIN_Q_RE.match(query or "")
         if self._range is not None and (
                 bm is not None or _JOIN_Q_RE.match(query or "")):
+            if self._collection is None:
+                raise ValueError(
+                    "a join or block join on a doc-range engine needs "
+                    "the whole index: open SearchEngine(doc_range=...) "
+                    "with collection_stats"
+                )
             ids = self._collection.match_ids(query)
             ids = ids[(ids >= self._lo) & (ids < self._lo + self.doc_space)]
             return ids - self._lo

@@ -141,7 +141,7 @@ class TestChain:
 class TestApplyChainToUnit:
     def test_remap_merge_and_drop(self):
         # vocab: 0=the 1=running 2=run 3=cat
-        terms = ["the", "running", "run", "cat"]
+        terms = pa.array(["the", "running", "run", "cat"])
         # doc0 = [the running cat], doc1 = [run the the]
         tids = np.array([0, 1, 3, 2, 0, 0], dtype=np.int64)
         doclens = np.array([3, 3], dtype=np.int64)
@@ -149,38 +149,38 @@ class TestApplyChainToUnit:
         new_tids, new_dl, new_terms = apply_chain_to_unit(
             tids, doclens, terms, chain
         )
-        assert new_terms == ["run", "cat"]
+        assert new_terms.to_pylist() == ["run", "cat"]
         assert new_dl.tolist() == [2, 1]  # post-filter Lucene norms
         assert new_tids.tolist() == [0, 1, 0]
 
     def test_no_drop_pure_remap(self):
-        terms = ["running", "runs"]
+        terms = pa.array(["running", "runs"])
         tids = np.array([0, 1, 0], dtype=np.int64)
         doclens = np.array([2, 1], dtype=np.int64)
         new_tids, new_dl, new_terms = apply_chain_to_unit(
             tids, doclens, terms, FilterChain(("porter",))
         )
-        assert new_terms == ["run"]
+        assert new_terms.to_pylist() == ["run"]
         assert new_dl.tolist() == [2, 1]
         assert new_tids.tolist() == [0, 0, 0]
 
     def test_all_dropped_row(self):
-        terms = ["the", "cat"]
+        terms = pa.array(["the", "cat"])
         tids = np.array([0, 0, 1], dtype=np.int64)
         doclens = np.array([2, 1], dtype=np.int64)
         new_tids, new_dl, new_terms = apply_chain_to_unit(
             tids, doclens, terms, FilterChain(("stop",))
         )
-        assert new_terms == ["cat"]
+        assert new_terms.to_pylist() == ["cat"]
         assert new_dl.tolist() == [0, 1]
         assert new_tids.tolist() == [0]
 
     def test_empty_chain_identity(self):
-        terms = ["a", "b"]
+        terms = pa.array(["a", "b"])
         tids = np.array([0, 1], dtype=np.int64)
         doclens = np.array([2], dtype=np.int64)
         out = apply_chain_to_unit(tids, doclens, terms, FilterChain(()))
-        assert out[2] == terms
+        assert out[2] is terms
 
 
 # ===================================================================== #

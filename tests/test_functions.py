@@ -341,3 +341,62 @@ class TestHashing:
     def test_jaccard(self):
         assert hashing.jaccard({1, 2}, {2, 3}) == pytest.approx(1 / 3)
         assert hashing.jaccard(set(), set()) == 1.0
+
+
+class TestTermShards:
+    """``term_shards_of_array`` (the vectorized crc32) must equal
+    ``zlib.crc32(t.encode()) % n`` and ``term_shard`` per term, or the
+    postings layout of existing indexes moves."""
+
+    TERMS = [
+        "", "a", "read", "ü", "日本語", "naïve_café", "x" * 31, "y" * 32,
+        "z" * 33, "w" * 200, "é" * 40, "def\x1fpath", "a\x1eb", "", "read",
+    ]
+
+    def _check(self, arr, terms):
+        import zlib
+
+        for n in (1, 7, 16, 64):
+            got = hashing.term_shards_of_array(arr, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == [
+                zlib.crc32(t.encode("utf-8")) % n for t in terms]
+            assert got.tolist() == [hashing.term_shard(t, n) for t in terms]
+
+    def test_edge_terms(self):
+        import pyarrow as pa
+
+        self._check(pa.array(self.TERMS, pa.string()), self.TERMS)
+
+    def test_sliced_array_with_offset(self):
+        import pyarrow as pa
+
+        arr = pa.array(self.TERMS, pa.string()).slice(3, 9)
+        assert arr.offset == 3
+        self._check(arr, self.TERMS[3:12])
+
+    def test_chunked_and_large_string(self):
+        import pyarrow as pa
+
+        chunked = pa.chunked_array(
+            [self.TERMS[:5], [], self.TERMS[5:]], pa.string())
+        self._check(chunked, self.TERMS)
+        self._check(pa.array(self.TERMS, pa.large_string()), self.TERMS)
+
+    def test_empty_array(self):
+        import pyarrow as pa
+
+        got = hashing.term_shards_of_array(pa.array([], pa.string()), 8)
+        assert got.dtype == np.int64 and got.size == 0
+
+    def test_random_terms(self):
+        import random
+
+        import pyarrow as pa
+
+        rng = random.Random(7)
+        alphabet = "abcxyz_09éß語"
+        terms = ["".join(rng.choice(alphabet)
+                         for _ in range(rng.randrange(0, 80)))
+                 for _ in range(2000)]
+        self._check(pa.array(terms, pa.string()), terms)

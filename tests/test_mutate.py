@@ -40,6 +40,26 @@ class TestDelete:
         res2 = mutate.delete_by_id(index_dir, [0])
         assert res2["already_deleted"] == [0]
 
+    def test_existence_edges(self, mut_index):
+        """Ids at or beyond ``doc_id_space`` and negative ids are missing;
+        an id deleted before is reported already deleted (and counted as
+        deleted again); an id whose row a compaction removed is missing."""
+        index_dir, _ = mut_index
+        space = SearchEngine(index_dir).doc_space
+        res = mutate.delete_by_id(
+            index_dir, [space - 1, space, space + 5, -1])
+        assert res == {"deleted": [space - 1],
+                       "missing": [-1, space, space + 5],
+                       "already_deleted": []}
+        res = mutate.delete_by_id(index_dir, [space - 1, 3])
+        assert res == {"deleted": [3, space - 1], "missing": [],
+                       "already_deleted": [space - 1]}
+        mutate.compact_index(index_dir)
+        res = mutate.delete_by_id(index_dir, [3, 4])
+        assert res == {"deleted": [4], "missing": [3],
+                       "already_deleted": []}
+        assert SearchEngine(index_dir).get(4) is None
+
     def test_delete_by_query(self, mut_index):
         index_dir, stats = mut_index
         eng = SearchEngine(index_dir)

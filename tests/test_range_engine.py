@@ -92,6 +92,19 @@ class TestRangeView:
             assert e.n_docs == whole.n_docs and e.avgdl == whole.avgdl
             assert e._df("read", tp.df) == ref.df
 
+    @pytest.mark.parametrize("q,fq", [
+        ("read", "{!join from=repo to=repo}lang:go"),
+        ("{!parent which=lang:go}def", None),
+        ("read", "{!child of=lang:go}def"),
+    ])
+    def test_cross_range_query_without_stats_names_them(self, idx, q, fq):
+        """A join or block join matches over the whole index, which a
+        range engine reaches only through ``collection_stats``: without
+        them it raises a ValueError naming them, not an AttributeError."""
+        engine = SearchEngine(idx, doc_range=1)
+        with pytest.raises(ValueError, match="collection_stats"):
+            engine.search(q, k=5, fq=fq)
+
     def test_score_buffers_have_range_width(self, idx, monkeypatch):
         """Every dense buffer a range engine allocates while scoring is
         as wide as its range, not the whole doc-id space."""

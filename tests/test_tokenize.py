@@ -83,6 +83,8 @@ class TestVectorizedUnitTokenizer:
         from solr_indexer_ray.functions.tokenize import tokenize_unit
 
         tids, lens, terms = tokenize_unit(pa.array(texts), langs, registry)
+        assert isinstance(terms, pa.StringArray)
+        terms = terms.to_pylist()
         off = np.concatenate(([0], np.cumsum(lens)))
         for i, (text, lang) in enumerate(zip(texts, langs)):
             want = registry.tokenize(text or "", lang)
@@ -131,6 +133,65 @@ class TestVectorizedUnitTokenizer:
             self._check(texts, ["kl", "en", "kl"], reg)
         finally:
             AnalyzerRegistry.ANALYZERS.pop("shout")
+
+    @staticmethod
+    def _merged_vocab(texts, langs, registry):
+        """The unit vocabulary as a first-appearance dict merge: blocks
+        in sorted analyzer-name order, rows ascending within a block."""
+        names = [registry.analyzer_name(lang) for lang in langs]
+        vocab: dict = {}
+        for name in sorted(set(names)):
+            for text, nm in zip(texts, names):
+                if nm == name:
+                    for t in registry.ANALYZERS[name](text or ""):
+                        vocab.setdefault(t, len(vocab))
+        return list(vocab)
+
+    @pytest.mark.parametrize("texts,langs", [
+        (["fooBar baz_qux", None, "Foo-bar BAZ!", "", "KL shout this",
+          "getX setX 9lives", "   ", "x y fooBar", "kl again Foo", "!!!"],
+         ["python", "en", "en", "kl", "kl", "java", "python", "en", "kl",
+          "en"]),
+        # the simple block yields no tokens at all
+        (["readFile(path)", "!!! ---", None, "", "A b A", "HTTPServer"],
+         ["go", "en", "en", "en", "kl", "python"]),
+        # the plugin block yields no tokens
+        (["fooBar", "", None, "plain Text"], ["python", "kl", "kl", "en"]),
+    ])
+    def test_mixed_blocks_match_dict_merge(self, texts, langs):
+        """Mixed code / simple / plugin rows with null, empty and
+        token-free rows: the vocabulary is the old first-appearance dict
+        merge (term order decides the spill order) and every row's
+        token stream is the per-row analyzer's."""
+        import pyarrow as pa
+
+        from solr_indexer_ray.functions.tokenize import (
+            AnalyzerRegistry,
+            register_analyzer,
+            tokenize_unit,
+        )
+
+        register_analyzer("shout", lambda text: [t.upper() for t in text.split()])
+        try:
+            reg = AnalyzerRegistry("simple", overrides={"kl": "shout"})
+            _, _, terms = tokenize_unit(pa.array(texts), langs, reg)
+            assert terms.to_pylist() == self._merged_vocab(texts, langs, reg)
+            self._check(texts, langs, reg)
+        finally:
+            AnalyzerRegistry.ANALYZERS.pop("shout")
+
+    def test_empty_unit(self):
+        import pyarrow as pa
+
+        from solr_indexer_ray.functions.tokenize import (
+            AnalyzerRegistry,
+            tokenize_unit,
+        )
+
+        tids, lens, terms = tokenize_unit(
+            pa.array([], pa.string()), [], AnalyzerRegistry())
+        assert tids.size == 0 and lens.size == 0 and len(terms) == 0
+        assert terms.type == pa.string()
 
     def test_property_random_code_strings(self):
         import random
