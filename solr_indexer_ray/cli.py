@@ -696,13 +696,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_gc(args) -> int:
-    from solr_indexer_ray.pipelines.mutate import drop_spills
-
-    print(json.dumps(drop_spills(args.output)))
-    return 0
-
-
 def cmd_compact(args) -> int:
     """Solr optimize/forceMerge analogue: physically purge tombstoned
     docs from docs/spills/postings and recommit exact stats."""
@@ -1158,16 +1151,11 @@ def build_parser() -> argparse.ArgumentParser:
     psm.set_defaults(fn=cmd_sample)
 
     pco = sub.add_parser(
-        "compact", help="purge deleted docs and re-merge (Solr optimize)"
+        "compact", help="purge deleted docs, merging every range's "
+        "postings segments (Solr optimize)"
     )
     pco.add_argument("-o", "--output", required=True)
     pco.set_defaults(fn=cmd_compact)
-
-    pgc = sub.add_parser(
-        "gc", help="drop raw postings spills (frozen index storage GC)"
-    )
-    pgc.add_argument("-o", "--output", required=True)
-    pgc.set_defaults(fn=cmd_gc)
 
     pe = sub.add_parser("export", help="stream matching docs to parquet")
     pe.add_argument("-o", "--output", required=True, help="index directory")

@@ -357,19 +357,31 @@ def tokenize_unit(texts, langs, registry: AnalyzerRegistry):
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     n = len(texts)
-    names = np.asarray(
-        [registry.analyzer_name(lang) for lang in langs], dtype=object
-    )
-    distinct = sorted(set(names.tolist()))
-    if not distinct:
+    if not n:
         return _empty_block(n)
-    if len(distinct) == 1 and distinct[0] in _BUILTIN:
-        return _tokenize_block_arrow(texts, distinct[0])
+    # route per distinct lang: dictionary-encode the column and map each
+    # of its few values (and null) to an analyzer once
+    enc = langs
+    if not isinstance(enc, (pa.Array, pa.ChunkedArray)):
+        enc = pa.array(list(enc))
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    enc = enc.dictionary_encode()
+    per_value = [registry.analyzer_name(v)
+                 for v in [*enc.dictionary.to_pylist(), None]]
+    distinct = sorted(set(per_value))
+    code = np.array([distinct.index(a) for a in per_value], dtype=np.int64)
+    names = code[enc.indices.fill_null(len(per_value) - 1).to_numpy(
+        zero_copy_only=False)]
+    used = np.unique(names)
+    if used.size == 1 and distinct[used[0]] in _BUILTIN:
+        return _tokenize_block_arrow(texts, distinct[used[0]])
 
     row_parts, tid_parts, len_parts, vocab_parts = [], [], [], []
     base = 0
-    for name in distinct:
-        rows = np.flatnonzero(names == name)
+    for k in used:
+        name = distinct[k]
+        rows = np.flatnonzero(names == k)
         if name in _BUILTIN:
             tids, lens, terms = _tokenize_block_arrow(
                 texts.take(pa.array(rows)), name

@@ -19,23 +19,30 @@ Stage 1 (``map_batches`` over read units, stateful actor pool):
     metrics, so an interrupted build **resumes** by skipping complete units.
 
 Stage 2 (the shuffle's reduce side, ``map_batches`` over term shards):
-    one task per term shard reads that shard's spill files from
-    ``postings_raw/shard=S/`` — the filesystem is the shuffle, no
-    all-to-all through the object store — and merges one doc-range at a
-    time.  The merge concatenates each term's partial lists (disjoint,
-    per-unit doc-id intervals -> sort-by-first + concat, no full re-sort),
-    delta-varint-packs doc ids and varint-packs tfs, all as whole-range
-    columns.  Partitioning by
+    one task per term shard reads that shard's spill files of this
+    build's (or extend's) units from ``postings_raw/shard=S/`` — the
+    filesystem is the shuffle, no all-to-all through the object store —
+    and merges one doc-range at a time.  The merge concatenates each
+    term's partial lists (disjoint, per-unit doc-id intervals ->
+    sort-by-first + concat, no full re-sort), delta-varint-packs doc ids
+    and varint-packs tfs, all as whole-range columns, and writes each
+    range as a new immutable segment ``postings/shard=S/range-R-seg-G.parquet``
+    (G: the commit's generation).  Partitioning by
     ``(hash(term) % S, doc-range)`` rather than raw term (a) amortizes
     per-task overhead over many terms and (b) caps any merge's memory at
     one doc-range — the salted-shuffle skew handling the north rule
-    demands for stop-word-heavy terms.
+    demands for stop-word-heavy terms.  A range left with more than
+    :data:`MERGE_FACTOR` segments has them merged into one
+    (:func:`merge_segments`, Lucene's segment merge).
 
 Commit:
     corpus stats (N, avgdl as exact ``sum_dl / N`` — Lucene semantics:
-    sumTotalTermFreq / docCount) + analyzer pin are published atomically via
-    ``stats.json`` (reference analogue: explicit Solr hard commit,
-    ``solrindexer/mmd.py:1303-1304``).
+    sumTotalTermFreq / docCount), the analyzer pin and the list of the
+    generation's docs and postings files (Lucene's ``segments_N``) are
+    published atomically via ``stats.json`` (reference analogue: explicit
+    Solr hard commit, ``solrindexer/mmd.py:1303-1304``).  The spills
+    exist only until then: the commit deletes them, and unlinks the
+    segments a merge replaced.
 """
 
 from __future__ import annotations
@@ -58,10 +65,15 @@ from solr_indexer_ray.functions.tokenize import AnalyzerRegistry, tokenize_unit
 from solr_indexer_ray.functions.varint import (
     segmented_delta_encode,
     varint_byte_offsets,
+    varint_decode,
     varint_encode,
 )
 from solr_indexer_ray.sources.parquet_units import list_units, read_unit
-from solr_indexer_ray.state.manifest import BuildManifest
+from solr_indexer_ray.state.manifest import (
+    BuildManifest,
+    segment_name,
+    segment_range,
+)
 
 #: Positional builds pack (shard, tid, doc, pos) into one int64 and plain-
 #: sort it when the key fits 63 bits (tests flip this off to A/B the
@@ -258,7 +270,6 @@ class UnitIndexer:
             columns=base_cols
             + [s for s in asrcs if s not in base_cols],
         )
-        langs = table["lang"].to_pylist()
         doc_ids = table["doc_id"].to_numpy()
 
         # per-row integrity invariant: sha256(content) — hashed straight
@@ -274,7 +285,7 @@ class UnitIndexer:
         # remain the reference implementation, equality property-tested)
         store_pos = self.config.store_positions
         tids_flat, doclens64, content_terms = tokenize_unit(
-            table["content"], langs, self.registry
+            table["content"], table["lang"], self.registry
         )
         if self.chain:
             from solr_indexer_ray.functions.filters import apply_chain_to_unit
@@ -706,199 +717,316 @@ def _entry_to_row(entry: dict) -> dict:
     }
 
 
+#: a doc range left with more postings segments than this by a commit
+#: has them merged into one (Lucene's ``mergeFactor``)
+MERGE_FACTOR = 10
+
+#: the columns a segment merge reads (files of older layouts may hold
+#: more)
+_SEGMENT_COLUMNS = ["term", "df", "doc_ids", "tfs", "positions"]
+
+
 class ShardMerger:
     """Stage-2 task: the reduce side of the explicit postings shuffle.
 
-    One task per term shard; reads the shard's per-unit spill files (written
-    map-side by :class:`UnitIndexer` — no all-to-all through the object
-    store, the filesystem IS the shuffle, which also makes stage 2 trivially
-    resumable and node-local at scale), merges each (term, doc-range)'s
-    partial lists, and writes ``postings/shard=S/range-R.parquet`` with
-    terms sorted (parquet row-group stats then prune term lookups; the hive
-    ``shard=`` layout prunes across files).
+    One task per term shard; reads the shard's spill files of this
+    commit's ``units`` (written map-side by :class:`UnitIndexer` — no
+    all-to-all through the object store, the filesystem IS the shuffle),
+    merges each (term, doc-range)'s partial lists, and writes one new
+    immutable segment per doc range, ``postings/shard=S/range-R-seg-G.parquet``
+    (G: the commit's ``generation``), with terms sorted (parquet
+    row-group stats then prune term lookups; the hive ``shard=`` layout
+    prunes across files).  No ``committed`` file is written to: a range
+    left with more than :data:`MERGE_FACTOR` segments, or every range
+    when ``dead`` is given (a dense mask of deleted doc ids: compaction),
+    has its segments merged into one new segment instead
+    (:func:`merge_segments`), and the files it replaced are reported for
+    the commit to drop.
     """
 
-    def __init__(self, index_dir: str, min_range: int = 0,
-                 compression: str = "zstd"):
+    def __init__(self, index_dir: str, units: range, generation: int,
+                 committed=(), dead=None, compression: str = "zstd"):
         self.index_dir = os.fspath(index_dir)
+        self.units = units
+        self.generation = generation
+        #: the committed postings files, relative to ``postings/``
+        self.committed = committed
+        self.dead = dead
         self.compression = compression
-        #: incremental extension: ranges below min_range are untouched on
-        #: disk and skipped; the boundary range re-merges old + new spills.
-        self.min_range = min_range
 
     def __call__(self, batch: dict) -> pa.Table:
         rows = [self._merge_shard(int(s)) for s in batch["shard"]]
-        return pa.table(
-            {k: pa.array([r[k] for r in rows], pa.int64())
-             for k in ("shard", "n_terms", "n_files")}
-        )
+        return pa.table({
+            "shard": pa.array([r["shard"] for r in rows], pa.int64()),
+            "n_terms": pa.array([r["n_terms"] for r in rows], pa.int64()),
+            **{k: pa.array([r[k] for r in rows], pa.list_(pa.string()))
+               for k in ("files", "replaced")},
+        })
 
     def _merge_shard(self, shard: int) -> dict:
+        """Write the shard's new segments; ``n_terms`` is the change in
+        its committed term rows, ``files`` the segments written and
+        ``replaced`` the committed files they replace."""
+        root = os.path.join(self.index_dir, "postings")
+        prefix = f"shard={shard}/"
+        segs: dict = {}
+        for rel in self.committed:
+            if rel.startswith(prefix):
+                segs.setdefault(segment_range(rel[len(prefix):]),
+                                []).append(rel)
+        fresh = self._merge_spills(shard)
+        out, replaced, n_terms = {}, [], 0
+        for rid in sorted(segs.keys() | fresh.keys()):
+            old, new = segs.get(rid, []), [fresh[rid]] if rid in fresh else []
+            if self.dead is not None or len(old) + len(new) > MERGE_FACTOR:
+                read = [pq.read_table(os.path.join(root, r),
+                                      columns=_SEGMENT_COLUMNS) for r in old]
+                n_terms -= sum(t.num_rows for t in read)
+                replaced += old
+                merged = merge_segments(read + new, rid,
+                                        f"shard {shard} range {rid}",
+                                        self.dead)
+                new = [] if merged is None else [merged]
+            if new:
+                out[prefix + segment_name(rid, self.generation)] = new[0]
+        # every range is merged before any is written, so a bad spill
+        # raises before this commit writes a file of the shard
+        for rel, tbl in out.items():
+            os.makedirs(os.path.join(root, prefix), exist_ok=True)
+            _atomic_write_table(tbl, os.path.join(root, rel),
+                                row_group_size=512,
+                                compression=self.compression)
+            n_terms += tbl.num_rows
+        return {"shard": shard, "n_terms": n_terms, "files": sorted(out),
+                "replaced": replaced}
+
+    def _merge_spills(self, shard: int) -> dict:
+        """``{range: merged table}`` from the shard's spills of
+        ``units``."""
         import pyarrow.dataset as pads
 
         src = os.path.join(self.index_dir, "postings_raw", f"shard={shard}")
-        if not os.path.isdir(src):
-            return {"shard": shard, "n_terms": 0, "n_files": 0}
-        flt = (
-            (pads.field("range_id") >= self.min_range)
-            if self.min_range > 0 else None
-        )
-        ds = pads.dataset(src)
+        names = sorted(
+            n for n in (os.listdir(src) if os.path.isdir(src) else ())
+            if n.startswith("unit-") and n.endswith(".parquet")
+            and int(n[5:-8]) in self.units)
+        if not names:
+            return {}
+        ds = pads.dataset([os.path.join(src, n) for n in names])
         # named columns only: spill files may carry columns this merge
         # does not read
-        names = [n for n in ("term", "range_id", "doc_ids", "tfs",
-                             "positions") if n in ds.schema.names]
-        tbl = ds.to_table(columns=names, filter=flt)
+        cols = [n for n in ("term", "range_id", "doc_ids", "tfs",
+                            "positions") if n in ds.schema.names]
+        tbl = ds.to_table(columns=cols)
         if tbl.num_rows == 0:
-            return {"shard": shard, "n_terms": 0, "n_files": 0}
+            return {}
         order = pc.sort_indices(
             tbl,
             sort_keys=[("range_id", "ascending"), ("term", "ascending")],
         )
         tbl = tbl.take(order).combine_chunks()
-        cols = [
-            tbl[name].chunk(0) if name in names else None
-            for name in ("term", "doc_ids", "tfs", "positions")
-        ]
         rids = tbl["range_id"].to_numpy()
         bounds = np.concatenate(
             ([0], np.flatnonzero(np.diff(rids)) + 1, [rids.size])
         )
-        # every range is merged before any is written, so a bad spill
-        # raises with the shard's range files as they were
-        tables = [
-            self._merge_range(
-                [c if c is None else c.slice(r0, r1 - r0) for c in cols],
-                shard, int(rids[r0]),
+        out = {}
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            part = tbl.slice(r0, r1 - r0)
+            ids, tfs = part["doc_ids"].chunk(0), part["tfs"].chunk(0)
+            out[int(rids[r0])] = _merge_rows(
+                part["term"].chunk(0),
+                np.asarray(pc.list_value_length(ids).to_numpy(), np.int64),
+                np.asarray(pc.list_flatten(ids).to_numpy(), np.int64),
+                np.asarray(pc.list_flatten(tfs).to_numpy(), np.int64),
+                part["positions"].chunk(0) if "positions" in cols else None,
+                int(rids[r0]), f"shard {shard} range {int(rids[r0])}",
             )
-            for r0, r1 in zip(bounds[:-1], bounds[1:])
-        ]
-        out_dir = os.path.join(self.index_dir, "postings", f"shard={shard}")
-        os.makedirs(out_dir, exist_ok=True)
-        for r0, range_tbl in zip(bounds[:-1], tables):
-            _atomic_write_table(
-                range_tbl,
-                os.path.join(out_dir, f"range-{int(rids[r0]):06d}.parquet"),
-                row_group_size=512, compression=self.compression,
+        return out
+
+
+def _merge_rows(term, counts, flat_ids, flat_tfs, pos_col, rid: int,
+                where: str) -> pa.Table:
+    """Merge one doc-range's rows (sorted by term; row ``i`` holds
+    ``counts[i]`` postings of ``flat_ids``/``flat_tfs`` and, with
+    positions, one position blob) into the packed table, in ONE
+    vectorized pass over the whole range.
+
+    Rows are permuted so each term's parts sit contiguously ordered by
+    first doc id (one ``lexsort``), every stream is gathered once,
+    doc-id deltas restart per TERM (parts cover disjoint intervals so
+    the concatenation is already sorted), and the range's streams are
+    varint-packed ONCE; each output column is then one Arrow array
+    over the shared buffer, cut at term boundaries by byte offsets
+    (``varint_byte_offsets``).  Positions arrive pre-encoded per row,
+    so a term's merged positions are its parts' blobs back to back.  A
+    term whose concatenated doc ids are not strictly increasing
+    (overlapping parts) raises.
+    """
+    nrow = len(term)
+    row_starts = np.concatenate(([0], np.cumsum(counts)))
+
+    # term runs (rows are sorted by term within the range)
+    new_run = np.ones(nrow, dtype=bool)
+    new_run[1:] = pc.not_equal(term[1:], term[:-1]).to_numpy(
+        zero_copy_only=False
+    )
+    run_starts = np.flatnonzero(new_run)
+    run_id = np.cumsum(new_run) - 1
+
+    # permute rows: term-contiguous, parts ordered by first doc id
+    firsts = (
+        flat_ids[np.minimum(row_starts[:-1], flat_ids.size - 1)]
+        if flat_ids.size else np.zeros(nrow, np.int64)
+    )
+    perm = np.lexsort((firsts, run_id))
+    identity = bool((perm == np.arange(perm.size)).all())
+    if not identity:
+        g_counts = counts[perm]
+        g_starts = np.concatenate(([0], np.cumsum(g_counts)))
+        gidx = (
+            np.repeat(row_starts[perm], g_counts)
+            + np.arange(int(g_counts.sum()), dtype=np.int64)
+            - np.repeat(g_starts[:-1], g_counts)
+        )
+        flat_ids = flat_ids[gidx]
+        flat_tfs = flat_tfs[gidx]
+
+    # per-term value extents
+    df = np.add.reduceat(counts, run_starts)
+    t_starts = np.concatenate(([0], np.cumsum(df)))
+
+    # parts must tile disjoint doc-id intervals: a break in strict
+    # increase is fine only at a term boundary
+    if flat_ids.size > 1:
+        nondec = np.flatnonzero(np.diff(flat_ids) <= 0) + 1
+        bad = nondec[~np.isin(nondec, t_starts)]
+        if bad.size:
+            ri = int(np.searchsorted(t_starts, bad[0], side="right")) - 1
+            raise ValueError(
+                f"{where}: term "
+                f"{term[int(run_starts[ri])].as_py()!r} has non-increasing "
+                f"doc id {int(flat_ids[bad[0]])} (overlapping unit spills "
+                "or segments)"
             )
-        return {"shard": shard, "n_terms": sum(t.num_rows for t in tables),
-                "n_files": len(tables)}
 
-    def _merge_range(self, cols: list, shard: int, rid: int) -> pa.Table:
-        """Merge one doc-range's spill rows (sorted by term) into the packed
-        table, in ONE vectorized pass over the whole range.
+    # doc-id deltas restart per term
+    id_deltas = np.empty_like(flat_ids)
+    if flat_ids.size:
+        id_deltas[0] = flat_ids[0]
+        np.subtract(flat_ids[1:], flat_ids[:-1], out=id_deltas[1:])
+        ts = t_starts[:-1][df > 0]
+        id_deltas[ts] = flat_ids[ts]
+    # byte offsets ONLY at term boundaries (multi-byte deltas are
+    # rare, so no per-value byte-length cumsum is materialized)
+    doc_ids = _binary_column(
+        varint_encode(id_deltas.view(np.uint64)),
+        varint_byte_offsets(id_deltas, t_starts), where,
+    )
+    tfs = _binary_column(
+        varint_encode(flat_tfs.view(np.uint64)),
+        varint_byte_offsets(flat_tfs, t_starts), where,
+    )
+    cf = np.add.reduceat(flat_tfs, t_starts[:-1])
 
-        Rows are permuted so each term's parts sit contiguously ordered by
-        first doc id (one ``lexsort``), every stream is gathered once,
-        doc-id deltas restart per TERM (parts cover disjoint intervals so
-        the concatenation is already sorted), and the range's streams are
-        varint-packed ONCE; each output column is then one Arrow array
-        over the shared buffer, cut at term boundaries by byte offsets
-        (``varint_byte_offsets``).  Positions arrive pre-encoded per spill
-        row, so a term's merged positions are its parts' blobs back to
-        back.  A term whose concatenated doc ids are not strictly
-        increasing (overlapping unit spills) raises.
-        """
-        term, ids_col, tfs_col, pos_col = cols
-        where = f"shard {shard} range {rid}"
-        nrow = len(term)
-        counts = np.asarray(pc.list_value_length(ids_col).to_numpy(),
-                            dtype=np.int64)
-        flat_ids = np.asarray(pc.list_flatten(ids_col).to_numpy(),
-                              dtype=np.int64)
-        flat_tfs = np.asarray(pc.list_flatten(tfs_col).to_numpy(),
-                              dtype=np.int64)
-        row_starts = np.concatenate(([0], np.cumsum(counts)))
-
-        # term runs (spill rows are sorted by term within the range)
-        new_run = np.ones(nrow, dtype=bool)
-        new_run[1:] = pc.not_equal(term[1:], term[:-1]).to_numpy(
-            zero_copy_only=False
-        )
-        run_starts = np.flatnonzero(new_run)
-        run_id = np.cumsum(new_run) - 1
-
-        # permute rows: term-contiguous, parts ordered by first doc id
-        firsts = (
-            flat_ids[np.minimum(row_starts[:-1], flat_ids.size - 1)]
-            if flat_ids.size else np.zeros(nrow, np.int64)
-        )
-        perm = np.lexsort((firsts, run_id))
-        identity = bool((perm == np.arange(perm.size)).all())
+    if pos_col is None:
+        positions = pa.nulls(run_starts.size, pa.binary())
+    else:
         if not identity:
-            g_counts = counts[perm]
-            g_starts = np.concatenate(([0], np.cumsum(g_counts)))
-            gidx = (
-                np.repeat(row_starts[perm], g_counts)
-                + np.arange(int(g_counts.sum()), dtype=np.int64)
-                - np.repeat(g_starts[:-1], g_counts)
-            )
-            flat_ids = flat_ids[gidx]
-            flat_tfs = flat_tfs[gidx]
+            pos_col = pos_col.take(pa.array(perm))
+        pos_boff, data = _binary_parts(pos_col)
+        positions = _binary_column(
+            data, pos_boff[np.append(run_starts, nrow)], where)
 
-        # per-term value extents
-        df = np.add.reduceat(counts, run_starts)
-        t_starts = np.concatenate(([0], np.cumsum(df)))
+    return pa.Table.from_arrays(
+        [
+            term.take(pa.array(run_starts)),
+            pa.array(np.full(run_starts.size, rid, np.int64)),
+            pa.array(df),
+            pa.array(cf),
+            doc_ids,
+            tfs,
+            positions,
+        ],
+        schema=MERGED_POSTINGS_SCHEMA,
+    )
 
-        # parts must tile disjoint doc-id intervals: a break in strict
-        # increase is fine only at a term boundary
-        if flat_ids.size > 1:
-            nondec = np.flatnonzero(np.diff(flat_ids) <= 0) + 1
-            bad = nondec[~np.isin(nondec, t_starts)]
-            if bad.size:
-                ri = int(np.searchsorted(t_starts, bad[0], side="right")) - 1
-                raise ValueError(
-                    f"{where}: term "
-                    f"{term[int(run_starts[ri])].as_py()!r} has non-increasing "
-                    f"doc id {int(flat_ids[bad[0]])} (overlapping unit spills)"
-                )
 
-        # doc-id deltas restart per term
-        id_deltas = np.empty_like(flat_ids)
-        if flat_ids.size:
-            id_deltas[0] = flat_ids[0]
-            np.subtract(flat_ids[1:], flat_ids[:-1], out=id_deltas[1:])
-            ts = t_starts[:-1][df > 0]
-            id_deltas[ts] = flat_ids[ts]
-        # byte offsets ONLY at term boundaries (multi-byte deltas are
-        # rare, so no per-value byte-length cumsum is materialized)
-        doc_ids = _binary_column(
-            varint_encode(id_deltas.view(np.uint64)),
-            varint_byte_offsets(id_deltas, t_starts), where,
-        )
-        tfs = _binary_column(
-            varint_encode(flat_tfs.view(np.uint64)),
-            varint_byte_offsets(flat_tfs, t_starts), where,
-        )
-        cf = np.add.reduceat(flat_tfs, t_starts[:-1])
+def _binary_parts(col) -> tuple:
+    """A binary array's row byte offsets (int64, into the returned
+    buffer) and its data buffer."""
+    _, offs_buf, data_buf = col.buffers()
+    boff = np.frombuffer(offs_buf, dtype=np.int32, count=len(col) + 1,
+                         offset=4 * col.offset).astype(np.int64)
+    return boff, data_buf or pa.py_buffer(b"")
 
-        if pos_col is None:
-            positions = pa.nulls(run_starts.size, pa.binary())
-        else:
-            if not identity:
-                pos_col = pos_col.take(pa.array(perm))
-            _, offs_buf, data_buf = pos_col.buffers()
-            pos_boff = np.frombuffer(
-                offs_buf, dtype=np.int32, count=nrow + 1,
-                offset=4 * pos_col.offset,
-            ).astype(np.int64)
-            positions = _binary_column(
-                data_buf or pa.py_buffer(b""),
-                pos_boff[np.append(run_starts, nrow)], where,
-            )
 
-        return pa.Table.from_arrays(
-            [
-                term.take(pa.array(run_starts)),
-                pa.array(np.full(run_starts.size, rid, np.int64)),
-                pa.array(df),
-                pa.array(cf),
-                doc_ids,
-                tfs,
-                positions,
-            ],
-            schema=MERGED_POSTINGS_SCHEMA,
-        )
+def _varint_rows(col) -> np.ndarray:
+    """Every row's varint stream of binary array ``col``, decoded in one
+    pass over their concatenation (int64, row order)."""
+    boff, data = _binary_parts(col)
+    return varint_decode(
+        data.slice(int(boff[0]), int(boff[-1] - boff[0]))).astype(np.int64)
+
+
+def merge_segments(tables: list, rid: int, where: str,
+                   dead=None) -> pa.Table | None:
+    """Merge doc range ``rid``'s postings segments (tables with the
+    :data:`_SEGMENT_COLUMNS` of ``MERGED_POSTINGS_SCHEMA``) into one —
+    Lucene's segment merge — dropping the postings of the doc ids the
+    dense bool mask ``dead`` marks (None: none) on the way.  Every row's
+    doc ids and tfs are decoded in one pass over all rows; a dead
+    posting's block is cut out of its row's position blob (deltas
+    restart per posting, so what remains is still valid, with no
+    re-encode); the rows are then merged as stage 2 merges spill rows
+    (:func:`_merge_rows`).  None when no posting survives."""
+    tbl = pa.concat_tables([t.select(_SEGMENT_COLUMNS) for t in tables])
+    if tbl.num_rows == 0:
+        return None
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("term", "ascending")]))
+    tbl = tbl.combine_chunks()
+    term, pos = tbl["term"].chunk(0), tbl["positions"].chunk(0)
+    if pos.null_count == len(pos):
+        pos = None
+    counts = tbl["df"].to_numpy()
+    starts = np.cumsum(counts) - counts
+    deltas = _varint_rows(tbl["doc_ids"].chunk(0))
+    flat_ids = np.cumsum(deltas)  # doc-id deltas restart per row
+    flat_ids -= np.repeat(flat_ids[starts] - deltas[starts], counts)
+    flat_tfs = _varint_rows(tbl["tfs"].chunk(0))
+    if dead is not None:
+        keep = ~dead[flat_ids]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        live = kept[starts + counts] - kept[starts]
+        if pos is not None:
+            pos = _cut_positions(pos, flat_tfs, keep, starts, counts, where)
+        rows = pa.array(live > 0)
+        term, counts = term.filter(rows), live[live > 0]
+        pos = None if pos is None else pos.filter(rows)
+        flat_ids, flat_tfs = flat_ids[keep], flat_tfs[keep]
+        if not counts.size:
+            return None
+    return _merge_rows(term, counts, flat_ids, flat_tfs, pos, rid, where)
+
+
+def _cut_positions(pos, flat_tfs, keep, starts, counts, where: str):
+    """Position blobs ``pos`` (one per row, one delta-varint block per
+    posting, ``flat_tfs`` values each) without the blocks of the
+    postings ``keep`` drops.  A block ends at the terminal byte of its
+    last value: one continuation-bit scan over all blobs finds every
+    block's byte extent."""
+    boff, data = _binary_parts(pos)
+    data = np.frombuffer(data, np.uint8)[boff[0]:boff[-1]]
+    ends = np.searchsorted(np.cumsum(data < 0x80), np.cumsum(flat_tfs),
+                           "left") + 1
+    begins = np.concatenate(([0], ends[:-1]))
+    lens = (ends - begins) * keep
+    total = int(lens.sum())
+    out = data[np.repeat(begins - (np.cumsum(lens) - lens), lens)
+               + np.arange(total, dtype=np.int64)]
+    row_bytes = np.concatenate(([0], np.cumsum(lens)))
+    row_bytes = row_bytes[starts + counts] - row_bytes[starts]
+    return _binary_column(out, np.concatenate(([0], np.cumsum(row_bytes))),
+                          where)
 
 
 # Stages run as Ray TASKS, not actor pools: the expensive per-worker state
@@ -918,10 +1046,11 @@ def _run_stage1(unit_rows, index_dir, config, registry, doc_enricher) -> list:
     return rows
 
 
-def _run_stage2(index_dir, n_shards, min_range: int = 0,
-                compression: str = "zstd") -> list:
+def _run_stage2(index_dir, n_shards, **merger) -> list:
+    """Stage 2 over every term shard (:class:`ShardMerger` ``merger``
+    arguments); one result row per shard."""
     def run_merge(batch: dict) -> pa.Table:
-        return ShardMerger(index_dir, min_range, compression)(batch)
+        return ShardMerger(index_dir, **merger)(batch)
 
     ds = rd.from_items([{"shard": s} for s in range(n_shards)]).map_batches(
         run_merge, batch_size=1, batch_format="numpy", num_cpus=1
@@ -929,6 +1058,34 @@ def _run_stage2(index_dir, n_shards, min_range: int = 0,
     rows = ds.take_all()
     _LAST_STAGE_STATS["stage2"] = ds.stats()
     return rows
+
+
+def _remove_spills(index_dir: str) -> None:
+    shutil.rmtree(os.path.join(index_dir, "postings_raw"), ignore_errors=True)
+
+
+def _publish(manifest, stats: dict, committed, merged: list) -> dict:
+    """Commit ``stats`` with the postings files stage 2 left: the
+    ``committed`` ones less those its merges replaced, plus the segments
+    it wrote (``merged``: its result rows), and the term rows they hold.
+    Then unlink the replaced files and the spills, which no committed
+    generation reads (an engine holding a replaced file keeps its
+    bytes).  Returns the committed stats."""
+    replaced = {r for row in merged for r in row["replaced"]}
+    files = set(committed) - replaced
+    files.update(f for row in merged for f in row["files"])
+    stats = dict(stats, postings_files=sorted(files),
+                 n_term_rows=int(stats.get("n_term_rows", 0))
+                 + sum(int(r["n_terms"]) for r in merged))
+    stats.pop("spills_dropped", None)
+    manifest.commit(stats)
+    for rel in replaced:
+        try:
+            os.unlink(os.path.join(manifest.index_dir, "postings", rel))
+        except FileNotFoundError:
+            pass
+    _remove_spills(manifest.index_dir)
+    return manifest.read_stats()
 
 
 #: last run's ``Dataset.stats()`` per stage — recorded into the committed
@@ -949,8 +1106,10 @@ def build_index(
     """Run the full build; returns the committed stats dict.
 
     Resume semantics: with ``config.checkpoint`` (default), rerunning after
-    an interruption skips completed stage-1 units; stage 2 re-runs from the
-    checkpointed raw postings.  ``overwrite=True`` clears the index dir.
+    an interruption before the commit skips completed stage-1 units; stage
+    2 re-runs from their spills.  Rerunning a committed build returns its
+    stats; any other build into a committed index starts over.
+    ``overwrite=True`` clears the index dir.
     """
     config = config or DEFAULT_CONFIG
     registry = registry or AnalyzerRegistry(config.default_analyzer)
@@ -976,6 +1135,19 @@ def _build_index_locked(input_paths, index_dir, config, registry,
     units = list_units(input_paths)
     if not units:
         raise ValueError(f"no parquet inputs under {input_paths!r}")
+    if manifest.is_committed():
+        # the commit merged its units' spills into postings and deleted
+        # them: a re-run of the committed build has nothing to do, any
+        # other build here starts over
+        done = manifest.read_stats()
+        if config.checkpoint and len(units) == done.get("n_units") and all(
+                manifest.unit_complete(u.unit_id) for u in units):
+            return done
+        for name in os.listdir(index_dir):
+            path = os.path.join(index_dir, name)
+            if name != os.path.basename(manifest.lock_path()):
+                (shutil.rmtree if os.path.isdir(path) else os.unlink)(path)
+        manifest.ensure_dirs()
 
     import ray
 
@@ -1016,20 +1188,19 @@ def _build_index_locked(input_paths, index_dir, config, registry,
         shutil.rmtree(postings_dir)
     os.makedirs(postings_dir, exist_ok=True)
 
-    merged_manifest = _run_stage2(index_dir, n_shards,
-                                  compression=config.compression)
+    merged = _run_stage2(index_dir, n_shards, units=range(len(units)),
+                         generation=1, compression=config.compression)
     t2 = time.perf_counter()
 
     # ---- commit ---------------------------------------------------------
-    n_term_rows = sum(r["n_terms"] for r in merged_manifest)
     stats = {
         "n_docs": int(n_docs),
         "n_failed": int(n_failed),
         "doc_id_space": int(doc_id_space),
         "sum_dl": int(sum_dl),
         "avgdl": (float(sum_dl) / n_docs) if n_docs else 0.0,
-        "n_term_rows": int(n_term_rows),
         "n_units": len(units),
+        "docs_files": [f"part-{u.unit_id:06d}.parquet" for u in units],
         "n_shards": n_shards,
         "docs_per_range": config.docs_per_range,
         "store_positions": bool(config.store_positions),
@@ -1055,8 +1226,7 @@ def _build_index_locked(input_paths, index_dir, config, registry,
             k: v[:1500] for k, v in _LAST_STAGE_STATS.items()
         },
     }
-    manifest.commit(stats)
-    return manifest.read_stats()
+    return _publish(manifest, stats, (), merged)
 
 
 def extend_index(
@@ -1076,10 +1246,12 @@ def extend_index(
     - index-shape parameters (shards, doc ranges, k1/b,
       analyzer pin) come from the committed stats — they define the layout
       and MUST NOT change between extensions;
-    - stage 2 re-merges only doc ranges >= the boundary range: fully-old
-      ranges are untouched on disk, the boundary range re-merges old + new
-      spills (kept in ``postings_raw``), new ranges are fresh.  Work is
-      proportional to the NEW data, not the index size.
+    - stage 2 merges only the new units' spills: each doc range that
+      gets new docs (the boundary range and new ones) gets a new segment
+      holding only those docs, and no committed file is rewritten.  A
+      range left with more than :data:`MERGE_FACTOR` segments has them
+      merged into one.  Work is proportional to the NEW data, not the
+      index size.
 
     Note: BM25 stats (N, avgdl, df) change with every extension, so scores
     for old queries legitimately shift — same as a Solr commit.
@@ -1100,9 +1272,6 @@ def extend_index(
 def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
                          manifest) -> dict:
     old = manifest.read_stats()
-    from solr_indexer_ray.pipelines.mutate import _require_spills
-
-    _require_spills(index_dir, old, "extend")
     registry = AnalyzerRegistry(
         old["analyzer_default"], overrides=old["analyzer_lang_map"]
     )
@@ -1128,6 +1297,10 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
     )
     n_shards = int(old["n_shards"])
     base = int(old["doc_id_space"])
+    generation = int(old.get("generation", 1)) + 1
+    # listed before stage 1 writes new files beside them
+    committed = manifest.committed_files(old, "postings")
+    docs = manifest.committed_files(old, "docs")
 
     t0 = time.perf_counter()
     units = list_units(input_paths)
@@ -1168,8 +1341,9 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
                                doc_enricher)
     t1 = time.perf_counter()
 
-    min_range = base // config.docs_per_range
-    merged = _run_stage2(index_dir, n_shards, min_range,
+    merged = _run_stage2(index_dir, n_shards,
+                         units=range(next_uid, next_uid + len(shifted)),
+                         generation=generation, committed=committed,
                          compression=config.compression)
     t2 = time.perf_counter()
 
@@ -1191,26 +1365,16 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
             acc["sum_dl"] / acc["n_docs"] if acc["n_docs"] else 0.0
         )
 
-    # recount term rows from parquet footers (metadata-only)
-    n_term_rows = 0
-    postings_dir = os.path.join(index_dir, "postings")
-    for root, _, files in os.walk(postings_dir):
-        for f in files:
-            if f.endswith(".parquet"):
-                n_term_rows += pq.ParquetFile(
-                    os.path.join(root, f)
-                ).metadata.num_rows
-
     stats = dict(
         old,
-        generation=int(old.get("generation", 1)) + 1,
+        generation=generation,
         n_docs=n_docs,
         n_failed=int(old.get("n_failed", 0)) + new_failed,
         doc_id_space=base + sum(u.num_rows for u in units),
         sum_dl=sum_dl,
         avgdl=(float(sum_dl) / n_docs) if n_docs else 0.0,
-        n_term_rows=int(n_term_rows),
         n_units=int(old["n_units"]) + len(units),
+        docs_files=docs + [f"part-{u.unit_id:06d}.parquet" for u in shifted],
         field_stats=field_stats,
         timings={
             "stage1_s": round(t1 - t0, 3),
@@ -1218,5 +1382,4 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
             "total_s": round(t2 - t0, 3),
         },
     )
-    manifest.commit(stats)
-    return manifest.read_stats()
+    return _publish(manifest, stats, committed, merged)

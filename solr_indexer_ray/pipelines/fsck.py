@@ -8,7 +8,8 @@ the build relies on is machine-checkable:
 
 - stats.json consistent with the docs table (N, sum_dl, doc_id_space);
 - doc ids unique, dense within units, inside [0, doc_id_space);
-- every postings row: strictly-increasing doc ids within its doc range,
+- every postings row of the committed segments: strictly-increasing doc
+  ids within its doc range,
   df == decoded length == tf count, cf == sum(tfs);
 - positions stream decodes to exactly sum(tfs) values, each segment
   strictly increasing and non-negative (positional indexes);
@@ -35,21 +36,17 @@ from solr_indexer_ray.functions.varint import (
 from solr_indexer_ray.state.manifest import BuildManifest
 
 
-def _check_shard(index_dir: str, shard: int, dpr: int,
+def _check_files(index_dir: str, files, dpr: int,
                  store_positions: bool) -> list:
-    """Verify one postings shard; returns a list of problem strings."""
+    """Verify postings ``files`` (relative to ``postings/``); returns a
+    list of problem strings."""
     problems = []
-    root = os.path.join(index_dir, "postings", f"shard={shard}")
-    if not os.path.isdir(root):
-        return problems
-    for fname in sorted(os.listdir(root)):
-        if not fname.endswith(".parquet"):
-            continue
+    for loc in files:
         cols = ["term", "range_id", "df", "cf", "doc_ids", "tfs"]
         if store_positions:
             cols.append("positions")
-        t = pq.read_table(os.path.join(root, fname), columns=cols)
-        loc = f"shard={shard}/{fname}"
+        t = pq.read_table(os.path.join(index_dir, "postings", loc),
+                          columns=cols)
         for i in range(t.num_rows):
             term = t["term"][i].as_py()
             rid = t["range_id"][i].as_py()
@@ -123,15 +120,19 @@ def check_index(index_dir: str) -> dict:
     if sum_dl != int(stats["sum_dl"]):
         problems.append(f"docs: sum(doclen)={sum_dl} != stats {stats['sum_dl']}")
 
-    # postings shards in parallel (one task per shard)
+    # the committed postings files, shards in parallel (one task per
+    # shard)
     n_shards = int(stats["n_shards"])
+    files = manifest.committed_files(stats, "postings")
 
     def run(batch):
         import pyarrow as pa
 
         out = []
         for s in batch["shard"]:
-            out.extend(_check_shard(index_dir, int(s), dpr, store_pos))
+            out.extend(_check_files(
+                index_dir, [f for f in files if f.startswith(f"shard={s}/")],
+                dpr, store_pos))
         return pa.table({"problem": pa.array(out, pa.string())})
 
     rows = (
@@ -144,9 +145,9 @@ def check_index(index_dir: str) -> dict:
     # global df per term == docs containing it (spot constraint: sum of df
     # column == total postings rows' lengths is already per-row checked;
     # here: n_term_rows bookkeeping)
-    pds = pads.dataset(os.path.join(index_dir, "postings"),
-                       partitioning="hive")
-    n_term_rows = pds.count_rows()
+    n_term_rows = sum(
+        pq.ParquetFile(os.path.join(index_dir, "postings", f)).metadata
+        .num_rows for f in files)
     if n_term_rows != int(stats["n_term_rows"]):
         problems.append(
             f"postings: {n_term_rows} rows != stats n_term_rows "

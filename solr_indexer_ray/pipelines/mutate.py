@@ -7,7 +7,7 @@ Reference analogues:
   engine can't cheaply rewrite immutable postings, so deletes are
   **tombstones**: a small ``tombstones.parquet`` table of doc ids that every
   read path (search, get, count) anti-joins against.  Compaction =
-  rebuilding the affected partitions (documented scale path).
+  merging every doc range's postings segments without the dead docs.
 - atomic partial update (``set_parent_flag`` ``solrindexer/tools.py:93-103``):
   an **overlay** table ``overlays.parquet`` of (doc_id, column, value)
   merged over stored fields at read time — read-modify-write of a column
@@ -325,133 +325,17 @@ def mark_parents(index_dir: str, parent_keys) -> dict:
 # --------------------------------------------------------------------- #
 # compaction
 # --------------------------------------------------------------------- #
-def _purge_spill_file(path: str, dead_ids) -> bool:
-    """Drop tombstoned doc ids from one raw-postings spill file.
-
-    Returns True if the file changed.  Fully columnar (the stage-2
-    fast-path idiom): flatten the posting lists once, mask dead postings
-    with a dense doc-id lookup, re-segment with a cumsum of the keep mask,
-    and rebuild the list columns zero-copy with ``ListArray.from_arrays``.
-    Terms whose postings become empty are dropped entirely; the original
-    (term, range_id) file order is preserved by construction.
-    """
-    with_pos = "positions" in pq.read_schema(path).names
-    # named columns only: the file may carry columns this rewrite drops
-    tbl = pq.read_table(
-        path, columns=["term", "range_id", "doc_ids", "tfs"]
-        + (["positions"] if with_pos else []),
-    )
-    if tbl.num_rows == 0:
-        return False
-    docs_col = tbl["doc_ids"].combine_chunks()
-    flat_docs = docs_col.flatten().to_numpy(zero_copy_only=False)
-    offsets = docs_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    offsets = offsets - offsets[0]
-    dead = np.asarray(dead_ids, dtype=np.int64)
-    hi = int(max(flat_docs.max(initial=0), dead.max(initial=0))) + 1
-    dead_mask = np.zeros(hi, dtype=bool)
-    dead_mask[dead] = True
-    keep = ~dead_mask[flat_docs]
-    if keep.all():
-        return False
-    # per-row surviving-posting counts via keep-cumsum (empty-safe where
-    # reduceat is not), then the new list offsets
-    csum = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-    new_len = csum[offsets[1:]] - csum[offsets[:-1]]
-    row_keep = new_len > 0
-    new_offsets = pa.array(
-        np.concatenate(([0], np.cumsum(new_len[row_keep]))).astype(np.int32),
-        pa.int32(),
-    )
-    kmask = pa.array(keep)
-    cols = {
-        "term": tbl["term"].filter(pa.array(row_keep)),
-        "range_id": tbl["range_id"].filter(pa.array(row_keep)),
-        "doc_ids": pa.ListArray.from_arrays(
-            new_offsets, pa.array(flat_docs[keep], pa.int64())
-        ),
-        "tfs": pa.ListArray.from_arrays(
-            new_offsets,
-            pa.array(
-                tbl["tfs"].combine_chunks().flatten()
-                .to_numpy(zero_copy_only=False)[keep],
-                pa.int32(),
-            ),
-        ),
-    }
-    if with_pos:
-        # positions: one delta-varint blob per row, segments restart per
-        # posting — dropping a dead posting's byte segment keeps the
-        # format valid with NO re-encode.  Per-posting byte extents come
-        # from one continuation-bit scan over the file's concatenated
-        # blobs (every row blob ends on a terminal byte, so the global
-        # value counter aligns with the per-posting value boundaries).
-        pos_col = tbl["positions"].combine_chunks()
-        if pos_col.offset != 0:  # defensive: re-materialize at offset 0
-            pos_col = pos_col.take(
-                pa.array(np.arange(len(pos_col), dtype=np.int64))
-            )
-        bufs = pos_col.buffers()
-        row_boff = np.frombuffer(
-            bufs[1], dtype=np.int32, count=len(pos_col) + 1
-        ).astype(np.int64)
-        base = int(row_boff[0])
-        data = (
-            np.frombuffer(bufs[2], dtype=np.uint8)[base:int(row_boff[-1])]
-            if bufs[2] is not None else np.empty(0, np.uint8)
-        )
-        flat_tfs = (
-            tbl["tfs"].combine_chunks().flatten()
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        voff = np.concatenate(([0], np.cumsum(flat_tfs)))
-        term_count = np.cumsum(data < 0x80, dtype=np.int64)
-        pends = np.zeros(voff.size, dtype=np.int64)
-        if data.size:
-            pends[1:] = np.searchsorted(term_count, voff[1:], "left") + 1
-        seg_starts, seg_stops = pends[:-1][keep], pends[1:][keep]
-        seg_lens = seg_stops - seg_starts
-        total = int(seg_lens.sum())
-        gidx = (
-            np.repeat(seg_starts, seg_lens)
-            + np.arange(total, dtype=np.int64)
-            - np.repeat(
-                np.concatenate(([0], np.cumsum(seg_lens)[:-1])), seg_lens
-            )
-        )
-        new_data = data[gidx]
-        # new per-row byte lengths: sum of kept postings' segment bytes
-        seg_all = (pends[1:] - pends[:-1]) * keep
-        scs = np.concatenate(([0], np.cumsum(seg_all, dtype=np.int64)))
-        new_row_len = scs[offsets[1:]] - scs[offsets[:-1]]
-        nboffs = np.concatenate(
-            ([0], np.cumsum(new_row_len[row_keep]))
-        ).astype(np.int32)
-        cols["positions"] = pa.Array.from_buffers(
-            pa.binary(), int(row_keep.sum()),
-            [None, pa.py_buffer(nboffs.tobytes()),
-             pa.py_buffer(new_data.tobytes())],
-        )
-    out = pa.table(cols, schema=tbl.schema)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(out, tmp)
-    os.replace(tmp, path)
-    return True
-
-
 def compact_index(index_dir: str) -> dict:
     """Physically remove tombstoned docs (reference analogue: Solr deletes
-    become physical at segment merge).  Rewrites affected docs parts and
-    raw-postings spills (so later incremental extensions cannot resurrect
-    deleted docs), re-runs the per-shard merge, recomputes stats, clears
-    tombstones and dead overlays.  Doc ids keep their slots (gaps are fine
-    — the engine addresses by ``doc_id_space``); work is proportional to
-    the index, which is what compaction means.
+    become physical at segment merge; this is Lucene's ``forceMerge``
+    expunging deletes).  Rewrites the affected docs parts, merges every
+    doc range's postings segments into one new segment without the dead
+    docs' postings (:func:`~solr_indexer_ray.pipelines.build.merge_segments`),
+    recomputes stats, clears tombstones and dead overlays.  Doc ids keep
+    their slots (gaps are fine — the engine addresses by
+    ``doc_id_space``); work is proportional to the index, which is what
+    compaction means.
     """
-    import ray.data as rd
-
-    from solr_indexer_ray.pipelines.build import _run_stage2
-
     manifest = BuildManifest(index_dir)
     manifest.acquire_lock()  # single writer (same lock as build/extend)
     try:
@@ -463,22 +347,17 @@ def compact_index(index_dir: str) -> dict:
 def _compact_locked(index_dir: str, manifest) -> dict:
     import ray.data as rd
 
-    from solr_indexer_ray.pipelines.build import _run_stage2
+    from solr_indexer_ray.pipelines.build import _publish, _run_stage2
 
     stats = manifest.read_stats()
     tombs = read_tombstones(index_dir)
     if not tombs:
         return {"removed": 0, "stats": stats}
-    _require_spills(index_dir, stats, "compact")
     dead = np.fromiter(tombs, dtype=np.int64)
 
     # 1. rewrite docs parts dropping dead rows (parallel over part files)
-    docs_dir = os.path.join(index_dir, "docs")
-    doc_files = sorted(
-        os.path.join(docs_dir, f)
-        for f in os.listdir(docs_dir)
-        if f.endswith(".parquet")
-    )
+    doc_files = [os.path.join(index_dir, "docs", f)
+                 for f in manifest.committed_files(stats, "docs")]
 
     def purge_docs(batch: dict) -> pa.Table:
         fsums: dict = {}
@@ -540,36 +419,18 @@ def _compact_locked(index_dir: str, manifest) -> dict:
             acc["sum_dl"] / acc["n_docs"] if acc["n_docs"] else 0.0
         )
 
-    # 2. rewrite raw-postings spills (parallel over shard dirs)
-    raw_dir = os.path.join(index_dir, "postings_raw")
-    shard_dirs = sorted(
-        os.path.join(raw_dir, d)
-        for d in os.listdir(raw_dir)
-        if d.startswith("shard=")
-    )
-
-    def purge_shard(batch: dict) -> pa.Table:
-        n = 0
-        for d in batch["dir"]:
-            for f in sorted(os.listdir(str(d))):
-                if f.endswith(".parquet"):
-                    n += _purge_spill_file(os.path.join(str(d), f), dead)
-        return pa.table({"changed": pa.array([n], pa.int64())})
-
-    (
-        rd.from_items([{"dir": d} for d in shard_dirs])
-        .map_batches(purge_shard, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
-
-    # 3. re-merge postings
+    # 2. merge every range's segments, dropping the dead docs' postings
+    mask = np.zeros(int(stats.get("doc_id_space", stats["n_docs"])), bool)
+    mask[dead] = True
+    committed = manifest.committed_files(stats, "postings")
+    generation = int(stats.get("generation", 1)) + 1
     merged = _run_stage2(
-        index_dir, int(stats["n_shards"]),
+        index_dir, int(stats["n_shards"]), units=range(0),
+        generation=generation, committed=committed, dead=mask,
         compression=str(stats.get("compression", "zstd")),
     )
-    n_term_rows = sum(r["n_terms"] for r in merged)
 
-    # 4. drop dead overlays, clear tombstones, commit new stats
+    # 3. drop dead overlays, clear tombstones, commit new stats
     overlays_path = os.path.join(index_dir, OVERLAYS)
     if os.path.exists(overlays_path):
         t = pq.read_table(overlays_path)
@@ -584,15 +445,14 @@ def _compact_locked(index_dir: str, manifest) -> dict:
 
     new_stats = dict(
         stats,
-        generation=int(stats.get("generation", 1)) + 1,
+        generation=generation,
         n_docs=int(n_docs),
         sum_dl=int(sum_dl),
         avgdl=(float(sum_dl) / n_docs) if n_docs else 0.0,
-        n_term_rows=int(n_term_rows),
         field_stats=field_stats or stats.get("field_stats", {}),
     )
-    manifest.commit(new_stats)
-    return {"removed": int(removed), "stats": manifest.read_stats()}
+    return {"removed": int(removed),
+            "stats": _publish(manifest, new_stats, committed, merged)}
 
 
 # --------------------------------------------------------------------- #
@@ -692,57 +552,3 @@ def restore_index(backup_dir: str, index_dir: str,
     os.replace(tmp, index_dir)
     stats = BuildManifest(index_dir).read_stats()
     return {"index": os.fspath(index_dir), "n_docs": int(stats["n_docs"])}
-
-
-# --------------------------------------------------------------------- #
-# spill GC
-# --------------------------------------------------------------------- #
-def drop_spills(index_dir: str) -> dict:
-    """Reclaim the raw-postings spills of a committed index.
-
-    The spills (``postings_raw/``) are the map-side shuffle artifacts the
-    build keeps so ``extend_index`` can re-merge boundary ranges and
-    ``compact_index`` can rebuild postings without re-tokenizing — at
-    ~5x the merged-postings size (BASELINE.md storage table).  An index
-    that has stopped growing can drop them: queries only read the merged
-    ``postings/`` + ``docs/``, so search/facet/export/backup are
-    unaffected.  After GC, extend and compact REFUSE with a clear error
-    (re-index or restore a pre-GC backup to mutate again).  Recorded in
-    stats as ``spills_dropped`` (generation bump = Solr commit).
-    """
-    import shutil
-
-    manifest = BuildManifest(index_dir)
-    if not manifest.is_committed():
-        raise FileNotFoundError(f"no committed index at {index_dir}")
-    manifest.acquire_lock()
-    try:
-        raw_dir = os.path.join(index_dir, "postings_raw")
-        freed = 0
-        if os.path.isdir(raw_dir):
-            for root, _dirs, files in os.walk(raw_dir):
-                for f in files:
-                    try:
-                        freed += os.path.getsize(os.path.join(root, f))
-                    except OSError:
-                        pass
-            shutil.rmtree(raw_dir)
-        stats = manifest.read_stats()
-        stats["spills_dropped"] = True
-        stats["generation"] = int(stats.get("generation", 1)) + 1
-        manifest.commit(stats)
-        return {"freed_bytes": int(freed), "index": os.fspath(index_dir)}
-    finally:
-        manifest.release_lock()
-
-
-def _require_spills(index_dir: str, stats: dict, op: str) -> None:
-    """Extend/compact need the raw spills; refuse cleanly after GC."""
-    if stats.get("spills_dropped") or not os.path.isdir(
-        os.path.join(index_dir, "postings_raw")
-    ):
-        raise RuntimeError(
-            f"cannot {op} {index_dir}: raw postings spills were dropped "
-            "(drop_spills / cli gc); re-index from source or restore a "
-            "pre-GC backup to mutate this index"
-        )

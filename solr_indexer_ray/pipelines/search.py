@@ -63,7 +63,7 @@ from solr_indexer_ray.functions.queryparse import (
 )
 from solr_indexer_ray.functions.smallfloat import DECODE_TABLE
 from solr_indexer_ray.functions.varint import varint_decode
-from solr_indexer_ray.state.manifest import BuildManifest
+from solr_indexer_ray.state.manifest import BuildManifest, segment_range
 
 STORED_FIELDS = ["doc_id", "repo", "path", "commit", "lang", "sha256", "doclen"]
 
@@ -946,25 +946,23 @@ def _resident_nbytes(col) -> int:
 
 
 class _PostingsFile:
-    """One postings file, opened by a handle that pins its bytes (an
-    ``os.replace`` of the path leaves them readable), with its parquet
-    reader, row-group starts and ``(term, df)`` columns loaded on first
-    use (:meth:`load`), and every row group a read decompressed kept
+    """One postings file, opened by a handle that pins its bytes (a
+    merge unlinks the files it replaced), with its parquet reader,
+    row-group starts and ``(term, df)`` columns loaded on first use
+    (:meth:`load`), and every row group a read decompressed kept
     resident (:meth:`group`).  Its identity is the object itself
     (``serial``): the engines of a process share one per file
     (:func:`_open_postings_file`), across generations too, so a refresh
     knows which files a commit left alone, keeps what it derived from
-    them, and reads only new or rewritten files — whose terms locate
-    the new rows of the postings it keeps decoded."""
+    them, and reads only the new ones — whose terms locate the new rows
+    of the postings it keeps decoded."""
 
     _serials = itertools.count()
 
-    def __init__(self, path: str):
-        before = _file_identity(path)
+    def __init__(self, path: str, key: tuple):
         self.handle = pa.OSFile(path)
-        #: identity of the file the handle holds; None when the path
-        #: changed while it was being opened (never shared then)
-        self.key = before if _file_identity(path) == before else None
+        #: identity (device, inode, size, mtime) of the file
+        self.key = key
         self.reader = None
         #: row group -> {column: resident values}, evicted by _RESIDENT
         self.groups: dict = {}
@@ -1022,12 +1020,13 @@ _OPEN_POSTINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _open_postings_file(path: str) -> _PostingsFile:
     """The :class:`_PostingsFile` of the file at ``path`` — the one an
-    engine of this process already holds, or a new one."""
-    f = _OPEN_POSTINGS.get(_file_identity(path))
+    engine of this process already holds, or a new one.  No commit
+    writes to a committed file, so one ``stat`` names the file the
+    handle opens."""
+    key = _file_identity(path)
+    f = _OPEN_POSTINGS.get(key)
     if f is None:
-        f = _PostingsFile(path)
-        if f.key is not None:
-            f = _OPEN_POSTINGS.setdefault(f.key, f)
+        f = _OPEN_POSTINGS.setdefault(key, _PostingsFile(path, key))
     return f
 
 
@@ -1185,9 +1184,8 @@ class _TermDict:
     again from all its files by the first read that touches it, so the
     first read after a commit pays only for the changed shards of its
     own terms.  ``sources`` maps each shard to its :class:`_PostingsFile`
-    s, whose handles pin the bytes the row positions come from:
-    ``extend_index`` replaces boundary range files under the same name
-    (``os.replace``)."""
+    s, whose handles pin the bytes the row positions come from: a merge
+    unlinks the segments it replaced."""
 
     def __init__(self, sources: dict, n_shards: int, shards=None):
         self._sources = sources
@@ -1654,21 +1652,29 @@ class SearchEngine:
         before (nothing, for a new engine) — Lucene's
         ``DirectoryReader.openIfChanged``, which shares the readers of
         unchanged segments.  A commit leaves most files alone:
-        ``extend_index`` appends docs files and rewrites only the boundary
-        range's postings, a delete or an atomic update rewrites only the
-        tombstones or overlays.  So the resident docs state grows by the
-        new docs files' rows now (:meth:`_open_docs`); the decoded
-        postings of a term shard whose files changed are brought to the
-        new files by the lookups there, from their rows in the files the
-        commit left alone plus their rows in the new files
-        (:meth:`_carry_postings`); a term-dictionary shard
-        whose files changed is built again on first use
-        (:meth:`_TermDict.carried`); the filter masks grow by the new
+        ``extend_index`` appends docs files and postings segments (and
+        replaces the segments of a range it merges), a delete or an
+        atomic update rewrites only the tombstones or overlays.  So the
+        resident docs state grows by the new docs files' rows now
+        (:meth:`_open_docs`); the decoded postings of a term shard whose
+        files changed are brought to the new files by the lookups there,
+        from their rows in the files the commit left alone plus their
+        rows in the new files (:meth:`_carry_postings`); a
+        term-dictionary shard whose files changed is built again on
+        first use (:meth:`_TermDict.carried`); the filter masks grow by the new
         rows on first use (:meth:`_filter_rows`); and only the caches
         derived from the statistics or the whole index (``"generation"``)
         or from the side files (``"side"``) start empty.  Spreading the
         work this way keeps both the refresh and the first read after it
         short: a read pays only for the row groups it touches."""
+        old = self._postings_files
+        try:
+            self._open_postings(stats)
+        except FileNotFoundError:
+            # a later commit's merge unlinked a file: open that commit
+            stats = self.manifest.read_stats()
+            self._open_postings(stats)
+        new = self._postings_files
         self.stats = stats
         self.n_docs = int(stats["n_docs"])          # indexed (valid) docs
         self.avgdl = float(stats["avgdl"])
@@ -1676,9 +1682,6 @@ class SearchEngine:
             self.n_docs = self._collection.n_docs
             self.avgdl = self._collection.avgdl
         self._stored_fields = self._filter_fields = None
-        old = self._postings_files
-        self._open_postings()
-        new = self._postings_files
         changed = {s for s in old.keys() | new.keys()
                    if [f.serial for f in old.get(s, ())]
                    != [f.serial for f in new.get(s, ())]}
@@ -1702,7 +1705,7 @@ class SearchEngine:
                 stale.setdefault(term_shard(term, n_shards), []).append(term)
         for s, terms in stale.items():
             # files every entry was decoded with: those it had then, less
-            # any rewritten since
+            # any merged away since
             seen = {f.serial for f in old.get(s, ())}
             if s in self._stale:
                 seen &= self._stale[s][0]
@@ -1730,26 +1733,22 @@ class SearchEngine:
         self._dead = _MISS          # dense tombstone mask, or None
         self._cache.clear("side")
 
-    def _open_postings(self) -> None:
-        """Open this generation's postings: the hive dataset and a raw
-        handle on each of its files, by term shard.  The handles pin the
-        bytes the engine opened — ``extend_index`` replaces boundary
-        range files under the same name — so the term dictionary, built
-        from them on first use, never reads a later generation before
+    def _open_postings(self, stats: dict) -> None:
+        """Open the postings files the commit ``stats`` lists, by term
+        shard (under ``doc_range``: the segments of that range), each by
+        a handle that pins its bytes — a later commit's merge unlinks
+        the files it replaced — so the term dictionary, built from them
+        on first use, never reads a later generation before
         ``refresh()``.  A file some engine of the process already holds
         (this one's previous generation included) is shared, with its
         resident row groups (:func:`_open_postings_file`)."""
-        self._postings_ds = pads.dataset(
-            os.path.join(self.index_dir, "postings"), partitioning="hive"
-        )
+        root = os.path.join(self.index_dir, "postings")
         files: dict = {}
-        for frag in self._postings_ds.get_fragments():
-            if (self._range is not None and os.path.basename(frag.path)
-                    != f"range-{self._range:06d}.parquet"):
-                continue
-            shard = pads.get_partition_keys(frag.partition_expression)["shard"]
-            files.setdefault(int(shard), []).append(
-                _open_postings_file(frag.path))
+        for rel in self.manifest.committed_files(stats, "postings"):
+            shard, name = rel.split("/")
+            if self._range is None or segment_range(name) == self._range:
+                files.setdefault(int(shard[6:]), []).append(
+                    _open_postings_file(os.path.join(root, rel)))
         self._postings_files = files
 
     def _open_docs(self) -> tuple:
@@ -1765,7 +1764,9 @@ class SearchEngine:
         The state then grows by the new files' rows, read now if it was
         read before.  Any other change (a compaction rewrites files)
         drops it.  Returns ``(docs files kept, docs files read)``."""
-        ds = pads.dataset(os.path.join(self.index_dir, "docs"))
+        root = os.path.join(self.index_dir, "docs")
+        ds = pads.dataset([os.path.join(root, f) for f in
+                           self.manifest.committed_files(self.stats, "docs")])
         space = int(self.stats.get("doc_id_space", self.stats["n_docs"]))
         frags = list(ds.get_fragments())
         files = [(f.path, _file_identity(f.path)) for f in frags]
@@ -1888,9 +1889,8 @@ class SearchEngine:
         derived from them are dropped.  When the generation moved, the
         new generation is opened keeping everything derived from the
         files it shares with the old one (:meth:`_open_generation`): an
-        extend reads only its new docs files and its new or rewritten
-        postings files.  :meth:`refresh_stats` reports what was
-        reused."""
+        extend reads only its new docs files and postings segments.
+        :meth:`refresh_stats` reports what was reused."""
         new_stats = self.manifest.read_stats()
         same = int(new_stats.get("generation", 1)) == int(
             self.stats.get("generation", 1)
@@ -2015,7 +2015,7 @@ class SearchEngine:
 
     def _terms_dict(self) -> _TermDict:
         """This generation's term dictionary, over exactly the files
-        ``_postings_ds`` lists."""
+        its commit lists."""
         if self._term_dict is None:
             self._term_dict = _TermDict(self._postings_files,
                                         int(self.stats["n_shards"]))
@@ -2102,8 +2102,10 @@ class SearchEngine:
     @staticmethod
     def _postings_of(term: str, rows: list) -> TermPostings:
         """``term``'s :class:`TermPostings` from its decoded rows (see
-        :meth:`_decode_rows`), put in doc-range order."""
-        rows.sort(key=lambda r: r[0])
+        :meth:`_decode_rows`), put in doc-id order — range, then segment:
+        a range's segments hold ascending blocks of its doc ids (each
+        commit's new docs, or a merge of all the older ones)."""
+        rows.sort(key=lambda r: r[2][0])
         tfs = np.concatenate([r[3] for r in rows])
         doc_ids = np.concatenate([r[2] for r in rows])
         tp = TermPostings(
@@ -2131,11 +2133,12 @@ class SearchEngine:
         The first call after a commit locates every entry's rows in the
         shard's files that some entry was not decoded with, in those
         files' own terms (no dictionary needed): an entry keeps its rows
-        in files the commits left alone, with
-        their doc ids and tfs (and its position keys, which depend on the
-        postings alone), and only its rows in other files are decoded;
-        they join in range order, one new entry in place of the old,
-        never both held.  A positional entry that changed is dropped
+        in files the commits left alone, with their doc ids and tfs (and
+        its position keys, which depend on the postings alone), and only
+        its rows in other files — new segments, or the segment a merge
+        wrote in place of some of its files — are decoded; they join in
+        doc-id order, one new entry in place of the old, never both
+        held.  A positional entry that changed is dropped
         instead, and read again when a phrase asks.  A term cached as
         absent gets its rows in the new files."""
         seen, pending = self._stale[s]

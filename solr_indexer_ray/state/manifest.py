@@ -13,7 +13,10 @@ digest) and metrics (wall seconds, token counts).  Resume = skip units whose
 manifest entry exists and whose outputs exist.  The final ``commit`` — the
 analogue of the reference's explicit Solr hard commit
 (``solrindexer/mmd.py:1303-1304``) — atomically publishes ``stats.json``,
-which is what marks the index readable.
+which is what marks the index readable.  It lists the generation's docs
+and postings files (Lucene's ``segments_N``); postings files are
+immutable segments ``postings/shard=S/range-R-seg-G.parquet``, written
+by commit G.
 """
 
 from __future__ import annotations
@@ -32,6 +35,18 @@ def _atomic_write_json(path: str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
+def segment_name(rid: int, generation: int) -> str:
+    """File name of doc range ``rid``'s postings segment written by
+    commit ``generation``."""
+    return f"range-{rid:06d}-seg-{generation:06d}.parquet"
+
+
+def segment_range(name: str) -> int:
+    """Doc range of a postings file name: a segment's, or an older
+    layout's ``range-R.parquet`` (rewritten in place by each commit)."""
+    return int(name[6:].split("-")[0].split(".")[0])
+
+
 class BuildManifest:
     """Manifest directory handle for one index build."""
 
@@ -48,11 +63,16 @@ class BuildManifest:
         return os.path.join(self.index_dir, "stats.json")
 
     def ensure_dirs(self) -> None:
-        for sub in ("_manifest", "docs", "postings_raw"):
+        for sub in ("_manifest", "docs"):
             os.makedirs(os.path.join(self.index_dir, sub), exist_ok=True)
 
     # -- unit entries ------------------------------------------------------
     def unit_complete(self, unit_id: int) -> bool:
+        """The unit has an entry and its outputs exist — but for its
+        postings spills once a commit published it: the commit merged
+        them into postings segments and deleted them.  A spill missing
+        before the commit (a crash between stage 1 and the commit lost
+        it) leaves the unit incomplete."""
         path = self.unit_entry_path(unit_id)
         if not os.path.exists(path):
             return False
@@ -60,9 +80,12 @@ class BuildManifest:
             entry = json.load(open(path))
         except (json.JSONDecodeError, OSError):
             return False
+        committed = self.is_committed() and unit_id < int(
+            self.read_stats().get("n_units", 0))
         return all(
             os.path.exists(os.path.join(self.index_dir, out))
             for out in entry.get("outputs", [])
+            if not (committed and out.startswith("postings_raw/"))
         )
 
     def read_unit(self, unit_id: int) -> dict:
@@ -95,6 +118,23 @@ class BuildManifest:
 
     def read_stats(self) -> dict:
         return json.load(open(self.stats_path))
+
+    def committed_files(self, stats: dict, sub: str) -> list:
+        """The files under ``sub`` (``"docs"`` or ``"postings"``) of the
+        generation ``stats`` describe, relative to ``sub``: the list its
+        commit recorded (``<sub>_files``; stage 1 and stage 2 write the
+        next generation's files beside them before its commit), or, for
+        an index committed before commits recorded one, every parquet
+        file there."""
+        if f"{sub}_files" in stats:
+            return list(stats[f"{sub}_files"])
+        root = os.path.join(self.index_dir, sub)
+        out = []
+        for d, dirs, files in os.walk(root):
+            dirs.sort()
+            out += [os.path.relpath(os.path.join(d, f), root)
+                    for f in sorted(files) if f.endswith(".parquet")]
+        return out
 
     # ------------------------------------------------------------------ #
     # build lock (one writer per index dir)

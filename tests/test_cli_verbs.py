@@ -161,7 +161,6 @@ class TestEveryVerb:
             ["update", "-o", work, "--json",
              '[{"doc_id": 1, "views": {"inc": 3}}]'],
             ["compact", "-o", work],
-            ["gc", "-o", work],
             ["backup", "-o", work, "--dest", str(tmp_path / "bak")],
             ["restore", "--backup", str(tmp_path / "bak"),
              "-o", str(tmp_path / "ridx")],

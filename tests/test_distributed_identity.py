@@ -8,13 +8,15 @@ The null rows also pin the positive-filter fix: ``lang:python`` never
 matches a doc without a ``lang``, on the scored path or the pure-filter
 one, while ``-lang:python`` keeps those docs."""
 
+from collections import Counter
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from solr_indexer_ray.config import IndexConfig
 from solr_indexer_ray.pipelines import mutate
-from solr_indexer_ray.pipelines.build import build_index
+from solr_indexer_ray.pipelines.build import build_index, extend_index
 from solr_indexer_ray.pipelines.search import (
     SearchEngine,
     facet_partitioned,
@@ -22,6 +24,7 @@ from solr_indexer_ray.pipelines.search import (
 )
 from solr_indexer_ray.pipelines.serving import PartitionedSearchService
 from solr_indexer_ray.sources.corpus import generate_corpus
+from solr_indexer_ray.state.manifest import segment_range
 
 DELETED = [3, 10, 57, 128, 129, 200, 255]
 #: block joins over blocks of 7 rows (a parent, then six children that
@@ -108,6 +111,27 @@ def nulls(tmp_path_factory, ray_session):
     return str(d / "idx"), str(d / "deleted")
 
 
+@pytest.fixture(scope="module")
+def segmented(tmp_path_factory, ray_session):
+    """The null-``lang`` corpus with deletes, built from its first 100
+    rows and then extended four times: ranges 0 and 1 hold several
+    postings segments each."""
+    d = tmp_path_factory.mktemp("segmented")
+    t = _corpus()
+    cfg = IndexConfig(docs_per_range=128, store_positions=True,
+                      extra_stored=("ptype", "nodekey", "pref"))
+    bounds = [0, 100, 140, 180, 230, t.num_rows]
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        path = str(d / f"part-{i}.parquet")
+        pq.write_table(t.slice(lo, hi - lo), path, row_group_size=64)
+        if i == 0:
+            build_index(path, str(d / "idx"), config=cfg)
+        else:
+            extend_index(path, str(d / "idx"), config=cfg)
+    mutate.delete_by_id(str(d / "idx"), DELETED)
+    return str(d / "idx")
+
+
 def _pairs(t):
     return list(zip(t["doc_id"].to_pylist(), t["score"].to_pylist()))
 
@@ -180,6 +204,27 @@ class TestDistributedIdentityMatrix:
                     bad.append(("search_partitioned", q, kw))
                 if _pairs(svc.search(q, k=k, **kw)) != ref:
                     bad.append(("PartitionedSearchService", q, kw))
+        assert bad == []
+
+    def test_matrix_over_segments(self, segmented, nulls):
+        """Doc-range engines over ranges of several postings segments
+        answer like the whole engine, and like the index built in one
+        go."""
+        eng = SearchEngine(segmented)
+        ranges = Counter(segment_range(f.split("/")[1])
+                         for f in eng.stats["postings_files"])
+        shards = int(eng.stats["n_shards"])
+        assert ranges[0] > shards and ranges[1] > 2 * shards
+        built = SearchEngine(nulls[1])
+        bad = []
+        for q, kw in SHAPES:
+            kw = dict(kw)
+            k = kw.pop("k", 10)
+            ref = _pairs(eng.search(q, k=k, fl=["doc_id"], **kw))
+            if _pairs(search_partitioned(segmented, q, k=k, **kw)) != ref:
+                bad.append(("search_partitioned", q, kw))
+            if _pairs(built.search(q, k=k, fl=["doc_id"], **kw)) != ref:
+                bad.append(("one build", q, kw))
         assert bad == []
 
     def test_joins_cross_ranges(self, nulls):

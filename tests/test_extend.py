@@ -56,11 +56,16 @@ class TestExtend:
     def test_boundary_range_remerged_old_ranges_untouched(
         self, split_corpora, tmp_path
     ):
+        """The boundary range gets a new segment holding only the new
+        docs; no committed file is rewritten."""
         _, path_a, path_b, _ = split_corpora
         inc_dir = str(tmp_path / "inc2")
         build_index(path_a, inc_dir, config=CFG)  # 120 docs -> range 0 open
-        # record mtime of a fully-old range file? ranges: 120 docs,
-        # docs_per_range=128 -> all in range 0, so range 0 re-merges.
+        old = {}
+        for root, _, files in os.walk(os.path.join(inc_dir, "postings")):
+            for f in files:
+                st = os.stat(os.path.join(root, f))
+                old[os.path.join(root, f)] = (st.st_ino, st.st_mtime_ns)
         stats = extend_index(path_b, inc_dir, config=CFG)
         # 200 docs / 128 -> ranges 0 and 1 exist
         ranges = set()
@@ -68,7 +73,12 @@ class TestExtend:
             for f in files:
                 if f.startswith("range-"):
                     ranges.add(f)
-        assert {"range-000000.parquet", "range-000001.parquet"} <= ranges
+        assert {"range-000000-seg-000001.parquet",
+                "range-000000-seg-000002.parquet",
+                "range-000001-seg-000002.parquet"} <= ranges
+        for path, (ino, mtime) in old.items():
+            st = os.stat(path)
+            assert (st.st_ino, st.st_mtime_ns) == (ino, mtime), path
         assert stats["n_docs"] == 200
 
     def test_extend_is_idempotent(self, split_corpora, tmp_path):

@@ -92,8 +92,9 @@ def test_lifecycle(tmp_path):
 
 
 class TestSpillGC:
-    """Storage GC of the raw postings spills (frozen-index mode): queries
-    and fsck keep working; extend/compact refuse with a clear error."""
+    """The raw postings spills live only until their commit: a build, an
+    extend and a compact each delete them, and reads and fsck need
+    none."""
 
     @pytest.fixture()
     def gc_index(self, small_corpus_path, tmp_path):
@@ -101,31 +102,26 @@ class TestSpillGC:
         build_index(small_corpus_path, idx, config=IndexConfig(concurrency=2))
         return idx
 
-    def test_gc_frees_and_reads_survive(self, gc_index):
+    def test_gc_frees_and_reads_survive(self, gc_index, tmp_path):
         import os
 
         from solr_indexer_ray.pipelines.fsck import check_index
 
+        raw = os.path.join(gc_index, "postings_raw")
+        assert not os.path.isdir(raw)
         eng = SearchEngine(gc_index)
         before = eng.search("def index", k=5, fl=["doc_id"]).to_pylist()
-        res = mutate.drop_spills(gc_index)
-        assert res["freed_bytes"] > 0
-        assert not os.path.isdir(os.path.join(gc_index, "postings_raw"))
+        more = str(tmp_path / "more.parquet")
+        pq.write_table(generate_corpus(40, seed=77, with_edge_rows=False),
+                       more)
+        extend_index(more, gc_index)
+        assert not os.path.isdir(raw)
+        dead = [before[0]["doc_id"]]
+        mutate.delete_by_id(gc_index, dead)
+        assert mutate.compact_index(gc_index)["removed"] == 1
+        assert not os.path.isdir(raw)
         eng2 = SearchEngine(gc_index)
-        assert eng2.search("def index", k=5, fl=["doc_id"]).to_pylist() == before
-        assert eng2.stats["spills_dropped"] is True
+        got = eng2.search("def index", k=5, fl=["doc_id"]).to_pylist()
+        assert dead[0] not in [r["doc_id"] for r in got]
         report = check_index(gc_index)
         assert report["ok"], report["problems"]
-
-    def test_extend_and_compact_refuse_after_gc(
-        self, gc_index, small_corpus_path
-    ):
-        mutate.drop_spills(gc_index)
-        with pytest.raises(RuntimeError, match="spills were dropped"):
-            extend_index(small_corpus_path, gc_index)
-        mutate.delete_by_id(gc_index, [0])
-        with pytest.raises(RuntimeError, match="spills were dropped"):
-            mutate.compact_index(gc_index)
-        # tombstone deletes themselves still work (read-side anti-join)
-        eng = SearchEngine(gc_index)
-        assert eng.get(0) is None

@@ -344,20 +344,38 @@ class TestCompaction:
         assert report["ok"], report["problems"]
 
 
-class TestResume:
-    def test_interrupted_build_resumes(self, small_corpus_path, tmp_path):
-        """Kill-mid-build simulation: first build, then destroy stage-2
-        output + some stage-1 units; rebuild must redo only the damage and
-        produce an identical index (north rule: checkpoint/resume)."""
-        index_dir = str(tmp_path / "idx")
-        config = IndexConfig(docs_per_range=128, concurrency=2)
-        stats1 = build_index(small_corpus_path, index_dir, config=config)
-        eng = SearchEngine(index_dir)
-        before = eng.search("def index merge", k=20, fl=["doc_id"])
+def _build_without_commit(monkeypatch, path, index_dir, config):
+    """A build interrupted between stage 2 and its commit: every unit's
+    outputs, spills included, are on disk; ``stats.json`` is not."""
+    from solr_indexer_ray.state.manifest import BuildManifest
 
-        # simulate interruption: stats (commit marker) + postings gone,
-        # one unit's outputs and manifest entry gone
-        os.remove(os.path.join(index_dir, "stats.json"))
+    def crash(self, stats):
+        raise KeyboardInterrupt("killed before commit")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(BuildManifest, "commit", crash)
+        with pytest.raises(KeyboardInterrupt):
+            build_index(path, index_dir, config=config)
+
+
+class TestResume:
+    def test_interrupted_build_resumes(self, small_corpus_path, tmp_path,
+                                       monkeypatch):
+        """Kill-mid-build simulation: a build killed before its commit,
+        then stage-2 output + some stage-1 units destroyed; the rebuild
+        must redo only the damage and produce an index identical to a
+        clean build (north rule: checkpoint/resume)."""
+        config = IndexConfig(docs_per_range=128, concurrency=2)
+        clean = str(tmp_path / "clean")
+        stats1 = build_index(small_corpus_path, clean, config=config)
+        before = SearchEngine(clean).search("def index merge", k=20,
+                                            fl=["doc_id"])
+
+        index_dir = str(tmp_path / "idx")
+        _build_without_commit(monkeypatch, small_corpus_path, index_dir,
+                              config)
+        # simulate more damage: postings gone, one unit's outputs and
+        # manifest entry gone
         shutil.rmtree(os.path.join(index_dir, "postings"))
         os.remove(os.path.join(index_dir, "docs", "part-000000.parquet"))
         os.remove(os.path.join(index_dir, "_manifest", "unit-000000.json"))
@@ -368,29 +386,44 @@ class TestResume:
         stats2 = build_index(small_corpus_path, index_dir, config=config)
         # untouched units were skipped, not recomputed
         assert os.path.getmtime(kept_unit) == mtime_before
-        for key in ("n_docs", "sum_dl", "avgdl", "n_term_rows"):
+        for key in ("n_docs", "sum_dl", "avgdl", "n_term_rows",
+                    "postings_files"):
             assert stats1[key] == stats2[key], key
+        assert not os.path.exists(os.path.join(index_dir, "postings_raw"))
 
         eng2 = SearchEngine(index_dir)
         after = eng2.search("def index merge", k=20, fl=["doc_id"])
         assert before["doc_id"].to_pylist() == after["doc_id"].to_pylist()
         assert before["score"].to_pylist() == after["score"].to_pylist()
+        # a re-run of the committed build changes nothing
+        assert build_index(small_corpus_path, index_dir,
+                           config=config) == eng2.stats
 
-    def test_missing_output_invalidates_unit(self, small_corpus_path, tmp_path):
-        """A manifest entry whose outputs vanished is not 'complete'."""
+    def test_missing_output_invalidates_unit(self, small_corpus_path, tmp_path,
+                                             monkeypatch):
+        """A manifest entry whose outputs vanished before the commit is
+        not 'complete'; once committed, its spills are gone by design."""
         from solr_indexer_ray.state.manifest import BuildManifest
 
         index_dir = str(tmp_path / "idx")
         config = IndexConfig(docs_per_range=128, concurrency=2)
-        build_index(small_corpus_path, index_dir, config=config)
+        _build_without_commit(monkeypatch, small_corpus_path, index_dir,
+                              config)
         m = BuildManifest(index_dir)
-        assert m.unit_complete(0)
+        assert m.unit_complete(0) and m.unit_complete(1)
         # remove one of unit 0's spill files (listed in its manifest outputs)
         victim = next(
             o for o in m.read_unit(0)["outputs"] if o.startswith("postings_raw/")
         )
         os.remove(os.path.join(index_dir, victim))
         assert not m.unit_complete(0)
+        assert m.unit_complete(1)
+
+        build_index(small_corpus_path, index_dir, config=config)
+        assert not os.path.exists(os.path.join(index_dir, "postings_raw"))
+        assert m.unit_complete(0) and m.unit_complete(1)
+        os.remove(os.path.join(index_dir, m.read_unit(1)["outputs"][0]))
+        assert not m.unit_complete(1)  # its docs file
 
 
 class TestBuildLock:

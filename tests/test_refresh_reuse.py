@@ -31,6 +31,7 @@ from solr_indexer_ray.pipelines.search import (
     _spatial_pred_expr,
 )
 from solr_indexer_ray.sources.corpus import generate_corpus
+from solr_indexer_ray.state.manifest import BuildManifest
 
 #: ranked, filtered and resolved reads over every per-file state kind
 READS = [
@@ -142,7 +143,7 @@ class TestRefreshReadsOnlyWhatTheCommitWrote:
         for t, want in zip(got, _read_all(fresh)):
             assert t.equals(want)
 
-    @pytest.mark.parametrize("commit", ["delete", "update", "drop_spills"])
+    @pytest.mark.parametrize("commit", ["delete", "update", "generation"])
     def test_commit_without_new_files(self, idx, docs_reads, commit):
         eng = SearchEngine(idx)
         _read_all(eng)
@@ -153,8 +154,10 @@ class TestRefreshReadsOnlyWhatTheCommitWrote:
             mutate.delete_by_id(idx, [3, 60, 61])
         elif commit == "update":
             mutate.atomic_update(idx, [{"doc_id": 4, "lang": "cobol"}])
-        else:
-            mutate.drop_spills(idx)
+        else:  # a new generation that changes no file
+            m = BuildManifest(idx)
+            st = m.read_stats()
+            m.commit(dict(st, generation=st["generation"] + 1))
         docs_reads()
         assert eng.refresh()
         got = _read_all(eng)
@@ -164,7 +167,7 @@ class TestRefreshReadsOnlyWhatTheCommitWrote:
         stats = eng.refresh_stats()
         assert stats["docs_files_read"] == stats["postings_files_opened"] \
             == stats["postings_extended"] == stats["postings_dropped"] == 0
-        if commit != "drop_spills":  # a new generation drops the fq masks
+        if commit != "generation":  # a new generation drops the fq masks
             assert eng.cache_stats()["fq"]["entries"] == masks
         fresh = SearchEngine(idx)
         for t, want in zip(got, _read_all(fresh)):

@@ -6,10 +6,11 @@ postings dataset per cache miss, kept here verbatim (``scan_postings``,
 ``scan_dfs``, ``scan_terms``, ``scan_n_terms``).  Every read through the
 dictionary must equal it exactly — same arrays, dtypes, df and cf — on a
 multi-range index with positions, bigrams and an extra analyzed field,
-and across extend, delete + compact and spill GC.  The row groups those
-reads decompress stay resident, shared by the engines of a process and
-trimmed to the reading engine's byte budget; the tests at the end check
-the sharing, the budget and the isolation between engines.
+and across extend, delete + compact and a commit that changes no file.
+The row groups those reads decompress stay resident, shared by the
+engines of a process and trimmed to the reading engine's byte budget;
+the tests at the end check the sharing, the budget and the isolation
+between engines.
 """
 
 import gc
@@ -39,6 +40,7 @@ from solr_indexer_ray.pipelines.search import (
     _resident_nbytes,
 )
 from solr_indexer_ray.sources.corpus import generate_corpus
+from solr_indexer_ray.state.manifest import BuildManifest
 
 CFG = IndexConfig(docs_per_range=48, concurrency=2,
                   store_positions=True, store_bigrams=True,
@@ -48,6 +50,24 @@ CFG = IndexConfig(docs_per_range=48, concurrency=2,
 # --------------------------------------------------------------------- #
 # the dataset-scan reads the dictionary replaced (reference)
 # --------------------------------------------------------------------- #
+def new_generation(index_dir) -> None:
+    """A commit that changes no file: the same stats, one generation
+    on."""
+    m = BuildManifest(index_dir)
+    stats = m.read_stats()
+    m.commit(dict(stats, generation=stats["generation"] + 1))
+
+
+def postings_ds(eng):
+    """The hive dataset of the postings files the engine's generation
+    lists."""
+    root = os.path.join(eng.index_dir, "postings")
+    return pads.dataset(
+        [os.path.join(root, f)
+         for f in eng.manifest.committed_files(eng.stats, "postings")],
+        partitioning="hive", partition_base_dir=root)
+
+
 def scan_postings(eng, terms, with_positions=False) -> dict:
     """term -> (df, cf, doc_ids, tfs, [(n, blob, tfs)] or None) from one
     filtered scan of the engine's postings dataset."""
@@ -57,7 +77,7 @@ def scan_postings(eng, terms, with_positions=False) -> dict:
     cols = ["term", "range_id", "doc_ids", "tfs"]
     if with_positions:
         cols.append("positions")
-    tbl = eng._postings_ds.to_table(
+    tbl = postings_ds(eng).to_table(
         columns=cols,
         filter=pc.field("shard").isin(shards) & pc.field("term").isin(terms),
     )
@@ -72,7 +92,7 @@ def scan_postings(eng, terms, with_positions=False) -> dict:
         ))
     out = {}
     for term, rows in by_term.items():
-        rows.sort(key=lambda r: r[0])
+        rows.sort(key=lambda r: (r[0], r[1][0]))  # range, then segment
         out[term] = (
             int(sum(len(r[1]) for r in rows)),
             int(sum(int(r[2].sum()) for r in rows)),
@@ -87,7 +107,7 @@ def scan_dfs(eng, terms) -> dict:
     terms = sorted(set(terms))
     shards = sorted({term_shard(t, int(eng.stats["n_shards"]))
                      for t in terms})
-    tbl = eng._postings_ds.to_table(
+    tbl = postings_ds(eng).to_table(
         columns=["term", "df"],
         filter=pc.field("shard").isin(shards) & pc.field("term").isin(terms),
     )
@@ -109,7 +129,7 @@ def scan_terms(eng, prefix="", limit=10, mincount=1, sort="count"):
     if prefix:
         hi = prefix[:-1] + chr(ord(prefix[-1]) + 1)
         flt = (pc.field("term") >= prefix) & (pc.field("term") < hi)
-    t = _default_field(eng, eng._postings_ds.to_table(columns=["term", "df"],
+    t = _default_field(eng, postings_ds(eng).to_table(columns=["term", "df"],
                                                      filter=flt))
     agg = pa.TableGroupBy(t, "term").aggregate([("df", "sum")])
     rows = sorted(
@@ -121,7 +141,7 @@ def scan_terms(eng, prefix="", limit=10, mincount=1, sort="count"):
 
 
 def scan_n_terms(eng) -> int:
-    t = _default_field(eng, eng._postings_ds.to_table(columns=["term"]))
+    t = _default_field(eng, postings_ds(eng).to_table(columns=["term"]))
     return len(pc.unique(t["term"]))
 
 
@@ -213,7 +233,7 @@ def index_copy(corpora, tmp_path):
 class TestEqualsScan:
     def test_random_term_sets(self, index_copy):
         eng = SearchEngine(index_copy)
-        assert len(eng._postings_ds.files) > 8  # several shards x ranges
+        assert len(postings_ds(eng).files) > 8  # several shards x ranges
         check_reads(eng, index_copy, n=60, seed=1)
 
     def test_cold_reads(self, index_copy):
@@ -341,10 +361,10 @@ class TestGenerations:
         check_reads(eng, index_copy, n=30, seed=9)
         assert eng.luke()["n_terms"] == scan_n_terms(eng)
 
-    def test_after_drop_spills(self, index_copy):
+    def test_after_commit_without_postings_changes(self, index_copy):
         eng = SearchEngine(index_copy)
         check_reads(eng, index_copy, n=4, seed=10)
-        mutate.drop_spills(index_copy)
+        new_generation(index_copy)
         assert eng.refresh()
         check_reads(eng, index_copy, n=20, seed=11)
 
@@ -409,7 +429,7 @@ class TestGenerations:
         for e in ranges.values():
             range_reads(e)
         steps = ["extend", "delete", "update", "extend", "delete",
-                 "compact", "extend", "update", "drop_spills"]
+                 "compact", "extend", "update", "generation"]
         batches = iter(commit_corpus[1])
         for step in steps:
             live = [int(d) for d in np.flatnonzero(eng.present)
@@ -425,7 +445,7 @@ class TestGenerations:
             elif step == "compact":
                 mutate.compact_index(idx)
             else:
-                mutate.drop_spills(idx)
+                new_generation(idx)
             assert eng.refresh(), step
             fresh = SearchEngine(idx)
             for (method, q, kw), got, want in zip(reads, answers(eng),
@@ -440,23 +460,12 @@ class TestGenerations:
 # --------------------------------------------------------------------- #
 # one dictionary serves every read
 # --------------------------------------------------------------------- #
-class _CountingDataset:
-    def __init__(self, ds):
-        self._ds = ds
-        self.calls = 0
-
-    def to_table(self, *args, **kwargs):
-        self.calls += 1
-        return self._ds.to_table(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._ds, name)
-
-
-def test_no_dataset_scans_after_dictionary_build(index_copy):
+def test_no_dataset_scans_after_dictionary_build(index_copy, monkeypatch):
     eng = SearchEngine(index_copy)
-    counter = _CountingDataset(eng._postings_ds)
-    eng._postings_ds = counter
+    opened = []
+    dataset = pads.dataset
+    monkeypatch.setattr(pads, "dataset", lambda src, *a, **kw: (
+        opened.append(src), dataset(src, *a, **kw))[1])
     eng.lookup_dfs(["def"])
     tdict = eng._term_dict
     for q in ["def read", "def AND read -index", '"def index"',
@@ -469,7 +478,7 @@ def test_no_dataset_scans_after_dictionary_build(index_copy):
     eng.terms(sort="index")
     eng.luke()
     eng.suggest("reed")
-    assert counter.calls == 0
+    assert not [src for src in opened if "postings" in str(src)]
     assert eng._term_dict is tdict  # built once
     assert tdict.reads > 0
 
