@@ -256,6 +256,11 @@ class ParsedQuery:
     #: comes from the main query alone (edismax: bq joins the boolean
     #: query as a SHOULD clause next to the required main query).
     boost_queries: list = field(default_factory=list)
+    #: the query string this was parsed from and, when it uses
+    #: parenthesized grouping, its boolean clause tree (engine-set by
+    #: ``SearchEngine._prepare``; never parsed from text)
+    source: str = ""
+    tree: object = None
 
     @property
     def is_match_all(self) -> bool:

@@ -1306,7 +1306,19 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
     units = list_units(input_paths)
     if not units:
         raise ValueError(f"no parquet inputs under {input_paths!r}")
-    prev_units = manifest.read_all_units()
+    # the committed units only.  An extend that crashed before its
+    # commit left entries for units no commit published (they would skip
+    # their inputs by lineage) and spills (this commit's merge would read
+    # them under the reused unit ids): both go
+    parts = set(docs)
+    prev_units = []
+    for u in manifest.read_all_units():
+        if f"part-{int(u['unit_id']):06d}.parquet" in parts:
+            prev_units.append(u)
+        else:
+            os.remove(manifest.unit_entry_path(int(u["unit_id"])))
+    shutil.rmtree(os.path.join(index_dir, "postings_raw"),
+                  ignore_errors=True)
     if not prev_units and int(old.get("n_units", 0)) > 0:
         raise ValueError(
             "extend_index requires a checkpointed index "

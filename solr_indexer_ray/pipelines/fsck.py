@@ -105,7 +105,7 @@ def check_index(index_dir: str) -> dict:
     store_pos = bool(stats.get("store_positions", False))
 
     # docs table vs stats
-    docs = pads.dataset(os.path.join(index_dir, "docs"))
+    docs = pads.dataset(manifest.committed_paths("docs", stats))
     t = docs.to_table(columns=["doc_id", "doclen"])
     ids = t["doc_id"].to_numpy()
     if len(np.unique(ids)) != len(ids):

@@ -63,12 +63,9 @@ def _existing_ids(index_dir: str, requested: set) -> set:
     wanted = np.array(sorted(d for d in requested if 0 <= d < space),
                       dtype=np.int64)
     found: set = set()
-    docs_dir = os.path.join(index_dir, "docs")
-    names = sorted(os.listdir(docs_dir)) if wanted.size else []
-    for name in names:
-        if not name.endswith(".parquet"):
-            continue
-        pf = pq.ParquetFile(os.path.join(docs_dir, name))
+    paths = manifest.committed_paths("docs", stats) if wanted.size else []
+    for path in paths:
+        pf = pq.ParquetFile(path)
         col = pf.schema_arrow.get_field_index("doc_id")
         for g in range(pf.num_row_groups):
             st = pf.metadata.row_group(g).column(col).statistics
@@ -289,7 +286,7 @@ def mark_parents(index_dir: str, parent_keys) -> dict:
     (``solrindexer/mmd.py:1544-1555`` warn contract).
     """
     keys = sorted(set((r, p) for r, p in parent_keys))
-    docs = pads.dataset(os.path.join(index_dir, "docs"))
+    docs = pads.dataset(BuildManifest(index_dir).committed_paths("docs"))
     expr = None
     for r, p in keys:
         e = (pc.field("repo") == r) & (pc.field("path") == p)
@@ -356,8 +353,7 @@ def _compact_locked(index_dir: str, manifest) -> dict:
     dead = np.fromiter(tombs, dtype=np.int64)
 
     # 1. rewrite docs parts dropping dead rows (parallel over part files)
-    doc_files = [os.path.join(index_dir, "docs", f)
-                 for f in manifest.committed_files(stats, "docs")]
+    doc_files = manifest.committed_paths("docs", stats)
 
     def purge_docs(batch: dict) -> pa.Table:
         fsums: dict = {}
@@ -468,7 +464,8 @@ def apply_upsert_semantics(index_dir: str, key_cols=("repo", "path")) -> dict:
     import ray.data as rd
 
     docs = rd.read_parquet(
-        os.path.join(index_dir, "docs"), columns=[*key_cols, "doc_id"]
+        BuildManifest(index_dir).committed_paths("docs"),
+        columns=[*key_cols, "doc_id"],
     )
 
     def shadowed(group: pa.Table) -> pa.Table:

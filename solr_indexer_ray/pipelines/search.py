@@ -315,6 +315,15 @@ def _select_topk(cand, s, k):
     return [(int(cand[i]), float(s[i])) for i in sel]
 
 
+def _after_cursor(ids, scores, after):
+    """The hits of ``(ids, scores)`` strictly after the cursor ``after =
+    (score, doc_id)`` in (-score, doc_id) ranking order (Solr
+    cursorMark)."""
+    cs, cid = after
+    keep = (scores < cs) | ((scores == cs) & (ids > cid))
+    return ids[keep], scores[keep]
+
+
 def _gather_segments(flat, starts, lengths):
     """Gather multiple [start, start+length) slices of ``flat`` into one
     array (vectorized multi-segment take — no per-segment Python loop)."""
@@ -1764,9 +1773,7 @@ class SearchEngine:
         The state then grows by the new files' rows, read now if it was
         read before.  Any other change (a compaction rewrites files)
         drops it.  Returns ``(docs files kept, docs files read)``."""
-        root = os.path.join(self.index_dir, "docs")
-        ds = pads.dataset([os.path.join(root, f) for f in
-                           self.manifest.committed_files(self.stats, "docs")])
+        ds = pads.dataset(self.manifest.committed_paths("docs", self.stats))
         space = int(self.stats.get("doc_id_space", self.stats["n_docs"]))
         frags = list(ds.get_fragments())
         files = [(f.path, _file_identity(f.path)) for f in frags]
@@ -2886,82 +2893,68 @@ class SearchEngine:
         boosts (our metadata fields are filters, not scored text — a
         documented deviation from Solr's per-field BM25 there).
         Composition: ``final = (base + bf + pf + bq) * product(boost)``.
+        Every ranking parameter composes with ``sort``, ``start``,
+        ``search_after`` and a ``{!collapse}`` fq: each collects from the
+        one prepared, scored match set (:meth:`_prepare`, :meth:`_match`).
         """
         _check_page(k, start)
-        fq, _collapse = _extract_collapse_fq(fq)
-        if _collapse is not None:
-            field, npol = _collapse
-            if sort is not None or search_after is not None or hl:
-                raise ValueError(
-                    "{!collapse} composes with relevance ranking only "
-                    "(no sort/search_after/hl)"
-                )
-            # pass only non-default rank params through: an empty
-            # search_kwargs lets collapse_search take the unranked
-            # _full_match_arrays fast path instead of a full top-k sort
-            extra = {
-                kk: vv for kk, vv in dict(
-                    qf=qf, mm=mm, pf=pf, pf2=pf2, pf3=pf3,
-                    bf=bf, boost=boost, bq=bq,
-                ).items() if vv is not None
-            }
-            if ps:  # proximity slop: default 0
-                extra["ps"] = ps
-            if tie:
-                extra["tie"] = tie
-            heads = self.collapse_search(
-                query, field, k=start + k, fq=fq, null_policy=npol,
-                **extra,
+        fq, collapse = _extract_collapse_fq(fq)
+        if collapse is not None and (
+                sort is not None or search_after is not None or hl):
+            raise ValueError(
+                "{!collapse} composes with relevance ranking only "
+                "(no sort/search_after/hl)"
             )
+        if _is_directive(query) and (
+                sort is not None or search_after is not None):
+            raise ValueError(_DIRECTIVE_ONLY)
+        if search_after is not None and (sort is not None or start):
+            raise ValueError(
+                "search_after composes with relevance ranking only "
+                "(no sort/start)"
+            )
+        parsed = self._prepare(query, qf, tie, mm, pf, ps, pf2, pf3,
+                               bf, boost, bq, hl)
+        if collapse is not None:
+            heads = self._collapse(parsed, collapse[0], start + k, fq,
+                                   collapse[1])
             hits = list(zip(heads["doc_id"].to_pylist(),
-                            heads["score"].to_pylist()))[start:start + k]
-            return self._resolve(hits, fl)
+                            heads["score"].to_pylist()))
+        elif sort is not None:
+            hits = self._sorted_hits(parsed, sort, start + k, fq)
+        else:
+            after = None if search_after is None else (
+                float(search_after[0]), int(search_after[1]))
+            hits = self._ranked(parsed, start + k, fq, after)
+        t = self._resolve(hits[start:], fl)
+        return self._add_highlights(parsed, t, hl) if hl else t
+
+    def _prepare(self, query: str, qf: str | None = None, tie: float = 0.0,
+                 mm=None, pf: str | None = None, ps: int = 0,
+                 pf2: str | None = None, pf3: str | None = None, bf=None,
+                 boost=None, bq=None, hl=False) -> ParsedQuery:
+        """``query`` parsed and ready for any collector: the (e)dismax
+        parameters applied and checked, the source string attached and,
+        for a parenthesized boolean query, its clause tree.  A filter
+        directive takes none of them and keeps only its source."""
         if _is_directive(query):
-            # Solr {!join} / {!geofilt} / {!bbox} / {!intersects} /
-            # {!parent} / {!child} as the main query: constant-score
-            # matches, ascending doc id
-            if (any(x is not None for x in (sort, search_after, qf, mm,
-                                            pf, pf2, pf3, bf, boost, bq))
-                    or hl or ps):
-                raise ValueError(
-                    "filter directives as the main query are "
-                    "constant-score; only k/fl/start/fq compose with them"
-                )
-            ids = self._filtered_match_ids(query, fq)
-            hits = [(int(d), 1.0) for d in ids[start:start + k]]
-            return self._resolve(hits, fl)
-        if qf is not None and (sort is not None or start or search_after):
-            raise ValueError("qf composes with relevance ranking only")
-        if mm is not None and sort is not None:
-            raise ValueError("mm composes with relevance ranking only")
+            if (any(x is not None for x in (qf, mm, pf, pf2, pf3, bf,
+                                            boost, bq)) or hl or ps):
+                raise ValueError(_DIRECTIVE_ONLY)
+            return ParsedQuery(source=query)
+        grouped = has_group_syntax(query or "")
         has_pf = pf or pf2 or pf3
-        if has_pf and sort is not None:
-            raise ValueError("pf composes with relevance ranking only")
-        if has_pf and has_group_syntax(query or ""):
+        if has_pf and grouped:
             raise ValueError(
                 "pf is a dismax/edismax parameter; use explicit phrase "
                 "clauses inside grouped boolean queries"
             )
-        has_func = bf is not None or boost is not None
-        if (has_func or bq is not None) and sort is not None:
-            raise ValueError(
-                "bf/boost/bq compose with relevance ranking only"
-            )
-        if (has_func or bq is not None) and has_group_syntax(query or ""):
+        if (bf is not None or boost is not None or bq is not None) \
+                and grouped:
             raise ValueError(
                 "bf/boost/bq are dismax/edismax parameters; not supported "
                 "with grouped boolean queries"
             )
-        if search_after is not None:
-            if sort is not None or start:
-                raise ValueError(
-                    "search_after composes with relevance ranking only "
-                    "(no sort/start)"
-                )
-            return self._search_after(query, k, fl, fq,
-                                      search_after, hl, mm=mm,
-                                      pf=pf, ps=ps, pf2=pf2, pf3=pf3,
-                                      bf=bf, boost=boost, bq=bq)
         parsed = self._parse(query)
         free_seq = list(parsed.terms)  # pf sequence, before qf rewrites
         if qf is not None:
@@ -2971,68 +2964,83 @@ class SearchEngine:
         if has_pf:
             self._apply_pf(parsed, free_seq, pf, ps, pf2, pf3)
         self._prepare_rerank(parsed, bf, boost, bq, hl)
-        if sort is not None:
-            t = self._search_sorted(parsed, query, k, fl, sort, start, fq=fq)
-        elif start:
-            deep = self.search(query, k=start + k, fl=["doc_id"],
-                               fq=fq, mm=mm,
-                               pf=pf, ps=ps, pf2=pf2, pf3=pf3,
-                               bf=bf, boost=boost, bq=bq)
-            hits = list(
-                zip(deep["doc_id"].to_pylist(), deep["score"].to_pylist())
-            )[start:]
-            t = self._resolve(hits, fl)
+        parsed.source = query
+        parsed.tree = self._parse_bool(query) if grouped else None
+        return parsed
+
+    def _match(self, parsed: ParsedQuery, fq=None, after=None) -> tuple:
+        """``(ids, scores)`` of a prepared query's WHOLE match set, in no
+        particular order — what every collector (ranked top-k, sort,
+        cursor, group, collapse, rerank) reads.
+
+        Flat queries score with the TAAT accumulator, grouped boolean
+        queries with the clause-tree evaluator (then the deleted and
+        ``fq``-rejected docs go), match-all and pure-filter queries
+        score 0 and filter directives 1.0.  Without a cursor, the docs
+        Solr's QueryElevationComponent pins join the set with their
+        organic score, or 0.0 when they do not match.  ``after=(score,
+        doc_id)`` keeps only the hits strictly after that position of
+        the (-score, doc_id) ranking."""
+        query = parsed.source
+        if _is_directive(query):
+            ids = self._filtered_match_ids(query, fq).astype(np.int64)
+            scores = np.ones(ids.size)
+        elif parsed.tree is not None:
+            mask, dense = self._eval_bool_node(parsed.tree)
+            mask &= self.present
+            excluded = self._merge_fq_mask(self._dead_mask(), fq)
+            if excluded is not None:
+                mask &= ~excluded
+            ids = np.flatnonzero(mask)
+            scores = dense[ids]
         else:
-            ast = (
-                self._parse_bool(query)
-                if has_group_syntax(query or "") else None
-            )
-            if ast is not None:
-                # parenthesized boolean grouping: clause-tree evaluation
-                hits = self._score_ast(ast, fq, k)
-                if query in self.elevate:
-                    hits = self._apply_elevation(query, hits, k)
-                t = self._resolve(hits, fl)
-                return self._add_highlights(parsed, t, hl) if hl else t
+            excluded = self._exclusions(parsed, fq)
+            if parsed.scoring_clauses == 0:
+                ids = self._match_all(excluded)
+                scores = np.zeros(ids.size)
+            else:
+                ids, scores = self._match_score_arrays(
+                    parsed, self._term_postings(parsed), excluded)
+        if after is not None:
+            return _after_cursor(ids, scores, after)
+        pins = self._pins(query)
+        if pins.size:
+            new = pins[~np.isin(pins, ids)]
+            ids = np.concatenate([ids, new])
+            scores = np.concatenate([scores, np.zeros(new.size)])
+        return ids, scores
+
+    def _pins(self, query: str) -> np.ndarray:
+        """The live docs elevated for ``query`` (Solr
+        QueryElevationComponent), in editorial order."""
+        if query not in self.elevate:
+            return np.empty(0, np.int64)
+        return np.array([
+            d for d in dict.fromkeys(int(d) for d in self.elevate[query])
+            if 0 <= d < self.doc_space and self.present[d]
+            and d not in self.tombstones
+        ], np.int64)
+
+    def _ranked(self, parsed: ParsedQuery, k: int, fq=None,
+                after=None) -> list:
+        """The top ``k`` ``(doc_id, score)`` hits by (-score, doc_id),
+        after the ``after`` cursor when given; without one, elevated docs
+        lead in editorial order and the organic ranking follows.  A flat
+        scored query takes the TAAT top-k (and its single-phrase
+        pruning) directly."""
+        pins = self._pins(parsed.source) if after is None else ()
+        if not len(pins) and parsed.tree is None \
+                and parsed.scoring_clauses:
             postings = self._term_postings(parsed)
             excluded = self._exclusions(parsed, fq)
-
-            if parsed.scoring_clauses == 0:
-                # no scoring clause (match-all / pure-filter query):
-                # filter match, score 0, doc_id order
-                hits = [(d, 0.0) for d in
-                        self._match_all(excluded)[:k].tolist()]
-            else:
-                hits = self._score_taat(parsed, postings, excluded, k)
-            if query in self.elevate:
-                hits = self._apply_elevation(query, hits, k)
-            t = self._resolve(hits, fl)
-        return self._add_highlights(parsed, t, hl) if hl else t
-
-    def _full_match_arrays(self, query: str, fq=None):
-        """``(ids, scores)`` of a plain query's FULL match set, UNRANKED
-        — the value source for grouping/collapsing, which re-order
-        themselves (skips ``_select_topk``'s full sort + tuple list +
-        ``_resolve`` round-trip).  Returns None for query shapes with
-        their own pipelines (grouped boolean, filter directives,
-        match-all, elevation) — callers fall back to ``search()``.
-        Scores are bit-identical to the ranked path (same
-        ``_match_score_arrays`` under ``_score_taat``)."""
-        if has_group_syntax(query or ""):
-            return None
-        if _is_directive(query):
-            return None
-        if query in self.elevate:
-            return None
-        parsed = self._parse(query)
-        if parsed.scoring_clauses == 0:
-            return None
-        postings = self._term_postings(parsed)
-        excluded = self._exclusions(parsed, fq)
-        arrays = self._match_score_arrays(parsed, postings, excluded)
-        if arrays is None:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        return arrays
+            return self._score_taat(parsed, postings, excluded, k, after)
+        ids, scores = self._match(parsed, fq, after)
+        if not len(pins):
+            return _select_topk(ids, scores, k)
+        pinned = np.isin(ids, pins)
+        organic = dict(zip(ids[pinned].tolist(), scores[pinned].tolist()))
+        head = [(d, organic[d]) for d in pins.tolist()]
+        return (head + _select_topk(ids[~pinned], scores[~pinned], k))[:k]
 
     def _apply_mm(self, parsed: ParsedQuery, query: str, mm) -> None:
         """Resolve + attach Solr ``mm`` to a freshly-parsed query.
@@ -3138,23 +3146,6 @@ class SearchEngine:
             )
         return out
 
-    def _apply_elevation(self, query, hits, k):
-        """Solr QueryElevationComponent: pinned ids first (editorial
-        order, organic score kept, 0.0 when unmatched), organic hits
-        follow minus the pinned ones."""
-        organic = {d: s for d, s in hits}
-        head = []
-        for d in self.elevate[query]:
-            d = int(d)
-            if d in self.tombstones or d < 0 or d >= self.doc_space:
-                continue
-            if not self.present[d]:
-                continue
-            head.append((d, organic.get(d, 0.0)))
-        pinned = {d for d, _ in head}
-        tail = [(d, s) for d, s in hits if d not in pinned]
-        return (head + tail)[:k]
-
     def _merge_fq_mask(self, excluded, fq):
         """OR the filter-query exclusion masks into ``excluded``.
 
@@ -3252,32 +3243,22 @@ class SearchEngine:
             snippets.append(" … ".join(frags) if frags else None)
         return t.append_column("hl", pa.array(snippets, pa.string()))
 
-    def _search_sorted(self, parsed, query, k, fl, sort, start: int = 0,
-                       fq=None):
-        """Field-sorted retrieval (Solr ``sort=f1 desc, f2 asc``): rank the
-        FULL match set by the sort keys instead of relevance.  ``score`` as
-        a sort key uses the BM25 score; other keys read the stored fields
-        of the matched docs only (at cluster scale this is a per-range
-        top-k + k-way merge, same layout as ``search_partitioned``)."""
+    def _sorted_hits(self, parsed: ParsedQuery, sort: str, n: int,
+                     fq=None) -> list:
+        """The first ``n`` ``(doc_id, score)`` hits of the match set in
+        Solr ``sort=f1 desc, f2 asc`` order (``score`` is the relevance
+        score, other keys read the docs' stored values; ascending doc id
+        breaks the last tie, missing values sort last).  At cluster scale
+        this is a per-range top-n + k-way merge
+        (:func:`sorted_partitioned`)."""
         keys = _sort_keys(sort, self.stored_fields)
-
-        # full match set with scores (score may itself be a sort key);
-        # the unranked arrays skip the ranked path's full top-k sort +
-        # Python tuple materialization
-        arrays = self._full_match_arrays(query, fq=fq)
-        if arrays is not None:
-            doc_ids, scores = arrays
-        else:
-            full = self.search(query, k=self.doc_space, fl=["doc_id"],
-                               fq=fq)
-            doc_ids = full["doc_id"].to_numpy()
-            scores = full["score"].to_numpy()
+        doc_ids, scores = self._match(parsed, fq)
         if doc_ids.size == 0:
-            return self._resolve([], fl)
+            return []
         if len(keys) == 1:
-            # single-key numeric sort: O(n) partition top-(start+k) with
-            # doc-id tie resolution instead of a full mergesort of the
-            # match set (the common browse shape — k ≪ matches)
+            # single-key numeric sort: O(n) partition top-n with doc-id
+            # tie resolution instead of a full mergesort of the match
+            # set (the common browse shape — n ≪ matches)
             f, asc = keys[0]
             col = (scores if f == "score"
                    else doc_ids if f == "doc_id"
@@ -3302,12 +3283,11 @@ class SearchEngine:
                 nan = (np.isnan(key) if key.dtype.kind == "f"
                        else np.zeros(key.size, dtype=bool))
                 cand = np.flatnonzero(~nan)
-                need = start + k
                 sel = np.empty(0, np.int64)
-                if cand.size and need:
-                    if cand.size > need:
+                if cand.size and n:
+                    if cand.size > n:
                         part = cand[np.argpartition(key[cand],
-                                                    need - 1)[:need]]
+                                                    n - 1)[:n]]
                         kv = key[part].max()
                         strict = cand[key[cand] < kv]
                         ties = cand[key[cand] == kv]
@@ -3316,20 +3296,17 @@ class SearchEngine:
                         head = strict[np.lexsort((doc_ids[strict],
                                                   key[strict]))]
                         sel = np.concatenate(
-                            [head, ties[:need - head.size]]
+                            [head, ties[:n - head.size]]
                         )
                     else:
                         sel = cand[np.lexsort((doc_ids[cand], key[cand]))]
-                if sel.size < need and nan.any():
+                if sel.size < n and nan.any():
                     # missing values last (sortMissingLast), id ascending
                     tail = np.flatnonzero(nan)
                     tail = tail[np.argsort(doc_ids[tail], kind="stable")]
-                    sel = np.concatenate([sel, tail[:need - sel.size]])
-                sel = sel[start:start + k]
-                return self._resolve(
-                    list(zip(doc_ids[sel].tolist(),
-                             scores[sel].tolist())), fl
-                )
+                    sel = np.concatenate([sel, tail[:n - sel.size]])
+                return list(zip(doc_ids[sel].tolist(),
+                                scores[sel].tolist()))
         import pandas as pd
 
         df = pd.DataFrame({"doc_id": doc_ids, "score": scores})
@@ -3344,10 +3321,8 @@ class SearchEngine:
             ascending=[asc for _, asc in keys] + [True],
             kind="mergesort",
             na_position="last",
-        ).iloc[start:start + k]
-        return self._resolve(
-            list(zip(df["doc_id"].tolist(), df["score"].tolist())), fl
-        )
+        ).head(n)
+        return list(zip(df["doc_id"].tolist(), df["score"].tolist()))
 
     def _match_all(self, excluded) -> np.ndarray:
         """Sorted ids of the docs rows ``excluded`` leaves — the matches
@@ -3711,13 +3686,9 @@ class SearchEngine:
         pruned = self._score_phrase_pruned(parsed, excluded, k, after)
         if pruned is not None:
             return pruned
-        arrays = self._match_score_arrays(parsed, postings, excluded,
-                                          after=after)
-        if arrays is None:
-            return []
-        cand, s = arrays
-        if cand.size == 0:
-            return []
+        cand, s = self._match_score_arrays(parsed, postings, excluded)
+        if after is not None:
+            cand, s = _after_cursor(cand, s, after)
         return _select_topk(cand, s, k)
 
     def _score_phrase_pruned(self, parsed, excluded, k, after=None):
@@ -3773,9 +3744,7 @@ class SearchEngine:
                 freqs.astype(np.float64), self._norm_factor(self.norms[docs])
             )
             if after is not None:
-                cs, cid = after
-                m = (sc < cs) | ((sc == cs) & (docs > cid))
-                docs, sc = docs[m], sc[m]
+                docs, sc = _after_cursor(docs, sc, after)
             return _select_topk(docs, sc, k)
 
         if slop is None and self.has_bigrams and (
@@ -3868,22 +3837,16 @@ class SearchEngine:
                 self._norm_factor(self.norms[out_docs]),
             )
             if after is not None:
-                cs, cid = after
-                m = (sc < cs) | ((sc == cs) & (out_docs > cid))
-                out_docs, sc = out_docs[m], sc[m]
-                if out_docs.size == 0:
-                    continue
+                out_docs, sc = _after_cursor(out_docs, sc, after)
             kept_docs = np.concatenate([kept_docs, out_docs])
             kept_scores = np.concatenate([kept_scores, sc])
         return _select_topk(kept_docs, kept_scores, k)
 
-    def _match_score_arrays(self, parsed, postings, excluded,
-                            after=None):
+    def _match_score_arrays(self, parsed, postings, excluded):
         """The TAAT scorer up to (but not including) the top-k cut:
-        ``(cand ids, their scores)`` UNRANKED — the value source for
-        components that re-order themselves (grouping, collapsing) and
-        for the ranked path's ``_select_topk``.  Returns None when
-        nothing matches."""
+        ``(cand ids, their scores)`` of a flat scored query, UNRANKED —
+        what :meth:`_match` returns for it and the ranked path's
+        ``_select_topk`` reads."""
         scores = np.zeros(self.doc_space, dtype=np.float64)
         #: conjunction requires every DISTINCT query clause — including
         #: terms absent from the index (Lucene: AND with a non-existent
@@ -3899,7 +3862,7 @@ class SearchEngine:
         )
         n_present = self._accumulate(parsed, postings, scores, seen)
         if n_present == 0:
-            return None
+            return np.empty(0, np.int64), np.empty(0)
         if seen is not None:
             cand = np.flatnonzero(seen >= required)
         else:
@@ -3908,8 +3871,8 @@ class SearchEngine:
             cand = np.flatnonzero(scores > 0.0)
         if parsed.boost_phrases:
             # pf boost scores join AFTER membership (they rerank the
-            # main query's matches, never extend them) and BEFORE the
-            # cursor filter (the ranking the cursor walks includes them)
+            # main query's matches, never extend them; the ranking a
+            # cursor walks includes them)
             self._add_boost_scores(parsed, scores)
         if parsed.boost_queries:
             # bq boost queries: additive, before the multiplicative
@@ -3920,12 +3883,6 @@ class SearchEngine:
             self._apply_func_scores(parsed, scores, cand)
         if excluded is not None:
             cand = cand[~excluded[cand]]
-        if after is not None:
-            # cursor paging: survivors strictly after (score, id) in
-            # (-score, id) ranking order
-            cs, cid = after
-            sa = scores[cand]
-            cand = cand[(sa < cs) | ((sa == cs) & (cand > cid))]
         return cand, scores[cand]
 
     # -- parenthesized boolean grouping --------------------------------- #
@@ -4006,27 +3963,6 @@ class SearchEngine:
             scores *= node.boost
         return mask, scores
 
-    def _score_ast(self, ast, fq, k, after=None):
-        """Top-k for a grouped boolean query: evaluate the tree, apply the
-        global exclusions a NOT branch may have re-included (tombstones,
-        validation-rejected id slots), then the usual candidate top-k."""
-        mask, scores = self._eval_bool_node(ast)
-        mask &= self.present
-        dead = self._dead_mask()
-        if dead is not None:
-            mask &= ~dead
-        fqm = self._merge_fq_mask(None, fq)
-        if fqm is not None:
-            mask &= ~fqm
-        cand = np.flatnonzero(mask)
-        if after is not None:
-            cs, cid = after
-            sa = scores[cand]
-            cand = cand[(sa < cs) | ((sa == cs) & (cand > cid))]
-        if cand.size == 0:
-            return []
-        return _select_topk(cand, scores[cand], k)
-
     def _prepare_rerank(self, parsed: ParsedQuery, bf, boost, bq,
                         hl) -> None:
         """Attach the ``bf``/``boost`` functions and ``bq`` queries to a
@@ -4054,40 +3990,6 @@ class SearchEngine:
                 "highlighting needs stored content; rebuild with "
                 "IndexConfig(store_content=True)"
             )
-
-    def _search_after(self, query, k, fl, fq, cursor, hl,
-                      mm=None, pf=None, ps=0, pf2=None, pf3=None,
-                      bf=None, boost=None, bq=None):
-        """Cursor paging (Solr cursorMark): score candidates once, keep
-        those strictly after ``(score, doc_id)`` in ranking order, take
-        top-k of the remainder."""
-        cs, cid = float(cursor[0]), int(cursor[1])
-        parsed = self._parse(query)
-        if mm is not None:
-            self._apply_mm(parsed, query, mm)
-        if pf or pf2 or pf3:
-            self._apply_pf(parsed, list(parsed.terms), pf, ps, pf2, pf3)
-        self._prepare_rerank(parsed, bf, boost, bq, hl)
-        ast = (
-            self._parse_bool(query)
-            if has_group_syntax(query or "") else None
-        )
-        if ast is not None:
-            hits = self._score_ast(ast, fq, k, after=(cs, cid))
-            t = self._resolve(hits, fl)
-            return self._add_highlights(parsed, t, hl) if hl else t
-        excluded = self._exclusions(parsed, fq)
-        if parsed.scoring_clauses == 0:
-            # match-all ranking is (score 0, ascending id): after-cursor
-            # means ids > cid
-            ids = self._match_all(excluded)
-            hits = [(d, 0.0) for d in ids[ids > cid][:k].tolist()]
-        else:
-            postings = self._term_postings(parsed)
-            hits = self._score_taat(parsed, postings, excluded, k=k,
-                                    after=(cs, cid))
-        t = self._resolve(hits, fl)
-        return self._add_highlights(parsed, t, hl) if hl else t
 
     # ------------------------------------------------------------------ #
     # resolution / projection (reference: fl field lists, realtime get)
@@ -4446,13 +4348,6 @@ class SearchEngine:
         cols = self._docs_columns(["doc_id", field])
         return pa.Table.from_arrays([cols["doc_id"], cols[field]],
                                     names=["doc_id", field])
-
-    def _join_field(self, df, field: str):
-        """A hits frame (``doc_id``, ...) left-joined with the hit docs'
-        ``field`` values."""
-        t = self._matched_rows(np.unique(df["doc_id"].to_numpy()),
-                               ["doc_id", field])
-        return df.merge(t.to_pandas(), on="doc_id", how="left")
 
     def _dense_field(self, field: str) -> np.ndarray:
         """Dense per-doc column array (position d = doc d's value):
@@ -5517,50 +5412,25 @@ class SearchEngine:
         _check_page(k_groups)
         if group_field not in self.stored_fields or group_field == "doc_id":
             raise ValueError(f"cannot group on field {group_field!r}")
-        import pandas as pd
-
-        arrays = self._full_match_arrays(query, fq=fq)
-        if arrays is not None:
-            # dense-codes fast path: grouping IS collapsing with all
-            # nulls folded into one group and group_limit members kept
-            ids = arrays[0].astype(np.int64)
-            scores = arrays[1].astype(np.float64)
-            dense, uniques, _hn = self._field_codes(group_field)
-            codes = dense[ids]
-            t = _collapse_codes(ids, scores, codes, uniques,
-                                k_groups, "collapse", group_limit - 1,
-                                round_scores)
-            out_t = pa.table(
-                {"group": t["group"], "group_rank": t["rank"],
-                 "position": t["position"], "doc_id": t["doc_id"],
-                 "score": t["score"]}
-            )
-            if not with_ngroups:
-                return out_t
-            # group.ngroups from the codes already gathered: distinct
-            # non-null groups + the folded null group if present
-            ng = int(np.unique(codes[codes >= 0]).size
-                     + bool((codes < 0).any()))
-            return out_t, ng
-        full = self.search(query, k=self.doc_space, fl=["doc_id"],
-                           fq=fq)
-        df = pd.DataFrame(
-            {"doc_id": full["doc_id"].to_numpy(),
-             "score": full["score"].to_numpy()}
-        )
-        if not df.empty:
-            df = self._join_field(df, group_field)
-            df["score"] = _round_half_away(df["score"].to_numpy(),
-                                           round_scores)
-        out_t, ngroups = _ranked_groups(df, group_field, k_groups,
-                                        group_limit)
-        return (out_t, ngroups) if with_ngroups else out_t
+        # grouping IS collapsing with all nulls folded into one group and
+        # group_limit members kept
+        ids, scores = self._match(self._prepare(query), fq)
+        dense, uniques, _hn = self._field_codes(group_field)
+        codes = dense[ids]
+        t = _group_rows(_collapse_codes(ids, scores, codes, uniques,
+                                        k_groups, "collapse",
+                                        group_limit - 1, round_scores))
+        if not with_ngroups:
+            return t
+        # group.ngroups from the codes already gathered: distinct non-null
+        # groups + the folded null group if present
+        return t, int(np.unique(codes[codes >= 0]).size
+                      + bool((codes < 0).any()))
 
     def collapse_search(self, query: str, field: str, k: int = 10,
                         fq=None, null_policy: str = "ignore",
                         expand_limit: int = 0,
-                        round_scores: int | None = None,
-                        **search_kwargs) -> pa.Table:
+                        round_scores: int | None = None) -> pa.Table:
         """Solr field collapsing (CollapsingQParser ``{!collapse
         field=F}`` + ExpandComponent ``expand=true``): collapse the match
         set to one document per ``field`` value — the group head is the
@@ -5578,43 +5448,32 @@ class SearchEngine:
         Returns ``(rank, position, doc_id, score, group)`` rows: ``rank``
         orders the k heads, ``position`` 0 is the head, 1.. are expanded
         members.  ``round_scores`` rounds (half-away) before ranking so a
-        SQL oracle is float-order-independent.  Extra ``search_kwargs``
-        (``qf``, ``mm``, ``bf``/``boost``/``bq``…) pass through to the
-        underlying relevance query.
+        SQL oracle is float-order-independent.  ``search(fq="{!collapse
+        field=F}", ...)`` collapses a query prepared with any ranking
+        parameter (``qf``, ``mm``, ``bf``/``boost``/``bq``…).
 
         The reference delegates this to Solr; collapsing is how its
         dataset catalogue shows one hit per parent dataset
         (``solrindexer/search.py:125-140`` passes arbitrary Solr params).
         """
+        return self._collapse(self._prepare(query), field, k, fq,
+                              null_policy, expand_limit, round_scores)
+
+    def _collapse(self, parsed: ParsedQuery, field: str, k: int, fq=None,
+                  null_policy: str = "ignore", expand_limit: int = 0,
+                  round_scores: int | None = None) -> pa.Table:
+        """:meth:`collapse_search` of a prepared query: its match arrays
+        collapsed over a cached per-doc factorization of ``field`` (the
+        docValues analogue) — no join, no full top-k sort."""
         _check_page(k)
         if field not in self.stored_fields or field == "doc_id":
             raise ValueError(f"cannot collapse on field {field!r}")
         if null_policy not in ("ignore", "expand", "collapse"):
             raise ValueError(f"bad nullPolicy {null_policy!r}")
-        arrays = (self._full_match_arrays(query, fq=fq)
-                  if not search_kwargs else None)
-        if arrays is not None:
-            # dense-codes fast path: unranked match arrays + a cached
-            # per-doc factorization of the collapse field (the docValues
-            # analogue) — no pandas join, no full top-k sort
-            ids = arrays[0].astype(np.int64)
-            scores = arrays[1].astype(np.float64)
-            dense, uniques, _hn = self._field_codes(field)
-            return _collapse_codes(ids, scores, dense[ids], uniques, k,
-                                   null_policy, expand_limit,
-                                   round_scores)
-        import pandas as pd
-
-        full = self.search(query, k=self.doc_space, fl=["doc_id"],
-                           fq=fq, **search_kwargs)
-        df = pd.DataFrame(
-            {"doc_id": full["doc_id"].to_numpy(),
-             "score": full["score"].to_numpy()}
-        )
-        if not df.empty:
-            df = self._join_field(df, field)
-        return _collapse_frame(df, field, k, null_policy, expand_limit,
-                               round_scores)
+        ids, scores = self._match(parsed, fq)
+        dense, uniques, _hn = self._field_codes(field)
+        return _collapse_codes(ids, scores, dense[ids], uniques, k,
+                               null_policy, expand_limit, round_scores)
 
     def rerank_search(self, query: str, rerank_query: str, k: int = 10,
                       rerank_docs: int = 200, rerank_weight: float = 2.0,
@@ -5637,31 +5496,22 @@ class SearchEngine:
         if rerank_docs < 1:
             raise ValueError("rerank_docs must be >= 1")
         _check_page(k, start)
-        n = max(int(rerank_docs), start + k)
-        main = self.search(query, k=n, fl=["doc_id"], fq=fq)
-        rmap = self._rerank_scores(
-            rerank_query, np.asarray(main["doc_id"].to_pylist(), np.int64)
-        )
+        main = self._ranked(self._prepare(query),
+                            max(int(rerank_docs), start + k), fq)
+        ids = [d for d, _ in main]
+        rmap = self._rerank_scores(rerank_query, np.asarray(ids, np.int64))
         hits = _rerank_combine(
-            main["doc_id"].to_pylist(), main["score"].to_pylist(),
-            rmap, int(rerank_docs), float(rerank_weight), round_scores,
+            ids, [sc for _, sc in main], rmap, int(rerank_docs),
+            float(rerank_weight), round_scores,
         )
         return self._resolve(hits[start:start + k], fl)
 
     def _rerank_scores(self, rerank_query: str, cand) -> dict:
         """Doc id -> rerank-query score for the docs of ``cand`` it
-        matches.  Scores come from the dense leaf evaluator (the boolean
-        path's atom): no full-match top-k sort just to read scores for
-        an N-doc window."""
-        if has_group_syntax(rerank_query or ""):
-            rr = self.search(rerank_query, k=self.doc_space,
-                             fl=["doc_id"])
-            want = set(cand.tolist())
-            return {d: s for d, s in zip(rr["doc_id"].to_pylist(),
-                                         rr["score"].to_pylist())
-                    if d in want}
-        mask, dense = self._eval_leaf(self._parse(rerank_query))
-        return {int(d): float(dense[d]) for d in cand if mask[d]}
+        matches, read from the rerank query's match arrays."""
+        ids, scores = self._match(self._prepare(rerank_query))
+        keep = np.isin(ids, cand)
+        return dict(zip(ids[keep].tolist(), scores[keep].tolist()))
 
     def ltr_search(self, query: str, model: dict, k: int = 10,
                    rerank_docs: int = 200, fl=None, fq=None,
@@ -5744,10 +5594,10 @@ class SearchEngine:
         def _r(x):
             return float(_round_half_away(x, round_scores))
 
-        main = self.search(query, k=max(int(rerank_docs), start + k),
-                           fl=["doc_id"], fq=fq)
-        ids = main["doc_id"].to_pylist()
-        scores = main["score"].to_pylist()
+        main = self._ranked(self._prepare(query),
+                            max(int(rerank_docs), start + k), fq)
+        ids = [d for d, _ in main]
+        scores = [sc for _, sc in main]
         seg = min(int(rerank_docs), len(ids))
         cand = np.asarray(ids[:seg], dtype=np.int64)
         total = np.zeros(seg, dtype=np.float64)
@@ -5768,13 +5618,8 @@ class SearchEngine:
                 mask[self.match_ids(f["q"])] = True
                 vals = mask[cand].astype(np.float64)
             elif ftype == "queryScore":
-                # dense leaf evaluation: candidate lookups only, no
-                # full-match top-k sort (same shortcut as rerank_search)
-                mask, dense = self._eval_leaf(self._parse(f["q"]))
-                vals = np.array([
-                    _r(dense[int(d)]) if mask[int(d)] else 0.0
-                    for d in cand
-                ])
+                got = self._rerank_scores(f["q"], cand)
+                vals = np.array([_r(got.get(int(d), 0.0)) for d in cand])
             elif ftype == "value":
                 vals = np.full(seg, float(f["value"]))
             else:
@@ -6269,7 +6114,8 @@ def export_matches(index_dir: str, query: str, dest: str, fl=None,
         return batch.filter(pa.array(m[batch["doc_id"].to_numpy()]))
 
     ds = rd.read_parquet(
-        os.path.join(engine.index_dir, "docs"), columns=columns
+        BuildManifest(engine.index_dir).committed_paths("docs", engine.stats),
+        columns=columns,
     ).map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
     if sort:
         keys, desc = [], []
@@ -6465,20 +6311,13 @@ def facet_partitioned(index_dir: str, query: str, fields, limit: int = 100,
 
 
 def _range_hits(engine: SearchEngine, query: str, fq, cols=()):
-    """A range's FULL match set as a ``(doc_id, score, *cols)`` frame,
-    ids made global: the engine's unranked match arrays, or for the
-    shapes without them (grouped boolean, filter directives, match-all)
-    its ranked search over the whole range.  ``cols`` come from the
-    engine's resident docs columns."""
+    """A range's FULL match set as a ``(doc_id, score, *cols)`` frame, ids
+    made global: the engine's match arrays, ``cols`` from its resident
+    docs columns."""
     import pandas as pd
 
-    arrays = engine._full_match_arrays(query, fq=fq)
-    if arrays is None:
-        t = engine.search(query, k=engine.doc_space, fl=["doc_id"], fq=fq)
-        arrays = (t["doc_id"].to_numpy(), t["score"].to_numpy())
-    ids = np.asarray(arrays[0], dtype=np.int64)
-    df = pd.DataFrame({"doc_id": ids + engine._lo,
-                       "score": np.asarray(arrays[1], dtype=np.float64)})
+    ids, scores = engine._match(engine._prepare(query), fq)
+    df = pd.DataFrame({"doc_id": ids + engine._lo, "score": scores})
     if cols:
         t = engine._matched_rows(ids, list(cols))
         for c in cols:
@@ -6661,46 +6500,16 @@ def group_partitioned(index_dir: str, query: str, group_field: str,
     df = pd.concat(_map_ranges(index_dir, lambda e: _group_heads(
         _range_hits(e, query, fq, [group_field]), group_field, group_limit
     )), ignore_index=True)
-    return _ranked_groups(df, group_field, k_groups, group_limit)[0]
+    return _group_rows(_collapse_frame(df, group_field, k_groups,
+                                       "collapse", group_limit - 1, None))
 
 
-def _ranked_groups(df, group_field: str, k_groups: int,
-                   group_limit: int) -> tuple:
-    """``(table, ngroups)``: the ``(group, group_rank, position, doc_id,
-    score)`` rows of the first ``k_groups`` groups of the hits in ``df``
-    (groups ranked by their best hit, hits by score desc then doc id
-    asc, at most ``group_limit`` per group; null values form one group)
-    and the number of groups."""
-    if df.empty:
-        return pa.table({
-            "group": pa.array([], pa.string()),
-            "group_rank": pa.array([], pa.int64()),
-            "position": pa.array([], pa.int64()),
-            "doc_id": pa.array([], pa.int64()),
-            "score": pa.array([], pa.float64()),
-        }), 0
-    _null = "\x00<null>"  # NaN-safe grouping sentinel
-    df["_grp"] = df[group_field].fillna(_null)
-    df = df.sort_values(["score", "doc_id"], ascending=[False, True],
-                        kind="mergesort")
-    df["position"] = df.groupby("_grp", sort=False).cumcount()
-    heads = df[df["position"] == 0].reset_index(drop=True)
-    order = {v: i for i, v in enumerate(heads["_grp"].head(k_groups))}
-    out = df[df["_grp"].isin(order) & (df["position"] < group_limit)].copy()
-    out["group_rank"] = out["_grp"].map(order)
-    out = out.sort_values(["group_rank", "position"])
-    return pa.table(
-        {
-            "group": pa.array(
-                [None if v == _null else str(v) for v in out["_grp"]],
-                pa.string(),
-            ),
-            "group_rank": pa.array(out["group_rank"].astype("int64")),
-            "position": pa.array(out["position"].astype("int64")),
-            "doc_id": pa.array(out["doc_id"].astype("int64")),
-            "score": pa.array(out["score"].astype("float64")),
-        }
-    ), int(df["_grp"].nunique())
+def _group_rows(heads: pa.Table) -> pa.Table:
+    """Collapse rows with all nulls folded into one group, as result
+    grouping's ``(group, group_rank, position, doc_id, score)`` rows."""
+    return pa.table({"group": heads["group"], "group_rank": heads["rank"],
+                     "position": heads["position"],
+                     "doc_id": heads["doc_id"], "score": heads["score"]})
 
 
 _DATEMATH_GAP = re.compile(r"^\+(\d+)(SECONDS?|MINUTES?|HOURS?|DAYS?)$")
@@ -6772,6 +6581,10 @@ _JOIN_Q_RE = re.compile(r"^\{!join\s+([^}]*)\}(.*)$")
 _GEO_Q_RE = re.compile(r"^\{!(geofilt|bbox)\s+([^}]*)\}\s*$")
 _BLOCKJOIN_Q_RE = re.compile(r"^\{!(parent|child)\s+([^}]*)\}(.*)$")
 _INTERSECTS_Q_RE = re.compile(r"^\{!intersects\s+([^}]*)\}(.*)$")
+_DIRECTIVE_ONLY = (
+    "filter directives as the main query are constant-score; only "
+    "k/fl/start/fq compose with them"
+)
 
 
 def _is_directive(query: str) -> bool:

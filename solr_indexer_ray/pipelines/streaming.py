@@ -41,6 +41,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from solr_indexer_ray.state.manifest import BuildManifest
+
 __all__ = ["parse_stream_expr", "compile_stream_expr", "StreamExprError"]
 
 
@@ -211,68 +213,41 @@ class StreamCompiler:
         fl = [f.strip() for f in str(_need(node, "fl")).split(",") if f]
         rows = node.kwargs.get("rows")
         fq = node.kwargs.get("fq")
-        want_score = "score" in fl
         stored = [f for f in fl if f != "score"]
-        arrays = (engine._full_match_arrays(q, fq=fq)
-                  if want_score and rows is None else None)
-        if arrays is not None:
-            # scored FULL export STREAMS too: the dense score array
-            # broadcasts once (8 B/doc-slot, the same class as the
-            # match bitmap) and each docs block attaches its slice
-            ids, sc = arrays
-            dense = np.zeros(engine.doc_space, dtype=np.float64)
-            dense[ids] = sc
-            mask = np.zeros(engine.doc_space, dtype=bool)
-            mask[ids] = True
-            sref = ray.put((mask, dense))
-            import os
-
-            def attach(batch: pa.Table) -> pa.Table:
-                m, s = ray.get(sref)
-                t = batch.filter(
-                    pa.array(m[batch["doc_id"].to_numpy()])
-                )
-                t = t.append_column(
-                    "score", pa.array(s[t["doc_id"].to_numpy()],
-                                      pa.float64())
-                )
-                return t.select(fl)
-
-            cols = sorted({*stored, "doc_id"})
-            ds = rd.read_parquet(
-                os.path.join(engine.index_dir, "docs"), columns=cols
-            ).map_batches(attach, batch_format="pyarrow")
-        elif want_score or rows is not None:
-            # bounded / special-shape scored exports resolve through the
-            # ranked path
-            t = engine.search(q, k=int(rows) if rows else engine.doc_space,
-                              fl=stored or ["doc_id"], fq=fq)
+        if rows is not None:
+            # a bounded export is the ranked top rows
+            t = engine.search(q, k=int(rows), fl=stored or ["doc_id"], fq=fq)
             ds = rd.from_arrow(t.select(fl))
         else:
-            # unscored full export STREAMS the docs table under a
-            # broadcast match mask (the /export handler shape)
-            ids = engine.match_ids(q)
-            if fq is not None:
-                fqm = engine._merge_fq_mask(None, fq)
-                if fqm is not None and ids.size:
-                    ids = ids[~fqm[ids]]
+            # a full export STREAMS the docs table under a broadcast
+            # match mask (the /export handler shape); a scored one also
+            # broadcasts the dense score array (8 B/doc-slot, the same
+            # class as the mask) and each docs block attaches its slice
             mask = np.zeros(engine.doc_space, dtype=bool)
+            dense = None
+            if "score" in fl:
+                ids, scores = engine._match(engine._prepare(q), fq)
+                dense = np.zeros(engine.doc_space)
+                dense[ids] = scores
+            else:
+                ids = engine._filtered_match_ids(q, fq)
             mask[ids] = True
-            ref = ray.put(mask)
-            import os
+            ref = ray.put((mask, dense))
+            out = fl or ["doc_id"]
 
             def keep(batch: pa.Table) -> pa.Table:
-                m = ray.get(ref)
-                return batch.filter(
-                    pa.array(m[batch["doc_id"].to_numpy()])
-                )
+                m, s = ray.get(ref)
+                t = batch.filter(pa.array(m[batch["doc_id"].to_numpy()]))
+                if s is not None:
+                    t = t.append_column("score", pa.array(
+                        s[t["doc_id"].to_numpy()], pa.float64()))
+                return t.select(out)
 
-            cols = sorted({*stored, "doc_id"})
             ds = rd.read_parquet(
-                os.path.join(engine.index_dir, "docs"), columns=cols
+                BuildManifest(engine.index_dir).committed_paths(
+                    "docs", engine.stats),
+                columns=sorted({*stored, "doc_id"}),
             ).map_batches(keep, batch_format="pyarrow")
-            if stored != cols:
-                ds = ds.select_columns(stored or ["doc_id"])
         if "sort" in node.kwargs:
             keys, desc = _parse_sort(node.kwargs["sort"])
             ds = ds.sort(keys, descending=desc)
@@ -422,8 +397,6 @@ class StreamCompiler:
         """Solr fetch(): enrich stream rows with stored fields looked up
         from a collection by key — a left-outer Dataset.join against the
         pruned docs table."""
-        import os
-
         import ray.data as rd
 
         if len(node.args) != 2:
@@ -435,7 +408,7 @@ class StreamCompiler:
         on = str(node.kwargs.get("on", "doc_id"))
         fl = [f.strip() for f in str(_need(node, "fl")).split(",") if f]
         docs = rd.read_parquet(
-            os.path.join(index_dir, "docs"),
+            BuildManifest(index_dir).committed_paths("docs"),
             columns=sorted({on, *fl}),
         )
         return ds.join(
@@ -495,8 +468,6 @@ class StreamCompiler:
         semi-join over the streamed docs table), and emit one row per
         distinct gathered value with its doc count.  Multi-hop = nested
         nodes() expressions."""
-        import os
-
         import ray
         import ray.data as rd
         from ray.data.aggregate import Count
@@ -529,7 +500,7 @@ class StreamCompiler:
             return pa.table({"node": t[gather]})
 
         docs = rd.read_parquet(
-            os.path.join(index_dir, "docs"),
+            BuildManifest(index_dir).committed_paths("docs"),
             columns=sorted({dst, gather}),
         )
         out = docs.map_batches(hop, batch_format="pyarrow")

@@ -136,6 +136,15 @@ class BuildManifest:
                     for f in sorted(files) if f.endswith(".parquet")]
         return out
 
+    def committed_paths(self, sub: str, stats: dict | None = None) -> list:
+        """:meth:`committed_files` joined into paths (``stats``: the
+        committed ``stats.json`` when None) — what every reader of
+        ``sub`` opens, never the directory, which can hold an uncommitted
+        or crashed commit's files."""
+        stats = self.read_stats() if stats is None else stats
+        return [os.path.join(self.index_dir, sub, f)
+                for f in self.committed_files(stats, sub)]
+
     # ------------------------------------------------------------------ #
     # build lock (one writer per index dir)
     # ------------------------------------------------------------------ #

@@ -158,9 +158,17 @@ class TestEngineBq:
         with pytest.raises(ValueError, match="grouped boolean"):
             engine.search("(def OR the) AND index", bq="read")
 
-    def test_sort_rejected(self, engine):
-        with pytest.raises(ValueError, match="relevance"):
-            engine.search("def", bq="read", sort="lang asc")
+    def test_sort_matches_ranked_set(self, engine):
+        """bq composes with sort (as in Solr): the sorted page is the
+        ranked full match set stably sorted by lang asc, then doc_id."""
+        full = engine.search("def", k=engine.doc_space,
+                             fl=["doc_id", "lang"], bq="read").to_pylist()
+        assert full
+        want = sorted(full, key=lambda r: (r["lang"] is None, r["lang"] or "",
+                                           r["doc_id"]))[:15]
+        got = engine.search("def", k=15, fl=["doc_id", "lang"], bq="read",
+                            sort="lang asc")
+        assert got.to_pylist() == want
 
 
 class TestDistributedBq:

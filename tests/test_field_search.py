@@ -329,8 +329,16 @@ class TestDismaxQf:
         e = SearchEngine(index_dir)
         with pytest.raises(ValueError, match="not analyzed"):
             e.search("x", qf="nope^2")
-        with pytest.raises(ValueError, match="relevance"):
-            e.search("x", qf="content", sort="doclen desc")
+        # qf composes with sort (as in Solr): the sorted page is the
+        # ranked full match set stably sorted by doclen desc, then doc_id
+        kw = dict(qf="content^1 path_text^2", tie=0.3)
+        full = e.search("parse txt", k=e.doc_space, fl=["doc_id", "doclen"],
+                        **kw).to_pylist()
+        assert full
+        want = sorted(full, key=lambda r: (-r["doclen"], r["doc_id"]))[:15]
+        got = e.search("parse txt", k=15, fl=["doc_id", "doclen"],
+                       sort="doclen desc", **kw)
+        assert got.to_pylist() == want
 
     @pytest.mark.parametrize("bad", ["content^-1 path_text^2",
                                      "content^1 path_text^nan",

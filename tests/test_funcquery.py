@@ -267,9 +267,17 @@ class TestEngineFuncBoosts:
         with pytest.raises(ValueError, match="numeric/timestamp"):
             engine.search("def", bf="sqrt(lang)")
 
-    def test_sort_rejected(self, engine):
-        with pytest.raises(ValueError, match="relevance"):
-            engine.search("def", bf=BF, sort="lang asc")
+    def test_sort_matches_ranked_set(self, engine):
+        """bf composes with sort (as in Solr): the sorted page is the
+        ranked full match set stably sorted by lang asc, then doc_id."""
+        full = engine.search("def", k=engine.doc_space,
+                             fl=["doc_id", "lang"], bf=BF).to_pylist()
+        assert full
+        want = sorted(full, key=lambda r: (r["lang"] is None, r["lang"] or "",
+                                           r["doc_id"]))[:15]
+        got = engine.search("def", k=15, fl=["doc_id", "lang"], bf=BF,
+                            sort="lang asc")
+        assert got.to_pylist() == want
 
     def test_grouped_query_rejected(self, engine):
         with pytest.raises(ValueError, match="grouped boolean"):

@@ -422,8 +422,15 @@ class TestPhraseFields:
         e = SearchEngine(index_dir)
         with pytest.raises(ValueError, match="pf field"):
             e.search("parse read", pf="nosuchfield^2")
-        with pytest.raises(ValueError, match="relevance"):
-            e.search("parse read", pf="content^2", sort="doc_id asc")
+        # pf composes with sort (as in Solr): the sorted page is the
+        # ranked full match set stably sorted by doclen desc, then doc_id
+        full = e.search("parse read", k=e.doc_space, fl=["doc_id", "doclen"],
+                        pf="content^2").to_pylist()
+        assert full
+        want = sorted(full, key=lambda r: (-r["doclen"], r["doc_id"]))[:15]
+        got = e.search("parse read", k=15, fl=["doc_id", "doclen"],
+                       pf="content^2", sort="doclen desc")
+        assert got.to_pylist() == want
         with pytest.raises(ValueError, match="dismax"):
             e.search("(parse OR read) merge", pf="content^2")
 

@@ -686,8 +686,17 @@ class TestMinimumShouldMatch:
             e.search("a AND b", mm=1)
         with pytest.raises(ValueError, match="dismax"):
             e.search("(a OR b) c", mm=1)
-        with pytest.raises(ValueError, match="relevance"):
-            e.search("a b", mm=1, sort="doc_id asc")
+        # mm composes with sort (as in Solr): the sorted page is the
+        # ranked full match set stably sorted by doclen desc, then doc_id
+        t1, t2, t3 = self._pick_terms(e)
+        q = f"{t1} {t2} {t3}"
+        full = e.search(q, k=e.doc_space, fl=["doc_id", "doclen"],
+                        mm=2).to_pylist()
+        assert full
+        want = sorted(full, key=lambda r: (-r["doclen"], r["doc_id"]))[:15]
+        got = e.search(q, k=15, fl=["doc_id", "doclen"], mm=2,
+                       sort="doclen desc")
+        assert got.to_pylist() == want
 
     def test_distributed_identity(self, built_index):
         index_dir, _ = built_index
