@@ -291,6 +291,16 @@ def _scatter_add(dst, ids, val):
     list(pool().map(work, range(k)))
 
 
+def _count_hits(seen, ids) -> None:
+    """Count one clause hit for each of the UNIQUE ``ids``.  A bool
+    ``seen`` (one clause required) only marks them: a scatter, about a
+    third of the cost of an increment's gather, add and scatter."""
+    if seen.dtype == bool:
+        seen[ids] = True
+    else:
+        _scatter_add(seen, ids, 1)
+
+
 def _one_array(col: pa.ChunkedArray) -> pa.Array:
     """``col`` as one contiguous array (zero-copy when it has one chunk):
     ``take`` on a many-chunk column pays per call what this pays once."""
@@ -2868,8 +2878,15 @@ class SearchEngine:
         strictly after that ranking position — O(k) per page instead of
         ``start``'s O(start+k), the deep-paging form that scales.
         Relevance ranking only (pass the previous page's last row).
-        ``mm`` is Solr (e)dismax minimum-should-match (int / ``"-1"`` /
-        ``"75%"`` / conditional ``"2<-25% 9<-3"`` — see
+        A doc matches by the clauses it hits, never by its score (OR: one
+        clause, ``AND``: every clause, ``mm``: at least that many), so a
+        ``^0`` clause or ``qf`` field matches at score 0, as under
+        Lucene's BoostQuery; :meth:`match_ids`, facets, ``fq`` and
+        :meth:`explain` read the same match set.  ``qf``/``tie`` is the
+        (e)dismax field list (:meth:`_apply_qf`); like ``mm``, ``pf``
+        and ``bf``/``boost``/``bq`` it is rejected on a grouped boolean
+        query.  ``mm`` is Solr (e)dismax minimum-should-match (int /
+        ``"-1"`` / ``"75%"`` / conditional ``"2<-25% 9<-3"`` — see
         :func:`resolve_min_should_match`): a doc must match at least that
         many DISTINCT optional scoring clauses.  Applies to flat OR
         queries (Solr: ``mm`` governs the optional clauses of the main
@@ -2943,6 +2960,11 @@ class SearchEngine:
                 raise ValueError(_DIRECTIVE_ONLY)
             return ParsedQuery(source=query)
         grouped = has_group_syntax(query or "")
+        if qf is not None and grouped:
+            raise ValueError(
+                "qf is a dismax/edismax parameter; use fielded clauses "
+                "inside grouped boolean queries"
+            )
         has_pf = pf or pf2 or pf3
         if has_pf and grouped:
             raise ValueError(
@@ -2973,34 +2995,19 @@ class SearchEngine:
         particular order — what every collector (ranked top-k, sort,
         cursor, group, collapse, rerank) reads.
 
-        Flat queries score with the TAAT accumulator, grouped boolean
-        queries with the clause-tree evaluator (then the deleted and
-        ``fq``-rejected docs go), match-all and pure-filter queries
-        score 0 and filter directives 1.0.  Without a cursor, the docs
-        Solr's QueryElevationComponent pins join the set with their
-        organic score, or 0.0 when they do not match.  ``after=(score,
-        doc_id)`` keeps only the hits strictly after that position of
-        the (-score, doc_id) ranking."""
+        :meth:`_match_core` decides it without the deleted and
+        ``fq``-rejected docs; filter directives score 1.0.  Without a
+        cursor, the docs Solr's QueryElevationComponent pins join the
+        set with their organic score, or 0.0 when they do not match.
+        ``after=(score, doc_id)`` keeps only the hits strictly after that
+        position of the (-score, doc_id) ranking."""
         query = parsed.source
         if _is_directive(query):
             ids = self._filtered_match_ids(query, fq).astype(np.int64)
             scores = np.ones(ids.size)
-        elif parsed.tree is not None:
-            mask, dense = self._eval_bool_node(parsed.tree)
-            mask &= self.present
-            excluded = self._merge_fq_mask(self._dead_mask(), fq)
-            if excluded is not None:
-                mask &= ~excluded
-            ids = np.flatnonzero(mask)
-            scores = dense[ids]
         else:
-            excluded = self._exclusions(parsed, fq)
-            if parsed.scoring_clauses == 0:
-                ids = self._match_all(excluded)
-                scores = np.zeros(ids.size)
-            else:
-                ids, scores = self._match_score_arrays(
-                    parsed, self._term_postings(parsed), excluded)
+            ids, scores = self._match_core(
+                parsed, self._merge_fq_mask(self._dead_mask(), fq))
         if after is not None:
             return _after_cursor(ids, scores, after)
         pins = self._pins(query)
@@ -3009,6 +3016,32 @@ class SearchEngine:
             ids = np.concatenate([ids, new])
             scores = np.concatenate([scores, np.zeros(new.size)])
         return ids, scores
+
+    def _match_core(self, parsed: ParsedQuery, excluded=None) -> tuple:
+        """``(ids, scores)`` of a prepared query that is no filter
+        directive, ids ascending, without the docs its own filters and
+        prohibitions reject or ``excluded`` marks: the one rule that
+        decides a match set, read by every collector, :meth:`match_ids`,
+        the fq masks, the boolean tree's leaves, ``bq`` and
+        :meth:`explain`.  Flat queries count clauses in the TAAT
+        accumulator, grouped boolean queries run the clause tree, and a
+        query with no scoring clause matches every doc it keeps at score
+        0.  No elevation pins."""
+        if parsed.tree is not None:
+            mask, dense = self._eval_bool_node(parsed.tree)
+            mask &= self.present
+            if excluded is not None:
+                mask &= ~excluded
+            ids = np.flatnonzero(mask)
+            return ids, dense[ids]
+        own = self._excluded_mask(parsed)
+        if own is not None:
+            excluded = own if excluded is None else own | excluded
+        if parsed.scoring_clauses == 0:
+            ids = self._match_all(excluded)
+            return ids, np.zeros(ids.size)
+        return self._match_score_arrays(
+            parsed, self._term_postings(parsed), excluded)
 
     def _pins(self, query: str) -> np.ndarray:
         """The live docs elevated for ``query`` (Solr
@@ -3165,7 +3198,7 @@ class SearchEngine:
             if m is _MISS:
                 member = np.zeros(self.doc_space, dtype=bool)
                 member[self.match_ids(f) if _is_directive(f)
-                       else self._matches(f)] = True
+                       else self._match_core(self._prepare(f))[0]] = True
                 m = self._cache.put(name, key, ~member)
             excluded = m.copy() if excluded is None else (excluded | m)
         return excluded
@@ -3339,9 +3372,9 @@ class SearchEngine:
         return tp.score_vec
 
     def _accumulate(self, parsed, postings, scores, seen):
-        """Add every positive scoring clause's contribution into ``scores``
-        (bumping ``seen`` per clause when provided); returns the number of
-        clauses present in the index.  Clause order is PINNED (terms asc,
+        """Add every scoring clause's contribution into ``scores`` and
+        count its hits in ``seen`` (:func:`_count_hits`); returns the
+        number of clauses present in the index.  Clause order is PINNED (terms asc,
         fuzzies asc, phrases asc, prefixes asc, wildcards asc): float64
         summation order is part of the rank-identity contract across
         TAAT / distributed / oracle scorers."""
@@ -3362,8 +3395,7 @@ class SearchEngine:
                 _scatter_add(scores, docs, w * self.scoring.impact(
                     tfs.astype(np.float64), K
                 ))
-                if seen is not None:
-                    _scatter_add(seen, docs, 1)
+                _count_hits(seen, docs)
                 n_present += 1
                 continue
             tp = postings.get(term)
@@ -3373,8 +3405,7 @@ class SearchEngine:
             b = parsed.boosts.get(term)  # query-time boost (term^2)
             _scatter_add(scores, tp.doc_ids,
                          vec if b is None else vec * b)
-            if seen is not None:
-                _scatter_add(seen, tp.doc_ids, 1)
+            _count_hits(seen, tp.doc_ids)
             n_present += 1
         # fielded scored terms after plain terms (pinned float order):
         # per-field BM25 — field df/docCount/avgdl/norms (Lucene fielded
@@ -3387,8 +3418,7 @@ class SearchEngine:
             vec = self._field_score_vec(fld, tp)
             b = parsed.field_term_boosts.get(ft)
             scores[tp.doc_ids] += vec if b is None else vec * b
-            if seen is not None:
-                seen[tp.doc_ids] += 1
+            _count_hits(seen, tp.doc_ids)
             n_present += 1
         # fielded phrases after fielded terms (pinned order): Lucene
         # fielded PhraseQuery — field idfs, field norms/avgdl
@@ -3403,8 +3433,7 @@ class SearchEngine:
                 scores[docs] += w * self.scoring.impact(
                     freqs.astype(np.float64), K
                 )
-                if seen is not None:
-                    seen[docs] += 1
+                _count_hits(seen, docs)
                 n_present += 1
         # dismax groups after fielded terms: per doc the group contributes
         # max over its per-field scores + tie * (sum of the rest) — Solr
@@ -3449,8 +3478,7 @@ class SearchEngine:
                 contrib = (best if tie == 0.0
                            else best + tie * (tot - best))
             _scatter_add(scores, docs, contrib)
-            if seen is not None:
-                _scatter_add(seen, docs, 1)
+            _count_hits(seen, docs)
             n_present += 1
         # fuzzy clauses after terms: blended SynonymQuery-stats groups
         for fz in sorted(set(parsed.fuzzies)):
@@ -3463,8 +3491,7 @@ class SearchEngine:
                 w *= b
             K = self._norm_factor(self.norms[docs])
             scores[docs] += w * self.scoring.impact(tfs.astype(np.float64), K)
-            if seen is not None:
-                seen[docs] += 1
+            _count_hits(seen, docs)
             n_present += 1
         # phrase clauses after terms, ascending by tuple: pinned float order
         for ph in sorted(map(tuple, parsed.phrases)):
@@ -3477,8 +3504,7 @@ class SearchEngine:
                 scores[docs] += w * self.scoring.impact(
                     freqs.astype(np.float64), K
                 )
-                if seen is not None:
-                    seen[docs] += 1
+                _count_hits(seen, docs)
                 n_present += 1
         # proximity clauses after phrases: span-near match, phrase scoring
         # (duplicates iterate like duplicate phrases — required-count parity)
@@ -3492,8 +3518,7 @@ class SearchEngine:
                 scores[docs] += w * self.scoring.impact(
                     freqs.astype(np.float64), K
                 )
-                if seen is not None:
-                    seen[docs] += 1
+                _count_hits(seen, docs)
                 n_present += 1
         # prefix clauses last, ascending: constant score (1.0, or the
         # clause boost) per matching doc (Solr CONSTANT_SCORE rewrite)
@@ -3502,8 +3527,7 @@ class SearchEngine:
             if docs.size:
                 _scatter_add(scores, docs,
                              parsed.prefix_boosts.get(pre, 1.0))
-                if seen is not None:
-                    _scatter_add(seen, docs, 1)
+                _count_hits(seen, docs)
                 n_present += 1
         # general wildcards: same constant-score union as prefixes
         for pat in sorted(set(parsed.wildcards)):
@@ -3511,8 +3535,7 @@ class SearchEngine:
             if docs.size:
                 _scatter_add(scores, docs,
                              parsed.wildcard_boosts.get(pat, 1.0))
-                if seen is not None:
-                    _scatter_add(seen, docs, 1)
+                _count_hits(seen, docs)
                 n_present += 1
         return n_present
 
@@ -3611,18 +3634,17 @@ class SearchEngine:
     def _add_bq_scores(self, parsed, scores, cand) -> None:
         """Add edismax ``bq`` contributions to the matched docs' scores.
 
-        Each bq is evaluated as a dense (mask, scores) atom with the
-        SAME leaf evaluator the boolean-grouping path uses, then folded
-        in only where the MAIN query already matched — bq never extends
-        membership.  Pure-filter bq adds its constant; scored bq adds
-        its own per-doc score (zeros outside its match set already)."""
+        Each bq's ``(ids, scores)`` come from :meth:`_match_core`, the
+        rule every match set follows, and fold in only where the MAIN
+        query already matched — bq never extends membership.  Pure-filter
+        bq adds its constant; scored bq adds its own per-doc score."""
         for sub, const in parsed.boost_queries:
-            mask, s = self._eval_leaf(sub)
-            sel = mask[cand]
-            idx = cand[sel]
+            ids, s = self._match_core(sub)
+            keep = np.isin(ids, cand, assume_unique=True)
+            idx = ids[keep]
             if idx.size == 0:
                 continue
-            scores[idx] += s[idx]
+            scores[idx] += s[keep]
             if const:
                 scores[idx] += const
 
@@ -3847,28 +3869,22 @@ class SearchEngine:
         ``(cand ids, their scores)`` of a flat scored query, UNRANKED —
         what :meth:`_match` returns for it and the ranked path's
         ``_select_topk`` reads."""
-        scores = np.zeros(self.doc_space, dtype=np.float64)
-        #: conjunction requires every DISTINCT query clause — including
-        #: terms absent from the index (Lucene: AND with a non-existent
-        #: term matches nothing), so count from the parse, not the lookup.
-        required = parsed.scoring_clauses
-        if not parsed.conjunctive and parsed.min_should > 1:
-            # Solr mm: membership needs >= min_should optional clauses;
-            # scores are the plain OR scores of the survivors
-            required = parsed.min_should
-        seen = (
-            np.zeros(self.doc_space, dtype=np.int32)
-            if parsed.conjunctive or parsed.min_should > 1 else None
-        )
-        n_present = self._accumulate(parsed, postings, scores, seen)
-        if n_present == 0:
-            return np.empty(0, np.int64), np.empty(0)
-        if seen is not None:
-            cand = np.flatnonzero(seen >= required)
+        #: a doc matches by the clauses it hits, never by its score (a
+        #: ``^0`` clause matches at score 0, Lucene BoostQuery).  AND
+        #: requires every DISTINCT query clause — terms absent from the
+        #: index included (Lucene: AND with a non-existent term matches
+        #: nothing), so count from the parse, not the lookup; Solr ``mm``
+        #: requires ``min_should`` optional clauses; OR requires one.
+        if parsed.conjunctive:
+            required = parsed.scoring_clauses
         else:
-            # OR semantics: every contribution is > 0, so matches are
-            # exactly the docs with a positive score
-            cand = np.flatnonzero(scores > 0.0)
+            required = max(parsed.min_should, 1)
+        scores = np.zeros(self.doc_space, dtype=np.float64)
+        seen = np.zeros(self.doc_space,
+                        dtype=bool if required == 1 else np.int32)
+        if self._accumulate(parsed, postings, scores, seen) == 0:
+            return np.empty(0, np.int64), np.empty(0)
+        cand = np.flatnonzero(seen >= required)
         if parsed.boost_phrases:
             # pf boost scores join AFTER membership (they rerank the
             # main query's matches, never extend them; the ranking a
@@ -3887,33 +3903,14 @@ class SearchEngine:
 
     # -- parenthesized boolean grouping --------------------------------- #
     def _eval_leaf(self, parsed: ParsedQuery):
-        """(match_mask, scores) dense arrays for one atom of a boolean
-        tree.  Scores are zeroed outside the leaf's own match set so a
+        """(match_mask, scores) dense arrays of one atom of a boolean
+        tree: :meth:`_match_core`'s, scores 0 outside its match set so a
         parent node can sum child score vectors directly."""
-        excluded = self._excluded_mask(parsed)
-        if parsed.scoring_clauses == 0:
-            # pure filter / match-all atom: the docs rows the filters
-            # keep, score 0 (Lucene: filter clauses contribute no score)
-            mask = self.present.copy()
-            if excluded is not None:
-                mask &= ~excluded
-            return mask, np.zeros(self.doc_space, dtype=np.float64)
-        postings = self._term_postings(parsed)
+        ids, s = self._match_core(parsed)
+        mask = np.zeros(self.doc_space, dtype=bool)
+        mask[ids] = True
         scores = np.zeros(self.doc_space, dtype=np.float64)
-        seen = np.zeros(self.doc_space, dtype=np.int32)
-        n_present = self._accumulate(parsed, postings, scores, seen)
-        required = parsed.scoring_clauses if parsed.conjunctive else 1
-        if n_present == 0 or (
-            parsed.conjunctive and n_present < required
-        ):
-            return (
-                np.zeros(self.doc_space, dtype=bool),
-                np.zeros(self.doc_space, dtype=np.float64),
-            )
-        mask = seen >= required
-        if excluded is not None:
-            mask &= ~excluded
-        scores[~mask] = 0.0
+        scores[ids] = s
         return mask, scores
 
     def _eval_bool_node(self, node):
@@ -4578,10 +4575,12 @@ class SearchEngine:
 
     def match_ids(self, query: str) -> np.ndarray:
         """ALL doc ids matching a query (no top-k) — delete-by-query and
-        faceting both consume the full match set.  Same clause semantics as
-        :meth:`search` (terms/phrases/prefixes/filters/prohibitions).
-        Filter directives route to their own evaluators, so they work
-        anywhere a query string does — fq, delete-by-query, facet.query:
+        faceting both consume the full match set.  It is exactly the set
+        :meth:`search` ranks, decided by the same rule
+        (:meth:`_match_core`: a ``^0`` clause matches at score 0), without
+        the docs elevation pins.  Filter directives route to their own
+        evaluators, so they work anywhere a query string does — fq,
+        delete-by-query, facet.query:
         ``{!join from=F to=T}inner`` (Solr JoinQParserPlugin),
         ``{!parent}`` / ``{!child}`` (block joins over flat rows),
         ``{!geofilt}`` / ``{!bbox}`` (spatial radius), and
@@ -4635,60 +4634,9 @@ class SearchEngine:
             return self.join_match_ids(
                 jm.group(2).strip(), params["from"], params["to"]
             )
-        ids = self._matches(query)
+        ids, _ = self._match_core(self._prepare(query))
         dead = self._dead_mask()
         return ids if dead is None else ids[~dead[ids]]
-
-    def _matches(self, query: str) -> np.ndarray:
-        """:meth:`match_ids` of a query that is no filter directive, the
-        deleted docs included — what its cached fq mask is made of, which
-        a delete then leaves valid."""
-        ast = (
-            self._parse_bool(query)
-            if has_group_syntax(query or "") else None
-        )
-        if ast is not None:
-            mask, _ = self._eval_bool_node(ast)
-            return np.flatnonzero(mask & self.present).astype(np.int64)
-        parsed = self._parse(query)
-        excluded = self._excluded_mask(parsed)
-        if parsed.scoring_clauses == 0:
-            return self._match_all(excluded)
-        seen = np.zeros(self.doc_space, dtype=np.int32)
-        required = parsed.scoring_clauses if parsed.conjunctive else 1
-        postings = self._term_postings(parsed)
-        for term in sorted(set(parsed.terms)):
-            if term in self.synonyms:
-                docs, _, _ = self._synonym_group(term, postings)
-                if docs is not None:
-                    seen[docs] += 1
-            elif term in postings:
-                seen[postings[term].doc_ids] += 1
-        for fz in sorted(set(parsed.fuzzies)):
-            docs, _, _ = self._fuzzy_group(*fz)
-            if docs is not None:
-                seen[docs] += 1
-        for ph in parsed.phrases:
-            docs, _, _ = self.eval_phrase(list(ph))
-            seen[docs] += 1
-        for np_clause in parsed.near_phrases:
-            docs, _, _ = self.eval_near(*np_clause)
-            seen[docs] += 1
-        for pre in parsed.prefixes:
-            seen[self.eval_prefix(pre)] += 1
-        for pat in sorted(set(parsed.wildcards)):
-            seen[self.eval_pattern(pat)] += 1
-        for fld, term in sorted(set(parsed.field_terms)):
-            tp = self.field_term_postings(fld, term)
-            if tp is not None:
-                seen[tp.doc_ids] += 1
-        for fld, ph in sorted(set(parsed.field_phrases)):
-            docs, _, _ = self.eval_field_phrase(fld, list(ph))
-            seen[docs] += 1
-        cand = np.flatnonzero(seen >= required)
-        if excluded is not None and cand.size:
-            cand = cand[~excluded[cand]]
-        return cand.astype(np.int64)
 
     def _filtered_match_ids(self, query: str, fq=None) -> np.ndarray:
         """:meth:`match_ids` of ``query`` without the docs ``fq``
@@ -5765,13 +5713,14 @@ class SearchEngine:
         score (same accumulator, same float order); each clause
         contribution is computed independently (Lucene Explanation
         style), so their sum equals the score up to float re-association
-        only.  ``matches=False`` (excluded / missing a required clause /
-        deleted) reports score 0 with the clause evidence kept.
+        only.  ``matches`` and ``score`` come from the match set
+        :meth:`search` ranks (:meth:`_match_core`), so a doc that matches
+        only ``^0`` clauses matches at score 0; ``matches=False``
+        (excluded / missing a required clause / deleted) reports score 0
+        with the clause evidence kept.
         """
-        parsed = self._parse(query)
-        if qf is not None:
-            parsed = self._apply_qf(parsed, qf, tie)
-        if has_group_syntax(query or ""):
+        parsed = self._prepare(query, qf, tie)
+        if parsed.tree is not None:
             raise ValueError(
                 "explain covers flat queries (grouped boolean trees "
                 "report per-leaf via their own flat explains)"
@@ -5835,28 +5784,18 @@ class SearchEngine:
             order.append((f"{kind}:{pat}", {"wildcards": [pat]}))
 
         clauses = []
-        seen_d = 0
         for desc, parts in order:
             name, contrib, hit = single(desc, **parts)
-            seen_d += hit
             if hit:
                 clauses.append((name, contrib))
 
-        # exact score: the real accumulator over the whole query
-        scores = np.zeros(self.doc_space, dtype=np.float64)
-        self._accumulate(parsed, postings, scores, None)
-        excluded = self._exclusions(parsed)
-        required = parsed.scoring_clauses if parsed.conjunctive else 1
-        matches = (
-            seen_d >= required
-            and not (excluded is not None and excluded[d])
-            and bool(self.present[d])
-            and seen_d > 0
-        )
+        ids, scores = self._match_core(parsed, self._dead_mask())
+        at = int(np.searchsorted(ids, d))
+        matches = at < ids.size and int(ids[at]) == d
         return {
             "doc_id": d,
-            "matches": bool(matches),
-            "score": float(scores[d]) if matches else 0.0,
+            "matches": matches,
+            "score": float(scores[at]) if matches else 0.0,
             "clauses": clauses,
         }
 
@@ -5864,11 +5803,7 @@ class SearchEngine:
         """Solr ``facet.query``: count of the main query's match set
         intersected with each sub-query's match set (same grammar as
         search; non-scoring, like fq)."""
-        base = self.match_ids(query)
-        if fq:
-            excl = self._merge_fq_mask(None, fq)
-            if excl is not None and base.size:
-                base = base[~excl[base]]
+        base = self._filtered_match_ids(query, fq)
         out = {}
         for sub in facet_queries:
             m = self.match_ids(sub)

@@ -26,13 +26,15 @@ from solr_indexer_ray.sources.corpus import generate_corpus
 SHAPES = {
     "flat_or": "def read",
     "flat_and": "def AND read",
+    "flat_zero": "def^0 read",
     "grouped": "(def OR read) AND NOT merge",
     "match_all": "*:*",
     "pure_filter": "lang:python",
     "directive": "{!join from=repo to=repo}lang:go",
     "elevated": "read merge",
 }
-ORACLE_SHAPES = ("flat_or", "flat_and", "match_all", "pure_filter")
+ORACLE_SHAPES = ("flat_or", "flat_and", "flat_zero", "match_all",
+                 "pure_filter")
 RERANK_Q = "(merge OR buffer) -zzzz"
 COLLAPSE = ["{!collapse field=lang}"]
 

@@ -358,13 +358,38 @@ class TestDismaxQf:
                 run(pf=bad)
 
     def test_zero_boost_accepted(self, field_index):
+        """A ``^0`` qf field still matches, at score 0 (Lucene
+        DisjunctionMaxQuery over a BoostQuery of 0): the path-scored
+        docs rank as without the field, then the docs only ``content``
+        matches follow at 0.0 in doc-id order."""
         index_dir, _ = field_index
         e = SearchEngine(index_dir)
-        got = e.search("txt", k=e.n_docs, fl=["doc_id"],
+        q = "parse txt"  # parse: content only; txt: path only
+        got = e.search(q, k=e.n_docs, fl=["doc_id"],
                        qf="content^0 path_text^1")
-        exp = e.search("txt", k=e.n_docs, fl=["doc_id"],
-                       qf="path_text^1")
-        assert got["doc_id"].to_pylist() == exp["doc_id"].to_pylist()
+        exp = e.search(q, k=e.n_docs, fl=["doc_id"], qf="path_text^1")
+        content = e.search(q, k=e.n_docs, fl=["doc_id"], qf="content^1")
+        tail = sorted(set(content["doc_id"].to_pylist())
+                      - set(exp["doc_id"].to_pylist()))
+        assert exp.num_rows and tail
+        assert got["doc_id"].to_pylist() == exp["doc_id"].to_pylist() + tail
+        assert got["score"].to_pylist() == (exp["score"].to_pylist()
+                                            + [0.0] * len(tail))
+
+    def test_grouped_query_rejected(self, field_index):
+        """``qf`` rewrites a flat query's free terms; on a grouped
+        boolean query it is rejected like ``pf`` and ``bf``, never
+        silently ignored."""
+        index_dir, _ = field_index
+        e = SearchEngine(index_dir)
+        q = "(parse OR txt) AND NOT zzz"
+        for run in (lambda **kw: e.search(q, **kw),
+                    lambda **kw: search_partitioned(index_dir, q, **kw)):
+            with pytest.raises(ValueError, match="qf is a dismax"):
+                run(qf="content^2")
+        with pytest.raises(ValueError, match="qf is a dismax"):
+            e.explain(q, 0, qf="content^2")
+        assert e.search(q, k=3).num_rows == 3
 
 
 class TestDictionaryIsolation:
