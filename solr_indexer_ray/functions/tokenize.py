@@ -98,7 +98,7 @@ class AnalyzerRegistry:
     Mirrors the reference's string-keyed backend factory pattern
     (``solrindexer/vocabulary.py:447-504``).  Instances are cheap and
     picklable (state = a dict of names), so they ship cleanly into Ray
-    actors; the compiled regexes are module-level.
+    tasks; the compiled regexes are module-level.
     """
 
     ANALYZERS: dict = {"simple": simple_analyzer, "code": code_analyzer}
@@ -129,10 +129,12 @@ def register_analyzer(name: str, fn: Analyzer) -> None:
 
 
 # --------------------------------------------------------------------- #
-# vectorized whole-unit tokenization (Arrow RE2 kernels, no per-token
-# Python) — the build-side hot path.  Per-row analyzers above stay the
-# reference implementation (query parse, oracle, phrase eval); equality
-# is pinned by tests/test_tokenize.py property tests.
+# vectorized whole-unit tokenization — the build-side hot path.  An ASCII
+# block is cut into word runs, the runs are dictionary-encoded, and the
+# numpy byte kernel tokenizes each distinct run once; a non-ASCII block
+# falls back to Arrow RE2 kernels.  No per-token Python either way.  The
+# per-row analyzers above stay the reference implementation (query parse,
+# oracle, phrase eval); equality is pinned by tests/test_tokenize.py.
 # --------------------------------------------------------------------- #
 
 #: RE2 pre-passes that turn ``code_analyzer`` into "lower + split on
@@ -150,16 +152,11 @@ _CODE_PREPASS = (
 )
 
 
-def _tokenize_block_bytes(texts, analyzer_name: str):
-    """ASCII fast path: the whole block tokenizes as vectorized numpy
-    passes over the raw utf-8 buffer — boundary masks (camel splits,
-    token-initial digit runs, separators) computed on shifted byte-class
-    arrays, token bytes gathered once, then ONE Arrow dictionary_encode.
-    No per-token Python objects anywhere.  Byte-exact with the per-row
-    analyzers for ASCII input (property-tested); returns None when the
-    block contains non-ASCII bytes (caller falls back to the RE2 path,
-    whose unicode lowering matches the python implementations).
-    """
+def _block_bytes(texts):
+    """A block's utf-8 bytes, without a copy -> (the data buffer, the
+    byte position of the block's first row in it, int64 row offsets
+    relative to that position, the block's bytes as a uint8 view).
+    Nulls read as empty rows."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -176,15 +173,28 @@ def _tokenize_block_bytes(texts, analyzer_name: str):
     raw = np.frombuffer(buffers[2], dtype=np.uint8) if buffers[2] else (
         np.empty(0, np.uint8)
     )
-    buf = raw[offs[0]:offs[-1]]
-    offs = offs - offs[0]
-    if buf.size and int(buf.max()) >= 128:
-        return None  # unicode: RE2 path handles case mapping
-    nrows = len(texts)
+    base = int(offs[0])
+    return buffers[2], base, offs - base, raw[base:offs[-1]]
+
+
+def _tokenize_block_bytes(texts, analyzer_name: str):
+    """The ASCII byte kernel: a block of ASCII texts tokenizes as
+    vectorized numpy passes over the raw utf-8 buffer — boundary masks
+    (camel splits, token-initial digit runs, separators) computed on
+    shifted byte-class arrays, token bytes gathered once, then ONE Arrow
+    dictionary_encode.  No per-token Python objects anywhere.  Byte-exact
+    with the per-row analyzers for ASCII input (property-tested).  The
+    build runs it over a block's distinct word runs
+    (:func:`_tokenize_block_arrow`), not over the block itself.
+    """
+    import numpy as np
+    import pyarrow as pa
+
+    _, _, offs, buf = _block_bytes(texts)
+    nrows = len(offs) - 1
     total = int(buf.size)
     if total == 0:
         return _empty_block(nrows)
-
     # row boundaries as flag arrays (no padded copy): tokens never span
     # rows because ``start`` is forced at row starts, and the lookahead
     # rules are suppressed at row-last positions
@@ -278,21 +288,78 @@ def _empty_block(nrows: int):
             pa.array([], pa.string()))
 
 
+def _tokenize_runs(data, base: int, offs, buf, analyzer_name: str):
+    """``_tokenize_block_arrow`` for an ASCII block, tokenizing each
+    distinct word run once.
+
+    A run starts at every word start and at every row start and ends at
+    the next run start: a word's bytes plus the separators after them,
+    or a row's leading separators.  The analyzers' rules (camel
+    splits, token-initial digit runs, ``_``) only look at adjacent bytes
+    of one word, and every run follows a separator or a row start, so a
+    run tokenizes alone as it does in place.  The runs are one zero-copy
+    ``StringArray`` over the block's bytes, dictionary-encoded once; the
+    byte kernel runs over the distinct runs, in first-appearance order,
+    so token ids and vocabulary order are the whole block's; the runs'
+    token lists then expand back to every occurrence.
+    """
+    import numpy as np
+    import pyarrow as pa
+
+    # word bytes: ASCII letters ((b | 0x20) - 97 wraps below 'a'),
+    # digits, and '_' for code
+    word = (buf | 0x20) - 97 < 26
+    word |= buf - 48 < 10
+    if analyzer_name == "code":
+        word |= buf == 95
+    total = int(buf.size)
+    start = np.empty(total, dtype=bool)
+    start[0] = True
+    np.greater(word[1:], word[:-1], out=start[1:])
+    start[offs[:-1][offs[:-1] < total]] = True
+    starts = np.flatnonzero(start)
+    run_offs = np.empty(starts.size + 1, dtype=np.int32)
+    run_offs[:-1] = starts + base
+    run_offs[-1] = total + base
+    enc = pa.StringArray.from_buffers(
+        int(starts.size), pa.py_buffer(run_offs), data
+    ).dictionary_encode()
+    run_tids, run_lens, vocab = _tokenize_block_bytes(
+        enc.dictionary, analyzer_name
+    )
+    # every occurrence takes its distinct run's token list: one Arrow
+    # list take (half the time of a numpy repeat + arange gather)
+    list_offs = np.zeros(run_lens.size + 1, dtype=np.int32)
+    np.cumsum(run_lens, out=list_offs[1:])
+    occ = pa.ListArray.from_arrays(
+        pa.array(list_offs), pa.array(run_tids)
+    ).take(enc.indices)
+    ends = occ.offsets.to_numpy(zero_copy_only=False)
+    tids = occ.flatten().to_numpy(zero_copy_only=False)
+    # a row's tokens are its runs': token ends at each row's first run
+    doclens = np.diff(ends[np.searchsorted(starts, offs)]).astype(np.int64)
+    return tids, doclens, vocab
+
+
 def _tokenize_block_arrow(texts, analyzer_name: str):
     """One analyzer over a block of texts -> (flat token ids int64,
     per-row token counts int64, vocab terms in first-appearance order as
     an Arrow ``StringArray``).
 
-    Everything runs in Arrow C++ (RE2 replaces, utf8_lower, regex split,
-    dictionary encode): zero per-token Python objects.
+    An ASCII block is cut into word runs (:func:`_tokenize_runs`) and the
+    byte kernel tokenizes each distinct run once; a non-ASCII block runs
+    Arrow RE2 kernels (replaces, utf8_lower, regex split, dictionary
+    encode), whose unicode lowering matches the per-row analyzers.
     """
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    fast = _tokenize_block_bytes(texts, analyzer_name)
-    if fast is not None:
-        return fast
+    data, base, offs, buf = _block_bytes(texts)
+    if buf.size == 0:
+        return _empty_block(len(offs) - 1)
+    if int(buf.max()) < 128:
+        return _tokenize_runs(data, base, offs, buf, analyzer_name)
     arr = pc.fill_null(texts, "")
     if analyzer_name == "code":
         for pat, repl in _CODE_PREPASS:

@@ -5,7 +5,7 @@ Reference analogue: ``indexdata`` bulk ingestion
 — but where the reference converts documents and POSTs them to Solr (which
 owns the inverted index), this pipeline builds the index itself:
 
-Stage 1 (``map_batches`` over read units, stateful actor pool):
+Stage 1 (``map_batches`` over read units, Ray Data tasks):
     one task per parquet row group; reads the unit, computes per-row
     ``sha256(content)`` (the per-row integrity invariant; reference
     analogue: checksum field ``solrindexer/mmd.py:851-858``), tokenizes with
@@ -219,7 +219,9 @@ def _sha256_column(col) -> list:
 
 
 class UnitIndexer:
-    """Stage-1 actor: tokenizer state built once per actor (SURVEY.md ST1/ST6).
+    """Stage-1 callable, built once per Ray Data task (the compiled
+    regexes and the identifier-expansion cache live at module level, so
+    warm workers keep them across tasks; SURVEY.md ST1/ST6).
 
     ``__call__`` consumes a batch of unit-descriptor rows (batch_size=1 ->
     one row group per task) and returns one manifest/metrics row per unit.
@@ -279,10 +281,12 @@ class UnitIndexer:
         shas = _sha256_column(table["content"])
         n_rows = table.num_rows
 
-        # tokenize the whole unit vectorized: Arrow RE2 kernels + one
-        # dictionary_encode do split/lower/intern with zero per-token
-        # Python (functions.tokenize.tokenize_unit; per-row analyzers
-        # remain the reference implementation, equality property-tested)
+        # tokenize the whole unit vectorized with zero per-token Python
+        # (functions.tokenize.tokenize_unit): an ASCII block is cut into
+        # word runs and the numpy byte kernel tokenizes each distinct run
+        # once; Arrow RE2 kernels are the non-ASCII fallback.  Per-row
+        # analyzers remain the reference implementation (equality
+        # property-tested)
         store_pos = self.config.store_positions
         tids_flat, doclens64, content_terms = tokenize_unit(
             table["content"], table["lang"], self.registry
@@ -1034,7 +1038,9 @@ def _cut_positions(pos, flat_tfs, keep, starts, counts, where: str):
 # survives across tasks on warm workers, while tasks avoid the
 # per-execution actor-pool spawn cost and scale elastically.  Stage
 # callables stay classes (UnitIndexer/ShardMerger) for direct testing.
-def _run_stage1(unit_rows, index_dir, config, registry, doc_enricher) -> list:
+def _run_stage1(unit_rows, index_dir, config, registry, doc_enricher):
+    """Stage 1 over ``unit_rows`` -> (one result row per unit, the job's
+    ``Dataset.stats()``)."""
     def run_units(batch: dict) -> pa.Table:
         return UnitIndexer(index_dir, config, registry, doc_enricher)(batch)
 
@@ -1042,13 +1048,13 @@ def _run_stage1(unit_rows, index_dir, config, registry, doc_enricher) -> list:
         run_units, batch_size=1, batch_format="numpy", num_cpus=1
     )
     rows = ds.take_all()  # small: one row per unit
-    _LAST_STAGE_STATS["stage1"] = ds.stats()
-    return rows
+    return rows, ds.stats()
 
 
-def _run_stage2(index_dir, n_shards, **merger) -> list:
+def _run_stage2(index_dir, n_shards, **merger):
     """Stage 2 over every term shard (:class:`ShardMerger` ``merger``
-    arguments); one result row per shard."""
+    arguments) -> (one result row per shard, the job's
+    ``Dataset.stats()``)."""
     def run_merge(batch: dict) -> pa.Table:
         return ShardMerger(index_dir, **merger)(batch)
 
@@ -1056,8 +1062,19 @@ def _run_stage2(index_dir, n_shards, **merger) -> list:
         run_merge, batch_size=1, batch_format="numpy", num_cpus=1
     )
     rows = ds.take_all()
-    _LAST_STAGE_STATS["stage2"] = ds.stats()
-    return rows
+    return rows, ds.stats()
+
+
+def _run_record(timings: dict, ray_stats: dict) -> dict:
+    """A commit's own run record for its stats: the wall seconds of each
+    of its steps (``timings``) and the start of each of its Ray Data
+    jobs' ``Dataset.stats()`` (``ray_stats``), so per-stage wall/cpu
+    breakdowns are inspectable after the fact (reference analogue:
+    per-stage timers, solrindexer/indexer.py:674-682)."""
+    return {
+        "timings": {k: round(v, 3) for k, v in timings.items()},
+        "ray_stats": {k: v[:1500] for k, v in ray_stats.items()},
+    }
 
 
 def _remove_spills(index_dir: str) -> None:
@@ -1086,13 +1103,6 @@ def _publish(manifest, stats: dict, committed, merged: list) -> dict:
             pass
     _remove_spills(manifest.index_dir)
     return manifest.read_stats()
-
-
-#: last run's ``Dataset.stats()`` per stage — recorded into the committed
-#: stats (truncated) so per-stage wall/cpu breakdowns are inspectable after
-#: the fact (reference analogue: per-stage timers, solrindexer/indexer.py:
-#: 674-682; also the brief's "read ds.stats() and iterate" discipline).
-_LAST_STAGE_STATS: dict = {}
 
 
 def build_index(
@@ -1162,8 +1172,8 @@ def _build_index_locked(input_paths, index_dir, config, registry,
     n_shards = max(8, min(64, cpus * 2, len(units) * 2))
 
     unit_rows = [dict(u.to_row(), n_shards=n_shards) for u in units]
-    unit_results = _run_stage1(unit_rows, index_dir, config, registry,
-                               doc_enricher)
+    unit_results, stage1 = _run_stage1(unit_rows, index_dir, config,
+                                       registry, doc_enricher)
     t1 = time.perf_counter()
 
     n_docs = sum(r["n_docs"] for r in unit_results)
@@ -1188,8 +1198,8 @@ def _build_index_locked(input_paths, index_dir, config, registry,
         shutil.rmtree(postings_dir)
     os.makedirs(postings_dir, exist_ok=True)
 
-    merged = _run_stage2(index_dir, n_shards, units=range(len(units)),
-                         generation=1, compression=config.compression)
+    merged, stage2 = _run_stage2(index_dir, n_shards, units=range(len(units)),
+                                 generation=1, compression=config.compression)
     t2 = time.perf_counter()
 
     # ---- commit ---------------------------------------------------------
@@ -1217,14 +1227,9 @@ def _build_index_locked(input_paths, index_dir, config, registry,
         "analyzer_default": registry.default,
         "analyzer_lang_map": registry.lang_map,
         **_filter_chain_stats(config),
-        "timings": {
-            "stage1_s": round(t1 - t0, 3),
-            "stage2_s": round(t2 - t1, 3),
-            "total_s": round(t2 - t0, 3),
-        },
-        "ray_stats": {
-            k: v[:1500] for k, v in _LAST_STAGE_STATS.items()
-        },
+        **_run_record(
+            {"stage1_s": t1 - t0, "stage2_s": t2 - t1, "total_s": t2 - t0},
+            {"stage1": stage1, "stage2": stage2}),
     }
     return _publish(manifest, stats, (), merged)
 
@@ -1349,14 +1354,14 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
         )
         offset += u.num_rows
     unit_rows = [dict(u.to_row(), n_shards=n_shards) for u in shifted]
-    unit_results = _run_stage1(unit_rows, index_dir, config, registry,
-                               doc_enricher)
+    unit_results, stage1 = _run_stage1(unit_rows, index_dir, config,
+                                       registry, doc_enricher)
     t1 = time.perf_counter()
 
-    merged = _run_stage2(index_dir, n_shards,
-                         units=range(next_uid, next_uid + len(shifted)),
-                         generation=generation, committed=committed,
-                         compression=config.compression)
+    merged, stage2 = _run_stage2(
+        index_dir, n_shards, units=range(next_uid, next_uid + len(shifted)),
+        generation=generation, committed=committed,
+        compression=config.compression)
     t2 = time.perf_counter()
 
     new_docs = sum(r["n_docs"] for r in unit_results)
@@ -1388,10 +1393,8 @@ def _extend_index_locked(input_paths, index_dir, config, doc_enricher,
         n_units=int(old["n_units"]) + len(units),
         docs_files=docs + [f"part-{u.unit_id:06d}.parquet" for u in shifted],
         field_stats=field_stats,
-        timings={
-            "stage1_s": round(t1 - t0, 3),
-            "stage2_s": round(t2 - t1, 3),
-            "total_s": round(t2 - t0, 3),
-        },
+        **_run_record(
+            {"stage1_s": t1 - t0, "stage2_s": t2 - t1, "total_s": t2 - t0},
+            {"stage1": stage1, "stage2": stage2}),
     )
     return _publish(manifest, stats, committed, merged)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -344,12 +345,17 @@ def compact_index(index_dir: str) -> dict:
 def _compact_locked(index_dir: str, manifest) -> dict:
     import ray.data as rd
 
-    from solr_indexer_ray.pipelines.build import _publish, _run_stage2
+    from solr_indexer_ray.pipelines.build import (
+        _publish,
+        _run_record,
+        _run_stage2,
+    )
 
     stats = manifest.read_stats()
     tombs = read_tombstones(index_dir)
     if not tombs:
         return {"removed": 0, "stats": stats}
+    t0 = time.perf_counter()
     dead = np.fromiter(tombs, dtype=np.int64)
 
     # 1. rewrite docs parts dropping dead rows (parallel over part files)
@@ -394,11 +400,10 @@ def _compact_locked(index_dir: str, manifest) -> dict:
     afields = [
         s.split(":", 1)[0] for s in stats.get("analyzed_fields") or []
     ]
-    res = (
-        rd.from_items([{"path": p} for p in doc_files])
-        .map_batches(purge_docs, batch_size=1, batch_format="numpy", num_cpus=1)
-        .take_all()
-    )
+    purge = rd.from_items([{"path": p} for p in doc_files]).map_batches(
+        purge_docs, batch_size=1, batch_format="numpy", num_cpus=1)
+    res = purge.take_all()
+    t1 = time.perf_counter()
     removed = sum(r["removed"] for r in res)
     n_docs = sum(r["kept_docs"] for r in res)
     sum_dl = sum(r["kept_dl"] for r in res)
@@ -420,11 +425,12 @@ def _compact_locked(index_dir: str, manifest) -> dict:
     mask[dead] = True
     committed = manifest.committed_files(stats, "postings")
     generation = int(stats.get("generation", 1)) + 1
-    merged = _run_stage2(
+    merged, stage2 = _run_stage2(
         index_dir, int(stats["n_shards"]), units=range(0),
         generation=generation, committed=committed, dead=mask,
         compression=str(stats.get("compression", "zstd")),
     )
+    t2 = time.perf_counter()
 
     # 3. drop dead overlays, clear tombstones, commit new stats
     overlays_path = os.path.join(index_dir, OVERLAYS)
@@ -446,6 +452,9 @@ def _compact_locked(index_dir: str, manifest) -> dict:
         sum_dl=int(sum_dl),
         avgdl=(float(sum_dl) / n_docs) if n_docs else 0.0,
         field_stats=field_stats or stats.get("field_stats", {}),
+        **_run_record(
+            {"purge_s": t1 - t0, "stage2_s": t2 - t1, "total_s": t2 - t0},
+            {"purge": purge.stats(), "stage2": stage2}),
     )
     return {"removed": int(removed),
             "stats": _publish(manifest, new_stats, committed, merged)}
@@ -493,7 +502,6 @@ def backup_index(index_dir: str, dest: str, verify: bool = True) -> dict:
     mid-copy), optionally fsck-verifies first, copies atomically into
     ``dest`` (tmp dir + rename), and stamps a backup manifest."""
     import shutil
-    import time as _time
 
     manifest = BuildManifest(index_dir)
     if not manifest.is_committed():
@@ -521,7 +529,7 @@ def backup_index(index_dir: str, dest: str, verify: bool = True) -> dict:
             json.dump(
                 {"source": os.path.abspath(index_dir),
                  "n_docs": stats["n_docs"],
-                 "taken_at": _time.time()}, f,
+                 "taken_at": time.time()}, f,
             )
         os.replace(tmp, dest)
         return {"dest": dest, "n_docs": int(stats["n_docs"])}

@@ -156,3 +156,35 @@ def test_generation_and_refresh(tmp_path, ray_session):
     assert res["stats"]["generation"] == 3
     assert eng.refresh() is True
     assert eng.count() == s2["n_docs"] - 1
+
+
+def test_each_commit_records_its_own_run(split_corpora, tmp_path):
+    """``stats.json``'s ``timings`` and ``ray_stats`` describe the commit
+    that wrote it: an extend's are its own stages', a compaction's are
+    its docs purge and merge, and none carries the build's over."""
+    import re
+
+    from solr_indexer_ray.pipelines.mutate import compact_index, delete_by_id
+
+    _, path_a, path_b, _ = split_corpora
+    idx = str(tmp_path / "idx")
+
+    def job_items(stats):
+        """The number of input rows of each recorded Ray Data job."""
+        return {k: int(re.search(r"FromItems: \d+ tasks executed, (\d+) "
+                                 r"blocks produced", v).group(1))
+                for k, v in stats["ray_stats"].items()}
+
+    built = build_index(path_a, idx, config=CFG)
+    shards = built["n_shards"]
+    assert set(built["timings"]) == {"stage1_s", "stage2_s", "total_s"}
+    assert job_items(built) == {"stage1": 3, "stage2": shards}
+
+    extended = extend_index(path_b, idx, config=CFG)
+    assert set(extended["timings"]) == {"stage1_s", "stage2_s", "total_s"}
+    assert job_items(extended) == {"stage1": 2, "stage2": shards}
+
+    delete_by_id(idx, [0, 1])
+    compacted = compact_index(idx)["stats"]
+    assert set(compacted["timings"]) == {"purge_s", "stage2_s", "total_s"}
+    assert job_items(compacted) == {"purge": 5, "stage2": shards}

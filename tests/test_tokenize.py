@@ -207,3 +207,113 @@ class TestVectorizedUnitTokenizer:
         ]
         langs = [rng.choice(["python", "en", "go"]) for _ in texts]
         self._check(texts, langs, reg)
+
+
+class TestDistinctRunBlockPath:
+    """The build's block path tokenizes each distinct word run once; its
+    output must equal the byte kernel run over the whole block: token
+    ids, doclens, vocabulary order and dtypes."""
+
+    @staticmethod
+    def _same_as_kernel(arr, name):
+        import numpy as np
+
+        from solr_indexer_ray.functions.tokenize import (
+            _tokenize_block_arrow,
+            _tokenize_block_bytes,
+        )
+
+        got = _tokenize_block_arrow(arr, name)
+        want = _tokenize_block_bytes(arr, name)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w), (arr.to_pylist(), name, g, w)
+        assert got[2].type == want[2].type
+        assert got[2].to_pylist() == want[2].to_pylist()
+
+    @pytest.mark.parametrize("name", ["code", "simple"])
+    @pytest.mark.parametrize("rows", [
+        # words that continue across a row boundary
+        ["foo", "Bar", "9", "x", "HTTP", "Server", "HTTPS", "erver"],
+        # null, empty and separator-only rows; separators at a row start
+        [None, "", "  ", "-- foo", "", None, "\tfooBar ", "!!!", ""],
+        # every run distinct
+        ["alpha beta gamma", "delta_epsilon zeta9 eta", "theta"],
+        # one run repeated with different trailing separators
+        ["foo foo, foo;  foo", "foo\nfoo.foo", "foo"],
+        # digit runs and camel splits at run edges
+        ["9x x9A _9x HTTPServer9", "9x", "x9A", "_9x", "HTTPServer9",
+         "a 9x;x9A\n_9x(HTTPServer9)"],
+    ])
+    def test_equals_whole_block_kernel(self, rows, name):
+        import pyarrow as pa
+
+        self._same_as_kernel(pa.array(rows, pa.string()), name)
+
+    @pytest.mark.parametrize("name", ["code", "simple"])
+    def test_sliced_array(self, name):
+        import pyarrow as pa
+
+        arr = pa.array(["skip Me", "foo", "Bar baz_9x", None, "HTTPServer",
+                        "tail End"]).slice(1, 4)
+        assert arr.offset == 1
+        self._same_as_kernel(arr, name)
+
+    @pytest.mark.parametrize("name", ["code", "simple"])
+    def test_random_blocks(self, name):
+        import random
+
+        import pyarrow as pa
+
+        rng = random.Random(29)
+        alphabet = "aBz9_ -XY\t.(0)Qr\n"
+        for _ in range(100):
+            rows = [None if rng.random() < 0.05 else "".join(
+                rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))
+                for _ in range(rng.randrange(1, 30))]
+            self._same_as_kernel(pa.array(rows, pa.string()), name)
+
+    def test_non_ascii_takes_re2_path(self, monkeypatch):
+        import pyarrow as pa
+
+        from solr_indexer_ray.functions import tokenize as tk
+
+        def kernel(*_):
+            raise AssertionError("byte kernel ran on a non-ASCII block")
+
+        monkeypatch.setattr(tk, "_tokenize_block_bytes", kernel)
+        rows = ["ümlaut ÜP fooBar", "plain", None, "Ærø 9x"]
+        for name, analyze in (("code", tk.code_analyzer),
+                              ("simple", tk.simple_analyzer)):
+            tids, lens, terms = tk._tokenize_block_arrow(
+                pa.array(rows), name)
+            terms = terms.to_pylist()
+            assert lens.tolist() == [len(analyze(r or "")) for r in rows]
+            assert [terms[t] for t in tids] == [
+                t for r in rows for t in analyze(r or "")]
+
+    @pytest.mark.parametrize("name", ["code", "simple"])
+    def test_kernel_sees_only_distinct_runs(self, monkeypatch, name):
+        import pyarrow as pa
+
+        from solr_indexer_ray.functions import tokenize as tk
+
+        seen = []
+        kernel = tk._tokenize_block_bytes
+
+        def recording(texts, analyzer_name):
+            seen.append(texts)
+            return kernel(texts, analyzer_name)
+
+        monkeypatch.setattr(tk, "_tokenize_block_bytes", recording)
+        row = "  fooBar = foo_bar + 1; x9A(fooBar)"
+        tk._tokenize_block_arrow(pa.array([row] * 1000), name)
+        # a row's leading separators are a run of their own; '_' is a
+        # word byte for code only
+        runs = (["  ", "fooBar = ", "foo_bar + ", "1; ", "x9A(", "fooBar)"]
+                if name == "code" else
+                ["  ", "fooBar = ", "foo_", "bar + ", "1; ", "x9A(",
+                 "fooBar)"])
+        assert "".join(runs) == row
+        [texts] = seen
+        assert texts.to_pylist() == list(dict.fromkeys(runs))
