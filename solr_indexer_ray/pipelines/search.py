@@ -301,6 +301,15 @@ def _count_hits(seen, ids) -> None:
         _scatter_add(seen, ids, 1)
 
 
+def _positive_leaves(node) -> list:
+    """The leaf queries of a boolean clause tree outside every negated
+    subtree."""
+    if not isinstance(node, BoolNode):
+        return [node]
+    return [leaf for negated, child in node.children if not negated
+            for leaf in _positive_leaves(child)]
+
+
 def _one_array(col: pa.ChunkedArray) -> pa.Array:
     """``col`` as one contiguous array (zero-copy when it has one chunk):
     ``take`` on a many-chunk column pays per call what this pays once."""
@@ -610,19 +619,11 @@ class ScoringModel:
 
     Implementations provide ``idf(n_docs, df)`` and ``impact(tf, K)`` where
     ``K = k1·(1 − b + b·dl/avgdl)`` is precomputed by the engine.  The
-    default is Lucene BM25; registry keyed by name.
-
-    ``impact_monotone_in_tf`` declares that ``impact`` is nondecreasing in
-    ``tf`` at fixed ``K`` — the same contract Lucene's impact/block-max
-    machinery assumes of every Similarity.  The phrase/proximity top-k
-    pruner relies on it (phrase tf is bounded by the member tfs, so a
-    monotone impact yields a sound score upper bound); a custom model
-    whose impact can DECREASE as tf grows must set it False to keep
-    rank-exact results (it then scores without pruning).
+    default is Lucene BM25; registry keyed by name.  Every match is
+    scored exactly, so ``impact`` may take any shape in ``tf``.
     """
 
     name = "bm25"
-    impact_monotone_in_tf = True
 
     def idf(self, n_docs: int, df: int) -> float:
         return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
@@ -2711,7 +2712,7 @@ class SearchEngine:
 
     def _excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
         """Boolean mask of docs excluded by filters/prohibitions (the
-        deleted docs not included: :meth:`_exclusions` adds them).
+        deleted docs not included: :meth:`_match` adds them).
 
         Memoized per (filters, prohibited) for one generation — metadata
         filters repeat across queries; each filter clause's rows come
@@ -2735,15 +2736,6 @@ class SearchEngine:
         )
         return self._cache.memo("masks", key,
                                 lambda: self._build_excluded_mask(parsed))
-
-    def _exclusions(self, parsed: ParsedQuery, fq=None):
-        """Every doc a read of ``parsed`` under ``fq`` skips: the query's
-        filters and prohibitions, the fq masks and the deleted docs."""
-        excluded = self._merge_fq_mask(self._excluded_mask(parsed), fq)
-        dead = self._dead_mask()
-        if dead is None:
-            return excluded
-        return dead if excluded is None else excluded | dead
 
     def _build_excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
         mask = None
@@ -2951,43 +2943,49 @@ class SearchEngine:
                  pf2: str | None = None, pf3: str | None = None, bf=None,
                  boost=None, bq=None, hl=False) -> ParsedQuery:
         """``query`` parsed and ready for any collector: the (e)dismax
-        parameters applied and checked, the source string attached and,
-        for a parenthesized boolean query, its clause tree.  A filter
-        directive takes none of them and keeps only its source."""
+        parameters applied and checked and the source string attached.  A
+        parenthesized boolean query is parsed once, into its clause tree,
+        and takes none of the (e)dismax parameters; a filter directive
+        takes none of them and keeps only its source."""
         if _is_directive(query):
             if (any(x is not None for x in (qf, mm, pf, pf2, pf3, bf,
                                             boost, bq)) or hl or ps):
                 raise ValueError(_DIRECTIVE_ONLY)
             return ParsedQuery(source=query)
-        grouped = has_group_syntax(query or "")
-        if qf is not None and grouped:
-            raise ValueError(
-                "qf is a dismax/edismax parameter; use fielded clauses "
-                "inside grouped boolean queries"
-            )
         has_pf = pf or pf2 or pf3
-        if has_pf and grouped:
-            raise ValueError(
-                "pf is a dismax/edismax parameter; use explicit phrase "
-                "clauses inside grouped boolean queries"
-            )
-        if (bf is not None or boost is not None or bq is not None) \
-                and grouped:
-            raise ValueError(
-                "bf/boost/bq are dismax/edismax parameters; not supported "
-                "with grouped boolean queries"
-            )
-        parsed = self._parse(query)
-        free_seq = list(parsed.terms)  # pf sequence, before qf rewrites
-        if qf is not None:
-            parsed = self._apply_qf(parsed, qf, tie)
-        if mm is not None:
-            self._apply_mm(parsed, query, mm)
-        if has_pf:
-            self._apply_pf(parsed, free_seq, pf, ps, pf2, pf3)
+        if has_group_syntax(query or ""):
+            if qf is not None:
+                raise ValueError(
+                    "qf is a dismax/edismax parameter; use fielded "
+                    "clauses inside grouped boolean queries"
+                )
+            if has_pf:
+                raise ValueError(
+                    "pf is a dismax/edismax parameter; use explicit "
+                    "phrase clauses inside grouped boolean queries"
+                )
+            if mm is not None:
+                raise ValueError(
+                    "mm is a dismax/edismax parameter; grouped boolean "
+                    "queries express their own required counts"
+                )
+            if bf is not None or boost is not None or bq is not None:
+                raise ValueError(
+                    "bf/boost/bq are dismax/edismax parameters; not "
+                    "supported with grouped boolean queries"
+                )
+            parsed = ParsedQuery(tree=self._parse_bool(query))
+        else:
+            parsed = self._parse(query)
+            free_seq = list(parsed.terms)  # pf sequence, before qf rewrites
+            if qf is not None:
+                parsed = self._apply_qf(parsed, qf, tie)
+            if mm is not None:
+                self._apply_mm(parsed, mm)
+            if has_pf:
+                self._apply_pf(parsed, free_seq, pf, ps, pf2, pf3)
         self._prepare_rerank(parsed, bf, boost, bq, hl)
         parsed.source = query
-        parsed.tree = self._parse_bool(query) if grouped else None
         return parsed
 
     def _match(self, parsed: ParsedQuery, fq=None, after=None) -> tuple:
@@ -3056,18 +3054,12 @@ class SearchEngine:
 
     def _ranked(self, parsed: ParsedQuery, k: int, fq=None,
                 after=None) -> list:
-        """The top ``k`` ``(doc_id, score)`` hits by (-score, doc_id),
-        after the ``after`` cursor when given; without one, elevated docs
-        lead in editorial order and the organic ranking follows.  A flat
-        scored query takes the TAAT top-k (and its single-phrase
-        pruning) directly."""
-        pins = self._pins(parsed.source) if after is None else ()
-        if not len(pins) and parsed.tree is None \
-                and parsed.scoring_clauses:
-            postings = self._term_postings(parsed)
-            excluded = self._exclusions(parsed, fq)
-            return self._score_taat(parsed, postings, excluded, k, after)
+        """The top ``k`` ``(doc_id, score)`` hits by (-score, doc_id) of
+        :meth:`_match`'s set, after the ``after`` cursor when given;
+        without one, elevated docs lead in editorial order and the
+        organic ranking follows."""
         ids, scores = self._match(parsed, fq, after)
+        pins = self._pins(parsed.source) if after is None else ()
         if not len(pins):
             return _select_topk(ids, scores, k)
         pinned = np.isin(ids, pins)
@@ -3075,22 +3067,17 @@ class SearchEngine:
         head = [(d, organic[d]) for d in pins.tolist()]
         return (head + _select_topk(ids[~pinned], scores[~pinned], k))[:k]
 
-    def _apply_mm(self, parsed: ParsedQuery, query: str, mm) -> None:
-        """Resolve + attach Solr ``mm`` to a freshly-parsed query.
+    def _apply_mm(self, parsed: ParsedQuery, mm) -> None:
+        """Resolve + attach Solr ``mm`` to a freshly-parsed flat query.
 
         ``mm`` governs the OPTIONAL clauses of a dismax main query; with
         ``AND`` every clause is already required and Solr's lucene parser
-        ignores ``mm``, so both are rejected explicitly here instead of
+        ignores ``mm``, so it is rejected explicitly here instead of
         silently doing nothing."""
         if parsed.conjunctive:
             raise ValueError(
                 "mm applies to optional (OR) clauses; AND already "
                 "requires every clause"
-            )
-        if has_group_syntax(query or ""):
-            raise ValueError(
-                "mm is a dismax/edismax parameter; grouped boolean "
-                "queries express their own required counts"
             )
         parsed.min_should = resolve_min_should_match(
             mm, parsed.scoring_clauses
@@ -3212,27 +3199,30 @@ class SearchEngine:
         (``<em>`` Solr defaults); multiple snippets join with ``" … "``.
         Matching is case-insensitive on the raw stored content; docs
         with no literal occurrence (e.g. matched via
-        identifier-splitting) get null."""
-        import re
-
+        identifier-splitting) get null.  A grouped boolean query
+        highlights the clauses of its tree outside negated subtrees."""
         opts = opts if isinstance(opts, dict) else {}
         fragsize = max(1, int(opts.get("fragsize", 160)))
         n_snip = max(1, int(opts.get("snippets", 1)))
         pre = str(opts.get("pre", "<em>"))
         post = str(opts.get("post", "</em>"))
 
-        words = set(parsed.terms) | {
-            w for ph in parsed.phrases for w in ph
-        } | {
-            w for ph, _ in parsed.near_phrases for w in ph
-        } | set(parsed.prefixes)
-        for word, edits in parsed.fuzzies:  # expansion terms highlight
-            words.update(self.expand_fuzzy(word, edits))
+        leaves = [parsed] if parsed.tree is None \
+            else _positive_leaves(parsed.tree)
+        words, prefixes, wildcards = set(), set(), []
+        for leaf in leaves:
+            words.update(leaf.terms)
+            words.update(w for ph in leaf.phrases for w in ph)
+            words.update(w for ph, _ in leaf.near_phrases for w in ph)
+            prefixes.update(leaf.prefixes)
+            for word, edits in leaf.fuzzies:  # expansion terms highlight
+                words.update(self.expand_fuzzy(word, edits))
+            wildcards += leaf.wildcards
         alts = [
-            re.escape(w) + (r"\w*" if w in parsed.prefixes else "")
-            for w in sorted(words, key=len, reverse=True)
+            re.escape(w) + (r"\w*" if w in prefixes else "")
+            for w in sorted(words | prefixes, key=len, reverse=True)
         ]
-        for wc in parsed.wildcards:  # * -> \w*, ? -> \w
+        for wc in wildcards:  # * -> \w*, ? -> \w
             if wc.startswith("/") and wc.endswith("/") and len(wc) > 2:
                 try:  # regex clause: highlight the pattern itself
                     re.compile(wc[1:-1])
@@ -3703,166 +3693,6 @@ class SearchEngine:
             scores[docs] += (w * boost) * self.scoring.impact(
                 freqs.astype(np.float64), K
             )
-
-    def _score_taat(self, parsed, postings, excluded, k, after=None):
-        pruned = self._score_phrase_pruned(parsed, excluded, k, after)
-        if pruned is not None:
-            return pruned
-        cand, s = self._match_score_arrays(parsed, postings, excluded)
-        if after is not None:
-            cand, s = _after_cursor(cand, s, after)
-        return _select_topk(cand, s, k)
-
-    def _score_phrase_pruned(self, parsed, excluded, k, after=None):
-        """Exact top-k for a PURE single-phrase / single-proximity query
-        without decoding positions for most candidates.
-
-        The score of a phrase match is ``w · impact(phrase_tf, K)`` and
-        ``impact`` is nondecreasing in tf (``ScoringModel`` contract), so
-        each candidate doc in the member-term conjunction has a sound
-        upper bound from data already decoded: ``phrase_tf ≤ min(member
-        tfs)`` (every distinct phrase start consumes a distinct position
-        of every member slot) and ``near_tf ≤ tf(first term)`` (match
-        starts are distinct first-term positions; later positions CAN be
-        shared between chains, so the min is NOT a near bound).
-        Candidates verify positions in descending-UB chunks; iteration
-        stops when the running k-th score strictly beats the next chunk's
-        best bound — a remaining doc can then at best tie a kept score
-        while every kept doc with that score stays, so the (-score,
-        doc_id) ranking is bit-identical to the unpruned path (tested
-        A/B).  Returns None when the query shape doesn't qualify (the
-        caller falls through to the dense TAAT scorer).
-        """
-        if (
-            k <= 0
-            or parsed.min_should > 1 or parsed.terms or parsed.prefixes
-            or parsed.wildcards or parsed.fuzzies or parsed.field_terms
-            or parsed.field_phrases or parsed.dismax
-            or parsed.boost_phrases or parsed.boost_funcs
-            or parsed.mult_funcs or parsed.boost_queries
-            or len(parsed.phrases) + len(parsed.near_phrases) != 1
-            or not getattr(type(self.scoring),
-                           "impact_monotone_in_tf", False)
-        ):
-            return None
-        if parsed.phrases:
-            phrase = list(parsed.phrases[0])
-            slop = None
-            boost = parsed.phrase_boosts.get(tuple(phrase))
-        else:
-            near = parsed.near_phrases[0]
-            phrase = list(near[0])
-            slop = int(near[1])
-            boost = parsed.near_boosts.get(near)
-
-        def exact(docs, freqs, w):
-            """The top k of docs whose phrase freqs are known exactly."""
-            if excluded is not None and docs.size:
-                m = ~excluded[docs]
-                docs, freqs = docs[m], freqs[m]
-            if docs.size == 0:
-                return []
-            sc = w * self.scoring.impact(
-                freqs.astype(np.float64), self._norm_factor(self.norms[docs])
-            )
-            if after is not None:
-                docs, sc = _after_cursor(docs, sc, after)
-            return _select_topk(docs, sc, k)
-
-        if slop is None and self.has_bigrams and (
-            _bigram_postings_key(phrase, self.bigram_first) is not None
-            or (self.has_positions
-                and _bigram_chain_keys(phrase, self.bigram_first)
-                is not None)
-        ):
-            # next-word index: exact match set + freqs from one postings
-            # lookup (2 terms) or the pair-stream chain matcher (3+) —
-            # no upper bounds, no chunked verification needed
-            docs, freqs, w = self.eval_phrase(phrase)
-            return exact(docs, freqs, w if boost is None else w * boost)
-        postings = self.lookup_postings(phrase, with_positions=True)
-        if any(t not in postings for t in phrase):
-            return []
-        w = float(sum(self.idf(self._df(t, postings[t].df))
-                        for t in phrase))
-        if boost is not None:
-            w *= boost
-        # global-key matchers: exact freqs for every matching doc from
-        # cached per-term key streams — cheaper than chunked UB
-        # verification (no gather / argsort), so score-and-select
-        # directly like the bigram branch
-        out = (self._phrase_match_keys(phrase, postings) if slop is None
-               else self._near_match_keys(phrase, slop, postings))
-        if out is not None:
-            return exact(*out, w)
-        # int64 key overflow (enormous doc space · doc length): fall back
-        # to per-candidate segments with chunked upper-bound verification
-        uniq = list(dict.fromkeys(phrase))
-        docs = postings[uniq[0]].doc_ids
-        for t in uniq[1:]:
-            docs = _sorted_intersect(docs, postings[t].doc_ids)
-            if docs.size == 0:
-                return []
-        if excluded is not None:
-            docs = docs[~excluded[docs]]
-            if docs.size == 0:
-                return []
-        ti = {}
-        ub_tf = None
-        for t in uniq:
-            tp = postings[t]
-            idx = np.searchsorted(tp.doc_ids, docs)
-            ti[t] = idx
-            tfs = tp.tfs[idx]
-            if slop is None:
-                ub_tf = tfs if ub_tf is None else np.minimum(ub_tf, tfs)
-            elif t == phrase[0]:
-                ub_tf = tfs
-        ub = w * self.scoring.impact(
-            ub_tf.astype(np.float64), self._norm_factor(self.norms[docs])
-        )
-        order = np.argsort(-ub, kind="stable")
-        kept_docs = np.empty(0, np.int64)
-        kept_scores = np.empty(0, np.float64)
-        chunk = max(32 * k, 4096)
-        pos = 0
-        n = docs.size
-        while pos < n:
-            if kept_docs.size >= k:
-                kth = -np.partition(-kept_scores, k - 1)[k - 1]
-                if ub[order[pos]] < kth:
-                    break
-                # compact: anything strictly under the k-th score can
-                # never be selected (boundary ties keep every equal)
-                keep = kept_scores >= kth
-                kept_docs, kept_scores = kept_docs[keep], kept_scores[keep]
-            take = order[pos:pos + chunk]
-            pos += take.size
-            chunk *= 4
-            take.sort()  # docs[take] ascending — the matcher's contract
-            sub_docs = docs[take]
-            segments = {}
-            for t in uniq:
-                tp = postings[t]
-                sub_ti = ti[t][take]
-                lengths = tp.tfs[sub_ti]
-                segments[t] = (tp.positions_for(sub_ti, lengths), lengths)
-            if slop is None:
-                out_docs, freqs = _phrase_freqs(sub_docs, segments, phrase)
-            else:
-                out_docs, freqs = _near_freqs(sub_docs, segments, phrase,
-                                              slop)
-            if out_docs.size == 0:
-                continue
-            sc = w * self.scoring.impact(
-                freqs.astype(np.float64),
-                self._norm_factor(self.norms[out_docs]),
-            )
-            if after is not None:
-                out_docs, sc = _after_cursor(out_docs, sc, after)
-            kept_docs = np.concatenate([kept_docs, out_docs])
-            kept_scores = np.concatenate([kept_scores, sc])
-        return _select_topk(kept_docs, kept_scores, k)
 
     def _match_score_arrays(self, parsed, postings, excluded):
         """The TAAT scorer up to (but not including) the top-k cut:
@@ -5649,6 +5479,7 @@ class SearchEngine:
         ``store_content=True`` (the term vector is re-derived from the
         stored body with the pinned analyzer).
         """
+        _check_page(k)
         if not self.stats.get("store_content"):
             raise ValueError(
                 "more_like_this needs stored content; rebuild with "
@@ -5679,12 +5510,11 @@ class SearchEngine:
         if not sel:
             return self._resolve([], fl)
         postings = self.lookup_postings(sel)
-        parsed = ParsedQuery(terms=sel)
-        hits = self._score_taat(
-            parsed, {t: postings[t] for t in sel},
-            self._exclusions(parsed), k + 1,
-        )
-        hits = [(d, s) for d, s in hits if d != doc_id][:k]
+        ids, scores = self._match_score_arrays(
+            ParsedQuery(terms=sel), {t: postings[t] for t in sel},
+            self._dead_mask())
+        hits = [(d, s) for d, s in _select_topk(ids, scores, k + 1)
+                if d != doc_id][:k]
         return self._resolve(hits, fl)
 
     def get(self, doc_id: int, fl=None) -> dict | None:
@@ -6755,6 +6585,7 @@ def rerank_partitioned(index_dir: str, query: str, rerank_query: str,
     ``SearchEngine.rerank_search`` (tested)."""
     if rerank_docs < 1:
         raise ValueError("rerank_docs must be >= 1")
+    _check_page(k)
     n = max(int(rerank_docs), k)
     main = search_partitioned(index_dir, query, k=n, fq=fq)
     ids = main["doc_id"].to_pylist()

@@ -32,9 +32,12 @@ SHAPES = {
     "pure_filter": "lang:python",
     "directive": "{!join from=repo to=repo}lang:go",
     "elevated": "read merge",
+    # adjacent pairs of the fixture corpus (82 and 83 matching docs)
+    "phrase": '"buffer group"',
+    "near": '"count parse"~2',
 }
 ORACLE_SHAPES = ("flat_or", "flat_and", "flat_zero", "match_all",
-                 "pure_filter")
+                 "pure_filter", "phrase", "near")
 RERANK_Q = "(merge OR buffer) -zzzz"
 COLLAPSE = ["{!collapse field=lang}"]
 
@@ -47,7 +50,7 @@ def corpus_index(tmp_path_factory):
     pq.write_table(corpus, str(d / "docs.parquet"), row_group_size=60)
     idx = str(d / "idx")
     build_index(str(d / "docs.parquet"), idx,
-                config=IndexConfig(docs_per_range=64))
+                config=IndexConfig(docs_per_range=64, store_positions=True))
     return corpus, idx
 
 

@@ -22,6 +22,7 @@ from solr_indexer_ray.pipelines.search import (
     _nbytes,
     collapse_partitioned,
     group_partitioned,
+    rerank_partitioned,
     search_partitioned,
     sorted_partitioned,
 )
@@ -277,11 +278,26 @@ def test_negative_k_rejected_distributed(cidx):
         search_partitioned(cidx, "def read", k=-1)
     with pytest.raises(ValueError, match="k must be >= 0"):
         sorted_partitioned(cidx, "def", "doclen desc", k=-1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        rerank_partitioned(cidx, "def read", "merge", k=-1)
+    assert rerank_partitioned(cidx, "def read", "merge", k=0).num_rows == 0
     with PartitionedSearchService(cidx, pool=1) as svc:
         with pytest.raises(ValueError, match="k must be >= 0"):
             svc.search("def read", k=-1)
         assert svc.search("def read", k=0).num_rows == 0
     assert SearchEngine(cidx).search("def read", k=0).num_rows == 0
+
+
+def test_negative_k_rejected_more_like_this(tmp_path, ray_session):
+    corpus = generate_corpus(60, seed=5, mean_tokens=40)
+    pq.write_table(corpus, str(tmp_path / "c.parquet"))
+    build_index(str(tmp_path / "c.parquet"), str(tmp_path / "idx"),
+                config=IndexConfig(store_content=True))
+    eng = SearchEngine(str(tmp_path / "idx"))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        eng.more_like_this(3, k=-1, min_doc_freq=1)
+    assert eng.more_like_this(3, k=0, min_doc_freq=1).num_rows == 0
+    assert eng.more_like_this(3, k=5, min_doc_freq=1).num_rows == 5
 
 
 @pytest.mark.parametrize("k", [-1, -3])

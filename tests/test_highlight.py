@@ -2,6 +2,7 @@
 ``hl``: fl=content retrieval, <em>-wrapped best-effort snippets, pinned
 across extensions, rejected on indexes without stored content."""
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -121,3 +122,44 @@ def test_hl_fragments_disjoint_and_cover_match(cidx):
         # disjoint: total highlighted text never repeats a doc position
         # (fragments were cut from non-overlapping windows, so joining
         # them can't exceed the doc length)
+
+
+@pytest.fixture(scope="module")
+def tiny_idx(tmp_path_factory, ray_session):
+    """Five hand-written docs; ``betamax`` holds ``beta`` as a substring
+    but not as a token, so a highlight of ``beta`` shows on it."""
+    d = tmp_path_factory.mktemp("hlgroup")
+    content = [
+        "def main is not fine",
+        "read the betamax gamma notes",
+        "the parser runs fast",
+        "def index builds here",
+        "alpha beta gamma",
+    ]
+    n = len(content)
+    corpus = pa.table({
+        "repo": ["org/r"] * n, "path": [f"f{i}.py" for i in range(n)],
+        "commit": ["c"] * n, "lang": ["python"] * n, "content": content,
+    })
+    pq.write_table(corpus, str(d / "c.parquet"))
+    build_index(str(d / "c.parquet"), str(d / "idx"), config=CFG)
+    return str(d / "idx")
+
+
+@pytest.mark.parametrize("query, want", [
+    # the operator NOT is no word of the query
+    ("(def OR read) AND NOT zzz",
+     {0: "<em>def</em> main is not fine",
+      1: "<em>read</em> the betamax gamma notes",
+      3: "<em>def</em> index builds here"}),
+    # a negated subtree highlights nothing
+    ("-(alpha beta) AND gamma",
+     {1: "read the betamax <em>gamma</em> notes"}),
+    # a prefix leaf of a group highlights its expansions
+    ('("def index" OR pars*)',
+     {2: "the <em>parser</em> runs fast",
+      3: "<em>def</em> <em>index</em> builds here"}),
+])
+def test_grouped_query_highlights_its_tree(tiny_idx, query, want):
+    t = SearchEngine(tiny_idx).search(query, k=10, fl=["doc_id"], hl=True)
+    assert dict(zip(t["doc_id"].to_pylist(), t["hl"].to_pylist())) == want

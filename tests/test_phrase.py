@@ -436,112 +436,103 @@ class TestPhraseFields:
 
 
 class TestPrunedPhraseTopk:
-    """The single-phrase/near UB-pruned top-k (``_score_phrase_pruned``)
-    must be bit-identical to the dense TAAT path it short-circuits.
+    """Ranked phrase and proximity top-k equal ``BruteForceBM25`` with
+    ``==`` on every score: the ranked collector scores every match of the
+    one match set, so no shape depends on a score bound or on the
+    scoring model's monotonicity in tf."""
 
-    The pruner's soundness argument: ``impact`` is nondecreasing in tf,
-    phrase tf <= min(member tfs), near tf <= tf(first term); iteration
-    stops only when the k-th kept score STRICTLY beats the best remaining
-    upper bound, so boundary ties resolve exactly like ``_select_topk``.
-    """
-
-    def _both(self, idx, q, **kw):
-        from solr_indexer_ray.pipelines import search as S
-
-        eng = SearchEngine(idx)
-        a = eng.search(q, k=kw.pop("k", 10), fl=["doc_id"], **kw)
-        assert S.ScoringModel.impact_monotone_in_tf
-        S.ScoringModel.impact_monotone_in_tf = False
-        try:
-            eng2 = SearchEngine(idx)
-            b = eng2.search(q, k=a.num_rows or 10, fl=["doc_id"], **kw)
-        finally:
-            S.ScoringModel.impact_monotone_in_tf = True
-        return a, b
+    def _assert_oracle(self, eng, oracle, q, k, oq=None, **kw):
+        got = eng.search(q, k=k, fl=["doc_id"], **kw)
+        want = oracle.search(oq or q, k=k)
+        assert want, q
+        assert got["doc_id"].to_pylist() == [d for d, _ in want], q
+        assert got["score"].to_pylist() == [s for _, s in want], q
 
     def test_bit_identical_pure_phrases(self, pos_index):
         idx, corpus, _ = pos_index
         oracle = BruteForceBM25(corpus)
-        for q in _phrase_queries(oracle):
+        eng = SearchEngine(idx)
+        for q in _phrase_queries(oracle)[:-1]:  # the last matches nothing
             for k in (3, 10, 200):
-                a, b = self._both(idx, q, k=k)
-                assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), q
-                assert a["score"].to_pylist() == b["score"].to_pylist(), q
+                self._assert_oracle(eng, oracle, q, k)
 
     def test_bit_identical_near(self, pos_index):
         idx, corpus, _ = pos_index
         oracle = BruteForceBM25(corpus)
+        eng = SearchEngine(idx)
         t = oracle.tokens[3]
         for q in (f'"{t[5]} {t[7]}"~3', f'"{t[2]} {t[5]}"~5^2.5',
                   '"the read"~1'):
-            a, b = self._both(idx, q, k=25)
-            assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), q
-            assert a["score"].to_pylist() == b["score"].to_pylist(), q
+            self._assert_oracle(eng, oracle, q, 25)
 
     def test_bit_identical_with_filters_and_boost(self, pos_index):
         idx, corpus, _ = pos_index
         oracle = BruteForceBM25(corpus)
-        base = _phrase_queries(oracle)[0]
-        for q, kw in [
-            (f"lang:python {base}", {}),
-            (f"-lang:go {base}^3", {}),
-            (base, dict(fq=["lang:python"])),
-        ]:
-            a, b = self._both(idx, q, **kw)
-            assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), q
-            assert a["score"].to_pylist() == b["score"].to_pylist(), q
+        eng = SearchEngine(idx)
+        base = _phrase_queries(oracle)[1]  # hits in python and go docs
+        self._assert_oracle(eng, oracle, f"lang:python {base}", 10)
+        self._assert_oracle(eng, oracle, f"-lang:go {base}^3", 10)
+        # an fq restricts like an in-query filter, without scoring
+        self._assert_oracle(eng, oracle, base, 10,
+                            oq=f"lang:python {base}", fq=["lang:python"])
 
     def test_bit_identical_cursor_paging(self, pos_index):
         idx, corpus, _ = pos_index
         oracle = BruteForceBM25(corpus)
         eng = SearchEngine(idx)
         for q in _phrase_queries(oracle):
-            allr = eng.search(q, k=eng.n_docs, fl=["doc_id"])
-            if allr.num_rows >= 6:
+            want = oracle.search(q, k=eng.n_docs)
+            if len(want) >= 6:
                 break
         else:
             pytest.skip("no phrase with enough hits for paging")
         first = eng.search(q, k=3, fl=["doc_id"])
         cur = (first["score"][-1].as_py(), first["doc_id"][-1].as_py())
-        a, b = self._both(idx, q, search_after=cur, k=3)
-        assert a["doc_id"].to_pylist() == allr["doc_id"].to_pylist()[3:6]
-        assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
-        assert a["score"].to_pylist() == b["score"].to_pylist()
+        page = eng.search(q, k=3, fl=["doc_id"], search_after=cur)
+        assert list(zip(page["doc_id"].to_pylist(),
+                        page["score"].to_pylist())) == want[3:6]
 
-    def test_mixed_clause_queries_do_not_prune(self, pos_index):
-        """Shapes outside the pure single-clause form must return None
-        from the pruner (and thus score dense TAAT)."""
-        from solr_indexer_ray.pipelines.search import SearchEngine as SE
-
+    def test_mixed_clause_queries_vs_oracle(self, pos_index):
         idx, corpus, _ = pos_index
         oracle = BruteForceBM25(corpus)
+        eng = SearchEngine(idx)
         base = _phrase_queries(oracle)[0]
-        eng = SE(idx)
         for q in (f"{base} read", f"{base} {base}", "read parse"):
-            parsed = eng._parse(q)
-            assert eng._score_phrase_pruned(parsed, None, 10) is None, q
+            self._assert_oracle(eng, oracle, q, 10)
 
-    def test_non_monotone_scorer_falls_back(self, pos_index):
-        """A custom model that declares a non-monotone impact must skip
-        the pruner and still score correctly through dense TAAT."""
+    def test_non_monotone_scorer_ranks_exactly(self, pos_index):
+        """A registered model whose impact DECREASES in tf ranks every
+        phrase match by its own exact score."""
         from solr_indexer_ray.pipelines import search as S
 
         idx, corpus, _ = pos_index
         oracle = BruteForceBM25(corpus)
-        q = _phrase_queries(oracle)[0]
 
         class Weird(S.ScoringModel):
             name = "weird-nonmono"
-            impact_monotone_in_tf = False
+
+            def impact(self, tf, K):
+                return K / (tf + K)
 
         S.register_scoring_model("weird-nonmono", Weird)
-        eng = SearchEngine(idx)
-        eng.scoring = Weird()
-        parsed = eng._parse(q)
-        assert eng._score_phrase_pruned(parsed, None, 10) is None
-        # bm25 default still prunes
-        eng.scoring = S.ScoringModel()
-        assert eng._score_phrase_pruned(parsed, None, 10) is not None
+        eng = SearchEngine(idx, scoring="weird-nonmono")
+        K = oracle.k1 * (1.0 - oracle.b
+                         + oracle.b * oracle.dl_decoded / oracle.avgdl)
+        repeats = 0  # matches whose phrase tf > 1
+        for q in [_phrase_queries(oracle)[i] for i in (1, 2, 3, 8)]:
+            phrase = q.strip('"').split()
+            w = sum(oracle.idf(t) for t in phrase)
+            freqs = {i: oracle.phrase_freq(i, phrase)
+                     for i in range(oracle.n_docs)}
+            want = sorted(
+                ((oracle.doc_ids[i], w * (K[i] / (f + K[i])))
+                 for i, f in freqs.items() if f),
+                key=lambda h: (-h[1], h[0]))[:10]
+            repeats += sum(f > 1 for f in freqs.values())
+            got = eng.search(q, k=10, fl=["doc_id"])
+            assert list(zip(got["doc_id"].to_pylist(),
+                            got["score"].to_pylist())) == want, q
+        assert repeats
 
 
 class TestGlobalKeyMatcher:
@@ -618,6 +609,33 @@ class TestGlobalKeyMatcher:
         ref = eng._phrase_match_segments(phrase, postings)
         assert np.array_equal(docs, ref[0])
         assert np.array_equal(freqs, ref[1])
+
+    def test_ranked_search_on_overflow(self, pos_index, monkeypatch):
+        """When int64 position keys would overflow (``_phrase_stride``
+        returns None), ranked phrase and proximity searches run on the
+        segment matchers and answer exactly as the key path does."""
+        idx, corpus, _ = pos_index
+        tokens = BruteForceBM25(corpus).tokens
+        t = tokens[3]
+        qs = [f'"{t[5]} {t[6]}"', f'"{tokens[17][2]} {tokens[17][3]}"',
+              f'"{tokens[8][0]} {tokens[8][1]} {tokens[8][2]}"', '"the the"',
+              f'"{t[5]} {t[7]}"~3', f'"{t[2]} {t[5]} {t[9]}"~6',
+              '"the read"~1', f'"{t[2]} {t[5]}"~5^2.5 read']
+        want = {q: SearchEngine(idx).search(q, k=20, fl=["doc_id"])
+                for q in qs}
+        assert all(want[q].num_rows for q in qs)
+        segments = []
+        real = SearchEngine._candidate_segments
+        monkeypatch.setattr(SearchEngine, "_phrase_stride",
+                            lambda self, tps, margin: None)
+        monkeypatch.setattr(SearchEngine, "_candidate_segments", staticmethod(
+            lambda terms, postings: segments.append(terms)
+            or real(terms, postings)))
+        eng = SearchEngine(idx)
+        for q in qs:
+            segments.clear()
+            assert eng.search(q, k=20, fl=["doc_id"]).equals(want[q]), q
+            assert segments, q
 
 
 def test_near2_keys_fuzz_vs_segment_matcher():
