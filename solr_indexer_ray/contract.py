@@ -2991,11 +2991,10 @@ def q_synonym_topk(sf_dir: str):
 def q_delete_by_query_remaining(sf_dir: str):
     """Tombstone delete-by-query (S9): doc ids remaining after deleting
     every doc matching 'spark'."""
-    from solr_indexer_ray.pipelines.mutate import match_ids
     from solr_indexer_ray.pipelines.search import SearchEngine
 
     engine = SearchEngine(_bm25_index(sf_dir))
-    dead = set(match_ids(engine, "spark").tolist())
+    dead = set(engine.match_ids("spark").tolist())
     alive = [d for d in range(engine.n_docs) if d not in dead]
     return pa.table({"doc_id": pa.array(alive, pa.int64())})
 

@@ -349,7 +349,12 @@ def _tokenize_block_arrow(texts, analyzer_name: str):
     An ASCII block is cut into word runs (:func:`_tokenize_runs`) and the
     byte kernel tokenizes each distinct run once; a non-ASCII block runs
     Arrow RE2 kernels (replaces, utf8_lower, regex split, dictionary
-    encode), whose unicode lowering matches the per-row analyzers.
+    encode).  Each analyzer maps some characters first, so the block
+    tokenizes as the per-row analyzer does: ``code_analyzer`` finds ASCII
+    identifiers before it lowers, so every non-ASCII character is a
+    separator (U+212A would otherwise lower to ``k``); ``str.lower``
+    turns U+0130 into ``i`` plus the non-ASCII U+0307, where
+    ``utf8_lower`` gives a bare ``i``.
     """
     import numpy as np
     import pyarrow as pa
@@ -362,10 +367,14 @@ def _tokenize_block_arrow(texts, analyzer_name: str):
         return _tokenize_runs(data, base, offs, buf, analyzer_name)
     arr = pc.fill_null(texts, "")
     if analyzer_name == "code":
+        arr = pc.replace_substring_regex(arr, pattern="[^\\x00-\\x7f]",
+                                         replacement=" ")
         for pat, repl in _CODE_PREPASS:
             arr = pc.replace_substring_regex(
                 arr, pattern=pat, replacement=repl
             )
+    else:
+        arr = pc.replace_substring(arr, pattern="\u0130", replacement="i ")
     arr = pc.utf8_lower(arr)
     lists = pc.split_pattern_regex(arr, pattern="[^a-z0-9]+")
     if isinstance(lists, pa.ChunkedArray):

@@ -98,17 +98,10 @@ def delete_by_id(index_dir: str, doc_ids) -> dict:
     }
 
 
-def match_ids(engine: SearchEngine, query: str) -> np.ndarray:
-    """ALL doc ids matching a query (no top-k) — used by delete-by-query.
-    Full clause semantics (terms/phrases/prefixes/filters) live on the
-    engine; kept as a module function for back-compat."""
-    return engine.match_ids(query)
-
-
 def delete_by_query(index_dir: str, query: str) -> dict:
     """Search-then-delete (reference: ``solrindexer/search.py:306-328``)."""
     engine = SearchEngine(index_dir)
-    ids = match_ids(engine, query)
+    ids = engine.match_ids(query)
     tombs = read_tombstones(index_dir)
     tombs |= set(int(i) for i in ids)
     _write_tombstones(index_dir, tombs)

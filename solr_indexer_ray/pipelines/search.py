@@ -3269,83 +3269,20 @@ class SearchEngine:
     def _sorted_hits(self, parsed: ParsedQuery, sort: str, n: int,
                      fq=None) -> list:
         """The first ``n`` ``(doc_id, score)`` hits of the match set in
-        Solr ``sort=f1 desc, f2 asc`` order (``score`` is the relevance
-        score, other keys read the docs' stored values; ascending doc id
-        breaks the last tie, missing values sort last).  At cluster scale
-        this is a per-range top-n + k-way merge
-        (:func:`sorted_partitioned`)."""
+        Solr ``sort=f1 desc, f2 asc`` order (:func:`_sort_top`).  At
+        cluster scale each range runs this and the driver merges with the
+        same kernel (:func:`sorted_partitioned`)."""
         keys = _sort_keys(sort, self.stored_fields)
         doc_ids, scores = self._match(parsed, fq)
-        if doc_ids.size == 0:
-            return []
-        if len(keys) == 1:
-            # single-key numeric sort: O(n) partition top-n with doc-id
-            # tie resolution instead of a full mergesort of the match
-            # set (the common browse shape — n ≪ matches)
-            f, asc = keys[0]
-            col = (scores if f == "score"
-                   else doc_ids if f == "doc_id"
-                   else self._dense_field(f))
-            # dtype inspected BEFORE any gather so non-numeric sorts
-            # (dates, strings) don't pay a wasted match-set gather
-            if getattr(col, "dtype", None) is not None \
-                    and col.dtype.kind in "bif":
-                vals = col if col is scores or col is doc_ids \
-                    else col[doc_ids]
-                # int keys stay int64 (no 2^53 float precision loss);
-                # uint is excluded (order reversal would wrap)
-                key = np.asarray(
-                    vals,
-                    dtype=np.float64 if vals.dtype.kind == "f"
-                    else np.int64,
-                )
-                if not asc:
-                    # ints reverse via bitwise NOT (monotone decreasing,
-                    # int64 min safe); floats via negation
-                    key = -key if key.dtype.kind == "f" else ~key
-                nan = (np.isnan(key) if key.dtype.kind == "f"
-                       else np.zeros(key.size, dtype=bool))
-                cand = np.flatnonzero(~nan)
-                sel = np.empty(0, np.int64)
-                if cand.size and n:
-                    if cand.size > n:
-                        part = cand[np.argpartition(key[cand],
-                                                    n - 1)[:n]]
-                        kv = key[part].max()
-                        strict = cand[key[cand] < kv]
-                        ties = cand[key[cand] == kv]
-                        ties = ties[np.argsort(doc_ids[ties],
-                                               kind="stable")]
-                        head = strict[np.lexsort((doc_ids[strict],
-                                                  key[strict]))]
-                        sel = np.concatenate(
-                            [head, ties[:n - head.size]]
-                        )
-                    else:
-                        sel = cand[np.lexsort((doc_ids[cand], key[cand]))]
-                if sel.size < n and nan.any():
-                    # missing values last (sortMissingLast), id ascending
-                    tail = np.flatnonzero(nan)
-                    tail = tail[np.argsort(doc_ids[tail], kind="stable")]
-                    sel = np.concatenate([sel, tail[:n - sel.size]])
-                return list(zip(doc_ids[sel].tolist(),
-                                scores[sel].tolist()))
-        import pandas as pd
+        sel = _sort_top(keys, doc_ids, scores,
+                        self._sort_values(keys, doc_ids), n)
+        return list(zip(doc_ids[sel].tolist(), scores[sel].tolist()))
 
-        df = pd.DataFrame({"doc_id": doc_ids, "score": scores})
-        for f in {f for f, _ in keys if f not in ("score", "doc_id")}:
-            # cached dense per-doc column (docValues analogue): one
-            # gather per query instead of a hash join
-            df[f] = self._dense_field(f)[doc_ids]
-        # vectorized multi-key sort; NaN/None always last (Solr
-        # sortMissingLast-ish), ascending doc_id as the final tie-break
-        df = df.sort_values(
-            [f for f, _ in keys] + ["doc_id"],
-            ascending=[asc for _, asc in keys] + [True],
-            kind="mergesort",
-            na_position="last",
-        ).head(n)
-        return list(zip(df["doc_id"].tolist(), df["score"].tolist()))
+    def _sort_values(self, keys, doc_ids) -> dict:
+        """The stored sort keys' values of ``doc_ids``: a gather from the
+        cached dense per-doc column (docValues analogue), no join."""
+        return {f: self._dense_field(f)[doc_ids] for f, _ in keys
+                if f not in ("score", "doc_id")}
 
     def _match_all(self, excluded) -> np.ndarray:
         """Sorted ids of the docs rows ``excluded`` leaves — the matches
@@ -5772,24 +5709,31 @@ def _merge_top(parts, k: int, keys=("doc_id",)) -> pa.Table:
 
 
 def _merge_hits(parts, k: int, fq=None) -> pa.Table:
-    """The top ``k`` of per-range top-k hit tables over disjoint doc
-    ranges: :func:`_merge_top`, or, under a ``{!collapse}`` fq, the best
-    head per group.  A group of the global top k has its head among its
-    own range's top-k heads, so collapsing the ranges' heads again equals
-    collapsing the whole match set.  Collapsed tables keep the field."""
+    """The top ``k`` of the ranges' :func:`_range_search` parts over
+    disjoint doc ranges: :func:`_merge_top`, or, under a ``{!collapse}``
+    fq, :func:`_merge_groups` of the ranges' top-k heads.  A group of the
+    global top k has its head among its own range's top-k heads, so
+    collapsing the ranges' heads again equals collapsing the whole match
+    set."""
     _, collapse = _extract_collapse_fq(fq)
     if collapse is None:
         return _merge_top(parts, k)
-    import pandas as pd
+    return _merge_groups(parts, k, collapse[1])
 
-    field, null_policy = collapse
-    df = pd.concat([p.select(["doc_id", "score", field]).to_pandas()
-                    for p in parts], ignore_index=True)
-    heads = _collapse_frame(df, field, k, null_policy, 0, None)
-    return pa.Table.from_pandas(
-        df.set_index("doc_id").loc[heads["doc_id"].to_numpy()]
-        .reset_index(), preserve_index=False,
-    )
+
+def _merge_groups(parts, k: int, null_policy: str,
+                  expand_limit: int = 0) -> pa.Table:
+    """:func:`_collapse_codes` over the ranges' collapse rows, coded by
+    their group labels (null: the null group): the driver half of
+    distributed grouping and collapsing.  The parts hold every row a
+    group's global head or expanded members can come from, with scores
+    already rounded as the ranges rank them."""
+    t = pa.concat_tables(parts)
+    enc = pc.dictionary_encode(t["group"].combine_chunks())
+    return _collapse_codes(
+        t["doc_id"].to_numpy(), t["score"].to_numpy(),
+        enc.indices.fill_null(-1).to_numpy().astype(np.int64),
+        enc.dictionary.to_pylist(), k, null_policy, expand_limit, None)
 
 
 def search_sharded(index_dirs, query: str, k: int = 10,
@@ -5809,13 +5753,7 @@ def search_sharded(index_dirs, query: str, k: int = 10,
     query the engine's ranked path scores works, ``qf``/``tie`` dismax
     included; ``fq`` applies per shard (Solr evaluates filter queries on
     every shard); ties break by (shard, doc_id) ascending.
-    Parenthesized boolean grouping is not federated yet.
     """
-    if has_group_syntax(query or ""):
-        raise ValueError(
-            "grouped boolean queries are not supported across shard "
-            "federation yet; query each shard's engine directly"
-        )
     peers = [SearchEngine(d) for d in index_dirs]
     pins = {
         (e.stats.get("analyzer_default"),
@@ -5868,6 +5806,9 @@ def export_matches(index_dir: str, query: str, dest: str, fl=None,
     import ray.data as rd
 
     engine = SearchEngine(index_dir)
+    keys = _sort_keys(sort, engine.stored_fields) if sort else []
+    if any(f == "score" for f, _ in keys):
+        raise ValueError("the export has no scores to sort on")
     ids = engine._filtered_match_ids(query, fq)
     mask = np.zeros(engine.doc_space, dtype=bool)
     mask[ids] = True
@@ -5882,18 +5823,9 @@ def export_matches(index_dir: str, query: str, dest: str, fl=None,
         BuildManifest(engine.index_dir).committed_paths("docs", engine.stats),
         columns=columns,
     ).map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-    if sort:
-        keys, desc = [], []
-        for part in sort.split(","):
-            toks = part.split()
-            if not toks:
-                continue
-            keys.append(toks[0])
-            order = toks[1].lower() if len(toks) > 1 else "asc"
-            if order not in ("asc", "desc"):
-                raise ValueError(f"bad sort direction in {sort!r}")
-            desc.append(order == "desc")
-        ds = ds.sort(keys, descending=desc)
+    if keys:
+        ds = ds.sort([f for f, _ in keys],
+                     descending=[not asc for _, asc in keys])
     ds.write_parquet(dest)
     return {"dest": os.fspath(dest), "n_docs": int(ids.size)}
 
@@ -5930,14 +5862,22 @@ def _task_errors():
         raise e.cause from e
 
 
-def _map_ranges(index_dir: str, task, synonyms=None) -> list:
-    """``task(range engine)`` for every doc range of the index; the
-    results in range order.  The ranges split into one Ray Data task per
-    cluster CPU (at most one per range): a task walks its ranges one
-    range engine at a time (:func:`_range_engines`), reading only that
-    range's postings files and docs rows, and opens the whole-index
-    statistics once for all of them.  Results travel pickled, so a task
-    may return any partial: a top-k table, counts, a histogram."""
+def _run_task(engines, task, args=()) -> list:
+    """``(r, task(engine, *args))`` for every ``(r, range engine)``: how
+    a per-job range task (:func:`_map_ranges`) and a resident range actor
+    (``serving._RangeActor``) both run a task over their ranges."""
+    return [(r, task(e, *args)) for r, e in engines]
+
+
+def _map_ranges(index_dir: str, task, args=(), synonyms=None) -> list:
+    """``task(range engine, *args)`` for every doc range of the index;
+    the results in range order.  The ranges split into one Ray Data task
+    per cluster CPU (at most one per range): a task walks its ranges one
+    range engine at a time (:func:`_range_engines`, :func:`_run_task`),
+    reading only that range's postings files and docs rows, and opens
+    the whole-index statistics once for all of them.  Results travel
+    pickled, so a task may return any partial: a top-k table, counts, a
+    histogram."""
     import pickle
 
     import ray
@@ -5952,11 +5892,12 @@ def _map_ranges(index_dir: str, task, synonyms=None) -> list:
 
     def run(batch: dict) -> pa.Table:
         rids = range(int(batch["lo"][0]), int(batch["hi"][0]))
-        done = [(r, pickle.dumps(task(e)))
-                for r, e in _range_engines(index_dir, rids, synonyms)]
+        done = _run_task(_range_engines(index_dir, rids, synonyms), task,
+                         args)
         return pa.table({
             "range_id": pa.array([r for r, _ in done], pa.int64()),
-            "result": pa.array([b for _, b in done], pa.binary()),
+            "result": pa.array([pickle.dumps(p) for _, p in done],
+                               pa.binary()),
         })
 
     ds = rd.from_items([
@@ -5970,16 +5911,25 @@ def _map_ranges(index_dir: str, task, synonyms=None) -> list:
     return [pickle.loads(r["result"]) for r in rows]
 
 
-def _range_search(engine: SearchEngine, query: str, k: int,
-                  fq=None, **params) -> pa.Table:
-    """A range engine's ranked top-k as ``(doc_id, score)``, ids made
-    global, plus the field a ``{!collapse}`` fq groups by, for
-    :func:`_merge_hits`."""
-    _, collapse = _extract_collapse_fq(fq)
-    fl = ["doc_id"] if collapse is None else ["doc_id", collapse[0]]
-    t = engine.search(query, k=k, fl=fl, fq=fq, **params)
+def _global_ids(engine: SearchEngine, t: pa.Table) -> pa.Table:
+    """A range engine's result table with its ``doc_id``s made global."""
     i = t.schema.get_field_index("doc_id")
     return t.set_column(i, "doc_id", pc.add(t["doc_id"], engine._lo))
+
+
+def _range_search(engine: SearchEngine, query: str, k: int,
+                  params: dict) -> pa.Table:
+    """A range's part of a distributed search (``params``: the engine's
+    ranking parameters and ``fq``): its ranked top-k ``(doc_id, score)``
+    or, under a ``{!collapse}`` fq, its top-k collapse heads with their
+    group labels, for :func:`_merge_hits`."""
+    fq, collapse = _extract_collapse_fq(params.get("fq"))
+    if collapse is None:
+        return _global_ids(engine, engine.search(query, k=k,
+                                                 fl=["doc_id"], **params))
+    rank = {p: v for p, v in params.items() if p != "fq"}
+    return _global_ids(engine, engine._collapse(
+        engine._prepare(query, **rank), collapse[0], k, fq, collapse[1]))
 
 
 def search_partitioned(index_dir: str, query: str, k: int = 10,
@@ -6009,9 +5959,8 @@ def search_partitioned(index_dir: str, query: str, k: int = 10,
     _check_page(k)
     params = dict(qf=qf, tie=tie, mm=mm, pf=pf, ps=ps, pf2=pf2, pf3=pf3,
                   bf=bf, boost=boost, bq=bq, fq=fq)
-    parts = _map_ranges(
-        index_dir, lambda e: _range_search(e, query, k, **params), synonyms
-    )
+    parts = _map_ranges(index_dir, _range_search, (query, k, params),
+                        synonyms)
     return _merge_hits(parts, k, fq).select(["doc_id", "score"])
 
 
@@ -6073,31 +6022,6 @@ def facet_partitioned(index_dir: str, query: str, fields, limit: int = 100,
         fld: _facet_buckets(tot, limit, mincount, prefix, sort, offset)
         for fld, tot in zip(fields, totals)
     }
-
-
-def _range_hits(engine: SearchEngine, query: str, fq, cols=()):
-    """A range's FULL match set as a ``(doc_id, score, *cols)`` frame, ids
-    made global: the engine's match arrays, ``cols`` from its resident
-    docs columns."""
-    import pandas as pd
-
-    ids, scores = engine._match(engine._prepare(query), fq)
-    df = pd.DataFrame({"doc_id": ids + engine._lo, "score": scores})
-    if cols:
-        t = engine._matched_rows(ids, list(cols))
-        for c in cols:
-            df[c] = t[c].to_pandas()
-    return df
-
-
-def _group_heads(df, field: str, limit: int):
-    """Each ``field`` value's top ``limit`` rows by (score desc, doc_id)
-    — per range, a superset of every group's global top rows, so the
-    driver's merge is exact."""
-    df = df.sort_values(["score", "doc_id"], ascending=[False, True],
-                        kind="mergesort")
-    return df[df.groupby(field, sort=False, dropna=False).cumcount()
-              < limit]
 
 
 def _facet_buckets(counts: dict, limit: int, mincount: int, prefix: str,
@@ -6250,23 +6174,29 @@ def facet_stats_partitioned(index_dir: str, query: str, by: str,
                                           specs, mincount, limit)
 
 
+def _range_groups(engine: SearchEngine, query: str, field: str,
+                  limit: int, fq, round_scores: int | None) -> pa.Table:
+    """A range's part of distributed grouping or collapsing: the top
+    ``limit`` rows of EVERY ``field`` group of its matches (nulls folded
+    into one group), ids made global — a superset of each group's global
+    head and members, whichever groups win globally."""
+    return _global_ids(engine, engine._collapse(
+        engine._prepare(query), field, engine.doc_space + 1, fq,
+        "collapse", limit - 1, round_scores))
+
+
 def group_partitioned(index_dir: str, query: str, group_field: str,
                       k_groups: int = 10, group_limit: int = 1,
                       fq=None) -> pa.Table:
-    """Distributed result grouping: per-range per-group top docs, global
-    re-rank on the driver — identical to ``SearchEngine.group_search``
-    (tested; per-range scores are bit-identical to the single engine)."""
+    """Distributed result grouping: each range runs the engine's collapse
+    collector (:func:`_range_groups`), the driver collapses the ranges'
+    rows again (:func:`_merge_groups`) — identical to
+    ``SearchEngine.group_search`` (tested)."""
     _check_page(k_groups)
-    if group_field not in SearchEngine(index_dir).stored_fields \
-            or group_field == "doc_id":
-        raise ValueError(f"cannot group on field {group_field!r}")
-    import pandas as pd
-
-    df = pd.concat(_map_ranges(index_dir, lambda e: _group_heads(
-        _range_hits(e, query, fq, [group_field]), group_field, group_limit
-    )), ignore_index=True)
-    return _group_rows(_collapse_frame(df, group_field, k_groups,
-                                       "collapse", group_limit - 1, None))
+    parts = _map_ranges(index_dir, _range_groups,
+                        (query, group_field, group_limit, fq, None))
+    return _group_rows(_merge_groups(parts, k_groups, "collapse",
+                                     group_limit - 1))
 
 
 def _group_rows(heads: pa.Table) -> pa.Table:
@@ -6390,35 +6320,14 @@ def _extract_collapse_fq(fq):
     return (rest or None), spec
 
 
-def _collapse_frame(df, field: str, k: int, null_policy: str,
-                    expand_limit: int,
-                    round_scores: int | None) -> pa.Table:
-    """Collapse a ``(doc_id, score, <field>)`` frame to ranked group heads
-    (+ expanded members) — shared by ``SearchEngine.collapse_search`` and
-    ``collapse_partitioned`` so both paths are definitionally identical."""
-    import pandas as pd
-
-    if df.empty:
-        df = pd.DataFrame({"doc_id": [], "score": [], field: []})
-    doc_ids = df["doc_id"].to_numpy().astype(np.int64)
-    scores = df["score"].to_numpy().astype(np.float64)
-    # hash-factorize the raw group values (no sort, no sentinel-string
-    # construction); nulls come back as code -1 and route per policy
-    codes, uniques = pd.factorize(df[field], use_na_sentinel=True)
-    return _collapse_codes(
-        doc_ids, scores, codes.astype(np.int64),
-        [str(u) for u in uniques], k, null_policy, expand_limit,
-        round_scores,
-    )
-
-
 def _collapse_codes(doc_ids, scores, codes, uniques, k: int,
                     null_policy: str, expand_limit: int,
                     round_scores: int | None) -> pa.Table:
-    """Collapse pre-factorized ``(doc_id, score, group-code)`` arrays —
-    the pure-numpy core under ``_collapse_frame`` and the engine's
-    dense-codes fast path (``uniques``: list of group labels, code -1 =
-    null group value)."""
+    """Collapse pre-factorized ``(doc_id, score, group-code)`` arrays
+    (``uniques``: list of group labels, code -1 = null group value) to
+    ``(rank, position, doc_id, score, group)`` rows: the engine's group
+    and collapse collector, and the driver's merge of the ranges' rows
+    (:func:`_merge_groups`)."""
     empty = pa.table(
         {"rank": pa.array([], pa.int64()),
          "position": pa.array([], pa.int64()),
@@ -6614,28 +6523,22 @@ def collapse_partitioned(index_dir: str, query: str, field: str,
                          expand_limit: int = 0,
                          round_scores: int | None = None,
                          fq=None) -> pa.Table:
-    """Distributed field collapsing: per-range per-group top docs (a
-    superset of every group's global head + expand members), collapsed
-    on the driver — identical to ``SearchEngine.collapse_search``
-    (tested)."""
+    """Distributed field collapsing: each range ships every group's top
+    rows (:func:`_range_groups`), the driver collapses them with the real
+    ``null_policy`` (:func:`_merge_groups`) — identical to
+    ``SearchEngine.collapse_search`` (tested)."""
     _check_page(k)
     if null_policy not in ("ignore", "expand", "collapse"):
         raise ValueError(f"bad nullPolicy {null_policy!r}")
-    if field not in SearchEngine(index_dir).stored_fields or field == "doc_id":
-        raise ValueError(f"cannot collapse on field {field!r}")
-    # per-range cap: head + expand members per non-null group; under
+    # per-range cap: head + expand members per group; under
     # nullPolicy=expand each null doc is a 1-doc group, so a range must
     # ship its k best nulls (they all compete for the k head slots)
-    glim = expand_limit + 1
+    limit = expand_limit + 1
     if null_policy == "expand":
-        glim = max(glim, k)
-    import pandas as pd
-
-    df = pd.concat(_map_ranges(index_dir, lambda e: _group_heads(
-        _range_hits(e, query, fq, [field]), field, glim
-    )), ignore_index=True)
-    return _collapse_frame(df, field, k, null_policy, expand_limit,
-                           round_scores)
+        limit = max(limit, k)
+    parts = _map_ranges(index_dir, _range_groups,
+                        (query, field, limit, fq, round_scores))
+    return _merge_groups(parts, k, null_policy, expand_limit)
 
 
 def _sort_keys(sort: str, stored) -> list:
@@ -6658,32 +6561,89 @@ def _sort_keys(sort: str, stored) -> list:
     return keys
 
 
+def _sort_top(keys, doc_ids, scores, values: dict, n: int) -> np.ndarray:
+    """Positions of the first ``n`` rows of ``(doc_ids, scores)`` in the
+    order of the sort ``keys`` (:func:`_sort_keys`): ``score`` is the
+    relevance score, ``doc_id`` the id, any other key reads its column in
+    ``values``; ascending doc id breaks the last tie and missing values
+    sort last.  The engine's sorted collector and the driver's merge of
+    the ranges' sorted top-n (:func:`sorted_partitioned`) both run it."""
+    cols = {"score": scores, "doc_id": doc_ids, **values}
+    if len(keys) == 1 and cols[keys[0][0]].dtype.kind in "bif":
+        # single-key numeric sort: O(n) partition top-n with doc-id tie
+        # resolution instead of a full mergesort of the match set (the
+        # common browse shape — n ≪ matches)
+        f, asc = keys[0]
+        vals = cols[f]
+        # int keys stay int64 (no 2^53 float precision loss); uint is
+        # excluded (order reversal would wrap)
+        key = np.asarray(
+            vals, dtype=np.float64 if vals.dtype.kind == "f" else np.int64)
+        if not asc:
+            # ints reverse via bitwise NOT (monotone decreasing, int64
+            # min safe); floats via negation
+            key = -key if key.dtype.kind == "f" else ~key
+        nan = (np.isnan(key) if key.dtype.kind == "f"
+               else np.zeros(key.size, dtype=bool))
+        cand = np.flatnonzero(~nan)
+        sel = np.empty(0, np.int64)
+        if cand.size and n:
+            if cand.size > n:
+                part = cand[np.argpartition(key[cand], n - 1)[:n]]
+                kv = key[part].max()
+                strict = cand[key[cand] < kv]
+                ties = cand[key[cand] == kv]
+                ties = ties[np.argsort(doc_ids[ties], kind="stable")]
+                head = strict[np.lexsort((doc_ids[strict], key[strict]))]
+                sel = np.concatenate([head, ties[:n - head.size]])
+            else:
+                sel = cand[np.lexsort((doc_ids[cand], key[cand]))]
+        if sel.size < n and nan.any():
+            # missing values last (sortMissingLast), id ascending
+            tail = np.flatnonzero(nan)
+            tail = tail[np.argsort(doc_ids[tail], kind="stable")]
+            sel = np.concatenate([sel, tail[:n - sel.size]])
+        return sel
+    # multi-key (or non-numeric) sort: NaN/NaT/None read as nulls, which
+    # sort last under every key (Solr sortMissingLast-ish); ascending
+    # doc_id is the final tie-break
+    t = pa.table({f: pa.array(cols[f], from_pandas=True)
+                  for f in {f for f, _ in keys} | {"doc_id"}})
+    order = pc.sort_indices(
+        t, sort_keys=[(f, "ascending" if asc else "descending")
+                      for f, asc in keys] + [("doc_id", "ascending")],
+        null_placement="at_end")
+    return order.to_numpy()[:n]
+
+
+def _range_sorted(engine: SearchEngine, query: str, sort: str, k: int,
+                  fq) -> tuple:
+    """A range's part of a distributed sorted browse: its sorted top k
+    (``SearchEngine._sorted_hits``) as global ids, scores and the stored
+    sort keys' values."""
+    hits = engine._sorted_hits(engine._prepare(query), sort, k, fq)
+    ids = np.array([d for d, _ in hits], np.int64)
+    keys = _sort_keys(sort, engine.stored_fields)
+    return (ids + engine._lo, np.array([s for _, s in hits], np.float64),
+            engine._sort_values(keys, ids))
+
+
 def sorted_partitioned(index_dir: str, query: str, sort: str,
                        k: int = 10, fq=None) -> pa.Table:
-    """Distributed field-sorted browse: per-range local top-k by the sort
-    keys (k rows shipped per range, never the full match set), k-way merge
-    on the driver — identical doc order to
+    """Distributed field-sorted browse: each range ships its sorted top k
+    (:func:`_range_sorted`, never the full match set), the driver merges
+    with the engine's sort kernel (:func:`_sort_top`) — identical to
     ``SearchEngine.search(..., sort=...)`` (tested)."""
     _check_page(k)
-    keys = _sort_keys(sort, SearchEngine(index_dir).stored_fields)
-    import pandas as pd
-
-    by = [f for f, _ in keys] + ["doc_id"]
-    asc = [a for _, a in keys] + [True]
-    cols = [f for f, _ in keys if f not in ("score", "doc_id")]
-
-    def task(e: SearchEngine):
-        return _range_hits(e, query, fq, cols).sort_values(
-            by, ascending=asc, kind="mergesort", na_position="last"
-        ).head(k)
-
-    df = pd.concat(_map_ranges(index_dir, task), ignore_index=True)
-    df = df.sort_values(by, ascending=asc, kind="mergesort",
-                        na_position="last").head(k)
-    return pa.table(
-        {"doc_id": pa.array(df["doc_id"].astype("int64")),
-         "score": pa.array(df["score"].astype("float64"))}
-    )
+    parts = _map_ranges(index_dir, _range_sorted, (query, sort, k, fq))
+    ids = np.concatenate([p[0] for p in parts])
+    scores = np.concatenate([p[1] for p in parts])
+    values = {f: np.concatenate([p[2][f] for p in parts])
+              for f in parts[0][2]}
+    # the ranges checked the sort fields: the stored ones are shipped
+    sel = _sort_top(_sort_keys(sort, values), ids, scores, values, k)
+    return pa.table({"doc_id": pa.array(ids[sel], pa.int64()),
+                     "score": pa.array(scores[sel], pa.float64())})
 
 
 class BatchSearcher:

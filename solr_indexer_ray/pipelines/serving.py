@@ -13,7 +13,11 @@ at ~2-4x the per-job ``dist_qps`` number (the difference is process spawn
 + import + engine init, paid once here instead of per job).
 ``PartitionedSearchService`` is the resident form of
 ``search_partitioned``: each actor keeps one engine per doc range it
-owns, fed the whole index's statistics, and the driver only merges.
+owns, fed the whole index's statistics.  Both speak one range-task
+protocol: a task is a module-level function plus its arguments, run as
+``task(range engine, *args)`` over a set of range engines by
+``search._run_task`` (per job inside ``_map_ranges``, resident inside
+``_RangeActor.run``), and the driver only merges the ranges' parts.
 
 The service never calls ``ray.init()`` — actor creation auto-initialises
 under an existing session (tests / bench / CLI / driver own the session).
@@ -121,17 +125,12 @@ class _RangeActor:
 
         self.engines = dict(_range_engines(index_dir, range_ids, synonyms))
 
-    def search(self, query: str, k: int, params: dict):
-        """This actor's top-k over its ranges (ranges are disjoint, so
-        the global top-k needs at most k rows from each actor)."""
-        from solr_indexer_ray.pipelines.search import (
-            _merge_hits,
-            _range_search,
-        )
+    def run(self, task, args):
+        """``[(r, task(range engine, *args))]`` over this actor's ranges:
+        the range-task protocol of the per-job ``_map_ranges``."""
+        from solr_indexer_ray.pipelines.search import _run_task
 
-        return _merge_hits([_range_search(e, query, k, **params)
-                            for e in self.engines.values()], k,
-                           params["fq"])
+        return _run_task(self.engines.items(), task, args)
 
 
 class PartitionedSearchService:
@@ -144,11 +143,14 @@ class PartitionedSearchService:
     a resident actor pool: each actor keeps one range engine per range
     it owns, which touches only that range's postings and docs rows (the
     layout a multi-node cluster pins per node).  A query ships as the
-    query string and ``SearchEngine.search``'s parameters; every range
-    applies ``fq``, tombstones, prohibitions and filters itself, and the
-    driver only k-way merges the per-actor top-k lists.  Results are
-    bit-identical to ``search_partitioned`` and the single engine
-    (tested), and a query the engine rejects raises the same exception.
+    task ``search_partitioned`` runs per job — the module-level
+    ``_range_search`` and its arguments — and every actor runs it over
+    its ranges through the same ``_run_task`` a per-job range task uses.
+    Every range applies ``fq``, tombstones, prohibitions and filters
+    itself, and the driver merges the ranges' parts with ``_merge_hits``.
+    Results are bit-identical to ``search_partitioned`` and the single
+    engine (tested), and a query the engine rejects raises the same
+    exception.
 
     Mutations (delete / extend / compact) follow the engine-wide
     invalidation rule: construct a NEW service after committing them
@@ -185,16 +187,19 @@ class PartitionedSearchService:
         from solr_indexer_ray.pipelines.search import (
             _check_page,
             _merge_hits,
+            _range_search,
             _task_errors,
         )
 
         if self._closed:
             raise RuntimeError("PartitionedSearchService is closed")
         _check_page(k)
-        params["fq"] = fq
+        args = (query, k, {**params, "fq": fq})
         with _task_errors():
-            parts = ray.get([a.search.remote(query, k, params)
-                             for a in self._actors])
+            done = ray.get([a.run.remote(_range_search, args)
+                            for a in self._actors])
+        # the merge ranks by (score, doc_id): range order does not matter
+        parts = [part for actor in done for _, part in actor]
         return _merge_hits(parts, k, fq).select(["doc_id", "score"])
 
     def close(self) -> None:

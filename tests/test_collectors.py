@@ -1,11 +1,11 @@
 """Score once, then collect: every collector — ranked with ``start``,
 ``search_after``, sort, group, collapse (with and without ``mm``),
-rerank and the per-range match frames under ``group_partitioned`` /
-``collapse_partitioned`` — reads one prepared match set, for every query
-shape.  Each collector is checked against a reference derived in plain
-Python from the ranked full match set (itself checked against
-``BruteForceBM25`` where the oracle has the shape), and no collector may
-reach the match set through ``SearchEngine.search``."""
+rerank and the per-range tasks of ``group_partitioned`` /
+``collapse_partitioned`` / ``sorted_partitioned`` — reads one prepared
+match set, for every query shape.  Each collector is checked against a
+reference derived in plain Python from the ranked full match set (itself
+checked against ``BruteForceBM25`` where the oracle has the shape), and
+no collector may reach the match set through ``SearchEngine.search``."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -17,7 +17,8 @@ from solr_indexer_ray.pipelines.oracle import BruteForceBM25
 from solr_indexer_ray.pipelines.search import (
     SearchEngine,
     _range_engines,
-    _range_hits,
+    _range_groups,
+    _range_sorted,
     collapse_partitioned,
     group_partitioned,
 )
@@ -227,5 +228,7 @@ def test_no_collector_calls_search(corpus_index, refs, shape, monkeypatch):
         assert len(calls) == n_calls, (name, calls[n_calls:])
     _, engine = next(_range_engines(idx, [1]))
     calls.clear()
-    _range_hits(engine, r["q"], None, ["lang"])
+    _range_groups(engine, r["q"], "lang", 2, None, None)
+    if (shape, "sort_multi") not in REJECTED:
+        _range_sorted(engine, r["q"], "lang asc, doclen desc", 10, None)
     assert calls == []

@@ -245,3 +245,81 @@ class TestDistributedMatchAllAndTreeFq:
             config=IndexConfig(docs_per_range=64))
         with _pytest.raises(ValueError, match="store_positions"):
             search_partitioned(idx, '-"def index"', k=5)
+
+
+@pytest.fixture(scope="module")
+def nidx(tmp_path_factory, ray_session):
+    """300 docs over five doc ranges with an int stored field ``stars``
+    that holds nulls: every 7th doc and docs 130–189, most of range 2."""
+    import pyarrow as pa
+
+    d = tmp_path_factory.mktemp("nidx")
+    corpus = generate_corpus(300, seed=17, mean_tokens=40)
+    stars = [None if i % 7 == 0 or 130 <= i < 190 else i % 5
+             for i in range(corpus.num_rows)]
+    corpus = corpus.append_column("stars", pa.array(stars, pa.int64()))
+    pq.write_table(corpus, str(d / "c.parquet"), row_group_size=64)
+    build_index(str(d / "c.parquet"), str(d / "idx"),
+                config=IndexConfig(docs_per_range=64,
+                                   extra_stored=("stars",)))
+    return str(d / "idx")
+
+
+class TestIntWithNulls:
+    """Group labels, collapse heads and sort order on an int field with
+    nulls equal the single engine: the ranges run the engine's own
+    collectors, so no range types the column differently."""
+
+    QUERIES = ["def read", "pars* merge", "*:*"]
+
+    def test_group(self, nidx):
+        eng = SearchEngine(nidx)
+        for q in self.QUERIES:
+            for kg, gl in ((3, 1), (10, 2)):
+                a = eng.group_search(q, "stars", k_groups=kg,
+                                     group_limit=gl)
+                b = group_partitioned(nidx, q, "stars", k_groups=kg,
+                                      group_limit=gl)
+                assert b.equals(a), (q, kg, gl)
+            # all five values and the null group
+            assert len(set(a["group"].to_pylist())) == 6, q
+
+    @pytest.mark.parametrize("policy", ["ignore", "expand", "collapse"])
+    @pytest.mark.parametrize("el", [0, 2])
+    def test_collapse(self, nidx, policy, el):
+        from solr_indexer_ray.pipelines.search import collapse_partitioned
+
+        eng = SearchEngine(nidx)
+        for q in self.QUERIES:
+            for rs in (None, 1):
+                a = eng.collapse_search(q, "stars", k=6, null_policy=policy,
+                                        expand_limit=el, round_scores=rs)
+                b = collapse_partitioned(nidx, q, "stars", k=6,
+                                         null_policy=policy,
+                                         expand_limit=el, round_scores=rs)
+                assert b.equals(a), (q, rs)
+
+    def test_sorted(self, nidx):
+        eng = SearchEngine(nidx)
+        for q in self.QUERIES:
+            for spec in ("stars desc", "stars asc", "stars desc, lang asc",
+                         "stars asc, score desc"):
+                a = eng.search(q, k=12, fl=["doc_id"], sort=spec)
+                b = sorted_partitioned(nidx, q, spec, k=12)
+                assert b.equals(a), (q, spec)
+
+    def test_collapse_fq_search(self, nidx):
+        from solr_indexer_ray.pipelines.search import search_partitioned
+        from solr_indexer_ray.pipelines.serving import (
+            PartitionedSearchService,
+        )
+
+        eng = SearchEngine(nidx)
+        cases = [(q, f"{{!collapse field=stars nullPolicy={p}}}")
+                 for q in self.QUERIES
+                 for p in ("ignore", "expand", "collapse")]
+        with PartitionedSearchService(nidx, pool=2) as svc:
+            for q, fq in cases:
+                a = eng.search(q, k=7, fl=["doc_id"], fq=fq)
+                assert search_partitioned(nidx, q, k=7, fq=fq).equals(a), fq
+                assert svc.search(q, k=7, fq=fq).equals(a), fq

@@ -139,3 +139,25 @@ def test_export_matches(tmp_path, ray_session):
     keys = list(zip([-x for x in got3["doclen"].to_pylist()],
                     got3["doc_id"].to_pylist()))
     assert keys == sorted(keys)
+
+
+def test_export_rejects_bad_sort_before_job(tmp_path, ray_session,
+                                            monkeypatch):
+    """An unknown field, a bad direction or ``score`` (the export has no
+    scores) raises ``ValueError`` before the export ships its bitmap."""
+    import ray
+
+    from solr_indexer_ray.pipelines.search import export_matches
+
+    idx = _build(tmp_path)
+
+    def no_job(*_a, **_k):
+        raise AssertionError("the export job started")
+
+    monkeypatch.setattr(ray, "put", no_job)
+    for sort, msg in (("nope asc", "unknown field"),
+                      ("doclen sideways", "bad sort direction"),
+                      ("doclen asc, score desc", "no scores")):
+        with pytest.raises(ValueError, match=msg):
+            export_matches(idx, "def", str(tmp_path / "out"), sort=sort)
+    assert not os.path.exists(tmp_path / "out")

@@ -57,7 +57,7 @@ def test_lifecycle(tmp_path):
     # 3. delete some docs (id + query), verify with tombstones live
     mutate.delete_by_id(idx, [5, 6, 7])
     eng = SearchEngine(idx)
-    go_ids = set(mutate.match_ids(eng, "lang:go").tolist())
+    go_ids = set(eng.match_ids("lang:go").tolist())
     mutate.delete_by_query(idx, "lang:go")
     dead = {5, 6, 7} | go_ids
     live = [i for i in range(140) if i not in dead]

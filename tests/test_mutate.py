@@ -63,12 +63,12 @@ class TestDelete:
     def test_delete_by_query(self, mut_index):
         index_dir, stats = mut_index
         eng = SearchEngine(index_dir)
-        n_go = len(mutate.match_ids(eng, "lang:go"))
+        n_go = len(eng.match_ids("lang:go"))
         assert n_go > 0
         res = mutate.delete_by_query(index_dir, "lang:go")
         assert res["deleted"] == n_go
         eng2 = SearchEngine(index_dir)
-        assert len(mutate.match_ids(eng2, "lang:go")) == 0
+        assert len(eng2.match_ids("lang:go")) == 0
         assert eng2.count() == stats["n_docs"] - n_go
 
 
@@ -279,7 +279,7 @@ class TestCompaction:
 
         index_dir, stats = mut_index
         eng0 = SearchEngine(index_dir)
-        go_ids = set(mutate.match_ids(eng0, "lang:go").tolist())
+        go_ids = set(eng0.match_ids("lang:go").tolist())
         mutate.delete_by_query(index_dir, "lang:go")
         mutate.delete_by_id(index_dir, [0, 1])
         dead = go_ids | {0, 1}
@@ -293,7 +293,7 @@ class TestCompaction:
         assert len(eng.tombstones) == 0
         for d in sorted(dead)[:5]:
             assert eng.get(d) is None
-        assert len(mutate.match_ids(eng, "lang:go")) == 0
+        assert len(eng.match_ids("lang:go")) == 0
 
         # rank-identity vs the oracle over the surviving corpus (N, avgdl,
         # df all shrank — scores must reflect the compacted statistics)

@@ -235,12 +235,16 @@ class TestBooleanGrouping:
             == full["doc_id"].to_pylist()[:6]
         )
 
-    def test_sharded_raises_on_group(self, built_index):
+    def test_sharded_grouped_matches_engine(self, built_index):
         from solr_indexer_ray.pipelines.search import search_sharded
 
         index_dir, _ = built_index
-        with pytest.raises(ValueError, match="grouped boolean"):
-            search_sharded([index_dir], "(a OR b) AND c", k=5)
+        e = SearchEngine(index_dir)
+        for q in ("(a OR b) AND c", "(def OR merge) AND read"):
+            want = e.search(q, k=5, fl=["doc_id"])
+            got = search_sharded([index_dir], q, k=5)
+            assert got["shard"].to_pylist() == [0] * want.num_rows
+            assert got.select(["doc_id", "score"]).equals(want), q
 
 
 class TestCompositeGroups:

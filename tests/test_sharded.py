@@ -18,9 +18,12 @@ from solr_indexer_ray.pipelines.search import (
 from solr_indexer_ray.sources.corpus import generate_corpus
 
 SPLIT = 120
-QUERIES = ["read merge", "def AND read", '"def index"', "pars* read",
-           "read^2 -lang:go", "lang:python read", "doclen:[30 TO 90] read",
-           "zzqq"]
+FLAT = ["read merge", "def AND read", '"def index"', "pars* read",
+        "read^2 -lang:go", "lang:python read", "doclen:[30 TO 90] read",
+        "zzqq"]
+QUERIES = [*FLAT, "(def OR merge) AND read", "(read OR pars*) -lang:go",
+           '("def index" OR merge) AND value',
+           "(def AND read) OR (merge -value)"]
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +187,7 @@ def test_default_engine_postings_reads_unchanged(shards):
     counts = {}
     for merged in (False, True):
         builds = reads = 0
-        for q in [*QUERIES, "read~1 merge", '"def index"~2 read',
+        for q in [*FLAT, "read~1 merge", '"def index"~2 read',
                   "pars~1 AND def"]:
             gc.collect()
             b, r = cold_and_warm(q, merged)

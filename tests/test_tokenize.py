@@ -112,6 +112,19 @@ class TestVectorizedUnitTokenizer:
         ]
         self._check(texts, ["python"] * len(texts), reg)
 
+    @pytest.mark.parametrize("ch", ["\u0130", "\u212a"])
+    @pytest.mark.parametrize("lang", ["en", "python"])
+    def test_lowering_outliers(self, ch, lang):
+        """``str.lower`` turns U+0130 into ``i`` + U+0307 and U+212A
+        (Kelvin) into ``k``; a non-ASCII block tokenizes both as the
+        per-row analyzers do, alone and next to ASCII rows."""
+        from solr_indexer_ray.functions.tokenize import AnalyzerRegistry
+
+        reg = AnalyzerRegistry("simple")  # en: simple, python: code
+        alone = [f"fooB{ch}r x", ch, f"a{ch}b {ch}9x x{ch} 9{ch}Z"]
+        for texts in (alone, ["fooBar baz", *alone, "plain 42", None]):
+            self._check(texts, [lang] * len(texts), reg)
+
     def test_mixed_langs_unified_vocab(self):
         from solr_indexer_ray.functions.tokenize import AnalyzerRegistry
 
