@@ -149,7 +149,7 @@ class BruteForceBM25:
 
         hits = []
         q_terms = sorted(set(parsed.terms))
-        #: clause order pinned to the engine (_accumulate): terms asc,
+        #: clause order pinned to the engine (_clauses): terms asc,
         #: fuzzies asc, phrases asc, near asc, prefixes, wildcards (the
         #: same float64 addition order); constant-score clauses add exact
         #: 1.0s so their order is immaterial

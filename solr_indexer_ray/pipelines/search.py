@@ -301,13 +301,17 @@ def _count_hits(seen, ids) -> None:
         _scatter_add(seen, ids, 1)
 
 
-def _positive_leaves(node) -> list:
-    """The leaf queries of a boolean clause tree outside every negated
-    subtree."""
-    if not isinstance(node, BoolNode):
-        return [node]
-    return [leaf for negated, child in node.children if not negated
-            for leaf in _positive_leaves(child)]
+def _leaves(parsed, negated: bool = False) -> list:
+    """The flat leaf queries of a prepared query: itself when it is
+    flat, else its boolean clause tree's leaves outside every negated
+    subtree (``negated=True``: inside them too)."""
+    def walk(node):
+        if not isinstance(node, BoolNode):
+            return [node]
+        return [leaf for neg, child in node.children if negated or not neg
+                for leaf in walk(child)]
+
+    return [parsed] if parsed.tree is None else walk(parsed.tree)
 
 
 def _one_array(col: pa.ChunkedArray) -> pa.Array:
@@ -3207,8 +3211,7 @@ class SearchEngine:
         pre = str(opts.get("pre", "<em>"))
         post = str(opts.get("post", "</em>"))
 
-        leaves = [parsed] if parsed.tree is None \
-            else _positive_leaves(parsed.tree)
+        leaves = _leaves(parsed)
         words, prefixes, wildcards = set(), set(), []
         for leaf in leaves:
             words.update(leaf.terms)
@@ -3299,172 +3302,148 @@ class SearchEngine:
         return tp.score_vec
 
     def _accumulate(self, parsed, postings, scores, seen):
-        """Add every scoring clause's contribution into ``scores`` and
-        count its hits in ``seen`` (:func:`_count_hits`); returns the
-        number of clauses present in the index.  Clause order is PINNED (terms asc,
-        fuzzies asc, phrases asc, prefixes asc, wildcards asc): float64
-        summation order is part of the rank-identity contract across
-        TAAT / distributed / oracle scorers."""
+        """Add every scoring clause's contribution (:meth:`_clauses`)
+        into ``scores`` and count its hits in ``seen``
+        (:func:`_count_hits`); returns the number of clauses present in
+        the index."""
         n_present = 0
-        syn = self.synonyms
-        grouped = sorted(set(parsed.terms)) if syn else None
-        term_iter = grouped if syn else sorted(postings)
-        for term in term_iter:  # ascending order: pinned float order
-            if syn and term in syn:
-                docs, tfs, df = self._synonym_group(term, postings)
-                if docs is None:
-                    continue
-                w = self.idf(df)
-                b = parsed.boosts.get(term)
-                if b is not None:
-                    w *= b
-                K = self._norm_factor(self.norms[docs])
-                _scatter_add(scores, docs, w * self.scoring.impact(
-                    tfs.astype(np.float64), K
-                ))
-                _count_hits(seen, docs)
-                n_present += 1
-                continue
-            tp = postings.get(term)
-            if tp is None:
-                continue
-            vec = self._term_score_vec(tp)
-            b = parsed.boosts.get(term)  # query-time boost (term^2)
-            _scatter_add(scores, tp.doc_ids,
-                         vec if b is None else vec * b)
-            _count_hits(seen, tp.doc_ids)
-            n_present += 1
-        # fielded scored terms after plain terms (pinned float order):
-        # per-field BM25 — field df/docCount/avgdl/norms (Lucene fielded
-        # TermQuery over a second analyzed field)
-        for ft in sorted(set(parsed.field_terms)):
-            fld, term = ft
-            tp = self.field_term_postings(fld, term)
-            if tp is None:
-                continue
-            vec = self._field_score_vec(fld, tp)
-            b = parsed.field_term_boosts.get(ft)
-            scores[tp.doc_ids] += vec if b is None else vec * b
-            _count_hits(seen, tp.doc_ids)
-            n_present += 1
-        # fielded phrases after fielded terms (pinned order): Lucene
-        # fielded PhraseQuery — field idfs, field norms/avgdl
-        for fp in sorted(set(parsed.field_phrases)):
-            fld, ph = fp
-            docs, freqs, w = self.eval_field_phrase(fld, list(ph))
-            b = parsed.field_phrase_boosts.get(fp)
-            if b is not None:
-                w = w * b
-            if docs.size:
-                K = self._field_norm_factor(fld, docs)
-                scores[docs] += w * self.scoring.impact(
-                    freqs.astype(np.float64), K
-                )
-                _count_hits(seen, docs)
-                n_present += 1
-        # dismax groups after fielded terms: per doc the group contributes
-        # max over its per-field scores + tie * (sum of the rest) — Solr
-        # DisjunctionMaxQuery with tiebreaker
-        for term, fpairs in parsed.dismax:
-            tps = []
-            for fld, fboost in fpairs:
-                if fld == "content":
-                    tp = postings.get(term) or self.lookup_postings(
-                        [term]
-                    ).get(term)
-                    if tp is None:
-                        continue
-                    fvec = self._term_score_vec(tp) * fboost
-                else:
-                    tp = self.field_term_postings(fld, term)
-                    if tp is None:
-                        continue
-                    fvec = self._field_score_vec(fld, tp) * fboost
-                tps.append((tp, fvec))
-            if not tps:
-                continue
-            tie = parsed.dismax_tie
-            if len(tps) == 1:
-                docs, contrib = tps[0][0].doc_ids, tps[0][1]
-            else:
-                # union-sized max/sum instead of doc_space-dense passes
-                # (identical per-element float op order: scatter per
-                # field in qf order, max, then + tie·(sum − max))
-                docs = self._union_doc_ids([tp for tp, _ in tps])
-                best = np.zeros(docs.size, dtype=np.float64)
-                tot = (np.zeros(docs.size, dtype=np.float64)
-                       if tie != 0.0 else None)
-                buf = np.zeros(docs.size, dtype=np.float64)
-                for tp, fvec in tps:
-                    pos = np.searchsorted(docs, tp.doc_ids)
-                    buf[:] = 0.0
-                    buf[pos] = fvec
-                    np.maximum(best, buf, out=best)
-                    if tot is not None:
-                        tot += buf
-                contrib = (best if tie == 0.0
-                           else best + tie * (tot - best))
+        for _label, docs, contrib in self._clauses(parsed, postings):
             _scatter_add(scores, docs, contrib)
             _count_hits(seen, docs)
             n_present += 1
-        # fuzzy clauses after terms: blended SynonymQuery-stats groups
+        return n_present
+
+    def _clauses(self, parsed, postings):
+        """``(label, docs, contributions)`` of every scoring clause that
+        matches some doc: ``docs`` ascending and unique, ``contributions``
+        aligned with them (one constant for prefix and wildcard clauses).
+        The one place clauses are ordered and scored.  The order is
+        PINNED (terms and synonym groups asc, fielded terms, fielded
+        phrases, dismax groups, fuzzies, phrases, proximity clauses,
+        prefixes, wildcards/regexes): float64 summation order is part of
+        the rank-identity contract across TAAT / distributed / oracle
+        scorers and :meth:`explain`."""
+        syn = self.synonyms
+        for term in sorted(set(parsed.terms)) if syn else sorted(postings):
+            b = parsed.boosts.get(term)  # query-time boost (term^2)
+            if syn and term in syn:
+                docs, tfs, df = self._synonym_group(term, postings)
+                if docs is not None:
+                    w = self.idf(df) * (1.0 if b is None else b)
+                    yield "term:" + term, docs, self._weighted_impact(
+                        w, docs, tfs)
+                continue
+            tp = postings.get(term)
+            if tp is not None:
+                vec = self._term_score_vec(tp)
+                yield ("term:" + term, tp.doc_ids,
+                       vec if b is None else vec * b)
+        # fielded terms: per-field BM25 — field df/docCount/avgdl/norms
+        # (Lucene fielded TermQuery over a second analyzed field)
+        for ft in sorted(set(parsed.field_terms)):
+            tp = self.field_term_postings(*ft)
+            if tp is not None:
+                vec = self._field_score_vec(ft[0], tp)
+                b = parsed.field_term_boosts.get(ft)
+                yield (f"field:{ft[0]}:{ft[1]}", tp.doc_ids,
+                       vec if b is None else vec * b)
+        # fielded phrases: Lucene fielded PhraseQuery — field idfs,
+        # field norms/avgdl
+        for fp in sorted(set(parsed.field_phrases)):
+            fld, ph = fp
+            docs, freqs, w = self.eval_field_phrase(fld, list(ph))
+            if docs.size:
+                w *= parsed.field_phrase_boosts.get(fp, 1.0)
+                yield (f'field_phrase:{fld}:"{" ".join(ph)}"', docs,
+                       self._weighted_impact(w, docs, freqs, fld))
+        for term, fpairs in parsed.dismax:
+            docs, contrib = self._dismax(term, fpairs, parsed.dismax_tie,
+                                         postings)
+            if docs is not None:
+                yield (f"dismax:{term}({' '.join(f for f, _ in fpairs)})",
+                       docs, contrib)
+        # fuzzy clauses: blended SynonymQuery-stats groups
         for fz in sorted(set(parsed.fuzzies)):
             docs, tfs, df = self._fuzzy_group(*fz)
-            if docs is None:
-                continue
-            w = self.idf(df)
-            b = parsed.fuzzy_boosts.get(fz)
-            if b is not None:
-                w *= b
-            K = self._norm_factor(self.norms[docs])
-            scores[docs] += w * self.scoring.impact(tfs.astype(np.float64), K)
-            _count_hits(seen, docs)
-            n_present += 1
-        # phrase clauses after terms, ascending by tuple: pinned float order
+            if docs is not None:
+                w = self.idf(df) * parsed.fuzzy_boosts.get(fz, 1.0)
+                yield (f"fuzzy:{fz[0]}~{fz[1]}", docs,
+                       self._weighted_impact(w, docs, tfs))
         for ph in sorted(map(tuple, parsed.phrases)):
             docs, freqs, w = self.eval_phrase(list(ph))
-            b = parsed.phrase_boosts.get(ph)
-            if b is not None:
-                w = w * b
             if docs.size:
-                K = self._norm_factor(self.norms[docs])
-                scores[docs] += w * self.scoring.impact(
-                    freqs.astype(np.float64), K
-                )
-                _count_hits(seen, docs)
-                n_present += 1
-        # proximity clauses after phrases: span-near match, phrase scoring
-        # (duplicates iterate like duplicate phrases — required-count parity)
-        for np_clause in sorted(parsed.near_phrases):
-            docs, freqs, w = self.eval_near(*np_clause)
-            b = parsed.near_boosts.get(np_clause)
-            if b is not None:
-                w = w * b
+                w *= parsed.phrase_boosts.get(ph, 1.0)
+                yield (f'phrase:"{" ".join(ph)}"', docs,
+                       self._weighted_impact(w, docs, freqs))
+        # proximity clauses: span-near match, phrase scoring (duplicates
+        # iterate like duplicate phrases — required-count parity)
+        for near in sorted(parsed.near_phrases):
+            docs, freqs, w = self.eval_near(*near)
             if docs.size:
-                K = self._norm_factor(self.norms[docs])
-                scores[docs] += w * self.scoring.impact(
-                    freqs.astype(np.float64), K
-                )
-                _count_hits(seen, docs)
-                n_present += 1
-        # prefix clauses last, ascending: constant score (1.0, or the
-        # clause boost) per matching doc (Solr CONSTANT_SCORE rewrite)
+                w *= parsed.near_boosts.get(near, 1.0)
+                yield (f'near:"{" ".join(near[0])}"~{near[1]}', docs,
+                       self._weighted_impact(w, docs, freqs))
+        # prefixes, then wildcards and regexes: constant score (1.0, or
+        # the clause boost) per matching doc (Solr CONSTANT_SCORE rewrite)
         for pre in sorted(parsed.prefixes):
             docs = self.eval_prefix(pre)
             if docs.size:
-                _scatter_add(scores, docs,
-                             parsed.prefix_boosts.get(pre, 1.0))
-                _count_hits(seen, docs)
-                n_present += 1
-        # general wildcards: same constant-score union as prefixes
+                yield (f"prefix:{pre}*", docs,
+                       parsed.prefix_boosts.get(pre, 1.0))
         for pat in sorted(set(parsed.wildcards)):
             docs = self.eval_pattern(pat)
             if docs.size:
-                _scatter_add(scores, docs,
-                             parsed.wildcard_boosts.get(pat, 1.0))
-                _count_hits(seen, docs)
-                n_present += 1
-        return n_present
+                kind = "regex" if pat.startswith("/") else "wildcard"
+                yield (f"{kind}:{pat}", docs,
+                       parsed.wildcard_boosts.get(pat, 1.0))
+
+    def _weighted_impact(self, w, docs, tfs, fld=None) -> np.ndarray:
+        """``w · impact(tf, K)`` of ``docs``: the BM25 of a clause whose
+        weight and tf are computed per query (phrases, proximity,
+        synonym and fuzzy groups, pf boosts), K from the body's norms or,
+        with ``fld``, from that analyzed field's."""
+        K = (self._norm_factor(self.norms[docs]) if fld is None
+             else self._field_norm_factor(fld, docs))
+        return w * self.scoring.impact(tfs.astype(np.float64), K)
+
+    def _dismax(self, term, fpairs, tie, postings) -> tuple:
+        """``(docs, contributions)`` of a dismax group, or ``(None,
+        None)`` when no field holds ``term``: per doc the max over its
+        per-field scores + ``tie`` * the sum of the rest (Solr
+        DisjunctionMaxQuery with tiebreaker)."""
+        tps = []
+        for fld, fboost in fpairs:
+            if fld == "content":
+                tp = (postings.get(term)
+                      or self.lookup_postings([term]).get(term))
+                if tp is None:
+                    continue
+                fvec = self._term_score_vec(tp) * fboost
+            else:
+                tp = self.field_term_postings(fld, term)
+                if tp is None:
+                    continue
+                fvec = self._field_score_vec(fld, tp) * fboost
+            tps.append((tp, fvec))
+        if not tps:
+            return None, None
+        if len(tps) == 1:
+            return tps[0][0].doc_ids, tps[0][1]
+        # union-sized max/sum instead of doc_space-dense passes
+        # (identical per-element float op order: scatter per field in qf
+        # order, max, then + tie·(sum − max))
+        docs = self._union_doc_ids([tp for tp, _ in tps])
+        best = np.zeros(docs.size, dtype=np.float64)
+        tot = np.zeros(docs.size, dtype=np.float64) if tie != 0.0 else None
+        buf = np.zeros(docs.size, dtype=np.float64)
+        for tp, fvec in tps:
+            pos = np.searchsorted(docs, tp.doc_ids)
+            buf[:] = 0.0
+            buf[pos] = fvec
+            np.maximum(best, buf, out=best)
+            if tot is not None:
+                tot += buf
+        return docs, best if tie == 0.0 else best + tie * (tot - best)
 
     def func_column(self, field: str) -> np.ndarray:
         """Dense float64 doc-space array for a numeric/timestamp stored
@@ -3614,22 +3593,15 @@ class SearchEngine:
             parsed.boost_phrases,
             key=lambda c: (c[0] or "", c[1], c[2], c[3]),
         ):
-            if fld is None:
-                docs, freqs, w = (
-                    self.eval_phrase(list(g)) if slop == 0
-                    else self.eval_near(g, slop)
-                )
-                if not docs.size:
-                    continue
-                K = self._norm_factor(self.norms[docs])
-            else:
+            if fld is not None:
                 docs, freqs, w = self.eval_field_phrase(fld, list(g))
-                if not docs.size:
-                    continue
-                K = self._field_norm_factor(fld, docs)
-            scores[docs] += (w * boost) * self.scoring.impact(
-                freqs.astype(np.float64), K
-            )
+            elif slop == 0:
+                docs, freqs, w = self.eval_phrase(list(g))
+            else:
+                docs, freqs, w = self.eval_near(g, slop)
+            if docs.size:
+                scores[docs] += self._weighted_impact(w * boost, docs, freqs,
+                                                      fld)
 
     def _match_score_arrays(self, parsed, postings, excluded):
         """The TAAT scorer up to (but not including) the top-k cut:
@@ -4495,9 +4467,9 @@ class SearchEngine:
         from merged sum/count).
         """
         specs = self._parse_facet_stats(by, metrics)
-        fields = sorted({f for _, (_, f) in specs})
         return self._facet_stats_rows(
-            self._facet_stats_groups(query, by, fields, fq).to_pylist(), by,
+            self._facet_stats_groups(query, by, _stat_fields(specs),
+                                     fq).to_pylist(), by,
             specs, mincount, limit)
 
     def _facet_stats_groups(self, query, by, fields, fq) -> pa.Table:
@@ -5477,10 +5449,11 @@ class SearchEngine:
 
         Returns ``{"doc_id", "matches", "score", "clauses": [(desc,
         contribution), ...]}``.  ``score`` is the document's EXACT search
-        score (same accumulator, same float order); each clause
-        contribution is computed independently (Lucene Explanation
-        style), so their sum equals the score up to float re-association
-        only.  ``matches`` and ``score`` come from the match set
+        score.  The clauses are the ones the scorer adds (:meth:`_clauses`),
+        in its order and with its values, so for a matching doc their
+        contributions added from 0.0 in listed order equal ``score``
+        exactly (``pf``/``bq``/``bf``/``boost`` reranking is not listed).
+        ``matches`` and ``score`` come from the match set
         :meth:`search` ranks (:meth:`_match_core`), so a doc that matches
         only ``^0`` clauses matches at score 0; ``matches=False``
         (excluded / missing a required clause / deleted) reports score 0
@@ -5495,67 +5468,13 @@ class SearchEngine:
         d = int(doc_id)
         if not (0 <= d < self.doc_space):
             raise ValueError(f"doc_id {d} outside [0, {self.doc_space})")
-        postings = self._term_postings(parsed)
-
-        import copy
-
-        def single(desc, **parts):
-            """One clause on fresh arrays -> its independent contribution."""
-            sub = copy.copy(parsed)
-            for f_ in ("terms", "field_terms", "field_phrases", "dismax",
-                       "fuzzies", "phrases", "near_phrases", "prefixes",
-                       "wildcards"):
-                setattr(sub, f_, parts.get(f_, []))
-            sub_post = {
-                t: postings[t]
-                for t in parts.get("terms", [])
-                for t in ([t, *self.synonyms.get(t, [])]
-                          if self.synonyms else [t])
-                if t in postings
-            }
-            s = np.zeros(self.doc_space, dtype=np.float64)
-            seen1 = np.zeros(self.doc_space, dtype=np.int32)
-            self._accumulate(sub, sub_post, s, seen1)
-            return desc, float(s[d]), int(seen1[d])
-
-        order = []
-        for t in sorted(set(parsed.terms)):
-            order.append(("term:" + t, {"terms": [t]}))
-        for ft in sorted(set(parsed.field_terms)):
-            order.append((f"field:{ft[0]}:{ft[1]}", {"field_terms": [ft]}))
-        for fp in sorted(set(parsed.field_phrases)):
-            order.append(
-                (f'field_phrase:{fp[0]}:"{" ".join(fp[1])}"',
-                 {"field_phrases": [fp]})
-            )
-        for term, fpairs in parsed.dismax:
-            order.append(
-                (f"dismax:{term}({' '.join(f for f, _ in fpairs)})",
-                 {"dismax": [(term, fpairs)]})
-            )
-        for fz in sorted(set(parsed.fuzzies)):
-            order.append((f"fuzzy:{fz[0]}~{fz[1]}", {"fuzzies": [fz]}))
-        for ph in sorted(map(tuple, parsed.phrases)):
-            order.append(
-                (f'phrase:"{" ".join(ph)}"', {"phrases": [list(ph)]})
-            )
-        for np_clause in sorted(parsed.near_phrases):
-            order.append(
-                (f'near:"{" ".join(np_clause[0])}"~{np_clause[1]}',
-                 {"near_phrases": [np_clause]})
-            )
-        for pre in sorted(parsed.prefixes):
-            order.append((f"prefix:{pre}*", {"prefixes": [pre]}))
-        for pat in sorted(set(parsed.wildcards)):
-            kind = "regex" if pat.startswith("/") else "wildcard"
-            order.append((f"{kind}:{pat}", {"wildcards": [pat]}))
-
         clauses = []
-        for desc, parts in order:
-            name, contrib, hit = single(desc, **parts)
-            if hit:
-                clauses.append((name, contrib))
-
+        for label, docs, contrib in self._clauses(
+                parsed, self._term_postings(parsed)):
+            at = int(np.searchsorted(docs, d))
+            if at < docs.size and docs[at] == d:
+                clauses.append((label, float(
+                    contrib if np.ndim(contrib) == 0 else contrib[at])))
         ids, scores = self._match_core(parsed, self._dead_mask())
         at = int(np.searchsorted(ids, d))
         matches = at < ids.size and int(ids[at]) == d
@@ -5765,12 +5684,10 @@ def search_sharded(index_dirs, query: str, k: int = 10,
     }
     if len(pins) != 1:
         raise ValueError("shards disagree on analyzer/BM25 pins")
-    parsed = peers[0]._parse(query)
-    if qf is not None:
-        parsed = peers[0]._apply_qf(parsed, qf, tie)
-    if parsed.field_terms or parsed.field_phrases or parsed.dismax \
-            or parsed.prohibited_field_terms \
-            or parsed.prohibited_field_phrases:
+    parsed = peers[0]._prepare(query, qf=qf, tie=tie)
+    if any(leaf.field_terms or leaf.field_phrases or leaf.dismax
+           or leaf.prohibited_field_terms or leaf.prohibited_field_phrases
+           for leaf in _leaves(parsed, negated=True)):
         fps = {tuple(sorted(e.scored_fields)) for e in peers}
         if len(fps) != 1 or not fps.pop():
             raise ValueError(
@@ -5814,6 +5731,8 @@ def export_matches(index_dir: str, query: str, dest: str, fl=None,
     mask[ids] = True
     mask_ref = ray.put(mask)
     columns = sorted(set(fl) | {"doc_id"}) if fl else None
+    # the sort keys are read too, and dropped again before the write
+    read = sorted({*columns, *(f for f, _ in keys)}) if fl else None
 
     def keep(batch: pa.Table) -> pa.Table:
         m = ray.get(mask_ref)  # zero-copy view of the broadcast bitmap
@@ -5821,11 +5740,13 @@ def export_matches(index_dir: str, query: str, dest: str, fl=None,
 
     ds = rd.read_parquet(
         BuildManifest(engine.index_dir).committed_paths("docs", engine.stats),
-        columns=columns,
+        columns=read,
     ).map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
     if keys:
         ds = ds.sort([f for f, _ in keys],
                      descending=[not asc for _, asc in keys])
+    if read != columns:
+        ds = ds.select_columns(columns)
     ds.write_parquet(dest)
     return {"dest": os.fspath(dest), "n_docs": int(ids.size)}
 
@@ -6146,32 +6067,38 @@ def stats_partitioned(index_dir: str, query: str, field: str,
 def facet_stats_partitioned(index_dir: str, query: str, by: str,
                             metrics: dict, limit: int = 100,
                             mincount: int = 1, fq=None) -> pa.Table:
-    """Distributed JSON-facet stats: per-range partial
-    (value, count, sum, min, max) rows merged on the driver — identical
-    output to ``SearchEngine.facet_stats`` (tested; integer stat fields
-    merge exactly, float sums can differ in the last ulp from the
-    single-pass order).  No shuffle: each range pre-aggregates its
-    matches and ships one row per bucket value."""
-    specs = SearchEngine(index_dir)._parse_facet_stats(by, metrics)
-    fields = sorted({f for _, (_, f) in specs})
+    """Distributed JSON-facet stats: every range validates the spec and
+    ships its :meth:`SearchEngine._facet_stats_groups` partial (one
+    (value, count, sum, min, max) row per bucket value, the value in its
+    stored type), and the driver merges them with the same Arrow groupby
+    and labels the buckets as the engine does — identical output to
+    ``SearchEngine.facet_stats`` (tested; integer stat fields merge
+    exactly, float sums can differ in the last ulp from the single-pass
+    order).  No shuffle, and no engine opens on the driver."""
+    def task(e: SearchEngine) -> tuple:
+        specs = e._parse_facet_stats(by, metrics)
+        return specs, e._facet_stats_groups(query, by, _stat_fields(specs),
+                                            fq)
 
-    def task(e: SearchEngine) -> pa.Table:
-        g = e._facet_stats_groups(query, by, fields, fq)
-        return g.set_column(g.schema.get_field_index(by), "value",
-                            pc.cast(g[by], pa.string()))
-
-    parts = [p for p in _map_ranges(index_dir, task) if p.num_rows]
-    if not parts:
+    parts = _map_ranges(index_dir, task)
+    specs = parts[0][0]
+    groups = [g for _, g in parts if g.num_rows]
+    if not groups:
         return SearchEngine._facet_stats_table([], specs)
-    df = pa.concat_tables(parts).to_pandas()
-    aggmap = {"count_all": "sum"}
-    for f in fields:
-        aggmap[f"{f}_sum"] = "sum"
-        aggmap[f"{f}_min"] = "min"
-        aggmap[f"{f}_max"] = "max"
-    m = df.groupby("value", sort=False).agg(aggmap).reset_index()
-    return SearchEngine._facet_stats_rows(m.to_dict("records"), "value",
-                                          specs, mincount, limit)
+    aggs = [("count_all", "sum")]
+    for f in _stat_fields(specs):
+        aggs += [(f"{f}_sum", "sum"), (f"{f}_min", "min"),
+                 (f"{f}_max", "max")]
+    m = pa.TableGroupBy(pa.concat_tables(groups), by).aggregate(aggs)
+    names = {f"{c}_{op}": c for c, op in aggs}  # count_all_sum -> count_all
+    m = m.rename_columns([names.get(n, n) for n in m.column_names])
+    return SearchEngine._facet_stats_rows(m.to_pylist(), by, specs,
+                                          mincount, limit)
+
+
+def _stat_fields(specs) -> list:
+    """The distinct stat fields of parsed facet-stats ``specs``."""
+    return sorted({f for _, (_, f) in specs})
 
 
 def _range_groups(engine: SearchEngine, query: str, field: str,

@@ -142,6 +142,60 @@ class TestDistributedFacetStats:
         assert dist["avg_len"].to_pylist() == single["avg_len"].to_pylist()
 
 
+    def test_no_engine_on_the_driver(self, built_index, monkeypatch):
+        """The ranges validate the spec and compute the partials; the
+        driver only merges them (the ranges run in Ray workers, so an
+        engine opened in this process would be the driver's)."""
+        index_dir, _ = built_index
+        single = SearchEngine(index_dir).facet_stats("def", "lang", METRICS)
+
+        def no_engine(*_a, **_k):
+            raise AssertionError("an engine opened on the driver")
+
+        monkeypatch.setattr(SearchEngine, "__init__", no_engine)
+        dist = facet_stats_partitioned(index_dir, "def", "lang", METRICS)
+        assert dist.equals(single)
+        with pytest.raises(ValueError, match="bad stat expression"):
+            facet_stats_partitioned(index_dir, "def", "lang",
+                                    {"s": "median(doclen)"})
+        with pytest.raises(ValueError, match="cannot facet"):
+            facet_stats_partitioned(index_dir, "def", "nosuchfield",
+                                    {"s": "sum(doclen)"})
+
+
+    def test_bucket_labels_of_typed_fields(self, tmp_path):
+        """A timestamp or bool ``by`` field labels its buckets as the
+        engine does (``'2020-01-02 00:00:00'``, ``'True'``), not as an
+        Arrow string cast would (``'... 00:00:00.000000'``, ``'true'``)."""
+        import datetime as dt
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from solr_indexer_ray.config import IndexConfig
+        from solr_indexer_ray.pipelines.build import build_index
+        from solr_indexer_ray.sources.corpus import generate_corpus
+
+        t = generate_corpus(120, seed=3, mean_tokens=20,
+                            with_edge_rows=False)
+        n = t.num_rows
+        t = t.append_column("ts", pa.array(
+            [dt.datetime(2020, 1, 1 + i % 3) for i in range(n)],
+            pa.timestamp("us")))
+        t = t.append_column("flag", pa.array([i % 2 == 0 for i in range(n)]))
+        t = t.append_column("size", pa.array(range(n), pa.int64()))
+        pq.write_table(t, str(tmp_path / "docs.parquet"))
+        idx = str(tmp_path / "idx")
+        build_index(str(tmp_path / "docs.parquet"), idx, config=IndexConfig(
+            docs_per_range=32, extra_stored=("ts", "flag", "size")))
+        eng = SearchEngine(idx)
+        for by in ("ts", "flag"):
+            single = eng.facet_stats("def", by, {"s": "sum(size)"})
+            assert single.num_rows > 1
+            assert facet_stats_partitioned(
+                idx, "def", by, {"s": "sum(size)"}).equals(single), by
+
+
 class TestJsonFacet:
     """JSON Facet API subset: recursive terms + nested stats, domains
     narrowing down the bucket tree (Solr semantics)."""

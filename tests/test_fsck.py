@@ -141,6 +141,26 @@ def test_export_matches(tmp_path, ray_session):
     assert keys == sorted(keys)
 
 
+def test_export_sorts_on_a_field_fl_leaves_out(tmp_path, ray_session):
+    """The sort keys are read for the sort and left out of the files:
+    only ``fl`` and ``doc_id`` are written, in the sort's order."""
+    import pyarrow.dataset as pads
+
+    from solr_indexer_ray.pipelines.search import SearchEngine, export_matches
+
+    idx = _build(tmp_path)
+    eng = SearchEngine(idx)
+    export_matches(idx, "def", str(tmp_path / "out"), fl=["doc_id", "path"],
+                   sort="doclen desc, doc_id asc")
+    got = pads.dataset(str(tmp_path / "out")).to_table()
+    assert got.column_names == ["doc_id", "path"]
+    docs = eng._docs_ds.to_table(columns=["doc_id", "doclen"])
+    doclen = dict(zip(docs["doc_id"].to_pylist(), docs["doclen"].to_pylist()))
+    want = sorted(eng.match_ids("def").tolist(),
+                  key=lambda d: (-doclen[d], d))
+    assert got["doc_id"].to_pylist() == want
+
+
 def test_export_rejects_bad_sort_before_job(tmp_path, ray_session,
                                             monkeypatch):
     """An unknown field, a bad direction or ``score`` (the export has no

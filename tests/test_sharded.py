@@ -68,6 +68,21 @@ class TestShardedSearch:
         with pytest.raises(ValueError, match="pins"):
             search_sharded([f"{shards}/idx_a", str(tmp_path / "idx")], "def")
 
+    def test_fielded_leaves_need_same_analyzed_fields(self, shards,
+                                                      tmp_path):
+        """The analyzed-fields check reads every leaf of a grouped
+        query, negated ones too, not only a flat query's clauses."""
+        build_index(f"{shards}/a.parquet", str(tmp_path / "idx"),
+                    config=IndexConfig(docs_per_range=64,
+                                       store_positions=True,
+                                       analyzed_fields=("path_text:path",)))
+        for q in ("path_text:mod0 read", "(path_text:mod0 OR read) AND def",
+                  "(read OR def) -(path_text:mod0 merge)",
+                  '(path_text:"src mod0" OR read) AND def'):
+            with pytest.raises(ValueError, match="analyzed_fields"):
+                search_sharded([str(tmp_path / "idx"), f"{shards}/idx_b"],
+                               q)
+
     def test_shard_deletes_respected(self, shards, tmp_path):
         import shutil
 
