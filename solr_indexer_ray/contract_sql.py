@@ -53,6 +53,7 @@ from solr_indexer_ray.contract import (
 from solr_indexer_ray.functions.queryparse import (
     NO_MATCH_TERM,
     RANGE_FIELDS,
+    ParsedQuery,
     parse_query,
 )
 
@@ -141,10 +142,10 @@ def _bm25_query_block(q: str, analyzer=None) -> str:
         conds.append(
             f"t.doc_id IN (SELECT doc_id FROM documents WHERE {fexpr})"
         )
-    if parsed.prohibited:
+    if _neg(parsed).terms:
         conds.append(
             "t.doc_id NOT IN (SELECT doc_id FROM tf WHERE term IN "
-            f"({_sql_list(sorted(set(parsed.prohibited)))}))"
+            f"({_sql_list(sorted(set(_neg(parsed).terms)))}))"
         )
     having = (
         f"HAVING count(DISTINCT t.term) = {len(terms)}"
@@ -369,9 +370,15 @@ def _range_cond_sql(rf, neg: bool = False) -> str:
     )
 
 
+def _neg(parsed) -> ParsedQuery:
+    """A parsed query's MUST_NOT clauses (an empty query when none)."""
+    return parsed.must_not or ParsedQuery()
+
+
 def _range_conds(parsed) -> list:
     conds = [_range_cond_sql(rf) for rf in parsed.range_filters]
-    conds += [_range_cond_sql(rf, neg=True) for rf in parsed.neg_range_filters]
+    conds += [_range_cond_sql(rf, neg=True)
+              for rf in _neg(parsed).range_filters]
     return conds
 
 
@@ -500,39 +507,39 @@ def _phrase_query_block(q: str) -> str:
         conds.append(
             f"c.doc_id IN (SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
         )
-    for fld, val in sorted(parsed.neg_filters.items()):
+    for fld, val in sorted(_neg(parsed).filters.items()):
         conds.append(
             "c.doc_id NOT IN "
             f"(SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
         )
-    if parsed.prohibited:
+    if _neg(parsed).terms:
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM tf WHERE term IN "
-            f"({_sql_list(sorted(set(parsed.prohibited)))}))"
+            f"({_sql_list(sorted(set(_neg(parsed).terms)))}))"
         )
-    for ph in parsed.prohibited_phrases:
+    for ph in _neg(parsed).phrases:
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM "
             f"(SELECT doc_id, {_phrase_ptf_expr(ph)} AS ptf FROM toks) "
             "WHERE ptf > 0)"
         )
-    for nterms, slop in sorted(set(parsed.prohibited_near)):
+    for nterms, slop in sorted(set(_neg(parsed).near_phrases)):
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM "
             f"(SELECT doc_id, {_near_ptf_expr(nterms, slop)} AS ptf "
             "FROM toks) WHERE ptf > 0)"
         )
-    for pre in parsed.prohibited_prefixes:
+    for pre in _neg(parsed).prefixes:
         conds.append(
             f"c.doc_id NOT IN (SELECT doc_id FROM tf WHERE term LIKE '{pre}%')"
         )
-    for word, edits in sorted(set(parsed.prohibited_fuzzies)):
+    for word, edits in sorted(set(_neg(parsed).fuzzies)):
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM tf WHERE term IN "
             f"(SELECT term FROM df WHERE levenshtein(term, '{word}') "
             f"<= {edits}))"
         )
-    for pat in sorted(set(parsed.prohibited_wildcards)):
+    for pat in sorted(set(_neg(parsed).wildcards)):
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM tf WHERE "
             f"{_pattern_cond(pat)})"
@@ -712,10 +719,10 @@ def _func_query_block(q: str, bf: list, boost: list) -> str:
         conds.append(
             f"t.doc_id IN (SELECT doc_id FROM documents WHERE {fexpr})"
         )
-    if parsed.prohibited:
+    if _neg(parsed).terms:
         conds.append(
             "t.doc_id NOT IN (SELECT doc_id FROM tf WHERE term IN "
-            f"({_sql_list(sorted(set(parsed.prohibited)))}))"
+            f"({_sql_list(sorted(set(_neg(parsed).terms)))}))"
         )
     having = (
         f"HAVING count(DISTINCT t.term) = {len(terms)}"
@@ -773,10 +780,10 @@ def _scored_subq(parsed) -> str:
         conds.append(
             f"t.doc_id IN (SELECT doc_id FROM documents WHERE {fexpr})"
         )
-    if parsed.prohibited:
+    if _neg(parsed).terms:
         conds.append(
             "t.doc_id NOT IN (SELECT doc_id FROM tf WHERE term IN "
-            f"({_sql_list(sorted(set(parsed.prohibited)))}))"
+            f"({_sql_list(sorted(set(_neg(parsed).terms)))}))"
         )
     having = (
         f"HAVING count(DISTINCT t.term) = {len(terms)}"
@@ -1093,7 +1100,7 @@ def _mm_query_block(q: str, spec: str) -> str:
 
     parsed = parse_query(q, simple_analyzer, range_fields=SQL_RANGE_FIELDS)
     terms = sorted(set(parsed.terms))
-    assert terms and not parsed.conjunctive and not parsed.prohibited, q
+    assert terms and not parsed.conjunctive and not _neg(parsed).terms, q
     required = resolve_min_should_match(spec, parsed.scoring_clauses)
     conds = [f"t.term IN ({_sql_list(terms)})"]
     if parsed.filters:
@@ -1169,7 +1176,7 @@ def _hybrid_query_block(qi: int, q: str) -> str:
 
     parsed = parse_query(q, simple_analyzer, range_fields=SQL_RANGE_FIELDS)
     terms = sorted(set(parsed.terms))
-    assert terms and not parsed.filters and not parsed.prohibited, q
+    assert terms and not parsed.filters and not _neg(parsed).terms, q
     qq = q.replace("'", "''")
     return f"""
 SELECT {qi}::BIGINT AS query_id, doc_id, rrf_r FROM (
@@ -1347,14 +1354,14 @@ def _field_query_block(q: str) -> str:
                                  f"fp:{fld}:{' '.join(ph)}")
         )
     conds = ["1=1"]
-    for fld, term in sorted(set(parsed.prohibited_field_terms)):
+    for fld, term in sorted(set(_neg(parsed).field_terms)):
         toks = _FIELD_TOKS[fld]
         t = term.replace("'", "''")
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM documents WHERE "
             f"len(list_filter({toks}, x -> x = '{t}')) > 0)"
         )
-    for fld, ph in sorted(set(parsed.prohibited_field_phrases)):
+    for fld, ph in sorted(set(_neg(parsed).field_phrases)):
         toks = _FIELD_TOKS[fld]
         n = len(ph)
         pconds = " AND ".join(
@@ -1563,23 +1570,23 @@ def _match_docs_sql(q: str) -> str:
         conds.append(
             f"c.doc_id IN (SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
         )
-    for fld, val in sorted(parsed.neg_filters.items()):
+    for fld, val in sorted(_neg(parsed).filters.items()):
         conds.append(
             "c.doc_id NOT IN "
             f"(SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
         )
-    if parsed.prohibited:
+    if _neg(parsed).terms:
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM tf WHERE term IN "
-            f"({_sql_list(sorted(set(parsed.prohibited)))}))"
+            f"({_sql_list(sorted(set(_neg(parsed).terms)))}))"
         )
-    for ph in parsed.prohibited_phrases:
+    for ph in _neg(parsed).phrases:
         conds.append(
             "c.doc_id NOT IN (SELECT doc_id FROM "
             f"(SELECT doc_id, {_phrase_ptf_expr(ph)} AS ptf FROM toks) "
             "WHERE ptf > 0)"
         )
-    for pre in parsed.prohibited_prefixes:
+    for pre in _neg(parsed).prefixes:
         conds.append(
             f"c.doc_id NOT IN (SELECT doc_id FROM tf WHERE term LIKE '{pre}%')"
         )
@@ -2465,10 +2472,12 @@ def synonym_topk_sql() -> str:
             conds.append(
                 f"c.doc_id IN (SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
             )
-        if parsed.prohibited:
+        # a prohibited term negates its whole synonym group
+        neg = {m for t in _neg(parsed).terms for m in (t, *SYN_MAP.get(t, ()))}
+        if neg:
             conds.append(
                 "c.doc_id NOT IN (SELECT doc_id FROM tf WHERE term IN "
-                f"({_sql_list(sorted(set(parsed.prohibited)))}))"
+                f"({_sql_list(sorted(neg))}))"
             )
         having = (
             f"HAVING count(DISTINCT c.clause) = {len(terms)}"

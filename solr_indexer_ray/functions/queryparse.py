@@ -9,11 +9,13 @@ Supported grammar (documented subset):
 
 - bare terms                -> scored (BM25, OR semantics; Lucene default)
 - ``term1 AND term2``       -> conjunction (all scoring clauses required)
-- ``-term``                 -> prohibited (MUST_NOT)
+- ``-clause``               -> MUST_NOT: any clause below, parsed as without
+                               the ``-`` into ``ParsedQuery.must_not``, whose
+                               matches are excluded (a prohibited term also
+                               negates its synonyms, as in Lucene)
 - ``"exact phrase"``        -> phrase clause (positions required; Lucene
                                PhraseQuery: tf = phrase frequency, idf = sum
                                of the member terms' idfs)
-- ``-"exact phrase"``       -> prohibited phrase
 - ``field:value`` / ``field:"multi word"`` -> exact metadata filter for
                                ``repo``, ``path``, ``commit``, ``lang``; any
                                other field prefix (e.g. ``full_text:``/
@@ -22,14 +24,13 @@ Supported grammar (documented subset):
 - ``pre*``                  -> prefix (wildcard) clause.  Solr/Lucene
                                default rewrite: CONSTANT_SCORE — every doc
                                containing any expansion scores 1.0 for the
-                               clause.  ``-pre*`` prohibits; a trailing
-                               ``*`` on a filter field (``path:src*``)
-                               prefix-matches the metadata value.
+                               clause.  A trailing ``*`` on a filter field
+                               (``path:src*``) prefix-matches the value.
 - ``*:*`` / ``*``           -> match-all (Solr's canonical match-all query)
 - ``field:[lo TO hi]``      -> range filter on the metadata fields or the
                                numeric ``doclen`` field; ``{`` / ``}``
                                bounds are exclusive (Lucene), ``*`` is an
-                               open end; ``-field:[...]`` negates.
+                               open end.
 
 - ``term~`` / ``term~1`` / ``term~2`` -> fuzzy clause (Lucene FuzzyQuery;
                                bare ``~`` = 2 edits, the Lucene default).
@@ -40,7 +41,7 @@ Supported grammar (documented subset):
                                The expansion scores as ONE clause with
                                SynonymQuery stats (tf summed over members,
                                df = max member df) — the blended-stats
-                               rewrite.  ``-term~1`` prohibits.
+                               rewrite.
 - ``?`` / infix / leading ``*`` -> general wildcard clause (``te?t``,
                                ``*fix``, ``mid*dle``): CONSTANT_SCORE union
                                of every dictionary term matching the
@@ -63,7 +64,7 @@ Supported grammar (documented subset):
                                syntax (Arrow + DuckDB both run RE2);
                                lowercased like other multiterm clauses;
                                no whitespace inside the pattern.
-                               ``-/re/`` prohibits; ``/re/^2`` boosts.
+                               ``/re/^2`` boosts.
 """
 
 from __future__ import annotations
@@ -174,16 +175,11 @@ class RangeFilter:
 @dataclass
 class ParsedQuery:
     terms: list = field(default_factory=list)        # analyzed scoring terms
-    prohibited: list = field(default_factory=list)   # analyzed MUST_NOT terms
     filters: dict = field(default_factory=dict)      # field -> exact value
     conjunctive: bool = False                        # True when AND was used
     phrases: list = field(default_factory=list)          # list[list[term]]
-    prohibited_phrases: list = field(default_factory=list)
-    neg_filters: dict = field(default_factory=dict)  # -field:value exclusions
     prefixes: list = field(default_factory=list)         # constant-score pre*
-    prohibited_prefixes: list = field(default_factory=list)
     range_filters: list = field(default_factory=list)        # [RangeFilter]
-    neg_range_filters: list = field(default_factory=list)
     #: Lucene query-time boosts (term^2, "a b"^3, pre*^1.5); absent = 1.0.
     #: Keys: term string / phrase tuple / prefix string.  Last boost wins
     #: for a repeated clause.
@@ -193,32 +189,26 @@ class ParsedQuery:
     #: fuzzy clauses: [(analyzed word, max_edits)]; scored as blended
     #: SynonymQuery groups over the expansion set
     fuzzies: list = field(default_factory=list)
-    prohibited_fuzzies: list = field(default_factory=list)
     fuzzy_boosts: dict = field(default_factory=dict)      # (word, edits) -> b
     #: general wildcard patterns (?, infix/leading *), constant-score
     wildcards: list = field(default_factory=list)
-    prohibited_wildcards: list = field(default_factory=list)
     wildcard_boosts: dict = field(default_factory=dict)
     #: proximity clauses ``"a b"~slop``: [( (terms...), slop )] — ordered
     #: span-near matching (Lucene SpanNearQuery inOrder=true analogue),
     #: scored like PhraseQuery (w = sum member idfs, tf = match count)
     near_phrases: list = field(default_factory=list)
-    prohibited_near: list = field(default_factory=list)
     near_boosts: dict = field(default_factory=dict)  # (terms, slop) -> b
     #: spatial envelope filters: field:"Intersects(ENVELOPE(...))"
     spatial_filters: list = field(default_factory=list)   # [SpatialFilter]
-    neg_spatial_filters: list = field(default_factory=list)
     #: SCORED fielded term clauses over extra analyzed fields
     #: (``path_text:foo`` — Lucene fielded TermQuery with that field's
     #: postings/stats/norms): [(field, term)]
     field_terms: list = field(default_factory=list)
-    prohibited_field_terms: list = field(default_factory=list)
     field_term_boosts: dict = field(default_factory=dict)  # (f, t) -> b
     #: SCORED fielded PHRASE clauses over analyzed fields
     #: (``path_text:"a b"`` — Lucene fielded PhraseQuery; positions of
     #: the field's token stream): [(field, (t1, t2, ...))]
     field_phrases: list = field(default_factory=list)
-    prohibited_field_phrases: list = field(default_factory=list)
     field_phrase_boosts: dict = field(default_factory=dict)
     #: dismax groups (engine-built from ``qf``; never parsed from text):
     #: [(term, ((field, field_boost), ...))] — per doc the group scores
@@ -256,6 +246,10 @@ class ParsedQuery:
     #: comes from the main query alone (edismax: bq joins the boolean
     #: query as a SHOULD clause next to the required main query).
     boost_queries: list = field(default_factory=list)
+    #: the MUST_NOT clauses (``-x``) as one nested query, parsed like
+    #: positive ones: a doc any of its clauses or filters matches is
+    #: excluded.  ``None`` when no negated clause survives analysis.
+    must_not: ParsedQuery | None = None
     #: the query string this was parsed from and, when it uses
     #: parenthesized grouping, its boolean clause tree (engine-set by
     #: ``SearchEngine._prepare``; never parsed from text)
@@ -270,6 +264,11 @@ class ParsedQuery:
             or self.near_phrases or self.spatial_filters
             or self.field_terms or self.dismax or self.field_phrases
         )
+
+    @property
+    def prohibited(self) -> list:
+        """The MUST_NOT terms (read-only view of ``must_not.terms``)."""
+        return [] if self.must_not is None else self.must_not.terms
 
     @property
     def scoring_clauses(self) -> int:
@@ -346,24 +345,25 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
     extra_stored columns parse (Solr: any indexed field is
     queryable)."""
     out = ParsedQuery()
+    #: the negated clauses; attached as ``out.must_not`` when any survive
+    must_not = ParsedQuery()
     #: [dropped-atom count, saw explicit match-all atom] for the
     #: filtered-to-nothing sentinel decision at the end
     _drop_state = [0, False]
 
     def eat_quoted(m: re.Match) -> str:
         neg, fld, text = m.group(1) == "-", m.group(2), m.group(3)
+        dst = must_not if neg else out
         slop = int(m.group(4)) if m.group(4) else 0
         boost = float(m.group(5)) if m.group(5) else None
         if fld is not None:
             sm = _SPATIAL.match(text.strip())
             if sm:
-                sf = SpatialFilter(
+                dst.spatial_filters.append(SpatialFilter(
                     fld, sm.group(1), float(sm.group(2)), float(sm.group(3)),
                     # ENVELOPE order: minX, maxX, maxY, minY
                     south=float(sm.group(5)), north=float(sm.group(4)),
-                )
-                (out.neg_spatial_filters if neg
-                 else out.spatial_filters).append(sf)
+                ))
                 return " "
         if fld in scored_fields:
             toks = analyze(text)
@@ -377,37 +377,35 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
                 )
             if len(toks) == 1:  # single-term field phrase -> field term
                 clause = (fld, toks[0])
-                (out.prohibited_field_terms if neg
-                 else out.field_terms).append(clause)
-                if boost is not None and not neg:
-                    out.field_term_boosts[clause] = boost
+                dst.field_terms.append(clause)
+                if boost is not None:
+                    dst.field_term_boosts[clause] = boost
             else:
                 clause = (fld, tuple(toks))
-                (out.prohibited_field_phrases if neg
-                 else out.field_phrases).append(clause)
-                if boost is not None and not neg:
-                    out.field_phrase_boosts[clause] = boost
+                dst.field_phrases.append(clause)
+                if boost is not None:
+                    dst.field_phrase_boosts[clause] = boost
             return " "
         if fld in filter_fields:
-            (out.neg_filters if neg else out.filters)[fld] = text
+            dst.filters[fld] = text
             return " "
         toks = analyze(text)
         if not toks:
             _drop_state[0] += 1
             return " "
         if len(toks) == 1:  # single-term phrase rewrites to a term (Lucene)
-            (out.prohibited if neg else out.terms).extend(toks)
-            if boost is not None and not neg:
-                out.boosts[toks[0]] = boost
+            dst.terms.extend(toks)
+            if boost is not None:
+                dst.boosts[toks[0]] = boost
         elif slop > 0:  # proximity clause; slop 0 IS the exact phrase
             clause = (tuple(toks), slop)
-            (out.prohibited_near if neg else out.near_phrases).append(clause)
-            if boost is not None and not neg:
-                out.near_boosts[clause] = boost
+            dst.near_phrases.append(clause)
+            if boost is not None:
+                dst.near_boosts[clause] = boost
         else:
-            (out.prohibited_phrases if neg else out.phrases).append(toks)
-            if boost is not None and not neg:
-                out.phrase_boosts[tuple(toks)] = boost
+            dst.phrases.append(toks)
+            if boost is not None:
+                dst.phrase_boosts[tuple(toks)] = boost
         return " "
 
     def eat_range(m: re.Match) -> str:
@@ -425,7 +423,7 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
             hi_incl=m.group(6) == "]",
         )
         rf.bounds()  # validate numeric bounds eagerly (doclen)
-        (out.neg_range_filters if neg else out.range_filters).append(rf)
+        (must_not if neg else out).range_filters.append(rf)
         return " "
 
     q = _QUOTED.sub(eat_quoted, q or "")
@@ -445,6 +443,7 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
         elif raw.startswith("+") and len(raw) > 1:
             raw = raw[1:]  # MUST ~= AND for our OR/AND model
             out.conjunctive = True
+        dst = must_not if neg else out
         boost = None
         bm = _BOOST.match(raw)
         if bm and bm.group(1):
@@ -457,9 +456,9 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
             # regex marker; the engine and the SQL oracle both dispatch on
             # it (Arrow and DuckDB share RE2, so semantics agree exactly).
             pat = raw.lower()
-            (out.prohibited_wildcards if neg else out.wildcards).append(pat)
-            if boost is not None and not neg:
-                out.wildcard_boosts[pat] = boost
+            dst.wildcards.append(pat)
+            if boost is not None:
+                dst.wildcard_boosts[pat] = boost
             continue
         if ":" in raw:
             fld, _, val = raw.partition(":")
@@ -467,17 +466,16 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
             if fld in scored_fields:
                 for tok in analyze(val):
                     clause = (fld, tok)
-                    (out.prohibited_field_terms if neg
-                     else out.field_terms).append(clause)
-                    if boost is not None and not neg:
-                        out.field_term_boosts[clause] = boost
+                    dst.field_terms.append(clause)
+                    if boost is not None:
+                        dst.field_term_boosts[clause] = boost
                 continue
             if fld in filter_fields:
                 # a trailing * on a filter value prefix-matches the
                 # metadata string (engine: starts_with pushdown)
-                (out.neg_filters if neg else out.filters)[fld] = val
-                if boost is not None and not neg:
-                    out.filter_boosts[fld] = boost
+                dst.filters[fld] = val
+                if boost is not None:
+                    dst.filter_boosts[fld] = boost
                 continue
             raw = val  # default-field alias or unknown field -> score terms
         fm = _FUZZY.match(raw)
@@ -488,14 +486,14 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
             if toks:
                 edits = min(int(fm.group(2) or 2), 2)  # Lucene caps at 2
                 if edits == 0:  # term~0 is an exact term (Lucene)
-                    (out.prohibited if neg else out.terms).extend(toks[-1:])
-                    if boost is not None and not neg:
-                        out.boosts[toks[-1]] = boost
+                    dst.terms.extend(toks[-1:])
+                    if boost is not None:
+                        dst.boosts[toks[-1]] = boost
                     continue
                 clause = (toks[-1], edits)
-                (out.prohibited_fuzzies if neg else out.fuzzies).append(clause)
-                if boost is not None and not neg:
-                    out.fuzzy_boosts[clause] = boost
+                dst.fuzzies.append(clause)
+                if boost is not None:
+                    dst.fuzzy_boosts[clause] = boost
             continue
         if raw.endswith("*") and len(raw) > 1 and "*" not in raw[:-1] and (
             "?" not in raw
@@ -504,40 +502,33 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
             if not pre:
                 _drop_state[0] += 1
             if pre:  # analyzed prefix: last emitted token stem
-                (out.prohibited_prefixes if neg else out.prefixes).append(
-                    pre[-1]
-                )
-                if boost is not None and not neg:
-                    out.prefix_boosts[pre[-1]] = boost
+                dst.prefixes.append(pre[-1])
+                if boost is not None:
+                    dst.prefix_boosts[pre[-1]] = boost
             continue
         if ("*" in raw or "?" in raw) and raw not in ("*", "?"):
             # general wildcard: Lucene does NOT analyze wildcard terms —
             # only the multiterm chain (lowercasing) applies
             pat = raw.lower()
-            (out.prohibited_wildcards if neg else out.wildcards).append(pat)
-            if boost is not None and not neg:
-                out.wildcard_boosts[pat] = boost
+            dst.wildcards.append(pat)
+            if boost is not None:
+                dst.wildcard_boosts[pat] = boost
             continue
         toks = analyze(raw)
         if not toks and not neg:
             _drop_state[0] += 1
-        (out.prohibited if neg else out.terms).extend(toks)
-        if boost is not None and not neg:
+        dst.terms.extend(toks)
+        if boost is not None:
             for t in toks:  # a multi-token raw clause boosts every token
-                out.boosts[t] = boost
+                dst.boosts[t] = boost
+    if not must_not.is_match_all:
+        out.must_not = must_not
     if (
         inject_no_match
         and _drop_state[0]
         and not _drop_state[1]
         and out.is_match_all
-        and not (
-            out.prohibited or out.prohibited_phrases
-            or out.prohibited_prefixes or out.prohibited_fuzzies
-            or out.prohibited_wildcards or out.prohibited_near
-            or out.prohibited_field_terms or out.prohibited_field_phrases
-            or out.neg_filters or out.neg_range_filters
-            or out.neg_spatial_filters
-        )
+        and out.must_not is None
     ):
         # every positive atom was analyzer-removed: Lucene's empty
         # BooleanQuery matches nothing (see NO_MATCH_TERM)
@@ -709,7 +700,7 @@ def parse_boolean(q: str, analyze, range_fields=RANGE_FIELDS,
         parsed = parse_query(atom, analyze, range_fields, scored_fields,
                              filter_fields=filter_fields,
                              inject_no_match=False)
-        if parsed.is_match_all and not parsed.prohibited and atom not in (
+        if parsed.is_match_all and parsed.must_not is None and atom not in (
             "*", "*:*"
         ):
             return neg, must, None  # analyzer-empty atom (punctuation)

@@ -28,6 +28,7 @@ from typing import Callable
 Analyzer = Callable[[str], list]
 
 _SIMPLE_SPLIT = re.compile(r"[^a-z0-9]+")
+_SIMPLE_RUN = re.compile(r"[a-z0-9]+")
 
 # identifier-ish or number tokens
 _CODE_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
@@ -83,6 +84,38 @@ def code_analyzer(text: str) -> list:
                 _EXPAND_CACHE.clear()
             _EXPAND_CACHE[tok] = v
         ext(v)
+    return out
+
+
+def token_spans(text: str, analyzer_name: str) -> list:
+    """``(start, end, token)`` of each token the analyzer
+    ``analyzer_name`` emits from ``text``, in order, where
+    ``text[start:end]`` holds the characters the token came from — the
+    offsets a highlighter wraps.  ``code`` tokens are the
+    ``_CODE_TOKEN`` matches cut at their camel and snake split points;
+    any other analyzer is taken as ``simple``: the ``[a-z0-9]`` runs of
+    the lowered text, mapped back to ``text`` because lowering can
+    change the length (U+0130)."""
+    out = []
+    if analyzer_name == "code":
+        for m in _CODE_TOKEN.finditer(text):
+            low, pos = m.group().lower(), 0
+            for part in code_analyzer(m.group()):
+                j = low.index(part, pos)
+                pos = j + len(part)
+                out.append((m.start() + j, m.start() + pos, part))
+        return out
+    low = text.lower()
+    src = None  # lowered index -> text index, when lowering moved them
+    if len(low) != len(text):
+        pieces = [c.lower() for c in text]
+        src = [i for i, piece in enumerate(pieces) for _ in piece]
+        low = "".join(pieces)
+    for m in _SIMPLE_RUN.finditer(low):
+        a, b = m.span()
+        if src is not None:
+            a, b = src[a], src[b - 1] + 1
+        out.append((a, b, m.group()))
     return out
 
 

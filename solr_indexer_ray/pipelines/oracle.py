@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from solr_indexer_ray.functions.queryparse import parse_query
+from solr_indexer_ray.functions.queryparse import ParsedQuery, parse_query
 from solr_indexer_ray.functions.smallfloat import byte4_to_int, int_to_byte4
 from solr_indexer_ray.functions.tokenize import AnalyzerRegistry
 
@@ -160,9 +160,13 @@ class BruteForceBM25:
         fuzzy_groups = {
             fz: self.fuzzy_members(*fz) for fz in q_fuzzies
         }
-        prohibited_fuzzy_groups = [
-            self.fuzzy_members(*fz)
-            for fz in sorted(set(parsed.prohibited_fuzzies))
+        neg = parsed.must_not or ParsedQuery()
+        # a prohibited term negates its whole synonym group (Lucene
+        # negates the SynonymQuery), like a positive term group
+        neg_terms = {m for t in neg.terms
+                     for m in (t, *self.synonyms.get(t, ()))}
+        neg_fuzzy_groups = [
+            self.fuzzy_members(*fz) for fz in sorted(set(neg.fuzzies))
         ]
         need = parsed.scoring_clauses if parsed.conjunctive else 1
         for i in range(self.n_docs):
@@ -171,12 +175,12 @@ class BruteForceBM25:
                 for f, v in parsed.filters.items()
             ):
                 continue
-            if parsed.neg_filters and any(
+            if neg.filters and any(
                 _fmatch(self.meta.get(f, [None] * self.n_docs)[i], v)
-                for f, v in parsed.neg_filters.items()
+                for f, v in neg.filters.items()
             ):
                 continue
-            if parsed.range_filters or parsed.neg_range_filters:
+            if parsed.range_filters or neg.range_filters:
                 def rf_val(rf):
                     if rf.field == "doclen":
                         return len(self.tokens[i])
@@ -185,36 +189,23 @@ class BruteForceBM25:
                 if any(not rf.matches(rf_val(rf))
                        for rf in parsed.range_filters):
                     continue
-                if any(rf.matches(rf_val(rf))
-                       for rf in parsed.neg_range_filters):
+                if any(rf.matches(rf_val(rf)) for rf in neg.range_filters):
                     continue
-            if parsed.prohibited and any(
-                p in self.tf[i] for p in parsed.prohibited
-            ):
+            if any(p in self.tf[i] for p in neg_terms):
                 continue
-            if parsed.prohibited_phrases and any(
-                self.phrase_freq(i, ph) for ph in parsed.prohibited_phrases
-            ):
+            if any(self.phrase_freq(i, ph) for ph in neg.phrases):
                 continue
-            if parsed.prohibited_prefixes and any(
-                any(t.startswith(pre) for t in self.tf[i])
-                for pre in parsed.prohibited_prefixes
-            ):
+            if any(any(t.startswith(pre) for t in self.tf[i])
+                   for pre in neg.prefixes):
                 continue
-            if prohibited_fuzzy_groups and any(
-                any(m in self.tf[i] for m in members)
-                for members in prohibited_fuzzy_groups
-            ):
+            if any(any(m in self.tf[i] for m in members)
+                   for members in neg_fuzzy_groups):
                 continue
-            if parsed.prohibited_wildcards and any(
-                any(self._wild_match(t, pat) for t in self.tf[i])
-                for pat in parsed.prohibited_wildcards
-            ):
+            if any(any(self._wild_match(t, pat) for t in self.tf[i])
+                   for pat in neg.wildcards):
                 continue
-            if parsed.prohibited_near and any(
-                self.near_freq(i, list(nt), slop)
-                for nt, slop in parsed.prohibited_near
-            ):
+            if any(self.near_freq(i, list(nt), slop)
+                   for nt, slop in neg.near_phrases):
                 continue
             nmatch = 0
             score = 0.0

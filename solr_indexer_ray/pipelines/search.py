@@ -304,14 +304,17 @@ def _count_hits(seen, ids) -> None:
 def _leaves(parsed, negated: bool = False) -> list:
     """The flat leaf queries of a prepared query: itself when it is
     flat, else its boolean clause tree's leaves outside every negated
-    subtree (``negated=True``: inside them too)."""
+    subtree (``negated=True``: inside them too, and each leaf's
+    ``must_not`` query after it)."""
     def walk(node):
-        if not isinstance(node, BoolNode):
-            return [node]
-        return [leaf for neg, child in node.children if negated or not neg
-                for leaf in walk(child)]
+        if isinstance(node, BoolNode):
+            return [leaf for neg, child in node.children
+                    if negated or not neg for leaf in walk(child)]
+        if negated and node.must_not is not None:
+            return [node, node.must_not]
+        return [node]
 
-    return [parsed] if parsed.tree is None else walk(parsed.tree)
+    return walk(parsed if parsed.tree is None else parsed.tree)
 
 
 def _one_array(col: pa.ChunkedArray) -> pa.Array:
@@ -2715,100 +2718,64 @@ class SearchEngine:
         return self._cache.put("filters", key, (grown, n))[0]
 
     def _excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
-        """Boolean mask of docs excluded by filters/prohibitions (the
-        deleted docs not included: :meth:`_match` adds them).
+        """Boolean mask of the docs a flat query's own filters and MUST_NOT
+        clauses exclude (the deleted docs not included: :meth:`_match`
+        adds them).
 
-        Memoized per (filters, prohibited) for one generation — metadata
+        Memoized per (filters, ``must_not``) for one generation — metadata
         filters repeat across queries; each filter clause's rows come
         from :meth:`_filter_rows`, which a commit keeps.
         """
         key = (
             tuple(sorted(parsed.filters.items())),
-            tuple(sorted(parsed.neg_filters.items())),
             tuple(parsed.range_filters),
-            tuple(parsed.neg_range_filters),
             tuple(parsed.spatial_filters),
-            tuple(parsed.neg_spatial_filters),
-            tuple(sorted(set(parsed.prohibited))),
-            tuple(sorted(map(tuple, parsed.prohibited_phrases))),
-            tuple(sorted(set(parsed.prohibited_prefixes))),
-            tuple(sorted(set(parsed.prohibited_fuzzies))),
-            tuple(sorted(set(parsed.prohibited_wildcards))),
-            tuple(sorted(set(parsed.prohibited_near))),
-            tuple(sorted(set(parsed.prohibited_field_terms))),
-            tuple(sorted(set(parsed.prohibited_field_phrases))),
+            repr(parsed.must_not),  # the dataclass repr names every clause
         )
         return self._cache.memo("masks", key,
                                 lambda: self._build_excluded_mask(parsed))
 
     def _build_excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
-        mask = None
-
-        def ensure():
-            nonlocal mask
-            if mask is None:
-                mask = np.zeros(self.doc_space, dtype=bool)
-            return mask
-
-        if parsed.prohibited:
-            for tp in self.lookup_postings(parsed.prohibited).values():
-                ensure()[tp.doc_ids] = True
-        for ph in parsed.prohibited_phrases:
-            docs, _, _ = self.eval_phrase(ph)
-            if docs.size:
-                ensure()[docs] = True
-        for pre in parsed.prohibited_prefixes:
-            docs = self.eval_prefix(pre)
-            if docs.size:
-                ensure()[docs] = True
-        for word, edits in parsed.prohibited_fuzzies:
-            members = self.expand_fuzzy(word, edits)
-            for tp in self.lookup_postings(members).values():
-                ensure()[tp.doc_ids] = True
-        for pat in parsed.prohibited_wildcards:
-            docs = self.eval_pattern(pat)
-            if docs.size:
-                ensure()[docs] = True
-        for fld, term in parsed.prohibited_field_terms:
-            tp = self.field_term_postings(fld, term)
-            if tp is not None:
-                ensure()[tp.doc_ids] = True
-        for fld, ph in parsed.prohibited_field_phrases:
-            docs, _, _ = self.eval_field_phrase(fld, list(ph))
-            if docs.size:
-                ensure()[docs] = True
-        for np_clause in parsed.prohibited_near:
-            docs, _, _ = self.eval_near(*np_clause)
-            if docs.size:
-                ensure()[docs] = True
-        # a positive filter also excludes rows whose field is null:
-        # ``~(f == v)`` is null there, and a scan filter drops null rows
-        for fld, val in parsed.filters.items():
-            ensure()[self._filter_rows(
-                ("out", fld, val), lambda: self._or_null(
-                    ~self._filter_value_expr(fld, val), fld), [fld])] = True
-        for fld, val in parsed.neg_filters.items():
-            ensure()[self._filter_rows(
-                ("in", fld, val), lambda: self._filter_value_expr(fld, val),
-                [fld])] = True
-        for rf in parsed.range_filters:
-            ensure()[self._filter_rows(
-                ("out", rf), lambda: self._or_null(~self._range_expr(rf),
-                                                   rf.field),
-                [rf.field])] = True
-        for rf in parsed.neg_range_filters:
-            ensure()[self._filter_rows(
-                ("in", rf), lambda: self._range_expr(rf), [rf.field])] = True
-        for sf in parsed.spatial_filters:
-            self._spatial_expr(sf)  # column validation
-            ensure()[self._filter_rows(
-                ("out", sf), lambda: _spatial_nonmatch_expr(sf),
-                _spatial_columns(sf))] = True
-        for sf in parsed.neg_spatial_filters:
-            ensure()[self._filter_rows(
-                ("in", sf), lambda: self._spatial_expr(sf),
-                _spatial_columns(sf))] = True
+        """The rows ``parsed``'s filters reject, plus the docs any clause
+        (:meth:`_clauses`) or filter of its ``must_not`` query matches;
+        ``None`` when there are none."""
+        marks = list(self._filter_masks(parsed, accept=False))
+        neg = parsed.must_not
+        if neg is not None:
+            marks += [docs for _label, docs, _contrib
+                      in self._clauses(neg, self._term_postings(neg))]
+            marks += self._filter_masks(neg, accept=True)
+        if not marks:
+            return None
+        mask = np.zeros(self.doc_space, dtype=bool)
+        for m in marks:
+            mask[m] = True
         return mask
+
+    def _filter_masks(self, parsed: ParsedQuery, accept: bool):
+        """Dense row masks of ``parsed``'s metadata, range and spatial
+        filters: the rows each accepts, or (``accept=False``) the rows it
+        rejects, null rows included — ``~(f == v)`` is null there, and a
+        scan filter drops null rows."""
+        side = "in" if accept else "out"
+
+        def rows(expr, fld):
+            return expr if accept else self._or_null(~expr, fld)
+
+        for fld, val in parsed.filters.items():
+            yield self._filter_rows(
+                (side, fld, val),
+                lambda: rows(self._filter_value_expr(fld, val), fld), [fld])
+        for rf in parsed.range_filters:
+            yield self._filter_rows(
+                (side, rf), lambda: rows(self._range_expr(rf), rf.field),
+                [rf.field])
+        for sf in parsed.spatial_filters:
+            expr = self._spatial_expr(sf)  # column validation
+            yield self._filter_rows(
+                (side, sf),
+                lambda: expr if accept else _spatial_nonmatch_expr(sf),
+                _spatial_columns(sf))
 
     def _spatial_expr(self, sf):
         """Validated pyarrow scan expression for one envelope predicate
@@ -3197,75 +3164,87 @@ class SearchEngine:
     def _add_highlights(self, parsed: ParsedQuery, t: pa.Table,
                         opts=None) -> pa.Table:
         """Append an ``hl`` snippet column (Solr highlighting, best-effort):
-        a window around each of the first ``hl.snippets`` query-term
-        occurrences (default 1, ~``hl.fragsize`` chars, default 160)
-        with all occurrences wrapped in ``hl.tag.pre``/``post``
+        a window around each of the first ``hl.snippets`` matching tokens
+        (default 1, ~``hl.fragsize`` chars, default 160) with every
+        matching token inside wrapped in ``hl.tag.pre``/``post``
         (``<em>`` Solr defaults); multiple snippets join with ``" … "``.
-        Matching is case-insensitive on the raw stored content; docs
-        with no literal occurrence (e.g. matched via
-        identifier-splitting) get null.  A grouped boolean query
-        highlights the clauses of its tree outside negated subtrees."""
+        Like Solr's highlighters, the stored content is re-analyzed with
+        offsets (:func:`token_spans`, by the doc's ``lang`` analyzer and
+        the index's filter chain), and a token matches when its analyzed
+        term is a query term or a fuzzy expansion, or matches a prefix,
+        wildcard or regex clause; docs with no matching token get null.
+        A grouped boolean query highlights the clauses of its tree
+        outside negated subtrees."""
+        from solr_indexer_ray.functions.filters import FilteredRegistry
+        from solr_indexer_ray.functions.tokenize import token_spans
+
         opts = opts if isinstance(opts, dict) else {}
         fragsize = max(1, int(opts.get("fragsize", 160)))
         n_snip = max(1, int(opts.get("snippets", 1)))
         pre = str(opts.get("pre", "<em>"))
         post = str(opts.get("post", "</em>"))
 
-        leaves = _leaves(parsed)
-        words, prefixes, wildcards = set(), set(), []
-        for leaf in leaves:
+        words, prefixes, patterns = set(), [], []
+        for leaf in _leaves(parsed):
             words.update(leaf.terms)
             words.update(w for ph in leaf.phrases for w in ph)
             words.update(w for ph, _ in leaf.near_phrases for w in ph)
-            prefixes.update(leaf.prefixes)
+            prefixes += leaf.prefixes
             for word, edits in leaf.fuzzies:  # expansion terms highlight
                 words.update(self.expand_fuzzy(word, edits))
-            wildcards += leaf.wildcards
-        alts = [
-            re.escape(w) + (r"\w*" if w in prefixes else "")
-            for w in sorted(words | prefixes, key=len, reverse=True)
-        ]
-        for wc in wildcards:  # * -> \w*, ? -> \w
-            if wc.startswith("/") and wc.endswith("/") and len(wc) > 2:
-                try:  # regex clause: highlight the pattern itself
-                    re.compile(wc[1:-1])
-                    alts.append(f"(?:{wc[1:-1]})")
+            for wc in leaf.wildcards:
+                try:  # a regex clause in RE2-only syntax highlights nothing
+                    patterns.append(re.compile(
+                        wc[1:-1] if wc.startswith("/") else
+                        re.escape(wc).replace(r"\*", ".*")
+                        .replace(r"\?", ".")))
                 except re.error:
-                    pass  # RE2-only syntax: skip highlight for the clause
-                continue
-            alts.append(
-                re.escape(wc).replace(r"\*", r"\w*").replace(r"\?", r"\w")
-            )
-        if not alts or t.num_rows == 0:
+                    pass
+        prefixes = tuple(prefixes)
+        chain = (self.registry.chain.map_term
+                 if isinstance(self.registry, FilteredRegistry) else None)
+
+        def matches(tok: str) -> bool:
+            term = tok if chain is None else chain(tok)
+            return term is not None and (
+                term in words or term.startswith(prefixes)
+                or any(p.fullmatch(term) for p in patterns))
+
+        if not (words or prefixes or patterns) or t.num_rows == 0:
             return t.append_column(
-                "hl", pa.array([None] * t.num_rows, pa.string())
-            )
-        pat = re.compile("|".join(alts), re.IGNORECASE)
+                "hl", pa.array([None] * t.num_rows, pa.string()))
         ids = t["doc_id"].to_numpy()
         idx, rows = self._hit_rows(ids)
-        content = dict(zip(ids[idx].tolist(),
-                           self._content_take(rows).to_pylist()))
+        stored = dict(zip(ids[idx].tolist(), self._docs_take(
+            ["lang", "content"], rows).to_pylist()))
         snippets = []
         lead = max(0, (fragsize * 3) // 8)
         for d in ids.tolist():
-            text = content.get(d) or ""
+            row = stored.get(d) or {}
+            text = row.get("content") or ""
+            hits = [(a, b) for a, b, tok in token_spans(
+                text, self.registry.analyzer_name(row.get("lang")))
+                if matches(tok)]
             frags = []
-            pos = 0
             prev_hi = 0
-            while len(frags) < n_snip:
-                m = pat.search(text, pos)
-                if not m:
-                    break
+            i = 0
+            while len(frags) < n_snip and i < len(hits):
                 # fragments stay disjoint (clamp at the previous end)
-                # and always cover the full triggering match, even when
-                # fragsize is smaller than the matched term
-                lo = max(prev_hi, 0, m.start() - lead)
-                hi = min(len(text), max(lo + fragsize, m.end()))
-                frags.append(pat.sub(
-                    lambda mm: f"{pre}{mm.group(0)}{post}", text[lo:hi]
-                ))
+                # and always cover the full triggering token, even when
+                # fragsize is smaller than the token
+                start, end = hits[i]
+                lo = max(prev_hi, start - lead)
+                hi = min(len(text), max(lo + fragsize, end))
+                parts, at = [], lo
+                for a, b in hits[i:]:
+                    if b > hi:
+                        break
+                    parts += [text[at:a], pre, text[a:b], post]
+                    at = b
+                frags.append("".join(parts) + text[at:hi])
                 prev_hi = hi
-                pos = max(hi, m.end())
+                while i < len(hits) and hits[i][0] < hi:
+                    i += 1
             snippets.append(" … ".join(frags) if frags else None)
         return t.append_column("hl", pa.array(snippets, pa.string()))
 
@@ -4474,9 +4453,10 @@ class SearchEngine:
 
     def _facet_stats_groups(self, query, by, fields, fq) -> pa.Table:
         """:func:`_group_aggregates` of the matches of ``query`` (under
-        ``fq``) with a non-null ``by``: one row per bucket value."""
+        ``fq``) with a non-null ``by``: one row per bucket value.  A stat
+        field may be ``by`` itself: each column is read once."""
         t = self._matched_rows(self._filtered_match_ids(query, fq),
-                               [by, *fields])
+                               list(dict.fromkeys([by, *fields])))
         return _group_aggregates(t.filter(pc.is_valid(t[by])), by, fields)
 
     def json_facet(self, query: str, spec: dict, fq=None) -> dict:
@@ -5686,7 +5666,6 @@ def search_sharded(index_dirs, query: str, k: int = 10,
         raise ValueError("shards disagree on analyzer/BM25 pins")
     parsed = peers[0]._prepare(query, qf=qf, tie=tie)
     if any(leaf.field_terms or leaf.field_phrases or leaf.dismax
-           or leaf.prohibited_field_terms or leaf.prohibited_field_phrases
            for leaf in _leaves(parsed, negated=True)):
         fps = {tuple(sorted(e.scored_fields)) for e in peers}
         if len(fps) != 1 or not fps.pop():
@@ -5964,7 +5943,7 @@ def _group_aggregates(t: pa.Table, by: str, fields) -> pa.Table:
     aggs = [([], "count_all")]
     for f in fields:
         aggs += [(f, "sum"), (f, "min"), (f, "max")]
-    return pa.TableGroupBy(t.select([by, *fields]), by).aggregate(aggs)
+    return pa.TableGroupBy(t, by).aggregate(aggs)
 
 
 def _value_stats(vals) -> dict:

@@ -162,38 +162,56 @@ class TestDistributedFacetStats:
             facet_stats_partitioned(index_dir, "def", "nosuchfield",
                                     {"s": "sum(doclen)"})
 
-
-    def test_bucket_labels_of_typed_fields(self, tmp_path):
+    def test_bucket_labels_of_typed_fields(self, typed_index):
         """A timestamp or bool ``by`` field labels its buckets as the
         engine does (``'2020-01-02 00:00:00'``, ``'True'``), not as an
         Arrow string cast would (``'... 00:00:00.000000'``, ``'true'``)."""
-        import datetime as dt
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from solr_indexer_ray.config import IndexConfig
-        from solr_indexer_ray.pipelines.build import build_index
-        from solr_indexer_ray.sources.corpus import generate_corpus
-
-        t = generate_corpus(120, seed=3, mean_tokens=20,
-                            with_edge_rows=False)
-        n = t.num_rows
-        t = t.append_column("ts", pa.array(
-            [dt.datetime(2020, 1, 1 + i % 3) for i in range(n)],
-            pa.timestamp("us")))
-        t = t.append_column("flag", pa.array([i % 2 == 0 for i in range(n)]))
-        t = t.append_column("size", pa.array(range(n), pa.int64()))
-        pq.write_table(t, str(tmp_path / "docs.parquet"))
-        idx = str(tmp_path / "idx")
-        build_index(str(tmp_path / "docs.parquet"), idx, config=IndexConfig(
-            docs_per_range=32, extra_stored=("ts", "flag", "size")))
-        eng = SearchEngine(idx)
+        eng = SearchEngine(typed_index)
         for by in ("ts", "flag"):
             single = eng.facet_stats("def", by, {"s": "sum(size)"})
             assert single.num_rows > 1
             assert facet_stats_partitioned(
-                idx, "def", by, {"s": "sum(size)"}).equals(single), by
+                typed_index, "def", by, {"s": "sum(size)"}).equals(single), by
+
+    def test_stats_over_the_facet_field_itself(self, typed_index):
+        """``by`` may also be a stat field: each bucket's stats are over
+        its own value, on one engine and distributed alike."""
+        eng = SearchEngine(typed_index)
+        metrics = {"s": "sum(size)", "lo": "min(size)", "a": "avg(size)"}
+        single = eng.facet_stats("*:*", "size", metrics, limit=1000)
+        assert single.num_rows == eng.n_docs
+        for r in single.to_pylist():
+            v = float(r["value"])
+            assert r["count"] == 1 and r["s"] == r["lo"] == r["a"] == v
+        assert facet_stats_partitioned(
+            typed_index, "*:*", "size", metrics, limit=1000).equals(single)
+
+
+@pytest.fixture(scope="module")
+def typed_index(tmp_path_factory):
+    """A small index with timestamp, bool and int stored fields."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from solr_indexer_ray.config import IndexConfig
+    from solr_indexer_ray.pipelines.build import build_index
+    from solr_indexer_ray.sources.corpus import generate_corpus
+
+    tmp_path = tmp_path_factory.mktemp("typed")
+    t = generate_corpus(120, seed=3, mean_tokens=20, with_edge_rows=False)
+    n = t.num_rows
+    t = t.append_column("ts", pa.array(
+        [dt.datetime(2020, 1, 1 + i % 3) for i in range(n)],
+        pa.timestamp("us")))
+    t = t.append_column("flag", pa.array([i % 2 == 0 for i in range(n)]))
+    t = t.append_column("size", pa.array(range(n), pa.int64()))
+    pq.write_table(t, str(tmp_path / "docs.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "docs.parquet"), idx, config=IndexConfig(
+        docs_per_range=32, extra_stored=("ts", "flag", "size")))
+    return idx
 
 
 class TestJsonFacet:

@@ -163,3 +163,45 @@ def tiny_idx(tmp_path_factory, ray_session):
 def test_grouped_query_highlights_its_tree(tiny_idx, query, want):
     t = SearchEngine(tiny_idx).search(query, k=10, fl=["doc_id"], hl=True)
     assert dict(zip(t["doc_id"].to_pylist(), t["hl"].to_pylist())) == want
+
+
+@pytest.fixture(scope="module")
+def word_idx(tmp_path_factory, ray_session):
+    """Docs whose words hold a query word as a substring but not as a
+    token; ``python`` rows use the ``code`` analyzer, ``en`` rows
+    ``simple``."""
+    d = tmp_path_factory.mktemp("hlwords")
+    rows = [
+        ("python", "already ready to read"),
+        ("en", "already ready to read"),
+        ("python", "readFile(ready) reads betamax beta"),
+        ("en", "İread Read parsers unparsed"),
+    ]
+    n = len(rows)
+    corpus = pa.table({
+        "repo": ["org/r"] * n, "path": [f"f{i}.py" for i in range(n)],
+        "commit": ["c"] * n, "lang": [lang for lang, _ in rows],
+        "content": [text for _, text in rows],
+    })
+    pq.write_table(corpus, str(d / "c.parquet"))
+    build_index(str(d / "c.parquet"), str(d / "idx"), config=CFG)
+    return str(d / "idx")
+
+
+@pytest.mark.parametrize("query, want", [
+    # whole tokens only: not the head of ready or the tail of already
+    ("read", {0: "already ready to <em>read</em>",
+              1: "already ready to <em>read</em>",
+              2: "<em>read</em>File(ready) reads betamax beta",
+              3: "İ<em>read</em> <em>Read</em> parsers unparsed"}),
+    ("beta", {2: "readFile(ready) reads betamax <em>beta</em>"}),
+    # a prefix wraps the tokens it expands to, from their start
+    ("pars*", {3: "İread Read <em>parsers</em> unparsed"}),
+    # a wildcard matches the whole token
+    ("rea?y", {0: "already <em>ready</em> to read",
+               1: "already <em>ready</em> to read",
+               2: "readFile(<em>ready</em>) reads betamax beta"}),
+])
+def test_highlights_wrap_whole_tokens(word_idx, query, want):
+    t = SearchEngine(word_idx).search(query, k=10, fl=["doc_id"], hl=True)
+    assert dict(zip(t["doc_id"].to_pylist(), t["hl"].to_pylist())) == want

@@ -36,7 +36,7 @@ class TestParser:
 
     def test_prohibited_phrase(self):
         p = parse_query('-"foo bar" baz', _analyze)
-        assert p.prohibited_phrases == [["foo", "bar"]]
+        assert p.must_not.phrases == [["foo", "bar"]] and not p.phrases
         assert p.terms == ["baz"]
 
     def test_quoted_field_filter(self):
@@ -45,9 +45,9 @@ class TestParser:
 
     def test_negated_filter(self):
         p = parse_query("-lang:go x", _analyze)
-        assert p.neg_filters == {"lang": "go"} and not p.filters
+        assert p.must_not.filters == {"lang": "go"} and not p.filters
         q = parse_query('-lang:"go go" x', _analyze)
-        assert q.neg_filters == {"lang": "go go"}
+        assert q.must_not.filters == {"lang": "go go"}
 
     def test_unknown_field_phrase_scores(self):
         p = parse_query('content:"foo bar"', _analyze)

@@ -26,13 +26,13 @@ class TestParser:
     def test_fuzzy_boost_and_negation(self):
         p = parse_query("read~1^3 -miss~2", simple_analyzer)
         assert p.fuzzy_boosts[("read", 1)] == 3.0
-        assert ("miss", 2) in p.prohibited_fuzzies
+        assert p.must_not.fuzzies == [("miss", 2)]
 
     def test_wildcard_forms(self):
         p = parse_query("te?t *fix mid*dle tail* -sk?p", simple_analyzer)
         assert set(p.wildcards) == {"te?t", "*fix", "mid*dle"}
         assert p.prefixes == ["tail"]         # trailing-* stays a prefix
-        assert p.prohibited_wildcards == ["sk?p"]
+        assert p.must_not.wildcards == ["sk?p"]
 
     def test_no_group_returns_none(self):
         assert parse_boolean("plain a AND b", simple_analyzer) is None
@@ -527,7 +527,7 @@ class TestRegexQuery:
     def test_parser_forms(self):
         p = parse_query("/pa.se/ -/sk[iu]p/ /m(e|u)rge/^2", simple_analyzer)
         assert "/pa.se/" in p.wildcards
-        assert p.prohibited_wildcards == ["/sk[iu]p/"]
+        assert p.must_not.wildcards == ["/sk[iu]p/"]
         assert p.wildcard_boosts["/m(e|u)rge/"] == 2.0
 
     def test_group_lexer_keeps_regex_atomic(self):

@@ -41,7 +41,7 @@ class TestParser:
 
     def test_negated(self):
         p = parse_query("-doclen:[10 TO 20] x", _analyze)
-        assert p.neg_range_filters and not p.range_filters
+        assert p.must_not.range_filters and not p.range_filters
 
     def test_unsupported_field(self):
         with pytest.raises(ValueError, match="unsupported field"):

@@ -133,7 +133,8 @@ class TestSpatialParse:
             "window " + _q("bbox", "Contains", -10, -5, 10, 12, neg=True),
             lambda t: [t.lower()],
         )
-        assert p.neg_spatial_filters[0].op == "Contains"
+        assert p.must_not.spatial_filters[0].op == "Contains"
+        assert not p.spatial_filters
         assert p.terms == ["window"]
 
     def test_bounds_validated(self):

@@ -27,7 +27,7 @@ class TestParser:
 
     def test_prohibited_prefix(self):
         p = parse_query("-pars* x", _analyze)
-        assert p.prohibited_prefixes == ["pars"]
+        assert p.must_not.prefixes == ["pars"] and not p.prefixes
 
     def test_match_all(self):
         assert parse_query("*:*", _analyze).is_match_all
