@@ -137,7 +137,7 @@ def _bm25_query_block(q: str, analyzer=None) -> str:
     conds = [f"t.term IN ({_sql_list(terms)})"]
     if parsed.filters:
         fexpr = " AND ".join(
-            f"{fld} = '{val}'" for fld, val in sorted(parsed.filters.items())
+            f"{fld} = '{val}'" for fld, val in sorted(set(parsed.filters))
         )
         conds.append(
             f"t.doc_id IN (SELECT doc_id FROM documents WHERE {fexpr})"
@@ -503,11 +503,11 @@ def _phrase_query_block(q: str) -> str:
         )
 
     conds = ["1=1"] + _range_conds(parsed)
-    for fld, val in sorted(parsed.filters.items()):
+    for fld, val in sorted(set(parsed.filters)):
         conds.append(
             f"c.doc_id IN (SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
         )
-    for fld, val in sorted(_neg(parsed).filters.items()):
+    for fld, val in sorted(set(_neg(parsed).filters)):
         conds.append(
             "c.doc_id NOT IN "
             f"(SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
@@ -714,7 +714,7 @@ def _func_query_block(q: str, bf: list, boost: list) -> str:
     conds = [f"t.term IN ({_sql_list(terms)})"]
     if parsed.filters:
         fexpr = " AND ".join(
-            f"{fld} = '{val}'" for fld, val in sorted(parsed.filters.items())
+            f"{fld} = '{val}'" for fld, val in sorted(set(parsed.filters))
         )
         conds.append(
             f"t.doc_id IN (SELECT doc_id FROM documents WHERE {fexpr})"
@@ -775,7 +775,7 @@ def _scored_subq(parsed) -> str:
     conds = [f"t.term IN ({_sql_list(terms)})"]
     if parsed.filters:
         fexpr = " AND ".join(
-            f"{fld} = '{val}'" for fld, val in sorted(parsed.filters.items())
+            f"{fld} = '{val}'" for fld, val in sorted(set(parsed.filters))
         )
         conds.append(
             f"t.doc_id IN (SELECT doc_id FROM documents WHERE {fexpr})"
@@ -817,7 +817,7 @@ def _bq_subq(bq: str) -> str:
         for w in parsed.filter_boosts.values():
             const *= float(w)
         fexpr = " AND ".join(
-            f"{fld} = '{val}'" for fld, val in sorted(parsed.filters.items())
+            f"{fld} = '{val}'" for fld, val in sorted(set(parsed.filters))
         )
         return (
             f"SELECT doc_id, {const!r} AS s FROM documents WHERE {fexpr}"
@@ -1105,7 +1105,7 @@ def _mm_query_block(q: str, spec: str) -> str:
     conds = [f"t.term IN ({_sql_list(terms)})"]
     if parsed.filters:
         fexpr = " AND ".join(
-            f"{fld} = '{val}'" for fld, val in sorted(parsed.filters.items())
+            f"{fld} = '{val}'" for fld, val in sorted(set(parsed.filters))
         )
         conds.append(
             f"t.doc_id IN (SELECT doc_id FROM documents WHERE {fexpr})"
@@ -1566,11 +1566,11 @@ def _match_docs_sql(q: str) -> str:
     phrases = sorted(map(tuple, parsed.phrases))
 
     conds = ["1=1"] + _range_conds(parsed)
-    for fld, val in sorted(parsed.filters.items()):
+    for fld, val in sorted(set(parsed.filters)):
         conds.append(
             f"c.doc_id IN (SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
         )
-    for fld, val in sorted(_neg(parsed).filters.items()):
+    for fld, val in sorted(set(_neg(parsed).filters)):
         conds.append(
             "c.doc_id NOT IN "
             f"(SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
@@ -2362,7 +2362,7 @@ def _scored_match_sql(q: str) -> str:
     SELECT DISTINCT t.doc_id AS doc_id, 'w:{wi}' AS clause, {gw!r} AS contrib
     FROM tf t WHERE t.term LIKE '{pre}%'""")
     conds = ["1=1"] + _range_conds(parsed)
-    for fld, val in sorted(parsed.filters.items()):
+    for fld, val in sorted(set(parsed.filters)):
         conds.append(
             f"c.doc_id IN (SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
         )
@@ -2468,7 +2468,7 @@ def synonym_topk_sql() -> str:
       SELECT max(df) AS df FROM df WHERE term IN ({_sql_list(group)})
     ) bd""")
         conds = ["1=1"]
-        for fld, val in sorted(parsed.filters.items()):
+        for fld, val in sorted(set(parsed.filters)):
             conds.append(
                 f"c.doc_id IN (SELECT doc_id FROM documents WHERE {_fcond(fld, val)})"
             )
@@ -2750,7 +2750,7 @@ def facet_query_sql() -> str:
                 "doc_id IN (SELECT DISTINCT doc_id FROM tf WHERE term IN "
                 f"({_sql_list(sorted(set(p.terms)))}))"
             )
-        for fld, val in sorted(p.filters.items()):
+        for fld, val in sorted(set(p.filters)):
             conds.append(
                 "doc_id IN (SELECT doc_id FROM documents WHERE "
                 f"{fld} = '{val}')"

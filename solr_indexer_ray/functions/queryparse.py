@@ -175,7 +175,7 @@ class RangeFilter:
 @dataclass
 class ParsedQuery:
     terms: list = field(default_factory=list)        # analyzed scoring terms
-    filters: dict = field(default_factory=dict)      # field -> exact value
+    filters: list = field(default_factory=list)  # [(field, exact value)]
     conjunctive: bool = False                        # True when AND was used
     phrases: list = field(default_factory=list)          # list[list[term]]
     prefixes: list = field(default_factory=list)         # constant-score pre*
@@ -234,10 +234,11 @@ class ParsedQuery:
     boost_funcs: list = field(default_factory=list)
     mult_funcs: list = field(default_factory=list)
     #: trailing ``^w`` captured on metadata FILTER clauses
-    #: (``lang:java^5``).  Ignored by normal search (filters gate, they
-    #: don't score); read by the edismax ``bq`` path, where a pure-filter
-    #: boost query contributes a Lucene ConstantScoreQuery-style constant
-    #: (the product of these weights) to matching docs.
+    #: (``lang:java^5``), keyed by ``(field, value)``.  Ignored by
+    #: normal search (filters gate, they don't score); read by the
+    #: edismax ``bq`` path, where a pure-filter boost query contributes a
+    #: Lucene ConstantScoreQuery-style constant (the product of these
+    #: weights) to matching docs.
     filter_boosts: dict = field(default_factory=dict)
     #: Solr edismax boost queries (engine-built from ``bq``; never parsed
     #: from text): [(sub ParsedQuery, constant)].  SCORE-ONLY like pf —
@@ -387,7 +388,7 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
                     dst.field_phrase_boosts[clause] = boost
             return " "
         if fld in filter_fields:
-            dst.filters[fld] = text
+            dst.filters.append((fld, text))
             return " "
         toks = analyze(text)
         if not toks:
@@ -473,9 +474,9 @@ def parse_query(q: str, analyze, range_fields=RANGE_FIELDS,
             if fld in filter_fields:
                 # a trailing * on a filter value prefix-matches the
                 # metadata string (engine: starts_with pushdown)
-                dst.filters[fld] = val
+                dst.filters.append((fld, val))
                 if boost is not None:
-                    dst.filter_boosts[fld] = boost
+                    dst.filter_boosts[(fld, val)] = boost
                 continue
             raw = val  # default-field alias or unknown field -> score terms
         fm = _FUZZY.match(raw)

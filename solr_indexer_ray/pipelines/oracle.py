@@ -172,12 +172,12 @@ class BruteForceBM25:
         for i in range(self.n_docs):
             if parsed.filters and any(
                 not _fmatch(self.meta.get(f, [None] * self.n_docs)[i], v)
-                for f, v in parsed.filters.items()
+                for f, v in parsed.filters
             ):
                 continue
             if neg.filters and any(
                 _fmatch(self.meta.get(f, [None] * self.n_docs)[i], v)
-                for f, v in neg.filters.items()
+                for f, v in neg.filters
             ):
                 continue
             if parsed.range_filters or neg.range_filters:

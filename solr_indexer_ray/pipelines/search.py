@@ -324,11 +324,12 @@ def _one_array(col: pa.ChunkedArray) -> pa.Array:
 
 
 def _select_topk(cand, s, k):
-    """Exact top-k with (-score, doc_id) tie-break: find the k-th score,
-    keep everything >= it (boundary ties resolved by doc_id, not by
-    argpartition's arbitrary choice), then lexsort."""
+    """Exact top-k ``(ids, scores)`` arrays with (-score, doc_id)
+    tie-break: find the k-th score, keep everything >= it (boundary ties
+    resolved by doc_id, not by argpartition's arbitrary choice), then
+    lexsort."""
     if k <= 0:  # Solr rows=0
-        return []
+        return _NO_HITS
     if cand.size > k:
         # ascending partition at n-k = k-th LARGEST without the
         # negated copy the (-s, k-1) form allocated per query
@@ -338,7 +339,12 @@ def _select_topk(cand, s, k):
         sel = idx[order]
     else:
         sel = np.lexsort((cand, -s))
-    return [(int(cand[i]), float(s[i])) for i in sel]
+    return (cand[sel].astype(np.int64, copy=False),
+            s[sel].astype(np.float64, copy=False))
+
+
+#: the empty hit list: ``(ids, scores)`` as every collector returns them
+_NO_HITS = (np.empty(0, np.int64), np.empty(0, np.float64))
 
 
 def _after_cursor(ids, scores, after):
@@ -1621,8 +1627,9 @@ class SearchEngine:
         self._present = None        # doc_id -> row exists in docs table
         #: dense doc_id -> docs-table row position (-1: no row)
         self._locator = None
-        #: resident docs-table columns, in table row order
-        self._doc_cols: dict = {}
+        #: resident docs-table columns (one chunk each), in table row
+        #: order; None until the norms are read
+        self._docs: pa.Table | None = None
         self._null_cols: dict = {}  # field -> docs table may hold nulls
         self._open_generation(stats)
 
@@ -1806,8 +1813,8 @@ class SearchEngine:
         self._docs_ds = self._docs_view(ds)
         new = frags[len(old):]
         if files[:len(old)] != old or self.doc_space < old_space:
-            self._norms = self._present = self._locator = None
-            self._doc_cols, self._null_cols = {}, {}
+            self._norms = self._present = self._locator = self._docs = None
+            self._null_cols = {}
             self._cache.clear("docs")
             old, new = [], frags
         self._docs_files, self._docs_frags = files, frags
@@ -1820,7 +1827,7 @@ class SearchEngine:
         # table is: one file may type a stored column differently
         self._add_docs_rows(self._docs_view(pads.dataset(
             [f.path for f in new], schema=ds.schema)).to_table(
-                columns=list(self._doc_cols)) if new else None)
+                columns=self._docs.column_names) if new else None)
         return len(old), len(new)
 
     def _docs_view(self, ds):
@@ -1835,7 +1842,7 @@ class SearchEngine:
         the dense norms, present and locator arrays grow to
         ``doc_space`` and address them too, and each resident column
         gets their values (``t`` has exactly those columns)."""
-        n = 0 if self._norms is None else len(self._doc_cols["doc_id"])
+        n = 0 if self._norms is None else self._docs.num_rows
         norms = np.zeros(self.doc_space, dtype=np.uint8)
         present = np.zeros(self.doc_space, dtype=bool)
         locator = np.full(self.doc_space, -1, dtype=np.int64)
@@ -1848,10 +1855,11 @@ class SearchEngine:
             norms[ids] = t["norm"].to_numpy()
             present[ids] = True
             locator[ids] = n + np.arange(ids.size, dtype=np.int64)
-            for c in t.column_names:
-                col = _one_array(t[c])
-                self._doc_cols[c] = (pa.concat_arrays([self._doc_cols[c], col])
-                                     if n else col)
+            cols = [_one_array(t[c]) for c in t.column_names]
+            if n:
+                cols = [pa.concat_arrays([self._docs[c].chunk(0), col])
+                        for c, col in zip(t.column_names, cols)]
+            self._docs = pa.Table.from_arrays(cols, names=t.column_names)
         self._norms, self._present, self._locator = norms, present, locator
 
     @property
@@ -2705,16 +2713,15 @@ class SearchEngine:
         rows covered: after an extend only the rows of the new docs
         files are evaluated.  Independent of the tombstones, so a delete
         keeps it."""
-        cols = self._docs_columns(["doc_id", *dict.fromkeys(fields)])
-        n = len(cols["doc_id"])
+        cols = self._docs_table(["doc_id", *fields])
+        n = cols.num_rows
         hit = self._cache.get("filters", key)
         mask, done = (np.zeros(0, dtype=bool), 0) if hit is _MISS else hit
         if done == n and mask.size == self.doc_space:
             return mask
         grown = np.zeros(self.doc_space, dtype=bool)
         grown[:mask.size] = mask
-        rows = pa.table({c: a.slice(done) for c, a in cols.items()})
-        grown[rows.filter(expr())["doc_id"].to_numpy()] = True
+        grown[cols.slice(done).filter(expr())["doc_id"].to_numpy()] = True
         return self._cache.put("filters", key, (grown, n))[0]
 
     def _excluded_mask(self, parsed: ParsedQuery) -> np.ndarray | None:
@@ -2727,7 +2734,7 @@ class SearchEngine:
         from :meth:`_filter_rows`, which a commit keeps.
         """
         key = (
-            tuple(sorted(parsed.filters.items())),
+            tuple(sorted(set(parsed.filters))),
             tuple(parsed.range_filters),
             tuple(parsed.spatial_filters),
             repr(parsed.must_not),  # the dataclass repr names every clause
@@ -2762,7 +2769,7 @@ class SearchEngine:
         def rows(expr, fld):
             return expr if accept else self._or_null(~expr, fld)
 
-        for fld, val in parsed.filters.items():
+        for fld, val in dict.fromkeys(parsed.filters):
             yield self._filter_rows(
                 (side, fld, val),
                 lambda: rows(self._filter_value_expr(fld, val), fld), [fld])
@@ -2898,15 +2905,14 @@ class SearchEngine:
         if collapse is not None:
             heads = self._collapse(parsed, collapse[0], start + k, fq,
                                    collapse[1])
-            hits = list(zip(heads["doc_id"].to_pylist(),
-                            heads["score"].to_pylist()))
+            ids, scores = heads["doc_id"].to_numpy(), heads["score"].to_numpy()
         elif sort is not None:
-            hits = self._sorted_hits(parsed, sort, start + k, fq)
+            ids, scores = self._sorted_hits(parsed, sort, start + k, fq)
         else:
             after = None if search_after is None else (
                 float(search_after[0]), int(search_after[1]))
-            hits = self._ranked(parsed, start + k, fq, after)
-        t = self._resolve(hits[start:], fl)
+            ids, scores = self._ranked(parsed, start + k, fq, after)
+        t = self._resolve(ids[start:], scores[start:], fl)
         return self._add_highlights(parsed, t, hl) if hl else t
 
     def _prepare(self, query: str, qf: str | None = None, tie: float = 0.0,
@@ -3024,19 +3030,22 @@ class SearchEngine:
         ], np.int64)
 
     def _ranked(self, parsed: ParsedQuery, k: int, fq=None,
-                after=None) -> list:
-        """The top ``k`` ``(doc_id, score)`` hits by (-score, doc_id) of
-        :meth:`_match`'s set, after the ``after`` cursor when given;
-        without one, elevated docs lead in editorial order and the
+                after=None) -> tuple:
+        """The top ``k`` hits by (-score, doc_id) of :meth:`_match`'s
+        set as ``(ids, scores)`` arrays, after the ``after`` cursor when
+        given; without one, elevated docs lead in editorial order and the
         organic ranking follows."""
         ids, scores = self._match(parsed, fq, after)
         pins = self._pins(parsed.source) if after is None else ()
         if not len(pins):
             return _select_topk(ids, scores, k)
         pinned = np.isin(ids, pins)
-        organic = dict(zip(ids[pinned].tolist(), scores[pinned].tolist()))
-        head = [(d, organic[d]) for d in pins.tolist()]
-        return (head + _select_topk(ids[~pinned], scores[~pinned], k))[:k]
+        # _match put every pin in the set: its organic score, or 0.0
+        order = np.argsort(ids)
+        head = scores[order[np.searchsorted(ids, pins, sorter=order)]]
+        top_ids, top_scores = _select_topk(ids[~pinned], scores[~pinned], k)
+        return (np.concatenate([pins, top_ids])[:k],
+                np.concatenate([head, top_scores])[:k])
 
     def _apply_mm(self, parsed: ParsedQuery, mm) -> None:
         """Resolve + attach Solr ``mm`` to a freshly-parsed flat query.
@@ -3171,8 +3180,10 @@ class SearchEngine:
         Like Solr's highlighters, the stored content is re-analyzed with
         offsets (:func:`token_spans`, by the doc's ``lang`` analyzer and
         the index's filter chain), and a token matches when its analyzed
-        term is a query term or a fuzzy expansion, or matches a prefix,
-        wildcard or regex clause; docs with no matching token get null.
+        term is a query term (a ``qf`` dismax term over ``content``
+        too), one of its query-time synonyms or a fuzzy expansion, or
+        matches a prefix, wildcard or regex clause; docs with no
+        matching token get null.
         A grouped boolean query highlights the clauses of its tree
         outside negated subtrees."""
         from solr_indexer_ray.functions.filters import FilteredRegistry
@@ -3187,6 +3198,12 @@ class SearchEngine:
         words, prefixes, patterns = set(), [], []
         for leaf in _leaves(parsed):
             words.update(leaf.terms)
+            # query-time synonyms score with their term (_synonym_group)
+            words.update(m for w in leaf.terms
+                         for m in self.synonyms.get(w, ()))
+            # qf moves the free terms into dismax groups (_apply_qf)
+            words.update(w for w, fields in leaf.dismax
+                         if any(f == "content" for f, _ in fields))
             words.update(w for ph in leaf.phrases for w in ph)
             words.update(w for ph, _ in leaf.near_phrases for w in ph)
             prefixes += leaf.prefixes
@@ -3249,16 +3266,16 @@ class SearchEngine:
         return t.append_column("hl", pa.array(snippets, pa.string()))
 
     def _sorted_hits(self, parsed: ParsedQuery, sort: str, n: int,
-                     fq=None) -> list:
-        """The first ``n`` ``(doc_id, score)`` hits of the match set in
-        Solr ``sort=f1 desc, f2 asc`` order (:func:`_sort_top`).  At
-        cluster scale each range runs this and the driver merges with the
-        same kernel (:func:`sorted_partitioned`)."""
+                     fq=None) -> tuple:
+        """The first ``n`` hits of the match set in Solr ``sort=f1 desc,
+        f2 asc`` order (:func:`_sort_top`) as ``(ids, scores)`` arrays.
+        At cluster scale each range runs this and the driver merges with
+        the same kernel (:func:`sorted_partitioned`)."""
         keys = _sort_keys(sort, self.stored_fields)
         doc_ids, scores = self._match(parsed, fq)
         sel = _sort_top(keys, doc_ids, scores,
                         self._sort_values(keys, doc_ids), n)
-        return list(zip(doc_ids[sel].tolist(), scores[sel].tolist()))
+        return doc_ids[sel], scores[sel]
 
     def _sort_values(self, keys, doc_ids) -> dict:
         """The stored sort keys' values of ``doc_ids``: a gather from the
@@ -3780,31 +3797,27 @@ class SearchEngine:
             t = t.set_column(t.column_names.index(field), field, arr)
         return t
 
-    def _resolve(self, hits, fl=None) -> pa.Table:
+    def _resolve(self, ids, scores, fl=None) -> pa.Table:
+        """The response table of the hits ``(ids, scores)`` (aligned
+        arrays, in rank order): the ``fl`` stored fields of every hit
+        with a docs row, then ``score``."""
         fl = list(fl) if fl else self.stored_fields
         fl, fl_transforms = self._parse_fl(fl)
-        ids = [d for d, _ in hits]
         if set(fl) <= {"doc_id"} and not self._load_overlays():
             # fast path: the ranking already carries doc_id — no stored-field
             # read needed (the hot path for bench + contract queries)
-            return pa.table(
-                {
-                    "doc_id": pa.array(ids, pa.int64()),
-                    "score": pa.array([s for _, s in hits], pa.float64()),
-                }
-            )
+            return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                             "score": pa.array(scores, pa.float64())})
         # stored fields by docs-table row position, gathered from the
-        # resident columns (Lucene's stored-fields reader is random access
-        # by doc id, not a scan per read)
+        # resident docs table in one take (Lucene's stored-fields reader is
+        # random access by doc id, not a scan per read)
         idx, rows = self._hit_rows(ids)
         t = self._docs_take(sorted(set(fl) | {"doc_id"}), rows)
-        # typed float64 only for an empty hit list: hits that all drop out
-        # keep the untyped empty score column the docs-table scan gave
+        # typed float64 unless every hit drops out: those keep the untyped
+        # empty score column the docs-table scan gave
         t = t.append_column(
-            "score",
-            pa.array([hits[i][1] for i in idx]) if ids
-            else pa.array([], pa.float64()),
-        )
+            "score", pa.array(scores[idx]) if idx.size or not ids.size
+            else pa.array([]))
         t = self._apply_overlays(t)
         return self._apply_fl_transforms(t.select([*fl, "score"]),
                                          fl_transforms)
@@ -3832,40 +3845,41 @@ class SearchEngine:
         self.norms  # built together
         return self._locator
 
-    def _docs_columns(self, names) -> dict:
-        """Docs-table columns by name, in table row order (the order the
-        locator points into): read in one scan for all that are missing
-        and kept resident, growing by the rows an extend appends — the
-        stored-fields / docValues analogue.  Every per-doc read of a
-        stored field (``fl``, sort, facets, stats, joins, spatial
-        arrays, function columns, field norms, filters) is served from
-        here; only ``content`` is read per request
-        (:meth:`_content_take`)."""
+    def _docs_table(self, names) -> pa.Table:
+        """The resident docs table projected to ``names`` (each once), in
+        table row order (the order the locator points into): columns are
+        read in one scan for all that are missing and kept resident,
+        growing by the rows an extend appends — the stored-fields /
+        docValues analogue.  Every per-doc read of a stored field
+        (``fl``, sort, facets, stats, joins, spatial arrays, function
+        columns, field norms, filters) is served from here; only
+        ``content`` is read per request (:meth:`_content_take`)."""
         self.norms  # the locator's row order comes first
-        missing = [n for n in dict.fromkeys(names) if n not in self._doc_cols]
+        names = list(dict.fromkeys(names))
+        schema = self._docs.schema
+        missing = [n for n in names if schema.get_field_index(n) < 0]
         if missing:
             t = self._docs_ds.to_table(columns=missing)
             for n in missing:
-                self._doc_cols[n] = _one_array(t[n])
-        return {n: self._doc_cols[n] for n in names}
+                self._docs = self._docs.append_column(n, _one_array(t[n]))
+        return self._docs.select(names)
 
     def _docs_take(self, cols, rows) -> pa.Table:
         """The docs-table rows at positions ``rows`` (in that order),
-        projected to ``cols``.  ``content`` is never kept resident: it is
-        read for the wanted rows only."""
-        sel = pa.array(rows, pa.int64())
-        kept = self._docs_columns([c for c in cols if c != "content"])
-        return pa.table({
-            c: self._content_take(rows) if c == "content"
-            else kept[c].take(sel)
-            for c in cols
-        })
+        projected to ``cols`` (``doc_id`` or another stored field among
+        them): one ``take`` over the resident docs table.  ``content`` is
+        never kept resident: it is read for the wanted rows only."""
+        t = self._docs_table([c for c in cols if c != "content"]).take(
+            pa.array(rows, pa.int64()))
+        if "content" not in cols:
+            return t
+        return t.add_column(list(dict.fromkeys(cols)).index("content"),
+                            "content", self._content_take(rows))
 
     def _content_take(self, rows) -> pa.Array:
         """``content`` at docs-table positions ``rows``: one filtered read
         of the wanted doc ids (bodies are too large to keep resident)."""
-        ids = self._docs_columns(["doc_id"])["doc_id"].take(
-            pa.array(rows, pa.int64()))
+        ids = self._docs["doc_id"].chunk(0).take(pa.array(rows, pa.int64()))
         if self._lo:
             ids = pc.add(ids, self._lo)  # filters see the stored doc_id
         ct = self._docs_ds.to_table(columns=["doc_id", "content"],
@@ -4057,12 +4071,10 @@ class SearchEngine:
 
     def _field_table(self, field: str) -> pa.Table:
         """``(doc_id, field)`` projection of the whole docs table, served
-        from the resident columns: the source of every dense per-doc
+        from the resident docs table: the source of every dense per-doc
         array (sort keys, facet codes, function columns, field norms,
         spatial arrays) and of a join's target values."""
-        cols = self._docs_columns(["doc_id", field])
-        return pa.Table.from_arrays([cols["doc_id"], cols[field]],
-                                    names=["doc_id", field])
+        return self._docs_table(["doc_id", field])
 
     def _dense_field(self, field: str) -> np.ndarray:
         """Dense per-doc column array (position d = doc d's value):
@@ -4140,7 +4152,7 @@ class SearchEngine:
             for c in (latc, lonc):
                 if c not in self.stored_fields:
                     raise ValueError(f"unknown spatial column {c!r}")
-            t = self._docs_columns(["doc_id", latc, lonc])
+            t = self._docs_table(["doc_id", latc, lonc])
             ids = t["doc_id"].to_numpy()
             lat[ids] = t[latc].to_numpy(zero_copy_only=False).astype(float)
             lon[ids] = t[lonc].to_numpy(zero_copy_only=False).astype(float)
@@ -4367,7 +4379,7 @@ class SearchEngine:
 
     def _matched_rows(self, ids, cols) -> pa.Table:
         """Docs rows of the (present) docs ``ids``, in that order,
-        projected to ``cols`` from the resident columns."""
+        projected to ``cols`` from the resident docs table."""
         return self._docs_take(cols, self._docs_locator()[ids])
 
     # ------------------------------------------------------------------ #
@@ -5163,22 +5175,22 @@ class SearchEngine:
         if rerank_docs < 1:
             raise ValueError("rerank_docs must be >= 1")
         _check_page(k, start)
-        main = self._ranked(self._prepare(query),
-                            max(int(rerank_docs), start + k), fq)
-        ids = [d for d, _ in main]
-        rmap = self._rerank_scores(rerank_query, np.asarray(ids, np.int64))
-        hits = _rerank_combine(
-            ids, [sc for _, sc in main], rmap, int(rerank_docs),
-            float(rerank_weight), round_scores,
-        )
-        return self._resolve(hits[start:start + k], fl)
+        ids, scores = self._ranked(self._prepare(query),
+                                   max(int(rerank_docs), start + k), fq)
+        seg = min(int(rerank_docs), ids.size)
+        ids, scores = _rerank_combine(
+            ids, scores, self._rerank_scores(rerank_query, ids[:seg]),
+            float(rerank_weight), round_scores)
+        return self._resolve(ids[start:start + k], scores[start:start + k],
+                             fl)
 
-    def _rerank_scores(self, rerank_query: str, cand) -> dict:
-        """Doc id -> rerank-query score for the docs of ``cand`` it
-        matches, read from the rerank query's match arrays."""
+    def _rerank_scores(self, rerank_query: str, cand) -> np.ndarray:
+        """The rerank-query score of each doc of ``cand`` (0.0 where it
+        does not match), read from the rerank query's match arrays."""
         ids, scores = self._match(self._prepare(rerank_query))
-        keep = np.isin(ids, cand)
-        return dict(zip(ids[keep].tolist(), scores[keep].tolist()))
+        dense = np.zeros(self.doc_space)
+        dense[ids] = scores
+        return dense[cand]
 
     def ltr_search(self, query: str, model: dict, k: int = 10,
                    rerank_docs: int = 200, fl=None, fq=None,
@@ -5259,20 +5271,18 @@ class SearchEngine:
         _check_page(k, start)
 
         def _r(x):
-            return float(_round_half_away(x, round_scores))
+            return _round_half_away(x, round_scores)
 
-        main = self._ranked(self._prepare(query),
-                            max(int(rerank_docs), start + k), fq)
-        ids = [d for d, _ in main]
-        scores = [sc for _, sc in main]
-        seg = min(int(rerank_docs), len(ids))
-        cand = np.asarray(ids[:seg], dtype=np.int64)
+        ids, scores = self._ranked(self._prepare(query),
+                                   max(int(rerank_docs), start + k), fq)
+        seg = min(int(rerank_docs), ids.size)
+        cand = ids[:seg]
         total = np.zeros(seg, dtype=np.float64)
         fvals: dict[str, np.ndarray] = {}
         for f in feats:
             ftype = f.get("type", "function")
             if ftype == "originalScore":
-                vals = np.array([_r(s) for s in scores[:seg]])
+                vals = _r(scores[:seg])
             elif ftype == "function":
                 node = parse_func(f["expr"])
                 cols = {name: self.func_column(name)
@@ -5285,8 +5295,7 @@ class SearchEngine:
                 mask[self.match_ids(f["q"])] = True
                 vals = mask[cand].astype(np.float64)
             elif ftype == "queryScore":
-                got = self._rerank_scores(f["q"], cand)
-                vals = np.array([_r(got.get(int(d), 0.0)) for d in cand])
+                vals = _r(self._rerank_scores(f["q"], cand))
             elif ftype == "value":
                 vals = np.full(seg, float(f["value"]))
             else:
@@ -5300,12 +5309,12 @@ class SearchEngine:
             for t_ in trees:
                 total += (float(t_.get("weight", 1.0))
                           * _eval_ltr_tree(t_["root"], fvals, seg))
-        head = sorted(
-            ((int(d), _r(s)) for d, s in zip(cand, total)),
-            key=lambda t_: (-t_[1], t_[0]),
-        )
-        tail = [(int(d), _r(s)) for d, s in zip(ids[seg:], scores[seg:])]
-        return self._resolve((head + tail)[start:start + k], fl)
+        total = _r(total)
+        order = np.lexsort((cand, -total))
+        ids = np.concatenate([cand[order], ids[seg:]])
+        scores = np.concatenate([total[order], _r(scores[seg:])])
+        return self._resolve(ids[start:start + k], scores[start:start + k],
+                             fl)
 
     def term_vectors(self, doc_id: int,
                      with_positions: bool = False) -> pa.Table:
@@ -5397,21 +5406,20 @@ class SearchEngine:
         scored.sort()
         sel = [t for _, t in scored[:max_query_terms]]
         if not sel:
-            return self._resolve([], fl)
+            return self._resolve(*_NO_HITS, fl)
         postings = self.lookup_postings(sel)
-        ids, scores = self._match_score_arrays(
+        ids, scores = _select_topk(*self._match_score_arrays(
             ParsedQuery(terms=sel), {t: postings[t] for t in sel},
-            self._dead_mask())
-        hits = [(d, s) for d, s in _select_topk(ids, scores, k + 1)
-                if d != doc_id][:k]
-        return self._resolve(hits, fl)
+            self._dead_mask()), k + 1)
+        other = ids != doc_id
+        return self._resolve(ids[other][:k], scores[other][:k], fl)
 
     def get(self, doc_id: int, fl=None) -> dict | None:
         """Realtime-get analogue (``solrindexer/tools.py:68-85``): point
         lookup through the docs-row locator."""
         if doc_id in self.tombstones:
             return None
-        _, rows = self._hit_rows([doc_id])
+        _, rows = self._hit_rows(np.array([doc_id]))
         if rows.size == 0:
             return None
         cols = [c for c in self._docs_ds.schema.names
@@ -6367,25 +6375,20 @@ def _round_half_away(x, digits: int | None):
     return np.copysign(np.floor(np.abs(x) * m + 0.5) / m, x)
 
 
-def _rerank_combine(ids, main_scores, rmap: dict, rerank_docs: int,
-                    rerank_weight: float,
-                    round_scores: int | None):
-    """Combine a ranked main hit list with rerank-query scores: the top
-    ``rerank_docs`` segment is rescored ``main + weight * rerank`` and
-    re-sorted (score desc, doc id asc); the tail keeps its original order
-    and scores — shared by ``SearchEngine.rerank_search`` and
-    ``rerank_partitioned``."""
-    def _r(x):
-        return float(_round_half_away(x, round_scores))
-
-    seg = min(rerank_docs, len(ids))
-    head = [
-        (d, _r(s) + rerank_weight * _r(rmap.get(d, 0.0)))
-        for d, s in zip(ids[:seg], main_scores[:seg])
-    ]
-    head.sort(key=lambda t: (-t[1], t[0]))
-    tail = [(d, _r(s)) for d, s in zip(ids[seg:], main_scores[seg:])]
-    return head + tail
+def _rerank_combine(ids, scores, rerank, rerank_weight: float,
+                    round_scores: int | None) -> tuple:
+    """Combine the ranked main hits ``(ids, scores)`` with the rerank
+    scores of their head segment ``ids[:len(rerank)]``: the head is
+    rescored ``main + weight * rerank`` and re-sorted (score desc, doc id
+    asc); the tail keeps its original order and scores — shared by
+    ``SearchEngine.rerank_search`` and ``rerank_partitioned``."""
+    seg = len(rerank)
+    scores = _round_half_away(scores, round_scores)
+    head = scores[:seg] + rerank_weight * _round_half_away(rerank,
+                                                           round_scores)
+    order = np.lexsort((ids[:seg], -head))
+    return (np.concatenate([ids[:seg][order], ids[seg:]]),
+            np.concatenate([head[order], scores[seg:]]))
 
 
 def rerank_partitioned(index_dir: str, query: str, rerank_query: str,
@@ -6403,25 +6406,20 @@ def rerank_partitioned(index_dir: str, query: str, rerank_query: str,
     _check_page(k)
     n = max(int(rerank_docs), k)
     main = search_partitioned(index_dir, query, k=n, fq=fq)
-    ids = main["doc_id"].to_pylist()
-    cand = np.asarray(ids, dtype=np.int64)
+    ids = main["doc_id"].to_numpy()
+    cand = ids[:min(int(rerank_docs), ids.size)]
 
-    def task(e: SearchEngine) -> dict:
-        mine = cand[(cand >= e._lo) & (cand < e._lo + e.doc_space)]
-        got = e._rerank_scores(rerank_query, mine - e._lo)
-        return {d + e._lo: s for d, s in got.items()}
+    def task(e: SearchEngine) -> tuple:
+        mine = np.flatnonzero((cand >= e._lo) & (cand < e._lo + e.doc_space))
+        return mine, e._rerank_scores(rerank_query, cand[mine] - e._lo)
 
-    rmap: dict = {}
-    for part in _map_ranges(index_dir, task):
-        rmap.update(part)
-    hits = _rerank_combine(ids, main["score"].to_pylist(), rmap,
-                           int(rerank_docs), float(rerank_weight),
-                           round_scores)
-    return pa.Table.from_pylist(
-        [{"doc_id": d, "score": s} for d, s in hits[:k]],
-        schema=pa.schema([("doc_id", pa.int64()),
-                          ("score", pa.float64())]),
-    )
+    rerank = np.zeros(cand.size)
+    for mine, got in _map_ranges(index_dir, task):
+        rerank[mine] = got
+    ids, scores = _rerank_combine(ids, main["score"].to_numpy(), rerank,
+                                  float(rerank_weight), round_scores)
+    return pa.table({"doc_id": pa.array(ids[:k], pa.int64()),
+                     "score": pa.array(scores[:k], pa.float64())})
 
 
 def collapse_partitioned(index_dir: str, query: str, field: str,
@@ -6527,11 +6525,9 @@ def _range_sorted(engine: SearchEngine, query: str, sort: str, k: int,
     """A range's part of a distributed sorted browse: its sorted top k
     (``SearchEngine._sorted_hits``) as global ids, scores and the stored
     sort keys' values."""
-    hits = engine._sorted_hits(engine._prepare(query), sort, k, fq)
-    ids = np.array([d for d, _ in hits], np.int64)
+    ids, scores = engine._sorted_hits(engine._prepare(query), sort, k, fq)
     keys = _sort_keys(sort, engine.stored_fields)
-    return (ids + engine._lo, np.array([s for _, s in hits], np.float64),
-            engine._sort_values(keys, ids))
+    return ids + engine._lo, scores, engine._sort_values(keys, ids)
 
 
 def sorted_partitioned(index_dir: str, query: str, sort: str,

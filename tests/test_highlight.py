@@ -205,3 +205,25 @@ def word_idx(tmp_path_factory, ray_session):
 def test_highlights_wrap_whole_tokens(word_idx, query, want):
     t = SearchEngine(word_idx).search(query, k=10, fl=["doc_id"], hl=True)
     assert dict(zip(t["doc_id"].to_pylist(), t["hl"].to_pylist())) == want
+
+
+def test_qf_terms_highlight(tiny_idx):
+    """``qf`` moves the free terms into dismax groups; their ``content``
+    side highlights as the plain query does."""
+    eng = SearchEngine(tiny_idx)
+    plain = eng.search("def read", k=10, fl=["doc_id"], hl=True)
+    want = dict(zip(plain["doc_id"].to_pylist(), plain["hl"].to_pylist()))
+    assert want[0] == "<em>def</em> main is not fine"
+    for qf in ("content", "content^2"):
+        t = eng.search("def read", qf=qf, k=10, fl=["doc_id"], hl=True)
+        assert dict(zip(t["doc_id"].to_pylist(), t["hl"].to_pylist())) \
+            == want
+
+
+def test_synonym_matches_highlight(tiny_idx):
+    """A doc matched through a query-time synonym highlights it."""
+    eng = SearchEngine(tiny_idx, synonyms={"read": ["parser"]})
+    t = eng.search("read", k=10, fl=["doc_id"], hl=True)
+    assert dict(zip(t["doc_id"].to_pylist(), t["hl"].to_pylist())) == {
+        1: "<em>read</em> the betamax gamma notes",
+        2: "the <em>parser</em> runs fast"}

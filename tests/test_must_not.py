@@ -11,7 +11,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from solr_indexer_ray.contract_sql import _BM25_CTES, _match_docs_sql
 from solr_indexer_ray.functions.queryparse import parse_query
+from solr_indexer_ray.pipelines.oracle import BruteForceBM25
 from solr_indexer_ray.functions.tokenize import simple_analyzer
 from solr_indexer_ray.pipelines.search import SearchEngine, search_partitioned
 
@@ -36,14 +38,21 @@ NEGATIONS = [
 
 
 @pytest.fixture(scope="module")
-def neg_index(tmp_path_factory, ray_session):
+def corpus():
+    from solr_indexer_ray.sources.corpus import generate_corpus
+
+    return generate_corpus(200, seed=11, mean_tokens=40,
+                           with_edge_rows=False)
+
+
+@pytest.fixture(scope="module")
+def neg_index(tmp_path_factory, ray_session, corpus):
     """A positional index with an analyzed ``path_text`` field and bbox
     envelopes (every 7th doc has none), over four doc ranges."""
     from solr_indexer_ray.config import IndexConfig
     from solr_indexer_ray.pipelines.build import build_index
-    from solr_indexer_ray.sources.corpus import generate_corpus
 
-    t = generate_corpus(200, seed=11, mean_tokens=40, with_edge_rows=False)
+    t = corpus
     i = np.arange(t.num_rows)
     west = ((i * 37) % 320) - 170.0
     south = ((i * 13) % 140) - 70.0
@@ -132,3 +141,70 @@ def test_parser_routes_every_kind_into_must_not(engine):
     pos = engine._prepare(" ".join(n[1:] for n in NEGATIONS))
     assert neg.terms == ["return", "class"]
     assert vars(neg.must_not) == {**vars(pos), "source": ""}
+
+
+#: repeated metadata fields: every value of a field is its own clause
+REPEATED = [
+    f"{P} -lang:go -lang:java",
+    f"{P} -lang:java -lang:go",
+    f"{P} -lang:go -path:src/mod3* -path:src/mod1*",
+    f"{P} lang:go lang:java",
+    "lang:go lang:java",
+    f"{P} lang:go lang:go",
+    f"{P} path:src/mod1* path:src/mod1*",
+]
+
+
+def test_every_negated_value_excludes(engine):
+    base = _ids(engine, P)
+    go, java = _ids(engine, "lang:go"), _ids(engine, "lang:java")
+    assert base & go and base & java
+    assert _ids(engine, f"{P} -lang:go -lang:java") == base - go - java
+    assert _ids(engine, f"{P} -lang:java -lang:go") == base - go - java
+    mods = _ids(engine, "path:src/mod3*") | _ids(engine, "path:src/mod1*")
+    assert _ids(engine, f"{P} -lang:go -path:src/mod3* -path:src/mod1*") \
+        == base - go - mods
+
+
+def test_every_positive_value_gates(engine):
+    """Two values of one single-valued field match no doc, as two
+    required filter clauses do in Solr; a repeated value is one clause."""
+    assert _ids(engine, "lang:go") and _ids(engine, "lang:java")
+    assert _ids(engine, "lang:go lang:java") == set()
+    assert _ids(engine, f"{P} lang:go lang:java") == set()
+    assert engine.search(f"{P} lang:go lang:java", k=5).num_rows == 0
+    assert _ids(engine, f"{P} lang:go lang:go") == _ids(engine, f"{P} lang:go")
+    assert _hits(engine.search(f"{P} lang:go lang:go", k=50)) == _hits(
+        engine.search(f"{P} lang:go", k=50))
+
+
+def test_parser_keeps_every_value():
+    p = parse_query("x -lang:go -lang:java lang:c^2 lang:d", simple_analyzer)
+    assert p.must_not.filters == [("lang", "go"), ("lang", "java")]
+    assert p.filters == [("lang", "c"), ("lang", "d")]
+    assert p.filter_boosts == {("lang", "c"): 2.0}
+
+
+@pytest.fixture(scope="module")
+def sql(corpus):
+    """DuckDB over the corpus as the SQL oracle's ``documents`` table."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("documents", corpus.rename_columns(
+        ["text" if c == "content" else c for c in corpus.column_names]
+    ).append_column("doc_id", pa.array(range(corpus.num_rows), pa.int64())))
+    return con
+
+
+@pytest.mark.parametrize("q", REPEATED)
+def test_repeated_field_oracles_and_ranges_agree(neg_index, engine, corpus,
+                                                 sql, q):
+    got = _ids(engine, q)
+    oracle = BruteForceBM25(corpus).search(q, k=engine.n_docs)
+    assert {d for d, _ in oracle} == got
+    rows = sql.execute(f"{_BM25_CTES} SELECT doc_id FROM "
+                       f"({_match_docs_sql(q)})").fetchall()
+    assert {d for d, in rows} == got
+    single = engine.search(q, k=20).select(["doc_id", "score"])
+    assert search_partitioned(neg_index, q, k=20).equals(single)

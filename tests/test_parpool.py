@@ -192,3 +192,35 @@ def test_scatter_add_equivalence(tiny_chunks):
         c[ids] += 1
         _scatter_add(d, ids, 1)
         assert np.array_equal(c, d), n
+
+
+class TestPoolSize:
+    """The pool runs one thread per CPU the process may use, at most
+    ``MAX_THREADS``."""
+
+    def test_affinity_mask_outside_ray(self, monkeypatch):
+        import sys
+
+        monkeypatch.delitem(sys.modules, "ray", raising=False)
+        for cpus, want in (({0}, 1), ({0, 5, 9}, 3),
+                           (set(range(32)), 32)):
+            monkeypatch.setattr(parpool.os, "sched_getaffinity",
+                                lambda _pid, c=cpus: c)
+            assert parpool.usable_cpus() == want
+        assert min(parpool.MAX_THREADS, parpool.usable_cpus()) == 8
+
+    def test_ray_driver_uses_affinity(self, monkeypatch):
+        monkeypatch.setattr(parpool.os, "sched_getaffinity",
+                            lambda _pid: {0, 1})
+        assert parpool.usable_cpus() == 2
+
+    def test_ray_worker_uses_assigned_cpus(self):
+        import ray
+
+        @ray.remote
+        def sizes():
+            return parpool.usable_cpus(), parpool.pool()._max_workers
+
+        for cpus, want in ((1, 1), (0.5, 1), (2, 2)):
+            assert ray.get(sizes.options(num_cpus=cpus).remote()) \
+                == (want, want), cpus

@@ -41,13 +41,13 @@ class TestParser:
 
     def test_quoted_field_filter(self):
         p = parse_query('lang:"go" x', _analyze)
-        assert p.filters == {"lang": "go"}
+        assert p.filters == [("lang", "go")]
 
     def test_negated_filter(self):
         p = parse_query("-lang:go x", _analyze)
-        assert p.must_not.filters == {"lang": "go"} and not p.filters
+        assert p.must_not.filters == [("lang", "go")] and not p.filters
         q = parse_query('-lang:"go go" x', _analyze)
-        assert q.must_not.filters == {"lang": "go go"}
+        assert q.must_not.filters == [("lang", "go go")]
 
     def test_unknown_field_phrase_scores(self):
         p = parse_query('content:"foo bar"', _analyze)

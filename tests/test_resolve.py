@@ -129,6 +129,13 @@ def _scan_resolve(eng, hits, fl=None) -> pa.Table:
     return eng._apply_fl_transforms(t.select([*fl, "score"]), fl_transforms)
 
 
+def _arrays(hits):
+    """A ``[(doc_id, score)]`` hit list as the ``(ids, scores)`` arrays
+    ``_resolve`` takes."""
+    return (np.array([d for d, _ in hits], np.int64),
+            np.array([s for _, s in hits], np.float64))
+
+
 def _scan_get(eng, doc_id, fl=None):
     """The filtered-scan realtime get the locator gather replaced."""
     if doc_id in eng.tombstones:
@@ -160,7 +167,7 @@ def _assert_resolve_equivalent(eng, seed: int, rounds: int = 60):
         hits = _random_hits(rng, eng)
         fl = FLS[r % len(FLS)]
         want = _scan_resolve(eng, hits, fl)
-        got = eng._resolve(hits, fl)
+        got = eng._resolve(*_arrays(hits), fl)
         assert got.equals(want), (hits, fl)
         assert got.schema == want.schema, (hits, fl)
 
@@ -177,7 +184,7 @@ class TestResolveEquivalence:
     def test_empty_hits(self, base_index):
         eng = SearchEngine(base_index)
         for fl in FLS:
-            got = eng._resolve([], fl)
+            got = eng._resolve(*_arrays([]), fl)
             assert got.num_rows == 0
             assert got.equals(_scan_resolve(eng, [], fl))
 
@@ -185,7 +192,7 @@ class TestResolveEquivalence:
         eng = SearchEngine(base_index)
         holes = np.flatnonzero(~eng.present).tolist()
         hits = [(d, 1.0) for d in [*holes, -1, eng.doc_space]]
-        got = eng._resolve(hits)
+        got = eng._resolve(*_arrays(hits))
         assert got.num_rows == 0
         assert got.equals(_scan_resolve(eng, hits))
 
@@ -210,9 +217,10 @@ class TestResolveEquivalence:
         _assert_resolve_equivalent(eng, seed=2)
         hits = [(9, 2.0), (4, 1.5), (11, 1.0)]
         for fl in (None, ["doc_id", "lang", "doclen"], ["doc_id"]):
-            got = eng._resolve(hits, fl)
+            got = eng._resolve(*_arrays(hits), fl)
             assert got.equals(_scan_resolve(eng, hits, fl)), fl
-        assert eng._resolve(hits, ["lang"])["lang"].to_pylist()[1] == "cobol"
+        got = eng._resolve(*_arrays(hits), ["lang"])
+        assert got["lang"].to_pylist()[1] == "cobol"
 
     def test_unknown_field_same_error(self, base_index):
         eng = SearchEngine(base_index)
@@ -220,7 +228,7 @@ class TestResolveEquivalence:
             with pytest.raises(pa.ArrowInvalid):
                 _scan_resolve(eng, hits, ["doc_id", "nope"])
             with pytest.raises(pa.ArrowInvalid):
-                eng._resolve(hits, ["doc_id", "nope"])
+                eng._resolve(*_arrays(hits), ["doc_id", "nope"])
 
     def test_after_extend_and_refresh(self, index_copy, corpora):
         eng = SearchEngine(index_copy)
@@ -230,7 +238,8 @@ class TestResolveEquivalence:
         _assert_resolve_equivalent(eng, seed=4)
         fresh = SearchEngine(index_copy)
         hits = [(d, 1.0) for d in range(eng.doc_space - 30, eng.doc_space)]
-        assert eng._resolve(hits).equals(fresh._resolve(hits))
+        assert eng._resolve(*_arrays(hits)).equals(
+            fresh._resolve(*_arrays(hits)))
 
 
 class _CountingDataset:

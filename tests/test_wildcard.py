@@ -35,7 +35,7 @@ class TestParser:
 
     def test_filter_value_wildcard_kept_verbatim(self):
         p = parse_query("path:src/mod1* x", _analyze)
-        assert p.filters == {"path": "src/mod1*"}
+        assert p.filters == [("path", "src/mod1*")]
 
     def test_bare_star_not_a_prefix(self):
         # "*" alone is match-all, not an empty prefix
